@@ -8,7 +8,9 @@ length-generalization split across multiple seeds, evaluates in-distribution
 tests/test_acceptance.py consumes.
 
 Two profiles:
-  reduced  -- sized for a single CPU core (~1-2 hours)
+  reduced  -- sized for a single CPU core; one run took 4,057-4,428 s for
+              bt k3 and 755-1,210 s for gold/recurrent/gumbel
+              (results/runs-reduced/*/timing.log); k2/k5 not measured
   full     -- 20k train samples, length<=50/depth<=4/args<=3, d_h=128,
               test lengths 80-120; sized for an 8-core desktop (~2 hours
               with --workers 8)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .cells import GrcParams, ScorerParams, TreeLstmParams, grc_compose, score, \
+from .cells import GrcParams, ScorerParams, _chunk, grc_compose, score, \
     tree_lstm_compose
 from .tensor import Tensor
 from .topk import BeamSet, BeamState, gumbel_noise, merge_beams, plain_topk, truncate
@@ -22,8 +22,6 @@ class EncoderError(Exception):
 
 @dataclass
 class EncoderConfig:
-    kind: str = "bt"  # recurrent | gumbel | bt | bsrp | mc | gold | balanced | random
-    cell: str = "grc"  # grc | lstm
     beam_size: int = 5
     topk: str = "plain"  # plain | onesoft
     temperature: float = 1.0
@@ -39,20 +37,31 @@ class EncoderConfig:
             raise EncoderError("temperature must be positive")
 
 
-def _zeros_like_tensor(t: Tensor) -> Tensor:
-    return Tensor(np.zeros_like(t.data))
+# A node's state is one row: h for the GRC, [h; c] for the tree-LSTM. Only
+# the next three functions know that layout.
 
-
-def _compose_rows(left, right, mem_left, mem_right, cell):
-    """Compose row-aligned children; returns (parents, parent_memory)."""
+def _lift(leaves: Tensor, cell) -> Tensor:
+    """States of leaf rows (or of one vector); tree-LSTM leaves get c = 0."""
     if isinstance(cell, GrcParams):
-        return grc_compose(left, right, cell), None
-    h, c = tree_lstm_compose((left, mem_left), (right, mem_right), cell)
-    return h, c
+        return leaves
+    return T.concat([leaves, Tensor(np.zeros_like(leaves.data))], axis=-1)
 
 
-def _is_lstm(cell) -> bool:
-    return isinstance(cell, TreeLstmParams)
+def _compose(left: Tensor, right: Tensor, cell) -> Tensor:
+    """Parent states of row-aligned child states (or of two single states)."""
+    if isinstance(cell, GrcParams):
+        return grc_compose(left, right, cell)
+    d = cell.d_h
+    h, c = tree_lstm_compose((_chunk(left, 0, d), _chunk(left, 1, d)),
+                             (_chunk(right, 0, d), _chunk(right, 1, d)), cell)
+    return T.concat([h, c], axis=-1)
+
+
+def _read_h(states: Tensor, cell) -> Tensor:
+    """The h part of states."""
+    if isinstance(cell, GrcParams):
+        return states
+    return _chunk(states, 0, cell.d_h)
 
 
 def _splice_rows(mat: Tensor, i: int, row: Tensor) -> Tensor:
@@ -71,15 +80,11 @@ def _row(mat: Tensor, i: int) -> Tensor:
     return T.reshape(T.slice_rows(mat, i, i + 1), (mat.data.shape[1],))
 
 
-def _candidates(nodes: Tensor, memory: Tensor | None, cell):
-    n = nodes.data.shape[0]
-    left = T.slice_rows(nodes, 0, n - 1)
-    right = T.slice_rows(nodes, 1, n)
-    mem_l = mem_r = None
-    if memory is not None:
-        mem_l = T.slice_rows(memory, 0, n - 1)
-        mem_r = T.slice_rows(memory, 1, n)
-    return _compose_rows(left, right, mem_l, mem_r, cell)
+def _candidates(states: Tensor, cell) -> Tensor:
+    """Parent states of every adjacent pair of `states`."""
+    n = states.data.shape[0]
+    return _compose(T.slice_rows(states, 0, n - 1), T.slice_rows(states, 1, n),
+                    cell)
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +96,14 @@ def encode_recurrent(leaves: Tensor, cell, h0: Tensor | None = None) -> Tensor:
     n = leaves.data.shape[0]
     if n < 1:
         raise EncoderError("empty input")
-    lstm = _is_lstm(cell)
-    idx = 0
+    states = _lift(leaves, cell)
     if h0 is not None:
-        state = h0
-        mem = _zeros_like_tensor(h0) if lstm else None
+        state, first = _lift(h0, cell), 0
     else:
-        state = _row(leaves, 0)
-        mem = _zeros_like_tensor(state) if lstm else None
-        idx = 1
-    for i in range(idx, n):
-        nxt = _row(leaves, i)
-        nxt_mem = _zeros_like_tensor(nxt) if lstm else None
-        if lstm:
-            state, mem = tree_lstm_compose((state, mem), (nxt, nxt_mem), cell)
-        else:
-            state = grc_compose(state, nxt, cell)
-    return state
+        state, first = _row(states, 0), 1
+    for i in range(first, n):
+        state = _compose(state, _row(states, i), cell)
+    return _read_h(state, cell)
 
 
 def encode_fixed_tree(leaves: Tensor, tree: ParseTree, cell) -> Tensor:
@@ -117,19 +113,14 @@ def encode_fixed_tree(leaves: Tensor, tree: ParseTree, cell) -> Tensor:
         raise EncoderError(f"tree has {tree.n_leaves()} leaves for {n} tokens")
     if not tree.is_projective():
         raise EncoderError("non-projective tree")
-    lstm = _is_lstm(cell)
+    states = _lift(leaves, cell)
 
     def walk(t):
         if t.is_leaf:
-            h = _row(leaves, t.leaf)
-            return (h, _zeros_like_tensor(h)) if lstm else (h, None)
-        lh, lc = walk(t.left)
-        rh, rc = walk(t.right)
-        if lstm:
-            return tree_lstm_compose((lh, lc), (rh, rc), cell)
-        return grc_compose(lh, rh, cell), None
+            return _row(states, t.leaf)
+        return _compose(walk(t.left), walk(t.right), cell)
 
-    return walk(tree)[0]
+    return _read_h(walk(tree), cell)
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +137,11 @@ def encode_easy_first_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
     n = leaves.data.shape[0]
     if n < 1:
         raise EncoderError("empty input")
-    lstm = _is_lstm(cell)
-    nodes = leaves
-    memory = Tensor(np.zeros_like(leaves.data)) if lstm else None
+    nodes = _lift(leaves, cell)
     actions = []
     while nodes.data.shape[0] > 2:
-        parents, pmem = _candidates(nodes, memory, cell)
-        raw = score(parents, scorer)
+        parents = _candidates(nodes, cell)
+        raw = score(_read_h(parents, cell), scorer)
         if cfg.training:
             noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
             perturbed = T.add(raw, Tensor(noise))
@@ -162,26 +151,17 @@ def encode_easy_first_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
             onehot[hard] = 1.0
             ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
             parent = T.matmul(ste, parents)
-            parent_mem = T.matmul(ste, pmem) if lstm else None
         else:
             hard = int(np.argmax(raw.data))
             parent = _row(parents, hard)
-            parent_mem = _row(pmem, hard) if lstm else None
         nodes = _splice_rows(nodes, hard, T.reshape(parent, (1, -1)))
-        if lstm:
-            memory = _splice_rows(memory, hard, T.reshape(parent_mem, (1, -1)))
         actions.append(hard)
     if nodes.data.shape[0] == 2:
-        left, right = _row(nodes, 0), _row(nodes, 1)
-        if lstm:
-            out, _ = tree_lstm_compose((left, _row(memory, 0)),
-                                       (right, _row(memory, 1)), cell)
-        else:
-            out = grc_compose(left, right, cell)
+        out = _compose(_row(nodes, 0), _row(nodes, 1), cell)
         actions.append(0)
     else:
         out = _row(nodes, 0)
-    return out, replay_actions(n, actions)
+    return _read_h(out, cell), replay_actions(n, actions)
 
 
 def encode_mc_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
@@ -216,49 +196,33 @@ def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
     if n < 1:
         raise EncoderError("empty input")
     k = cfg.beam_size
-    lstm = _is_lstm(cell)
     zero = Tensor(np.zeros(1, dtype=leaves.data.dtype))
-    beams = [BeamState(
-        nodes=leaves, score=zero, actions=(),
-        memory=Tensor(np.zeros_like(leaves.data)) if lstm else None)]
+    beams = [BeamState(nodes=_lift(leaves, cell), score=zero, actions=())]
     branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) else "deterministic"
 
     while beams[0].length > 2:
         pool = []
         for beam in beams:
-            parents, pmem = _candidates(beam.nodes, beam.memory, cell)
-            logp = T.log_softmax(score(parents, scorer))
+            parents = _candidates(beam.nodes, cell)
+            logp = T.log_softmax(score(_read_h(parents, cell), scorer))
             for i in plain_topk(logp.data, k, mode=branch_mode, rng=rng):
-                nodes = _splice_rows(beam.nodes, i, T.slice_rows(parents, i, i + 1))
-                memory = None
-                if lstm:
-                    memory = _splice_rows(beam.memory, i,
-                                          T.slice_rows(pmem, i, i + 1))
                 pool.append(BeamState(
-                    nodes=nodes,
+                    nodes=_splice_rows(beam.nodes, i,
+                                       T.slice_rows(parents, i, i + 1)),
                     score=T.add(beam.score, T.reshape(T.pick(logp, i), (1,))),
-                    actions=beam.actions + (i,),
-                    memory=memory))
+                    actions=beam.actions + (i,)))
         beams = truncate(BeamSet(pool), k, cfg.topk, cfg.training, rng,
                          cfg.stochastic_topk).beams
 
     final = []
     for beam in beams:
+        root, actions = beam.nodes, beam.actions
         if beam.length == 2:
-            left, right = _row(beam.nodes, 0), _row(beam.nodes, 1)
-            if lstm:
-                enc, mem = tree_lstm_compose(
-                    (left, _row(beam.memory, 0)),
-                    (right, _row(beam.memory, 1)), cell)
-                mem = T.reshape(mem, (1, -1))
-            else:
-                enc, mem = grc_compose(left, right, cell), None
-            final.append(BeamState(nodes=T.reshape(enc, (1, -1)),
-                                   score=beam.score,
-                                   actions=beam.actions + (0,),
-                                   memory=mem))
-        else:
-            final.append(beam)
+            root = T.reshape(_compose(_row(root, 0), _row(root, 1), cell),
+                             (1, -1))
+            actions += (0,)
+        final.append(BeamState(nodes=_read_h(root, cell), score=beam.score,
+                               actions=actions))
     encoding = merge_beams([_row(b.nodes, 0) for b in final],
                            [b.score for b in final])
     return encoding, BeamSet(final)
@@ -285,16 +249,17 @@ class BsrpParams:
 
 @dataclass
 class _SRState:
-    stack: list  # list of (h, c-or-None) pairs
+    stack: list  # node states
     qpos: int
     score: Tensor
     actions: tuple
 
 
-def _sr_decision_logit(state: _SRState, leaves, memory, n, d_h, decision,
+def _sr_decision_logit(state: _SRState, leaves, cell, n, d_h, decision,
                        dtype) -> Tensor:
-    def slot(pair):
-        return pair[0] if pair is not None else Tensor(np.zeros(d_h, dtype=dtype))
+    def slot(item):
+        return _read_h(item, cell) if item is not None \
+            else Tensor(np.zeros(d_h, dtype=dtype))
 
     s2 = slot(state.stack[-2] if len(state.stack) >= 2 else None)
     s1 = slot(state.stack[-1] if len(state.stack) >= 1 else None)
@@ -317,8 +282,7 @@ def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
     k = cfg.beam_size
     d_h = leaves.data.shape[1]
     dtype = leaves.data.dtype
-    lstm = _is_lstm(cell)
-    zero_mem = Tensor(np.zeros(d_h, dtype=dtype))
+    states = _lift(leaves, cell)
     beams = [_SRState(stack=[], qpos=0,
                       score=Tensor(np.zeros(1, dtype=dtype)), actions=())]
     branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) else "deterministic"
@@ -328,22 +292,17 @@ def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
         for st in beams:
             can_shift = st.qpos < n
             can_reduce = len(st.stack) >= 2
-            logit = _sr_decision_logit(st, leaves, None, n, d_h, decision, dtype)
+            logit = _sr_decision_logit(st, leaves, cell, n, d_h, decision,
+                                       dtype)
             if can_shift:
-                h = _row(leaves, st.qpos)
-                item = (h, zero_mem if lstm else None)
                 pool.append(_SRState(
-                    stack=st.stack + [item], qpos=st.qpos + 1,
+                    stack=st.stack + [_row(states, st.qpos)], qpos=st.qpos + 1,
                     score=T.add(st.score, T.logsigmoid(T.neg(logit))),
                     actions=st.actions + ("s",)))
             if can_reduce:
-                (lh, lc), (rh, rc) = st.stack[-2], st.stack[-1]
-                if lstm:
-                    ph, pc = tree_lstm_compose((lh, lc), (rh, rc), cell)
-                else:
-                    ph, pc = grc_compose(lh, rh, cell), None
+                parent = _compose(st.stack[-2], st.stack[-1], cell)
                 pool.append(_SRState(
-                    stack=st.stack[:-2] + [(ph, pc)], qpos=st.qpos,
+                    stack=st.stack[:-2] + [parent], qpos=st.qpos,
                     score=T.add(st.score, T.logsigmoid(logit)),
                     actions=st.actions + ("r",)))
         if not pool:
@@ -352,9 +311,8 @@ def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
                          mode=branch_mode, rng=rng)
         beams = [pool[i] for i in idx]
 
-    final = [BeamState(nodes=T.reshape(st.stack[0][0], (1, -1)),
-                       score=st.score, actions=st.actions,
-                       memory=None) for st in beams]
+    final = [BeamState(nodes=T.reshape(_read_h(st.stack[0], cell), (1, -1)),
+                       score=st.score, actions=st.actions) for st in beams]
     encoding = merge_beams([_row(b.nodes, 0) for b in final],
                            [b.score for b in final])
     return encoding, BeamSet(final)

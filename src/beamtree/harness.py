@@ -69,8 +69,8 @@ class RunConfig:
 
     def encoder_config(self, training: bool) -> EncoderConfig:
         return EncoderConfig(
-            kind=self.encoder, cell=self.cell, beam_size=self.beam_size,
-            topk=self.topk, temperature=self.temperature,
+            beam_size=self.beam_size, topk=self.topk,
+            temperature=self.temperature,
             stochastic_topk=self.stochastic_topk, training=training)
 
 
@@ -239,8 +239,9 @@ def example_loss(model: Model, ex: Example, training: bool, rng) -> Tensor:
     return T.neg(T.pick(T.log_softmax(logits), ex.label))
 
 
-def _batch_grads(model: Model, batch, epoch: int):
-    """Mean loss gradient over a batch; returns (grads, mean_loss)."""
+def batch_grad_sums(model: Model, batch, epoch: int):
+    """Summed loss gradients and summed loss over `batch`, a list of
+    (index, example) pairs; returns (grads, loss_sum)."""
     params = model.params()
     total = [np.zeros_like(p.data) for p in params]
     loss_sum = 0.0
@@ -253,10 +254,7 @@ def _batch_grads(model: Model, batch, epoch: int):
         loss_sum += loss.item()
         for acc, p in zip(total, params):
             acc += p.grad
-    scale = 1.0 / len(batch)
-    for acc in total:
-        acc *= scale
-    return total, loss_sum * scale
+    return total, loss_sum
 
 
 def _length_bucketed_batches(examples, batch_size: int, rng) -> list:
@@ -304,7 +302,7 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
 
     if cfg.workers > 1:
         from .parallel import batch_grads_parallel, start_pool
-        pool = start_pool(cfg)
+        pool = start_pool(cfg, log)
     else:
         pool = None
 
@@ -322,10 +320,14 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
             loss_total = 0.0
             for batch in batches:
                 if pool is not None:
-                    grads, mean_loss = batch_grads_parallel(pool, model, batch,
-                                                            epoch)
+                    grads, loss_sum = batch_grads_parallel(pool, model, batch,
+                                                           epoch)
                 else:
-                    grads, mean_loss = _batch_grads(model, batch, epoch)
+                    grads, loss_sum = batch_grad_sums(model, batch, epoch)
+                scale = 1.0 / len(batch)
+                for g in grads:
+                    g *= scale
+                mean_loss = loss_sum * scale
                 if not np.isfinite(mean_loss):
                     raise HarnessError(
                         f"non-finite loss at epoch {epoch} step {step}")

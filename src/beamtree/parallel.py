@@ -14,46 +14,42 @@ import numpy as np
 _WORKER_MODEL = None
 
 
-def _init_worker(cfg_dict):
+def _init_worker(cfg_dict, cap_blas_threads: bool):
     global _WORKER_MODEL
-    try:
+    if cap_blas_threads:
         from threadpoolctl import threadpool_limits
         threadpool_limits(1)
-    except Exception:
-        pass
     from .harness import Model, make_config
     _WORKER_MODEL = Model(make_config(cfg_dict))
 
 
 def _shard_grads(args):
     param_arrays, shard, epoch = args
-    from .harness import example_rng, example_loss
-    from .tensor import Tape
-    model = _WORKER_MODEL
-    params = model.params()
-    for p, arr in zip(params, param_arrays):
+    from .harness import batch_grad_sums
+    for p, arr in zip(_WORKER_MODEL.params(), param_arrays):
         p.data[...] = arr
-    total = [np.zeros_like(p.data) for p in params]
-    loss_sum = 0.0
-    for index, ex in shard:
-        model.zero_grad()
-        with Tape() as tape:
-            loss = example_loss(model, ex, True,
-                                example_rng(model.cfg.seed, epoch, index))
-            tape.backward(loss)
-        loss_sum += loss.item()
-        for acc, p in zip(total, params):
-            acc += p.grad
-    return total, loss_sum
+    return batch_grad_sums(_WORKER_MODEL, shard, epoch)
 
 
-def start_pool(cfg):
+def start_pool(cfg, log=print):
+    """Fork `cfg.workers` workers, each capped to one BLAS thread when
+    threadpoolctl is installed; `log` reports once when it is not."""
+    try:
+        import threadpoolctl  # noqa: F401
+        cap = True
+    except ImportError:
+        cap = False
+        log("threadpoolctl is not installed: pool workers keep the default "
+            "BLAS thread count")
     cfg_dict = {k: str(v) for k, v in asdict(cfg).items()}
     ctx = mp.get_context("fork")
-    return ctx.Pool(cfg.workers, initializer=_init_worker, initargs=(cfg_dict,))
+    return ctx.Pool(cfg.workers, initializer=_init_worker,
+                    initargs=(cfg_dict, cap))
 
 
 def batch_grads_parallel(pool, model, batch, epoch: int):
+    """Summed loss gradients and summed loss over `batch`, split into one
+    shard per worker; returns (grads, loss_sum)."""
     workers = pool._processes
     param_arrays = [p.data for p in model.params()]
     shard_size = max(1, (len(batch) + workers - 1) // workers)
@@ -65,7 +61,4 @@ def batch_grads_parallel(pool, model, batch, epoch: int):
         loss_sum += shard_loss
         for acc, g in zip(total, grads):
             acc += g
-    scale = 1.0 / len(batch)
-    for acc in total:
-        acc *= scale
-    return total, loss_sum * scale
+    return total, loss_sum

@@ -13,13 +13,12 @@ from .tensor import Tensor
 
 @dataclass
 class BeamState:
-    """One hypothesis: a sequence of node vectors, its accumulated
+    """One hypothesis: a sequence of node states, its accumulated
     log-probability, and the merge actions that produced it."""
 
-    nodes: Tensor  # (length, d_h)
+    nodes: Tensor  # (length, state width); a finished beam holds its root h
     score: Tensor  # (1,)
     actions: tuple = ()
-    memory: Tensor | None = None  # tree-LSTM cell states, same shape as nodes
 
     @property
     def length(self) -> int:
@@ -67,7 +66,6 @@ def plain_topk(scores, k: int, mode: str = "deterministic",
 
 def _weighted_beam_sum(beams, weights: Tensor) -> BeamState:
     nodes = None
-    memory = None
     score = None
     for i, b in enumerate(beams):
         w = T.pick(weights, i)
@@ -75,14 +73,10 @@ def _weighted_beam_sum(beams, weights: Tensor) -> BeamState:
         nodes = part if nodes is None else T.add(nodes, part)
         sp = T.mul(b.score, w)
         score = sp if score is None else T.add(score, sp)
-        if b.memory is not None:
-            mp = T.mul(b.memory, w)
-            memory = mp if memory is None else T.add(memory, mp)
     # an interpolated beam has no single action history; carry the history of
     # its highest-scoring constituent so parse extraction stays well-defined
     best = max(range(len(beams)), key=lambda i: (beams[i].score.item(), -i))
-    return BeamState(nodes=nodes, score=score, actions=beams[best].actions,
-                     memory=memory)
+    return BeamState(nodes=nodes, score=score, actions=beams[best].actions)
 
 
 def onesoft_topk(bs: BeamSet, k: int) -> BeamSet:

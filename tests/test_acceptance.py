@@ -88,7 +88,7 @@ def test_criterion_gradients_all_components():
 
     # end-to-end: OneSoft beam recursion over 6 leaves in double precision
     leaves = Tensor(rng.standard_normal((6, d_h)), requires_grad=True)
-    cfg = EncoderConfig(kind="bt", beam_size=3, topk="onesoft", training=True,
+    cfg = EncoderConfig(beam_size=3, topk="onesoft", training=True,
                         stochastic_topk=False)
     worst["end_to_end"] = max(check_grads(
         lambda: T.tsum(T.mul(
@@ -109,7 +109,7 @@ def test_criterion_beam_search_matches_exhaustive_enumeration():
         scorer = ScorerParams.init(4, rng, np.float64)
         leaves = Tensor(rng.standard_normal((n, 4)))
         k = math.factorial(n - 1)
-        cfg = EncoderConfig(kind="bt", beam_size=k, topk="plain",
+        cfg = EncoderConfig(beam_size=k, topk="plain",
                             training=False)
         _, beams = encode_bt_cell(leaves, grc, scorer, cfg)
         oracle = {a: s for a, s, _ in enumerate_merge_derivations(
@@ -123,7 +123,7 @@ def test_criterion_beam_search_matches_exhaustive_enumeration():
         grc = GrcParams.init(4, rng, np.float64)
         decision = BsrpParams.init(4, rng, np.float64)
         leaves = Tensor(rng.standard_normal((n, 4)))
-        cfg = EncoderConfig(kind="bsrp", beam_size=64, training=False)
+        cfg = EncoderConfig(beam_size=64, training=False)
         _, beams = encode_bsrp(leaves, grc, decision, cfg)
         oracle = {a: s for a, s, _ in enumerate_sr_derivations(
             [leaves.data[i].copy() for i in range(n)], grc, decision)}
@@ -277,7 +277,7 @@ def test_criterion_parse_bookkeeping():
         scorer = ScorerParams.init(6, rng, np.float64)
         n = int(rng.integers(4, 8))
         leaves = Tensor(rng.standard_normal((n, 6)))
-        cfg = EncoderConfig(kind="bt", beam_size=4, topk="plain",
+        cfg = EncoderConfig(beam_size=4, topk="plain",
                             training=False)
         _, beams = encode_bt_cell(leaves, grc, scorer, cfg)
         tokens = [str(i) for i in range(n)]

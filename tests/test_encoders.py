@@ -30,17 +30,32 @@ def _leaves(n, seed=1, d_h=D_H):
     return Tensor(rng.standard_normal((n, d_h)))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_bt_cell_matches_exhaustive_enumeration(n):
-    grc, scorer = _params(seed=n)
+def _cell_params(cell, seed):
+    """(cell params, scorer) for `grc` or `lstm`."""
+    if cell == "grc":
+        return _params(seed)
+    rng = np.random.default_rng(seed)
+    return (TreeLstmParams.init(D_H, rng, np.float64),
+            ScorerParams.init(D_H, rng, np.float64))
+
+
+def _cell_cases(ns):
+    """(cell, n) cases; the grc ones keep the plain `[n]` test ids."""
+    return [pytest.param(cell, n, id=str(n) if cell == "grc" else f"{cell}-{n}")
+            for cell in ("grc", "lstm") for n in ns]
+
+
+@pytest.mark.parametrize("cell,n", _cell_cases([3, 4, 5, 6]))
+def test_bt_cell_matches_exhaustive_enumeration(cell, n):
+    params, scorer = _cell_params(cell, seed=n)
     leaves = _leaves(n, seed=n + 10)
     k = math.factorial(n - 1)
-    cfg = EncoderConfig(kind="bt", beam_size=k, topk="plain", training=False)
-    encoding, beams = encode_bt_cell(leaves, grc, scorer, cfg)
+    cfg = EncoderConfig(beam_size=k, topk="plain", training=False)
+    encoding, beams = encode_bt_cell(leaves, params, scorer, cfg)
 
     oracle = {a: (s, e) for a, s, e in
               enumerate_merge_derivations([leaves.data[i].copy() for i in range(n)],
-                            grc, scorer)}
+                                          params, scorer)}
     assert len(beams) == len(oracle) == k
     for b in beams.beams:
         s, enc = oracle[b.actions]
@@ -58,7 +73,7 @@ def test_bt_cell_small_beam_is_subset_of_enumeration():
     n, k = 5, 3
     grc, scorer = _params(seed=2)
     leaves = _leaves(n, seed=3)
-    cfg = EncoderConfig(kind="bt", beam_size=k, topk="plain", training=False)
+    cfg = EncoderConfig(beam_size=k, topk="plain", training=False)
     _, beams = encode_bt_cell(leaves, grc, scorer, cfg)
     oracle = {a: s for a, s, _ in
               enumerate_merge_derivations([leaves.data[i].copy() for i in range(n)],
@@ -74,7 +89,7 @@ def test_bt_cell_best_score_monotone_in_beam_size():
     leaves = _leaves(7, seed=5)
     best = []
     for k in (1, 2, 4, 8):
-        cfg = EncoderConfig(kind="bt", beam_size=k, topk="plain",
+        cfg = EncoderConfig(beam_size=k, topk="plain",
                             training=False)
         _, beams = encode_bt_cell(leaves, grc, scorer, cfg)
         best.append(max(b.score.item() for b in beams.beams))
@@ -83,21 +98,22 @@ def test_bt_cell_best_score_monotone_in_beam_size():
 
 
 def test_bt_cell_k1_equals_greedy_easy_first():
-    grc, scorer = _params(seed=6)
-    leaves = _leaves(6, seed=7)
-    cfg = EncoderConfig(kind="bt", beam_size=1, topk="plain", training=False)
-    bt_enc, beams = encode_bt_cell(leaves, grc, scorer, cfg)
-    ef_enc, tree = encode_easy_first_gumbel(leaves, grc, scorer, cfg)
-    assert np.max(np.abs(bt_enc.data - ef_enc.data)) <= 1e-9
     from beamtree.trees import replay_actions
-    assert replay_actions(6, beams.beams[0].actions).to_string() == \
-        tree.to_string()
+    leaves = _leaves(6, seed=7)
+    cfg = EncoderConfig(beam_size=1, topk="plain", training=False)
+    for cell in ("grc", "lstm"):
+        params, scorer = _cell_params(cell, seed=6)
+        bt_enc, beams = encode_bt_cell(leaves, params, scorer, cfg)
+        ef_enc, tree = encode_easy_first_gumbel(leaves, params, scorer, cfg)
+        assert np.max(np.abs(bt_enc.data - ef_enc.data)) <= 1e-9, cell
+        assert replay_actions(6, beams.beams[0].actions).to_string() == \
+            tree.to_string(), cell
 
 
 def test_bt_cell_two_tokens_no_score_increment():
     grc, scorer = _params(seed=8)
     leaves = _leaves(2, seed=9)
-    cfg = EncoderConfig(kind="bt", beam_size=3, topk="plain", training=False)
+    cfg = EncoderConfig(beam_size=3, topk="plain", training=False)
     enc, beams = encode_bt_cell(leaves, grc, scorer, cfg)
     assert len(beams) == 1
     assert beams.beams[0].score.item() == 0.0
@@ -109,7 +125,7 @@ def test_bt_cell_two_tokens_no_score_increment():
 def test_bt_cell_single_token_identity():
     grc, scorer = _params(seed=10)
     leaves = _leaves(1, seed=11)
-    cfg = EncoderConfig(kind="bt", beam_size=2, topk="plain", training=False)
+    cfg = EncoderConfig(beam_size=2, topk="plain", training=False)
     enc, beams = encode_bt_cell(leaves, grc, scorer, cfg)
     assert np.array_equal(enc.data, leaves.data[0])
     assert beams.beams[0].actions == ()
@@ -120,7 +136,7 @@ def test_bt_cell_lstm_cell_runs_and_backprops():
     lstm = TreeLstmParams.init(D_H, rng, np.float64)
     scorer = ScorerParams.init(D_H, rng, np.float64)
     leaves = Tensor(rng.standard_normal((5, D_H)), requires_grad=True)
-    cfg = EncoderConfig(kind="bt", cell="lstm", beam_size=2, topk="onesoft",
+    cfg = EncoderConfig(beam_size=2, topk="onesoft",
                         training=True, stochastic_topk=False)
     with Tape() as tape:
         enc, _ = encode_bt_cell(leaves, lstm, scorer, cfg,
@@ -201,7 +217,7 @@ def test_easy_first_training_forward_is_hard():
     # the straight-through forward must equal evaluating the returned tree
     grc, scorer = _params(seed=25)
     leaves = _leaves(6, seed=26)
-    cfg = EncoderConfig(kind="gumbel", beam_size=1, training=True,
+    cfg = EncoderConfig(beam_size=1, training=True,
                         temperature=2.0)
     enc, tree = encode_easy_first_gumbel(leaves, grc, scorer, cfg,
                                          rng=np.random.default_rng(3))
@@ -213,7 +229,7 @@ def test_easy_first_training_scorer_gets_gradient():
     grc, scorer = _params(seed=27)
     rng = np.random.default_rng(28)
     leaves = Tensor(rng.standard_normal((5, D_H)), requires_grad=True)
-    cfg = EncoderConfig(kind="gumbel", beam_size=1, training=True)
+    cfg = EncoderConfig(beam_size=1, training=True)
     with Tape() as tape:
         enc, _ = encode_easy_first_gumbel(leaves, grc, scorer, cfg,
                                           rng=np.random.default_rng(1))
@@ -224,7 +240,7 @@ def test_easy_first_training_scorer_gets_gradient():
 def test_easy_first_eval_scorer_no_gradient():
     grc, scorer = _params(seed=29)
     leaves = _leaves(5, seed=30)
-    cfg = EncoderConfig(kind="gumbel", beam_size=1, training=False)
+    cfg = EncoderConfig(beam_size=1, training=False)
     with Tape() as tape:
         enc, _ = encode_easy_first_gumbel(leaves, grc, scorer, cfg)
         tape.backward(T.tsum(enc))
@@ -234,7 +250,7 @@ def test_easy_first_eval_scorer_no_gradient():
 def test_easy_first_eval_deterministic():
     grc, scorer = _params(seed=31)
     leaves = _leaves(7, seed=32)
-    cfg = EncoderConfig(kind="gumbel", beam_size=1, training=False)
+    cfg = EncoderConfig(beam_size=1, training=False)
     a, ta = encode_easy_first_gumbel(leaves, grc, scorer, cfg)
     b, tb = encode_easy_first_gumbel(leaves, grc, scorer, cfg)
     assert np.array_equal(a.data, b.data)
@@ -244,7 +260,7 @@ def test_easy_first_eval_deterministic():
 def test_mc_mean_of_single_pass_matches():
     grc, scorer = _params(seed=33)
     leaves = _leaves(5, seed=34)
-    cfg = EncoderConfig(kind="mc", beam_size=1, training=True)
+    cfg = EncoderConfig(beam_size=1, training=True)
     enc = encode_mc_gumbel(leaves, grc, scorer, cfg, k=1,
                            rng=np.random.default_rng(9))
     single, _ = encode_easy_first_gumbel(leaves, grc, scorer, cfg,
@@ -255,7 +271,7 @@ def test_mc_mean_of_single_pass_matches():
 def test_mc_variance_shrinks_with_sample_count():
     grc, scorer = _params(seed=35)
     leaves = _leaves(7, seed=36)
-    cfg = EncoderConfig(kind="mc", beam_size=1, training=True)
+    cfg = EncoderConfig(beam_size=1, training=True)
 
     def sample_var(k, reps=60):
         vals = []
@@ -272,18 +288,18 @@ def test_mc_variance_shrinks_with_sample_count():
 # ---------------------------------------------------------------------------
 # beam shift-reduce
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_bsrp_matches_exhaustive_enumeration(n):
-    grc, _ = _params(seed=40 + n)
+@pytest.mark.parametrize("cell,n", _cell_cases([3, 4, 5]))
+def test_bsrp_matches_exhaustive_enumeration(cell, n):
+    params, _ = _cell_params(cell, seed=40 + n)
     rng = np.random.default_rng(41)
     decision = BsrpParams.init(D_H, rng, np.float64)
     leaves = _leaves(n, seed=42 + n)
     oracle = enumerate_sr_derivations([leaves.data[i].copy() for i in range(n)],
-                           grc, decision)
+                                      params, decision)
     # Catalan(n-1) complete derivations
-    assert len(oracle) == {3: 2, 4: 5}[n]
-    cfg = EncoderConfig(kind="bsrp", beam_size=32, training=False)
-    encoding, beams = encode_bsrp(leaves, grc, decision, cfg)
+    assert len(oracle) == {3: 2, 4: 5, 5: 14}[n]
+    cfg = EncoderConfig(beam_size=32, training=False)
+    encoding, beams = encode_bsrp(leaves, params, decision, cfg)
     by_actions = {a: (s, e) for a, s, e in oracle}
     assert len(beams) == len(oracle)
     for b in beams.beams:
@@ -297,7 +313,7 @@ def test_bsrp_single_token():
     decision = BsrpParams.init(D_H, np.random.default_rng(51), np.float64)
     leaves = _leaves(1, seed=52)
     enc, beams = encode_bsrp(leaves, grc, decision,
-                             EncoderConfig(kind="bsrp", beam_size=2,
+                             EncoderConfig(beam_size=2,
                                            training=False))
     assert np.array_equal(enc.data, leaves.data[0])
     assert beams.beams[0].actions == ("s",)
@@ -307,7 +323,7 @@ def test_bsrp_backprops_to_decision_layer():
     grc, _ = _params(seed=53)
     decision = BsrpParams.init(D_H, np.random.default_rng(54), np.float64)
     leaves = _leaves(4, seed=55)
-    cfg = EncoderConfig(kind="bsrp", beam_size=2, training=True,
+    cfg = EncoderConfig(beam_size=2, training=True,
                         stochastic_topk=False)
     with Tape() as tape:
         enc, _ = encode_bsrp(leaves, grc, decision, cfg)

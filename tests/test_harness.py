@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -183,6 +184,16 @@ def test_train_parallel_matches_serial(tmp_path):
           log=lambda *_: None)
     assert (out_s / "metrics.jsonl").read_bytes() == \
         (out_p / "metrics.jsonl").read_bytes()
+
+
+def test_train_parallel_reports_missing_threadpoolctl_once(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    messages = []
+    train(_tiny_cfg(workers=2, max_epochs=1), tmp_path / "run",
+          train_examples=_tiny_examples(8, seed=3),
+          dev_examples=_tiny_examples(4, seed=4), log=messages.append)
+    assert sum("threadpoolctl" in m for m in messages) == 1
 
 
 def test_train_writes_artifacts_and_timing_separate(tmp_path):

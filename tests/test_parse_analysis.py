@@ -16,7 +16,7 @@ def _run_bt(n, k, seed=0):
     grc = GrcParams.init(4, rng, np.float64)
     scorer = ScorerParams.init(4, rng, np.float64)
     leaves = Tensor(rng.standard_normal((n, 4)))
-    cfg = EncoderConfig(kind="bt", beam_size=k, topk="plain", training=False)
+    cfg = EncoderConfig(beam_size=k, topk="plain", training=False)
     return encode_bt_cell(leaves, grc, scorer, cfg)
 
 
