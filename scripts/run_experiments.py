@@ -11,12 +11,14 @@ Two profiles:
   reduced  -- sized for a single CPU core; one run took 4,057-4,428 s for
               bt k3 alone on a core, 6,270-6,342 s for two bt k3 runs side
               by side on a 2-core box, and 755-1,210 s for
-              gold/recurrent/gumbel (results/runs-reduced/*/timing.log).
-              No full k2/k5 run is timed yet; side by side on the same box,
-              with one BLAS thread per process, an epoch took 250-273 s
-              for bt k2 plain and 762 s for bt k5 plain (320-329 s for
-              bt k3 plain). Data: results/data-mid (the reduced recipe,
-              data seed 100)
+              gold/recurrent/gumbel (results/runs-reduced/*/timing.log),
+              all before the beam encoders cached their candidates.
+              No full k2/k5 run is timed yet; with the cache, side by side
+              on the same box, one BLAS thread per process, an epoch took
+              158 s for bt k2 plain and 292 s for bt k5 plain (250-273 s
+              and 762 s before), so the 9 missing k2/k5 runs need about
+              10 core-hours (bt k2 onesoft counted at 1.5x bt k2 plain).
+              Data: results/data-mid (the reduced recipe, data seed 100)
   full     -- 20k train samples, length<=50/depth<=4/args<=3, d_h=128,
               test lengths 80-120; sized for an 8-core desktop (~2 hours
               with --workers 8)
@@ -28,10 +30,16 @@ sha256 of its train/dev/test.tsv (a relative path is resolved against the
 repository root). Every cached run is checked before anything trains, and
 any mismatch is refused, naming the field. A run killed before writing
 result.json restarts from epoch 0 and, being deterministic, repeats the
-killed run's metrics.jsonl line for line. After every run the results JSON
-is rebuilt from all cached runs of every variant, so `--only` and `--seeds`
-never drop other runs from it; both files are replaced atomically, so
-concurrent invocations on disjoint runs are safe.
+killed run's metrics.jsonl line for line if the code is unchanged. The
+candidate cache of the beam encoders left forward values bit-identical but
+gradients different at float32 rounding, so a run killed before it and
+restarted after it does not. After every run the results JSON is rebuilt
+from all cached runs of every variant, so `--only` and `--seeds` never drop
+other runs from it; both files are replaced atomically, so concurrent
+invocations on disjoint runs are safe.
+
+The process uses one BLAS thread unless OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS is already set.
 """
 
 import argparse
@@ -46,6 +54,13 @@ import sys
 import tempfile
 import time
 from dataclasses import fields
+
+# One BLAS thread per sweep process unless the caller set a count: two
+# processes side by side on a 2-core box with the default count had not
+# finished a bt k2 epoch in 480 s, against 250 s with one thread each. Set
+# before numpy loads, since OpenBLAS reads these only at load time.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))

@@ -5,6 +5,7 @@ Monte-Carlo averaging, and fixed-tree evaluation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,16 +65,20 @@ def _read_h(states: Tensor, cell) -> Tensor:
     return _chunk(states, 0, cell.d_h)
 
 
-def _splice_rows(mat: Tensor, i: int, row: Tensor) -> Tensor:
-    """Replace rows i, i+1 of `mat` with the single row `row`."""
+def _cat_rows(parts: list) -> Tensor:
+    return parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
+
+
+def _splice_rows(mat: Tensor, start: int, stop: int, rows: Tensor) -> Tensor:
+    """Replace rows start..stop-1 of `mat` with `rows`."""
     n = mat.data.shape[0]
     parts = []
-    if i > 0:
-        parts.append(T.slice_rows(mat, 0, i))
-    parts.append(row)
-    if i + 2 < n:
-        parts.append(T.slice_rows(mat, i + 2, n))
-    return parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
+    if start > 0:
+        parts.append(T.slice_rows(mat, 0, start))
+    parts.append(rows)
+    if stop < n:
+        parts.append(T.slice_rows(mat, stop, n))
+    return _cat_rows(parts)
 
 
 def _row(mat: Tensor, i: int) -> Tensor:
@@ -85,6 +90,47 @@ def _candidates(states: Tensor, cell) -> Tensor:
     n = states.data.shape[0]
     return _compose(T.slice_rows(states, 0, n - 1), T.slice_rows(states, 1, n),
                     cell)
+
+
+def _new_candidates(merged: list, cell) -> list:
+    """Candidate caches after merges, all composed in one `_compose` call.
+
+    Each entry of `merged` is None or (nodes, parents, i): `nodes` after a
+    merge at i, `parents` the candidates of the nodes before it. Only the
+    candidates beside the merged node are new; the others are rows of
+    `parents`. Returns, per entry, the candidates of `nodes`, or None for a
+    None entry or fewer than three nodes (a root is composed on its own)."""
+    windows = []  # per entry, the pairs lo..hi-1 to compose, or None
+    for entry in merged:
+        if entry is None or entry[0].data.shape[0] < 3:
+            windows.append(None)
+        else:
+            nodes, _parents, i = entry
+            windows.append((max(i - 1, 0), min(i + 1, nodes.data.shape[0] - 1)))
+    live = [j for j, w in enumerate(windows) if w is not None]
+    if not live:
+        return [None] * len(merged)
+    lo, hi = windows[live[0]]
+    if len(live) == 1 and hi - lo == 1:
+        # BLAS multiplies a lone row with another kernel, and other rounding,
+        # than a matrix. A lone new candidate is composed with a neighbour,
+        # whose cached row this recomputes bit for bit, so every candidate
+        # keeps the bits it has in a beam's full candidate matrix.
+        windows[live[0]] = (lo - 1, hi) if lo > 0 else (lo, hi + 1)
+    fresh = _compose(
+        _cat_rows([T.slice_rows(merged[j][0], *windows[j]) for j in live]),
+        _cat_rows([T.slice_rows(merged[j][0], windows[j][0] + 1,
+                                windows[j][1] + 1) for j in live]), cell)
+    out, at = [], 0
+    for entry, window in zip(merged, windows):
+        if window is None:
+            out.append(None)
+            continue
+        lo, hi = window
+        new = fresh if len(live) == 1 else T.slice_rows(fresh, at, at + hi - lo)
+        at += hi - lo
+        out.append(_splice_rows(entry[1], lo, hi + 1, new))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +184,11 @@ def encode_easy_first_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
     if n < 1:
         raise EncoderError("empty input")
     nodes = _lift(leaves, cell)
+    parents = None  # candidate parents of `nodes`, kept across merges
     actions = []
     while nodes.data.shape[0] > 2:
-        parents = _candidates(nodes, cell)
+        if parents is None:
+            parents = _candidates(nodes, cell)
         raw = score(_read_h(parents, cell), scorer)
         if cfg.training:
             noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
@@ -154,7 +202,8 @@ def encode_easy_first_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
         else:
             hard = int(np.argmax(raw.data))
             parent = _row(parents, hard)
-        nodes = _splice_rows(nodes, hard, T.reshape(parent, (1, -1)))
+        nodes = _splice_rows(nodes, hard, hard + 2, T.reshape(parent, (1, -1)))
+        [parents] = _new_candidates([(nodes, parents, hard)], cell)
         actions.append(hard)
     if nodes.data.shape[0] == 2:
         out = _compose(_row(nodes, 0), _row(nodes, 1), cell)
@@ -181,16 +230,30 @@ def encode_mc_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
 # ---------------------------------------------------------------------------
 # beam tree cell
 
+class _Branch(NamedTuple):
+    """A pool entry before truncation: the merge at `i` of beam number
+    `beam`, with its accumulated log-probability as a scalar (hard top-k
+    reads only `score.item()`)."""
+    beam: int
+    i: int
+    score: np.floating
+
+
 def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
                    cfg: EncoderConfig,
                    rng: np.random.Generator | None = None):
     """Beam-search extension of easy-first composition.
 
-    Per iteration each beam builds all adjacent parent candidates, scores
+    Per iteration each beam scores all adjacent parent candidates, scores
     are log-softmaxed into per-branch log-probability increments, each beam
     branches over its top-k candidates, and the pooled beams are truncated
     back to k with the configured operator (plain or OneSoft top-k; plain
-    deterministic at eval). Returns (encoding, final BeamSet)."""
+    deterministic at eval). A beam carries its candidates from step to step;
+    after a merge only the merged node's one or two neighbours are
+    composed, for all kept beams in one call. Hard top-k builds only the
+    beams it keeps. A beam without candidates (the leaves, or OneSoft's
+    interpolated beam, since composition is nonlinear) composes all its
+    pairs. Returns (encoding, final BeamSet)."""
     cfg.validate()
     n = leaves.data.shape[0]
     if n < 1:
@@ -199,20 +262,44 @@ def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
     zero = Tensor(np.zeros(1, dtype=leaves.data.dtype))
     beams = [BeamState(nodes=_lift(leaves, cell), score=zero, actions=())]
     branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) else "deterministic"
+    soft = cfg.training and cfg.topk == "onesoft"
 
     while beams[0].length > 2:
-        pool = []
-        for beam in beams:
-            parents = _candidates(beam.nodes, cell)
-            logp = T.log_softmax(score(_read_h(parents, cell), scorer))
-            for i in plain_topk(logp.data, k, mode=branch_mode, rng=rng):
-                pool.append(BeamState(
-                    nodes=_splice_rows(beam.nodes, i,
-                                       T.slice_rows(parents, i, i + 1)),
-                    score=T.add(beam.score, T.reshape(T.pick(logp, i), (1,))),
-                    actions=beam.actions + (i,)))
-        beams = truncate(BeamSet(pool), k, cfg.topk, cfg.training, rng,
-                         cfg.stochastic_topk).beams
+        parents = [b.parents if b.parents is not None
+                   else _candidates(b.nodes, cell) for b in beams]
+        logps = [T.log_softmax(score(_read_h(p, cell), scorer))
+                 for p in parents]
+        pool = [_Branch(b, i, beams[b].score.data[0] + logp.data[i])
+                for b, logp in enumerate(logps)
+                for i in plain_topk(logp.data, k, mode=branch_mode, rng=rng)]
+
+        def grow(br):
+            beam = beams[br.beam]
+            return BeamState(
+                nodes=_splice_rows(beam.nodes, br.i, br.i + 2,
+                                   T.slice_rows(parents[br.beam], br.i, br.i + 1)),
+                score=T.add(beam.score,
+                            T.reshape(T.pick(logps[br.beam], br.i), (1,))),
+                actions=beam.actions + (br.i,))
+
+        if soft:
+            # OneSoft interpolates the beams it drops, so all are built; its
+            # interpolated beam comes from no branch and gets no cache
+            grown = [grow(br) for br in pool]
+            branch_of = {id(s): br for s, br in zip(grown, pool)}
+            kept = truncate(BeamSet(grown), k, cfg.topk, cfg.training, rng,
+                            cfg.stochastic_topk).beams
+            survivors = [(s, branch_of.get(id(s))) for s in kept]
+        else:
+            kept = truncate(BeamSet(pool), k, cfg.topk, cfg.training, rng,
+                            cfg.stochastic_topk).beams
+            survivors = [(grow(br), br) for br in kept]
+        caches = _new_candidates(
+            [None if br is None else (s.nodes, parents[br.beam], br.i)
+             for s, br in survivors], cell)
+        for (s, _br), cache in zip(survivors, caches):
+            s.parents = cache
+        beams = [s for s, _br in survivors]
 
     final = []
     for beam in beams:

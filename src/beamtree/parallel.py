@@ -1,8 +1,9 @@
 """Multiprocess gradient computation for the training loop.
 
-Examples within a batch are independent; workers compute per-shard gradient
-sums and the parent reduces them in a fixed shard order, so results are
-deterministic for a given config (worker count included)."""
+Examples within a batch are independent; workers compute per-example
+gradients of one shard each and the parent adds them in batch order, as
+`harness.batch_grad_sums` does, so the sums are bit-identical to the
+single-process ones for any worker count."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ def _shard_grads(args):
     from .harness import batch_grad_sums
     for p, arr in zip(_WORKER_MODEL.params(), param_arrays):
         p.data[...] = arr
-    return batch_grad_sums(_WORKER_MODEL, shard, epoch)
+    return [batch_grad_sums(_WORKER_MODEL, [item], epoch) for item in shard]
 
 
 def start_pool(cfg, log=print):
@@ -57,8 +58,9 @@ def batch_grads_parallel(pool, model, batch, epoch: int):
     results = pool.map(_shard_grads, [(param_arrays, s, epoch) for s in shards])
     total = [np.zeros_like(p.data) for p in model.params()]
     loss_sum = 0.0
-    for grads, shard_loss in results:
-        loss_sum += shard_loss
-        for acc, g in zip(total, grads):
-            acc += g
+    for shard_result in results:
+        for grads, loss in shard_result:
+            loss_sum += loss
+            for acc, g in zip(total, grads):
+                acc += g
     return total, loss_sum

@@ -14,11 +14,13 @@ from .tensor import Tensor
 @dataclass
 class BeamState:
     """One hypothesis: a sequence of node states, its accumulated
-    log-probability, and the merge actions that produced it."""
+    log-probability, the merge actions that produced it, and optionally the
+    parent states of its adjacent node pairs."""
 
     nodes: Tensor  # (length, state width); a finished beam holds its root h
     score: Tensor  # (1,)
     actions: tuple = ()
+    parents: Tensor | None = None  # (length - 1, state width) when cached
 
     @property
     def length(self) -> int:
@@ -102,7 +104,8 @@ def truncate(bs: BeamSet, k: int, variant: str, training: bool,
              stochastic: bool = False) -> BeamSet:
     """Configured beam truncation. OneSoft applies only in training; at eval
     time (and for the plain variant) this is hard top-k selection of input
-    beams, optionally Gumbel-perturbed during training."""
+    beams, optionally Gumbel-perturbed during training. Hard selection reads
+    only each entry's `score.item()`, so its entries need not be beams."""
     m = len(bs)
     if k >= m:
         return bs

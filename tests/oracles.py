@@ -3,12 +3,27 @@ a plain-numpy gated cell and tree-LSTM, exhaustive enumeration of every
 merge-order derivation, and exhaustive enumeration of shift-reduce
 derivations. These
 deliberately avoid the package's tensor machinery and use different library
-routines (norm.cdf, expit, scipy log_softmax) for the nonlinearities."""
+routines (norm.cdf, expit, scipy log_softmax) for the nonlinearities.
+
+The two full-recompose encoders at the end are the exception: they are the
+beam-tree and easy-first encoders as they were before candidate caching,
+composing every adjacent pair of every beam on every step on the package's
+tape, so the cached encoders' outputs and gradients can be checked
+against them."""
 
 import numpy as np
 from scipy.special import expit
 from scipy.special import log_softmax as sp_log_softmax
 from scipy.stats import norm
+
+from beamtree import tensor as T
+from beamtree.cells import score
+from beamtree.encoders import _candidates, _compose, _lift, _read_h, _row, \
+    _splice_rows
+from beamtree.tensor import Tensor
+from beamtree.topk import BeamSet, BeamState, gumbel_noise, merge_beams, \
+    plain_topk, truncate
+from beamtree.trees import replay_actions
 
 
 def np_grc(l, r, p):
@@ -135,3 +150,73 @@ def stack_machine_eval(source: str, med_even: str = "lower") -> int:
         stack.append(str(val))
     assert len(stack) == 1
     return int(stack[0])
+
+
+# ---------------------------------------------------------------------------
+# full-recompose encoders
+
+def full_recompose_easy_first_gumbel(leaves, cell, scorer, cfg, rng=None):
+    """`encoders.encode_easy_first_gumbel` recomposing every adjacent pair
+    on every step. Returns (vector, tree)."""
+    n = leaves.data.shape[0]
+    nodes = _lift(leaves, cell)
+    actions = []
+    while nodes.data.shape[0] > 2:
+        parents = _candidates(nodes, cell)
+        raw = score(_read_h(parents, cell), scorer)
+        if cfg.training:
+            noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
+            perturbed = T.add(raw, Tensor(noise))
+            hard = int(np.argmax(perturbed.data))
+            soft = T.softmax(T.mulc(perturbed, 1.0 / cfg.temperature))
+            onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
+            onehot[hard] = 1.0
+            ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
+            parent = T.matmul(ste, parents)
+        else:
+            hard = int(np.argmax(raw.data))
+            parent = _row(parents, hard)
+        nodes = _splice_rows(nodes, hard, hard + 2, T.reshape(parent, (1, -1)))
+        actions.append(hard)
+    if nodes.data.shape[0] == 2:
+        out = _compose(_row(nodes, 0), _row(nodes, 1), cell)
+        actions.append(0)
+    else:
+        out = _row(nodes, 0)
+    return _read_h(out, cell), replay_actions(n, actions)
+
+
+def full_recompose_bt_cell(leaves, cell, scorer, cfg, rng=None):
+    """`encoders.encode_bt_cell` recomposing every adjacent pair of every
+    beam on every step and building every pooled beam before truncation.
+    Returns (encoding, final BeamSet)."""
+    k = cfg.beam_size
+    zero = Tensor(np.zeros(1, dtype=leaves.data.dtype))
+    beams = [BeamState(nodes=_lift(leaves, cell), score=zero, actions=())]
+    branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) \
+        else "deterministic"
+    while beams[0].length > 2:
+        pool = []
+        for beam in beams:
+            parents = _candidates(beam.nodes, cell)
+            logp = T.log_softmax(score(_read_h(parents, cell), scorer))
+            for i in plain_topk(logp.data, k, mode=branch_mode, rng=rng):
+                pool.append(BeamState(
+                    nodes=_splice_rows(beam.nodes, i, i + 2,
+                                       T.slice_rows(parents, i, i + 1)),
+                    score=T.add(beam.score, T.reshape(T.pick(logp, i), (1,))),
+                    actions=beam.actions + (i,)))
+        beams = truncate(BeamSet(pool), k, cfg.topk, cfg.training, rng,
+                         cfg.stochastic_topk).beams
+    final = []
+    for beam in beams:
+        root, actions = beam.nodes, beam.actions
+        if beam.length == 2:
+            root = T.reshape(_compose(_row(root, 0), _row(root, 1), cell),
+                             (1, -1))
+            actions += (0,)
+        final.append(BeamState(nodes=_read_h(root, cell), score=beam.score,
+                               actions=actions))
+    encoding = merge_beams([_row(b.nodes, 0) for b in final],
+                           [b.score for b in final])
+    return encoding, BeamSet(final)

@@ -184,6 +184,8 @@ def test_train_parallel_matches_serial(tmp_path):
           log=lambda *_: None)
     assert (out_s / "metrics.jsonl").read_bytes() == \
         (out_p / "metrics.jsonl").read_bytes()
+    assert (out_s / "best.ckpt").read_bytes() == \
+        (out_p / "best.ckpt").read_bytes()
 
 
 def test_train_parallel_reports_missing_threadpoolctl_once(tmp_path,

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import os
 import shutil
+import subprocess
 import sys
 
 import pytest
@@ -112,3 +113,49 @@ def test_reduced_profile_defaults_to_the_data_its_runs_used():
     R.ensure_data(DATA_MID, p, 100)
     assert R.run_config("gold_tree", 0, p, DATA_MID, 1).data_dir == \
         "results/data-mid"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# loads the script as the tests above do, then prints the BLAS variables and,
+# where the loaded OpenBLAS can be asked, its thread count
+_PROBE = """
+import ctypes, importlib.util, json, os, sys
+spec = importlib.util.spec_from_file_location("run_experiments", sys.argv[1])
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+threads = None
+try:
+    with open("/proc/self/maps") as f:
+        libs = {line.split()[-1] for line in f if "openblas" in line}
+except OSError:
+    libs = set()
+for lib in sorted(libs):
+    for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads64_"):
+        fn = getattr(ctypes.CDLL(lib), name, None)
+        if fn is not None:
+            threads = fn()
+print(json.dumps({"env": {v: os.environ.get(v) for v in sys.argv[2:]},
+                  "threads": threads}))
+"""
+
+
+def _probe(**env):
+    clean = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE,
+         os.path.join(ROOT, "scripts", "run_experiments.py"), *BLAS_VARS],
+        env={**clean, **env}, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_sweep_pins_one_blas_thread_before_numpy_loads():
+    res = _probe()
+    assert res["env"] == {v: "1" for v in BLAS_VARS}
+    assert res["threads"] in (None, 1)
+
+
+def test_sweep_keeps_a_blas_thread_count_the_caller_set():
+    res = _probe(OPENBLAS_NUM_THREADS="2")
+    assert res["env"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                          "MKL_NUM_THREADS": "1"}
