@@ -35,25 +35,33 @@ def save_checkpoint(path, named: dict):
             f.write(data.tobytes())
 
 
+def _read(f, size: int) -> bytes:
+    data = f.read(size)
+    if len(data) != size:
+        raise CheckpointError("truncated checkpoint")
+    return data
+
+
+def _read_u32(f) -> int:
+    return struct.unpack("<I", _read(f, 4))[0]
+
+
 def load_checkpoint(path) -> dict:
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise CheckpointError("bad magic bytes")
-        (version,) = struct.unpack("<I", f.read(4))
+        version = _read_u32(f)
         if version != VERSION:
             raise CheckpointError(f"unknown checkpoint version {version}")
-        (count,) = struct.unpack("<I", f.read(4))
         named = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<I", f.read(4))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(rank))
+        for _ in range(_read_u32(f)):
+            name = _read(f, _read_u32(f)).decode("utf-8")
+            shape = tuple(_read_u32(f) for _ in range(_read_u32(f)))
             n = int(np.prod(shape)) if shape else 1
-            payload = f.read(4 * n)
-            if len(payload) != 4 * n:
-                raise CheckpointError("truncated checkpoint payload")
-            named[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+            named[name] = np.frombuffer(_read(f, 4 * n),
+                                        dtype="<f4").reshape(shape).copy()
+        if f.read(1):
+            raise CheckpointError("trailing bytes after the last tensor")
     return named
 
 

@@ -65,72 +65,68 @@ def _read_h(states: Tensor, cell) -> Tensor:
     return _chunk(states, 0, cell.d_h)
 
 
-def _cat_rows(parts: list) -> Tensor:
-    return parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
-
-
-def _splice_rows(mat: Tensor, start: int, stop: int, rows: Tensor) -> Tensor:
-    """Replace rows start..stop-1 of `mat` with `rows`."""
-    n = mat.data.shape[0]
-    parts = []
-    if start > 0:
-        parts.append(T.slice_rows(mat, 0, start))
-    parts.append(rows)
-    if stop < n:
-        parts.append(T.slice_rows(mat, stop, n))
-    return _cat_rows(parts)
-
-
 def _row(mat: Tensor, i: int) -> Tensor:
     return T.reshape(T.slice_rows(mat, i, i + 1), (mat.data.shape[1],))
 
 
-def _candidates(states: Tensor, cell) -> Tensor:
-    """Parent states of every adjacent pair of `states`."""
-    n = states.data.shape[0]
-    return _compose(T.slice_rows(states, 0, n - 1), T.slice_rows(states, 1, n),
-                    cell)
+# The easy-first and beam-tree encoders stack their beams: B beams of L
+# nodes are one (B*L, width) matrix of node states, one beam after another,
+# and the candidate parents of their adjacent pairs one (B*(L-1), width)
+# matrix. A merge step rebuilds both with row gathers.
+
+def _merge(nodes: Tensor, length: int, merged: Tensor, picks: list) -> Tensor:
+    """Stacked nodes after one merge per beam, in one gather. picks[r] is
+    (b, i, m): beam r is beam b of `nodes` (`length` rows each) with its
+    nodes i and i+1 replaced by row m of `merged`."""
+    base = nodes.data.shape[0]
+    ids = []
+    for b, i, m in picks:
+        start = b * length
+        ids += [*range(start, start + i), base + m,
+                *range(start + i + 2, start + length)]
+    return T.rows_gather(T.concat([nodes, merged], axis=0), ids)
 
 
-def _new_candidates(merged: list, cell) -> list:
-    """Candidate caches after merges, all composed in one `_compose` call.
-
-    Each entry of `merged` is None or (nodes, parents, i): `nodes` after a
-    merge at i, `parents` the candidates of the nodes before it. Only the
-    candidates beside the merged node are new; the others are rows of
-    `parents`. Returns, per entry, the candidates of `nodes`, or None for a
-    None entry or fewer than three nodes (a root is composed on its own)."""
-    windows = []  # per entry, the pairs lo..hi-1 to compose, or None
-    for entry in merged:
-        if entry is None or entry[0].data.shape[0] < 3:
-            windows.append(None)
-        else:
-            nodes, _parents, i = entry
-            windows.append((max(i - 1, 0), min(i + 1, nodes.data.shape[0] - 1)))
-    live = [j for j, w in enumerate(windows) if w is not None]
-    if not live:
-        return [None] * len(merged)
-    lo, hi = windows[live[0]]
-    if len(live) == 1 and hi - lo == 1:
+def _pairs(nodes: Tensor, length: int, cands: Tensor | None, merges: list,
+           cell):
+    """Candidate parents of the stacked beams `nodes`, `length` rows each.
+    merges[r] = (b, i, ...) says beam r is beam b of `cands` after merging
+    its nodes i and i+1, so only the pairs beside the merged node are new;
+    None says all pairs of beam r are new. The new pairs are composed in
+    one `_compose` call. With two nodes per beam, returns the list of
+    roots, each composed as a vector; with one, the list of nodes."""
+    count = len(merges)
+    if length == 1:
+        return [_row(nodes, r) for r in range(count)]
+    if length == 2:
+        return [_compose(_row(nodes, 2 * r), _row(nodes, 2 * r + 1), cell)
+                for r in range(count)]
+    windows = [(0, length - 1) if merge is None else
+               (max(merge[1] - 1, 0), min(merge[1] + 1, length - 1))
+               for merge in merges]
+    if count == 1 and windows[0][1] - windows[0][0] == 1:
         # BLAS multiplies a lone row with another kernel, and other rounding,
         # than a matrix. A lone new candidate is composed with a neighbour,
         # whose cached row this recomputes bit for bit, so every candidate
         # keeps the bits it has in a beam's full candidate matrix.
-        windows[live[0]] = (lo - 1, hi) if lo > 0 else (lo, hi + 1)
-    fresh = _compose(
-        _cat_rows([T.slice_rows(merged[j][0], *windows[j]) for j in live]),
-        _cat_rows([T.slice_rows(merged[j][0], windows[j][0] + 1,
-                                windows[j][1] + 1) for j in live]), cell)
-    out, at = [], 0
-    for entry, window in zip(merged, windows):
-        if window is None:
-            out.append(None)
-            continue
-        lo, hi = window
-        new = fresh if len(live) == 1 else T.slice_rows(fresh, at, at + hi - lo)
-        at += hi - lo
-        out.append(_splice_rows(entry[1], lo, hi + 1, new))
-    return out
+        lo, hi = windows[0]
+        windows[0] = (lo - 1, hi) if lo > 0 else (lo, hi + 1)
+    base = 0 if cands is None else cands.data.shape[0]
+    lefts, ids = [], []  # left node of each new pair; row of each candidate
+    for r, ((lo, hi), merge) in enumerate(zip(windows, merges)):
+        for j in range(length - 1):
+            if lo <= j < hi:
+                ids.append(base + len(lefts))
+                lefts.append(r * length + j)
+            else:
+                b, i = merge[:2]
+                ids.append(b * length + j + (j > i))
+    lefts = np.array(lefts)
+    new = _compose(T.rows_gather(nodes, lefts),
+                   T.rows_gather(nodes, lefts + 1), cell)
+    if cands is None:
+        return new
+    return T.rows_gather(T.concat([cands, new], axis=0), ids)
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +174,18 @@ def encode_easy_first_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
     """Greedy easy-first composition. In training mode the per-iteration
     selection is a straight-through estimator: the forward pass commits to
     the Gumbel-perturbed argmax, the backward pass follows the softmax over
-    perturbed scores at the configured temperature. Returns (vector, tree)."""
+    perturbed scores at the configured temperature. Nodes and candidate
+    parents are held as in `encode_bt_cell`, with one beam: after a merge
+    only the merged node's neighbours are composed. Returns (vector, tree)."""
     cfg.validate()
     n = leaves.data.shape[0]
     if n < 1:
         raise EncoderError("empty input")
-    nodes = _lift(leaves, cell)
-    parents = None  # candidate parents of `nodes`, kept across merges
+    nodes, length = _lift(leaves, cell), n
+    cands = _pairs(nodes, length, None, [None], cell)
     actions = []
-    while nodes.data.shape[0] > 2:
-        if parents is None:
-            parents = _candidates(nodes, cell)
-        raw = score(_read_h(parents, cell), scorer)
+    while length > 2:
+        raw = score(_read_h(cands, cell), scorer)
         if cfg.training:
             noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
             perturbed = T.add(raw, Tensor(noise))
@@ -198,19 +194,18 @@ def encode_easy_first_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
             onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
             onehot[hard] = 1.0
             ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
-            parent = T.matmul(ste, parents)
+            merged, row = T.reshape(T.matmul(ste, cands), (1, -1)), 0
         else:
             hard = int(np.argmax(raw.data))
-            parent = _row(parents, hard)
-        nodes = _splice_rows(nodes, hard, hard + 2, T.reshape(parent, (1, -1)))
-        [parents] = _new_candidates([(nodes, parents, hard)], cell)
+            merged, row = cands, hard
+        nodes = _merge(nodes, length, merged, [(0, hard, row)])
+        length -= 1
+        cands = _pairs(nodes, length, cands, [(0, hard)], cell)
         actions.append(hard)
-    if nodes.data.shape[0] == 2:
-        out = _compose(_row(nodes, 0), _row(nodes, 1), cell)
+    if length == 2:
         actions.append(0)
-    else:
-        out = _row(nodes, 0)
-    return _read_h(out, cell), replay_actions(n, actions)
+    [root] = cands
+    return _read_h(root, cell), replay_actions(n, actions)
 
 
 def encode_mc_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
@@ -248,71 +243,71 @@ def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
     are log-softmaxed into per-branch log-probability increments, each beam
     branches over its top-k candidates, and the pooled beams are truncated
     back to k with the configured operator (plain or OneSoft top-k; plain
-    deterministic at eval). A beam carries its candidates from step to step;
-    after a merge only the merged node's one or two neighbours are
-    composed, for all kept beams in one call. Hard top-k builds only the
-    beams it keeps. A beam without candidates (the leaves, or OneSoft's
-    interpolated beam, since composition is nonlinear) composes all its
-    pairs. Returns (encoding, final BeamSet)."""
+    deterministic at eval). The beams are stacked (see `_merge`), their
+    scores one (B,) vector: one `score` call and one row-wise log-softmax
+    cover all beams, the kept beams' nodes are one gather, and only the
+    pairs beside each merged node are composed, in one call. Hard top-k
+    builds only the beams it keeps; OneSoft builds all, as it interpolates
+    the ones it drops, and composes every pair of its interpolated beam.
+    Returns (encoding, final BeamSet)."""
     cfg.validate()
     n = leaves.data.shape[0]
     if n < 1:
         raise EncoderError("empty input")
     k = cfg.beam_size
-    zero = Tensor(np.zeros(1, dtype=leaves.data.dtype))
-    beams = [BeamState(nodes=_lift(leaves, cell), score=zero, actions=())]
     branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) else "deterministic"
     soft = cfg.training and cfg.topk == "onesoft"
+    nodes, length = _lift(leaves, cell), n
+    cands = _pairs(nodes, length, None, [None], cell)
+    scores = Tensor(np.zeros(1, dtype=leaves.data.dtype))
+    actions = [()]
 
-    while beams[0].length > 2:
-        parents = [b.parents if b.parents is not None
-                   else _candidates(b.nodes, cell) for b in beams]
-        logps = [T.log_softmax(score(_read_h(p, cell), scorer))
-                 for p in parents]
-        pool = [_Branch(b, i, beams[b].score.data[0] + logp.data[i])
-                for b, logp in enumerate(logps)
-                for i in plain_topk(logp.data, k, mode=branch_mode, rng=rng)]
+    while length > 2:
+        logp = T.log_softmax(T.reshape(score(_read_h(cands, cell), scorer),
+                                       (len(actions), length - 1)))
+        pool = [_Branch(b, i, scores.data[b] + logp.data[b, i])
+                for b in range(len(actions))
+                for i in plain_topk(logp.data[b], k, mode=branch_mode, rng=rng)]
 
-        def grow(br):
-            beam = beams[br.beam]
-            return BeamState(
-                nodes=_splice_rows(beam.nodes, br.i, br.i + 2,
-                                   T.slice_rows(parents[br.beam], br.i, br.i + 1)),
-                score=T.add(beam.score,
-                            T.reshape(T.pick(logps[br.beam], br.i), (1,))),
-                actions=beam.actions + (br.i,))
+        def grow(branches):
+            """Stacked nodes and scores of the beams `branches` make."""
+            picks = [(br.beam, br.i, br.beam * (length - 1) + br.i)
+                     for br in branches]
+            return (_merge(nodes, length, cands, picks),
+                    T.add(T.rows_gather(scores, [p[0] for p in picks]),
+                          T.rows_gather(T.reshape(logp, (-1,)),
+                                        [p[2] for p in picks])))
 
         if soft:
-            # OneSoft interpolates the beams it drops, so all are built; its
-            # interpolated beam comes from no branch and gets no cache
-            grown = [grow(br) for br in pool]
-            branch_of = {id(s): br for s, br in zip(grown, pool)}
-            kept = truncate(BeamSet(grown), k, cfg.topk, cfg.training, rng,
+            grown, grown_scores = grow(pool)
+            rows = length - 1
+            beams = [BeamState(T.slice_rows(grown, j * rows, (j + 1) * rows),
+                               T.slice_rows(grown_scores, j, j + 1),
+                               actions[br.beam] + (br.i,))
+                     for j, br in enumerate(pool)]
+            branch_of = {id(s): br for s, br in zip(beams, pool)}
+            kept = truncate(BeamSet(beams), k, cfg.topk, cfg.training, rng,
                             cfg.stochastic_topk).beams
-            survivors = [(s, branch_of.get(id(s))) for s in kept]
+            nodes = T.concat([s.nodes for s in kept], axis=0)
+            scores = T.concat([s.score for s in kept], axis=0)
+            # the interpolated beam comes from no branch: all its pairs are new
+            merges = [branch_of.get(id(s)) for s in kept]
+            actions = [s.actions for s in kept]
         else:
-            kept = truncate(BeamSet(pool), k, cfg.topk, cfg.training, rng,
-                            cfg.stochastic_topk).beams
-            survivors = [(grow(br), br) for br in kept]
-        caches = _new_candidates(
-            [None if br is None else (s.nodes, parents[br.beam], br.i)
-             for s, br in survivors], cell)
-        for (s, _br), cache in zip(survivors, caches):
-            s.parents = cache
-        beams = [s for s, _br in survivors]
+            merges = truncate(BeamSet(pool), k, cfg.topk, cfg.training, rng,
+                              cfg.stochastic_topk).beams
+            nodes, scores = grow(merges)
+            actions = [actions[br.beam] + (br.i,) for br in merges]
+        length -= 1
+        cands = _pairs(nodes, length, cands, merges, cell)
 
-    final = []
-    for beam in beams:
-        root, actions = beam.nodes, beam.actions
-        if beam.length == 2:
-            root = T.reshape(_compose(_row(root, 0), _row(root, 1), cell),
-                             (1, -1))
-            actions += (0,)
-        final.append(BeamState(nodes=_read_h(root, cell), score=beam.score,
-                               actions=actions))
-    encoding = merge_beams([_row(b.nodes, 0) for b in final],
-                           [b.score for b in final])
-    return encoding, BeamSet(final)
+    if length == 2:
+        actions = [a + (0,) for a in actions]
+    roots = [_read_h(root, cell) for root in cands]
+    beam_scores = [T.slice_rows(scores, b, b + 1) for b in range(len(roots))]
+    final = [BeamState(nodes=T.reshape(h, (1, -1)), score=s, actions=a)
+             for h, s, a in zip(roots, beam_scores, actions)]
+    return merge_beams(roots, beam_scores), BeamSet(final)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "mul",
     "neg",
     "mulc",
-    "addc",
     "add_rowvec",
     "matmul",
     "sigmoid",
@@ -46,7 +45,6 @@ __all__ = [
     "rows_gather",
     "dropout",
     "detach",
-    "backward",
     "clip_grad_norm",
 ]
 
@@ -150,7 +148,6 @@ def _make(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     out.grad = None
     tape = Tape._active
     if tape is not None and out.requires_grad:
-        out.grad = np.zeros_like(data)
         tape.records.append(_Record(out, inputs, vjp))
     return out
 
@@ -204,11 +201,6 @@ def neg(a: Tensor) -> Tensor:
 def mulc(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return _make(a.data * c, (a,), lambda g: (g * c,))
-
-
-def addc(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _make(a.data + c, (a,), lambda g: (g,))
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
@@ -324,13 +316,15 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    if a.data.ndim != 1 or a.data.size < 1:
-        raise TensorError("log_softmax expects a non-empty 1-D input")
-    z = a.data - a.data.max()
-    lse = np.log(np.exp(z).sum())
+    """Log-softmax of a 1-D input, or of each row of a 2-D input."""
+    if a.data.ndim not in (1, 2) or a.data.size < 1:
+        raise TensorError("log_softmax expects a non-empty 1-D or 2-D input")
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     out = z - lse
     s = np.exp(out)
-    return _make(out, (a,), lambda g: (g - s * g.sum(),))
+    return _make(out, (a,),
+                 lambda g: (g - s * g.sum(axis=-1, keepdims=True),))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -450,14 +444,6 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 def detach(a: Tensor) -> Tensor:
     return Tensor(a.data.copy(), requires_grad=False)
-
-
-def backward(loss: Tensor):
-    """Run the active tape backward from `loss`."""
-    tape = Tape._active
-    if tape is None:
-        raise TensorError("backward requires an active Tape")
-    tape.backward(loss)
 
 
 def glorot_uniform(shape, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:

@@ -14,13 +14,11 @@ from .tensor import Tensor
 @dataclass
 class BeamState:
     """One hypothesis: a sequence of node states, its accumulated
-    log-probability, the merge actions that produced it, and optionally the
-    parent states of its adjacent node pairs."""
+    log-probability, and the merge actions that produced it."""
 
     nodes: Tensor  # (length, state width); a finished beam holds its root h
     score: Tensor  # (1,)
     actions: tuple = ()
-    parents: Tensor | None = None  # (length - 1, state width) when cached
 
     @property
     def length(self) -> int:

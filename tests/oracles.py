@@ -6,20 +6,20 @@ deliberately avoid the package's tensor machinery and use different library
 routines (norm.cdf, expit, scipy log_softmax) for the nonlinearities.
 
 The two full-recompose encoders at the end are the exception: they are the
-beam-tree and easy-first encoders as they were before candidate caching,
-composing every adjacent pair of every beam on every step on the package's
-tape, so the cached encoders' outputs and gradients can be checked
-against them."""
+beam-tree and easy-first encoders as they were before candidate caching
+and beam stacking, composing every adjacent pair of every beam on every
+step and splicing each beam's rows on its own, on the package's tape, so
+the stacked encoders' outputs and gradients can be checked against them."""
 
 import numpy as np
 from scipy.special import expit
 from scipy.special import log_softmax as sp_log_softmax
 from scipy.stats import norm
 
+from beamtree import encoders
 from beamtree import tensor as T
 from beamtree.cells import score
-from beamtree.encoders import _candidates, _compose, _lift, _read_h, _row, \
-    _splice_rows
+from beamtree.encoders import _compose, _lift, _read_h, _row
 from beamtree.tensor import Tensor
 from beamtree.topk import BeamSet, BeamState, gumbel_noise, merge_beams, \
     plain_topk, truncate
@@ -154,6 +154,26 @@ def stack_machine_eval(source: str, med_even: str = "lower") -> int:
 
 # ---------------------------------------------------------------------------
 # full-recompose encoders
+
+def _candidates(states, cell):
+    """Parent states of every adjacent pair of `states`. `_compose` is looked
+    up on the encoders module at call time, so a test can count its rows."""
+    n = states.data.shape[0]
+    return encoders._compose(T.slice_rows(states, 0, n - 1),
+                             T.slice_rows(states, 1, n), cell)
+
+
+def _splice_rows(mat, start, stop, rows):
+    """Replace rows start..stop-1 of `mat` with `rows`."""
+    n = mat.data.shape[0]
+    parts = []
+    if start > 0:
+        parts.append(T.slice_rows(mat, 0, start))
+    parts.append(rows)
+    if stop < n:
+        parts.append(T.slice_rows(mat, stop, n))
+    return parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
+
 
 def full_recompose_easy_first_gumbel(leaves, cell, scorer, cfg, rng=None):
     """`encoders.encode_easy_first_gumbel` recomposing every adjacent pair

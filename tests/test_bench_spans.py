@@ -1,0 +1,53 @@
+"""The benchmark's tracer (bench/spans.py) against the package: every
+function it wraps must still be looked up under the name it patches, or
+its per-layer metrics read 0 without an error."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from beamtree import encoders, harness
+from beamtree.harness import Model, evaluate_examples, make_config
+from beamtree.listops import GenConfig, generate
+from beamtree.tensor import Tape
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+MODULES = {"harness": harness, "encoders": encoders, "Tape": Tape}
+
+
+def test_every_traced_attribute_resolves(spans):
+    for owner, attr, name in spans.TRACED:
+        assert callable(getattr(MODULES[owner], attr, None)), name
+
+
+def test_tracer_attributes_bt_eval_to_each_layer(spans):
+    cfg = make_config({"encoder": "bt", "beam_size": "2", "d_e": "8",
+                       "d_h": "8", "dropout": "0.0", "seed": "0"})
+    examples = generate(GenConfig(max_length=12, max_depth=2, min_args=2,
+                                  max_args=3, count=2, seed=0))
+    tracer = spans.Tracer(MODULES)
+    tracer.install()
+    try:
+        tracer.begin_op("bt_k2")
+        harness.evaluate_examples(Model(cfg), examples)
+    finally:
+        tracer.uninstall()
+    assert harness.evaluate_examples is evaluate_examples
+    names = {span[0] for span in tracer.spans}
+    for name in ("harness.evaluate_examples", "encoders.encode_bt_cell",
+                 "cells.grc_compose", "cells.score", "topk.plain_topk",
+                 "topk.truncate", "topk.merge_beams"):
+        assert name in names, name
+    assert tracer.counts["composed_rows", "bt_k2"] > 0
+    assert tracer.counts["beams_pooled", "bt_k2"] > 0

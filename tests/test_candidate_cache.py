@@ -1,6 +1,6 @@
-"""The candidate cache of the beam-tree and easy-first encoders against the
-full-recompose encoders in oracles.py, in training mode with gradients,
-and the number of rows it composes."""
+"""The stacked beams and candidate cache of the beam-tree and easy-first
+encoders against the full-recompose encoders in oracles.py, with
+gradients, mostly in training mode, and the number of rows they compose."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,8 @@ from beamtree.tensor import Tape, Tensor
 
 D_H = 4
 
-# name -> training-mode config; `stochastic_topk` makes the branching and
-# the truncation draw Gumbel noise from the rng
+# name -> config, in training mode but for bt-k5-eval; `stochastic_topk`
+# makes the branching and the truncation draw Gumbel noise from the rng
 VARIANTS = {
     "bt-plain": EncoderConfig(beam_size=3, training=True,
                               stochastic_topk=False),
@@ -27,6 +27,9 @@ VARIANTS = {
                                 stochastic_topk=False),
     "bt-onesoft-k2-gumbel": EncoderConfig(beam_size=2, topk="onesoft",
                                           training=True, stochastic_topk=True),
+    "bt-k5-eval": EncoderConfig(beam_size=5, training=False),
+    "bt-k5-gumbel": EncoderConfig(beam_size=5, training=True,
+                                  stochastic_topk=True),
     "easy-first": EncoderConfig(beam_size=1, training=True, temperature=0.7),
 }
 

@@ -48,11 +48,16 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_truncation(tmp_path):
+# cut points in a file holding one tensor "w" of shape (2, 2): magic (0-3),
+# version (4-7), count (8-11), name length (12-15), name (16), rank
+# (17-20), extents (21-28), payload (29-44); -1 appends a stray byte
+@pytest.mark.parametrize("cut", [2, 6, 10, 14, 17, 19, 22, 27, 30, 42, -1])
+def test_checkpoint_rejects_truncation(tmp_path, cut):
     path = tmp_path / "t.ckpt"
     save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
     data = path.read_bytes()
-    path.write_bytes(data[:-3])
+    assert len(data) == 45
+    path.write_bytes(data + b"\x00" if cut < 0 else data[:cut])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 

@@ -153,15 +153,17 @@ def test_random_composition_gradients_match_finite_differences(seed):
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
+    m = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
 
     def loss():
         y = T.add_rowvec(T.matmul(x, w), b)
         y = T.gelu(y)
         y = T.sigmoid(y)
         z = T.log_softmax(T.reshape(y, (9,)))
-        return T.tsum(T.mul(z, z))
+        rows = T.log_softmax(m)  # row-wise
+        return T.add(T.tsum(T.mul(z, z)), T.tsum(T.mul(rows, rows)))
 
-    errors = check_grads(loss, {"x": x, "w": w, "b": b})
+    errors = check_grads(loss, {"x": x, "w": w, "b": b, "m": m})
     assert max(errors.values()) <= 1e-4
 
 
