@@ -5,7 +5,6 @@ Monte-Carlo averaging, and fixed-tree evaluation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -13,7 +12,8 @@ from . import tensor as T
 from .cells import GrcParams, ScorerParams, _chunk, grc_compose, score, \
     tree_lstm_compose
 from .tensor import Tensor
-from .topk import BeamSet, BeamState, gumbel_noise, merge_beams, plain_topk, truncate
+from .topk import BeamSet, BeamState, collapse_tail, gumbel_noise, merge_beams, \
+    plain_topk, truncate
 from .trees import ParseTree, replay_actions
 
 
@@ -32,6 +32,8 @@ class EncoderConfig:
     def validate(self):
         if self.beam_size < 1:
             raise EncoderError("beam size must be >= 1")
+        if self.topk not in ("plain", "onesoft"):
+            raise EncoderError(f"unknown top-k operator {self.topk!r}")
         if self.topk == "onesoft" and self.beam_size < 2:
             raise EncoderError("onesoft needs beam size >= 2")
         if self.temperature <= 0:
@@ -225,30 +227,24 @@ def encode_mc_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
 # ---------------------------------------------------------------------------
 # beam tree cell
 
-class _Branch(NamedTuple):
-    """A pool entry before truncation: the merge at `i` of beam number
-    `beam`, with its accumulated log-probability as a scalar (hard top-k
-    reads only `score.item()`)."""
-    beam: int
-    i: int
-    score: np.floating
-
-
 def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
                    cfg: EncoderConfig,
                    rng: np.random.Generator | None = None):
     """Beam-search extension of easy-first composition.
 
     Per iteration each beam scores all adjacent parent candidates, scores
-    are log-softmaxed into per-branch log-probability increments, each beam
-    branches over its top-k candidates, and the pooled beams are truncated
-    back to k with the configured operator (plain or OneSoft top-k; plain
-    deterministic at eval). The beams are stacked (see `_merge`), their
-    scores one (B,) vector: one `score` call and one row-wise log-softmax
-    cover all beams, the kept beams' nodes are one gather, and only the
-    pairs beside each merged node are composed, in one call. Hard top-k
-    builds only the beams it keeps; OneSoft builds all, as it interpolates
-    the ones it drops, and composes every pair of its interpolated beam.
+    are log-softmaxed into per-branch log-probability increments, and each
+    beam branches over its top-k candidates into a pool of (beam, i) merges
+    with a (m,) vector of accumulated log-probabilities. `truncate` selects
+    from those scores alone (plain or OneSoft top-k; plain deterministic at
+    eval) groups of pool indices, one per beam kept. The beams are stacked
+    (see `_merge`), their scores one (B,) vector: one `score` call and one
+    row-wise log-softmax cover all beams, the beams of the groups are one
+    gather, and only the pairs beside each merged node are composed, in one
+    call. Hard top-k builds only the k beams it keeps. OneSoft builds all,
+    its last group's best first, and `collapse_tail` replaces that group
+    with one softmax-weighted beam in one matmul; the interpolated beam
+    carries its best member's actions, and every pair of it is composed.
     Returns (encoding, final BeamSet)."""
     cfg.validate()
     n = leaves.data.shape[0]
@@ -256,7 +252,6 @@ def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
         raise EncoderError("empty input")
     k = cfg.beam_size
     branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) else "deterministic"
-    soft = cfg.training and cfg.topk == "onesoft"
     nodes, length = _lift(leaves, cell), n
     cands = _pairs(nodes, length, None, [None], cell)
     scores = Tensor(np.zeros(1, dtype=leaves.data.dtype))
@@ -265,39 +260,23 @@ def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
     while length > 2:
         logp = T.log_softmax(T.reshape(score(_read_h(cands, cell), scorer),
                                        (len(actions), length - 1)))
-        pool = [_Branch(b, i, scores.data[b] + logp.data[b, i])
-                for b in range(len(actions))
+        pool = [(b, i) for b in range(len(actions))
                 for i in plain_topk(logp.data[b], k, mode=branch_mode, rng=rng)]
-
-        def grow(branches):
-            """Stacked nodes and scores of the beams `branches` make."""
-            picks = [(br.beam, br.i, br.beam * (length - 1) + br.i)
-                     for br in branches]
-            return (_merge(nodes, length, cands, picks),
-                    T.add(T.rows_gather(scores, [p[0] for p in picks]),
-                          T.rows_gather(T.reshape(logp, (-1,)),
-                                        [p[2] for p in picks])))
-
-        if soft:
-            grown, grown_scores = grow(pool)
-            rows = length - 1
-            beams = [BeamState(T.slice_rows(grown, j * rows, (j + 1) * rows),
-                               T.slice_rows(grown_scores, j, j + 1),
-                               actions[br.beam] + (br.i,))
-                     for j, br in enumerate(pool)]
-            branch_of = {id(s): br for s, br in zip(beams, pool)}
-            kept = truncate(BeamSet(beams), k, cfg.topk, cfg.training, rng,
-                            cfg.stochastic_topk).beams
-            nodes = T.concat([s.nodes for s in kept], axis=0)
-            scores = T.concat([s.score for s in kept], axis=0)
-            # the interpolated beam comes from no branch: all its pairs are new
-            merges = [branch_of.get(id(s)) for s in kept]
-            actions = [s.actions for s in kept]
-        else:
-            merges = truncate(BeamSet(pool), k, cfg.topk, cfg.training, rng,
-                              cfg.stochastic_topk).beams
-            nodes, scores = grow(merges)
-            actions = [actions[br.beam] + (br.i,) for br in merges]
+        beam_ids = [b for b, _ in pool]
+        cand_ids = [b * (length - 1) + i for b, i in pool]
+        groups = truncate(scores.data[beam_ids] + logp.data.reshape(-1)[cand_ids],
+                          k, cfg.topk, cfg.training, rng, cfg.stochastic_topk)
+        picks = [j for g in groups for j in g]
+        nodes = _merge(nodes, length, cands,
+                       [(*pool[j], cand_ids[j]) for j in picks])
+        scores = T.add(T.rows_gather(scores, [beam_ids[j] for j in picks]),
+                       T.rows_gather(T.reshape(logp, (-1,)),
+                                     [cand_ids[j] for j in picks]))
+        if len(groups[-1]) > 1:
+            nodes, scores = collapse_tail(nodes, scores, len(groups[-1]))
+        # the interpolated beam comes from no merge: all its pairs are new
+        merges = [pool[g[0]] if len(g) == 1 else None for g in groups]
+        actions = [actions[b] + (i,) for b, i in (pool[g[0]] for g in groups)]
         length -= 1
         cands = _pairs(nodes, length, cands, merges, cell)
 

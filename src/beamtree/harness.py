@@ -14,15 +14,17 @@ from . import tensor as T
 from .cells import GrcParams, LeafParams, ScorerParams, TreeLstmParams, \
     leaf_transform_seq
 from .checkpoint import load_checkpoint, restore, save_checkpoint
-from .encoders import BsrpParams, EncoderConfig, encode_bsrp, encode_bt_cell, \
-    encode_easy_first_gumbel, encode_fixed_tree, encode_mc_gumbel, \
-    encode_recurrent
+from .encoders import BsrpParams, EncoderConfig, EncoderError, encode_bsrp, \
+    encode_bt_cell, encode_easy_first_gumbel, encode_fixed_tree, \
+    encode_mc_gumbel, encode_recurrent
 from .listops import VOCAB, Example, read_tsv, tokenize
 from .tensor import AdamState, Tape, Tensor, adam_step, clip_grad_norm
 from .trees import build_balanced_tree, build_random_tree, gold_tree_listops
 
 ENCODER_KINDS = ("recurrent", "gumbel", "bt", "bsrp", "mc", "gold",
                  "balanced", "random")
+BOOLS = {"1": True, "true": True, "yes": True,
+         "0": False, "false": False, "no": False}
 
 
 class HarnessError(Exception):
@@ -62,6 +64,10 @@ class RunConfig:
             raise HarnessError("patience and batch_size must be >= 1")
         if self.precision not in ("single", "double"):
             raise HarnessError("precision must be single or double")
+        try:
+            self.encoder_config(training=False).validate()
+        except EncoderError as e:
+            raise HarnessError(str(e)) from e
 
     @property
     def dtype(self):
@@ -97,7 +103,9 @@ def make_config(overrides: dict) -> RunConfig:
             raise HarnessError(f"unknown config key {k!r}")
         current = getattr(cfg, k)
         if isinstance(current, bool):
-            v = str(v).lower() in ("1", "true", "yes")
+            if str(v).lower() not in BOOLS:
+                raise HarnessError(f"{k} must be a boolean, got {v!r}")
+            v = BOOLS[str(v).lower()]
         elif isinstance(current, int):
             v = int(v)
         elif isinstance(current, float):

@@ -1,5 +1,6 @@
 """Beam containers and truncation operators: plain top-k (deterministic or
-Gumbel-perturbed), OneSoft top-k, and the final score-weighted expectation."""
+Gumbel-perturbed), OneSoft top-k and its interpolated beam, and the final
+score-weighted expectation."""
 
 from __future__ import annotations
 
@@ -60,58 +61,55 @@ def plain_topk(scores, k: int, mode: str = "deterministic",
         scores = scores + gumbel_noise(scores.size, rng)
     elif mode != "deterministic":
         raise ValueError(f"unknown top-k mode {mode!r}")
-    order = sorted(range(scores.size), key=lambda i: (-scores[i], i))
-    return order[: min(k, scores.size)]
+    return np.argsort(-scores, kind="stable")[:k].tolist()
 
 
-def _weighted_beam_sum(beams, weights: Tensor) -> BeamState:
-    nodes = None
-    score = None
-    for i, b in enumerate(beams):
-        w = T.pick(weights, i)
-        part = T.mul(b.nodes, w)
-        nodes = part if nodes is None else T.add(nodes, part)
-        sp = T.mul(b.score, w)
-        score = sp if score is None else T.add(score, sp)
-    # an interpolated beam has no single action history; carry the history of
-    # its highest-scoring constituent so parse extraction stays well-defined
-    best = max(range(len(beams)), key=lambda i: (beams[i].score.item(), -i))
-    return BeamState(nodes=nodes, score=score, actions=beams[best].actions)
-
-
-def onesoft_topk(bs: BeamSet, k: int) -> BeamSet:
-    """Keep the top k-1 beams discretely and collapse the rest into one
-    softmax-weighted interpolated beam, so gradients reach every input beam."""
-    m = len(bs)
+def onesoft_topk(scores, k: int) -> list:
+    """OneSoft selection: the top k-1 pool indices alone, then every other
+    index as one group, best first, whose beams `collapse_tail` interpolates
+    so gradients reach every input beam."""
+    m = len(scores)
     if k < 2:
         raise ValueError("onesoft_topk requires k >= 2")
     if k > m:
         raise ValueError(f"onesoft_topk requires k <= m, got k={k}, m={m}")
-    idx = plain_topk(bs.scores(), k - 1)
-    chosen = set(idx)
-    top = [bs.beams[i] for i in idx]
-    bottom = [bs.beams[i] for i in range(m) if i not in chosen]
-    if len(bottom) == 1:
-        return BeamSet(top + bottom)
-    weights = T.softmax(T.concat([b.score for b in bottom], axis=0))
-    return BeamSet(top + [_weighted_beam_sum(bottom, weights)])
+    order = plain_topk(scores, m)
+    return [[i] for i in order[:k - 1]] + [order[k - 1:]]
 
 
-def truncate(bs: BeamSet, k: int, variant: str, training: bool,
+def truncate(scores, k: int, variant: str, training: bool,
              rng: np.random.Generator | None = None,
-             stochastic: bool = False) -> BeamSet:
-    """Configured beam truncation. OneSoft applies only in training; at eval
-    time (and for the plain variant) this is hard top-k selection of input
-    beams, optionally Gumbel-perturbed during training. Hard selection reads
-    only each entry's `score.item()`, so its entries need not be beams."""
-    m = len(bs)
+             stochastic: bool = False) -> list:
+    """Configured beam truncation of a pool with (m,) scores, as groups of
+    pool indices, one group per beam kept. A group of one index keeps that
+    beam; a longer one (OneSoft, in training only) is ordered best first,
+    ties to the lowest index, and stands for the interpolation of its beams,
+    which carries the actions of its first. Otherwise this is hard top-k,
+    Gumbel-perturbed in training when `stochastic`."""
+    m = len(scores)
     if k >= m:
-        return bs
+        return [[i] for i in range(m)]
     if training and variant == "onesoft":
-        return BeamSet(onesoft_topk(bs, k).beams)
+        return onesoft_topk(scores, k)
     mode = "gumbel" if (training and stochastic) else "deterministic"
-    idx = plain_topk(bs.scores(), k, mode=mode, rng=rng)
-    return BeamSet([bs.beams[i] for i in idx])
+    return [[i] for i in plain_topk(scores, k, mode=mode, rng=rng)]
+
+
+def collapse_tail(nodes: Tensor, scores: Tensor, count: int):
+    """Stacked beams (`nodes` with an equal share of rows per entry of the
+    (B,) `scores`) with the last `count` replaced by one beam, their
+    softmax(score)-weighted sum, scored by the same weighted sum."""
+    beams = scores.data.shape[0]
+    keep = beams - count
+    length = nodes.data.shape[0] // beams
+    tail_scores = T.slice_rows(scores, keep, beams)
+    w = T.softmax(tail_scores)
+    tail = T.reshape(T.slice_rows(nodes, keep * length, beams * length),
+                     (count, -1))
+    mixed = T.reshape(T.matmul(w, tail), (length, -1))
+    mixed_score = T.reshape(T.matmul(w, tail_scores), (1,))
+    return (T.concat([T.slice_rows(nodes, 0, keep * length), mixed], axis=0),
+            T.concat([T.slice_rows(scores, 0, keep), mixed_score], axis=0))
 
 
 def merge_beams(encodings: list, scores: list) -> Tensor:

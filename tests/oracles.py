@@ -6,10 +6,12 @@ deliberately avoid the package's tensor machinery and use different library
 routines (norm.cdf, expit, scipy log_softmax) for the nonlinearities.
 
 The two full-recompose encoders at the end are the exception: they are the
-beam-tree and easy-first encoders as they were before candidate caching
-and beam stacking, composing every adjacent pair of every beam on every
-step and splicing each beam's rows on its own, on the package's tape, so
-the stacked encoders' outputs and gradients can be checked against them."""
+beam-tree and easy-first encoders as they were before candidate caching,
+beam stacking and index-group truncation, composing every adjacent pair of
+every beam on every step, splicing each beam's rows on its own and
+interpolating OneSoft's dropped beams one at a time, on the package's tape,
+so the stacked encoders' outputs and gradients can be checked against
+them."""
 
 import numpy as np
 from scipy.special import expit
@@ -22,7 +24,7 @@ from beamtree.cells import score
 from beamtree.encoders import _compose, _lift, _read_h, _row
 from beamtree.tensor import Tensor
 from beamtree.topk import BeamSet, BeamState, gumbel_noise, merge_beams, \
-    plain_topk, truncate
+    plain_topk
 from beamtree.trees import replay_actions
 
 
@@ -206,9 +208,40 @@ def full_recompose_easy_first_gumbel(leaves, cell, scorer, cfg, rng=None):
     return _read_h(out, cell), replay_actions(n, actions)
 
 
+def truncate_beams(pool, k, cfg, rng=None):
+    """The beam-tree truncation over whole beams, one at a time: hard top-k,
+    Gumbel-perturbed in training when `cfg.stochastic_topk`, or in OneSoft
+    training the top k-1 beams and one interpolated beam. That beam is the
+    softmax(score)-weighted sum of the other beams' nodes and scores, built
+    with a pick/mul/add chain per beam in pool order, and carries the
+    actions of its best member."""
+    m = len(pool)
+    if k >= m:
+        return pool
+    scores = [b.score.item() for b in pool]
+    if not (cfg.training and cfg.topk == "onesoft"):
+        mode = "gumbel" if (cfg.training and cfg.stochastic_topk) \
+            else "deterministic"
+        return [pool[i] for i in plain_topk(scores, k, mode=mode, rng=rng)]
+    top = plain_topk(scores, k - 1)
+    bottom = [b for i, b in enumerate(pool) if i not in top]
+    weights = T.softmax(T.concat([b.score for b in bottom], axis=0))
+    nodes = total = None
+    for i, b in enumerate(bottom):
+        w = T.pick(weights, i)
+        part, part_score = T.mul(b.nodes, w), T.mul(b.score, w)
+        nodes = part if nodes is None else T.add(nodes, part)
+        total = part_score if total is None else T.add(total, part_score)
+    best = max(range(len(bottom)),
+               key=lambda i: (bottom[i].score.item(), -i))
+    return [pool[i] for i in top] + [
+        BeamState(nodes=nodes, score=total, actions=bottom[best].actions)]
+
+
 def full_recompose_bt_cell(leaves, cell, scorer, cfg, rng=None):
     """`encoders.encode_bt_cell` recomposing every adjacent pair of every
-    beam on every step and building every pooled beam before truncation.
+    beam on every step, building every pooled beam before truncation and
+    truncating whole beams with `truncate_beams`.
     Returns (encoding, final BeamSet)."""
     k = cfg.beam_size
     zero = Tensor(np.zeros(1, dtype=leaves.data.dtype))
@@ -226,8 +259,7 @@ def full_recompose_bt_cell(leaves, cell, scorer, cfg, rng=None):
                                        T.slice_rows(parents, i, i + 1)),
                     score=T.add(beam.score, T.reshape(T.pick(logp, i), (1,))),
                     actions=beam.actions + (i,)))
-        beams = truncate(BeamSet(pool), k, cfg.topk, cfg.training, rng,
-                         cfg.stochastic_topk).beams
+        beams = truncate_beams(pool, k, cfg, rng)
     final = []
     for beam in beams:
         root, actions = beam.nodes, beam.actions

@@ -27,8 +27,7 @@ from beamtree.harness import HeadParams, classify, make_config, train
 from beamtree.listops import GenConfig, eval_listops, generate
 from beamtree.parse_analysis import collapse_duplicates, extract_parses
 from beamtree.tensor import Tape, Tensor
-from beamtree.topk import BeamSet, BeamState, merge_beams, onesoft_topk, \
-    truncate
+from beamtree.topk import collapse_tail, merge_beams, onesoft_topk, truncate
 from beamtree.trees import replay_actions
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "results",
@@ -138,43 +137,60 @@ def test_criterion_beam_search_matches_exhaustive_enumeration():
 def test_criterion_soft_truncation_identities():
     rng = np.random.default_rng(0)
 
-    def beam_set(scores, grad=False):
-        return BeamSet([BeamState(
-            nodes=Tensor(rng.standard_normal((2, 3))),
-            score=Tensor(np.array([float(s)]), requires_grad=grad))
-            for s in scores])
+    def pool(scores, grad=False):
+        """Stacked nodes, two rows per beam, and the (m,) scores."""
+        nodes = np.concatenate([rng.standard_normal((2, 3)) for _ in scores])
+        return Tensor(nodes), Tensor(np.array(scores, dtype=np.float64),
+                                     requires_grad=grad)
+
+    def keep(groups, nodes, scores):
+        """The beams the groups keep, a longer last group collapsed."""
+        picks = [j for g in groups for j in g]
+        kept = (T.rows_gather(nodes, [2 * j + r for j in picks
+                                      for r in range(2)]),
+                T.rows_gather(scores, picks))
+        if len(groups[-1]) > 1:
+            return collapse_tail(*kept, len(groups[-1]))
+        return kept
 
     # k=m returns the input set exactly
     identity_ok = True
     for _ in range(10):
         scores = rng.standard_normal(4)
-        bs = beam_set(scores)
-        out = onesoft_topk(bs, 4)
-        identity_ok &= all(a is b for a, b in zip(
-            sorted(bs.beams, key=lambda b: -b.score.item()), out.beams))
+        nodes, pooled = pool(scores)
+        groups = onesoft_topk(scores, 4)
+        order = sorted(range(4), key=lambda i: -scores[i])
+        out_nodes, out_scores = keep(groups, nodes, pooled)
+        identity_ok &= groups == [[i] for i in order]
+        identity_ok &= np.array_equal(out_scores.data, scores[order])
+        identity_ok &= np.array_equal(
+            out_nodes.data, nodes.data.reshape(4, 2, 3)[order].reshape(8, 3))
 
     # eval mode replaces the soft operator with hard top-k
     eval_ok = True
     for _ in range(10):
         scores = rng.standard_normal(5)
-        bs = beam_set(scores)
-        out = truncate(bs, 2, "onesoft", training=False)
+        pool(scores)  # unused nodes, drawn to keep later trials' scores
+        groups = truncate(scores, 2, "onesoft", training=False)
         top2 = sorted(range(5), key=lambda i: (-scores[i], i))[:2]
-        eval_ok &= all(out.beams[j] is bs.beams[top2[j]] for j in range(2))
+        eval_ok &= groups == [[i] for i in top2]
 
     # pruned-beam score gradient: zero under hard top-k, nonzero under soft
     grad_ok = True
     for trial in range(10):
         for variant, expect_nonzero in (("plain", False), ("onesoft", True)):
-            bs = beam_set(np.sort(rng.standard_normal(4))[::-1], grad=True)
+            nodes, scores = pool(np.sort(rng.standard_normal(4))[::-1],
+                                 grad=True)
             with Tape() as tape:
-                out = truncate(bs, 2, variant, training=True)
+                groups = truncate(scores.data, 2, variant, training=True)
+                out_nodes, out_scores = keep(groups, nodes, scores)
                 enc = merge_beams(
-                    [T.reshape(b.nodes, (6,)) for b in out.beams],
-                    [b.score for b in out.beams])
+                    [T.reshape(T.slice_rows(out_nodes, 2 * b, 2 * b + 2),
+                               (6,)) for b in range(len(groups))],
+                    [T.slice_rows(out_scores, b, b + 1)
+                     for b in range(len(groups))])
                 tape.backward(T.tsum(enc))
-            pruned_has_grad = any(np.any(b.score.grad != 0.0)
-                                  for b in bs.beams[2:])
+            pruned_has_grad = bool(np.any(scores.grad[2:] != 0.0))
             grad_ok &= (pruned_has_grad == expect_nonzero)
 
     _report("soft-truncation-identities",

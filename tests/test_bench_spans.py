@@ -51,3 +51,32 @@ def test_tracer_attributes_bt_eval_to_each_layer(spans):
         assert name in names, name
     assert tracer.counts["composed_rows", "bt_k2"] > 0
     assert tracer.counts["beams_pooled", "bt_k2"] > 0
+
+
+def test_tracer_counts_truncation_alike_for_plain_and_onesoft(spans):
+    # the tracer counts the length of `truncate`'s first argument and of its
+    # result; both operators keep k beams of the same pools
+    examples = [ex for ex in generate(GenConfig(
+        max_length=16, max_depth=2, min_args=2, max_args=4, count=8, seed=1))
+        if len(ex.source.split()) >= 6][:3]
+    assert examples
+    counts = {}
+    for topk in ("plain", "onesoft"):
+        cfg = make_config({"encoder": "bt", "beam_size": "3", "topk": topk,
+                           "stochastic_topk": "false", "d_e": "8",
+                           "d_h": "8", "dropout": "0.0", "seed": "0"})
+        model = Model(cfg)
+        tracer = spans.Tracer(MODULES)
+        tracer.install()
+        try:
+            tracer.begin_op(topk)
+            for i, ex in enumerate(examples):
+                harness.forward_logits(model, ex, True,
+                                       harness.example_rng(0, 0, i))
+        finally:
+            tracer.uninstall()
+        counts[topk] = (tracer.counts["beams_pooled", topk],
+                        tracer.counts["beams_kept", topk])
+    pooled, kept = counts["plain"]
+    assert counts["onesoft"] == counts["plain"]
+    assert 0 < kept < pooled

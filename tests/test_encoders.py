@@ -338,3 +338,7 @@ def test_encoder_config_validation():
         EncoderConfig(beam_size=1, topk="onesoft").validate()
     with pytest.raises(EncoderError):
         EncoderConfig(temperature=0.0).validate()
+    with pytest.raises(EncoderError):
+        EncoderConfig(topk="one_soft").validate()
+    EncoderConfig(topk="plain").validate()
+    EncoderConfig(beam_size=2, topk="onesoft").validate()

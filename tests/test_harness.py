@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,39 @@ def test_config_rejects_unknown_key():
 def test_config_rejects_bad_encoder():
     with pytest.raises(HarnessError):
         make_config({"encoder": "transformer"})
+
+
+def test_config_rejects_unknown_topk(tmp_path):
+    with pytest.raises(HarnessError):
+        make_config({"topk": "one_soft"})
+    with pytest.raises(HarnessError):
+        make_config({"encoder": "bt", "beam_size": "1", "topk": "onesoft"})
+    cfg = _tiny_cfg()
+    cfg.topk = "one_soft"
+    with pytest.raises(HarnessError):
+        train(cfg, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("true", True), ("True", True), ("YES", True),
+    ("0", False), ("false", False), ("False", False), ("No", False)])
+def test_config_parses_bools(text, value):
+    assert make_config({"stochastic_topk": text}).stochastic_topk is value
+
+
+def test_committed_run_configs_load():
+    results = Path(__file__).resolve().parent.parent / "results"
+    for path in sorted(results.glob("**/config.txt")):
+        cfg = load_config(path)
+        assert "stochastic_topk=" + str(cfg.stochastic_topk) in \
+            path.read_text()
+
+
+@pytest.mark.parametrize("text", ["ture", "", "2", "on", "y"])
+def test_config_rejects_bad_bool(text):
+    with pytest.raises(HarnessError):
+        make_config({"stochastic_topk": text})
 
 
 def test_config_comments_and_blank_lines(tmp_path):

@@ -5,19 +5,39 @@ from hypothesis import strategies as st
 
 from beamtree import tensor as T
 from beamtree.tensor import Tape, Tensor
-from beamtree.topk import (BeamSet, BeamState, gumbel_noise, merge_beams,
+from beamtree.topk import (collapse_tail, gumbel_noise, merge_beams,
                            onesoft_topk, plain_topk, truncate)
 
+ROWS = 2  # nodes per beam
 
-def _beam_set(scores, d_h=3, requires_grad=False, rng_seed=0):
+
+def _pool(scores, d_h=3, requires_grad=False, rng_seed=0):
+    """Stacked nodes (ROWS per beam) and (m,) scores of a beam pool."""
     rng = np.random.default_rng(rng_seed)
-    beams = []
-    for i, s in enumerate(scores):
-        beams.append(BeamState(
-            nodes=Tensor(rng.standard_normal((2, d_h))),
-            score=Tensor(np.array([float(s)]), requires_grad=requires_grad),
-            actions=(i,)))
-    return BeamSet(beams)
+    nodes = np.concatenate([rng.standard_normal((ROWS, d_h)) for _ in scores])
+    return Tensor(nodes), Tensor(np.array(scores, dtype=np.float64),
+                                 requires_grad=requires_grad)
+
+
+def _keep(groups, nodes, scores):
+    """The stacked beams that `groups` keep, gathered as `encode_bt_cell`
+    does, with a longer last group collapsed into one beam."""
+    picks = [j for g in groups for j in g]
+    kept = (T.rows_gather(nodes, [j * ROWS + r for j in picks
+                                  for r in range(ROWS)]),
+            T.rows_gather(scores, picks))
+    if len(groups[-1]) > 1:
+        return collapse_tail(*kept, len(groups[-1]))
+    return kept
+
+
+def _encode(nodes, scores):
+    """Score-weighted expectation of the flattened stacked beams."""
+    beams = scores.data.shape[0]
+    return merge_beams(
+        [T.reshape(T.slice_rows(nodes, b * ROWS, (b + 1) * ROWS), (-1,))
+         for b in range(beams)],
+        [T.slice_rows(scores, b, b + 1) for b in range(beams)])
 
 
 def test_plain_topk_basic():
@@ -71,37 +91,46 @@ def test_gumbel_noise_distribution():
 
 
 def test_onesoft_collapsed_score_value():
-    bs = _beam_set([2.0, 1.0, 0.0, -1.0])
-    out = onesoft_topk(bs, 3)
-    assert len(out) == 3
+    nodes, scores = _pool([2.0, 1.0, 0.0, -1.0])
+    groups = onesoft_topk(scores.data, 3)
+    assert groups == [[0], [1], [2, 3]]
+    _, out = _keep(groups, nodes, scores)
+    assert out.data.shape == (3,)
     # bottom beams have scores (0, -1); softmax weights (0.7311, 0.2689)
-    assert out.beams[2].score.item() == pytest.approx(-0.26894142, abs=1e-6)
-    assert out.beams[0].score.item() == 2.0
-    assert out.beams[1].score.item() == 1.0
+    assert out.data[2] == pytest.approx(-0.26894142, abs=1e-6)
+    assert out.data[0] == 2.0
+    assert out.data[1] == 1.0
 
 
 def test_onesoft_collapsed_nodes_are_weighted_average():
-    bs = _beam_set([2.0, 1.0, 0.0, -1.0])
-    out = onesoft_topk(bs, 3)
+    nodes, scores = _pool([2.0, 1.0, 0.0, -1.0])
+    out, _ = _keep(onesoft_topk(scores.data, 3), nodes, scores)
     w = np.exp([0.0, -1.0])
     w /= w.sum()
-    expect = w[0] * bs.beams[2].nodes.data + w[1] * bs.beams[3].nodes.data
-    assert np.allclose(out.beams[2].nodes.data, expect, atol=1e-9)
+    expect = w[0] * nodes.data[4:6] + w[1] * nodes.data[6:8]
+    assert np.allclose(out.data[4:6], expect, atol=1e-9)
+    assert np.array_equal(out.data[:4], nodes.data[:4])
+
+
+def test_onesoft_group_is_best_first():
+    # ties go to the lowest index, so the group carries beam 1's actions
+    assert onesoft_topk([5.0, 0.0, 1.0, 0.0], 2) == [[0], [2, 1, 3]]
 
 
 def test_onesoft_k_equals_m_identity():
-    bs = _beam_set([3.0, 2.0, 1.0])
-    out = onesoft_topk(bs, 3)
-    assert [b.score.item() for b in out.beams] == [3.0, 2.0, 1.0]
-    assert out.beams[2] is bs.beams[2]
+    nodes, scores = _pool([3.0, 2.0, 1.0])
+    groups = onesoft_topk(scores.data, 3)
+    assert groups == [[0], [1], [2]]
+    out_nodes, out_scores = _keep(groups, nodes, scores)
+    assert out_scores.data.tolist() == [3.0, 2.0, 1.0]
+    assert np.array_equal(out_nodes.data, nodes.data)
 
 
 def test_onesoft_rejects_bad_k():
-    bs = _beam_set([1.0, 0.0])
     with pytest.raises(ValueError):
-        onesoft_topk(bs, 1)
+        onesoft_topk([1.0, 0.0], 1)
     with pytest.raises(ValueError):
-        onesoft_topk(bs, 3)
+        onesoft_topk([1.0, 0.0], 3)
 
 
 @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=3,
@@ -111,33 +140,39 @@ def test_onesoft_rejects_bad_k():
 def test_onesoft_collapsed_score_bounded_by_bottom(scores, k):
     if k > len(scores):
         k = len(scores)
-    bs = _beam_set(scores)
-    out = onesoft_topk(bs, k)
-    assert len(out) == k
+    nodes, pooled = _pool(scores)
+    groups = onesoft_topk(pooled.data, k)
+    assert len(groups) == k
+    assert sorted(j for g in groups for j in g) == list(range(len(scores)))
+    _, out = _keep(groups, nodes, pooled)
     kept = sorted(range(len(scores)),
                   key=lambda i: (-scores[i], i))[:k - 1]
     bottom = [scores[i] for i in range(len(scores)) if i not in kept]
-    collapsed = out.beams[-1].score.item()
+    collapsed = out.data[-1]
     assert min(bottom) - 1e-9 <= collapsed <= max(bottom) + 1e-9
 
 
 def test_truncate_no_op_when_k_large():
-    bs = _beam_set([1.0, 0.0])
-    assert truncate(bs, 2, "plain", training=True) is bs
-    assert truncate(bs, 5, "onesoft", training=True) is bs
+    scores = np.array([1.0, 0.0])
+    assert truncate(scores, 2, "plain", training=True) == [[0], [1]]
+    assert truncate(scores, 5, "onesoft", training=True) == [[0], [1]]
 
 
 def test_truncate_onesoft_eval_falls_back_to_hard():
-    bs = _beam_set([0.0, 3.0, 1.0])
-    out = truncate(bs, 2, "onesoft", training=False)
-    assert [b.score.item() for b in out.beams] == [3.0, 1.0]
-    assert out.beams[0] is bs.beams[1]
+    scores = np.array([0.0, 3.0, 1.0])
+    assert truncate(scores, 2, "onesoft", training=False) == [[1], [2]]
+
+
+def test_truncate_onesoft_training_groups_the_rest():
+    scores = np.array([0.0, 3.0, 1.0])
+    assert truncate(scores, 2, "onesoft", training=True) == [[1], [2, 0]]
 
 
 def test_truncate_gumbel_only_when_stochastic_training():
-    bs = _beam_set([5.0, 0.0, -5.0])
-    out = truncate(bs, 2, "plain", training=True, stochastic=False)
-    assert [b.score.item() for b in out.beams] == [5.0, 0.0]
+    scores = np.array([5.0, 0.0, -5.0])
+    # no rng: a Gumbel draw would raise
+    assert truncate(scores, 2, "plain", training=True,
+                    stochastic=False) == [[0], [1]]
 
 
 def test_merge_beams_uniform_scores_average():
@@ -160,23 +195,17 @@ def test_merge_beams_length_mismatch():
 
 
 def test_pruned_beam_score_gradient_zero_under_hard_topk():
-    bs = _beam_set([2.0, 1.0, 0.0, -1.0], requires_grad=True)
+    nodes, scores = _pool([2.0, 1.0, 0.0, -1.0], requires_grad=True)
     with Tape() as tape:
-        out = truncate(bs, 2, "plain", training=True)
-        enc = merge_beams([T.reshape(b.nodes, (6,)) for b in out.beams],
-                          [b.score for b in out.beams])
-        tape.backward(T.tsum(enc))
-    assert np.all(bs.beams[2].score.grad == 0.0)
-    assert np.all(bs.beams[3].score.grad == 0.0)
-    assert np.any(bs.beams[0].score.grad != 0.0)
+        groups = truncate(scores.data, 2, "plain", training=True)
+        tape.backward(T.tsum(_encode(*_keep(groups, nodes, scores))))
+    assert np.all(scores.grad[2:] == 0.0)
+    assert np.any(scores.grad[0] != 0.0)
 
 
 def test_pruned_beam_score_gradient_nonzero_under_onesoft():
-    bs = _beam_set([2.0, 1.0, 0.0, -1.0], requires_grad=True)
+    nodes, scores = _pool([2.0, 1.0, 0.0, -1.0], requires_grad=True)
     with Tape() as tape:
-        out = truncate(bs, 2, "onesoft", training=True)
-        enc = merge_beams([T.reshape(b.nodes, (6,)) for b in out.beams],
-                          [b.score for b in out.beams])
-        tape.backward(T.tsum(enc))
-    for b in bs.beams:
-        assert np.any(b.score.grad != 0.0)
+        groups = truncate(scores.data, 2, "onesoft", training=True)
+        tape.backward(T.tsum(_encode(*_keep(groups, nodes, scores))))
+    assert np.all(scores.grad != 0.0)
