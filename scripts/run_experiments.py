@@ -34,8 +34,10 @@ killed run's metrics.jsonl line for line if the code is unchanged. The
 candidate cache of the beam encoders left forward values bit-identical but
 gradients different at float32 rounding; stacking each example's beams
 into one matrix moved beam scores, and so training losses, at float32
-rounding too. A run killed before either change and restarted after it
-does not repeat its metrics.jsonl. After every run the results JSON is rebuilt
+rounding too, and merging the final beams in one softmax-matmul moved bt
+and bsrp losses and eval logits at float32 rounding. A run killed before
+any of these changes and restarted after it does not repeat its
+metrics.jsonl. After every run the results JSON is rebuilt
 from all cached runs of every variant, so `--only` and `--seeds` never drop
 other runs from it; both files are replaced atomically, so concurrent
 invocations on disjoint runs are safe.

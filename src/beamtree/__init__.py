@@ -10,7 +10,7 @@ from .harness import Model, RunConfig, classify, evaluate_checkpoint, train
 from .listops import GenConfig, build_splits, eval_listops, generate, tokenize
 from .parse_analysis import collapse_duplicates, extract_parses, tree_agreement
 from .tensor import AdamState, Tape, Tensor, adam_step
-from .topk import BeamSet, BeamState, merge_beams, onesoft_topk, plain_topk
+from .topk import BeamSet, merge_beams, onesoft_topk, plain_topk
 from .trees import ParseTree, build_balanced_tree, build_random_tree, \
     gold_tree_listops, parse_tree_string, replay_actions
 

@@ -7,7 +7,9 @@ little-endian float32. All integers little-endian.
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 
 import numpy as np
 
@@ -20,19 +22,30 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(path, named: dict):
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(named)))
-        for name, arr in named.items():
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", data.ndim))
-            for ext in data.shape:
-                f.write(struct.pack("<I", ext))
-            f.write(data.tobytes())
+    """Write through a temp file in the same directory and os.replace it
+    into place, so a save that is killed or fails midway leaves the previous
+    checkpoint whole."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<I", len(named)))
+            for name, arr in named.items():
+                data = np.ascontiguousarray(arr, dtype="<f4")
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<I", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<I", data.ndim))
+                for ext in data.shape:
+                    f.write(struct.pack("<I", ext))
+                f.write(data.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read(f, size: int) -> bytes:

@@ -67,6 +67,9 @@ def cmd_eval(args):
 
 def cmd_parse(args):
     cfg = load_config(args.config)
+    if cfg.encoder != "bt":
+        raise SystemExit(f"parse reads beam-tree parses; the config's "
+                         f"encoder is {cfg.encoder!r}, not 'bt'")
     model = load_model(cfg, args.checkpoint)
     tokens = args.input.split()
     ids = listops.tokenize(" ".join(tokens))

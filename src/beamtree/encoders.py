@@ -12,7 +12,7 @@ from . import tensor as T
 from .cells import GrcParams, ScorerParams, _chunk, grc_compose, score, \
     tree_lstm_compose
 from .tensor import Tensor
-from .topk import BeamSet, BeamState, collapse_tail, gumbel_noise, merge_beams, \
+from .topk import BeamSet, collapse_tail, gumbel_noise, merge_beams, \
     plain_topk, truncate
 from .trees import ParseTree, replay_actions
 
@@ -91,22 +91,18 @@ def _merge(nodes: Tensor, length: int, merged: Tensor, picks: list) -> Tensor:
 
 def _pairs(nodes: Tensor, length: int, cands: Tensor | None, merges: list,
            cell):
-    """Candidate parents of the stacked beams `nodes`, `length` rows each.
-    merges[r] = (b, i, ...) says beam r is beam b of `cands` after merging
-    its nodes i and i+1, so only the pairs beside the merged node are new;
-    None says all pairs of beam r are new. The new pairs are composed in
-    one `_compose` call. With two nodes per beam, returns the list of
-    roots, each composed as a vector; with one, the list of nodes."""
-    count = len(merges)
+    """Stacked candidate parents, (B*(length-1), width), of the stacked
+    beams `nodes`, `length` rows each. merges[r] = (b, i, ...) says beam r
+    is beam b of `cands` after merging its nodes i and i+1, so only the
+    pairs beside the merged node are new; None says all pairs of beam r are
+    new. The new pairs are composed in one `_compose` call. With two nodes
+    per beam this is the (B, width) matrix of roots; with one, `nodes`."""
     if length == 1:
-        return [_row(nodes, r) for r in range(count)]
-    if length == 2:
-        return [_compose(_row(nodes, 2 * r), _row(nodes, 2 * r + 1), cell)
-                for r in range(count)]
+        return nodes
     windows = [(0, length - 1) if merge is None else
                (max(merge[1] - 1, 0), min(merge[1] + 1, length - 1))
                for merge in merges]
-    if count == 1 and windows[0][1] - windows[0][0] == 1:
+    if len(merges) == 1 and windows[0][1] - windows[0][0] == 1:
         # BLAS multiplies a lone row with another kernel, and other rounding,
         # than a matrix. A lone new candidate is composed with a neighbour,
         # whose cached row this recomputes bit for bit, so every candidate
@@ -126,7 +122,7 @@ def _pairs(nodes: Tensor, length: int, cands: Tensor | None, merges: list,
     lefts = np.array(lefts)
     new = _compose(T.rows_gather(nodes, lefts),
                    T.rows_gather(nodes, lefts + 1), cell)
-    if cands is None:
+    if len(lefts) == len(ids):
         return new
     return T.rows_gather(T.concat([cands, new], axis=0), ids)
 
@@ -206,8 +202,7 @@ def encode_easy_first_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
         actions.append(hard)
     if length == 2:
         actions.append(0)
-    [root] = cands
-    return _read_h(root, cell), replay_actions(n, actions)
+    return T.reshape(_read_h(cands, cell), (-1,)), replay_actions(n, actions)
 
 
 def encode_mc_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
@@ -245,7 +240,9 @@ def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
     its last group's best first, and `collapse_tail` replaces that group
     with one softmax-weighted beam in one matmul; the interpolated beam
     carries its best member's actions, and every pair of it is composed.
-    Returns (encoding, final BeamSet)."""
+    The beams stay stacked to the end: the last pairs of all beams are one
+    `_compose` call, and the encoding is `merge_beams` of the (B, d_h)
+    roots and (B,) scores. Returns (encoding, final BeamSet)."""
     cfg.validate()
     n = leaves.data.shape[0]
     if n < 1:
@@ -282,11 +279,8 @@ def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
 
     if length == 2:
         actions = [a + (0,) for a in actions]
-    roots = [_read_h(root, cell) for root in cands]
-    beam_scores = [T.slice_rows(scores, b, b + 1) for b in range(len(roots))]
-    final = [BeamState(nodes=T.reshape(h, (1, -1)), score=s, actions=a)
-             for h, s, a in zip(roots, beam_scores, actions)]
-    return merge_beams(roots, beam_scores), BeamSet(final)
+    roots = _read_h(cands, cell)
+    return merge_beams(roots, scores), BeamSet(roots, scores, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +329,8 @@ def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
     """Beam search over shift-reduce derivations. The decision logit comes
     from a linear layer over [stack[-2]; stack[-1]; queue-front]; reduce
     scores log(sigmoid(logit)), shift scores log(1 - sigmoid(logit)).
-    Invalid actions are masked out. Returns (encoding, final BeamSet)."""
+    Invalid actions are masked out. The final roots and scores are stacked
+    once for `merge_beams`. Returns (encoding, final BeamSet)."""
     cfg.validate()
     n = leaves.data.shape[0]
     if n < 1:
@@ -372,8 +367,8 @@ def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
                          mode=branch_mode, rng=rng)
         beams = [pool[i] for i in idx]
 
-    final = [BeamState(nodes=T.reshape(_read_h(st.stack[0], cell), (1, -1)),
-                       score=st.score, actions=st.actions) for st in beams]
-    encoding = merge_beams([_row(b.nodes, 0) for b in final],
-                           [b.score for b in final])
-    return encoding, BeamSet(final)
+    roots = _read_h(T.reshape(T.concat([st.stack[0] for st in beams]),
+                              (len(beams), -1)), cell)
+    scores = T.concat([st.score for st in beams], axis=0)
+    return merge_beams(roots, scores), \
+        BeamSet(roots, scores, [st.actions for st in beams])

@@ -106,10 +106,12 @@ def make_config(overrides: dict) -> RunConfig:
             if str(v).lower() not in BOOLS:
                 raise HarnessError(f"{k} must be a boolean, got {v!r}")
             v = BOOLS[str(v).lower()]
-        elif isinstance(current, int):
-            v = int(v)
-        elif isinstance(current, float):
-            v = float(v)
+        elif isinstance(current, (int, float)):
+            try:
+                v = type(current)(v)
+            except (TypeError, ValueError):
+                raise HarnessError(f"{k} must be {type(current).__name__}, "
+                                   f"got {v!r}") from None
         setattr(cfg, k, v)
     cfg.validate()
     return cfg

@@ -30,18 +30,18 @@ def extract_parses(bs: BeamSet, tokens) -> list:
     """Replay each beam's merge-action history into a tree over `tokens` and
     attach softmaxed beam scores as probabilities."""
     n = len(tokens)
-    scores = bs.scores()
+    scores = bs.scores.data.astype(np.float64)
     z = scores - scores.max()
     probs = np.exp(z) / np.exp(z).sum()
     out = []
-    for beam, p in zip(bs.beams, probs):
-        if len(beam.actions) != max(n - 1, 0):
+    for actions, p in zip(bs.actions, probs):
+        if len(actions) != max(n - 1, 0):
             raise ParseAnalysisError(
-                f"incomplete action history: {len(beam.actions)} actions for "
+                f"incomplete action history: {len(actions)} actions for "
                 f"{n} tokens")
-        tree = replay_actions(n, beam.actions)
+        tree = replay_actions(n, actions)
         out.append(BeamParse(tree=tree.to_string(tokens), probability=float(p),
-                             actions=tuple(beam.actions)))
+                             actions=tuple(actions)))
     return out
 
 

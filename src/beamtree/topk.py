@@ -13,28 +13,17 @@ from .tensor import Tensor
 
 
 @dataclass
-class BeamState:
-    """One hypothesis: a sequence of node states, its accumulated
-    log-probability, and the merge actions that produced it."""
-
-    nodes: Tensor  # (length, state width); a finished beam holds its root h
-    score: Tensor  # (1,)
-    actions: tuple = ()
-
-    @property
-    def length(self) -> int:
-        return self.nodes.data.shape[0]
-
-
-@dataclass
 class BeamSet:
-    beams: list
+    """The final beams of an example, stacked: row b of `roots` is beam b's
+    root h, `scores[b]` its accumulated log-probability and `actions[b]` the
+    actions that produced it."""
+
+    roots: Tensor  # (B, d_h)
+    scores: Tensor  # (B,)
+    actions: list  # B tuples
 
     def __len__(self):
-        return len(self.beams)
-
-    def scores(self) -> np.ndarray:
-        return np.array([b.score.item() for b in self.beams])
+        return len(self.actions)
 
 
 def gumbel_noise(size: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,15 +101,9 @@ def collapse_tail(nodes: Tensor, scores: Tensor, count: int):
             T.concat([T.slice_rows(scores, 0, keep), mixed_score], axis=0))
 
 
-def merge_beams(encodings: list, scores: list) -> Tensor:
-    """Expectation over beam encodings: sum_i softmax(scores)_i * o_i."""
-    if len(encodings) != len(scores) or not encodings:
-        raise ValueError("merge_beams needs matching non-empty lists")
-    if len(encodings) == 1:
-        return encodings[0]
-    w = T.softmax(T.concat(scores, axis=0))
-    out = None
-    for i, o in enumerate(encodings):
-        part = T.mul(o, T.pick(w, i))
-        out = part if out is None else T.add(out, part)
-    return out
+def merge_beams(roots: Tensor, scores: Tensor) -> Tensor:
+    """Expectation over stacked beam encodings: softmax(scores) @ roots, for
+    (B, d_h) `roots` and (B,) `scores`."""
+    if roots.data.shape[0] != scores.data.shape[0] or not scores.data.size:
+        raise ValueError("merge_beams needs one score per root, and a root")
+    return T.matmul(T.softmax(scores), roots)

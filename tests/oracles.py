@@ -9,9 +9,11 @@ The two full-recompose encoders at the end are the exception: they are the
 beam-tree and easy-first encoders as they were before candidate caching,
 beam stacking and index-group truncation, composing every adjacent pair of
 every beam on every step, splicing each beam's rows on its own and
-interpolating OneSoft's dropped beams one at a time, on the package's tape,
-so the stacked encoders' outputs and gradients can be checked against
-them."""
+interpolating OneSoft's dropped beams one at a time, merging the final
+beams one at a time, on the package's tape, so the stacked encoders'
+outputs and gradients can be checked against them."""
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -23,8 +25,7 @@ from beamtree import tensor as T
 from beamtree.cells import score
 from beamtree.encoders import _compose, _lift, _read_h, _row
 from beamtree.tensor import Tensor
-from beamtree.topk import BeamSet, BeamState, gumbel_noise, merge_beams, \
-    plain_topk
+from beamtree.topk import BeamSet, gumbel_noise, plain_topk
 from beamtree.trees import replay_actions
 
 
@@ -208,6 +209,31 @@ def full_recompose_easy_first_gumbel(leaves, cell, scorer, cfg, rng=None):
     return _read_h(out, cell), replay_actions(n, actions)
 
 
+@dataclass
+class Beam:
+    """One beam of the full-recompose encoder: its node states, (1,) score
+    and the merge actions that produced it."""
+
+    nodes: Tensor
+    score: Tensor
+    actions: tuple = ()
+
+
+def merge_beams_one_by_one(encodings, scores):
+    """sum_i softmax(scores)_i * encodings[i] over lists of beam encodings
+    and (1,) scores, with a pick/mul/add chain per beam."""
+    if len(encodings) != len(scores) or not encodings:
+        raise ValueError("merge_beams_one_by_one needs matching non-empty lists")
+    if len(encodings) == 1:
+        return encodings[0]
+    w = T.softmax(T.concat(scores, axis=0))
+    out = None
+    for i, o in enumerate(encodings):
+        part = T.mul(o, T.pick(w, i))
+        out = part if out is None else T.add(out, part)
+    return out
+
+
 def truncate_beams(pool, k, cfg, rng=None):
     """The beam-tree truncation over whole beams, one at a time: hard top-k,
     Gumbel-perturbed in training when `cfg.stochastic_topk`, or in OneSoft
@@ -235,40 +261,41 @@ def truncate_beams(pool, k, cfg, rng=None):
     best = max(range(len(bottom)),
                key=lambda i: (bottom[i].score.item(), -i))
     return [pool[i] for i in top] + [
-        BeamState(nodes=nodes, score=total, actions=bottom[best].actions)]
+        Beam(nodes=nodes, score=total, actions=bottom[best].actions)]
 
 
 def full_recompose_bt_cell(leaves, cell, scorer, cfg, rng=None):
     """`encoders.encode_bt_cell` recomposing every adjacent pair of every
     beam on every step, building every pooled beam before truncation and
-    truncating whole beams with `truncate_beams`.
-    Returns (encoding, final BeamSet)."""
+    truncating whole beams with `truncate_beams` and merging the final
+    beams with `merge_beams_one_by_one`. Returns (encoding, final stacked
+    BeamSet)."""
     k = cfg.beam_size
     zero = Tensor(np.zeros(1, dtype=leaves.data.dtype))
-    beams = [BeamState(nodes=_lift(leaves, cell), score=zero, actions=())]
+    beams = [Beam(nodes=_lift(leaves, cell), score=zero)]
     branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) \
         else "deterministic"
-    while beams[0].length > 2:
+    while beams[0].nodes.data.shape[0] > 2:
         pool = []
         for beam in beams:
             parents = _candidates(beam.nodes, cell)
             logp = T.log_softmax(score(_read_h(parents, cell), scorer))
             for i in plain_topk(logp.data, k, mode=branch_mode, rng=rng):
-                pool.append(BeamState(
+                pool.append(Beam(
                     nodes=_splice_rows(beam.nodes, i, i + 2,
                                        T.slice_rows(parents, i, i + 1)),
                     score=T.add(beam.score, T.reshape(T.pick(logp, i), (1,))),
                     actions=beam.actions + (i,)))
         beams = truncate_beams(pool, k, cfg, rng)
-    final = []
+    roots, actions = [], []
     for beam in beams:
-        root, actions = beam.nodes, beam.actions
-        if beam.length == 2:
-            root = T.reshape(_compose(_row(root, 0), _row(root, 1), cell),
-                             (1, -1))
-            actions += (0,)
-        final.append(BeamState(nodes=_read_h(root, cell), score=beam.score,
-                               actions=actions))
-    encoding = merge_beams([_row(b.nodes, 0) for b in final],
-                           [b.score for b in final])
-    return encoding, BeamSet(final)
+        root, acts = beam.nodes, beam.actions
+        if root.data.shape[0] == 2:
+            root = _compose(_row(root, 0), _row(root, 1), cell)
+            acts += (0,)
+        roots.append(T.reshape(_read_h(root, cell), (-1,)))
+        actions.append(acts)
+    scores = [beam.score for beam in beams]
+    encoding = merge_beams_one_by_one(roots, scores)
+    return encoding, BeamSet(T.concat([T.reshape(r, (1, -1)) for r in roots]),
+                             T.concat(scores), actions)

@@ -114,8 +114,8 @@ def test_criterion_beam_search_matches_exhaustive_enumeration():
         oracle = {a: s for a, s, _ in enumerate_merge_derivations(
             [leaves.data[i].copy() for i in range(n)], grc, scorer)}
         assert len(beams) == len(oracle) == k
-        for b in beams.beams:
-            worst = max(worst, abs(b.score.item() - oracle[b.actions]))
+        for score, actions in zip(beams.scores.data, beams.actions):
+            worst = max(worst, abs(score - oracle[actions]))
 
     for n in (3, 4):
         rng = np.random.default_rng(10 + n)
@@ -127,8 +127,8 @@ def test_criterion_beam_search_matches_exhaustive_enumeration():
         oracle = {a: s for a, s, _ in enumerate_sr_derivations(
             [leaves.data[i].copy() for i in range(n)], grc, decision)}
         assert len(beams) == len(oracle)
-        for b in beams.beams:
-            worst = max(worst, abs(b.score.item() - oracle[tuple(b.actions)]))
+        for score, actions in zip(beams.scores.data, beams.actions):
+            worst = max(worst, abs(score - oracle[tuple(actions)]))
 
     _report("beam-search-oracle-equivalence", worst <= 1e-9,
             f"worst score gap {worst:.2e}")
@@ -185,10 +185,7 @@ def test_criterion_soft_truncation_identities():
                 groups = truncate(scores.data, 2, variant, training=True)
                 out_nodes, out_scores = keep(groups, nodes, scores)
                 enc = merge_beams(
-                    [T.reshape(T.slice_rows(out_nodes, 2 * b, 2 * b + 2),
-                               (6,)) for b in range(len(groups))],
-                    [T.slice_rows(out_scores, b, b + 1)
-                     for b in range(len(groups))])
+                    T.reshape(out_nodes, (len(groups), 6)), out_scores)
                 tape.backward(T.tsum(enc))
             pruned_has_grad = bool(np.any(scores.grad[2:] != 0.0))
             grad_ok &= (pruned_has_grad == expect_nonzero)
@@ -301,11 +298,11 @@ def test_criterion_parse_bookkeeping():
         collapsed = collapse_duplicates(parses)
         worst_prob = max(worst_prob,
                          abs(sum(p.probability for p in collapsed) - 1.0))
-        for beam in beams.beams:
-            tree = replay_actions(n, beam.actions)
+        for root, actions in zip(beams.roots.data, beams.actions):
+            tree = replay_actions(n, actions)
             redone = encode_fixed_tree(leaves, tree, grc)
             worst_replay = max(worst_replay, float(np.max(
-                np.abs(redone.data - beam.nodes.data[0]))))
+                np.abs(redone.data - root))))
     _report("parse-bookkeeping",
             worst_prob <= 1e-9 and worst_replay <= 1e-6,
             f"prob gap {worst_prob:.2e}, replay gap {worst_replay:.2e}")

@@ -1,0 +1,82 @@
+"""scripts/bench_record.py on synthetic run records."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+_spec = importlib.util.spec_from_file_location(
+    "bench_record", os.path.join(ROOT, "scripts", "bench_record.py"))
+B = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(B)
+
+ENV = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "blas_threads": 1}
+
+
+def _record(directory, workload, seed, trace, ex_per_s, **env):
+    data = {"test.tsv": "ab"} if workload == "eval-long" \
+        else {"train.tsv": "cd", "dev.tsv": "ef"}
+    rec = {"workload": workload, "seed": seed, "trace": trace,
+           "correct": True, "attempted": 10, "failed": 0,
+           "environment": {**ENV, "loadavg_start": [0.5, 0.5, 0.5],
+                           "cpu_wall_ratio": 0.98, "data_sha256": data,
+                           **env},
+           "end_to_end": {"ex_per_s": ex_per_s, "peak_rss_mb": 70.0},
+           "end_to_end_raw": {"ex_per_s": ex_per_s * 0.9,
+                              "peak_rss_mb": 70.0},
+           "metrics": {"tensor.tape_records_per_ex": 300.0,
+                       "tensor.tape_records_per_ex.bt_k3": 0.0,
+                       "tensor.tape_records_per_ex.bt_k5_plain": 280.0 + seed,
+                       "cells.composed_rows_per_ex": 46.0,
+                       "topk.kept_ratio": 0.36,
+                       "tensor.backward_ms_per_ex": 6.5}}
+    path = directory / f"result-{workload}-s{seed}-trace{trace}.json"
+    path.write_text(json.dumps(rec))
+
+
+def test_fold_medians_traced_counts_and_environment(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    for seed, rate in ((1, 50.0), (2, 60.0), (3, 58.0)):
+        _record(parent, "train-latent", seed, 0, rate)
+        _record(change, "train-latent", seed, 0, rate + 10)
+    _record(parent, "train-latent", 12, 1, 1.0)
+    _record(change, "train-latent", 12, 1, 1.0)
+    _record(change, "eval-long", 1, 0, 20.0)
+    out = tmp_path / "BENCH.json"
+    B.main(["--parent", str(parent), "--change", str(change),
+            "--out", str(out)])
+    bench = json.loads(out.read_text())
+
+    assert bench["environment"] == {
+        **ENV, "data_sha256": {"train.tsv": "cd", "dev.tsv": "ef",
+                               "test.tsv": "ab"}}
+    assert len(bench["runs"]) == 9
+    assert {r["side"] for r in bench["runs"]} == {"parent", "change"}
+    assert bench["runs"][0]["environment"]["cpu_wall_ratio"] == 0.98
+    # traced runs stay out of the medians
+    assert bench["medians"]["train-latent"]["parent"]["ex_per_s"] == 58.0
+    assert bench["medians"]["train-latent"]["change"]["ex_per_s"] == 68.0
+    traced = bench["traced"]["train-latent-s12"]["change"]
+    assert traced == {"tensor.tape_records_per_ex": 300.0,
+                      "tensor.tape_records_per_ex.bt_k5_plain": 292.0,
+                      "cells.composed_rows_per_ex": 46.0,
+                      "topk.kept_ratio": 0.36}
+
+
+@pytest.mark.parametrize("env,match", [({"numpy": "1.26.0"}, "environment"),
+                                       ({"data_sha256": {"test.tsv": "00"}},
+                                        "test.tsv")])
+def test_fold_refuses_mixed_environments(tmp_path, env, match):
+    _record(tmp_path, "eval-long", 1, 0, 20.0)
+    _record(tmp_path, "eval-long", 2, 0, 20.0, **env)
+    with pytest.raises(B.RecordError, match=match):
+        B.fold({"parent": B.read_records(tmp_path)})
+
+
+def test_read_records_refuses_an_empty_directory(tmp_path):
+    with pytest.raises(B.RecordError):
+        B.read_records(tmp_path)

@@ -54,8 +54,7 @@ def _run(encode, variant, cell, n, seed):
     if variant == "easy-first":
         scores, actions = [], [out.to_string()]
     else:
-        scores = [b.score.item() for b in out.beams]
-        actions = [b.actions for b in out.beams]
+        scores, actions = out.scores.data, out.actions
     grads = {name: p.grad.copy() for name, p in
              {**params.named(), **scorer.named(), "leaves": leaves}.items()}
     return enc.data, np.array(scores), actions, grads

@@ -42,6 +42,15 @@ def test_gen_data_train_eval_parse_pipeline(tmp_path, capsys):
     assert total == pytest.approx(1.0, abs=0.01)
 
 
+@pytest.mark.parametrize("encoder", ["gumbel", "bsrp"])
+def test_parse_refuses_configs_that_are_not_bt(tmp_path, encoder):
+    config = tmp_path / "config.txt"
+    config.write_text(f"encoder={encoder}\n")
+    with pytest.raises(SystemExit, match=repr(encoder)):
+        main(["parse", "--config", str(config), "--checkpoint",
+              str(tmp_path / "missing.ckpt"), "--input", "[MAX 2 1 ]"])
+
+
 def test_gradcheck_command_passes(capsys):
     main(["gradcheck", "--seed", "1"])
     out = capsys.readouterr().out

@@ -57,15 +57,16 @@ def test_bt_cell_matches_exhaustive_enumeration(cell, n):
               enumerate_merge_derivations([leaves.data[i].copy() for i in range(n)],
                                           params, scorer)}
     assert len(beams) == len(oracle) == k
-    for b in beams.beams:
-        s, enc = oracle[b.actions]
-        assert abs(b.score.item() - s) <= 1e-9
-        assert np.max(np.abs(b.nodes.data[0] - enc)) <= 1e-9
+    for root, score, actions in zip(beams.roots.data, beams.scores.data,
+                                    beams.actions):
+        s, enc = oracle[actions]
+        assert abs(score - s) <= 1e-9
+        assert np.max(np.abs(root - enc)) <= 1e-9
 
-    scores = np.array([b.score.item() for b in beams.beams])
+    scores = beams.scores.data
     w = np.exp(scores - scores.max())
     w /= w.sum()
-    expect = sum(wi * b.nodes.data[0] for wi, b in zip(w, beams.beams))
+    expect = sum(wi * root for wi, root in zip(w, beams.roots.data))
     assert np.max(np.abs(encoding.data - expect)) <= 1e-9
 
 
@@ -79,9 +80,9 @@ def test_bt_cell_small_beam_is_subset_of_enumeration():
               enumerate_merge_derivations([leaves.data[i].copy() for i in range(n)],
                             grc, scorer)}
     assert len(beams) == k
-    for b in beams.beams:
-        assert b.actions in oracle
-        assert abs(b.score.item() - oracle[b.actions]) <= 1e-9
+    for score, actions in zip(beams.scores.data, beams.actions):
+        assert actions in oracle
+        assert abs(score - oracle[actions]) <= 1e-9
 
 
 def test_bt_cell_best_score_monotone_in_beam_size():
@@ -92,7 +93,7 @@ def test_bt_cell_best_score_monotone_in_beam_size():
         cfg = EncoderConfig(beam_size=k, topk="plain",
                             training=False)
         _, beams = encode_bt_cell(leaves, grc, scorer, cfg)
-        best.append(max(b.score.item() for b in beams.beams))
+        best.append(max(beams.scores.data))
     for lo, hi in zip(best, best[1:]):
         assert hi >= lo - 1e-12
 
@@ -106,7 +107,7 @@ def test_bt_cell_k1_equals_greedy_easy_first():
         bt_enc, beams = encode_bt_cell(leaves, params, scorer, cfg)
         ef_enc, tree = encode_easy_first_gumbel(leaves, params, scorer, cfg)
         assert np.max(np.abs(bt_enc.data - ef_enc.data)) <= 1e-9, cell
-        assert replay_actions(6, beams.beams[0].actions).to_string() == \
+        assert replay_actions(6, beams.actions[0]).to_string() == \
             tree.to_string(), cell
 
 
@@ -116,8 +117,8 @@ def test_bt_cell_two_tokens_no_score_increment():
     cfg = EncoderConfig(beam_size=3, topk="plain", training=False)
     enc, beams = encode_bt_cell(leaves, grc, scorer, cfg)
     assert len(beams) == 1
-    assert beams.beams[0].score.item() == 0.0
-    assert beams.beams[0].actions == (0,)
+    assert beams.scores.data[0] == 0.0
+    assert beams.actions[0] == (0,)
     expect = np_grc(leaves.data[0], leaves.data[1], grc)
     assert np.max(np.abs(enc.data - expect)) <= 1e-9
 
@@ -128,7 +129,7 @@ def test_bt_cell_single_token_identity():
     cfg = EncoderConfig(beam_size=2, topk="plain", training=False)
     enc, beams = encode_bt_cell(leaves, grc, scorer, cfg)
     assert np.array_equal(enc.data, leaves.data[0])
-    assert beams.beams[0].actions == ()
+    assert beams.actions[0] == ()
 
 
 def test_bt_cell_lstm_cell_runs_and_backprops():
@@ -302,10 +303,11 @@ def test_bsrp_matches_exhaustive_enumeration(cell, n):
     encoding, beams = encode_bsrp(leaves, params, decision, cfg)
     by_actions = {a: (s, e) for a, s, e in oracle}
     assert len(beams) == len(oracle)
-    for b in beams.beams:
-        s, enc = by_actions[tuple(b.actions)]
-        assert abs(b.score.item() - s) <= 1e-9
-        assert np.max(np.abs(b.nodes.data[0] - enc)) <= 1e-9
+    for root, score, actions in zip(beams.roots.data, beams.scores.data,
+                                    beams.actions):
+        s, enc = by_actions[tuple(actions)]
+        assert abs(score - s) <= 1e-9
+        assert np.max(np.abs(root - enc)) <= 1e-9
 
 
 def test_bsrp_single_token():
@@ -316,7 +318,7 @@ def test_bsrp_single_token():
                              EncoderConfig(beam_size=2,
                                            training=False))
     assert np.array_equal(enc.data, leaves.data[0])
-    assert beams.beams[0].actions == ("s",)
+    assert beams.actions[0] == ("s",)
 
 
 def test_bsrp_backprops_to_decision_layer():

@@ -63,6 +63,18 @@ def test_checkpoint_rejects_truncation(tmp_path, cut):
         load_checkpoint(path)
 
 
+def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
+    before = path.read_bytes()
+    # the first tensor is written before the second fails to convert
+    with pytest.raises(ValueError):
+        save_checkpoint(path, {"a": np.zeros(3, dtype=np.float32),
+                               "b": np.array(["not a number"])})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+
 def test_restore_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "s.ckpt"
     save_checkpoint(path, {"w": np.ones(3, dtype=np.float32)})
@@ -123,6 +135,13 @@ def test_committed_run_configs_load():
 def test_config_rejects_bad_bool(text):
     with pytest.raises(HarnessError):
         make_config({"stochastic_topk": text})
+
+
+@pytest.mark.parametrize("key,text", [("beam_size", "abc"),
+                                      ("beam_size", "2.5"), ("lr", "fast")])
+def test_config_rejects_bad_number(key, text):
+    with pytest.raises(HarnessError, match=key):
+        make_config({key: text})
 
 
 def test_config_comments_and_blank_lines(tmp_path):

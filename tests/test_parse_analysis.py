@@ -7,7 +7,7 @@ from beamtree.parse_analysis import (BeamParse, ParseAnalysisError,
                                      collapse_duplicates, extract_parses,
                                      tree_agreement)
 from beamtree.tensor import Tensor
-from beamtree.topk import BeamSet, BeamState
+from beamtree.topk import BeamSet
 from beamtree.trees import build_left_chain, parse_tree_string, replay_actions
 
 
@@ -33,13 +33,13 @@ def test_replay_consistency_with_beam_actions():
     _, beams = _run_bt(5, 3)
     tokens = list("abcde")
     parses = extract_parses(beams, tokens)
-    for parse, beam in zip(parses, beams.beams):
-        assert parse.tree == replay_actions(5, beam.actions).to_string(tokens)
+    for parse, actions in zip(parses, beams.actions):
+        assert parse.tree == replay_actions(5, actions).to_string(tokens)
 
 
 def test_extract_rejects_incomplete_history():
-    bad = BeamSet([BeamState(nodes=Tensor(np.zeros((1, 2))),
-                             score=Tensor(np.zeros(1)), actions=(0,))])
+    bad = BeamSet(roots=Tensor(np.zeros((1, 2))), scores=Tensor(np.zeros(1)),
+                  actions=[(0,)])
     with pytest.raises(ParseAnalysisError):
         extract_parses(bad, ["a", "b", "c"])
 

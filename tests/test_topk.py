@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import merge_beams_one_by_one
+
 from beamtree import tensor as T
+from beamtree.gradcheck import check_grads
 from beamtree.tensor import Tape, Tensor
 from beamtree.topk import (collapse_tail, gumbel_noise, merge_beams,
                            onesoft_topk, plain_topk, truncate)
@@ -33,11 +36,7 @@ def _keep(groups, nodes, scores):
 
 def _encode(nodes, scores):
     """Score-weighted expectation of the flattened stacked beams."""
-    beams = scores.data.shape[0]
-    return merge_beams(
-        [T.reshape(T.slice_rows(nodes, b * ROWS, (b + 1) * ROWS), (-1,))
-         for b in range(beams)],
-        [T.slice_rows(scores, b, b + 1) for b in range(beams)])
+    return merge_beams(T.reshape(nodes, (scores.data.shape[0], -1)), scores)
 
 
 def test_plain_topk_basic():
@@ -176,22 +175,37 @@ def test_truncate_gumbel_only_when_stochastic_training():
 
 
 def test_merge_beams_uniform_scores_average():
-    a = Tensor(np.array([2.0, 0.0]))
-    b = Tensor(np.array([0.0, 4.0]))
-    s = [Tensor(np.array([1.0])), Tensor(np.array([1.0]))]
-    out = merge_beams([a, b], s)
+    roots = Tensor(np.array([[2.0, 0.0], [0.0, 4.0]]))
+    out = merge_beams(roots, Tensor(np.array([1.0, 1.0])))
     assert np.allclose(out.data, [1.0, 2.0], atol=1e-12)
 
 
 def test_merge_beams_single():
-    a = Tensor(np.array([1.0, 2.0]))
-    out = merge_beams([a], [Tensor(np.array([0.0]))])
-    assert out is a
+    a = np.array([1.0, 2.0])
+    out = merge_beams(Tensor(a[None, :]), Tensor(np.array([0.0])))
+    assert np.array_equal(out.data, a)
 
 
 def test_merge_beams_length_mismatch():
     with pytest.raises(ValueError):
-        merge_beams([Tensor(np.zeros(2))], [])
+        merge_beams(Tensor(np.zeros((0, 2))), Tensor(np.zeros(0)))
+    with pytest.raises(ValueError):
+        merge_beams(Tensor(np.zeros((2, 2))), Tensor(np.zeros(3)))
+
+
+def test_merge_beams_grads_and_per_beam_reference():
+    rng = np.random.default_rng(5)
+    roots = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    scores = Tensor(rng.standard_normal(4), requires_grad=True)
+    w = Tensor(rng.standard_normal(3))
+    errors = check_grads(lambda: T.tsum(T.mul(merge_beams(roots, scores), w)),
+                         {"roots": roots, "scores": scores})
+    assert max(errors.values()) <= 1e-7, errors
+    expect = merge_beams_one_by_one(
+        [Tensor(r) for r in roots.data],
+        [Tensor(scores.data[b:b + 1]) for b in range(4)])
+    assert np.max(np.abs(merge_beams(roots, scores).data - expect.data)) \
+        <= 1e-12
 
 
 def test_pruned_beam_score_gradient_zero_under_hard_topk():
