@@ -62,16 +62,45 @@ def _affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
 def grc_compose(left: Tensor, right: Tensor, p: GrcParams) -> Tensor:
     """Gated composition: gates from a two-layer GELU MLP over [left; right],
-    output = LN(sigmoid(z)*left + sigmoid(h)*right + sigmoid(c)*u)."""
+    output = LN(sigmoid(z)*left + sigmoid(h)*right + sigmoid(c)*u).
+
+    One tape primitive with a hand-written vjp. The forward makes the same
+    numpy calls in the same order as composing the tensor primitives would,
+    so its values are the same bits; `tests/oracles.py` keeps that composed
+    form as the reference."""
     d = p.d_h
-    hidden = T.gelu(_affine(_cat([left, right], last_axis=True), p.W1, p.b1))
-    gates = _affine(hidden, p.W2, p.b2)
-    z, h, c, u = (_chunk(gates, i, d) for i in range(4))
-    mix = T.add(
-        T.add(T.mul(T.sigmoid(z), left), T.mul(T.sigmoid(h), right)),
-        T.mul(T.sigmoid(c), u),
-    )
-    return T.layer_norm(mix, p.gamma, p.beta)
+    vec = left.data.ndim == 1
+    l, r = (left.data[None], right.data[None]) if vec else (left.data, right.data)
+    x = np.concatenate([l, r], axis=1)
+    pre = x @ p.W1.data + p.b1.data
+    hidden, phi = T.gelu_data(pre)
+    gates = hidden @ p.W2.data + p.b2.data
+    sig = T.sigmoid_data(gates[:, :3 * d])
+    sz, sh, sc = sig[:, :d], sig[:, d:2 * d], sig[:, 2 * d:]
+    u = gates[:, 3 * d:]
+    out, xhat, inv = T.layer_norm_data((sz * l + sh * r) + sc * u,
+                                       p.gamma.data, p.beta.data)
+
+    def vjp(g):
+        dmix, dgamma, dbeta = T.layer_norm_grads(
+            g[None] if vec else g, p.gamma.data, xhat, inv)
+        dgates = np.concatenate([dmix * l, dmix * r, dmix * u, dmix * sc],
+                                axis=1)
+        dgates[:, :3 * d] *= sig  # times sigmoid' = sig * (1 - sig)
+        dgates[:, :3 * d] *= 1.0 - sig
+        dpre = (T.input_grad(dgates, p.W2.data)
+                * T.gelu_slope(pre, phi)).astype(pre.dtype, copy=False)
+        dx = T.input_grad(dpre, p.W1.data)
+        dl = dx[:, :d] + dmix * sz
+        dr = dx[:, d:] + dmix * sh
+        if vec:
+            dl, dr = dl[0], dr[0]
+        return (dl, dr, T.weight_grad(x, dpre), dpre.sum(axis=0),
+                T.weight_grad(hidden, dgates), dgates.sum(axis=0),
+                dgamma, dbeta)
+
+    return T._make(out[0] if vec else out,
+                   (left, right, p.W1, p.b1, p.W2, p.b2, p.gamma, p.beta), vjp)
 
 
 @dataclass

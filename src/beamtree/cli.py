@@ -98,12 +98,12 @@ def cmd_gradcheck(args):
 
     from .cells import grc_compose, score, tree_lstm_compose
     grc = GrcParams.init(d_h, rng, np.float64)
-    left = Tensor(rng.standard_normal(d_h))
-    right = Tensor(rng.standard_normal(d_h))
+    left = Tensor(rng.standard_normal(d_h), requires_grad=True)
+    right = Tensor(rng.standard_normal(d_h), requires_grad=True)
     scorer = ScorerParams.init(d_h, rng, np.float64)
     report("grc+scorer", gc.check_grads(
         lambda: score(grc_compose(left, right, grc), scorer),
-        {**grc.named(), **scorer.named()}))
+        {**grc.named(), **scorer.named(), "left": left, "right": right}))
 
     lstm = TreeLstmParams.init(d_h, rng, np.float64)
     h_l, c_l = Tensor(rng.standard_normal(d_h)), Tensor(rng.standard_normal(d_h))

@@ -153,14 +153,17 @@ def encode_fixed_tree(leaves: Tensor, tree: ParseTree, cell) -> Tensor:
         raise EncoderError(f"tree has {tree.n_leaves()} leaves for {n} tokens")
     if not tree.is_projective():
         raise EncoderError("non-projective tree")
-    states = _lift(leaves, cell)
+    return _read_h(_walk(tree, _lift(leaves, cell), cell), cell)
 
-    def walk(t):
-        if t.is_leaf:
-            return _row(states, t.leaf)
-        return _compose(walk(t.left), walk(t.right), cell)
 
-    return _read_h(walk(tree), cell)
+def _walk(t: ParseTree, states: Tensor, cell) -> Tensor:
+    # a module-level function, not a closure that refers to itself: such a
+    # closure is a reference cycle that keeps `cell`, its weights and their
+    # gradients alive until the cyclic garbage collector runs
+    if t.is_leaf:
+        return _row(states, t.leaf)
+    return _compose(_walk(t.left, states, cell), _walk(t.right, states, cell),
+                    cell)
 
 
 # ---------------------------------------------------------------------------

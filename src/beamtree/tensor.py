@@ -135,12 +135,17 @@ class Tape:
                 if gi is None or not inp.requires_grad:
                     continue
                 if inp.grad is None:
-                    inp.grad = np.zeros_like(inp.data)
-                inp.grad += gi.astype(inp.data.dtype, copy=False)
+                    # a copy, so a vjp handing one array to two inputs
+                    # never aliases their gradients
+                    inp.grad = gi.astype(inp.data.dtype, copy=True)
+                else:
+                    inp.grad += gi.astype(inp.data.dtype, copy=False)
 
 
 def _make(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    # one reduction: any NaN or inf makes the sum non-finite (a finite sum
+    # that overflows is a false alarm, and aborts the step as well)
+    if not np.isfinite(np.add.reduce(data, axis=None)):
         raise NonFiniteError("non-finite value in forward op")
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -210,6 +215,19 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     return _make(m.data + v.data, (m, v), lambda g: (g, g.sum(axis=0)))
 
 
+def input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g @ w.T, the gradient of x in x @ w, computed as (w @ g.T).T: with
+    few rows in g, OpenBLAS is faster on that operand order."""
+    return (w @ g.T).T
+
+
+def weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x.T @ g, the gradient of w in x @ w. For a single row of x each
+    entry is one product, so the broadcast product gives the same bits
+    faster than a GEMM with an inner dimension of 1."""
+    return x.T * g if x.shape[0] == 1 else x.T @ g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
@@ -230,8 +248,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             g2 = g2[None, ...]
         if bd.ndim == 1:
             g2 = g2[..., None]
-        ga = g2 @ b2.T
-        gb = a2.T @ g2
+        ga = input_grad(g2, b2)
+        gb = weight_grad(a2, g2)
         if ad.ndim == 1:
             ga = ga[0]
         if bd.ndim == 1:
@@ -241,10 +259,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
+def sigmoid_data(x: np.ndarray) -> np.ndarray:
+    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    return s.astype(x.dtype, copy=False)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    s = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-    s = s.astype(a.data.dtype, copy=False)
+    s = sigmoid_data(a.data)
     return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -269,17 +291,22 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def gelu(a: Tensor) -> Tensor:
-    # exact Gaussian-CDF form x * Phi(x), not the tanh approximation
-    x = a.data
+def gelu_data(x: np.ndarray):
+    """The exact Gaussian-CDF form x * Phi(x), not the tanh approximation.
+    Returns (out, Phi(x)); Phi(x) feeds `gelu_slope`."""
     phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = (x * phi).astype(x.dtype, copy=False)
+    return (x * phi).astype(x.dtype, copy=False), phi
 
-    def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return (g * (phi + x * pdf),)
 
-    return _make(out, (a,), vjp)
+def gelu_slope(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """d gelu / dx at x, given Phi(x) from `gelu_data`."""
+    return phi + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
+
+
+def gelu(a: Tensor) -> Tensor:
+    x = a.data
+    out, phi = gelu_data(x)
+    return _make(out, (a,), lambda g: (g * gelu_slope(x, phi),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -298,7 +325,7 @@ def tsum(a: Tensor) -> Tensor:
     return _make(
         np.asarray(a.data.sum(), dtype=a.data.dtype).reshape(()),
         (a,),
-        lambda g: (np.broadcast_to(g, a.data.shape).copy(),),
+        lambda g: (np.broadcast_to(g, a.data.shape),),
     )
 
 
@@ -335,25 +362,31 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     d = xd.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise TensorError("layer_norm gamma/beta must match the last axis")
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
+    out, xhat, inv = layer_norm_data(xd, gamma.data, beta.data, eps)
+    return _make(out, (x, gamma, beta),
+                 lambda g: layer_norm_grads(g, gamma.data, xhat, inv))
+
+
+def layer_norm_data(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                    eps: float = 1e-5):
+    """Layer norm over the last axis; returns (out, xhat, inv), the last two
+    for `layer_norm_grads`."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    out = (xhat * gamma.data + beta.data).astype(xd.dtype, copy=False)
+    xhat = (x - mu) * inv
+    return (xhat * gamma + beta).astype(x.dtype, copy=False), xhat, inv
 
-    def vjp(g):
-        gg = g * gamma.data
-        dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                    - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-        if xd.ndim == 2:
-            dgamma = (g * xhat).sum(axis=0)
-            dbeta = g.sum(axis=0)
-        else:
-            dgamma = g * xhat
-            dbeta = g.copy()
-        return (dx, dgamma, dbeta)
 
-    return _make(out, (x, gamma, beta), vjp)
+def layer_norm_grads(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,
+                     inv: np.ndarray):
+    """(dx, dgamma, dbeta) of `layer_norm_data` for the output gradient g."""
+    gg = g * gamma
+    dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+    if g.ndim == 2:
+        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+    return dx, g * xhat, g
 
 
 def concat(tensors: list, axis: int = 0) -> Tensor:

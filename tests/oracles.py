@@ -5,13 +5,16 @@ derivations. These
 deliberately avoid the package's tensor machinery and use different library
 routines (norm.cdf, expit, scipy log_softmax) for the nonlinearities.
 
-The two full-recompose encoders at the end are the exception: they are the
+The gated cell composed from tensor primitives and the two full-recompose
+encoders at the end are the exceptions. The composed cell is
+`cells.grc_compose` as it was before it became one tape primitive. The
+encoders are the
 beam-tree and easy-first encoders as they were before candidate caching,
 beam stacking and index-group truncation, composing every adjacent pair of
 every beam on every step, splicing each beam's rows on its own and
 interpolating OneSoft's dropped beams one at a time, merging the final
-beams one at a time, on the package's tape, so the stacked encoders'
-outputs and gradients can be checked against them."""
+beams one at a time. All three run on the package's tape, so the fused cell's
+and the stacked encoders' outputs and gradients can be checked against them."""
 
 from dataclasses import dataclass
 
@@ -22,7 +25,7 @@ from scipy.stats import norm
 
 from beamtree import encoders
 from beamtree import tensor as T
-from beamtree.cells import score
+from beamtree.cells import _affine, _cat, _chunk, score
 from beamtree.encoders import _compose, _lift, _read_h, _row
 from beamtree.tensor import Tensor
 from beamtree.topk import BeamSet, gumbel_noise, plain_topk
@@ -39,6 +42,21 @@ def np_grc(l, r, p):
     mix = expit(z) * l + expit(h) * r + expit(c) * u
     mu, var = mix.mean(), mix.var()
     return (mix - mu) / np.sqrt(var + 1e-5) * p.gamma.data + p.beta.data
+
+
+def composed_grc(left, right, p):
+    """`cells.grc_compose` as a chain of tensor primitives (concat, matmul,
+    GELU, slices, sigmoids, products, layer norm), each with its own vjp:
+    the reference for the fused cell's values and gradients."""
+    d = p.d_h
+    hidden = T.gelu(_affine(_cat([left, right], last_axis=True), p.W1, p.b1))
+    gates = _affine(hidden, p.W2, p.b2)
+    z, h, c, u = (_chunk(gates, i, d) for i in range(4))
+    mix = T.add(
+        T.add(T.mul(T.sigmoid(z), left), T.mul(T.sigmoid(h), right)),
+        T.mul(T.sigmoid(c), u),
+    )
+    return T.layer_norm(mix, p.gamma, p.beta)
 
 
 def np_tree_lstm(l, r, p):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from oracles import composed_grc
 
 from beamtree import tensor as T
 from beamtree.cells import (GrcParams, LeafParams, ScorerParams,
                             TreeLstmParams, grc_compose, leaf_transform,
                             leaf_transform_seq, score, tree_lstm_compose)
-from beamtree.gradcheck import check_grads
-from beamtree.tensor import Tape, Tensor
+from beamtree.gradcheck import check_grads, relative_error
+from beamtree.tensor import NonFiniteError, Tape, Tensor
 
 
 def _zero_grc(d_h):
@@ -64,17 +65,68 @@ def test_grc_rows_match_vectors():
         assert np.allclose(rows.data[i], vec.data, atol=1e-12)
 
 
-def test_grc_gradients():
+@pytest.mark.parametrize("shape", [(3,), (2, 3)])
+def test_grc_gradients(shape):
     d_h = 3
     p = GrcParams.init(d_h, np.random.default_rng(11), np.float64)
     rng = np.random.default_rng(12)
-    l = Tensor(rng.standard_normal(d_h), requires_grad=True)
-    r = Tensor(rng.standard_normal(d_h), requires_grad=True)
-    w = Tensor(rng.standard_normal(d_h))
+    l = Tensor(rng.standard_normal(shape), requires_grad=True)
+    r = Tensor(rng.standard_normal(shape), requires_grad=True)
+    w = Tensor(rng.standard_normal(shape))
     errors = check_grads(
         lambda: T.tsum(T.mul(grc_compose(l, r, p), w)),
         {**p.named(), "l": l, "r": r})
     assert max(errors.values()) <= 1e-4
+
+
+def _grads(compose, l, r, w, p):
+    params = {**p.named(), "l": l, "r": r}
+    for t in params.values():
+        t.zero_grad()
+    with Tape() as tape:
+        out = compose(l, r, p)
+        tape.backward(T.tsum(T.mul(out, w)))
+    return out.data, {k: t.grad.copy() for k, t in params.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(8,), (1, 8), (2, 8), (6, 8)])
+def test_grc_fused_matches_composed_primitives(shape, dtype):
+    # the one-primitive cell against the same cell built from tensor ops:
+    # the same forward bits, and the same gradients for all 8 inputs
+    d_h = shape[-1]
+    p = GrcParams.init(d_h, np.random.default_rng(27), dtype)
+    rng = np.random.default_rng(28)
+    for b in (p.b1, p.b2, p.gamma, p.beta):
+        b.data[...] = rng.standard_normal(b.data.shape)
+    l, r = (Tensor(2.0 * rng.standard_normal(shape), requires_grad=True,
+                   dtype=dtype) for _ in range(2))
+    w = Tensor(rng.standard_normal(shape), dtype=dtype)
+    fused, fused_grads = _grads(grc_compose, l, r, w, p)
+    ref, ref_grads = _grads(composed_grc, l, r, w, p)
+    assert fused.dtype == ref.dtype == dtype and fused.shape == shape
+    assert np.array_equal(fused, ref)
+    if dtype == np.float64:
+        for name, g in ref_grads.items():
+            assert relative_error(fused_grads[name], g) <= 1e-12, name
+
+
+def test_grc_records_one_primitive():
+    p = GrcParams.init(4, np.random.default_rng(29), np.float64)
+    l = Tensor(np.ones((3, 4)), requires_grad=True)
+    with Tape() as tape:
+        grc_compose(l, l, p)
+    assert len(tape.records) == 1
+    assert tape.records[0].inputs == (l, l, p.W1, p.b1, p.W2, p.b2,
+                                      p.gamma, p.beta)
+
+
+def test_grc_nan_input_raises():
+    p = GrcParams.init(4, np.random.default_rng(30), np.float64)
+    left = np.ones((2, 4))
+    left[1, 2] = np.nan
+    with pytest.raises(NonFiniteError):
+        grc_compose(Tensor(left), Tensor(np.ones((2, 4))), p)
 
 
 def test_tree_lstm_zero_params_closed_form():

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -199,6 +201,21 @@ def test_fixed_tree_matches_reference_on_balanced():
     l = np_grc(leaves.data[0], leaves.data[1], grc)
     r = np_grc(leaves.data[2], leaves.data[3], grc)
     assert np.max(np.abs(out.data - np_grc(l, r, grc))) <= 1e-9
+
+
+def test_fixed_tree_frees_the_cell_without_the_cycle_collector():
+    # a reference cycle would keep the weights and their gradients alive
+    # until the cyclic collector runs, which grows peak memory in training
+    grc, _ = _params(seed=21)
+    freed = weakref.ref(grc)
+    gc.disable()
+    try:
+        with Tape():
+            encode_fixed_tree(_leaves(4, seed=22), build_balanced_tree(4), grc)
+        del grc
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_fixed_tree_rejects_leaf_mismatch_and_nonprojective():

@@ -29,9 +29,11 @@ def test_matmul_dim_mismatch():
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
-def test_matmul_gradient_finite_differences():
+@pytest.mark.parametrize("a_shape", [(3, 4), (1, 4), (4,)])
+def test_matmul_gradient_finite_differences(a_shape):
+    # (1, 4) and (4,) take the single-row weight-gradient path
     rng = np.random.default_rng(1)
-    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
     b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     errors = check_grads(lambda: T.tsum(T.matmul(a, b)), {"a": a, "b": b})
     assert max(errors.values()) <= 1e-6
@@ -144,6 +146,29 @@ def test_nan_policy_aborts_forward():
     big = Tensor([800.0])
     with pytest.raises(NonFiniteError):
         T.exp(big)
+
+
+def test_backward_same_input_twice():
+    # add's vjp hands one array to both inputs; both uses must count
+    w = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        e = T.exp(w)
+        tape.backward(T.tsum(T.add(e, e)))
+    assert np.array_equal(w.grad, 2.0 * np.exp(w.data))
+
+
+def test_backward_first_write_does_not_alias():
+    # the outer add's vjp hands one array to the inner sum and to y; if y's
+    # gradient aliased it, y's second gradient would leak into x's
+    a = Tensor([1.0, 2.0])
+    b = Tensor([3.0, 4.0])
+    wa = Tensor([1.0, 1.0], requires_grad=True)
+    wb = Tensor([1.0, 1.0], requires_grad=True)
+    with Tape() as tape:
+        x, y = T.mul(wa, a), T.mul(wb, b)
+        tape.backward(T.tsum(T.add(T.add(x, y), y)))
+    assert np.array_equal(wa.grad, a.data)
+    assert np.array_equal(wb.grad, 2.0 * b.data)
 
 
 @settings(deadline=None, max_examples=25)
