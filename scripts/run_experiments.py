@@ -20,12 +20,21 @@ Two profiles:
               10 core-hours (bt k2 onesoft counted at 1.5x bt k2 plain).
               Data: results/data-mid (the reduced recipe, data seed 100)
   full     -- 20k train samples, length<=50/depth<=4/args<=3, d_h=128,
-              test lengths 80-120; sized for an 8-core desktop (~2 hours
-              with --workers 8)
+              test lengths 80-120; sized for an 8-core desktop with
+              --workers 8 (not timed)
+
+--workers N trains N (variant, seed) runs at once, each in a forked process
+that inherits the one-BLAS-thread pin below; with N=1 (the default) the runs
+train in this process. Runs start in the same order either way and each is
+deterministic, so N changes nothing a run writes but its timing.log and the
+`workers` and `wall_seconds` of result.json. On a 2-core Xeon two 1-epoch bt
+k3 onesoft runs (800 train rows of data-mid) took 7.3-8.5 s side by side
+against 13.5 s one after the other. A run that raises stops the sweep with a
+non-zero exit naming it; runs still training are killed.
 
 Each (variant, seed) run lives in <run-dir>/<variant>-s<seed>/. A run with a
 result.json is reused only if its config.txt matches the config this
-invocation builds in every field but `workers`; `data_dir` is compared by the
+invocation builds in every field, with `data_dir` compared by the
 sha256 of its train/dev/test.tsv (a relative path is resolved against the
 repository root). Every cached run is checked before anything trains, and
 any mismatch is refused, naming the field. A run killed before writing
@@ -51,12 +60,15 @@ import fcntl
 import functools
 import hashlib
 import json
+import multiprocessing as mp
+import multiprocessing.connection
 import os
 import re
 import statistics
 import sys
 import tempfile
 import time
+import traceback
 from dataclasses import fields
 
 # One BLAS thread per sweep process unless the caller set a count: two
@@ -155,7 +167,7 @@ def repo_path(path):
     return os.path.abspath(path) if rel.split(os.sep)[0] == os.pardir else rel
 
 
-def run_config(name, seed, p, data_dir, workers):
+def run_config(name, seed, p, data_dir):
     overrides, is_beam = VARIANTS[name]
     return make_config({
         "d_e": str(p["d"]), "d_h": str(p["d"]),
@@ -164,7 +176,6 @@ def run_config(name, seed, p, data_dir, workers):
         "patience": str(p["patience"]),
         "lr": str(p["lr"]), "dropout": str(p["dropout"]),
         "seed": str(seed), "data_dir": repo_path(data_dir),
-        "workers": str(workers),
         **overrides,
     })
 
@@ -176,7 +187,7 @@ def check_cached(run_dir, cfg, sha):
         raise SweepError(f"{run_dir}: result.json without config.txt")
     cached = load_config(path)
     for fld in fields(RunConfig):
-        if fld.name in ("workers", "data_dir"):
+        if fld.name == "data_dir":
             continue
         old, new = getattr(cached, fld.name), getattr(cfg, fld.name)
         if old != new:
@@ -203,11 +214,10 @@ def _write_json(path, obj, **kwargs):
         raise
 
 
-def run_one(name, seed, cfg, out_root, data_dir, test_limit):
+def run_one(name, seed, cfg, out_root, data_dir, test_limit, workers):
+    """Train and test one run; `workers` is how many runs train at once,
+    recorded so a reader can tell what `wall_seconds` was measured beside."""
     out_dir = os.path.join(out_root, f"{name}-s{seed}")
-    done_marker = os.path.join(out_dir, "result.json")
-    if os.path.exists(done_marker):
-        return
     t0 = time.monotonic()
     train_ex, dev_ex, test_ex = (read_tsv(os.path.join(data_dir, f"{s}.tsv"))
                                  for s in SPLITS)
@@ -220,11 +230,52 @@ def run_one(name, seed, cfg, out_root, data_dir, test_limit):
     result = {"name": name, "seed": seed,
               "dev_accuracy": round(dev_acc, 6),
               "test_accuracy": round(test_acc, 6),
-              "epochs_run": len(metrics),
+              "epochs_run": len(metrics), "workers": workers,
               "wall_seconds": round(time.monotonic() - t0, 1)}
-    _write_json(done_marker, result)
+    _write_json(os.path.join(out_dir, "result.json"), result)
     print(f"  [{name}-s{seed}] dev={dev_acc:.3f} test={test_acc:.3f} "
           f"({result['wall_seconds']:.0f}s)", flush=True)
+
+
+def train_runs(todo, job, workers):
+    """Call `job(name, seed)` for each run of `todo`, yielding after each
+    finishes. With one worker the runs train in this process, in order;
+    with more, each run trains in a forked process, `workers` at a time,
+    started in order. A run that fails stops the sweep, naming it; forked
+    runs still training are killed."""
+    if workers == 1:
+        for name, seed in todo:
+            try:
+                job(name, seed)
+            except Exception as e:
+                traceback.print_exc()
+                raise SweepError(f"{name}-s{seed} failed: {e!r}") from e
+            yield name, seed
+        return
+    # one Process per run rather than a multiprocessing.Pool: a Pool waits
+    # forever for a task whose worker was killed, and pickles its tasks.
+    # A forked run needs nothing pickled and inherits the BLAS thread pin.
+    ctx = mp.get_context("fork")
+    pending, running = list(todo), {}
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                run = pending.pop(0)
+                sys.stdout.flush()
+                proc = ctx.Process(target=job, args=run)
+                proc.start()
+                running[proc.sentinel] = (proc, run)
+            for sentinel in mp.connection.wait(list(running)):
+                proc, (name, seed) = running.pop(sentinel)
+                proc.join()
+                if proc.exitcode != 0:
+                    raise SweepError(f"{name}-s{seed} failed: exit code "
+                                     f"{proc.exitcode}")
+                yield name, seed
+    finally:
+        for proc, _run in running.values():
+            proc.kill()
+            proc.join()
 
 
 def main():
@@ -235,10 +286,13 @@ def main():
     ap.add_argument("--run-dir", default=None)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument("--data-seed", type=int, default=100)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=int, default=1,
+                    help="runs to train at once, each in a forked process")
     ap.add_argument("--only", nargs="*", default=None, choices=list(VARIANTS),
                     help="subset of variant names to run")
     args = ap.parse_args()
+    if args.workers < 1:
+        ap.error("--workers must be at least 1")
 
     p = PROFILES[args.profile]
     base = os.path.dirname(os.path.abspath(args.out))
@@ -250,15 +304,20 @@ def main():
     try:
         ensure_data(data_dir, p, args.data_seed)
         sha = data_sha256(data_dir)
-        config = functools.partial(run_config, p=p, data_dir=data_dir,
-                                   workers=args.workers)
+        config = functools.partial(run_config, p=p, data_dir=data_dir)
         # checks every cached run before anything trains
         _write(args.out, args.profile, p, run_dir, config, sha)
-        for name in args.only or list(VARIANTS):
-            for seed in args.seeds:
-                run_one(name, seed, config(name, seed), run_dir, data_dir,
-                        p["test_limit"])
-                _write(args.out, args.profile, p, run_dir, config, sha)
+        todo = [(name, seed) for name in args.only or list(VARIANTS)
+                for seed in args.seeds
+                if not os.path.exists(os.path.join(
+                    run_dir, f"{name}-s{seed}", "result.json"))]
+
+        def job(name, seed):
+            run_one(name, seed, config(name, seed), run_dir, data_dir,
+                    p["test_limit"], args.workers)
+
+        for _ in train_runs(todo, job, args.workers):
+            _write(args.out, args.profile, p, run_dir, config, sha)
     except SweepError as e:
         sys.exit(f"run_experiments: {e}")
     print(f"wrote {args.out}")

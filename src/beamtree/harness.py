@@ -55,7 +55,6 @@ class RunConfig:
     seed: int = 0
     data_dir: str = ""
     precision: str = "single"  # single | double; double is for grad checks
-    workers: int = 1
 
     def validate(self):
         if self.encoder not in ENCODER_KINDS:
@@ -92,6 +91,9 @@ def load_config(path) -> RunConfig:
                 raise HarnessError(f"bad config line {line!r}")
             k, v = (part.strip() for part in line.split("=", 1))
             values[k] = v
+    # configs written while a run could fork gradient workers say workers=1
+    if values.get("workers") == "1":
+        del values["workers"]
     return make_config(values)
 
 
@@ -99,6 +101,10 @@ def make_config(overrides: dict) -> RunConfig:
     cfg = RunConfig()
     valid = {f.name: f.type for f in fields(RunConfig)}
     for k, v in overrides.items():
+        if k == "workers":
+            raise HarnessError("workers is not a config key: run several "
+                               "runs at once with scripts/run_experiments.py "
+                               "--workers")
         if k not in valid:
             raise HarnessError(f"unknown config key {k!r}")
         current = getattr(cfg, k)
@@ -310,12 +316,6 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     timing_path = os.path.join(out_dir, "timing.log")
 
-    if cfg.workers > 1:
-        from .parallel import batch_grads_parallel, start_pool
-        pool = start_pool(cfg, log)
-    else:
-        pool = None
-
     best = (-1.0, float("inf"))  # (dev accuracy, dev loss); acc ties -> lower loss
     best_epoch = -1
     metrics = []
@@ -329,11 +329,7 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
                                                batch_rng)
             loss_total = 0.0
             for batch in batches:
-                if pool is not None:
-                    grads, loss_sum = batch_grads_parallel(pool, model, batch,
-                                                           epoch)
-                else:
-                    grads, loss_sum = batch_grad_sums(model, batch, epoch)
+                grads, loss_sum = batch_grad_sums(model, batch, epoch)
                 scale = 1.0 / len(batch)
                 for g in grads:
                     g *= scale
@@ -367,8 +363,6 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
             elif epoch - best_epoch >= cfg.patience:
                 log(f"early stop at epoch {epoch} (best epoch {best_epoch})")
                 break
-    if pool is not None:
-        pool.terminate()
     return ckpt_path, metrics
 
 

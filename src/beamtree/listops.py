@@ -74,31 +74,33 @@ def eval_listops(source: str, med_even: str = "lower") -> int:
     """Recursive oracle: MAX/MIN extrema, MED median (even arity takes the
     configured middle element), SM sum modulo 10."""
     tokens = source.split()
-
-    def parse(i):
-        tok = tokens[i]
-        if tok.startswith("["):
-            op = tok[1:]
-            if op not in OPERATORS:
-                raise ListOpsError(f"unknown operator {tok!r}")
-            i += 1
-            args = []
-            while i < len(tokens) and tokens[i] != CLOSE:
-                val, i = parse(i)
-                args.append(val)
-            if i >= len(tokens):
-                raise ListOpsError("missing closing bracket")
-            if not args:
-                raise ListOpsError("empty argument list")
-            return _apply(op, args, med_even), i + 1
-        if tok.isdigit() and len(tok) == 1:
-            return int(tok), i + 1
-        raise ListOpsError(f"unexpected token {tok!r}")
-
-    value, end = parse(0)
+    value, end = _eval_expr(tokens, 0, med_even)
     if end != len(tokens):
         raise ListOpsError("trailing tokens")
     return value
+
+
+def _eval_expr(tokens, i: int, med_even: str) -> tuple:
+    # a module-level function, not a closure that refers to itself: such a
+    # closure is a reference cycle left behind by every call
+    tok = tokens[i]
+    if tok.startswith("["):
+        op = tok[1:]
+        if op not in OPERATORS:
+            raise ListOpsError(f"unknown operator {tok!r}")
+        i += 1
+        args = []
+        while i < len(tokens) and tokens[i] != CLOSE:
+            val, i = _eval_expr(tokens, i, med_even)
+            args.append(val)
+        if i >= len(tokens):
+            raise ListOpsError("missing closing bracket")
+        if not args:
+            raise ListOpsError("empty argument list")
+        return _apply(op, args, med_even), i + 1
+    if tok.isdigit() and len(tok) == 1:
+        return int(tok), i + 1
+    raise ListOpsError(f"unexpected token {tok!r}")
 
 
 def _apply(op: str, args, med_even: str) -> int:

@@ -31,8 +31,6 @@ __all__ = [
     "logsigmoid",
     "tanh",
     "gelu",
-    "exp",
-    "log",
     "tsum",
     "softmax",
     "log_softmax",
@@ -307,18 +305,6 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     out, phi = gelu_data(x)
     return _make(out, (a,), lambda g: (g * gelu_slope(x, phi),))
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # overflow becomes inf -> NonFiniteError
-        e = np.exp(a.data)
-    return _make(e, (a,), lambda g: (g * e,))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise TensorError("log of non-positive value")
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def tsum(a: Tensor) -> Tensor:

@@ -180,26 +180,28 @@ def gold_tree_listops(tokens) -> ParseTree:
     scope, a left-branching chain over (operator, args..., close-bracket),
     with nested scopes composed first."""
     n = len(tokens)
-
-    def parse(i):
-        if i >= n or not tokens[i].startswith("["):
-            raise TreeError(f"expected operator token at position {i}")
-        node = leaf(i)
-        i += 1
-        while i < n and tokens[i] != "]":
-            if tokens[i].startswith("["):
-                sub, i = parse(i)
-            else:
-                sub, i = leaf(i), i + 1
-            node = branch(node, sub)
-        if i >= n:
-            raise TreeError("missing closing bracket")
-        node = branch(node, leaf(i))
-        return node, i + 1
-
     if n == 1:
         return leaf(0)
-    tree, end = parse(0)
+    tree, end = _gold_scope(tokens, 0)
     if end != n:
         raise TreeError("trailing tokens after top-level expression")
     return tree
+
+
+def _gold_scope(tokens, i: int) -> tuple:
+    # a module-level function, not a closure that refers to itself: such a
+    # closure is a reference cycle left behind by every call
+    n = len(tokens)
+    if i >= n or not tokens[i].startswith("["):
+        raise TreeError(f"expected operator token at position {i}")
+    node = leaf(i)
+    i += 1
+    while i < n and tokens[i] != "]":
+        if tokens[i].startswith("["):
+            sub, i = _gold_scope(tokens, i)
+        else:
+            sub, i = leaf(i), i + 1
+        node = branch(node, sub)
+    if i >= n:
+        raise TreeError("missing closing bracket")
+    return branch(node, leaf(i)), i + 1

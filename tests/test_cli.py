@@ -1,6 +1,7 @@
 import pytest
 
 from beamtree.cli import main
+from beamtree.harness import HarnessError
 from beamtree.listops import read_tsv
 
 
@@ -63,3 +64,8 @@ def test_gradcheck_command_passes(capsys):
 def test_train_rejects_malformed_override(tmp_path):
     with pytest.raises(SystemExit):
         main(["train", "--out", str(tmp_path), "encoder=bt"])
+
+
+def test_train_refuses_workers_override(tmp_path):
+    with pytest.raises(HarnessError, match="run_experiments.py --workers"):
+        main(["train", "--out", str(tmp_path), "--workers=2"])

@@ -1,5 +1,4 @@
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +130,19 @@ def test_committed_run_configs_load():
             path.read_text()
 
 
+def test_config_drops_workers_1_and_refuses_other_workers(tmp_path):
+    # run configs written while a run could fork gradient workers carry
+    # workers=1; more than one worker now means runs side by side
+    path = tmp_path / "c.txt"
+    path.write_text("encoder=gold\nworkers=1\n")
+    assert load_config(path).encoder == "gold"
+    path.write_text("encoder=gold\nworkers=2\n")
+    with pytest.raises(HarnessError, match="run_experiments.py --workers"):
+        load_config(path)
+    with pytest.raises(HarnessError, match="run_experiments.py --workers"):
+        make_config({"workers": "1"})
+
+
 @pytest.mark.parametrize("text", ["ture", "", "2", "on", "y"])
 def test_config_rejects_bad_bool(text):
     with pytest.raises(HarnessError):
@@ -228,32 +240,6 @@ def test_train_metrics_byte_identical_across_reruns(tmp_path):
         return (out / "metrics.jsonl").read_bytes()
 
     assert run("a") == run("b")
-
-
-def test_train_parallel_matches_serial(tmp_path):
-    examples = _tiny_examples(8, seed=3)
-    base = dict(encoder="bt", beam_size=2, max_epochs=2)
-    serial = _tiny_cfg(workers=1, **base)
-    parallel = _tiny_cfg(workers=2, **base)
-    out_s, out_p = tmp_path / "s", tmp_path / "p"
-    train(serial, out_s, train_examples=examples, dev_examples=examples[:4],
-          log=lambda *_: None)
-    train(parallel, out_p, train_examples=examples, dev_examples=examples[:4],
-          log=lambda *_: None)
-    assert (out_s / "metrics.jsonl").read_bytes() == \
-        (out_p / "metrics.jsonl").read_bytes()
-    assert (out_s / "best.ckpt").read_bytes() == \
-        (out_p / "best.ckpt").read_bytes()
-
-
-def test_train_parallel_reports_missing_threadpoolctl_once(tmp_path,
-                                                          monkeypatch):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    messages = []
-    train(_tiny_cfg(workers=2, max_epochs=1), tmp_path / "run",
-          train_examples=_tiny_examples(8, seed=3),
-          dev_examples=_tiny_examples(4, seed=4), log=messages.append)
-    assert sum("threadpoolctl" in m for m in messages) == 1
 
 
 def test_train_writes_artifacts_and_timing_separate(tmp_path):

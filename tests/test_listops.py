@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +22,17 @@ def test_eval_basic_ops():
 def test_eval_nested():
     assert eval_listops("[SM [MAX 1 2 ] [MIN 8 3 ] ]") == 5
     assert eval_listops("[MAX [MAX [MAX 7 ] ] ]") == 7
+
+
+def test_eval_leaves_no_reference_cycle():
+    # a self-referencing parse closure left 6 unreachable objects per call
+    gc.collect()
+    gc.disable()
+    try:
+        eval_listops("[SM [MAX 1 2 ] [MIN 8 3 ] ]")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_med_even_arity_sides():

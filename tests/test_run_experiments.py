@@ -1,11 +1,14 @@
-"""scripts/run_experiments.py: the results JSON and the run cache.
+"""scripts/run_experiments.py: the results JSON, the run cache and
+`--workers`.
 
-Every run here is cached, so nothing trains; the data is the committed
-reduced-profile split in results/data-mid.
+The cache tests train nothing: every run is cached, and the data is the
+committed reduced-profile split in results/data-mid. The `--workers` tests
+train gold_tree and recurrent on a tiny profile.
 """
 
 import importlib.util
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -13,7 +16,7 @@ import sys
 
 import pytest
 
-from beamtree.harness import make_config, save_config
+from beamtree.harness import make_config, save_config, train
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 DATA_MID = os.path.abspath(os.path.join(ROOT, "results", "data-mid"))
@@ -32,7 +35,7 @@ def _cache_run(run_dir, name, seed, dev, test, **changes):
         "d_e": p["d"], "d_h": p["d"], "batch_size": p["batch_size"],
         "max_epochs": p["beam_epochs"] if is_beam else p["cheap_epochs"],
         "patience": p["patience"], "lr": p["lr"], "dropout": p["dropout"],
-        "seed": seed, "data_dir": "results/data-mid", "workers": 2,
+        "seed": seed, "data_dir": "results/data-mid",
         **overrides, **changes})
     out = run_dir / f"{name}-s{seed}"
     out.mkdir(parents=True)
@@ -46,8 +49,9 @@ def _no_training(*args, **kwargs):
     raise AssertionError("a cached run was retrained")
 
 
-def _main(monkeypatch, tmp_path, *args, data_dir=DATA_MID):
-    monkeypatch.setattr(R, "train", _no_training)
+def _main(monkeypatch, tmp_path, *args, data_dir=DATA_MID,
+          train=_no_training):
+    monkeypatch.setattr(R, "train", train)
     monkeypatch.setattr(sys, "argv", [
         "run_experiments.py", "--profile", "reduced",
         "--out", str(tmp_path / "experiments.json"),
@@ -111,8 +115,52 @@ def test_reduced_profile_defaults_to_the_data_its_runs_used():
     assert R.DATA_DIRS["reduced"] == "data-mid"
     p = R.PROFILES["reduced"]
     R.ensure_data(DATA_MID, p, 100)
-    assert R.run_config("gold_tree", 0, p, DATA_MID, 1).data_dir == \
+    assert R.run_config("gold_tree", 0, p, DATA_MID).data_dir == \
         "results/data-mid"
+
+
+# small enough that the four runs of TINY_RUNS train in about a second
+TINY = dict(train_count=24, dev_count=6, test_count=6, max_length=12,
+            max_depth=2, max_args=3, nest_prob=0.45, d=8, batch_size=8,
+            lr=2e-3, dropout=0.05, cheap_epochs=2, beam_epochs=2, patience=2,
+            test_limit=6)
+TINY_RUNS = ("--only", "gold_tree", "recurrent", "--seeds", "0", "1")
+
+
+def test_workers_train_runs_at_once_into_the_same_files(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setitem(R.PROFILES, "reduced", TINY)
+    for workers in (1, 2):
+        _main(monkeypatch, tmp_path / f"w{workers}", *TINY_RUNS,
+              "--workers", str(workers), data_dir=tmp_path / "data",
+              train=train)
+    for run in ("gold_tree-s0", "gold_tree-s1", "recurrent-s0",
+                "recurrent-s1"):
+        one, two = (tmp_path / f"w{w}" / "runs" / run for w in (1, 2))
+        for name in ("config.txt", "metrics.jsonl", "best.ckpt"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+        res_one, res_two = (json.loads((d / "result.json").read_text())
+                            for d in (one, two))
+        assert (res_one.pop("workers"), res_two.pop("workers")) == (1, 2)
+        del res_one["wall_seconds"], res_two["wall_seconds"]
+        assert res_one == res_two
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_failing_run_stops_the_sweep_naming_it(tmp_path, monkeypatch,
+                                                 workers):
+    def train_or_fail(cfg, *args, **kwargs):
+        if cfg.encoder == "recurrent" and cfg.seed == 1:
+            raise RuntimeError("training failed")
+        return train(cfg, *args, **kwargs)
+
+    monkeypatch.setitem(R.PROFILES, "reduced", TINY)
+    with pytest.raises(SystemExit, match="recurrent-s1") as exc:
+        _main(monkeypatch, tmp_path, *TINY_RUNS, "--workers", workers,
+              data_dir=tmp_path / "data", train=train_or_fail)
+    assert exc.value.code not in (0, None)
+    assert not (tmp_path / "runs" / "recurrent-s1" / "result.json").exists()
+    assert not multiprocessing.active_children()
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -96,3 +98,14 @@ def test_gold_tree_nested_scopes_first():
 def test_gold_tree_rejects_unclosed():
     with pytest.raises(TreeError):
         gold_tree_listops("[MAX 2 3".split())
+
+
+def test_gold_tree_leaves_no_reference_cycle():
+    # a self-referencing parse closure left 6 unreachable objects per call
+    gc.collect()
+    gc.disable()
+    try:
+        gold_tree_listops("[SM 1 [MIN 4 5 ] 2 ]".split())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
