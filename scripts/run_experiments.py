@@ -23,14 +23,20 @@ Two profiles:
               test lengths 80-120; sized for an 8-core desktop with
               --workers 8 (not timed)
 
---workers N trains N (variant, seed) runs at once, each in a forked process
-that inherits the one-BLAS-thread pin below; with N=1 (the default) the runs
-train in this process. Runs start in the same order either way and each is
-deterministic, so N changes nothing a run writes but its timing.log and the
-`workers` and `wall_seconds` of result.json. On a 2-core Xeon two 1-epoch bt
-k3 onesoft runs (800 train rows of data-mid) took 7.3-8.5 s side by side
-against 13.5 s one after the other. A run that raises stops the sweep with a
-non-zero exit naming it; runs still training are killed.
+--workers N (default 1) trains N (variant, seed) runs at once. Every run
+trains in its own forked process, which inherits the one-BLAS-thread pin
+below and gives its memory back when it ends. Runs start in the same order
+for any N and each is deterministic, so N changes nothing a run writes but
+its timing.log and the `workers` and `wall_seconds` of result.json;
+`wall_seconds` was measured beside at most N-1 other runs of this sweep.
+On a 2-core Xeon two 1-epoch bt k3 onesoft runs (800 train rows of
+data-mid) took 7.3-8.5 s side by side against 13.5 s one after the other.
+The runs are a queue, so a core that
+finishes early takes the next: on the 9 k2/k5 runs cut to 2 epochs on 400
+train rows, --workers 2 took a median 39.9 s against 42.7 s for the best
+hand split by --only run as two invocations at once. A run that raises
+stops the sweep with a non-zero exit naming it; runs still training are
+killed.
 
 Each (variant, seed) run lives in <run-dir>/<variant>-s<seed>/. A run with a
 result.json is reused only if its config.txt matches the config this
@@ -68,7 +74,6 @@ import statistics
 import sys
 import tempfile
 import time
-import traceback
 from dataclasses import fields
 
 # One BLAS thread per sweep process unless the caller set a count: two
@@ -215,8 +220,9 @@ def _write_json(path, obj, **kwargs):
 
 
 def run_one(name, seed, cfg, out_root, data_dir, test_limit, workers):
-    """Train and test one run; `workers` is how many runs train at once,
-    recorded so a reader can tell what `wall_seconds` was measured beside."""
+    """Train and test one run. `workers` is the sweep's --workers, recorded
+    so a reader knows `wall_seconds` was measured beside at most workers-1
+    other runs of this sweep (and any other process on the machine)."""
     out_dir = os.path.join(out_root, f"{name}-s{seed}")
     t0 = time.monotonic()
     train_ex, dev_ex, test_ex = (read_tsv(os.path.join(data_dir, f"{s}.tsv"))
@@ -238,23 +244,14 @@ def run_one(name, seed, cfg, out_root, data_dir, test_limit, workers):
 
 
 def train_runs(todo, job, workers):
-    """Call `job(name, seed)` for each run of `todo`, yielding after each
-    finishes. With one worker the runs train in this process, in order;
-    with more, each run trains in a forked process, `workers` at a time,
-    started in order. A run that fails stops the sweep, naming it; forked
-    runs still training are killed."""
-    if workers == 1:
-        for name, seed in todo:
-            try:
-                job(name, seed)
-            except Exception as e:
-                traceback.print_exc()
-                raise SweepError(f"{name}-s{seed} failed: {e!r}") from e
-            yield name, seed
-        return
+    """Call `job(name, seed)` for each run of `todo` in a forked process,
+    `workers` at a time, started in order, yielding after each finishes. A
+    run that fails stops the sweep, naming it; runs still training are
+    killed."""
     # one Process per run rather than a multiprocessing.Pool: a Pool waits
     # forever for a task whose worker was killed, and pickles its tasks.
-    # A forked run needs nothing pickled and inherits the BLAS thread pin.
+    # A forked run needs nothing pickled, inherits the BLAS thread pin and
+    # gives its memory back when it ends.
     ctx = mp.get_context("fork")
     pending, running = list(todo), {}
     try:

@@ -146,9 +146,7 @@ def test_workers_train_runs_at_once_into_the_same_files(tmp_path,
         assert res_one == res_two
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_a_failing_run_stops_the_sweep_naming_it(tmp_path, monkeypatch,
-                                                 workers):
+def test_a_failing_run_stops_the_sweep_naming_it(tmp_path, monkeypatch):
     def train_or_fail(cfg, *args, **kwargs):
         if cfg.encoder == "recurrent" and cfg.seed == 1:
             raise RuntimeError("training failed")
@@ -156,7 +154,7 @@ def test_a_failing_run_stops_the_sweep_naming_it(tmp_path, monkeypatch,
 
     monkeypatch.setitem(R.PROFILES, "reduced", TINY)
     with pytest.raises(SystemExit, match="recurrent-s1") as exc:
-        _main(monkeypatch, tmp_path, *TINY_RUNS, "--workers", workers,
+        _main(monkeypatch, tmp_path, *TINY_RUNS, "--workers", "2",
               data_dir=tmp_path / "data", train=train_or_fail)
     assert exc.value.code not in (0, None)
     assert not (tmp_path / "runs" / "recurrent-s1" / "result.json").exists()
