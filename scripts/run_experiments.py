@@ -8,17 +8,9 @@ length-generalization split across multiple seeds, evaluates in-distribution
 tests/test_acceptance.py consumes.
 
 Two profiles:
-  reduced  -- sized for a single CPU core; one run took 4,057-4,428 s for
-              bt k3 alone on a core, 6,270-6,342 s for two bt k3 runs side
-              by side on a 2-core box, and 755-1,210 s for
-              gold/recurrent/gumbel (results/runs-reduced/*/timing.log),
-              all before the beam encoders cached their candidates.
-              No full k2/k5 run is timed yet; with the cache, side by side
-              on the same box, one BLAS thread per process, an epoch took
-              158 s for bt k2 plain and 292 s for bt k5 plain (250-273 s
-              and 762 s before), so the 9 missing k2/k5 runs need about
-              10 core-hours (bt k2 onesoft counted at 1.5x bt k2 plain).
-              Data: results/data-mid (the reduced recipe, data seed 100)
+  reduced  -- sized for a single CPU core; each run's timing.log has the
+              time it took. Data: results/data-mid (the reduced recipe,
+              data seed 100)
   full     -- 20k train samples, length<=50/depth<=4/args<=3, d_h=128,
               test lengths 80-120; sized for an 8-core desktop with
               --workers 8 (not timed)
@@ -45,14 +37,9 @@ sha256 of its train/dev/test.tsv (a relative path is resolved against the
 repository root). Every cached run is checked before anything trains, and
 any mismatch is refused, naming the field. A run killed before writing
 result.json restarts from epoch 0 and, being deterministic, repeats the
-killed run's metrics.jsonl line for line if the code is unchanged. The
-candidate cache of the beam encoders left forward values bit-identical but
-gradients different at float32 rounding; stacking each example's beams
-into one matrix moved beam scores, and so training losses, at float32
-rounding too, and merging the final beams in one softmax-matmul moved bt
-and bsrp losses and eval logits at float32 rounding. A run killed before
-any of these changes and restarted after it does not repeat its
-metrics.jsonl. After every run the results JSON is rebuilt
+killed run's metrics.jsonl line for line if the code is unchanged (a
+change that moves values at float32 rounding breaks that; CHANGES.md
+names each). After every run the results JSON is rebuilt
 from all cached runs of every variant, so `--only` and `--seeds` never drop
 other runs from it; both files are replaced atomically, so concurrent
 invocations on disjoint runs are safe.

@@ -2,7 +2,7 @@
 trained end-to-end on ListOps generalization splits."""
 
 from .cells import GrcParams, LeafParams, ScorerParams, TreeLstmParams, \
-    grc_compose, leaf_transform, leaf_transform_seq, score, tree_lstm_compose
+    grc_compose, leaf_transform_seq, score, tree_lstm_compose
 from .encoders import BsrpParams, EncoderConfig, encode_bsrp, encode_bt_cell, \
     encode_easy_first_gumbel, encode_fixed_tree, encode_mc_gumbel, \
     encode_recurrent

@@ -1,8 +1,10 @@
 """Composition cells and scoring: gated recursive cell (GRC), binary
 tree-LSTM, the linear merge scorer, and the leaf transform.
 
-All compose functions accept either single d_h vectors or (rows, d_h)
-matrices so a whole batch of candidate parents can go through one matmul.
+Node states are rows: the compose functions and `score` take (rows, d_h)
+matrices only, one row per node, so a whole batch of candidate parents goes
+through one matmul and a single node is a (1, d_h) matrix. Any other rank
+raises `TensorError`.
 """
 
 from __future__ import annotations
@@ -15,15 +17,11 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def _cat(parts, last_axis: bool):
-    axis = parts[0].data.ndim - 1 if last_axis else 0
-    return T.concat(parts, axis=axis)
-
-
-def _chunk(x: Tensor, i: int, d: int) -> Tensor:
-    if x.data.ndim == 1:
-        return T.slice_rows(x, i * d, (i + 1) * d)
-    return T.slice_cols(x, i * d, (i + 1) * d)
+def _need_rows(*states: Tensor):
+    for s in states:
+        if s.data.ndim != 2:
+            raise T.TensorError("node states must be (rows, width) matrices, "
+                                f"got shape {s.data.shape}")
 
 
 @dataclass
@@ -53,13 +51,6 @@ class GrcParams:
                 for k in ("W1", "b1", "W2", "b2", "gamma", "beta")}
 
 
-def _affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    y = T.matmul(x, W)
-    if y.data.ndim == 2:
-        return T.add_rowvec(y, b)
-    return T.add(y, b)
-
-
 def grc_compose(left: Tensor, right: Tensor, p: GrcParams) -> Tensor:
     """Gated composition: gates from a two-layer GELU MLP over [left; right],
     output = LN(sigmoid(z)*left + sigmoid(h)*right + sigmoid(c)*u).
@@ -68,9 +59,9 @@ def grc_compose(left: Tensor, right: Tensor, p: GrcParams) -> Tensor:
     numpy calls in the same order as composing the tensor primitives would,
     so its values are the same bits; `tests/oracles.py` keeps that composed
     form as the reference."""
+    _need_rows(left, right)
     d = p.d_h
-    vec = left.data.ndim == 1
-    l, r = (left.data[None], right.data[None]) if vec else (left.data, right.data)
+    l, r = left.data, right.data
     x = np.concatenate([l, r], axis=1)
     pre = x @ p.W1.data + p.b1.data
     hidden, phi = T.gelu_data(pre)
@@ -82,8 +73,7 @@ def grc_compose(left: Tensor, right: Tensor, p: GrcParams) -> Tensor:
                                        p.gamma.data, p.beta.data)
 
     def vjp(g):
-        dmix, dgamma, dbeta = T.layer_norm_grads(
-            g[None] if vec else g, p.gamma.data, xhat, inv)
+        dmix, dgamma, dbeta = T.layer_norm_grads(g, p.gamma.data, xhat, inv)
         dgates = np.concatenate([dmix * l, dmix * r, dmix * u, dmix * sc],
                                 axis=1)
         dgates[:, :3 * d] *= sig  # times sigmoid' = sig * (1 - sig)
@@ -91,16 +81,13 @@ def grc_compose(left: Tensor, right: Tensor, p: GrcParams) -> Tensor:
         dpre = (T.input_grad(dgates, p.W2.data)
                 * T.gelu_slope(pre, phi)).astype(pre.dtype, copy=False)
         dx = T.input_grad(dpre, p.W1.data)
-        dl = dx[:, :d] + dmix * sz
-        dr = dx[:, d:] + dmix * sh
-        if vec:
-            dl, dr = dl[0], dr[0]
-        return (dl, dr, T.weight_grad(x, dpre), dpre.sum(axis=0),
+        return (dx[:, :d] + dmix * sz, dx[:, d:] + dmix * sh,
+                T.weight_grad(x, dpre), dpre.sum(axis=0),
                 T.weight_grad(hidden, dgates), dgates.sum(axis=0),
                 dgamma, dbeta)
 
-    return T._make(out[0] if vec else out,
-                   (left, right, p.W1, p.b1, p.W2, p.b2, p.gamma, p.beta), vjp)
+    return T._make(out, (left, right, p.W1, p.b1, p.W2, p.b2, p.gamma,
+                         p.beta), vjp)
 
 
 @dataclass
@@ -124,13 +111,16 @@ class TreeLstmParams:
 def tree_lstm_compose(left, right, p: TreeLstmParams):
     """Binary tree-LSTM with childwise forget gates.
 
-    `left`/`right` are (h, c) pairs; returns the parent (h, c).
+    `left`/`right` are (h, c) pairs of (rows, d_h) matrices; returns the
+    parent (h, c).
     """
     h_l, c_l = left
     h_r, c_r = right
+    _need_rows(h_l, c_l, h_r, c_r)
     d = p.d_h
-    gates = _affine(_cat([h_l, h_r], last_axis=True), p.W, p.b)
-    i, f_l, f_r, o, g = (_chunk(gates, j, d) for j in range(5))
+    gates = T.add_rowvec(T.matmul(T.concat([h_l, h_r], axis=1), p.W), p.b)
+    i, f_l, f_r, o, g = (T.slice_cols(gates, j * d, (j + 1) * d)
+                         for j in range(5))
     c_new = T.add(
         T.add(T.mul(T.sigmoid(f_l), c_l), T.mul(T.sigmoid(f_r), c_r)),
         T.mul(T.sigmoid(i), T.tanh(g)),
@@ -152,12 +142,9 @@ class ScorerParams:
 
 
 def score(v: Tensor, p: ScorerParams) -> Tensor:
-    """Linear merge plausibility score. Vector input -> shape (1,);
-    (rows, d_h) input -> shape (rows,)."""
-    s = T.matmul(v, p.W_v)
-    if s.data.ndim == 2:
-        s = T.reshape(s, (s.data.shape[0],))
-    return s
+    """Linear merge plausibility scores of (rows, d_h) states: shape (rows,)."""
+    _need_rows(v)
+    return T.reshape(T.matmul(v, p.W_v), (v.data.shape[0],))
 
 
 @dataclass
@@ -193,8 +180,3 @@ def leaf_transform_seq(token_ids, p: LeafParams, dropout_rate: float = 0.0,
         emb = T.dropout(emb, dropout_rate, rng)
     return T.layer_norm(T.matmul(emb, p.projection), p.gamma, p.beta)
 
-
-def leaf_transform(token_id: int, p: LeafParams, dropout_rate: float = 0.0,
-                   training: bool = False, rng: np.random.Generator | None = None):
-    mat = leaf_transform_seq([token_id], p, dropout_rate, training, rng)
-    return T.reshape(mat, (mat.data.shape[1],))

@@ -79,7 +79,12 @@ def load_checkpoint(path) -> dict:
 
 
 def restore(params: dict, named: dict):
-    """Copy loaded arrays into live parameter tensors, rejecting shape mismatches."""
+    """Copy loaded arrays into live parameter tensors, rejecting a missing
+    parameter, a tensor the model lacks, and a shape mismatch."""
+    extra = sorted(set(named) - set(params))
+    if extra:
+        raise CheckpointError(
+            f"checkpoint has tensors the model lacks: {', '.join(extra)}")
     for name, tensor in params.items():
         if name not in named:
             raise CheckpointError(f"checkpoint missing parameter {name}")

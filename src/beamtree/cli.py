@@ -10,7 +10,7 @@ import numpy as np
 from . import gradcheck as gc
 from . import listops
 from .cells import GrcParams, LeafParams, ScorerParams, TreeLstmParams, \
-    leaf_transform, leaf_transform_seq
+    leaf_transform_seq
 from .encoders import encode_bt_cell
 from .harness import Model, RunConfig, evaluate_checkpoint, load_config, \
     load_model, make_config, train
@@ -98,16 +98,16 @@ def cmd_gradcheck(args):
 
     from .cells import grc_compose, score, tree_lstm_compose
     grc = GrcParams.init(d_h, rng, np.float64)
-    left = Tensor(rng.standard_normal(d_h), requires_grad=True)
-    right = Tensor(rng.standard_normal(d_h), requires_grad=True)
+    left = Tensor(rng.standard_normal((1, d_h)), requires_grad=True)
+    right = Tensor(rng.standard_normal((1, d_h)), requires_grad=True)
     scorer = ScorerParams.init(d_h, rng, np.float64)
     report("grc+scorer", gc.check_grads(
         lambda: score(grc_compose(left, right, grc), scorer),
         {**grc.named(), **scorer.named(), "left": left, "right": right}))
 
     lstm = TreeLstmParams.init(d_h, rng, np.float64)
-    h_l, c_l = Tensor(rng.standard_normal(d_h)), Tensor(rng.standard_normal(d_h))
-    h_r, c_r = Tensor(rng.standard_normal(d_h)), Tensor(rng.standard_normal(d_h))
+    h_l, c_l, h_r, c_r = (Tensor(rng.standard_normal((1, d_h)))
+                          for _ in range(4))
 
     def lstm_loss():
         h, c = tree_lstm_compose((h_l, c_l), (h_r, c_r), lstm)
@@ -116,10 +116,10 @@ def cmd_gradcheck(args):
     report("tree_lstm", gc.check_grads(lstm_loss, lstm.named()))
 
     leaf = LeafParams.init(vocab, d_e, d_h, rng, np.float64)
-    # plain sum of a layer-normed vector is constant; probe with random weights
-    w = Tensor(rng.standard_normal(d_h))
+    # plain sum of a layer-normed row is constant; probe with random weights
+    w = Tensor(rng.standard_normal((1, d_h)))
     report("leaf_transform", gc.check_grads(
-        lambda: T.tsum(T.mul(leaf_transform(3, leaf), w)), leaf.named()))
+        lambda: T.tsum(T.mul(leaf_transform_seq([3], leaf), w)), leaf.named()))
 
     cfg = make_config({"encoder": "bt", "beam_size": "3", "topk": "onesoft",
                        "d_e": str(d_e), "d_h": str(d_h), "precision": "double",

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .cells import GrcParams, ScorerParams, _chunk, grc_compose, score, \
+from .cells import GrcParams, ScorerParams, grc_compose, score, \
     tree_lstm_compose
 from .tensor import Tensor
 from .topk import BeamSet, collapse_tail, gumbel_noise, merge_beams, \
@@ -40,35 +40,34 @@ class EncoderConfig:
             raise EncoderError("temperature must be positive")
 
 
-# A node's state is one row: h for the GRC, [h; c] for the tree-LSTM. Only
-# the next three functions know that layout.
+# A node's state is one row of a (rows, width) matrix, from `_lift` to the
+# root: h for the GRC, [h; c] for the tree-LSTM. Only the next three
+# functions know that layout. A single node is a (1, width) matrix; the
+# encoders return their encoding as a (d_h,) vector.
 
 def _lift(leaves: Tensor, cell) -> Tensor:
-    """States of leaf rows (or of one vector); tree-LSTM leaves get c = 0."""
+    """States of leaf rows; tree-LSTM leaves get c = 0."""
     if isinstance(cell, GrcParams):
         return leaves
-    return T.concat([leaves, Tensor(np.zeros_like(leaves.data))], axis=-1)
+    return T.concat([leaves, Tensor(np.zeros_like(leaves.data))], axis=1)
 
 
 def _compose(left: Tensor, right: Tensor, cell) -> Tensor:
-    """Parent states of row-aligned child states (or of two single states)."""
+    """Parent states of row-aligned child states."""
     if isinstance(cell, GrcParams):
         return grc_compose(left, right, cell)
     d = cell.d_h
-    h, c = tree_lstm_compose((_chunk(left, 0, d), _chunk(left, 1, d)),
-                             (_chunk(right, 0, d), _chunk(right, 1, d)), cell)
-    return T.concat([h, c], axis=-1)
+    h, c = tree_lstm_compose(
+        (T.slice_cols(left, 0, d), T.slice_cols(left, d, 2 * d)),
+        (T.slice_cols(right, 0, d), T.slice_cols(right, d, 2 * d)), cell)
+    return T.concat([h, c], axis=1)
 
 
 def _read_h(states: Tensor, cell) -> Tensor:
     """The h part of states."""
     if isinstance(cell, GrcParams):
         return states
-    return _chunk(states, 0, cell.d_h)
-
-
-def _row(mat: Tensor, i: int) -> Tensor:
-    return T.reshape(T.slice_rows(mat, i, i + 1), (mat.data.shape[1],))
+    return T.slice_cols(states, 0, cell.d_h)
 
 
 # The easy-first and beam-tree encoders stack their beams: B beams of L
@@ -138,12 +137,12 @@ def encode_recurrent(leaves: Tensor, cell, h0: Tensor | None = None) -> Tensor:
         raise EncoderError("empty input")
     states = _lift(leaves, cell)
     if h0 is not None:
-        state, first = _lift(h0, cell), 0
+        state, first = _lift(T.reshape(h0, (1, -1)), cell), 0
     else:
-        state, first = _row(states, 0), 1
+        state, first = T.slice_rows(states, 0, 1), 1
     for i in range(first, n):
-        state = _compose(state, _row(states, i), cell)
-    return _read_h(state, cell)
+        state = _compose(state, T.slice_rows(states, i, i + 1), cell)
+    return T.reshape(_read_h(state, cell), (-1,))
 
 
 def encode_fixed_tree(leaves: Tensor, tree: ParseTree, cell) -> Tensor:
@@ -153,7 +152,8 @@ def encode_fixed_tree(leaves: Tensor, tree: ParseTree, cell) -> Tensor:
         raise EncoderError(f"tree has {tree.n_leaves()} leaves for {n} tokens")
     if not tree.is_projective():
         raise EncoderError("non-projective tree")
-    return _read_h(_walk(tree, _lift(leaves, cell), cell), cell)
+    root = _walk(tree, _lift(leaves, cell), cell)
+    return T.reshape(_read_h(root, cell), (-1,))
 
 
 def _walk(t: ParseTree, states: Tensor, cell) -> Tensor:
@@ -161,7 +161,7 @@ def _walk(t: ParseTree, states: Tensor, cell) -> Tensor:
     # closure is a reference cycle that keeps `cell`, its weights and their
     # gradients alive until the cyclic garbage collector runs
     if t.is_leaf:
-        return _row(states, t.leaf)
+        return T.slice_rows(states, t.leaf, t.leaf + 1)
     return _compose(_walk(t.left, states, cell), _walk(t.right, states, cell),
                     cell)
 
@@ -195,7 +195,7 @@ def encode_easy_first_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
             onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
             onehot[hard] = 1.0
             ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
-            merged, row = T.reshape(T.matmul(ste, cands), (1, -1)), 0
+            merged, row = T.matmul(T.reshape(ste, (1, -1)), cands), 0
         else:
             hard = int(np.argmax(raw.data))
             merged, row = cands, hard
@@ -307,23 +307,21 @@ class BsrpParams:
 
 @dataclass
 class _SRState:
-    stack: list  # node states
+    stack: list  # node states, (1, width) each
     qpos: int
     score: Tensor
     actions: tuple
 
 
-def _sr_decision_logit(state: _SRState, leaves, cell, n, d_h, decision,
-                       dtype) -> Tensor:
-    def slot(item):
-        return _read_h(item, cell) if item is not None \
-            else Tensor(np.zeros(d_h, dtype=dtype))
-
-    s2 = slot(state.stack[-2] if len(state.stack) >= 2 else None)
-    s1 = slot(state.stack[-1] if len(state.stack) >= 1 else None)
-    qf = _row(leaves, state.qpos) if state.qpos < n \
-        else Tensor(np.zeros(d_h, dtype=dtype))
-    x = T.concat([s2, s1, qf], axis=0)
+def _sr_decision_logit(state: _SRState, leaves, cell, decision,
+                       empty) -> Tensor:
+    """The (1,) logit of [stack[-2]; stack[-1]; queue-front] as one row;
+    `empty` is the (1, d_h) zero row of a missing slot."""
+    stack = [_read_h(item, cell) for item in state.stack[-2:]]
+    qpos = state.qpos
+    qf = T.slice_rows(leaves, qpos, qpos + 1) \
+        if qpos < leaves.data.shape[0] else empty
+    x = T.concat([empty] * (2 - len(stack)) + stack + [qf], axis=1)
     return T.add(T.reshape(T.matmul(x, decision.W), (1,)), decision.b)
 
 
@@ -339,8 +337,8 @@ def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
     if n < 1:
         raise EncoderError("empty input")
     k = cfg.beam_size
-    d_h = leaves.data.shape[1]
     dtype = leaves.data.dtype
+    empty = Tensor(np.zeros((1, leaves.data.shape[1]), dtype=dtype))
     states = _lift(leaves, cell)
     beams = [_SRState(stack=[], qpos=0,
                       score=Tensor(np.zeros(1, dtype=dtype)), actions=())]
@@ -351,11 +349,12 @@ def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
         for st in beams:
             can_shift = st.qpos < n
             can_reduce = len(st.stack) >= 2
-            logit = _sr_decision_logit(st, leaves, cell, n, d_h, decision,
-                                       dtype)
+            logit = _sr_decision_logit(st, leaves, cell, decision, empty)
             if can_shift:
                 pool.append(_SRState(
-                    stack=st.stack + [_row(states, st.qpos)], qpos=st.qpos + 1,
+                    stack=st.stack + [T.slice_rows(states, st.qpos,
+                                                   st.qpos + 1)],
+                    qpos=st.qpos + 1,
                     score=T.add(st.score, T.logsigmoid(T.neg(logit))),
                     actions=st.actions + ("s",)))
             if can_reduce:
@@ -370,8 +369,7 @@ def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
                          mode=branch_mode, rng=rng)
         beams = [pool[i] for i in idx]
 
-    roots = _read_h(T.reshape(T.concat([st.stack[0] for st in beams]),
-                              (len(beams), -1)), cell)
+    roots = _read_h(T.concat([st.stack[0] for st in beams]), cell)
     scores = T.concat([st.score for st in beams], axis=0)
     return merge_beams(roots, scores), \
         BeamSet(roots, scores, [st.actions for st in beams])

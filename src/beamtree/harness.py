@@ -59,8 +59,14 @@ class RunConfig:
     def validate(self):
         if self.encoder not in ENCODER_KINDS:
             raise HarnessError(f"unknown encoder {self.encoder!r}")
-        if self.patience < 1 or self.batch_size < 1:
-            raise HarnessError("patience and batch_size must be >= 1")
+        small = [k for k in ("patience", "batch_size", "max_epochs", "d_e",
+                             "d_h") if getattr(self, k) < 1]
+        if small:
+            raise HarnessError(f"{', '.join(small)} must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise HarnessError("dropout must be in [0, 1)")
+        if not self.lr > 0.0:
+            raise HarnessError("lr must be positive")
         if self.precision not in ("single", "double"):
             raise HarnessError("precision must be single or double")
         try:

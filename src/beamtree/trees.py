@@ -3,6 +3,7 @@ action-sequence replay, and heuristic tree builders."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +40,7 @@ class ParseTree:
     def internal_spans(self) -> set:
         """(first, last) leaf-position pairs of every internal node."""
         spans = set()
-
-        def walk(t):
-            if t.is_leaf:
-                return (t.leaf, t.leaf)
-            a = walk(t.left)
-            b = walk(t.right)
-            spans.add((a[0], b[1]))
-            return (a[0], b[1])
-
-        walk(self)
+        _add_spans(self, spans)
         return spans
 
     def is_projective(self) -> bool:
@@ -57,12 +49,23 @@ class ParseTree:
         return self.leaves() == list(range(self.n_leaves()))
 
     def to_string(self, tokens=None) -> str:
-        def render(t):
-            if t.is_leaf:
-                return str(t.leaf) if tokens is None else tokens[t.leaf]
-            return f"({render(t.left)} {render(t.right)})"
+        if self.is_leaf:
+            return str(self.leaf) if tokens is None else tokens[self.leaf]
+        return f"({self.left.to_string(tokens)} {self.right.to_string(tokens)})"
 
-        return render(self)
+
+# The recursions below are module-level functions, not closures that refer
+# to themselves: such a closure is a reference cycle left behind by every
+# call, freed only when the cyclic garbage collector runs.
+
+def _add_spans(t: ParseTree, spans: set) -> tuple:
+    """Add the internal spans of `t` to `spans`; return the span of `t`."""
+    if t.is_leaf:
+        return (t.leaf, t.leaf)
+    first, _ = _add_spans(t.left, spans)
+    _, last = _add_spans(t.right, spans)
+    spans.add((first, last))
+    return (first, last)
 
 
 def leaf(i: int) -> ParseTree:
@@ -91,56 +94,57 @@ def replay_actions(n: int, actions) -> ParseTree:
 def tree_to_actions(tree: ParseTree) -> list:
     """Bottom-up merge indices whose replay reproduces `tree`."""
     actions = []
-    items = list(range(tree.n_leaves()))  # current leftmost-leaf ids
-
-    def post(t):
-        if t.is_leaf:
-            return
-        post(t.left)
-        post(t.right)
-        i = items.index(t.left.span()[0])
-        assert items[i + 1] == t.right.span()[0]
-        actions.append(i)
-        del items[i + 1]
-
-    post(tree)
+    _post_order_merges(tree, list(range(tree.n_leaves())), actions)
     return actions
+
+
+def _post_order_merges(t: ParseTree, items: list, actions: list):
+    """Append the merges of `t`, children first; `items` holds the leftmost
+    leaf of every current item."""
+    if t.is_leaf:
+        return
+    _post_order_merges(t.left, items, actions)
+    _post_order_merges(t.right, items, actions)
+    i = items.index(t.left.span()[0])
+    assert items[i + 1] == t.right.span()[0]
+    actions.append(i)
+    del items[i + 1]
 
 
 def parse_tree_string(s: str) -> ParseTree:
     """Parse a bracketed string like "((a b) c)" back into a ParseTree;
     leaf positions are assigned left to right."""
-    pos = 0
-    counter = [0]
-
-    def skip_ws(i):
-        while i < len(s) and s[i] == " ":
-            i += 1
-        return i
-
-    def parse(i):
-        i = skip_ws(i)
-        if i >= len(s):
-            raise TreeError("unexpected end of tree string")
-        if s[i] == "(":
-            left_t, i = parse(i + 1)
-            right_t, i = parse(i)
-            i = skip_ws(i)
-            if i >= len(s) or s[i] != ")":
-                raise TreeError("expected ')'")
-            return branch(left_t, right_t), i + 1
-        j = i
-        while j < len(s) and s[j] not in " ()":
-            j += 1
-        if j == i:
-            raise TreeError(f"empty token at position {i}")
-        counter[0] += 1
-        return leaf(counter[0] - 1), j
-
-    tree, pos = parse(pos)
-    if skip_ws(pos) != len(s):
+    tree, pos = _parse_subtree(s, 0, itertools.count())
+    if _skip_ws(s, pos) != len(s):
         raise TreeError("trailing characters after tree")
     return tree
+
+
+def _skip_ws(s: str, i: int) -> int:
+    while i < len(s) and s[i] == " ":
+        i += 1
+    return i
+
+
+def _parse_subtree(s: str, i: int, leaf_ids) -> tuple:
+    """The subtree of `s` from position i, and the position after it;
+    leaves take their positions from the iterator `leaf_ids`."""
+    i = _skip_ws(s, i)
+    if i >= len(s):
+        raise TreeError("unexpected end of tree string")
+    if s[i] == "(":
+        left_t, i = _parse_subtree(s, i + 1, leaf_ids)
+        right_t, i = _parse_subtree(s, i, leaf_ids)
+        i = _skip_ws(s, i)
+        if i >= len(s) or s[i] != ")":
+            raise TreeError("expected ')'")
+        return branch(left_t, right_t), i + 1
+    j = i
+    while j < len(s) and s[j] not in " ()":
+        j += 1
+    if j == i:
+        raise TreeError(f"empty token at position {i}")
+    return leaf(next(leaf_ids)), j
 
 
 def build_balanced_tree(n: int) -> ParseTree:
@@ -189,8 +193,6 @@ def gold_tree_listops(tokens) -> ParseTree:
 
 
 def _gold_scope(tokens, i: int) -> tuple:
-    # a module-level function, not a closure that refers to itself: such a
-    # closure is a reference cycle left behind by every call
     n = len(tokens)
     if i >= n or not tokens[i].startswith("["):
         raise TreeError(f"expected operator token at position {i}")

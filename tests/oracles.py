@@ -25,8 +25,8 @@ from scipy.stats import norm
 
 from beamtree import encoders
 from beamtree import tensor as T
-from beamtree.cells import _affine, _cat, _chunk, score
-from beamtree.encoders import _compose, _lift, _read_h, _row
+from beamtree.cells import score
+from beamtree.encoders import _compose, _lift, _read_h
 from beamtree.tensor import Tensor
 from beamtree.topk import BeamSet, gumbel_noise, plain_topk
 from beamtree.trees import replay_actions
@@ -49,9 +49,10 @@ def composed_grc(left, right, p):
     GELU, slices, sigmoids, products, layer norm), each with its own vjp:
     the reference for the fused cell's values and gradients."""
     d = p.d_h
-    hidden = T.gelu(_affine(_cat([left, right], last_axis=True), p.W1, p.b1))
-    gates = _affine(hidden, p.W2, p.b2)
-    z, h, c, u = (_chunk(gates, i, d) for i in range(4))
+    hidden = T.gelu(T.add_rowvec(
+        T.matmul(T.concat([left, right], axis=1), p.W1), p.b1))
+    gates = T.add_rowvec(T.matmul(hidden, p.W2), p.b2)
+    z, h, c, u = (T.slice_cols(gates, i * d, (i + 1) * d) for i in range(4))
     mix = T.add(
         T.add(T.mul(T.sigmoid(z), left), T.mul(T.sigmoid(h), right)),
         T.mul(T.sigmoid(c), u),
@@ -213,18 +214,17 @@ def full_recompose_easy_first_gumbel(leaves, cell, scorer, cfg, rng=None):
             onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
             onehot[hard] = 1.0
             ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
-            parent = T.matmul(ste, parents)
+            parent = T.matmul(T.reshape(ste, (1, -1)), parents)
         else:
             hard = int(np.argmax(raw.data))
-            parent = _row(parents, hard)
-        nodes = _splice_rows(nodes, hard, hard + 2, T.reshape(parent, (1, -1)))
+            parent = T.slice_rows(parents, hard, hard + 1)
+        nodes = _splice_rows(nodes, hard, hard + 2, parent)
         actions.append(hard)
     if nodes.data.shape[0] == 2:
-        out = _compose(_row(nodes, 0), _row(nodes, 1), cell)
+        nodes = _compose(T.slice_rows(nodes, 0, 1), T.slice_rows(nodes, 1, 2),
+                         cell)
         actions.append(0)
-    else:
-        out = _row(nodes, 0)
-    return _read_h(out, cell), replay_actions(n, actions)
+    return T.reshape(_read_h(nodes, cell), (-1,)), replay_actions(n, actions)
 
 
 @dataclass
@@ -309,7 +309,8 @@ def full_recompose_bt_cell(leaves, cell, scorer, cfg, rng=None):
     for beam in beams:
         root, acts = beam.nodes, beam.actions
         if root.data.shape[0] == 2:
-            root = _compose(_row(root, 0), _row(root, 1), cell)
+            root = _compose(T.slice_rows(root, 0, 1),
+                            T.slice_rows(root, 1, 2), cell)
             acts += (0,)
         roots.append(T.reshape(_read_h(root, cell), (-1,)))
         actions.append(acts)

@@ -50,16 +50,16 @@ def test_criterion_gradients_all_components():
 
     d_h = 8
     grc = GrcParams.init(d_h, rng, np.float64)
-    l = Tensor(rng.standard_normal(d_h), requires_grad=True)
-    r = Tensor(rng.standard_normal(d_h), requires_grad=True)
-    w = Tensor(rng.standard_normal(d_h))
+    l = Tensor(rng.standard_normal((1, d_h)), requires_grad=True)
+    r = Tensor(rng.standard_normal((1, d_h)), requires_grad=True)
+    w = Tensor(rng.standard_normal((1, d_h)))
     worst["grc"] = max(check_grads(
         lambda: T.tsum(T.mul(grc_compose(l, r, grc), w)),
         {**grc.named(), "l": l, "r": r}).values())
 
     lstm = TreeLstmParams.init(d_h, rng, np.float64)
-    pairs = [(Tensor(rng.standard_normal(d_h), requires_grad=True),
-              Tensor(rng.standard_normal(d_h), requires_grad=True))
+    pairs = [(Tensor(rng.standard_normal((1, d_h)), requires_grad=True),
+              Tensor(rng.standard_normal((1, d_h)), requires_grad=True))
              for _ in range(2)]
 
     def lstm_loss():
@@ -91,7 +91,7 @@ def test_criterion_gradients_all_components():
                         stochastic_topk=False)
     worst["end_to_end"] = max(check_grads(
         lambda: T.tsum(T.mul(
-            encode_bt_cell(leaves, grc, scorer, cfg)[0], w)),
+            encode_bt_cell(leaves, grc, scorer, cfg)[0], Tensor(w.data[0]))),
         {**grc.named(), **scorer.named(), "leaves": leaves}).values())
 
     elapsed = time.monotonic() - t0

@@ -4,10 +4,10 @@ from oracles import composed_grc
 
 from beamtree import tensor as T
 from beamtree.cells import (GrcParams, LeafParams, ScorerParams,
-                            TreeLstmParams, grc_compose, leaf_transform,
-                            leaf_transform_seq, score, tree_lstm_compose)
+                            TreeLstmParams, grc_compose, leaf_transform_seq,
+                            score, tree_lstm_compose)
 from beamtree.gradcheck import check_grads, relative_error
-from beamtree.tensor import NonFiniteError, Tape, Tensor
+from beamtree.tensor import NonFiniteError, Tape, Tensor, TensorError
 
 
 def _zero_grc(d_h):
@@ -29,8 +29,8 @@ def test_grc_zero_params_halves_and_normalizes():
     d_h = 4
     p = _zero_grc(d_h)
     rng = np.random.default_rng(3)
-    l = rng.standard_normal(d_h)
-    r = rng.standard_normal(d_h)
+    l = rng.standard_normal((1, d_h))
+    r = rng.standard_normal((1, d_h))
     out = grc_compose(Tensor(l), Tensor(r), p)
     assert np.allclose(out.data, _layer_norm_np(0.5 * (l + r)), atol=1e-9)
 
@@ -38,8 +38,8 @@ def test_grc_zero_params_halves_and_normalizes():
 def test_grc_zero_params_symmetric():
     p = _zero_grc(4)
     rng = np.random.default_rng(4)
-    l = Tensor(rng.standard_normal(4))
-    r = Tensor(rng.standard_normal(4))
+    l = Tensor(rng.standard_normal((1, 4)))
+    r = Tensor(rng.standard_normal((1, 4)))
     assert np.allclose(grc_compose(l, r, p).data, grc_compose(r, l, p).data)
 
 
@@ -47,13 +47,13 @@ def test_grc_zero_params_symmetric():
 def test_grc_shape_contract(d_h):
     p = GrcParams.init(d_h, np.random.default_rng(d_h), np.float64)
     rng = np.random.default_rng(1)
-    out = grc_compose(Tensor(rng.standard_normal(d_h)),
-                      Tensor(rng.standard_normal(d_h)), p)
-    assert out.data.shape == (d_h,)
+    out = grc_compose(Tensor(rng.standard_normal((1, d_h))),
+                      Tensor(rng.standard_normal((1, d_h))), p)
+    assert out.data.shape == (1, d_h)
     assert np.isfinite(out.data).all()
 
 
-def test_grc_rows_match_vectors():
+def test_grc_rows_match_single_rows():
     d_h = 5
     p = GrcParams.init(d_h, np.random.default_rng(9), np.float64)
     rng = np.random.default_rng(10)
@@ -61,18 +61,30 @@ def test_grc_rows_match_vectors():
     R = rng.standard_normal((3, d_h))
     rows = grc_compose(Tensor(L), Tensor(R), p)
     for i in range(3):
-        vec = grc_compose(Tensor(L[i]), Tensor(R[i]), p)
-        assert np.allclose(rows.data[i], vec.data, atol=1e-12)
+        one = grc_compose(Tensor(L[i:i + 1]), Tensor(R[i:i + 1]), p)
+        assert np.allclose(rows.data[i], one.data[0], atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(3,), (2, 3)])
-def test_grc_gradients(shape):
+@pytest.mark.parametrize("call", [
+    lambda v, row, rng: grc_compose(row, v, GrcParams.init(4, rng)),
+    lambda v, row, rng: tree_lstm_compose((v, row), (row, row),
+                                          TreeLstmParams.init(4, rng)),
+    lambda v, row, rng: score(v, ScorerParams.init(4, rng)),
+], ids=["grc", "tree_lstm", "score"])
+def test_a_1d_state_is_rejected(call):
+    # node states are (rows, width) matrices; a (d_h,) vector is an error
+    rng = np.random.default_rng(31)
+    with pytest.raises(TensorError):
+        call(Tensor(rng.standard_normal(4)), Tensor(np.ones((1, 4))), rng)
+
+
+def test_grc_gradients():
     d_h = 3
     p = GrcParams.init(d_h, np.random.default_rng(11), np.float64)
     rng = np.random.default_rng(12)
-    l = Tensor(rng.standard_normal(shape), requires_grad=True)
-    r = Tensor(rng.standard_normal(shape), requires_grad=True)
-    w = Tensor(rng.standard_normal(shape))
+    l = Tensor(rng.standard_normal((2, d_h)), requires_grad=True)
+    r = Tensor(rng.standard_normal((2, d_h)), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, d_h)))
     errors = check_grads(
         lambda: T.tsum(T.mul(grc_compose(l, r, p), w)),
         {**p.named(), "l": l, "r": r})
@@ -90,7 +102,8 @@ def _grads(compose, l, r, w, p):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(8,), (1, 8), (2, 8), (6, 8)])
+@pytest.mark.parametrize("shape", [(1, 8), (2, 8), (6, 8)],
+                         ids=["1x8", "2x8", "6x8"])
 def test_grc_fused_matches_composed_primitives(shape, dtype):
     # the one-primitive cell against the same cell built from tensor ops:
     # the same forward bits, and the same gradients for all 8 inputs
@@ -134,8 +147,8 @@ def test_tree_lstm_zero_params_closed_form():
     p = TreeLstmParams.init(d_h, np.random.default_rng(0), np.float64)
     p.W.data[...] = 0.0
     rng = np.random.default_rng(13)
-    h_l, c_l = rng.standard_normal(d_h), rng.standard_normal(d_h)
-    h_r, c_r = rng.standard_normal(d_h), rng.standard_normal(d_h)
+    h_l, c_l = rng.standard_normal((1, d_h)), rng.standard_normal((1, d_h))
+    h_r, c_r = rng.standard_normal((1, d_h)), rng.standard_normal((1, d_h))
     h, c = tree_lstm_compose((Tensor(h_l), Tensor(c_l)),
                              (Tensor(h_r), Tensor(c_r)), p)
     c_expect = 0.5 * (c_l + c_r)
@@ -147,8 +160,8 @@ def test_tree_lstm_gradients():
     d_h = 3
     p = TreeLstmParams.init(d_h, np.random.default_rng(14), np.float64)
     rng = np.random.default_rng(15)
-    pair = lambda: (Tensor(rng.standard_normal(d_h), requires_grad=True),
-                    Tensor(rng.standard_normal(d_h), requires_grad=True))
+    pair = lambda: (Tensor(rng.standard_normal((1, d_h)), requires_grad=True),
+                    Tensor(rng.standard_normal((1, d_h)), requires_grad=True))
     left, right = pair(), pair()
 
     def loss():
@@ -163,16 +176,14 @@ def test_tree_lstm_gradients():
 def test_score_shapes():
     p = ScorerParams.init(6, np.random.default_rng(16), np.float64)
     rng = np.random.default_rng(17)
-    s_vec = score(Tensor(rng.standard_normal(6)), p)
     s_rows = score(Tensor(rng.standard_normal((4, 6))), p)
-    assert s_vec.data.shape == (1,)
     assert s_rows.data.shape == (4,)
 
 
 def test_score_linear_in_input():
     p = ScorerParams.init(5, np.random.default_rng(18), np.float64)
     rng = np.random.default_rng(19)
-    a, b = rng.standard_normal(5), rng.standard_normal(5)
+    a, b = rng.standard_normal((1, 5)), rng.standard_normal((1, 5))
     sa = score(Tensor(a), p).data[0]
     sb = score(Tensor(b), p).data[0]
     sab = score(Tensor(a + b), p).data[0]
@@ -181,8 +192,8 @@ def test_score_linear_in_input():
 
 def test_leaf_transform_deterministic_in_eval():
     p = LeafParams.init(15, 4, 6, np.random.default_rng(20), np.float64)
-    a = leaf_transform(7, p).data
-    b = leaf_transform(7, p).data
+    a = leaf_transform_seq([7], p).data
+    b = leaf_transform_seq([7], p).data
     assert np.array_equal(a, b)
 
 
@@ -190,7 +201,8 @@ def test_leaf_transform_seq_matches_single():
     p = LeafParams.init(15, 4, 6, np.random.default_rng(21), np.float64)
     rows = leaf_transform_seq([2, 9, 2], p)
     assert rows.data.shape == (3, 6)
-    assert np.allclose(rows.data[1], leaf_transform(9, p).data, atol=1e-12)
+    assert np.allclose(rows.data[1], leaf_transform_seq([9], p).data[0],
+                       atol=1e-12)
     assert np.allclose(rows.data[0], rows.data[2], atol=1e-12)
 
 

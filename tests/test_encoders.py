@@ -203,6 +203,17 @@ def test_fixed_tree_matches_reference_on_balanced():
     assert np.max(np.abs(out.data - np_grc(l, r, grc))) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_fixed_tree_records_at_most_two_per_leaf(n):
+    # node states are rows: one slice per leaf read, one record per cell,
+    # and one reshape of the root row into the (d_h,) encoding
+    grc, _ = _params(seed=21)
+    leaves = Tensor(_leaves(n, seed=22).data, requires_grad=True)
+    with Tape() as tape:
+        encode_fixed_tree(leaves, build_balanced_tree(n), grc)
+    assert len(tape.records) <= 2 * n
+
+
 def test_fixed_tree_frees_the_cell_without_the_cycle_collector():
     # a reference cycle would keep the weights and their gradients alive
     # until the cyclic collector runs, which grows peak memory in training

@@ -74,12 +74,22 @@ def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
 
-def test_restore_rejects_shape_mismatch(tmp_path):
+@pytest.mark.parametrize("saved, target, message", [
+    (lambda: {"w": np.ones(3, dtype=np.float32)},
+     lambda: {"w": Tensor(np.zeros(4, dtype=np.float32))}, "shape mismatch"),
+    (lambda: {"w": np.ones(3, dtype=np.float32)},
+     lambda: {"w": Tensor(np.zeros(3, dtype=np.float32)),
+              "v": Tensor(np.zeros(3, dtype=np.float32))}, "missing"),
+    # a recurrent model's checkpoint holds h0, which a gold model lacks
+    (lambda: {k: v.data for k, v in
+              Model(_tiny_cfg(encoder="recurrent")).named().items()},
+     lambda: Model(_tiny_cfg()).named(), "h0"),
+], ids=["shape", "missing", "extra"])
+def test_restore_rejects_mismatch(tmp_path, saved, target, message):
     path = tmp_path / "s.ckpt"
-    save_checkpoint(path, {"w": np.ones(3, dtype=np.float32)})
-    target = {"w": Tensor(np.zeros(4, dtype=np.float32))}
-    with pytest.raises(CheckpointError):
-        restore(target, load_checkpoint(path))
+    save_checkpoint(path, saved())
+    with pytest.raises(CheckpointError, match=message):
+        restore(target(), load_checkpoint(path))
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +122,19 @@ def test_config_rejects_unknown_topk(tmp_path):
     cfg.topk = "one_soft"
     with pytest.raises(HarnessError):
         train(cfg, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_epochs", 0), ("max_epochs", -3), ("dropout", 1.0),
+    ("dropout", -0.5), ("lr", -1.0), ("lr", 0.0), ("d_e", 0), ("d_h", 0)])
+def test_config_rejects_out_of_range_values(tmp_path, key, value):
+    with pytest.raises(HarnessError, match=key):
+        make_config({key: str(value)})
+    cfg = _tiny_cfg()
+    setattr(cfg, key, value)
+    with pytest.raises(HarnessError, match=key):
+        train(cfg, tmp_path / "run", _tiny_examples(4), _tiny_examples(2))
     assert not (tmp_path / "run").exists()
 
 
