@@ -12,8 +12,8 @@ from . import listops
 from .cells import GrcParams, LeafParams, ScorerParams, TreeLstmParams, \
     leaf_transform_seq
 from .encoders import encode_bt_cell
-from .harness import Model, RunConfig, evaluate_checkpoint, load_config, \
-    load_model, make_config, train
+from .harness import HarnessError, Model, RunConfig, evaluate_checkpoint, \
+    load_config, load_model, make_config, train
 from .listops import GenConfig, build_splits
 from .parse_analysis import collapse_duplicates, extract_parses
 from .tensor import Tensor
@@ -81,8 +81,8 @@ def cmd_parse(args):
 
 
 def cmd_gradcheck(args):
-    """Double-precision finite-difference checks over every cell and an
-    end-to-end beam-tree forward."""
+    """Double-precision finite-difference checks over every cell and the
+    end-to-end beam-tree and beam shift-reduce forwards."""
     rng = np.random.default_rng(args.seed)
     d_h, d_e, vocab = 6, 5, len(listops.VOCAB)
     tol = 1e-4
@@ -121,16 +121,18 @@ def cmd_gradcheck(args):
     report("leaf_transform", gc.check_grads(
         lambda: T.tsum(T.mul(leaf_transform_seq([3], leaf), w)), leaf.named()))
 
-    cfg = make_config({"encoder": "bt", "beam_size": "3", "topk": "onesoft",
-                       "d_e": str(d_e), "d_h": str(d_h), "precision": "double",
-                       "stochastic_topk": "false", "dropout": "0.0",
-                       "seed": str(args.seed)})
-    model = Model(cfg)
     ex = listops.Example(source="[MAX 2 [MIN 8 3 ] 1 ]", label=3,
                         length=8, depth=2, max_args=3)
     from .harness import example_loss
-    report("end_to_end_bt_onesoft", gc.check_grads(
-        lambda: example_loss(model, ex, True, None), model.named()))
+    for name, encoder, topk in (("end_to_end_bt_onesoft", "bt", "onesoft"),
+                                ("end_to_end_bsrp", "bsrp", "plain")):
+        cfg = make_config({"encoder": encoder, "beam_size": "3", "topk": topk,
+                           "d_e": str(d_e), "d_h": str(d_h),
+                           "precision": "double", "stochastic_topk": "false",
+                           "dropout": "0.0", "seed": str(args.seed)})
+        model = Model(cfg)
+        report(name, gc.check_grads(
+            lambda: example_loss(model, ex, True, None), model.named()))
 
     if failures:
         print(f"gradcheck failed: {', '.join(failures)}")
@@ -188,7 +190,10 @@ def main(argv=None):
         args.overrides = extra
     elif extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.func(args)
+    try:
+        args.func(args)
+    except HarnessError as e:  # bad config, empty split, non-finite loss
+        raise SystemExit(f"beamtree {args.command}: {e}") from None
 
 
 if __name__ == "__main__":

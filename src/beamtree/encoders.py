@@ -1,10 +1,11 @@
-"""Sequence-to-vector encoders: recurrent fold, easy-first composition with
-straight-through Gumbel selection, beam-tree recursion, beam shift-reduce,
-Monte-Carlo averaging, and fixed-tree evaluation."""
+"""Sequence-to-vector encoders: recurrent fold, beam-tree recursion with
+easy-first Gumbel composition as its one-beam case, beam shift-reduce,
+Monte-Carlo averaging, and fixed-tree evaluation. The beam encoders hold an
+example's beams stacked, as rows of one matrix."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,45 +168,16 @@ def _walk(t: ParseTree, states: Tensor, cell) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# easy-first composition with STE Gumbel selection
+# easy-first composition: beam-tree recursion with one beam
 
 def encode_easy_first_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
                              cfg: EncoderConfig,
                              rng: np.random.Generator | None = None):
-    """Greedy easy-first composition. In training mode the per-iteration
-    selection is a straight-through estimator: the forward pass commits to
-    the Gumbel-perturbed argmax, the backward pass follows the softmax over
-    perturbed scores at the configured temperature. Nodes and candidate
-    parents are held as in `encode_bt_cell`, with one beam: after a merge
-    only the merged node's neighbours are composed. Returns (vector, tree)."""
-    cfg.validate()
-    n = leaves.data.shape[0]
-    if n < 1:
-        raise EncoderError("empty input")
-    nodes, length = _lift(leaves, cell), n
-    cands = _pairs(nodes, length, None, [None], cell)
-    actions = []
-    while length > 2:
-        raw = score(_read_h(cands, cell), scorer)
-        if cfg.training:
-            noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
-            perturbed = T.add(raw, Tensor(noise))
-            hard = int(np.argmax(perturbed.data))
-            soft = T.softmax(T.mulc(perturbed, 1.0 / cfg.temperature))
-            onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
-            onehot[hard] = 1.0
-            ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
-            merged, row = T.matmul(T.reshape(ste, (1, -1)), cands), 0
-        else:
-            hard = int(np.argmax(raw.data))
-            merged, row = cands, hard
-        nodes = _merge(nodes, length, merged, [(0, hard, row)])
-        length -= 1
-        cands = _pairs(nodes, length, cands, [(0, hard)], cell)
-        actions.append(hard)
-    if length == 2:
-        actions.append(0)
-    return T.reshape(_read_h(cands, cell), (-1,)), replay_actions(n, actions)
+    """Greedy easy-first composition (the Gumbel-Tree encoder): `encode_bt_cell`
+    with one beam, whatever `cfg.beam_size` says. Returns (vector, tree)."""
+    cfg = replace(cfg, beam_size=1, topk="plain")
+    enc, beams = encode_bt_cell(leaves, cell, scorer, cfg, rng)
+    return enc, replay_actions(leaves.data.shape[0], beams.actions[0])
 
 
 def encode_mc_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
@@ -245,7 +217,15 @@ def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
     carries its best member's actions, and every pair of it is composed.
     The beams stay stacked to the end: the last pairs of all beams are one
     `_compose` call, and the encoding is `merge_beams` of the (B, d_h)
-    roots and (B,) scores. Returns (encoding, final BeamSet)."""
+    roots and (B,) scores.
+
+    With one beam this is easy-first composition. `merge_beams` gives a
+    lone beam's score no gradient, so one beam in training selects by
+    straight-through Gumbel instead of branching and truncating: the
+    forward commits to the argmax of the Gumbel-perturbed scores, the
+    backward follows softmax(perturbed / temperature), and the merged row
+    is that straight-through one-hot times the candidate matrix. Returns
+    (encoding, final BeamSet)."""
     cfg.validate()
     n = leaves.data.shape[0]
     if n < 1:
@@ -258,25 +238,42 @@ def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
     actions = [()]
 
     while length > 2:
-        logp = T.log_softmax(T.reshape(score(_read_h(cands, cell), scorer),
-                                       (len(actions), length - 1)))
-        pool = [(b, i) for b in range(len(actions))
-                for i in plain_topk(logp.data[b], k, mode=branch_mode, rng=rng)]
-        beam_ids = [b for b, _ in pool]
-        cand_ids = [b * (length - 1) + i for b, i in pool]
-        groups = truncate(scores.data[beam_ids] + logp.data.reshape(-1)[cand_ids],
-                          k, cfg.topk, cfg.training, rng, cfg.stochastic_topk)
-        picks = [j for g in groups for j in g]
-        nodes = _merge(nodes, length, cands,
-                       [(*pool[j], cand_ids[j]) for j in picks])
-        scores = T.add(T.rows_gather(scores, [beam_ids[j] for j in picks]),
-                       T.rows_gather(T.reshape(logp, (-1,)),
-                                     [cand_ids[j] for j in picks]))
-        if len(groups[-1]) > 1:
-            nodes, scores = collapse_tail(nodes, scores, len(groups[-1]))
-        # the interpolated beam comes from no merge: all its pairs are new
-        merges = [pool[g[0]] if len(g) == 1 else None for g in groups]
-        actions = [actions[b] + (i,) for b, i in (pool[g[0]] for g in groups)]
+        raw = score(_read_h(cands, cell), scorer)
+        if k == 1 and cfg.training:
+            # one beam in training: straight-through Gumbel
+            noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
+            perturbed = T.add(raw, Tensor(noise))
+            hard = int(np.argmax(perturbed.data))
+            soft = T.softmax(T.mulc(perturbed, 1.0 / cfg.temperature))
+            onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
+            onehot[hard] = 1.0
+            ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
+            nodes = _merge(nodes, length,
+                           T.matmul(T.reshape(ste, (1, -1)), cands),
+                           [(0, hard, 0)])
+            chosen = merges = [(0, hard)]
+        else:
+            logp = T.log_softmax(T.reshape(raw, (len(actions), length - 1)))
+            pool = [(b, i) for b in range(len(actions)) for i in
+                    plain_topk(logp.data[b], k, mode=branch_mode, rng=rng)]
+            beam_ids = [b for b, _ in pool]
+            cand_ids = [b * (length - 1) + i for b, i in pool]
+            groups = truncate(
+                scores.data[beam_ids] + logp.data.reshape(-1)[cand_ids], k,
+                cfg.topk, cfg.training, rng, cfg.stochastic_topk)
+            picks = [j for g in groups for j in g]
+            nodes = _merge(nodes, length, cands,
+                           [(*pool[j], cand_ids[j]) for j in picks])
+            scores = T.add(T.rows_gather(scores, [beam_ids[j] for j in picks]),
+                           T.rows_gather(T.reshape(logp, (-1,)),
+                                         [cand_ids[j] for j in picks]))
+            if len(groups[-1]) > 1:
+                nodes, scores = collapse_tail(nodes, scores, len(groups[-1]))
+            chosen = [pool[g[0]] for g in groups]
+            # the interpolated beam comes from no merge: all its pairs are new
+            merges = [c if len(g) == 1 else None
+                      for c, g in zip(chosen, groups)]
+        actions = [actions[b] + (i,) for b, i in chosen]
         length -= 1
         cands = _pairs(nodes, length, cands, merges, cell)
 
@@ -305,71 +302,70 @@ class BsrpParams:
         return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
 
 
-@dataclass
-class _SRState:
-    stack: list  # node states, (1, width) each
-    qpos: int
-    score: Tensor
-    actions: tuple
-
-
-def _sr_decision_logit(state: _SRState, leaves, cell, decision,
-                       empty) -> Tensor:
-    """The (1,) logit of [stack[-2]; stack[-1]; queue-front] as one row;
-    `empty` is the (1, d_h) zero row of a missing slot."""
-    stack = [_read_h(item, cell) for item in state.stack[-2:]]
-    qpos = state.qpos
-    qf = T.slice_rows(leaves, qpos, qpos + 1) \
-        if qpos < leaves.data.shape[0] else empty
-    x = T.concat([empty] * (2 - len(stack)) + stack + [qf], axis=1)
-    return T.add(T.reshape(T.matmul(x, decision.W), (1,)), decision.b)
-
-
 def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
                 rng: np.random.Generator | None = None):
     """Beam search over shift-reduce derivations. The decision logit comes
-    from a linear layer over [stack[-2]; stack[-1]; queue-front]; reduce
-    scores log(sigmoid(logit)), shift scores log(1 - sigmoid(logit)).
-    Invalid actions are masked out. The final roots and scores are stacked
-    once for `merge_beams`. Returns (encoding, final BeamSet)."""
+    from a linear layer over the h of [stack[-2]; stack[-1]; queue-front],
+    zero for a missing slot; reduce scores log(sigmoid(logit)), shift
+    log(1 - sigmoid(logit)). Invalid actions are masked out.
+
+    The beams are stacked like `encode_bt_cell`'s: every node state is a row
+    of one table whose row 0 is the zero state of an empty slot and rows
+    1..n the leaves, and a beam's stack is a tuple of row ids. A step is one
+    decision matmul over the gathered rows of all beams, and the pool, per
+    beam its shift then its reduce, goes through one `plain_topk`; only the
+    kept reduces are composed, in one `_compose` call whose parents are
+    appended to the table. Returns (encoding, final BeamSet)."""
     cfg.validate()
     n = leaves.data.shape[0]
     if n < 1:
         raise EncoderError("empty input")
-    k = cfg.beam_size
-    dtype = leaves.data.dtype
-    empty = Tensor(np.zeros((1, leaves.data.shape[1]), dtype=dtype))
     states = _lift(leaves, cell)
-    beams = [_SRState(stack=[], qpos=0,
-                      score=Tensor(np.zeros(1, dtype=dtype)), actions=())]
+    dtype = states.data.dtype
+    table = T.concat([Tensor(np.zeros((1, states.data.shape[1]), dtype=dtype)),
+                      states], axis=0)
+    beams = [((), 0, ())]  # (stack row ids, queue position, actions)
+    scores = Tensor(np.zeros(1, dtype=dtype))
     branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) else "deterministic"
 
     for _step in range(2 * n - 1):
-        pool = []
-        for st in beams:
-            can_shift = st.qpos < n
-            can_reduce = len(st.stack) >= 2
-            logit = _sr_decision_logit(st, leaves, cell, decision, empty)
-            if can_shift:
-                pool.append(_SRState(
-                    stack=st.stack + [T.slice_rows(states, st.qpos,
-                                                   st.qpos + 1)],
-                    qpos=st.qpos + 1,
-                    score=T.add(st.score, T.logsigmoid(T.neg(logit))),
-                    actions=st.actions + ("s",)))
-            if can_reduce:
-                parent = _compose(st.stack[-2], st.stack[-1], cell)
-                pool.append(_SRState(
-                    stack=st.stack[:-2] + [parent], qpos=st.qpos,
-                    score=T.add(st.score, T.logsigmoid(logit)),
-                    actions=st.actions + ("r",)))
+        width = len(beams)
+        ids = [r for stack, q, _ in beams
+               for r in ((0, 0) + stack)[-2:] + (q + 1 if q < n else 0,)]
+        x = T.reshape(_read_h(T.rows_gather(table, ids), cell), (width, -1))
+        logit = T.reshape(T.add_rowvec(T.matmul(x, decision.W), decision.b),
+                          (width,))
+        # pool entry (b, a): beam b shifts (a = 0) or reduces (a = 1), and
+        # its log-probability is row a * width + b of `logp`
+        logp = T.concat([T.logsigmoid(T.neg(logit)), T.logsigmoid(logit)])
+        pool = [(b, a) for b, (stack, q, _) in enumerate(beams)
+                for a, ok in enumerate((q < n, len(stack) >= 2)) if ok]
         if not pool:
             raise EncoderError("no valid shift-reduce action")
-        idx = plain_topk([s.score.item() for s in pool], k,
-                         mode=branch_mode, rng=rng)
-        beams = [pool[i] for i in idx]
+        lp_ids = [a * width + b for b, a in pool]
+        idx = plain_topk(scores.data[[b for b, _ in pool]] + logp.data[lp_ids],
+                         cfg.beam_size, mode=branch_mode, rng=rng)
+        scores = T.add(T.rows_gather(scores, [pool[j][0] for j in idx]),
+                       T.rows_gather(logp, [lp_ids[j] for j in idx]))
+        kept = [pool[j] for j in idx]
+        reduces = [beams[b][0][-2:] for b, a in kept if a]
+        base = table.data.shape[0]
+        if reduces:
+            left, right = zip(*reduces)
+            table = T.concat([table, _compose(T.rows_gather(table, left),
+                                              T.rows_gather(table, right),
+                                              cell)])
+        new_beams = []
+        for b, a in kept:
+            stack, q, acts = beams[b]
+            if a:
+                new_beams.append((stack[:-2] + (base,), q, acts + ("r",)))
+                base += 1
+            else:
+                new_beams.append((stack + (q + 1,), q + 1, acts + ("s",)))
+        beams = new_beams
 
-    roots = _read_h(T.concat([st.stack[0] for st in beams]), cell)
-    scores = T.concat([st.score for st in beams], axis=0)
+    roots = _read_h(T.rows_gather(table, [stack[0] for stack, _, _ in beams]),
+                    cell)
     return merge_beams(roots, scores), \
-        BeamSet(roots, scores, [st.actions for st in beams])
+        BeamSet(roots, scores, [acts for _, _, acts in beams])

@@ -307,11 +307,14 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
     config.txt, and best.ckpt under `out_dir`. Returns
     (checkpoint_path, metrics list)."""
     cfg.validate()
-    os.makedirs(out_dir, exist_ok=True)
     if train_examples is None:
         train_examples = read_tsv(os.path.join(cfg.data_dir, "train.tsv"))
     if dev_examples is None:
         dev_examples = read_tsv(os.path.join(cfg.data_dir, "dev.tsv"))
+    for split, examples in (("train", train_examples), ("dev", dev_examples)):
+        if not examples:
+            raise HarnessError(f"the {split} split is empty")
+    os.makedirs(out_dir, exist_ok=True)
 
     model = Model(cfg)
     params = model.params()

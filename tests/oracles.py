@@ -1,20 +1,22 @@
 """Independent reference implementations used to cross-check the package:
 a plain-numpy gated cell and tree-LSTM, exhaustive enumeration of every
 merge-order derivation, and exhaustive enumeration of shift-reduce
-derivations. These
-deliberately avoid the package's tensor machinery and use different library
-routines (norm.cdf, expit, scipy log_softmax) for the nonlinearities.
+derivations. These deliberately avoid the package's tensor machinery and
+use different library routines (norm.cdf, expit, scipy log_softmax) for the
+nonlinearities.
 
-The gated cell composed from tensor primitives and the two full-recompose
-encoders at the end are the exceptions. The composed cell is
-`cells.grc_compose` as it was before it became one tape primitive. The
-encoders are the
+The gated cell composed from tensor primitives and the encoders at the end
+are the exceptions. The composed cell is `cells.grc_compose` as it was
+before it became one tape primitive. The full-recompose encoders are the
 beam-tree and easy-first encoders as they were before candidate caching,
 beam stacking and index-group truncation, composing every adjacent pair of
 every beam on every step, splicing each beam's rows on its own and
 interpolating OneSoft's dropped beams one at a time, merging the final
-beams one at a time. All three run on the package's tape, so the fused cell's
-and the stacked encoders' outputs and gradients can be checked against them."""
+beams one at a time. The per-beam shift-reduce encoder is the beam
+shift-reduce parser as it was before its beams were stacked: one state
+object, decision matmul and compose per beam per step. All of them run on
+the package's tape, so the fused cell's and the stacked encoders' outputs
+and gradients can be checked against them."""
 
 from dataclasses import dataclass
 
@@ -28,7 +30,7 @@ from beamtree import tensor as T
 from beamtree.cells import score
 from beamtree.encoders import _compose, _lift, _read_h
 from beamtree.tensor import Tensor
-from beamtree.topk import BeamSet, gumbel_noise, plain_topk
+from beamtree.topk import BeamSet, gumbel_noise, merge_beams, plain_topk
 from beamtree.trees import replay_actions
 
 
@@ -318,3 +320,69 @@ def full_recompose_bt_cell(leaves, cell, scorer, cfg, rng=None):
     encoding = merge_beams_one_by_one(roots, scores)
     return encoding, BeamSet(T.concat([T.reshape(r, (1, -1)) for r in roots]),
                              T.concat(scores), actions)
+
+
+# ---------------------------------------------------------------------------
+# per-beam shift-reduce
+
+@dataclass
+class SRState:
+    """One beam of the per-beam shift-reduce encoder: its stack of (1,
+    width) node states, queue position, (1,) score and actions."""
+
+    stack: list
+    qpos: int
+    score: Tensor
+    actions: tuple
+
+
+def _sr_decision_logit(state, leaves, cell, decision, empty):
+    """The (1,) logit of [stack[-2]; stack[-1]; queue-front] as one row;
+    `empty` is the (1, d_h) zero row of a missing slot."""
+    stack = [_read_h(item, cell) for item in state.stack[-2:]]
+    qpos = state.qpos
+    qf = T.slice_rows(leaves, qpos, qpos + 1) \
+        if qpos < leaves.data.shape[0] else empty
+    x = T.concat([empty] * (2 - len(stack)) + stack + [qf], axis=1)
+    return T.add(T.reshape(T.matmul(x, decision.W), (1,)), decision.b)
+
+
+def per_beam_bsrp(leaves, cell, decision, cfg, rng=None):
+    """`encoders.encode_bsrp` with one `SRState` per beam: each beam runs
+    its own decision matmul and composes its own reduce, kept or not, and
+    the pool (per beam its shift, then its reduce) is truncated by
+    `plain_topk` over the pooled scores. Returns (encoding, final
+    BeamSet)."""
+    n = leaves.data.shape[0]
+    k = cfg.beam_size
+    dtype = leaves.data.dtype
+    empty = Tensor(np.zeros((1, leaves.data.shape[1]), dtype=dtype))
+    states = _lift(leaves, cell)
+    beams = [SRState(stack=[], qpos=0,
+                     score=Tensor(np.zeros(1, dtype=dtype)), actions=())]
+    branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) \
+        else "deterministic"
+    for _step in range(2 * n - 1):
+        pool = []
+        for st in beams:
+            logit = _sr_decision_logit(st, leaves, cell, decision, empty)
+            if st.qpos < n:
+                pool.append(SRState(
+                    stack=st.stack + [T.slice_rows(states, st.qpos,
+                                                   st.qpos + 1)],
+                    qpos=st.qpos + 1,
+                    score=T.add(st.score, T.logsigmoid(T.neg(logit))),
+                    actions=st.actions + ("s",)))
+            if len(st.stack) >= 2:
+                parent = _compose(st.stack[-2], st.stack[-1], cell)
+                pool.append(SRState(
+                    stack=st.stack[:-2] + [parent], qpos=st.qpos,
+                    score=T.add(st.score, T.logsigmoid(logit)),
+                    actions=st.actions + ("r",)))
+        idx = plain_topk([s.score.item() for s in pool], k,
+                         mode=branch_mode, rng=rng)
+        beams = [pool[i] for i in idx]
+    roots = _read_h(T.concat([st.stack[0] for st in beams]), cell)
+    scores = T.concat([st.score for st in beams], axis=0)
+    return merge_beams(roots, scores), \
+        BeamSet(roots, scores, [st.actions for st in beams])

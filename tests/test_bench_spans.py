@@ -80,3 +80,38 @@ def test_tracer_counts_truncation_alike_for_plain_and_onesoft(spans):
     pooled, kept = counts["plain"]
     assert counts["onesoft"] == counts["plain"]
     assert 0 < kept < pooled
+
+
+def test_tracer_sees_gumbel_composition_in_train(spans, tmp_path):
+    # the easy-first encoder runs the beam-tree loop with one beam; its
+    # compositions must still be counted under its own span, or the
+    # benchmark's gumbel_tree metrics read 0
+    cfg = make_config({"encoder": "gumbel", "d_e": "8", "d_h": "8",
+                       "dropout": "0.0", "max_epochs": "1",
+                       "batch_size": "2", "seed": "0"})
+    examples = [ex for ex in generate(GenConfig(
+        max_length=12, max_depth=2, min_args=2, max_args=3, count=8, seed=2))
+        if len(ex.source.split()) >= 4][:3]
+    tracer = spans.Tracer(MODULES)
+    tracer.install()
+    try:
+        tracer.begin_op("gumbel_tree")
+        harness.train(cfg, tmp_path / "run", examples[:2], examples[2:],
+                      log=lambda *_: None)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert "encoders.encode_easy_first_gumbel" in names
+
+    def under_easy_first(i):
+        while i >= 0:
+            if tracer.spans[i][0] == "encoders.encode_easy_first_gumbel":
+                return True
+            i = tracer.spans[i][3]
+        return False
+
+    assert any(name == "cells.grc_compose" and under_easy_first(i)
+               for i, name in enumerate(names))
+    metrics = tracer.per_layer(1.0, 0.0, 0.0, 1.0)
+    assert metrics["cells.composed_rows_per_ex.gumbel_tree"] > 0
+    assert metrics["encoders.total_ms_per_ex.gumbel_tree"] > 0

@@ -1,7 +1,6 @@
 import pytest
 
 from beamtree.cli import main
-from beamtree.harness import HarnessError
 from beamtree.listops import read_tsv
 
 
@@ -57,7 +56,7 @@ def test_gradcheck_command_passes(capsys):
     out = capsys.readouterr().out
     assert "gradcheck passed" in out
     for name in ("grc+scorer", "tree_lstm", "leaf_transform",
-                 "end_to_end_bt_onesoft"):
+                 "end_to_end_bt_onesoft", "end_to_end_bsrp"):
         assert name in out
 
 
@@ -67,5 +66,26 @@ def test_train_rejects_malformed_override(tmp_path):
 
 
 def test_train_refuses_workers_override(tmp_path):
-    with pytest.raises(HarnessError, match="run_experiments.py --workers"):
+    with pytest.raises(SystemExit, match="run_experiments.py --workers"):
         main(["train", "--out", str(tmp_path), "--workers=2"])
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("train", "--max_epochs=0", "max_epochs must be >= 1"),
+    ("train", "--bogus=1", "unknown config key 'bogus'"),
+    ("eval", "bogus=1", "unknown config key 'bogus'"),
+    ("parse", "encoder=transformer", "unknown encoder 'transformer'")])
+def test_config_errors_exit_with_one_message(tmp_path, command, setting,
+                                             message):
+    config = tmp_path / "config.txt"
+    config.write_text("" if command == "train" else setting + "\n")
+    args = {"train": ["--out", str(tmp_path / "run"), "--config", str(config),
+                      setting],
+            "eval": ["--config", str(config), "--checkpoint",
+                     str(tmp_path / "missing.ckpt"), "--split",
+                     str(tmp_path / "missing.tsv")],
+            "parse": ["--config", str(config), "--checkpoint",
+                      str(tmp_path / "missing.ckpt"), "--input", "[MAX 2 1 ]"]}
+    with pytest.raises(SystemExit, match=message):
+        main([command, *args[command]])
+    assert not (tmp_path / "run").exists()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (enumerate_merge_derivations, enumerate_sr_derivations,
-                     np_grc)
+                     np_grc, per_beam_bsrp)
 
 from beamtree import tensor as T
 from beamtree.cells import GrcParams, ScorerParams, TreeLstmParams
@@ -111,6 +111,22 @@ def test_bt_cell_k1_equals_greedy_easy_first():
         assert np.max(np.abs(bt_enc.data - ef_enc.data)) <= 1e-9, cell
         assert replay_actions(6, beams.actions[0]).to_string() == \
             tree.to_string(), cell
+
+
+def test_bt_cell_one_beam_training_trains_the_scorer():
+    # merge_beams gives a lone beam's score no gradient; one beam in
+    # training selects by straight-through Gumbel instead
+    grc, scorer = _params(seed=12)
+    rng = np.random.default_rng(13)
+    leaves = Tensor(rng.standard_normal((6, D_H)), requires_grad=True)
+    weights = Tensor(rng.standard_normal(D_H))
+    cfg = EncoderConfig(beam_size=1, training=True)
+    with Tape() as tape:
+        enc, beams = encode_bt_cell(leaves, grc, scorer, cfg,
+                                    rng=np.random.default_rng(14))
+        tape.backward(T.tsum(T.mul(enc, weights)))
+    assert len(beams) == 1 and len(beams.actions[0]) == 5
+    assert np.any(scorer.W_v.grad != 0.0)
 
 
 def test_bt_cell_two_tokens_no_score_increment():
@@ -359,6 +375,42 @@ def test_bsrp_backprops_to_decision_layer():
         enc, _ = encode_bsrp(leaves, grc, decision, cfg)
         tape.backward(T.tsum(enc))
     assert np.any(decision.W.grad != 0.0)
+
+
+def _bsrp_run(encode, cell, n, stochastic):
+    """Encoding, beam scores and actions, and every gradient of one
+    training-mode forward and backward pass of a beam-3 shift-reduce
+    encoder."""
+    params, _ = _cell_params(cell, seed=60 + n)
+    rng = np.random.default_rng(61 + n)
+    decision = BsrpParams.init(D_H, rng, np.float64)
+    leaves = Tensor(rng.standard_normal((n, D_H)), requires_grad=True)
+    weights = Tensor(rng.standard_normal(D_H))
+    cfg = EncoderConfig(beam_size=3, training=True, stochastic_topk=stochastic)
+    with Tape() as tape:
+        enc, beams = encode(leaves, params, decision, cfg,
+                            np.random.default_rng([n, 1]))
+        tape.backward(T.tsum(T.mul(enc, weights)))
+    grads = {name: p.grad.copy() for name, p in
+             {**params.named(), **decision.named(), "leaves": leaves}.items()}
+    return enc.data, beams.scores.data, beams.actions, grads
+
+
+@pytest.mark.parametrize("stochastic", [False, True])
+@pytest.mark.parametrize("cell", ["grc", "lstm"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_stacked_bsrp_matches_per_beam_reference(stochastic, cell, n):
+    enc, scores, actions, grads = _bsrp_run(encode_bsrp, cell, n, stochastic)
+    enc_o, scores_o, actions_o, grads_o = _bsrp_run(per_beam_bsrp, cell, n,
+                                                    stochastic)
+    assert actions == actions_o
+    assert np.max(np.abs(enc - enc_o)) <= 1e-12
+    assert scores.shape == scores_o.shape
+    assert np.max(np.abs(scores - scores_o)) <= 1e-12
+    for name, g in grads_o.items():
+        scale = max(np.max(np.abs(g)), 1e-300)
+        assert np.max(np.abs(grads[name] - g)) / scale <= 1e-10, name
+    assert np.any(grads_o["bsrp.W"] != 0.0)
 
 
 def test_encoder_config_validation():

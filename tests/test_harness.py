@@ -281,6 +281,16 @@ def test_train_writes_artifacts_and_timing_separate(tmp_path):
     assert "wall_seconds" in (out / "timing.log").read_text()
 
 
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_train_refuses_an_empty_split(tmp_path, split):
+    splits = {"train": _tiny_examples(4), "dev": _tiny_examples(2)}
+    splits[split] = []
+    with pytest.raises(HarnessError, match=split):
+        train(_tiny_cfg(), tmp_path / "run", splits["train"], splits["dev"],
+              log=lambda *_: None)
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_examples_counts_argmax(tmp_path):
     cfg = _tiny_cfg()
     model = Model(cfg)
