@@ -1,8 +1,8 @@
 """Latent-tree sequence encoders with beam search and relaxed top-k,
 trained end-to-end on ListOps generalization splits."""
 
-from .cells import GrcParams, LeafParams, ScorerParams, TreeLstmParams, \
-    grc_compose, leaf_transform_seq, score, tree_lstm_compose
+from .cells import GrcParams, LeafParams, ScorerParams, grc_compose, \
+    leaf_transform_seq, score
 from .encoders import BsrpParams, EncoderConfig, encode_bsrp, encode_bt_cell, \
     encode_easy_first_gumbel, encode_fixed_tree, encode_mc_gumbel, \
     encode_recurrent

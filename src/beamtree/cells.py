@@ -1,8 +1,8 @@
-"""Composition cells and scoring: gated recursive cell (GRC), binary
-tree-LSTM, the linear merge scorer, and the leaf transform.
+"""The composition cell and scoring: the gated recursive cell (GRC), the
+linear merge scorer, and the leaf transform.
 
-Node states are rows: the compose functions and `score` take (rows, d_h)
-matrices only, one row per node, so a whole batch of candidate parents goes
+Node states are rows: `grc_compose` and `score` take (rows, d_h) matrices
+only, one row per node, so a whole batch of candidate parents goes
 through one matmul and a single node is a (1, d_h) matrix. Any other rank
 raises `TensorError`.
 """
@@ -88,45 +88,6 @@ def grc_compose(left: Tensor, right: Tensor, p: GrcParams) -> Tensor:
 
     return T._make(out, (left, right, p.W1, p.b1, p.W2, p.b2, p.gamma,
                          p.beta), vjp)
-
-
-@dataclass
-class TreeLstmParams:
-    W: Tensor  # (2*d_h, 5*d_h): gates i, f_left, f_right, o, candidate g
-    b: Tensor  # (5*d_h,)
-    d_h: int
-
-    @classmethod
-    def init(cls, d_h: int, rng: np.random.Generator, dtype=np.float32):
-        return cls(
-            W=Tensor(T.glorot_uniform((2 * d_h, 5 * d_h), rng, dtype), requires_grad=True),
-            b=Tensor(np.zeros(5 * d_h, dtype=dtype), requires_grad=True),
-            d_h=d_h,
-        )
-
-    def named(self, prefix: str = "tree_lstm") -> dict:
-        return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
-
-
-def tree_lstm_compose(left, right, p: TreeLstmParams):
-    """Binary tree-LSTM with childwise forget gates.
-
-    `left`/`right` are (h, c) pairs of (rows, d_h) matrices; returns the
-    parent (h, c).
-    """
-    h_l, c_l = left
-    h_r, c_r = right
-    _need_rows(h_l, c_l, h_r, c_r)
-    d = p.d_h
-    gates = T.add_rowvec(T.matmul(T.concat([h_l, h_r], axis=1), p.W), p.b)
-    i, f_l, f_r, o, g = (T.slice_cols(gates, j * d, (j + 1) * d)
-                         for j in range(5))
-    c_new = T.add(
-        T.add(T.mul(T.sigmoid(f_l), c_l), T.mul(T.sigmoid(f_r), c_r)),
-        T.mul(T.sigmoid(i), T.tanh(g)),
-    )
-    h_new = T.mul(T.sigmoid(o), T.tanh(c_new))
-    return h_new, c_new
 
 
 @dataclass

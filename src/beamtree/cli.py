@@ -9,12 +9,13 @@ import numpy as np
 
 from . import gradcheck as gc
 from . import listops
-from .cells import GrcParams, LeafParams, ScorerParams, TreeLstmParams, \
-    leaf_transform_seq
+from .cells import GrcParams, LeafParams, ScorerParams, grc_compose, \
+    leaf_transform_seq, score
+from .checkpoint import CheckpointError
 from .encoders import encode_bt_cell
 from .harness import HarnessError, Model, RunConfig, evaluate_checkpoint, \
     load_config, load_model, make_config, train
-from .listops import GenConfig, build_splits
+from .listops import GenConfig, ListOpsError, build_splits
 from .parse_analysis import collapse_duplicates, extract_parses
 from .tensor import Tensor
 from . import tensor as T
@@ -81,8 +82,9 @@ def cmd_parse(args):
 
 
 def cmd_gradcheck(args):
-    """Double-precision finite-difference checks over every cell and the
-    end-to-end beam-tree and beam shift-reduce forwards."""
+    """Double-precision finite-difference checks of the gated cell with the
+    scorer, the leaf transform, and the end-to-end beam-tree and beam
+    shift-reduce forwards."""
     rng = np.random.default_rng(args.seed)
     d_h, d_e, vocab = 6, 5, len(listops.VOCAB)
     tol = 1e-4
@@ -96,7 +98,6 @@ def cmd_gradcheck(args):
         if not ok:
             failures.append(name)
 
-    from .cells import grc_compose, score, tree_lstm_compose
     grc = GrcParams.init(d_h, rng, np.float64)
     left = Tensor(rng.standard_normal((1, d_h)), requires_grad=True)
     right = Tensor(rng.standard_normal((1, d_h)), requires_grad=True)
@@ -104,16 +105,6 @@ def cmd_gradcheck(args):
     report("grc+scorer", gc.check_grads(
         lambda: score(grc_compose(left, right, grc), scorer),
         {**grc.named(), **scorer.named(), "left": left, "right": right}))
-
-    lstm = TreeLstmParams.init(d_h, rng, np.float64)
-    h_l, c_l, h_r, c_r = (Tensor(rng.standard_normal((1, d_h)))
-                          for _ in range(4))
-
-    def lstm_loss():
-        h, c = tree_lstm_compose((h_l, c_l), (h_r, c_r), lstm)
-        return T.tsum(T.mul(h, c))
-
-    report("tree_lstm", gc.check_grads(lstm_loss, lstm.named()))
 
     leaf = LeafParams.init(vocab, d_e, d_h, rng, np.float64)
     # plain sum of a layer-normed row is constant; probe with random weights
@@ -192,7 +183,8 @@ def main(argv=None):
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         args.func(args)
-    except HarnessError as e:  # bad config, empty split, non-finite loss
+    except (FileNotFoundError, CheckpointError, ListOpsError,
+            HarnessError) as e:  # a missing or bad file, config or split
         raise SystemExit(f"beamtree {args.command}: {e}") from None
 
 

@@ -1,7 +1,11 @@
-"""Sequence-to-vector encoders: recurrent fold, beam-tree recursion with
-easy-first Gumbel composition as its one-beam case, beam shift-reduce,
-Monte-Carlo averaging, and fixed-tree evaluation. The beam encoders hold an
-example's beams stacked, as rows of one matrix."""
+"""Sequence-to-vector encoders over the gated recursive cell: recurrent
+fold, beam-tree recursion with easy-first Gumbel composition as its one-beam
+case, beam shift-reduce, Monte-Carlo averaging, and fixed-tree evaluation.
+
+A node's state is its (1, d_h) row from the leaves to the root, and every
+composition is one `grc_compose` call over row-aligned children. The beam
+encoders hold an example's beams stacked, as rows of one matrix; the
+encoders return their encoding as a (d_h,) vector."""
 
 from __future__ import annotations
 
@@ -10,8 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .cells import GrcParams, ScorerParams, grc_compose, score, \
-    tree_lstm_compose
+from .cells import GrcParams, ScorerParams, grc_compose, score
 from .tensor import Tensor
 from .topk import BeamSet, collapse_tail, gumbel_noise, merge_beams, \
     plain_topk, truncate
@@ -41,36 +44,6 @@ class EncoderConfig:
             raise EncoderError("temperature must be positive")
 
 
-# A node's state is one row of a (rows, width) matrix, from `_lift` to the
-# root: h for the GRC, [h; c] for the tree-LSTM. Only the next three
-# functions know that layout. A single node is a (1, width) matrix; the
-# encoders return their encoding as a (d_h,) vector.
-
-def _lift(leaves: Tensor, cell) -> Tensor:
-    """States of leaf rows; tree-LSTM leaves get c = 0."""
-    if isinstance(cell, GrcParams):
-        return leaves
-    return T.concat([leaves, Tensor(np.zeros_like(leaves.data))], axis=1)
-
-
-def _compose(left: Tensor, right: Tensor, cell) -> Tensor:
-    """Parent states of row-aligned child states."""
-    if isinstance(cell, GrcParams):
-        return grc_compose(left, right, cell)
-    d = cell.d_h
-    h, c = tree_lstm_compose(
-        (T.slice_cols(left, 0, d), T.slice_cols(left, d, 2 * d)),
-        (T.slice_cols(right, 0, d), T.slice_cols(right, d, 2 * d)), cell)
-    return T.concat([h, c], axis=1)
-
-
-def _read_h(states: Tensor, cell) -> Tensor:
-    """The h part of states."""
-    if isinstance(cell, GrcParams):
-        return states
-    return T.slice_cols(states, 0, cell.d_h)
-
-
 # The easy-first and beam-tree encoders stack their beams: B beams of L
 # nodes are one (B*L, width) matrix of node states, one beam after another,
 # and the candidate parents of their adjacent pairs one (B*(L-1), width)
@@ -90,12 +63,12 @@ def _merge(nodes: Tensor, length: int, merged: Tensor, picks: list) -> Tensor:
 
 
 def _pairs(nodes: Tensor, length: int, cands: Tensor | None, merges: list,
-           cell):
+           cell: GrcParams):
     """Stacked candidate parents, (B*(length-1), width), of the stacked
     beams `nodes`, `length` rows each. merges[r] = (b, i, ...) says beam r
     is beam b of `cands` after merging its nodes i and i+1, so only the
     pairs beside the merged node are new; None says all pairs of beam r are
-    new. The new pairs are composed in one `_compose` call. With two nodes
+    new. The new pairs are composed in one `grc_compose` call. With two nodes
     per beam this is the (B, width) matrix of roots; with one, `nodes`."""
     if length == 1:
         return nodes
@@ -120,8 +93,8 @@ def _pairs(nodes: Tensor, length: int, cands: Tensor | None, merges: list,
                 b, i = merge[:2]
                 ids.append(b * length + j + (j > i))
     lefts = np.array(lefts)
-    new = _compose(T.rows_gather(nodes, lefts),
-                   T.rows_gather(nodes, lefts + 1), cell)
+    new = grc_compose(T.rows_gather(nodes, lefts),
+                      T.rows_gather(nodes, lefts + 1), cell)
     if len(lefts) == len(ids):
         return new
     return T.rows_gather(T.concat([cands, new], axis=0), ids)
@@ -130,48 +103,48 @@ def _pairs(nodes: Tensor, length: int, cands: Tensor | None, merges: list,
 # ---------------------------------------------------------------------------
 # recurrent / fixed-tree encoders
 
-def encode_recurrent(leaves: Tensor, cell, h0: Tensor | None = None) -> Tensor:
+def encode_recurrent(leaves: Tensor, cell: GrcParams,
+                     h0: Tensor | None = None) -> Tensor:
     """Left-to-right fold of the cell, optionally from a learned initial
     state h0 (folded as R(h0, first_leaf))."""
     n = leaves.data.shape[0]
     if n < 1:
         raise EncoderError("empty input")
-    states = _lift(leaves, cell)
     if h0 is not None:
-        state, first = _lift(T.reshape(h0, (1, -1)), cell), 0
+        state, first = T.reshape(h0, (1, -1)), 0
     else:
-        state, first = T.slice_rows(states, 0, 1), 1
+        state, first = T.slice_rows(leaves, 0, 1), 1
     for i in range(first, n):
-        state = _compose(state, T.slice_rows(states, i, i + 1), cell)
-    return T.reshape(_read_h(state, cell), (-1,))
+        state = grc_compose(state, T.slice_rows(leaves, i, i + 1), cell)
+    return T.reshape(state, (-1,))
 
 
-def encode_fixed_tree(leaves: Tensor, tree: ParseTree, cell) -> Tensor:
+def encode_fixed_tree(leaves: Tensor, tree: ParseTree,
+                      cell: GrcParams) -> Tensor:
     """Bottom-up evaluation of the cell along the given tree."""
     n = leaves.data.shape[0]
     if tree.n_leaves() != n:
         raise EncoderError(f"tree has {tree.n_leaves()} leaves for {n} tokens")
     if not tree.is_projective():
         raise EncoderError("non-projective tree")
-    root = _walk(tree, _lift(leaves, cell), cell)
-    return T.reshape(_read_h(root, cell), (-1,))
+    return T.reshape(_walk(tree, leaves, cell), (-1,))
 
 
-def _walk(t: ParseTree, states: Tensor, cell) -> Tensor:
+def _walk(t: ParseTree, leaves: Tensor, cell: GrcParams) -> Tensor:
     # a module-level function, not a closure that refers to itself: such a
     # closure is a reference cycle that keeps `cell`, its weights and their
     # gradients alive until the cyclic garbage collector runs
     if t.is_leaf:
-        return T.slice_rows(states, t.leaf, t.leaf + 1)
-    return _compose(_walk(t.left, states, cell), _walk(t.right, states, cell),
-                    cell)
+        return T.slice_rows(leaves, t.leaf, t.leaf + 1)
+    return grc_compose(_walk(t.left, leaves, cell),
+                       _walk(t.right, leaves, cell), cell)
 
 
 # ---------------------------------------------------------------------------
 # easy-first composition: beam-tree recursion with one beam
 
-def encode_easy_first_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
-                             cfg: EncoderConfig,
+def encode_easy_first_gumbel(leaves: Tensor, cell: GrcParams,
+                             scorer: ScorerParams, cfg: EncoderConfig,
                              rng: np.random.Generator | None = None):
     """Greedy easy-first composition (the Gumbel-Tree encoder): `encode_bt_cell`
     with one beam, whatever `cfg.beam_size` says. Returns (vector, tree)."""
@@ -180,7 +153,7 @@ def encode_easy_first_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
     return enc, replay_actions(leaves.data.shape[0], beams.actions[0])
 
 
-def encode_mc_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
+def encode_mc_gumbel(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
                      cfg: EncoderConfig, k: int,
                      rng: np.random.Generator | None = None) -> Tensor:
     """Unweighted mean of k independent easy-first-Gumbel passes with shared
@@ -197,7 +170,7 @@ def encode_mc_gumbel(leaves: Tensor, cell, scorer: ScorerParams,
 # ---------------------------------------------------------------------------
 # beam tree cell
 
-def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
+def encode_bt_cell(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
                    cfg: EncoderConfig,
                    rng: np.random.Generator | None = None):
     """Beam-search extension of easy-first composition.
@@ -216,7 +189,7 @@ def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
     with one softmax-weighted beam in one matmul; the interpolated beam
     carries its best member's actions, and every pair of it is composed.
     The beams stay stacked to the end: the last pairs of all beams are one
-    `_compose` call, and the encoding is `merge_beams` of the (B, d_h)
+    `grc_compose` call, and the encoding is `merge_beams` of the (B, d_h)
     roots and (B,) scores.
 
     With one beam this is easy-first composition. `merge_beams` gives a
@@ -232,13 +205,13 @@ def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
         raise EncoderError("empty input")
     k = cfg.beam_size
     branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) else "deterministic"
-    nodes, length = _lift(leaves, cell), n
+    nodes, length = leaves, n
     cands = _pairs(nodes, length, None, [None], cell)
     scores = Tensor(np.zeros(1, dtype=leaves.data.dtype))
     actions = [()]
 
     while length > 2:
-        raw = score(_read_h(cands, cell), scorer)
+        raw = score(cands, scorer)
         if k == 1 and cfg.training:
             # one beam in training: straight-through Gumbel
             noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
@@ -279,8 +252,7 @@ def encode_bt_cell(leaves: Tensor, cell, scorer: ScorerParams,
 
     if length == 2:
         actions = [a + (0,) for a in actions]
-    roots = _read_h(cands, cell)
-    return merge_beams(roots, scores), BeamSet(roots, scores, actions)
+    return merge_beams(cands, scores), BeamSet(cands, scores, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +274,10 @@ class BsrpParams:
         return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
 
 
-def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
-                rng: np.random.Generator | None = None):
+def encode_bsrp(leaves: Tensor, cell: GrcParams, decision: BsrpParams,
+                cfg: EncoderConfig, rng: np.random.Generator | None = None):
     """Beam search over shift-reduce derivations. The decision logit comes
-    from a linear layer over the h of [stack[-2]; stack[-1]; queue-front],
+    from a linear layer over [stack[-2]; stack[-1]; queue-front],
     zero for a missing slot; reduce scores log(sigmoid(logit)), shift
     log(1 - sigmoid(logit)). Invalid actions are masked out.
 
@@ -314,16 +286,15 @@ def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
     1..n the leaves, and a beam's stack is a tuple of row ids. A step is one
     decision matmul over the gathered rows of all beams, and the pool, per
     beam its shift then its reduce, goes through one `plain_topk`; only the
-    kept reduces are composed, in one `_compose` call whose parents are
+    kept reduces are composed, in one `grc_compose` call whose parents are
     appended to the table. Returns (encoding, final BeamSet)."""
     cfg.validate()
     n = leaves.data.shape[0]
     if n < 1:
         raise EncoderError("empty input")
-    states = _lift(leaves, cell)
-    dtype = states.data.dtype
-    table = T.concat([Tensor(np.zeros((1, states.data.shape[1]), dtype=dtype)),
-                      states], axis=0)
+    dtype = leaves.data.dtype
+    table = T.concat([Tensor(np.zeros((1, leaves.data.shape[1]), dtype=dtype)),
+                      leaves], axis=0)
     beams = [((), 0, ())]  # (stack row ids, queue position, actions)
     scores = Tensor(np.zeros(1, dtype=dtype))
     branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) else "deterministic"
@@ -332,7 +303,7 @@ def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
         width = len(beams)
         ids = [r for stack, q, _ in beams
                for r in ((0, 0) + stack)[-2:] + (q + 1 if q < n else 0,)]
-        x = T.reshape(_read_h(T.rows_gather(table, ids), cell), (width, -1))
+        x = T.reshape(T.rows_gather(table, ids), (width, -1))
         logit = T.reshape(T.add_rowvec(T.matmul(x, decision.W), decision.b),
                           (width,))
         # pool entry (b, a): beam b shifts (a = 0) or reduces (a = 1), and
@@ -352,9 +323,9 @@ def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
         base = table.data.shape[0]
         if reduces:
             left, right = zip(*reduces)
-            table = T.concat([table, _compose(T.rows_gather(table, left),
-                                              T.rows_gather(table, right),
-                                              cell)])
+            table = T.concat([table, grc_compose(T.rows_gather(table, left),
+                                                 T.rows_gather(table, right),
+                                                 cell)])
         new_beams = []
         for b, a in kept:
             stack, q, acts = beams[b]
@@ -365,7 +336,6 @@ def encode_bsrp(leaves: Tensor, cell, decision: BsrpParams, cfg: EncoderConfig,
                 new_beams.append((stack + (q + 1,), q + 1, acts + ("s",)))
         beams = new_beams
 
-    roots = _read_h(T.rows_gather(table, [stack[0] for stack, _, _ in beams]),
-                    cell)
+    roots = T.rows_gather(table, [stack[0] for stack, _, _ in beams])
     return merge_beams(roots, scores), \
         BeamSet(roots, scores, [acts for _, _, acts in beams])

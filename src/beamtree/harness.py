@@ -11,8 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .cells import GrcParams, LeafParams, ScorerParams, TreeLstmParams, \
-    leaf_transform_seq
+from .cells import GrcParams, LeafParams, ScorerParams, leaf_transform_seq
 from .checkpoint import load_checkpoint, restore, save_checkpoint
 from .encoders import BsrpParams, EncoderConfig, EncoderError, encode_bsrp, \
     encode_bt_cell, encode_easy_first_gumbel, encode_fixed_tree, \
@@ -31,10 +30,14 @@ class HarnessError(Exception):
     pass
 
 
+# keys that older run configs carry, with the one value that still loads:
+# runs no longer fork gradient workers, and the gated cell is the only cell
+RETIRED_KEYS = {"workers": "1", "cell": "grc"}
+
+
 @dataclass
 class RunConfig:
     encoder: str = "bt"
-    cell: str = "grc"
     beam_size: int = 5
     topk: str = "plain"
     temperature: float = 1.0
@@ -97,9 +100,9 @@ def load_config(path) -> RunConfig:
                 raise HarnessError(f"bad config line {line!r}")
             k, v = (part.strip() for part in line.split("=", 1))
             values[k] = v
-    # configs written while a run could fork gradient workers say workers=1
-    if values.get("workers") == "1":
-        del values["workers"]
+    for k, v in RETIRED_KEYS.items():
+        if values.get(k) == v:
+            del values[k]
     return make_config(values)
 
 
@@ -171,7 +174,7 @@ def classify(encoding: Tensor, head: HeadParams, dropout_rate: float = 0.0,
 
 
 class Model:
-    """Leaf transform + encoder cell + scorer + classifier head, with a
+    """Leaf transform + gated cell + scorer + classifier head, with a
     stable parameter naming for checkpoints."""
 
     def __init__(self, cfg: RunConfig):
@@ -180,12 +183,7 @@ class Model:
         rng = np.random.default_rng([cfg.seed, 0xBEEF])
         dtype = cfg.dtype
         self.leaf = LeafParams.init(cfg.vocab, cfg.d_e, cfg.d_h, rng, dtype)
-        if cfg.cell == "grc":
-            self.cell = GrcParams.init(cfg.d_h, rng, dtype)
-        elif cfg.cell == "lstm":
-            self.cell = TreeLstmParams.init(cfg.d_h, rng, dtype)
-        else:
-            raise HarnessError(f"unknown cell {cfg.cell!r}")
+        self.cell = GrcParams.init(cfg.d_h, rng, dtype)
         self.scorer = ScorerParams.init(cfg.d_h, rng, dtype)
         self.bsrp = BsrpParams.init(cfg.d_h, rng, dtype) \
             if cfg.encoder == "bsrp" else None
@@ -196,8 +194,7 @@ class Model:
     def named(self) -> dict:
         named = {}
         named.update(self.leaf.named())
-        named.update(self.cell.named("grc" if isinstance(self.cell, GrcParams)
-                                     else "tree_lstm"))
+        named.update(self.cell.named())
         named.update(self.scorer.named())
         if self.bsrp is not None:
             named.update(self.bsrp.named())
@@ -288,6 +285,8 @@ def _length_bucketed_batches(examples, batch_size: int, rng) -> list:
 
 def evaluate_examples(model: Model, examples) -> tuple:
     """(accuracy, mean loss) over `examples` in eval mode (no tape)."""
+    if not examples:
+        raise HarnessError("no examples to evaluate")
     correct = 0
     loss_sum = 0.0
     for ex in examples:
@@ -295,8 +294,7 @@ def evaluate_examples(model: Model, examples) -> tuple:
         if int(np.argmax(logits.data)) == ex.label:
             correct += 1
         loss_sum -= float(T.log_softmax(logits).data[ex.label])
-    n = max(len(examples), 1)
-    return correct / n, loss_sum / n
+    return correct / len(examples), loss_sum / len(examples)
 
 
 def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,

@@ -208,16 +208,22 @@ def write_tsv(path, examples):
 
 
 def read_tsv(path) -> list:
+    """Examples of a `source<TAB>label` file; blank lines are skipped."""
     out = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            source, label = line.split("\t")
+            try:
+                source, label = line.split("\t")
+                label = int(label)
+            except ValueError:
+                raise ListOpsError(f"{path}:{lineno}: expected source<TAB>"
+                                   f"integer label, got {line!r}") from None
             out.append(Example(
                 source=source,
-                label=int(label),
+                label=label,
                 length=len(source.split()),
                 depth=measure_depth(source),
                 max_args=measure_max_args(source),

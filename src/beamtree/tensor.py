@@ -29,7 +29,6 @@ __all__ = [
     "matmul",
     "sigmoid",
     "logsigmoid",
-    "tanh",
     "gelu",
     "tsum",
     "softmax",
@@ -278,11 +277,6 @@ def logsigmoid(a: Tensor) -> Tensor:
                              1.0 / (1.0 + np.exp(x))),)
 
     return _make(out.astype(x.dtype, copy=False), (a,), vjp)
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    return _make(t, (a,), lambda g: (g * (1.0 - t * t),))
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

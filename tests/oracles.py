@@ -1,5 +1,5 @@
 """Independent reference implementations used to cross-check the package:
-a plain-numpy gated cell and tree-LSTM, exhaustive enumeration of every
+a plain-numpy gated cell, exhaustive enumeration of every
 merge-order derivation, and exhaustive enumeration of shift-reduce
 derivations. These deliberately avoid the package's tensor machinery and
 use different library routines (norm.cdf, expit, scipy log_softmax) for the
@@ -27,8 +27,7 @@ from scipy.stats import norm
 
 from beamtree import encoders
 from beamtree import tensor as T
-from beamtree.cells import score
-from beamtree.encoders import _compose, _lift, _read_h
+from beamtree.cells import grc_compose, score
 from beamtree.tensor import Tensor
 from beamtree.topk import BeamSet, gumbel_noise, merge_beams, plain_topk
 from beamtree.trees import replay_actions
@@ -62,25 +61,6 @@ def composed_grc(left, right, p):
     return T.layer_norm(mix, p.gamma, p.beta)
 
 
-def np_tree_lstm(l, r, p):
-    """Binary tree-LSTM over [h; c] state vectors; returns the parent [h; c]."""
-    d = p.d_h
-    gates = np.concatenate([l[:d], r[:d]]) @ p.W.data + p.b.data
-    i, f_l, f_r, o, g = (gates[j * d:(j + 1) * d] for j in range(5))
-    c = expit(f_l) * l[d:] + expit(f_r) * r[d:] + expit(i) * np.tanh(g)
-    return np.concatenate([expit(o) * np.tanh(c), c])
-
-
-def _np_cell(cell):
-    """(compose, lift, read_h) over plain-numpy node states: the state is h
-    for the gated cell and [h; c] (leaves get c = 0) for the tree-LSTM."""
-    if hasattr(cell, "W1"):
-        return (lambda l, r: np_grc(l, r, cell)), (lambda h: h), (lambda s: s)
-    d = cell.d_h
-    return ((lambda l, r: np_tree_lstm(l, r, cell)),
-            (lambda h: np.concatenate([h, np.zeros(d)])), (lambda s: s[:d]))
-
-
 def np_score(v, scorer):
     return float(v @ scorer.W_v.data[:, 0])
 
@@ -88,43 +68,41 @@ def np_score(v, scorer):
 def enumerate_merge_derivations(leaves, cell, scorer):
     """All merge-order derivations as (actions, log_prob, encoding): at each
     step every adjacent pair may merge, scored by log-softmax over candidate
-    scores; the final two-node merge adds no score. `cell` is the gated
-    cell's or the tree-LSTM's parameters; the encoding is the root's h."""
-    compose, lift, read_h = _np_cell(cell)
+    scores; the final two-node merge adds no score. The encoding is the
+    root's state."""
     results = []
 
     def go(nodes, logp, actions):
         if len(nodes) == 1:
-            results.append((tuple(actions), logp, read_h(nodes[0])))
+            results.append((tuple(actions), logp, nodes[0]))
             return
-        parents = [compose(nodes[i], nodes[i + 1])
+        parents = [np_grc(nodes[i], nodes[i + 1], cell)
                    for i in range(len(nodes) - 1)]
         if len(nodes) == 2:
             go([parents[0]], logp, actions + [0])
             return
-        scores = sp_log_softmax(np.array([np_score(read_h(p), scorer)
+        scores = sp_log_softmax(np.array([np_score(p, scorer)
                                           for p in parents]))
         for i, parent in enumerate(parents):
             go(nodes[:i] + [parent] + nodes[i + 2:], logp + scores[i],
                actions + [i])
 
-    go([lift(h) for h in leaves], 0.0, [])
+    go(list(leaves), 0.0, [])
     return results
 
 
 def enumerate_sr_derivations(leaves, cell, decision):
     """All complete shift-reduce derivations as (actions, log_prob, vector).
-    One logit per state from the h of [stack[-2]; stack[-1]; queue-front]
-    with zero vectors for missing slots; reduce scores log(sigmoid), shift
-    the complement. The vector is the root's h."""
-    compose, lift, read_h = _np_cell(cell)
+    One logit per state from [stack[-2]; stack[-1]; queue-front] with zero
+    vectors for missing slots; reduce scores log(sigmoid), shift the
+    complement. The vector is the root's state."""
     n = len(leaves)
     results = []
 
     def logit(stack, qpos):
         d = leaves[0].shape[0]
-        s2 = read_h(stack[-2]) if len(stack) >= 2 else np.zeros(d)
-        s1 = read_h(stack[-1]) if len(stack) >= 1 else np.zeros(d)
+        s2 = stack[-2] if len(stack) >= 2 else np.zeros(d)
+        s1 = stack[-1] if len(stack) >= 1 else np.zeros(d)
         qf = leaves[qpos] if qpos < n else np.zeros(d)
         return float(np.concatenate([s2, s1, qf]) @ decision.W.data[:, 0]
                      + decision.b.data[0])
@@ -132,14 +110,14 @@ def enumerate_sr_derivations(leaves, cell, decision):
     def go(stack, qpos, logp, actions):
         if len(actions) == 2 * n - 1:
             assert len(stack) == 1 and qpos == n
-            results.append((tuple(actions), logp, read_h(stack[0])))
+            results.append((tuple(actions), logp, stack[0]))
             return
         z = logit(stack, qpos)
         if qpos < n:
-            go(stack + [lift(leaves[qpos])], qpos + 1,
+            go(stack + [leaves[qpos]], qpos + 1,
                logp + np.log(expit(-z)), actions + ["s"])
         if len(stack) >= 2:
-            parent = compose(stack[-2], stack[-1])
+            parent = np_grc(stack[-2], stack[-1], cell)
             go(stack[:-2] + [parent], qpos,
                logp + np.log(expit(z)), actions + ["r"])
 
@@ -180,11 +158,12 @@ def stack_machine_eval(source: str, med_even: str = "lower") -> int:
 # full-recompose encoders
 
 def _candidates(states, cell):
-    """Parent states of every adjacent pair of `states`. `_compose` is looked
-    up on the encoders module at call time, so a test can count its rows."""
+    """Parent states of every adjacent pair of `states`. `grc_compose` is
+    looked up on the encoders module at call time, so a test can count its
+    rows."""
     n = states.data.shape[0]
-    return encoders._compose(T.slice_rows(states, 0, n - 1),
-                             T.slice_rows(states, 1, n), cell)
+    return encoders.grc_compose(T.slice_rows(states, 0, n - 1),
+                                T.slice_rows(states, 1, n), cell)
 
 
 def _splice_rows(mat, start, stop, rows):
@@ -203,11 +182,11 @@ def full_recompose_easy_first_gumbel(leaves, cell, scorer, cfg, rng=None):
     """`encoders.encode_easy_first_gumbel` recomposing every adjacent pair
     on every step. Returns (vector, tree)."""
     n = leaves.data.shape[0]
-    nodes = _lift(leaves, cell)
+    nodes = leaves
     actions = []
     while nodes.data.shape[0] > 2:
         parents = _candidates(nodes, cell)
-        raw = score(_read_h(parents, cell), scorer)
+        raw = score(parents, scorer)
         if cfg.training:
             noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
             perturbed = T.add(raw, Tensor(noise))
@@ -223,10 +202,10 @@ def full_recompose_easy_first_gumbel(leaves, cell, scorer, cfg, rng=None):
         nodes = _splice_rows(nodes, hard, hard + 2, parent)
         actions.append(hard)
     if nodes.data.shape[0] == 2:
-        nodes = _compose(T.slice_rows(nodes, 0, 1), T.slice_rows(nodes, 1, 2),
-                         cell)
+        nodes = grc_compose(T.slice_rows(nodes, 0, 1),
+                            T.slice_rows(nodes, 1, 2), cell)
         actions.append(0)
-    return T.reshape(_read_h(nodes, cell), (-1,)), replay_actions(n, actions)
+    return T.reshape(nodes, (-1,)), replay_actions(n, actions)
 
 
 @dataclass
@@ -292,14 +271,14 @@ def full_recompose_bt_cell(leaves, cell, scorer, cfg, rng=None):
     BeamSet)."""
     k = cfg.beam_size
     zero = Tensor(np.zeros(1, dtype=leaves.data.dtype))
-    beams = [Beam(nodes=_lift(leaves, cell), score=zero)]
+    beams = [Beam(nodes=leaves, score=zero)]
     branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) \
         else "deterministic"
     while beams[0].nodes.data.shape[0] > 2:
         pool = []
         for beam in beams:
             parents = _candidates(beam.nodes, cell)
-            logp = T.log_softmax(score(_read_h(parents, cell), scorer))
+            logp = T.log_softmax(score(parents, scorer))
             for i in plain_topk(logp.data, k, mode=branch_mode, rng=rng):
                 pool.append(Beam(
                     nodes=_splice_rows(beam.nodes, i, i + 2,
@@ -311,10 +290,10 @@ def full_recompose_bt_cell(leaves, cell, scorer, cfg, rng=None):
     for beam in beams:
         root, acts = beam.nodes, beam.actions
         if root.data.shape[0] == 2:
-            root = _compose(T.slice_rows(root, 0, 1),
-                            T.slice_rows(root, 1, 2), cell)
+            root = grc_compose(T.slice_rows(root, 0, 1),
+                               T.slice_rows(root, 1, 2), cell)
             acts += (0,)
-        roots.append(T.reshape(_read_h(root, cell), (-1,)))
+        roots.append(T.reshape(root, (-1,)))
         actions.append(acts)
     scores = [beam.score for beam in beams]
     encoding = merge_beams_one_by_one(roots, scores)
@@ -336,10 +315,10 @@ class SRState:
     actions: tuple
 
 
-def _sr_decision_logit(state, leaves, cell, decision, empty):
+def _sr_decision_logit(state, leaves, decision, empty):
     """The (1,) logit of [stack[-2]; stack[-1]; queue-front] as one row;
     `empty` is the (1, d_h) zero row of a missing slot."""
-    stack = [_read_h(item, cell) for item in state.stack[-2:]]
+    stack = state.stack[-2:]
     qpos = state.qpos
     qf = T.slice_rows(leaves, qpos, qpos + 1) \
         if qpos < leaves.data.shape[0] else empty
@@ -357,7 +336,6 @@ def per_beam_bsrp(leaves, cell, decision, cfg, rng=None):
     k = cfg.beam_size
     dtype = leaves.data.dtype
     empty = Tensor(np.zeros((1, leaves.data.shape[1]), dtype=dtype))
-    states = _lift(leaves, cell)
     beams = [SRState(stack=[], qpos=0,
                      score=Tensor(np.zeros(1, dtype=dtype)), actions=())]
     branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) \
@@ -365,16 +343,16 @@ def per_beam_bsrp(leaves, cell, decision, cfg, rng=None):
     for _step in range(2 * n - 1):
         pool = []
         for st in beams:
-            logit = _sr_decision_logit(st, leaves, cell, decision, empty)
+            logit = _sr_decision_logit(st, leaves, decision, empty)
             if st.qpos < n:
                 pool.append(SRState(
-                    stack=st.stack + [T.slice_rows(states, st.qpos,
+                    stack=st.stack + [T.slice_rows(leaves, st.qpos,
                                                    st.qpos + 1)],
                     qpos=st.qpos + 1,
                     score=T.add(st.score, T.logsigmoid(T.neg(logit))),
                     actions=st.actions + ("s",)))
             if len(st.stack) >= 2:
-                parent = _compose(st.stack[-2], st.stack[-1], cell)
+                parent = grc_compose(st.stack[-2], st.stack[-1], cell)
                 pool.append(SRState(
                     stack=st.stack[:-2] + [parent], qpos=st.qpos,
                     score=T.add(st.score, T.logsigmoid(logit)),
@@ -382,7 +360,7 @@ def per_beam_bsrp(leaves, cell, decision, cfg, rng=None):
         idx = plain_topk([s.score.item() for s in pool], k,
                          mode=branch_mode, rng=rng)
         beams = [pool[i] for i in idx]
-    roots = _read_h(T.concat([st.stack[0] for st in beams]), cell)
+    roots = T.concat([st.stack[0] for st in beams])
     scores = T.concat([st.score for st in beams], axis=0)
     return merge_beams(roots, scores), \
         BeamSet(roots, scores, [st.actions for st in beams])

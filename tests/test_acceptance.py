@@ -18,7 +18,7 @@ from oracles import (enumerate_merge_derivations, enumerate_sr_derivations,
 
 from beamtree import tensor as T
 from beamtree.cells import GrcParams, LeafParams, ScorerParams, \
-    TreeLstmParams, grc_compose, leaf_transform_seq, score, tree_lstm_compose
+    grc_compose, leaf_transform_seq, score
 from beamtree.checkpoint import load_checkpoint, save_checkpoint
 from beamtree.encoders import (BsrpParams, EncoderConfig, encode_bsrp,
                                encode_bt_cell, encode_fixed_tree)
@@ -56,17 +56,6 @@ def test_criterion_gradients_all_components():
     worst["grc"] = max(check_grads(
         lambda: T.tsum(T.mul(grc_compose(l, r, grc), w)),
         {**grc.named(), "l": l, "r": r}).values())
-
-    lstm = TreeLstmParams.init(d_h, rng, np.float64)
-    pairs = [(Tensor(rng.standard_normal((1, d_h)), requires_grad=True),
-              Tensor(rng.standard_normal((1, d_h)), requires_grad=True))
-             for _ in range(2)]
-
-    def lstm_loss():
-        h, c = tree_lstm_compose(pairs[0], pairs[1], lstm)
-        return T.tsum(T.add(T.mul(h, w), T.mul(c, w)))
-
-    worst["tree_lstm"] = max(check_grads(lstm_loss, lstm.named()).values())
 
     scorer = ScorerParams.init(d_h, rng, np.float64)
     worst["scorer"] = max(check_grads(

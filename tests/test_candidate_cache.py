@@ -9,7 +9,7 @@ from oracles import full_recompose_bt_cell, full_recompose_easy_first_gumbel
 
 from beamtree import encoders
 from beamtree import tensor as T
-from beamtree.cells import GrcParams, ScorerParams, TreeLstmParams
+from beamtree.cells import GrcParams, ScorerParams
 from beamtree.encoders import EncoderConfig, encode_bt_cell, \
     encode_easy_first_gumbel
 from beamtree.tensor import Tape, Tensor
@@ -34,17 +34,16 @@ VARIANTS = {
 }
 
 
-def _model(cell, seed):
+def _model(seed):
     rng = np.random.default_rng(seed)
-    params = GrcParams.init(D_H, rng, np.float64) if cell == "grc" \
-        else TreeLstmParams.init(D_H, rng, np.float64)
+    params = GrcParams.init(D_H, rng, np.float64)
     return params, ScorerParams.init(D_H, rng, np.float64), rng
 
 
-def _run(encode, variant, cell, n, seed):
+def _run(encode, variant, n, seed):
     """Encoding, beam scores and actions, and every gradient of one
     training-mode forward and backward pass."""
-    params, scorer, rng = _model(cell, seed)
+    params, scorer, rng = _model(seed)
     leaves = Tensor(rng.standard_normal((n, D_H)), requires_grad=True)
     weights = Tensor(rng.standard_normal(D_H))
     with Tape() as tape:
@@ -61,14 +60,13 @@ def _run(encode, variant, cell, n, seed):
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
-@pytest.mark.parametrize("cell", ["grc", "lstm"])
-@pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
-def test_cached_candidates_match_full_recompose_in_training(variant, cell, n):
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 12], ids="{}-grc".format)
+def test_cached_candidates_match_full_recompose_in_training(variant, n):
     cached, oracle = (encode_easy_first_gumbel,
                       full_recompose_easy_first_gumbel) \
         if variant == "easy-first" else (encode_bt_cell, full_recompose_bt_cell)
-    enc, scores, actions, grads = _run(cached, variant, cell, n, seed=n)
-    enc_o, scores_o, actions_o, grads_o = _run(oracle, variant, cell, n, seed=n)
+    enc, scores, actions, grads = _run(cached, variant, n, seed=n)
+    enc_o, scores_o, actions_o, grads_o = _run(oracle, variant, n, seed=n)
     assert actions == actions_o
     assert np.max(np.abs(enc - enc_o)) <= 1e-12
     assert scores.shape == scores_o.shape
@@ -81,17 +79,17 @@ def test_cached_candidates_match_full_recompose_in_training(variant, cell, n):
 
 def test_bt_cell_composes_rows_linear_in_length(monkeypatch):
     n, k = 40, 3
-    params, scorer, rng = _model("grc", seed=0)
+    params, scorer, rng = _model(seed=0)
     leaves = Tensor(rng.standard_normal((n, D_H)))
     cfg = EncoderConfig(beam_size=k, training=False)
     rows = []
-    compose = encoders._compose
+    compose = encoders.grc_compose
 
     def counted(left, right, cell):
-        rows.append(left.data.shape[0] if left.data.ndim == 2 else 1)
+        rows.append(left.data.shape[0])
         return compose(left, right, cell)
 
-    monkeypatch.setattr(encoders, "_compose", counted)
+    monkeypatch.setattr(encoders, "grc_compose", counted)
     enc, _ = encode_bt_cell(leaves, params, scorer, cfg)
     cached_rows = sum(rows)
     rows.clear()

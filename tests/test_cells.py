@@ -3,9 +3,8 @@ import pytest
 from oracles import composed_grc
 
 from beamtree import tensor as T
-from beamtree.cells import (GrcParams, LeafParams, ScorerParams,
-                            TreeLstmParams, grc_compose, leaf_transform_seq,
-                            score, tree_lstm_compose)
+from beamtree.cells import (GrcParams, LeafParams, ScorerParams, grc_compose,
+                            leaf_transform_seq, score)
 from beamtree.gradcheck import check_grads, relative_error
 from beamtree.tensor import NonFiniteError, Tape, Tensor, TensorError
 
@@ -67,10 +66,8 @@ def test_grc_rows_match_single_rows():
 
 @pytest.mark.parametrize("call", [
     lambda v, row, rng: grc_compose(row, v, GrcParams.init(4, rng)),
-    lambda v, row, rng: tree_lstm_compose((v, row), (row, row),
-                                          TreeLstmParams.init(4, rng)),
     lambda v, row, rng: score(v, ScorerParams.init(4, rng)),
-], ids=["grc", "tree_lstm", "score"])
+], ids=["grc", "score"])
 def test_a_1d_state_is_rejected(call):
     # node states are (rows, width) matrices; a (d_h,) vector is an error
     rng = np.random.default_rng(31)
@@ -140,37 +137,6 @@ def test_grc_nan_input_raises():
     left[1, 2] = np.nan
     with pytest.raises(NonFiniteError):
         grc_compose(Tensor(left), Tensor(np.ones((2, 4))), p)
-
-
-def test_tree_lstm_zero_params_closed_form():
-    d_h = 4
-    p = TreeLstmParams.init(d_h, np.random.default_rng(0), np.float64)
-    p.W.data[...] = 0.0
-    rng = np.random.default_rng(13)
-    h_l, c_l = rng.standard_normal((1, d_h)), rng.standard_normal((1, d_h))
-    h_r, c_r = rng.standard_normal((1, d_h)), rng.standard_normal((1, d_h))
-    h, c = tree_lstm_compose((Tensor(h_l), Tensor(c_l)),
-                             (Tensor(h_r), Tensor(c_r)), p)
-    c_expect = 0.5 * (c_l + c_r)
-    assert np.allclose(c.data, c_expect, atol=1e-12)
-    assert np.allclose(h.data, 0.5 * np.tanh(c_expect), atol=1e-12)
-
-
-def test_tree_lstm_gradients():
-    d_h = 3
-    p = TreeLstmParams.init(d_h, np.random.default_rng(14), np.float64)
-    rng = np.random.default_rng(15)
-    pair = lambda: (Tensor(rng.standard_normal((1, d_h)), requires_grad=True),
-                    Tensor(rng.standard_normal((1, d_h)), requires_grad=True))
-    left, right = pair(), pair()
-
-    def loss():
-        h, c = tree_lstm_compose(left, right, p)
-        return T.tsum(T.add(T.mul(h, h), T.mul(c, c)))
-
-    errors = check_grads(loss, {**p.named(), "h_l": left[0], "c_l": left[1],
-                                "h_r": right[0], "c_r": right[1]})
-    assert max(errors.values()) <= 1e-4
 
 
 def test_score_shapes():

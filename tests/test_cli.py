@@ -55,7 +55,7 @@ def test_gradcheck_command_passes(capsys):
     main(["gradcheck", "--seed", "1"])
     out = capsys.readouterr().out
     assert "gradcheck passed" in out
-    for name in ("grc+scorer", "tree_lstm", "leaf_transform",
+    for name in ("grc+scorer", "leaf_transform",
                  "end_to_end_bt_onesoft", "end_to_end_bsrp"):
         assert name in out
 
@@ -89,3 +89,34 @@ def test_config_errors_exit_with_one_message(tmp_path, command, setting,
     with pytest.raises(SystemExit, match=message):
         main([command, *args[command]])
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("fault", ["no config", "no checkpoint",
+                                   "junk checkpoint", "malformed split",
+                                   "empty split"])
+def test_file_errors_exit_with_one_message(tmp_path, fault):
+    data = tmp_path / "data"
+    data.mkdir()
+    for split in ("train", "dev"):
+        (data / f"{split}.tsv").write_text("[MAX 2 [MIN 8 3 ] 1 ]\t3\n")
+    run = tmp_path / "run"
+    main(["train", "--out", str(run), "--encoder=gold", "--d_e=4", "--d_h=4",
+          "--max_epochs=1", f"--data_dir={data}"])
+    config, ckpt, split = run / "config.txt", run / "best.ckpt", data / "dev.tsv"
+    if fault == "no config":
+        config, message = tmp_path / "nope.txt", "No such file.*nope.txt"
+    elif fault == "no checkpoint":
+        ckpt, message = tmp_path / "nope.ckpt", "No such file.*nope.ckpt"
+    elif fault == "junk checkpoint":
+        ckpt.write_bytes(b"junk")
+        message = "bad magic bytes"
+    elif fault == "malformed split":
+        split.write_text("[MAX 2 1 ] 2\n")
+        message = "dev.tsv:1: "
+    else:
+        split.write_text("")
+        message = "no examples"
+    with pytest.raises(SystemExit, match=message) as info:
+        main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
+              "--split", str(split)])
+    assert str(info.value).startswith("beamtree eval: ")

@@ -9,7 +9,7 @@ from oracles import (enumerate_merge_derivations, enumerate_sr_derivations,
                      np_grc, per_beam_bsrp)
 
 from beamtree import tensor as T
-from beamtree.cells import GrcParams, ScorerParams, TreeLstmParams
+from beamtree.cells import GrcParams, ScorerParams
 from beamtree.encoders import (BsrpParams, EncoderConfig, EncoderError,
                                encode_bsrp, encode_bt_cell,
                                encode_easy_first_gumbel, encode_fixed_tree,
@@ -32,24 +32,9 @@ def _leaves(n, seed=1, d_h=D_H):
     return Tensor(rng.standard_normal((n, d_h)))
 
 
-def _cell_params(cell, seed):
-    """(cell params, scorer) for `grc` or `lstm`."""
-    if cell == "grc":
-        return _params(seed)
-    rng = np.random.default_rng(seed)
-    return (TreeLstmParams.init(D_H, rng, np.float64),
-            ScorerParams.init(D_H, rng, np.float64))
-
-
-def _cell_cases(ns):
-    """(cell, n) cases; the grc ones keep the plain `[n]` test ids."""
-    return [pytest.param(cell, n, id=str(n) if cell == "grc" else f"{cell}-{n}")
-            for cell in ("grc", "lstm") for n in ns]
-
-
-@pytest.mark.parametrize("cell,n", _cell_cases([3, 4, 5, 6]))
-def test_bt_cell_matches_exhaustive_enumeration(cell, n):
-    params, scorer = _cell_params(cell, seed=n)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_bt_cell_matches_exhaustive_enumeration(n):
+    params, scorer = _params(seed=n)
     leaves = _leaves(n, seed=n + 10)
     k = math.factorial(n - 1)
     cfg = EncoderConfig(beam_size=k, topk="plain", training=False)
@@ -104,13 +89,11 @@ def test_bt_cell_k1_equals_greedy_easy_first():
     from beamtree.trees import replay_actions
     leaves = _leaves(6, seed=7)
     cfg = EncoderConfig(beam_size=1, topk="plain", training=False)
-    for cell in ("grc", "lstm"):
-        params, scorer = _cell_params(cell, seed=6)
-        bt_enc, beams = encode_bt_cell(leaves, params, scorer, cfg)
-        ef_enc, tree = encode_easy_first_gumbel(leaves, params, scorer, cfg)
-        assert np.max(np.abs(bt_enc.data - ef_enc.data)) <= 1e-9, cell
-        assert replay_actions(6, beams.actions[0]).to_string() == \
-            tree.to_string(), cell
+    params, scorer = _params(seed=6)
+    bt_enc, beams = encode_bt_cell(leaves, params, scorer, cfg)
+    ef_enc, tree = encode_easy_first_gumbel(leaves, params, scorer, cfg)
+    assert np.max(np.abs(bt_enc.data - ef_enc.data)) <= 1e-9
+    assert replay_actions(6, beams.actions[0]).to_string() == tree.to_string()
 
 
 def test_bt_cell_one_beam_training_trains_the_scorer():
@@ -150,22 +133,6 @@ def test_bt_cell_single_token_identity():
     assert beams.actions[0] == ()
 
 
-def test_bt_cell_lstm_cell_runs_and_backprops():
-    rng = np.random.default_rng(12)
-    lstm = TreeLstmParams.init(D_H, rng, np.float64)
-    scorer = ScorerParams.init(D_H, rng, np.float64)
-    leaves = Tensor(rng.standard_normal((5, D_H)), requires_grad=True)
-    cfg = EncoderConfig(beam_size=2, topk="onesoft",
-                        training=True, stochastic_topk=False)
-    with Tape() as tape:
-        enc, _ = encode_bt_cell(leaves, lstm, scorer, cfg,
-                                rng=np.random.default_rng(0))
-        tape.backward(T.tsum(enc))
-    assert np.isfinite(enc.data).all()
-    assert np.any(leaves.grad != 0.0)
-    assert np.any(lstm.W.grad != 0.0)
-
-
 def test_bt_cell_onesoft_eval_equals_plain_eval():
     grc, scorer = _params(seed=13)
     leaves = _leaves(6, seed=14)
@@ -186,15 +153,6 @@ def test_recurrent_equals_left_chain_fixed_tree():
     leaves = _leaves(6, seed=16)
     rec = encode_recurrent(leaves, grc)
     chain = encode_fixed_tree(leaves, build_left_chain(6), grc)
-    assert np.max(np.abs(rec.data - chain.data)) <= 1e-12
-
-
-def test_recurrent_lstm_equals_left_chain():
-    rng = np.random.default_rng(17)
-    lstm = TreeLstmParams.init(D_H, rng, np.float64)
-    leaves = Tensor(rng.standard_normal((5, D_H)))
-    rec = encode_recurrent(leaves, lstm)
-    chain = encode_fixed_tree(leaves, build_left_chain(5), lstm)
     assert np.max(np.abs(rec.data - chain.data)) <= 1e-12
 
 
@@ -333,9 +291,9 @@ def test_mc_variance_shrinks_with_sample_count():
 # ---------------------------------------------------------------------------
 # beam shift-reduce
 
-@pytest.mark.parametrize("cell,n", _cell_cases([3, 4, 5]))
-def test_bsrp_matches_exhaustive_enumeration(cell, n):
-    params, _ = _cell_params(cell, seed=40 + n)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bsrp_matches_exhaustive_enumeration(n):
+    params, _ = _params(seed=40 + n)
     rng = np.random.default_rng(41)
     decision = BsrpParams.init(D_H, rng, np.float64)
     leaves = _leaves(n, seed=42 + n)
@@ -377,11 +335,11 @@ def test_bsrp_backprops_to_decision_layer():
     assert np.any(decision.W.grad != 0.0)
 
 
-def _bsrp_run(encode, cell, n, stochastic):
+def _bsrp_run(encode, n, stochastic):
     """Encoding, beam scores and actions, and every gradient of one
     training-mode forward and backward pass of a beam-3 shift-reduce
     encoder."""
-    params, _ = _cell_params(cell, seed=60 + n)
+    params, _ = _params(seed=60 + n)
     rng = np.random.default_rng(61 + n)
     decision = BsrpParams.init(D_H, rng, np.float64)
     leaves = Tensor(rng.standard_normal((n, D_H)), requires_grad=True)
@@ -397,11 +355,10 @@ def _bsrp_run(encode, cell, n, stochastic):
 
 
 @pytest.mark.parametrize("stochastic", [False, True])
-@pytest.mark.parametrize("cell", ["grc", "lstm"])
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-def test_stacked_bsrp_matches_per_beam_reference(stochastic, cell, n):
-    enc, scores, actions, grads = _bsrp_run(encode_bsrp, cell, n, stochastic)
-    enc_o, scores_o, actions_o, grads_o = _bsrp_run(per_beam_bsrp, cell, n,
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8], ids="{}-grc".format)
+def test_stacked_bsrp_matches_per_beam_reference(stochastic, n):
+    enc, scores, actions, grads = _bsrp_run(encode_bsrp, n, stochastic)
+    enc_o, scores_o, actions_o, grads_o = _bsrp_run(per_beam_bsrp, n,
                                                     stochastic)
     assert actions == actions_o
     assert np.max(np.abs(enc - enc_o)) <= 1e-12

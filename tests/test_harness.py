@@ -164,6 +164,12 @@ def test_config_drops_workers_1_and_refuses_other_workers(tmp_path):
         load_config(path)
     with pytest.raises(HarnessError, match="run_experiments.py --workers"):
         make_config({"workers": "1"})
+    # older run configs also name the cell, and the gated cell is the only one
+    path.write_text("encoder=gold\ncell=grc\nworkers=1\n")
+    assert load_config(path).encoder == "gold"
+    path.write_text("encoder=gold\ncell=lstm\n")
+    with pytest.raises(HarnessError, match="'cell'"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("text", ["ture", "", "2", "on", "y"])
@@ -289,6 +295,11 @@ def test_train_refuses_an_empty_split(tmp_path, split):
         train(_tiny_cfg(), tmp_path / "run", splits["train"], splits["dev"],
               log=lambda *_: None)
     assert not (tmp_path / "run").exists()
+
+
+def test_evaluate_examples_refuses_an_empty_split():
+    with pytest.raises(HarnessError, match="no examples"):
+        evaluate_examples(Model(_tiny_cfg()), [])
 
 
 def test_evaluate_examples_counts_argmax(tmp_path):

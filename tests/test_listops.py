@@ -134,6 +134,17 @@ def test_tsv_round_trip(tmp_path):
         [(e.source, e.label) for e in examples]
 
 
+@pytest.mark.parametrize("row", ["[MAX 2 9 ] 9", "[MAX 2 9 ]\t9\t1",
+                                 "[MAX 2 9 ]\tnine", "[MAX 2 9 ]\t"],
+                         ids=["no-tab", "two-tabs", "word-label",
+                              "empty-label"])
+def test_read_tsv_names_file_and_line_of_a_malformed_row(tmp_path, row):
+    path = tmp_path / "x.tsv"
+    path.write_text("[MIN 3 1 ]\t1\n\n" + row + "\n")
+    with pytest.raises(ListOpsError, match=r"x\.tsv:3: "):
+        read_tsv(path)
+
+
 def test_build_splits_length_gen_certified(tmp_path):
     train_cfg = GenConfig(max_length=30, max_depth=3, min_args=2, max_args=3)
     splits = build_splits("length_gen", tmp_path, seed=5, train_count=40,
