@@ -40,11 +40,16 @@ def _model(seed):
     return params, ScorerParams.init(D_H, rng, np.float64), rng
 
 
-def _run(encode, variant, n, seed):
+def _run(encode, variant, n, seed, repeated=False):
     """Encoding, beam scores and actions, and every gradient of one
-    training-mode forward and backward pass."""
+    training-mode forward and backward pass. With `repeated` the leaves are
+    rows of a three-token vocabulary, as an embedding lookup of a sequence
+    with repeated tokens gives, so equal pairs make equal candidates."""
     params, scorer, rng = _model(seed)
-    leaves = Tensor(rng.standard_normal((n, D_H)), requires_grad=True)
+    rows = rng.standard_normal((3 if repeated else n, D_H))
+    if repeated:
+        rows = rows[rng.integers(0, 3, size=n)]
+    leaves = Tensor(rows, requires_grad=True)
     weights = Tensor(rng.standard_normal(D_H))
     with Tape() as tape:
         enc, out = encode(leaves, params, scorer, VARIANTS[variant],
@@ -59,14 +64,21 @@ def _run(encode, variant, n, seed):
     return enc.data, np.array(scores), actions, grads
 
 
+LENGTHS = [8, 9, 10, 11, 12]
+
+
 @pytest.mark.parametrize("variant", list(VARIANTS))
-@pytest.mark.parametrize("n", [8, 9, 10, 11, 12], ids="{}-grc".format)
-def test_cached_candidates_match_full_recompose_in_training(variant, n):
+@pytest.mark.parametrize("n,repeated", [
+    *(pytest.param(n, False, id=f"{n}-grc") for n in LENGTHS),
+    *(pytest.param(n, True, id=f"{n}-grc-repeated") for n in LENGTHS)])
+def test_cached_candidates_match_full_recompose_in_training(variant, n,
+                                                            repeated):
     cached, oracle = (encode_easy_first_gumbel,
                       full_recompose_easy_first_gumbel) \
         if variant == "easy-first" else (encode_bt_cell, full_recompose_bt_cell)
-    enc, scores, actions, grads = _run(cached, variant, n, seed=n)
-    enc_o, scores_o, actions_o, grads_o = _run(oracle, variant, n, seed=n)
+    enc, scores, actions, grads = _run(cached, variant, n, n, repeated)
+    enc_o, scores_o, actions_o, grads_o = _run(oracle, variant, n, n,
+                                               repeated)
     assert actions == actions_o
     assert np.max(np.abs(enc - enc_o)) <= 1e-12
     assert scores.shape == scores_o.shape

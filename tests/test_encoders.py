@@ -27,15 +27,21 @@ def _params(seed=0, d_h=D_H):
     return grc, scorer
 
 
-def _leaves(n, seed=1, d_h=D_H):
+def _leaves(n, seed=1, d_h=D_H, repeated=False):
+    """n random leaf rows; with `repeated`, rows of a two-token vocabulary,
+    as an embedding lookup of a sequence with repeated tokens gives."""
     rng = np.random.default_rng(seed)
+    if repeated:
+        return Tensor(rng.standard_normal((2, d_h))[np.arange(n) % 2])
     return Tensor(rng.standard_normal((n, d_h)))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_bt_cell_matches_exhaustive_enumeration(n):
+@pytest.mark.parametrize("n,repeated", [
+    *(pytest.param(n, False, id=f"{n}") for n in [3, 4, 5, 6]),
+    *(pytest.param(n, True, id=f"{n}-repeated") for n in [3, 4, 5, 6])])
+def test_bt_cell_matches_exhaustive_enumeration(n, repeated):
     params, scorer = _params(seed=n)
-    leaves = _leaves(n, seed=n + 10)
+    leaves = _leaves(n, seed=n + 10, repeated=repeated)
     k = math.factorial(n - 1)
     cfg = EncoderConfig(beam_size=k, topk="plain", training=False)
     encoding, beams = encode_bt_cell(leaves, params, scorer, cfg)
@@ -291,12 +297,14 @@ def test_mc_variance_shrinks_with_sample_count():
 # ---------------------------------------------------------------------------
 # beam shift-reduce
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_bsrp_matches_exhaustive_enumeration(n):
+@pytest.mark.parametrize("n,repeated", [
+    *(pytest.param(n, False, id=f"{n}") for n in [3, 4, 5]),
+    *(pytest.param(n, True, id=f"{n}-repeated") for n in [3, 4, 5])])
+def test_bsrp_matches_exhaustive_enumeration(n, repeated):
     params, _ = _params(seed=40 + n)
     rng = np.random.default_rng(41)
     decision = BsrpParams.init(D_H, rng, np.float64)
-    leaves = _leaves(n, seed=42 + n)
+    leaves = _leaves(n, seed=42 + n, repeated=repeated)
     oracle = enumerate_sr_derivations([leaves.data[i].copy() for i in range(n)],
                                       params, decision)
     # Catalan(n-1) complete derivations
@@ -335,14 +343,18 @@ def test_bsrp_backprops_to_decision_layer():
     assert np.any(decision.W.grad != 0.0)
 
 
-def _bsrp_run(encode, n, stochastic):
+def _bsrp_run(encode, n, stochastic, repeated=False):
     """Encoding, beam scores and actions, and every gradient of one
     training-mode forward and backward pass of a beam-3 shift-reduce
-    encoder."""
+    encoder. With `repeated` the leaves are rows of a three-token
+    vocabulary, so equal stack contents make equal decisions."""
     params, _ = _params(seed=60 + n)
     rng = np.random.default_rng(61 + n)
     decision = BsrpParams.init(D_H, rng, np.float64)
-    leaves = Tensor(rng.standard_normal((n, D_H)), requires_grad=True)
+    rows = rng.standard_normal((3 if repeated else n, D_H))
+    if repeated:
+        rows = rows[rng.integers(0, 3, size=n)]
+    leaves = Tensor(rows, requires_grad=True)
     weights = Tensor(rng.standard_normal(D_H))
     cfg = EncoderConfig(beam_size=3, training=True, stochastic_topk=stochastic)
     with Tape() as tape:
@@ -354,12 +366,18 @@ def _bsrp_run(encode, n, stochastic):
     return enc.data, beams.scores.data, beams.actions, grads
 
 
+BSRP_LENGTHS = [3, 4, 5, 6, 7, 8]
+
+
 @pytest.mark.parametrize("stochastic", [False, True])
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8], ids="{}-grc".format)
-def test_stacked_bsrp_matches_per_beam_reference(stochastic, n):
-    enc, scores, actions, grads = _bsrp_run(encode_bsrp, n, stochastic)
+@pytest.mark.parametrize("n,repeated", [
+    *(pytest.param(n, False, id=f"{n}-grc") for n in BSRP_LENGTHS),
+    *(pytest.param(n, True, id=f"{n}-grc-repeated") for n in BSRP_LENGTHS)])
+def test_stacked_bsrp_matches_per_beam_reference(stochastic, n, repeated):
+    enc, scores, actions, grads = _bsrp_run(encode_bsrp, n, stochastic,
+                                            repeated)
     enc_o, scores_o, actions_o, grads_o = _bsrp_run(per_beam_bsrp, n,
-                                                    stochastic)
+                                                    stochastic, repeated)
     assert actions == actions_o
     assert np.max(np.abs(enc - enc_o)) <= 1e-12
     assert scores.shape == scores_o.shape
