@@ -1,6 +1,6 @@
 """Sequence-to-vector encoders over the gated recursive cell: recurrent
 fold, beam-tree recursion with easy-first Gumbel composition as its one-beam
-case, beam shift-reduce, Monte-Carlo averaging, and fixed-tree evaluation.
+case, beam shift-reduce, and fixed-tree evaluation.
 
 A node's state is its (1, d_h) row from the leaves to the root, and every
 composition is one `grc_compose` call over row-aligned children. The beam
@@ -29,7 +29,6 @@ class EncoderError(Exception):
 class EncoderConfig:
     beam_size: int = 5
     topk: str = "plain"  # plain | onesoft
-    temperature: float = 1.0
     stochastic_topk: bool = True
     training: bool = False
 
@@ -40,8 +39,6 @@ class EncoderConfig:
             raise EncoderError(f"unknown top-k operator {self.topk!r}")
         if self.topk == "onesoft" and self.beam_size < 2:
             raise EncoderError("onesoft needs beam size >= 2")
-        if self.temperature <= 0:
-            raise EncoderError("temperature must be positive")
 
 
 # The easy-first and beam-tree encoders stack their beams: B beams of L
@@ -153,20 +150,6 @@ def encode_easy_first_gumbel(leaves: Tensor, cell: GrcParams,
     return enc, replay_actions(leaves.data.shape[0], beams.actions[0])
 
 
-def encode_mc_gumbel(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
-                     cfg: EncoderConfig, k: int,
-                     rng: np.random.Generator | None = None) -> Tensor:
-    """Unweighted mean of k independent easy-first-Gumbel passes with shared
-    parameters and independent noise."""
-    if k < 1:
-        raise EncoderError("k must be >= 1")
-    total = None
-    for _ in range(k):
-        enc, _tree = encode_easy_first_gumbel(leaves, cell, scorer, cfg, rng)
-        total = enc if total is None else T.add(total, enc)
-    return T.mulc(total, 1.0 / k)
-
-
 # ---------------------------------------------------------------------------
 # beam tree cell
 
@@ -196,8 +179,8 @@ def encode_bt_cell(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
     lone beam's score no gradient, so one beam in training selects by
     straight-through Gumbel instead of branching and truncating: the
     forward commits to the argmax of the Gumbel-perturbed scores, the
-    backward follows softmax(perturbed / temperature), and the merged row
-    is that straight-through one-hot times the candidate matrix. Returns
+    backward follows softmax(perturbed), and the merged row is that
+    straight-through one-hot times the candidate matrix. Returns
     (encoding, final BeamSet)."""
     cfg.validate()
     n = leaves.data.shape[0]
@@ -217,7 +200,7 @@ def encode_bt_cell(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
             noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
             perturbed = T.add(raw, Tensor(noise))
             hard = int(np.argmax(perturbed.data))
-            soft = T.softmax(T.mulc(perturbed, 1.0 / cfg.temperature))
+            soft = T.softmax(perturbed)
             onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
             onehot[hard] = 1.0
             ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))

@@ -15,13 +15,13 @@ from .cells import GrcParams, LeafParams, ScorerParams, leaf_transform_seq
 from .checkpoint import load_checkpoint, restore, save_checkpoint
 from .encoders import BsrpParams, EncoderConfig, EncoderError, encode_bsrp, \
     encode_bt_cell, encode_easy_first_gumbel, encode_fixed_tree, \
-    encode_mc_gumbel, encode_recurrent
-from .listops import VOCAB, Example, read_tsv, tokenize
+    encode_recurrent
+from .listops import CLASSES, VOCAB, Example, read_tsv, tokenize
 from .tensor import AdamState, Tape, Tensor, adam_step, clip_grad_norm
-from .trees import build_balanced_tree, build_random_tree, gold_tree_listops
+from .trees import gold_tree_listops
 
-ENCODER_KINDS = ("recurrent", "gumbel", "bt", "bsrp", "mc", "gold",
-                 "balanced", "random")
+ENCODER_KINDS = ("recurrent", "gumbel", "bt", "bsrp", "gold")
+GRAD_CLIP = 5.0  # global norm every training step's gradient is clipped to
 BOOLS = {"1": True, "true": True, "yes": True,
          "0": False, "false": False, "no": False}
 
@@ -31,8 +31,13 @@ class HarnessError(Exception):
 
 
 # keys that older run configs carry, with the one value that still loads:
-# runs no longer fork gradient workers, and the gated cell is the only cell
-RETIRED_KEYS = {"workers": "1", "cell": "grc"}
+# runs no longer fork gradient workers, the gated cell is the only cell,
+# ListOps fixes the vocabulary and the labels, and every run trained with the
+# same straight-through temperature, Adam betas and epsilon, and clip norm
+RETIRED_KEYS = {"workers": "1", "cell": "grc", "temperature": "1.0",
+                "vocab": str(len(VOCAB)), "classes": str(CLASSES),
+                "beta1": "0.9", "beta2": "0.999", "adam_eps": "1e-08",
+                "grad_clip": str(GRAD_CLIP)}
 
 
 @dataclass
@@ -40,21 +45,14 @@ class RunConfig:
     encoder: str = "bt"
     beam_size: int = 5
     topk: str = "plain"
-    temperature: float = 1.0
     stochastic_topk: bool = True
     d_e: int = 128
     d_h: int = 128
-    vocab: int = len(VOCAB)
-    classes: int = 10
     dropout: float = 0.1
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 10
     patience: int = 5
-    grad_clip: float = 5.0
     seed: int = 0
     data_dir: str = ""
     precision: str = "single"  # single | double; double is for grad checks
@@ -76,6 +74,9 @@ class RunConfig:
             self.encoder_config(training=False).validate()
         except EncoderError as e:
             raise HarnessError(str(e)) from e
+        if self.topk != "plain" and self.encoder != "bt":
+            raise HarnessError(f"topk={self.topk} needs encoder=bt: the "
+                               f"{self.encoder} encoder has no OneSoft top-k")
 
     @property
     def dtype(self):
@@ -84,7 +85,6 @@ class RunConfig:
     def encoder_config(self, training: bool) -> EncoderConfig:
         return EncoderConfig(
             beam_size=self.beam_size, topk=self.topk,
-            temperature=self.temperature,
             stochastic_topk=self.stochastic_topk, training=training)
 
 
@@ -110,10 +110,13 @@ def make_config(overrides: dict) -> RunConfig:
     cfg = RunConfig()
     valid = {f.name: f.type for f in fields(RunConfig)}
     for k, v in overrides.items():
-        if k == "workers":
-            raise HarnessError("workers is not a config key: run several "
-                               "runs at once with scripts/run_experiments.py "
-                               "--workers")
+        if k in RETIRED_KEYS:
+            hint = ("; run several runs at once with "
+                    "scripts/run_experiments.py --workers"
+                    if k == "workers" else "")
+            raise HarnessError(f"retired config key {k!r}: only "
+                               f"{k}={RETIRED_KEYS[k]} loads, from a saved "
+                               f"run config{hint}")
         if k not in valid:
             raise HarnessError(f"unknown config key {k!r}")
         current = getattr(cfg, k)
@@ -182,14 +185,14 @@ class Model:
         self.cfg = cfg
         rng = np.random.default_rng([cfg.seed, 0xBEEF])
         dtype = cfg.dtype
-        self.leaf = LeafParams.init(cfg.vocab, cfg.d_e, cfg.d_h, rng, dtype)
+        self.leaf = LeafParams.init(len(VOCAB), cfg.d_e, cfg.d_h, rng, dtype)
         self.cell = GrcParams.init(cfg.d_h, rng, dtype)
         self.scorer = ScorerParams.init(cfg.d_h, rng, dtype)
         self.bsrp = BsrpParams.init(cfg.d_h, rng, dtype) \
             if cfg.encoder == "bsrp" else None
         self.h0 = Tensor(np.zeros(cfg.d_h, dtype=dtype), requires_grad=True) \
             if cfg.encoder == "recurrent" else None
-        self.head = HeadParams.init(cfg.d_h, cfg.classes, rng, dtype)
+        self.head = HeadParams.init(cfg.d_h, CLASSES, rng, dtype)
 
     def named(self) -> dict:
         named = {}
@@ -233,19 +236,8 @@ def _encode(model: Model, ex: Example, training: bool, rng) -> Tensor:
     if kind == "bsrp":
         enc, _beams = encode_bsrp(leaves, model.cell, model.bsrp, ecfg, rng)
         return enc
-    if kind == "mc":
-        return encode_mc_gumbel(leaves, model.cell, model.scorer, ecfg,
-                                cfg.beam_size, rng)
-    if kind == "gold":
-        tree = gold_tree_listops(ex.source.split())
-        return encode_fixed_tree(leaves, tree, model.cell)
-    if kind == "balanced":
-        return encode_fixed_tree(leaves, build_balanced_tree(len(ids)), model.cell)
-    # random heuristic tree, stable per example across epochs
-    tree_rng = np.random.default_rng([cfg.seed, 0x7EE, len(ids), ids[0],
-                                      sum(ids)])
-    return encode_fixed_tree(leaves, build_random_tree(len(ids), tree_rng),
-                             model.cell)
+    tree = gold_tree_listops(ex.source.split())  # "gold"
+    return encode_fixed_tree(leaves, tree, model.cell)
 
 
 def forward_logits(model: Model, ex: Example, training: bool, rng) -> Tensor:
@@ -316,8 +308,7 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
 
     model = Model(cfg)
     params = model.params()
-    state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                      eps=cfg.adam_eps)
+    state = AdamState(lr=cfg.lr)
     save_config(cfg, os.path.join(out_dir, "config.txt"))
     ckpt_path = os.path.join(out_dir, "best.ckpt")
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
@@ -344,7 +335,7 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
                 if not np.isfinite(mean_loss):
                     raise HarnessError(
                         f"non-finite loss at epoch {epoch} step {step}")
-                clip_grad_norm(grads, cfg.grad_clip)
+                clip_grad_norm(grads, GRAD_CLIP)
                 adam_step(params, grads, state)
                 loss_total += mean_loss * len(batch)
                 step += 1

@@ -9,7 +9,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 OPERATORS = ("MAX", "MIN", "MED", "SM")
-VOCAB = ["[MAX", "[MIN", "[MED", "[SM", "]"] + [str(d) for d in range(10)]
+CLASSES = 10  # every value, and so every label, is a digit 0-9
+VOCAB = ["[MAX", "[MIN", "[MED", "[SM", "]"] + [str(d) for d in range(CLASSES)]
 TOKEN_TO_ID = {t: i for i, t in enumerate(VOCAB)}
 CLOSE = "]"
 
@@ -117,35 +118,38 @@ def _apply(op: str, args, med_even: str) -> int:
 
 def measure_depth(source: str) -> int:
     """Maximum number of nested operators."""
-    depth = best = 0
-    for tok in source.split():
-        if tok.startswith("["):
-            depth += 1
-            best = max(best, depth)
-        elif tok == CLOSE:
-            depth -= 1
-    if depth != 0:
-        raise ListOpsError("unbalanced brackets")
-    return best
+    return _scan(source)[0]
 
 
 def measure_max_args(source: str) -> int:
-    return max(_arg_counts(source))
+    return max(_scan(source)[1], default=0)
 
 
-def _arg_counts(source: str) -> list:
-    counts = []
-    stack = []
-    for tok in source.split():
+def _scan(source: str) -> tuple:
+    """(maximum operator nesting, argument count of every operator) of one
+    expression, in one pass; a lone digit has depth 0 and no operators.
+    Raises ListOpsError for unbalanced brackets or tokens after the
+    expression."""
+    tokens = source.split()
+    if not tokens:
+        raise ListOpsError("empty source")
+    depth, counts, stack = 0, [], []
+    for i, tok in enumerate(tokens):
+        if i and not stack:
+            raise ListOpsError("tokens after the top-level expression")
         if tok.startswith("["):
             stack.append(0)
-        elif tok == CLOSE:
+            depth = max(depth, len(stack))
+            continue
+        if tok == CLOSE:
+            if not stack:
+                raise ListOpsError("unbalanced brackets")
             counts.append(stack.pop())
-            if stack:
-                stack[-1] += 1
-        else:
+        if stack:  # a digit, or the scope just closed, is one argument
             stack[-1] += 1
-    return counts
+    if stack:
+        raise ListOpsError("unbalanced brackets")
+    return depth, counts
 
 
 def _gen_operator(rng: np.random.Generator, cfg: GenConfig, depth: int) -> list:
@@ -169,16 +173,12 @@ def _make_example(rng: np.random.Generator, cfg: GenConfig,
         if not (cfg.min_length <= len(tokens) <= cfg.max_length):
             continue
         source = " ".join(tokens)
-        if cfg.require_exact_args is not None:
-            if cfg.require_exact_args not in _arg_counts(source):
-                continue
-        return Example(
-            source=source,
-            label=eval_listops(source, cfg.med_even),
-            length=len(tokens),
-            depth=measure_depth(source),
-            max_args=measure_max_args(source),
-        )
+        depth, counts = _scan(source)
+        if cfg.require_exact_args is not None and \
+                cfg.require_exact_args not in counts:
+            continue
+        return Example(source=source, label=eval_listops(source, cfg.med_even),
+                       length=len(tokens), depth=depth, max_args=max(counts))
     raise ListOpsError("could not satisfy generation bounds; config may be "
                        "unsatisfiable or too tight")
 
@@ -208,7 +208,8 @@ def write_tsv(path, examples):
 
 
 def read_tsv(path) -> list:
-    """Examples of a `source<TAB>label` file; blank lines are skipped."""
+    """Examples of a `source<TAB>label` file; blank lines are skipped. The
+    brackets and the label of every row are checked, not its value."""
     out = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -221,13 +222,16 @@ def read_tsv(path) -> list:
             except ValueError:
                 raise ListOpsError(f"{path}:{lineno}: expected source<TAB>"
                                    f"integer label, got {line!r}") from None
-            out.append(Example(
-                source=source,
-                label=label,
-                length=len(source.split()),
-                depth=measure_depth(source),
-                max_args=measure_max_args(source),
-            ))
+            if not 0 <= label < CLASSES:
+                raise ListOpsError(f"{path}:{lineno}: label {label} is not "
+                                   f"a digit 0-{CLASSES - 1}")
+            try:
+                depth, counts = _scan(source)
+            except ListOpsError as e:
+                raise ListOpsError(f"{path}:{lineno}: {e}") from None
+            out.append(Example(source=source, label=label,
+                               length=len(source.split()), depth=depth,
+                               max_args=max(counts, default=0)))
     return out
 
 

@@ -1,12 +1,10 @@
 """Binary parse trees over token positions, bracketed-string serialization,
-action-sequence replay, and heuristic tree builders."""
+action-sequence replay, and ListOps gold trees."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class TreeError(Exception):
@@ -145,38 +143,6 @@ def _parse_subtree(s: str, i: int, leaf_ids) -> tuple:
     if j == i:
         raise TreeError(f"empty token at position {i}")
     return leaf(next(leaf_ids)), j
-
-
-def build_balanced_tree(n: int) -> ParseTree:
-    """Pair adjacent nodes level by level; an odd trailing node is promoted."""
-    if n < 1:
-        raise TreeError("need at least one leaf")
-    level = [leaf(i) for i in range(n)]
-    while len(level) > 1:
-        nxt = [branch(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2 == 1:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
-
-def build_random_tree(n: int, rng: np.random.Generator) -> ParseTree:
-    """Repeatedly merge a uniformly random adjacent pair."""
-    if n < 1:
-        raise TreeError("need at least one leaf")
-    items = [leaf(i) for i in range(n)]
-    while len(items) > 1:
-        i = int(rng.integers(0, len(items) - 1))
-        items[i] = branch(items[i], items[i + 1])
-        del items[i + 1]
-    return items[0]
-
-
-def build_left_chain(n: int) -> ParseTree:
-    t = leaf(0)
-    for i in range(1, n):
-        t = branch(t, leaf(i))
-    return t
 
 
 def gold_tree_listops(tokens) -> ParseTree:

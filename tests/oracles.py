@@ -191,7 +191,7 @@ def full_recompose_easy_first_gumbel(leaves, cell, scorer, cfg, rng=None):
             noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
             perturbed = T.add(raw, Tensor(noise))
             hard = int(np.argmax(perturbed.data))
-            soft = T.softmax(T.mulc(perturbed, 1.0 / cfg.temperature))
+            soft = T.softmax(perturbed)
             onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
             onehot[hard] = 1.0
             ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))

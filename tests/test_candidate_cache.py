@@ -30,7 +30,7 @@ VARIANTS = {
     "bt-k5-eval": EncoderConfig(beam_size=5, training=False),
     "bt-k5-gumbel": EncoderConfig(beam_size=5, training=True,
                                   stochastic_topk=True),
-    "easy-first": EncoderConfig(beam_size=1, training=True, temperature=0.7),
+    "easy-first": EncoderConfig(beam_size=1, training=True),
 }
 
 

@@ -73,6 +73,10 @@ def test_train_refuses_workers_override(tmp_path):
 @pytest.mark.parametrize("command, setting, message", [
     ("train", "--max_epochs=0", "max_epochs must be >= 1"),
     ("train", "--bogus=1", "unknown config key 'bogus'"),
+    ("train", "--grad_clip=5.0", "retired config key 'grad_clip': only "
+     "grad_clip=5.0 loads"),
+    ("eval", "temperature=0.5", "retired config key 'temperature': only "
+     "temperature=1.0 loads"),
     ("eval", "bogus=1", "unknown config key 'bogus'"),
     ("parse", "encoder=transformer", "unknown encoder 'transformer'")])
 def test_config_errors_exit_with_one_message(tmp_path, command, setting,

@@ -13,9 +13,9 @@ from beamtree.cells import GrcParams, ScorerParams
 from beamtree.encoders import (BsrpParams, EncoderConfig, EncoderError,
                                encode_bsrp, encode_bt_cell,
                                encode_easy_first_gumbel, encode_fixed_tree,
-                               encode_mc_gumbel, encode_recurrent)
+                               encode_recurrent)
 from beamtree.tensor import Tape, Tensor
-from beamtree.trees import build_balanced_tree, build_left_chain, leaf, branch
+from beamtree.trees import branch, leaf, parse_tree_string, replay_actions
 
 D_H = 4
 
@@ -92,7 +92,6 @@ def test_bt_cell_best_score_monotone_in_beam_size():
 
 
 def test_bt_cell_k1_equals_greedy_easy_first():
-    from beamtree.trees import replay_actions
     leaves = _leaves(6, seed=7)
     cfg = EncoderConfig(beam_size=1, topk="plain", training=False)
     params, scorer = _params(seed=6)
@@ -158,7 +157,7 @@ def test_recurrent_equals_left_chain_fixed_tree():
     grc, _ = _params(seed=15)
     leaves = _leaves(6, seed=16)
     rec = encode_recurrent(leaves, grc)
-    chain = encode_fixed_tree(leaves, build_left_chain(6), grc)
+    chain = encode_fixed_tree(leaves, replay_actions(6, [0] * 5), grc)
     assert np.max(np.abs(rec.data - chain.data)) <= 1e-12
 
 
@@ -177,7 +176,7 @@ def test_recurrent_initial_state_folded_first():
 def test_fixed_tree_matches_reference_on_balanced():
     grc, _ = _params(seed=21)
     leaves = _leaves(4, seed=22)
-    out = encode_fixed_tree(leaves, build_balanced_tree(4), grc)
+    out = encode_fixed_tree(leaves, parse_tree_string("((0 1) (2 3))"), grc)
     l = np_grc(leaves.data[0], leaves.data[1], grc)
     r = np_grc(leaves.data[2], leaves.data[3], grc)
     assert np.max(np.abs(out.data - np_grc(l, r, grc))) <= 1e-9
@@ -190,7 +189,7 @@ def test_fixed_tree_records_at_most_two_per_leaf(n):
     grc, _ = _params(seed=21)
     leaves = Tensor(_leaves(n, seed=22).data, requires_grad=True)
     with Tape() as tape:
-        encode_fixed_tree(leaves, build_balanced_tree(n), grc)
+        encode_fixed_tree(leaves, replay_actions(n, [0] * (n - 1)), grc)
     assert len(tape.records) <= 2 * n
 
 
@@ -202,7 +201,8 @@ def test_fixed_tree_frees_the_cell_without_the_cycle_collector():
     gc.disable()
     try:
         with Tape():
-            encode_fixed_tree(_leaves(4, seed=22), build_balanced_tree(4), grc)
+            encode_fixed_tree(_leaves(4, seed=22),
+                              parse_tree_string("((0 1) (2 3))"), grc)
         del grc
         assert freed() is None
     finally:
@@ -213,7 +213,7 @@ def test_fixed_tree_rejects_leaf_mismatch_and_nonprojective():
     grc, _ = _params(seed=23)
     leaves = _leaves(3, seed=24)
     with pytest.raises(EncoderError):
-        encode_fixed_tree(leaves, build_balanced_tree(4), grc)
+        encode_fixed_tree(leaves, parse_tree_string("((0 1) (2 3))"), grc)
     crossed = branch(branch(leaf(1), leaf(0)), leaf(2))
     with pytest.raises(EncoderError):
         encode_fixed_tree(leaves, crossed, grc)
@@ -226,8 +226,7 @@ def test_easy_first_training_forward_is_hard():
     # the straight-through forward must equal evaluating the returned tree
     grc, scorer = _params(seed=25)
     leaves = _leaves(6, seed=26)
-    cfg = EncoderConfig(beam_size=1, training=True,
-                        temperature=2.0)
+    cfg = EncoderConfig(beam_size=1, training=True)
     enc, tree = encode_easy_first_gumbel(leaves, grc, scorer, cfg,
                                          rng=np.random.default_rng(3))
     fixed = encode_fixed_tree(leaves, tree, grc)
@@ -264,34 +263,6 @@ def test_easy_first_eval_deterministic():
     b, tb = encode_easy_first_gumbel(leaves, grc, scorer, cfg)
     assert np.array_equal(a.data, b.data)
     assert ta.to_string() == tb.to_string()
-
-
-def test_mc_mean_of_single_pass_matches():
-    grc, scorer = _params(seed=33)
-    leaves = _leaves(5, seed=34)
-    cfg = EncoderConfig(beam_size=1, training=True)
-    enc = encode_mc_gumbel(leaves, grc, scorer, cfg, k=1,
-                           rng=np.random.default_rng(9))
-    single, _ = encode_easy_first_gumbel(leaves, grc, scorer, cfg,
-                                         rng=np.random.default_rng(9))
-    assert np.max(np.abs(enc.data - single.data)) <= 1e-12
-
-
-def test_mc_variance_shrinks_with_sample_count():
-    grc, scorer = _params(seed=35)
-    leaves = _leaves(7, seed=36)
-    cfg = EncoderConfig(beam_size=1, training=True)
-
-    def sample_var(k, reps=60):
-        vals = []
-        for r in range(reps):
-            enc = encode_mc_gumbel(leaves, grc, scorer, cfg, k=k,
-                                   rng=np.random.default_rng([k, r]))
-            vals.append(enc.data[0])
-        return np.var(vals)
-
-    v1, v8 = sample_var(1), sample_var(8)
-    assert v8 < v1 * 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +364,6 @@ def test_encoder_config_validation():
         EncoderConfig(beam_size=0).validate()
     with pytest.raises(EncoderError):
         EncoderConfig(beam_size=1, topk="onesoft").validate()
-    with pytest.raises(EncoderError):
-        EncoderConfig(temperature=0.0).validate()
     with pytest.raises(EncoderError):
         EncoderConfig(topk="one_soft").validate()
     EncoderConfig(topk="plain").validate()

@@ -7,7 +7,8 @@ import pytest
 from beamtree import tensor as T
 from beamtree.checkpoint import (CheckpointError, load_checkpoint, restore,
                                  save_checkpoint)
-from beamtree.harness import (HarnessError, HeadParams, Model, classify,
+from beamtree.harness import (ENCODER_KINDS, RETIRED_KEYS, HarnessError,
+                              HeadParams, Model, RunConfig, classify,
                               evaluate_examples, example_loss, load_config,
                               load_model, make_config, save_config, train)
 from beamtree.listops import Example, GenConfig, generate
@@ -96,7 +97,8 @@ def test_restore_rejects_mismatch(tmp_path, saved, target, message):
 # config
 
 def test_config_file_round_trip(tmp_path):
-    cfg = _tiny_cfg(beam_size=3, topk="onesoft", stochastic_topk=False)
+    cfg = _tiny_cfg(encoder="bt", beam_size=3, topk="onesoft",
+                    stochastic_topk=False)
     path = tmp_path / "config.txt"
     save_config(cfg, path)
     back = load_config(path)
@@ -172,6 +174,30 @@ def test_config_drops_workers_1_and_refuses_other_workers(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+def test_config_loads_a_retired_key_only_at_its_one_value(tmp_path, key):
+    value = RETIRED_KEYS[key]
+    path = tmp_path / "c.txt"
+    path.write_text(f"encoder=gold\n{key}={value}\n")
+    assert load_config(path) == RunConfig(encoder="gold")
+    message = f"'{key}': only {key}={value} loads"
+    path.write_text(f"encoder=gold\n{key}=7\n")
+    with pytest.raises(HarnessError, match=message):
+        load_config(path)
+    # an override is never a saved run config, whatever its value
+    with pytest.raises(HarnessError, match=message):
+        make_config({key: value})
+
+
+@pytest.mark.parametrize("encoder", [k for k in ENCODER_KINDS if k != "bt"])
+def test_config_refuses_onesoft_without_beam_tree(encoder):
+    # only encode_bt_cell has a OneSoft truncation; the others would train
+    # exactly as with plain top-k without saying so
+    with pytest.raises(HarnessError, match="topk=onesoft needs encoder=bt"):
+        make_config({"encoder": encoder, "beam_size": "3", "topk": "onesoft"})
+    assert make_config({"encoder": encoder, "topk": "plain"}).topk == "plain"
+
+
 @pytest.mark.parametrize("text", ["ture", "", "2", "on", "y"])
 def test_config_rejects_bad_bool(text):
     with pytest.raises(HarnessError):
@@ -228,8 +254,7 @@ def test_model_init_deterministic_under_seed():
                    for k in a.named())
 
 
-@pytest.mark.parametrize("encoder", ["recurrent", "gumbel", "bt", "bsrp",
-                                     "mc", "gold", "balanced", "random"])
+@pytest.mark.parametrize("encoder", ENCODER_KINDS)
 def test_every_encoder_kind_forward_and_backward(encoder):
     cfg = _tiny_cfg(encoder=encoder, beam_size=2, max_epochs=1)
     model = Model(cfg)

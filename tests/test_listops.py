@@ -134,15 +134,36 @@ def test_tsv_round_trip(tmp_path):
         [(e.source, e.label) for e in examples]
 
 
-@pytest.mark.parametrize("row", ["[MAX 2 9 ] 9", "[MAX 2 9 ]\t9\t1",
-                                 "[MAX 2 9 ]\tnine", "[MAX 2 9 ]\t"],
-                         ids=["no-tab", "two-tabs", "word-label",
-                              "empty-label"])
-def test_read_tsv_names_file_and_line_of_a_malformed_row(tmp_path, row):
+@pytest.mark.parametrize("row, message", [
+    ("[MAX 2 9 ] 9", "expected source<TAB>integer label"),
+    ("[MAX 2 9 ]\t9\t1", "expected source<TAB>integer label"),
+    ("[MAX 2 9 ]\tnine", "expected source<TAB>integer label"),
+    ("[MAX 2 9 ]\t", "expected source<TAB>integer label"),
+    ("[MAX 1 ] 2\t2", "tokens after the top-level expression$"),
+    ("3 4\t3", "tokens after the top-level expression$"),
+    ("] 3\t3", "unbalanced brackets$"),
+    ("[MAX 1 [MIN 2 ]\t1", "unbalanced brackets$"),
+    ("\t3", "empty source$"),
+    ("[MAX 2 9 ]\t-1", "label -1 is not a digit 0-9$"),
+    ("[MAX 2 9 ]\t10", "label 10 is not a digit 0-9$")],
+    ids=["no-tab", "two-tabs", "word-label", "empty-label", "trailing-digit",
+         "two-digits", "stray-close", "unclosed", "empty-source",
+         "label-minus-1", "label-10"])
+def test_read_tsv_names_file_and_line_of_a_malformed_row(tmp_path, row,
+                                                         message):
     path = tmp_path / "x.tsv"
     path.write_text("[MIN 3 1 ]\t1\n\n" + row + "\n")
-    with pytest.raises(ListOpsError, match=r"x\.tsv:3: "):
+    with pytest.raises(ListOpsError, match=rf"x\.tsv:3: {message}"):
         read_tsv(path)
+
+
+def test_read_tsv_accepts_a_one_digit_source(tmp_path):
+    path = tmp_path / "x.tsv"
+    path.write_text("3\t3\n[SM 1 [MIN 4 5 ] 2 ]\t7\n")
+    one, nested = read_tsv(path)
+    assert eval_listops(one.source) == one.label
+    assert (one.length, one.depth, one.max_args) == (1, 0, 0)
+    assert (nested.length, nested.depth, nested.max_args) == (8, 2, 3)
 
 
 def test_build_splits_length_gen_certified(tmp_path):

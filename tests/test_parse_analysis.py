@@ -8,7 +8,7 @@ from beamtree.parse_analysis import (BeamParse, ParseAnalysisError,
                                      tree_agreement)
 from beamtree.tensor import Tensor
 from beamtree.topk import BeamSet
-from beamtree.trees import build_left_chain, parse_tree_string, replay_actions
+from beamtree.trees import parse_tree_string, replay_actions
 
 
 def _run_bt(n, k, seed=0):
@@ -60,7 +60,7 @@ def test_agreement_identical_trees():
 
 
 def test_agreement_left_vs_right_chain_n4():
-    left = build_left_chain(4)
+    left = replay_actions(4, [0, 0, 0])
     right = replay_actions(4, [2, 1, 0])
     # spans {(0,1),(0,2),(0,3)} vs {(2,3),(1,3),(0,3)}: one of three shared
     assert tree_agreement(left, right) == pytest.approx(1.0 / 3.0)
@@ -68,10 +68,10 @@ def test_agreement_left_vs_right_chain_n4():
 
 def test_agreement_symmetric():
     rng = np.random.default_rng(3)
-    from beamtree.trees import build_random_tree
     for _ in range(10):
-        a = build_random_tree(6, rng)
-        b = build_random_tree(6, rng)
+        # two trees of 6 leaves, each merging random adjacent pairs
+        a, b = (replay_actions(6, [int(rng.integers(0, 5 - j))
+                                   for j in range(5)]) for _ in range(2))
         assert tree_agreement(a, b) == pytest.approx(tree_agreement(b, a))
 
 
@@ -82,4 +82,5 @@ def test_agreement_single_leaf():
 
 def test_agreement_leaf_count_mismatch():
     with pytest.raises(ParseAnalysisError):
-        tree_agreement(build_left_chain(3), build_left_chain(4))
+        tree_agreement(replay_actions(3, [0, 0]),
+                       replay_actions(4, [0, 0, 0]))

@@ -6,6 +6,7 @@ committed reduced-profile split in results/data-mid. The `--workers` tests
 train gold_tree and recurrent on a tiny profile.
 """
 
+import glob
 import importlib.util
 import json
 import multiprocessing
@@ -117,6 +118,27 @@ def test_reduced_profile_defaults_to_the_data_its_runs_used():
     R.ensure_data(DATA_MID, p, 100)
     assert R.run_config("gold_tree", 0, p, DATA_MID).data_dir == \
         "results/data-mid"
+
+
+COMMITTED_RUNS = sorted(
+    os.path.basename(d) for d in
+    glob.glob(os.path.join(ROOT, "results", "runs-reduced", "*-s*")))
+
+
+@pytest.mark.parametrize("run", COMMITTED_RUNS)
+def test_committed_runs_match_the_reduced_sweep(run):
+    # their config.txt files carry keys since retired; the cache must still
+    # accept every one without retraining
+    name, seed = run.rsplit("-s", 1)
+    p = R.PROFILES["reduced"]
+    R.check_cached(os.path.join(ROOT, "results", "runs-reduced", run),
+                   R.run_config(name, int(seed), p, DATA_MID),
+                   R.data_sha256(DATA_MID))
+
+
+def test_all_committed_runs_are_checked():
+    # the 15 runs committed when their keys were retired, and any later one
+    assert len(COMMITTED_RUNS) >= 15
 
 
 # small enough that the four runs of TINY_RUNS train in about a second

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from beamtree.trees import (TreeError, build_balanced_tree,
-                            build_left_chain, build_random_tree,
-                            gold_tree_listops, parse_tree_string,
+from beamtree.trees import (TreeError, gold_tree_listops, parse_tree_string,
                             replay_actions, tree_to_actions)
+
+BALANCED_8 = parse_tree_string("(((0 1) (2 3)) ((4 5) (6 7)))")
+
+
+def _random_tree(n, rng):
+    """n leaves merged one uniformly random adjacent pair at a time."""
+    return replay_actions(n, [int(rng.integers(0, n - 1 - j))
+                              for j in range(n - 1)])
 
 
 def test_replay_left_chain():
@@ -36,31 +42,21 @@ def test_tree_action_round_trip():
     rng = np.random.default_rng(0)
     for n in range(1, 9):
         for _ in range(5):
-            t = build_random_tree(n, rng)
+            t = _random_tree(n, rng)
             assert replay_actions(n, tree_to_actions(t)).to_string() == t.to_string()
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**31 - 1))
 def test_random_tree_projective(n, seed):
-    t = build_random_tree(n, np.random.default_rng(seed))
+    t = _random_tree(n, np.random.default_rng(seed))
     assert t.is_projective()
     assert t.n_leaves() == n
-
-
-def test_balanced_tree_shape():
-    assert build_balanced_tree(4).to_string() == "((0 1) (2 3))"
-    assert build_balanced_tree(5).to_string() == "(((0 1) (2 3)) 4)"
-    assert build_balanced_tree(1).to_string() == "0"
-
-
-def test_left_chain_shape():
-    assert build_left_chain(4).to_string() == "(((0 1) 2) 3)"
 
 
 def test_parse_string_round_trip():
     rng = np.random.default_rng(1)
     for n in range(1, 8):
-        t = build_random_tree(n, rng)
+        t = _random_tree(n, rng)
         s = t.to_string()
         assert parse_tree_string(s).to_string() == s
 
@@ -102,9 +98,9 @@ def test_gold_tree_rejects_unclosed():
 
 @pytest.mark.parametrize("call", [
     lambda: gold_tree_listops("[SM 1 [MIN 4 5 ] 2 ]".split()),
-    lambda: build_balanced_tree(8).internal_spans(),
-    lambda: build_balanced_tree(8).to_string(),
-    lambda: tree_to_actions(build_balanced_tree(8)),
+    lambda: BALANCED_8.internal_spans(),
+    lambda: BALANCED_8.to_string(),
+    lambda: tree_to_actions(BALANCED_8),
     lambda: parse_tree_string("((a b) c)"),
 ], ids=["gold_tree_listops", "internal_spans", "to_string", "tree_to_actions",
         "parse_tree_string"])
