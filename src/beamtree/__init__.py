@@ -3,7 +3,7 @@ trained end-to-end on ListOps generalization splits."""
 
 from .cells import GrcParams, LeafParams, ScorerParams, grc_compose, \
     leaf_transform_seq, score
-from .encoders import BsrpParams, EncoderConfig, encode_bsrp, encode_bt_cell, \
+from .encoders import BsrpParams, encode_bsrp, encode_bt_cell, \
     encode_easy_first_gumbel, encode_fixed_tree, encode_recurrent
 from .harness import Model, RunConfig, classify, evaluate_checkpoint, train
 from .listops import GenConfig, build_splits, eval_listops, generate, tokenize

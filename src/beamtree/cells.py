@@ -131,13 +131,14 @@ class LeafParams:
 
 
 def leaf_transform_seq(token_ids, p: LeafParams, dropout_rate: float = 0.0,
-                       training: bool = False, rng: np.random.Generator | None = None):
+                       rng: np.random.Generator | None = None):
     """Embed a token sequence and project to d_h: LN(embed(ids) @ projection).
 
-    Dropout applies to the embeddings only in training mode. Returns (n, d_h).
+    Dropout applies to the embeddings only when given an rng, in training.
+    Returns (n, d_h).
     """
     emb = T.rows_gather(p.embedding, token_ids)
-    if training and dropout_rate > 0.0:
+    if rng is not None and dropout_rate > 0.0:
         emb = T.dropout(emb, dropout_rate, rng)
     return T.layer_norm(T.matmul(emb, p.projection), p.gamma, p.beta)
 

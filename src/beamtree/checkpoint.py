@@ -7,6 +7,7 @@ little-endian float32. All integers little-endian.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -61,6 +62,7 @@ def _read_u32(f) -> int:
 
 def load_checkpoint(path) -> dict:
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         if f.read(4) != MAGIC:
             raise CheckpointError("bad magic bytes")
         version = _read_u32(f)
@@ -70,8 +72,12 @@ def load_checkpoint(path) -> dict:
         for _ in range(_read_u32(f)):
             name = _read(f, _read_u32(f)).decode("utf-8")
             shape = tuple(_read_u32(f) for _ in range(_read_u32(f)))
-            n = int(np.prod(shape)) if shape else 1
-            named[name] = np.frombuffer(_read(f, 4 * n),
+            payload = 4 * math.prod(shape)  # Python ints: no overflow
+            if payload > size - f.tell():
+                raise CheckpointError(
+                    f"tensor {name} declares shape {shape}, {payload} bytes, "
+                    f"but {size - f.tell()} bytes are left in the file")
+            named[name] = np.frombuffer(_read(f, payload),
                                         dtype="<f4").reshape(shape).copy()
         if f.read(1):
             raise CheckpointError("trailing bytes after the last tensor")

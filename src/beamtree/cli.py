@@ -12,7 +12,7 @@ from . import listops
 from .cells import GrcParams, LeafParams, ScorerParams, grc_compose, \
     leaf_transform_seq, score
 from .checkpoint import CheckpointError
-from .encoders import encode_bt_cell
+from .encoders import EncoderError, encode_bt_cell
 from .harness import HarnessError, Model, RunConfig, evaluate_checkpoint, \
     load_config, load_model, make_config, train
 from .listops import GenConfig, ListOpsError, build_splits
@@ -71,12 +71,15 @@ def cmd_parse(args):
     if cfg.encoder != "bt":
         raise SystemExit(f"parse reads beam-tree parses; the config's "
                          f"encoder is {cfg.encoder!r}, not 'bt'")
+    try:
+        listops.scan(args.input)  # checked like a row of a split
+    except ListOpsError as e:
+        raise ListOpsError(f"--input: {e}") from None
     model = load_model(cfg, args.checkpoint)
     tokens = args.input.split()
-    ids = listops.tokenize(" ".join(tokens))
-    leaves = leaf_transform_seq(ids, model.leaf)
-    ecfg = cfg.encoder_config(training=False)
-    _enc, beams = encode_bt_cell(leaves, model.cell, model.scorer, ecfg)
+    leaves = leaf_transform_seq(listops.tokenize(args.input), model.leaf)
+    _enc, beams = encode_bt_cell(leaves, model.cell, model.scorer,
+                                 cfg.beam_size)
     for parse in collapse_duplicates(extract_parses(beams, tokens)):
         print(f"{parse.probability:.4f}\t{parse.tree}")
 
@@ -119,7 +122,7 @@ def cmd_gradcheck(args):
                                 ("end_to_end_bsrp", "bsrp", "plain")):
         cfg = make_config({"encoder": encoder, "beam_size": "3", "topk": topk,
                            "d_e": str(d_e), "d_h": str(d_h),
-                           "precision": "double", "stochastic_topk": "false",
+                           "precision": "double",
                            "dropout": "0.0", "seed": str(args.seed)})
         model = Model(cfg)
         report(name, gc.check_grads(
@@ -183,8 +186,8 @@ def main(argv=None):
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         args.func(args)
-    except (FileNotFoundError, CheckpointError, ListOpsError,
-            HarnessError) as e:  # a missing or bad file, config or split
+    except (FileNotFoundError, CheckpointError, EncoderError, ListOpsError,
+            HarnessError) as e:  # a missing or bad file, config, split or input
         raise SystemExit(f"beamtree {args.command}: {e}") from None
 
 

@@ -5,11 +5,16 @@ case, beam shift-reduce, and fixed-tree evaluation.
 A node's state is its (1, d_h) row from the leaves to the root, and every
 composition is one `grc_compose` call over row-aligned children. The beam
 encoders hold an example's beams stacked, as rows of one matrix; the
-encoders return their encoding as a (d_h,) vector."""
+encoders return their encoding as a (d_h,) vector.
+
+The rng is the one switch for randomness: the latent-tree encoders draw
+Gumbel noise (perturbed branching and truncation, and one beam's
+straight-through selection) if and only if they are given an rng, so a
+caller trains with one and evaluates without."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,22 +28,6 @@ from .trees import ParseTree, replay_actions
 
 class EncoderError(Exception):
     pass
-
-
-@dataclass
-class EncoderConfig:
-    beam_size: int = 5
-    topk: str = "plain"  # plain | onesoft
-    stochastic_topk: bool = True
-    training: bool = False
-
-    def validate(self):
-        if self.beam_size < 1:
-            raise EncoderError("beam size must be >= 1")
-        if self.topk not in ("plain", "onesoft"):
-            raise EncoderError(f"unknown top-k operator {self.topk!r}")
-        if self.topk == "onesoft" and self.beam_size < 2:
-            raise EncoderError("onesoft needs beam size >= 2")
 
 
 # The easy-first and beam-tree encoders stack their beams: B beams of L
@@ -100,18 +89,14 @@ def _pairs(nodes: Tensor, length: int, cands: Tensor | None, merges: list,
 # ---------------------------------------------------------------------------
 # recurrent / fixed-tree encoders
 
-def encode_recurrent(leaves: Tensor, cell: GrcParams,
-                     h0: Tensor | None = None) -> Tensor:
-    """Left-to-right fold of the cell, optionally from a learned initial
-    state h0 (folded as R(h0, first_leaf))."""
+def encode_recurrent(leaves: Tensor, cell: GrcParams, h0: Tensor) -> Tensor:
+    """Left-to-right fold of the cell from the learned initial state h0,
+    folded as R(h0, first_leaf)."""
     n = leaves.data.shape[0]
     if n < 1:
         raise EncoderError("empty input")
-    if h0 is not None:
-        state, first = T.reshape(h0, (1, -1)), 0
-    else:
-        state, first = T.slice_rows(leaves, 0, 1), 1
-    for i in range(first, n):
+    state = T.reshape(h0, (1, -1))
+    for i in range(n):
         state = grc_compose(state, T.slice_rows(leaves, i, i + 1), cell)
     return T.reshape(state, (-1,))
 
@@ -141,12 +126,12 @@ def _walk(t: ParseTree, leaves: Tensor, cell: GrcParams) -> Tensor:
 # easy-first composition: beam-tree recursion with one beam
 
 def encode_easy_first_gumbel(leaves: Tensor, cell: GrcParams,
-                             scorer: ScorerParams, cfg: EncoderConfig,
+                             scorer: ScorerParams,
                              rng: np.random.Generator | None = None):
-    """Greedy easy-first composition (the Gumbel-Tree encoder): `encode_bt_cell`
-    with one beam, whatever `cfg.beam_size` says. Returns (vector, tree)."""
-    cfg = replace(cfg, beam_size=1, topk="plain")
-    enc, beams = encode_bt_cell(leaves, cell, scorer, cfg, rng)
+    """Greedy easy-first composition (the Gumbel-Tree encoder):
+    `encode_bt_cell` with one beam, straight-through Gumbel when given an
+    rng. Returns (vector, tree)."""
+    enc, beams = encode_bt_cell(leaves, cell, scorer, 1, rng=rng)
     return enc, replay_actions(leaves.data.shape[0], beams.actions[0])
 
 
@@ -154,7 +139,7 @@ def encode_easy_first_gumbel(leaves: Tensor, cell: GrcParams,
 # beam tree cell
 
 def encode_bt_cell(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
-                   cfg: EncoderConfig,
+                   k: int, onesoft: bool = False,
                    rng: np.random.Generator | None = None):
     """Beam-search extension of easy-first composition.
 
@@ -162,8 +147,9 @@ def encode_bt_cell(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
     are log-softmaxed into per-branch log-probability increments, and each
     beam branches over its top-k candidates into a pool of (beam, i) merges
     with a (m,) vector of accumulated log-probabilities. `truncate` selects
-    from those scores alone (plain or OneSoft top-k; plain deterministic at
-    eval) groups of pool indices, one per beam kept. The beams are stacked
+    from those scores alone (OneSoft top-k when `onesoft`, else plain top-k)
+    groups of pool indices, one per beam kept. Branching and plain
+    truncation are Gumbel-perturbed when given an rng. The beams are stacked
     (see `_merge`), their scores one (B,) vector: one `score` call and one
     row-wise log-softmax cover all beams, the beams of the groups are one
     gather, and only the pairs beside each merged node are composed, in one
@@ -176,18 +162,15 @@ def encode_bt_cell(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
     roots and (B,) scores.
 
     With one beam this is easy-first composition. `merge_beams` gives a
-    lone beam's score no gradient, so one beam in training selects by
+    lone beam's score no gradient, so one beam given an rng selects by
     straight-through Gumbel instead of branching and truncating: the
     forward commits to the argmax of the Gumbel-perturbed scores, the
     backward follows softmax(perturbed), and the merged row is that
     straight-through one-hot times the candidate matrix. Returns
     (encoding, final BeamSet)."""
-    cfg.validate()
     n = leaves.data.shape[0]
     if n < 1:
         raise EncoderError("empty input")
-    k = cfg.beam_size
-    branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) else "deterministic"
     nodes, length = leaves, n
     cands = _pairs(nodes, length, None, [None], cell)
     scores = Tensor(np.zeros(1, dtype=leaves.data.dtype))
@@ -195,8 +178,8 @@ def encode_bt_cell(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
 
     while length > 2:
         raw = score(cands, scorer)
-        if k == 1 and cfg.training:
-            # one beam in training: straight-through Gumbel
+        if k == 1 and rng is not None:
+            # one beam, in training: straight-through Gumbel
             noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
             perturbed = T.add(raw, Tensor(noise))
             hard = int(np.argmax(perturbed.data))
@@ -211,12 +194,12 @@ def encode_bt_cell(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
         else:
             logp = T.log_softmax(T.reshape(raw, (len(actions), length - 1)))
             pool = [(b, i) for b in range(len(actions)) for i in
-                    plain_topk(logp.data[b], k, mode=branch_mode, rng=rng)]
+                    plain_topk(logp.data[b], k, rng)]
             beam_ids = [b for b, _ in pool]
             cand_ids = [b * (length - 1) + i for b, i in pool]
             groups = truncate(
                 scores.data[beam_ids] + logp.data.reshape(-1)[cand_ids], k,
-                cfg.topk, cfg.training, rng, cfg.stochastic_topk)
+                onesoft, rng)
             picks = [j for g in groups for j in g]
             nodes = _merge(nodes, length, cands,
                            [(*pool[j], cand_ids[j]) for j in picks])
@@ -258,7 +241,7 @@ class BsrpParams:
 
 
 def encode_bsrp(leaves: Tensor, cell: GrcParams, decision: BsrpParams,
-                cfg: EncoderConfig, rng: np.random.Generator | None = None):
+                k: int, rng: np.random.Generator | None = None):
     """Beam search over shift-reduce derivations. The decision logit comes
     from a linear layer over [stack[-2]; stack[-1]; queue-front],
     zero for a missing slot; reduce scores log(sigmoid(logit)), shift
@@ -268,10 +251,10 @@ def encode_bsrp(leaves: Tensor, cell: GrcParams, decision: BsrpParams,
     of one table whose row 0 is the zero state of an empty slot and rows
     1..n the leaves, and a beam's stack is a tuple of row ids. A step is one
     decision matmul over the gathered rows of all beams, and the pool, per
-    beam its shift then its reduce, goes through one `plain_topk`; only the
-    kept reduces are composed, in one `grc_compose` call whose parents are
-    appended to the table. Returns (encoding, final BeamSet)."""
-    cfg.validate()
+    beam its shift then its reduce, goes through one `plain_topk`,
+    Gumbel-perturbed when given an rng; only the kept reduces are composed,
+    in one `grc_compose` call whose parents are appended to the table.
+    Returns (encoding, final BeamSet)."""
     n = leaves.data.shape[0]
     if n < 1:
         raise EncoderError("empty input")
@@ -280,7 +263,6 @@ def encode_bsrp(leaves: Tensor, cell: GrcParams, decision: BsrpParams,
                       leaves], axis=0)
     beams = [((), 0, ())]  # (stack row ids, queue position, actions)
     scores = Tensor(np.zeros(1, dtype=dtype))
-    branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) else "deterministic"
 
     for _step in range(2 * n - 1):
         width = len(beams)
@@ -298,7 +280,7 @@ def encode_bsrp(leaves: Tensor, cell: GrcParams, decision: BsrpParams,
             raise EncoderError("no valid shift-reduce action")
         lp_ids = [a * width + b for b, a in pool]
         idx = plain_topk(scores.data[[b for b, _ in pool]] + logp.data[lp_ids],
-                         cfg.beam_size, mode=branch_mode, rng=rng)
+                         k, rng)
         scores = T.add(T.rows_gather(scores, [pool[j][0] for j in idx]),
                        T.rows_gather(logp, [lp_ids[j] for j in idx]))
         kept = [pool[j] for j in idx]

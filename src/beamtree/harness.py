@@ -13,17 +13,14 @@ import numpy as np
 from . import tensor as T
 from .cells import GrcParams, LeafParams, ScorerParams, leaf_transform_seq
 from .checkpoint import load_checkpoint, restore, save_checkpoint
-from .encoders import BsrpParams, EncoderConfig, EncoderError, encode_bsrp, \
-    encode_bt_cell, encode_easy_first_gumbel, encode_fixed_tree, \
-    encode_recurrent
+from .encoders import BsrpParams, encode_bsrp, encode_bt_cell, \
+    encode_easy_first_gumbel, encode_fixed_tree, encode_recurrent
 from .listops import CLASSES, VOCAB, Example, read_tsv, tokenize
 from .tensor import AdamState, Tape, Tensor, adam_step, clip_grad_norm
 from .trees import gold_tree_listops
 
 ENCODER_KINDS = ("recurrent", "gumbel", "bt", "bsrp", "gold")
 GRAD_CLIP = 5.0  # global norm every training step's gradient is clipped to
-BOOLS = {"1": True, "true": True, "yes": True,
-         "0": False, "false": False, "no": False}
 
 
 class HarnessError(Exception):
@@ -32,20 +29,20 @@ class HarnessError(Exception):
 
 # keys that older run configs carry, with the one value that still loads:
 # runs no longer fork gradient workers, the gated cell is the only cell,
-# ListOps fixes the vocabulary and the labels, and every run trained with the
-# same straight-through temperature, Adam betas and epsilon, and clip norm
+# ListOps fixes the vocabulary and the labels, every run trained with the
+# same straight-through temperature, Adam betas and epsilon, and clip norm,
+# and training always draws Gumbel noise for top-k
 RETIRED_KEYS = {"workers": "1", "cell": "grc", "temperature": "1.0",
                 "vocab": str(len(VOCAB)), "classes": str(CLASSES),
                 "beta1": "0.9", "beta2": "0.999", "adam_eps": "1e-08",
-                "grad_clip": str(GRAD_CLIP)}
+                "grad_clip": str(GRAD_CLIP), "stochastic_topk": "True"}
 
 
 @dataclass
 class RunConfig:
     encoder: str = "bt"
     beam_size: int = 5
-    topk: str = "plain"
-    stochastic_topk: bool = True
+    topk: str = "plain"  # plain | onesoft; OneSoft relaxes top-k in training
     d_e: int = 128
     d_h: int = 128
     dropout: float = 0.1
@@ -61,7 +58,7 @@ class RunConfig:
         if self.encoder not in ENCODER_KINDS:
             raise HarnessError(f"unknown encoder {self.encoder!r}")
         small = [k for k in ("patience", "batch_size", "max_epochs", "d_e",
-                             "d_h") if getattr(self, k) < 1]
+                             "d_h", "beam_size") if getattr(self, k) < 1]
         if small:
             raise HarnessError(f"{', '.join(small)} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -70,10 +67,10 @@ class RunConfig:
             raise HarnessError("lr must be positive")
         if self.precision not in ("single", "double"):
             raise HarnessError("precision must be single or double")
-        try:
-            self.encoder_config(training=False).validate()
-        except EncoderError as e:
-            raise HarnessError(str(e)) from e
+        if self.topk not in ("plain", "onesoft"):
+            raise HarnessError(f"unknown top-k operator {self.topk!r}")
+        if self.topk == "onesoft" and self.beam_size < 2:
+            raise HarnessError("onesoft needs beam size >= 2")
         if self.topk != "plain" and self.encoder != "bt":
             raise HarnessError(f"topk={self.topk} needs encoder=bt: the "
                                f"{self.encoder} encoder has no OneSoft top-k")
@@ -81,11 +78,6 @@ class RunConfig:
     @property
     def dtype(self):
         return np.float64 if self.precision == "double" else np.float32
-
-    def encoder_config(self, training: bool) -> EncoderConfig:
-        return EncoderConfig(
-            beam_size=self.beam_size, topk=self.topk,
-            stochastic_topk=self.stochastic_topk, training=training)
 
 
 def load_config(path) -> RunConfig:
@@ -120,11 +112,7 @@ def make_config(overrides: dict) -> RunConfig:
         if k not in valid:
             raise HarnessError(f"unknown config key {k!r}")
         current = getattr(cfg, k)
-        if isinstance(current, bool):
-            if str(v).lower() not in BOOLS:
-                raise HarnessError(f"{k} must be a boolean, got {v!r}")
-            v = BOOLS[str(v).lower()]
-        elif isinstance(current, (int, float)):
+        if isinstance(current, (int, float)):
             try:
                 v = type(current)(v)
             except (TypeError, ValueError):
@@ -167,11 +155,12 @@ class HeadParams:
 
 
 def classify(encoding: Tensor, head: HeadParams, dropout_rate: float = 0.0,
-             training: bool = False, rng=None) -> Tensor:
-    """Two-layer head: LN -> linear -> GELU -> dropout -> linear -> logits."""
+             rng=None) -> Tensor:
+    """Two-layer head: LN -> linear -> GELU -> dropout -> linear -> logits.
+    Dropout applies only when given an rng, in training."""
     x = T.layer_norm(encoding, head.gamma, head.beta)
     x = T.gelu(T.add(T.matmul(x, head.W1), head.b1))
-    if training and dropout_rate > 0.0:
+    if rng is not None and dropout_rate > 0.0:
         x = T.dropout(x, dropout_rate, rng)
     return T.add(T.matmul(x, head.W2), head.b2)
 
@@ -219,22 +208,27 @@ def example_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
 
 
 def _encode(model: Model, ex: Example, training: bool, rng) -> Tensor:
+    """The example's encoding. Noise is drawn, for dropout and top-k, only
+    from `rng`: training passes one, evaluation None. OneSoft relaxes top-k
+    only in training, and evaluation truncates with hard top-k."""
     cfg = model.cfg
-    ecfg = cfg.encoder_config(training)
     ids = tokenize(ex.source)
-    leaves = leaf_transform_seq(ids, model.leaf, cfg.dropout, training, rng)
+    leaves = leaf_transform_seq(ids, model.leaf, cfg.dropout, rng)
     kind = cfg.encoder
     if kind == "recurrent":
         return encode_recurrent(leaves, model.cell, model.h0)
     if kind == "gumbel":
         enc, _tree = encode_easy_first_gumbel(leaves, model.cell, model.scorer,
-                                              ecfg, rng)
+                                              rng)
         return enc
     if kind == "bt":
-        enc, _beams = encode_bt_cell(leaves, model.cell, model.scorer, ecfg, rng)
+        enc, _beams = encode_bt_cell(
+            leaves, model.cell, model.scorer, cfg.beam_size,
+            onesoft=training and cfg.topk == "onesoft", rng=rng)
         return enc
     if kind == "bsrp":
-        enc, _beams = encode_bsrp(leaves, model.cell, model.bsrp, ecfg, rng)
+        enc, _beams = encode_bsrp(leaves, model.cell, model.bsrp,
+                                  cfg.beam_size, rng)
         return enc
     tree = gold_tree_listops(ex.source.split())  # "gold"
     return encode_fixed_tree(leaves, tree, model.cell)
@@ -242,7 +236,7 @@ def _encode(model: Model, ex: Example, training: bool, rng) -> Tensor:
 
 def forward_logits(model: Model, ex: Example, training: bool, rng) -> Tensor:
     enc = _encode(model, ex, training, rng)
-    return classify(enc, model.head, model.cfg.dropout, training, rng)
+    return classify(enc, model.head, model.cfg.dropout, rng)
 
 
 def example_loss(model: Model, ex: Example, training: bool, rng) -> Tensor:

@@ -12,6 +12,7 @@ OPERATORS = ("MAX", "MIN", "MED", "SM")
 CLASSES = 10  # every value, and so every label, is a digit 0-9
 VOCAB = ["[MAX", "[MIN", "[MED", "[SM", "]"] + [str(d) for d in range(CLASSES)]
 TOKEN_TO_ID = {t: i for i, t in enumerate(VOCAB)}
+TOKENS = frozenset(VOCAB)
 CLOSE = "]"
 
 
@@ -118,21 +119,25 @@ def _apply(op: str, args, med_even: str) -> int:
 
 def measure_depth(source: str) -> int:
     """Maximum number of nested operators."""
-    return _scan(source)[0]
+    return scan(source)[0]
 
 
 def measure_max_args(source: str) -> int:
-    return max(_scan(source)[1], default=0)
+    return max(scan(source)[1], default=0)
 
 
-def _scan(source: str) -> tuple:
+def scan(source: str) -> tuple:
     """(maximum operator nesting, argument count of every operator) of one
     expression, in one pass; a lone digit has depth 0 and no operators.
-    Raises ListOpsError for unbalanced brackets or tokens after the
+    Raises ListOpsError for a token outside the vocabulary, unbalanced
+    brackets, an operator with no arguments or tokens after the
     expression."""
     tokens = source.split()
     if not tokens:
         raise ListOpsError("empty source")
+    if not TOKENS.issuperset(tokens):
+        bad = next(tok for tok in tokens if tok not in TOKENS)
+        raise ListOpsError(f"unknown token {bad!r}")
     depth, counts, stack = 0, [], []
     for i, tok in enumerate(tokens):
         if i and not stack:
@@ -144,6 +149,8 @@ def _scan(source: str) -> tuple:
         if tok == CLOSE:
             if not stack:
                 raise ListOpsError("unbalanced brackets")
+            if not stack[-1]:
+                raise ListOpsError("operator with no arguments")
             counts.append(stack.pop())
         if stack:  # a digit, or the scope just closed, is one argument
             stack[-1] += 1
@@ -173,7 +180,7 @@ def _make_example(rng: np.random.Generator, cfg: GenConfig,
         if not (cfg.min_length <= len(tokens) <= cfg.max_length):
             continue
         source = " ".join(tokens)
-        depth, counts = _scan(source)
+        depth, counts = scan(source)
         if cfg.require_exact_args is not None and \
                 cfg.require_exact_args not in counts:
             continue
@@ -209,7 +216,8 @@ def write_tsv(path, examples):
 
 def read_tsv(path) -> list:
     """Examples of a `source<TAB>label` file; blank lines are skipped. The
-    brackets and the label of every row are checked, not its value."""
+    tokens, brackets, argument lists and label of every row are checked
+    (see `scan`), not its value."""
     out = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -226,7 +234,7 @@ def read_tsv(path) -> list:
                 raise ListOpsError(f"{path}:{lineno}: label {label} is not "
                                    f"a digit 0-{CLASSES - 1}")
             try:
-                depth, counts = _scan(source)
+                depth, counts = scan(source)
             except ListOpsError as e:
                 raise ListOpsError(f"{path}:{lineno}: {e}") from None
             out.append(Example(source=source, label=label,

@@ -1,6 +1,6 @@
-"""Beam containers and truncation operators: plain top-k (deterministic or
-Gumbel-perturbed), OneSoft top-k and its interpolated beam, and the final
-score-weighted expectation."""
+"""Beam containers and truncation operators: plain top-k, OneSoft top-k and
+its interpolated beam, and the final score-weighted expectation. Top-k is
+Gumbel-perturbed if and only if it is given an rng."""
 
 from __future__ import annotations
 
@@ -31,25 +31,20 @@ def gumbel_noise(size: int, rng: np.random.Generator) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def plain_topk(scores, k: int, mode: str = "deterministic",
-               rng: np.random.Generator | None = None) -> list:
+def plain_topk(scores, k: int, rng: np.random.Generator | None = None) -> list:
     """Indices of the k largest scores; ties broken by lowest index.
 
-    `gumbel` mode perturbs each score with independent Gumbel(0,1) noise
-    before selection (stochastic top-k). If k exceeds the candidate count,
-    all indices are returned.
+    With an rng each score is first perturbed with independent Gumbel(0,1)
+    noise (stochastic top-k). If k exceeds the candidate count, all indices
+    are returned.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("plain_topk on empty scores")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if mode == "gumbel":
-        if rng is None:
-            raise ValueError("gumbel mode needs an rng")
+    if rng is not None:
         scores = scores + gumbel_noise(scores.size, rng)
-    elif mode != "deterministic":
-        raise ValueError(f"unknown top-k mode {mode!r}")
     return np.argsort(-scores, kind="stable")[:k].tolist()
 
 
@@ -66,22 +61,20 @@ def onesoft_topk(scores, k: int) -> list:
     return [[i] for i in order[:k - 1]] + [order[k - 1:]]
 
 
-def truncate(scores, k: int, variant: str, training: bool,
-             rng: np.random.Generator | None = None,
-             stochastic: bool = False) -> list:
-    """Configured beam truncation of a pool with (m,) scores, as groups of
-    pool indices, one group per beam kept. A group of one index keeps that
-    beam; a longer one (OneSoft, in training only) is ordered best first,
-    ties to the lowest index, and stands for the interpolation of its beams,
-    which carries the actions of its first. Otherwise this is hard top-k,
-    Gumbel-perturbed in training when `stochastic`."""
+def truncate(scores, k: int, onesoft: bool = False,
+             rng: np.random.Generator | None = None) -> list:
+    """Beam truncation of a pool with (m,) scores, as groups of pool
+    indices, one group per beam kept. A group of one index keeps that beam;
+    a longer one (`onesoft`) is ordered best first, ties to the lowest
+    index, and stands for the interpolation of its beams, which carries the
+    actions of its first. Otherwise this is hard top-k, Gumbel-perturbed
+    when given an rng."""
     m = len(scores)
     if k >= m:
         return [[i] for i in range(m)]
-    if training and variant == "onesoft":
+    if onesoft:
         return onesoft_topk(scores, k)
-    mode = "gumbel" if (training and stochastic) else "deterministic"
-    return [[i] for i in plain_topk(scores, k, mode=mode, rng=rng)]
+    return [[i] for i in plain_topk(scores, k, rng)]
 
 
 def collapse_tail(nodes: Tensor, scores: Tensor, count: int):

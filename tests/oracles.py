@@ -178,16 +178,17 @@ def _splice_rows(mat, start, stop, rows):
     return parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
 
 
-def full_recompose_easy_first_gumbel(leaves, cell, scorer, cfg, rng=None):
+def full_recompose_easy_first_gumbel(leaves, cell, scorer, rng=None):
     """`encoders.encode_easy_first_gumbel` recomposing every adjacent pair
-    on every step. Returns (vector, tree)."""
+    on every step, straight-through Gumbel when given an rng. Returns
+    (vector, tree)."""
     n = leaves.data.shape[0]
     nodes = leaves
     actions = []
     while nodes.data.shape[0] > 2:
         parents = _candidates(nodes, cell)
         raw = score(parents, scorer)
-        if cfg.training:
+        if rng is not None:
             noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
             perturbed = T.add(raw, Tensor(noise))
             hard = int(np.argmax(perturbed.data))
@@ -233,10 +234,10 @@ def merge_beams_one_by_one(encodings, scores):
     return out
 
 
-def truncate_beams(pool, k, cfg, rng=None):
+def truncate_beams(pool, k, onesoft=False, rng=None):
     """The beam-tree truncation over whole beams, one at a time: hard top-k,
-    Gumbel-perturbed in training when `cfg.stochastic_topk`, or in OneSoft
-    training the top k-1 beams and one interpolated beam. That beam is the
+    Gumbel-perturbed when given an rng, or with `onesoft` the top k-1 beams
+    and one interpolated beam. That beam is the
     softmax(score)-weighted sum of the other beams' nodes and scores, built
     with a pick/mul/add chain per beam in pool order, and carries the
     actions of its best member."""
@@ -244,10 +245,8 @@ def truncate_beams(pool, k, cfg, rng=None):
     if k >= m:
         return pool
     scores = [b.score.item() for b in pool]
-    if not (cfg.training and cfg.topk == "onesoft"):
-        mode = "gumbel" if (cfg.training and cfg.stochastic_topk) \
-            else "deterministic"
-        return [pool[i] for i in plain_topk(scores, k, mode=mode, rng=rng)]
+    if not onesoft:
+        return [pool[i] for i in plain_topk(scores, k, rng)]
     top = plain_topk(scores, k - 1)
     bottom = [b for i, b in enumerate(pool) if i not in top]
     weights = T.softmax(T.concat([b.score for b in bottom], axis=0))
@@ -263,29 +262,26 @@ def truncate_beams(pool, k, cfg, rng=None):
         Beam(nodes=nodes, score=total, actions=bottom[best].actions)]
 
 
-def full_recompose_bt_cell(leaves, cell, scorer, cfg, rng=None):
+def full_recompose_bt_cell(leaves, cell, scorer, k, onesoft=False, rng=None):
     """`encoders.encode_bt_cell` recomposing every adjacent pair of every
     beam on every step, building every pooled beam before truncation and
     truncating whole beams with `truncate_beams` and merging the final
     beams with `merge_beams_one_by_one`. Returns (encoding, final stacked
     BeamSet)."""
-    k = cfg.beam_size
     zero = Tensor(np.zeros(1, dtype=leaves.data.dtype))
     beams = [Beam(nodes=leaves, score=zero)]
-    branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) \
-        else "deterministic"
     while beams[0].nodes.data.shape[0] > 2:
         pool = []
         for beam in beams:
             parents = _candidates(beam.nodes, cell)
             logp = T.log_softmax(score(parents, scorer))
-            for i in plain_topk(logp.data, k, mode=branch_mode, rng=rng):
+            for i in plain_topk(logp.data, k, rng):
                 pool.append(Beam(
                     nodes=_splice_rows(beam.nodes, i, i + 2,
                                        T.slice_rows(parents, i, i + 1)),
                     score=T.add(beam.score, T.reshape(T.pick(logp, i), (1,))),
                     actions=beam.actions + (i,)))
-        beams = truncate_beams(pool, k, cfg, rng)
+        beams = truncate_beams(pool, k, onesoft, rng)
     roots, actions = [], []
     for beam in beams:
         root, acts = beam.nodes, beam.actions
@@ -326,20 +322,18 @@ def _sr_decision_logit(state, leaves, decision, empty):
     return T.add(T.reshape(T.matmul(x, decision.W), (1,)), decision.b)
 
 
-def per_beam_bsrp(leaves, cell, decision, cfg, rng=None):
+def per_beam_bsrp(leaves, cell, decision, k, rng=None):
     """`encoders.encode_bsrp` with one `SRState` per beam: each beam runs
     its own decision matmul and composes its own reduce, kept or not, and
     the pool (per beam its shift, then its reduce) is truncated by
-    `plain_topk` over the pooled scores. Returns (encoding, final
+    `plain_topk` over the pooled scores, Gumbel-perturbed when given an rng.
+    Returns (encoding, final
     BeamSet)."""
     n = leaves.data.shape[0]
-    k = cfg.beam_size
     dtype = leaves.data.dtype
     empty = Tensor(np.zeros((1, leaves.data.shape[1]), dtype=dtype))
     beams = [SRState(stack=[], qpos=0,
                      score=Tensor(np.zeros(1, dtype=dtype)), actions=())]
-    branch_mode = "gumbel" if (cfg.training and cfg.stochastic_topk) \
-        else "deterministic"
     for _step in range(2 * n - 1):
         pool = []
         for st in beams:
@@ -357,8 +351,7 @@ def per_beam_bsrp(leaves, cell, decision, cfg, rng=None):
                     stack=st.stack[:-2] + [parent], qpos=st.qpos,
                     score=T.add(st.score, T.logsigmoid(logit)),
                     actions=st.actions + ("r",)))
-        idx = plain_topk([s.score.item() for s in pool], k,
-                         mode=branch_mode, rng=rng)
+        idx = plain_topk([s.score.item() for s in pool], k, rng)
         beams = [pool[i] for i in idx]
     roots = T.concat([st.stack[0] for st in beams])
     scores = T.concat([st.score for st in beams], axis=0)

@@ -20,10 +20,11 @@ from beamtree import tensor as T
 from beamtree.cells import GrcParams, LeafParams, ScorerParams, \
     grc_compose, leaf_transform_seq, score
 from beamtree.checkpoint import load_checkpoint, save_checkpoint
-from beamtree.encoders import (BsrpParams, EncoderConfig, encode_bsrp,
-                               encode_bt_cell, encode_fixed_tree)
+from beamtree.encoders import (BsrpParams, encode_bsrp, encode_bt_cell,
+                               encode_fixed_tree)
 from beamtree.gradcheck import check_grads
-from beamtree.harness import HeadParams, classify, make_config, train
+from beamtree.harness import HeadParams, Model, classify, example_loss, \
+    forward_logits, make_config, train
 from beamtree.listops import GenConfig, eval_listops, generate
 from beamtree.parse_analysis import collapse_duplicates, extract_parses
 from beamtree.tensor import Tape, Tensor
@@ -76,11 +77,10 @@ def test_criterion_gradients_all_components():
 
     # end-to-end: OneSoft beam recursion over 6 leaves in double precision
     leaves = Tensor(rng.standard_normal((6, d_h)), requires_grad=True)
-    cfg = EncoderConfig(beam_size=3, topk="onesoft", training=True,
-                        stochastic_topk=False)
     worst["end_to_end"] = max(check_grads(
-        lambda: T.tsum(T.mul(
-            encode_bt_cell(leaves, grc, scorer, cfg)[0], Tensor(w.data[0]))),
+        lambda: T.tsum(T.mul(encode_bt_cell(leaves, grc, scorer, 3,
+                                            onesoft=True)[0],
+                             Tensor(w.data[0]))),
         {**grc.named(), **scorer.named(), "leaves": leaves}).values())
 
     elapsed = time.monotonic() - t0
@@ -97,9 +97,7 @@ def test_criterion_beam_search_matches_exhaustive_enumeration():
         scorer = ScorerParams.init(4, rng, np.float64)
         leaves = Tensor(rng.standard_normal((n, 4)))
         k = math.factorial(n - 1)
-        cfg = EncoderConfig(beam_size=k, topk="plain",
-                            training=False)
-        _, beams = encode_bt_cell(leaves, grc, scorer, cfg)
+        _, beams = encode_bt_cell(leaves, grc, scorer, k)
         oracle = {a: s for a, s, _ in enumerate_merge_derivations(
             [leaves.data[i].copy() for i in range(n)], grc, scorer)}
         assert len(beams) == len(oracle) == k
@@ -111,8 +109,7 @@ def test_criterion_beam_search_matches_exhaustive_enumeration():
         grc = GrcParams.init(4, rng, np.float64)
         decision = BsrpParams.init(4, rng, np.float64)
         leaves = Tensor(rng.standard_normal((n, 4)))
-        cfg = EncoderConfig(beam_size=64, training=False)
-        _, beams = encode_bsrp(leaves, grc, decision, cfg)
+        _, beams = encode_bsrp(leaves, grc, decision, 64)
         oracle = {a: s for a, s, _ in enumerate_sr_derivations(
             [leaves.data[i].copy() for i in range(n)], grc, decision)}
         assert len(beams) == len(oracle)
@@ -155,29 +152,39 @@ def test_criterion_soft_truncation_identities():
         identity_ok &= np.array_equal(
             out_nodes.data, nodes.data.reshape(4, 2, 3)[order].reshape(8, 3))
 
-    # eval mode replaces the soft operator with hard top-k
-    eval_ok = True
-    for _ in range(10):
-        scores = rng.standard_normal(5)
-        pool(scores)  # unused nodes, drawn to keep later trials' scores
-        groups = truncate(scores, 2, "onesoft", training=False)
-        top2 = sorted(range(5), key=lambda i: (-scores[i], i))[:2]
-        eval_ok &= groups == [[i] for i in top2]
+    # evaluation replaces the soft operator with hard top-k: a OneSoft model
+    # evaluates bit for bit like a plain one with the same weights, while
+    # their training losses differ even with no noise drawn
+    base = {"encoder": "bt", "beam_size": "2", "d_e": "8", "d_h": "8",
+            "dropout": "0.0"}
+    plain = Model(make_config(base))
+    soft = Model(make_config({**base, "topk": "onesoft"}))
+    eval_ok = all(np.array_equal(a.data, b.data) for a, b in
+                  zip(plain.params(), soft.params()))
+    trains_apart = False
+    examples = generate(GenConfig(max_length=16, max_depth=2, min_args=2,
+                                  max_args=4, count=10, seed=0))
+    for ex in examples:
+        eval_ok &= np.array_equal(forward_logits(plain, ex, False, None).data,
+                                  forward_logits(soft, ex, False, None).data)
+        trains_apart |= example_loss(plain, ex, True, None).item() != \
+            example_loss(soft, ex, True, None).item()
+    eval_ok &= trains_apart
 
     # pruned-beam score gradient: zero under hard top-k, nonzero under soft
     grad_ok = True
     for trial in range(10):
-        for variant, expect_nonzero in (("plain", False), ("onesoft", True)):
+        for onesoft in (False, True):
             nodes, scores = pool(np.sort(rng.standard_normal(4))[::-1],
                                  grad=True)
             with Tape() as tape:
-                groups = truncate(scores.data, 2, variant, training=True)
+                groups = truncate(scores.data, 2, onesoft)
                 out_nodes, out_scores = keep(groups, nodes, scores)
                 enc = merge_beams(
                     T.reshape(out_nodes, (len(groups), 6)), out_scores)
                 tape.backward(T.tsum(enc))
             pruned_has_grad = bool(np.any(scores.grad[2:] != 0.0))
-            grad_ok &= (pruned_has_grad == expect_nonzero)
+            grad_ok &= (pruned_has_grad == onesoft)
 
     _report("soft-truncation-identities",
             identity_ok and eval_ok and grad_ok,
@@ -279,9 +286,7 @@ def test_criterion_parse_bookkeeping():
         scorer = ScorerParams.init(6, rng, np.float64)
         n = int(rng.integers(4, 8))
         leaves = Tensor(rng.standard_normal((n, 6)))
-        cfg = EncoderConfig(beam_size=4, topk="plain",
-                            training=False)
-        _, beams = encode_bt_cell(leaves, grc, scorer, cfg)
+        _, beams = encode_bt_cell(leaves, grc, scorer, 4)
         tokens = [str(i) for i in range(n)]
         parses = extract_parses(beams, tokens)
         collapsed = collapse_duplicates(parses)

@@ -63,16 +63,16 @@ def test_tracer_counts_truncation_alike_for_plain_and_onesoft(spans):
     counts = {}
     for topk in ("plain", "onesoft"):
         cfg = make_config({"encoder": "bt", "beam_size": "3", "topk": topk,
-                           "stochastic_topk": "false", "d_e": "8",
-                           "d_h": "8", "dropout": "0.0", "seed": "0"})
+                           "d_e": "8", "d_h": "8", "dropout": "0.0",
+                           "seed": "0"})
         model = Model(cfg)
         tracer = spans.Tracer(MODULES)
         tracer.install()
         try:
             tracer.begin_op(topk)
-            for i, ex in enumerate(examples):
-                harness.forward_logits(model, ex, True,
-                                       harness.example_rng(0, 0, i))
+            for ex in examples:
+                # training without an rng: OneSoft relaxes, nothing is drawn
+                harness.forward_logits(model, ex, True, None)
         finally:
             tracer.uninstall()
         counts[topk] = (tracer.counts["beams_pooled", topk],

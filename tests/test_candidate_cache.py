@@ -10,27 +10,22 @@ from oracles import full_recompose_bt_cell, full_recompose_easy_first_gumbel
 from beamtree import encoders
 from beamtree import tensor as T
 from beamtree.cells import GrcParams, ScorerParams
-from beamtree.encoders import EncoderConfig, encode_bt_cell, \
-    encode_easy_first_gumbel
+from beamtree.encoders import encode_bt_cell, encode_easy_first_gumbel
 from beamtree.tensor import Tape, Tensor
 
 D_H = 4
 
-# name -> config, in training mode but for bt-k5-eval; `stochastic_topk`
-# makes the branching and the truncation draw Gumbel noise from the rng
+# name -> (beam size, onesoft, gumbel): with `gumbel` the encoder is given
+# an rng, so the branching and the plain truncation draw Gumbel noise and
+# one beam selects by straight-through Gumbel
 VARIANTS = {
-    "bt-plain": EncoderConfig(beam_size=3, training=True,
-                              stochastic_topk=False),
-    "bt-plain-gumbel": EncoderConfig(beam_size=3, training=True,
-                                     stochastic_topk=True),
-    "bt-onesoft": EncoderConfig(beam_size=3, topk="onesoft", training=True,
-                                stochastic_topk=False),
-    "bt-onesoft-k2-gumbel": EncoderConfig(beam_size=2, topk="onesoft",
-                                          training=True, stochastic_topk=True),
-    "bt-k5-eval": EncoderConfig(beam_size=5, training=False),
-    "bt-k5-gumbel": EncoderConfig(beam_size=5, training=True,
-                                  stochastic_topk=True),
-    "easy-first": EncoderConfig(beam_size=1, training=True),
+    "bt-plain": (3, False, False),
+    "bt-plain-gumbel": (3, False, True),
+    "bt-onesoft": (3, True, False),
+    "bt-onesoft-k2-gumbel": (2, True, True),
+    "bt-k5-eval": (5, False, False),
+    "bt-k5-gumbel": (5, False, True),
+    "easy-first": (1, False, True),
 }
 
 
@@ -51,9 +46,13 @@ def _run(encode, variant, n, seed, repeated=False):
         rows = rows[rng.integers(0, 3, size=n)]
     leaves = Tensor(rows, requires_grad=True)
     weights = Tensor(rng.standard_normal(D_H))
+    k, onesoft, gumbel = VARIANTS[variant]
+    noise = np.random.default_rng([seed, 1]) if gumbel else None
     with Tape() as tape:
-        enc, out = encode(leaves, params, scorer, VARIANTS[variant],
-                          np.random.default_rng([seed, 1]))
+        if variant == "easy-first":
+            enc, out = encode(leaves, params, scorer, rng=noise)
+        else:
+            enc, out = encode(leaves, params, scorer, k, onesoft, noise)
         tape.backward(T.tsum(T.mul(enc, weights)))
     if variant == "easy-first":
         scores, actions = [], [out.to_string()]
@@ -93,7 +92,6 @@ def test_bt_cell_composes_rows_linear_in_length(monkeypatch):
     n, k = 40, 3
     params, scorer, rng = _model(seed=0)
     leaves = Tensor(rng.standard_normal((n, D_H)))
-    cfg = EncoderConfig(beam_size=k, training=False)
     rows = []
     compose = encoders.grc_compose
 
@@ -102,10 +100,10 @@ def test_bt_cell_composes_rows_linear_in_length(monkeypatch):
         return compose(left, right, cell)
 
     monkeypatch.setattr(encoders, "grc_compose", counted)
-    enc, _ = encode_bt_cell(leaves, params, scorer, cfg)
+    enc, _ = encode_bt_cell(leaves, params, scorer, k)
     cached_rows = sum(rows)
     rows.clear()
-    enc_o, _ = full_recompose_bt_cell(leaves, params, scorer, cfg)
+    enc_o, _ = full_recompose_bt_cell(leaves, params, scorer, k)
     full_rows = sum(rows)
     assert np.max(np.abs(enc.data - enc_o.data)) <= 1e-12
     # n - 1 leaf pairs, then at most two new candidates per kept beam on

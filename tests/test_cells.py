@@ -188,12 +188,12 @@ def test_leaf_embedding_gradient_sparsity():
             assert np.all(g[row] == 0.0)
 
 
-def test_leaf_dropout_only_in_training():
+def test_leaf_dropout_only_with_an_rng():
     p = LeafParams.init(10, 4, 6, np.random.default_rng(24), np.float64)
-    eval_out = leaf_transform_seq([1, 2], p, dropout_rate=0.5, training=False)
+    eval_out = leaf_transform_seq([1, 2], p, dropout_rate=0.5)
     plain = leaf_transform_seq([1, 2], p)
     assert np.array_equal(eval_out.data, plain.data)
-    train_out = leaf_transform_seq([1, 2], p, dropout_rate=0.5, training=True,
+    train_out = leaf_transform_seq([1, 2], p, dropout_rate=0.5,
                                    rng=np.random.default_rng(0))
     assert not np.array_equal(train_out.data, plain.data)
 

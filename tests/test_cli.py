@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from beamtree.cli import main
@@ -51,6 +53,35 @@ def test_parse_refuses_configs_that_are_not_bt(tmp_path, encoder):
               str(tmp_path / "missing.ckpt"), "--input", "[MAX 2 1 ]"])
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "--input: empty source"),
+    ("[MAX 2", "--input: unbalanced brackets"),
+    ("[MAX 2 x ]", "--input: unknown token 'x'")])
+def test_parse_refuses_a_bad_input(tmp_path, text, message):
+    # the input is checked like a row of a split, before the checkpoint
+    # is read
+    config = tmp_path / "config.txt"
+    config.write_text("encoder=bt\n")
+    with pytest.raises(SystemExit, match=message) as info:
+        main(["parse", "--config", str(config), "--checkpoint",
+              str(tmp_path / "missing.ckpt"), "--input", text])
+    assert str(info.value).startswith("beamtree parse: ")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("[MAX 1 x ]\t1", "unknown token 'x'"),
+    ("[MAX ]\t0", "operator with no arguments")])
+def test_train_refuses_a_split_row_before_the_run_dir(tmp_path, row, message):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "dev.tsv").write_text("[MAX 2 [MIN 8 3 ] 1 ]\t3\n")
+    (data / "train.tsv").write_text(f"[MIN 3 1 ]\t1\n{row}\n")
+    with pytest.raises(SystemExit, match=rf"train\.tsv:2: {message}$"):
+        main(["train", "--out", str(tmp_path / "run"), "--encoder=gold",
+              "--d_e=4", "--d_h=4", "--max_epochs=1", f"--data_dir={data}"])
+    assert not (tmp_path / "run").exists()
+
+
 def test_gradcheck_command_passes(capsys):
     main(["gradcheck", "--seed", "1"])
     out = capsys.readouterr().out
@@ -75,6 +106,8 @@ def test_train_refuses_workers_override(tmp_path):
     ("train", "--bogus=1", "unknown config key 'bogus'"),
     ("train", "--grad_clip=5.0", "retired config key 'grad_clip': only "
      "grad_clip=5.0 loads"),
+    ("train", "--stochastic_topk=False", "retired config key "
+     "'stochastic_topk': only stochastic_topk=True loads"),
     ("eval", "temperature=0.5", "retired config key 'temperature': only "
      "temperature=1.0 loads"),
     ("eval", "bogus=1", "unknown config key 'bogus'"),
@@ -96,8 +129,8 @@ def test_config_errors_exit_with_one_message(tmp_path, command, setting,
 
 
 @pytest.mark.parametrize("fault", ["no config", "no checkpoint",
-                                   "junk checkpoint", "malformed split",
-                                   "empty split"])
+                                   "junk checkpoint", "huge checkpoint",
+                                   "malformed split", "empty split"])
 def test_file_errors_exit_with_one_message(tmp_path, fault):
     data = tmp_path / "data"
     data.mkdir()
@@ -114,6 +147,11 @@ def test_file_errors_exit_with_one_message(tmp_path, fault):
     elif fault == "junk checkpoint":
         ckpt.write_bytes(b"junk")
         message = "bad magic bytes"
+    elif fault == "huge checkpoint":
+        # one tensor declaring (2^32 - 1)^3 elements
+        ckpt.write_bytes(b"BTCK" + struct.pack("<III", 1, 1, 1) + b"w"
+                         + struct.pack("<4I", 3, *(2**32 - 1,) * 3))
+        message = "tensor w declares shape"
     elif fault == "malformed split":
         split.write_text("[MAX 2 1 ] 2\n")
         message = "dev.tsv:1: "

@@ -10,7 +10,7 @@ from oracles import (enumerate_merge_derivations, enumerate_sr_derivations,
 
 from beamtree import tensor as T
 from beamtree.cells import GrcParams, ScorerParams
-from beamtree.encoders import (BsrpParams, EncoderConfig, EncoderError,
+from beamtree.encoders import (BsrpParams, EncoderError,
                                encode_bsrp, encode_bt_cell,
                                encode_easy_first_gumbel, encode_fixed_tree,
                                encode_recurrent)
@@ -43,8 +43,7 @@ def test_bt_cell_matches_exhaustive_enumeration(n, repeated):
     params, scorer = _params(seed=n)
     leaves = _leaves(n, seed=n + 10, repeated=repeated)
     k = math.factorial(n - 1)
-    cfg = EncoderConfig(beam_size=k, topk="plain", training=False)
-    encoding, beams = encode_bt_cell(leaves, params, scorer, cfg)
+    encoding, beams = encode_bt_cell(leaves, params, scorer, k)
 
     oracle = {a: (s, e) for a, s, e in
               enumerate_merge_derivations([leaves.data[i].copy() for i in range(n)],
@@ -67,8 +66,7 @@ def test_bt_cell_small_beam_is_subset_of_enumeration():
     n, k = 5, 3
     grc, scorer = _params(seed=2)
     leaves = _leaves(n, seed=3)
-    cfg = EncoderConfig(beam_size=k, topk="plain", training=False)
-    _, beams = encode_bt_cell(leaves, grc, scorer, cfg)
+    _, beams = encode_bt_cell(leaves, grc, scorer, k)
     oracle = {a: s for a, s, _ in
               enumerate_merge_derivations([leaves.data[i].copy() for i in range(n)],
                             grc, scorer)}
@@ -83,9 +81,7 @@ def test_bt_cell_best_score_monotone_in_beam_size():
     leaves = _leaves(7, seed=5)
     best = []
     for k in (1, 2, 4, 8):
-        cfg = EncoderConfig(beam_size=k, topk="plain",
-                            training=False)
-        _, beams = encode_bt_cell(leaves, grc, scorer, cfg)
+        _, beams = encode_bt_cell(leaves, grc, scorer, k)
         best.append(max(beams.scores.data))
     for lo, hi in zip(best, best[1:]):
         assert hi >= lo - 1e-12
@@ -93,24 +89,22 @@ def test_bt_cell_best_score_monotone_in_beam_size():
 
 def test_bt_cell_k1_equals_greedy_easy_first():
     leaves = _leaves(6, seed=7)
-    cfg = EncoderConfig(beam_size=1, topk="plain", training=False)
     params, scorer = _params(seed=6)
-    bt_enc, beams = encode_bt_cell(leaves, params, scorer, cfg)
-    ef_enc, tree = encode_easy_first_gumbel(leaves, params, scorer, cfg)
+    bt_enc, beams = encode_bt_cell(leaves, params, scorer, 1)
+    ef_enc, tree = encode_easy_first_gumbel(leaves, params, scorer)
     assert np.max(np.abs(bt_enc.data - ef_enc.data)) <= 1e-9
     assert replay_actions(6, beams.actions[0]).to_string() == tree.to_string()
 
 
 def test_bt_cell_one_beam_training_trains_the_scorer():
-    # merge_beams gives a lone beam's score no gradient; one beam in
-    # training selects by straight-through Gumbel instead
+    # merge_beams gives a lone beam's score no gradient; one beam given an
+    # rng, in training, selects by straight-through Gumbel instead
     grc, scorer = _params(seed=12)
     rng = np.random.default_rng(13)
     leaves = Tensor(rng.standard_normal((6, D_H)), requires_grad=True)
     weights = Tensor(rng.standard_normal(D_H))
-    cfg = EncoderConfig(beam_size=1, training=True)
     with Tape() as tape:
-        enc, beams = encode_bt_cell(leaves, grc, scorer, cfg,
+        enc, beams = encode_bt_cell(leaves, grc, scorer, 1,
                                     rng=np.random.default_rng(14))
         tape.backward(T.tsum(T.mul(enc, weights)))
     assert len(beams) == 1 and len(beams.actions[0]) == 5
@@ -120,8 +114,7 @@ def test_bt_cell_one_beam_training_trains_the_scorer():
 def test_bt_cell_two_tokens_no_score_increment():
     grc, scorer = _params(seed=8)
     leaves = _leaves(2, seed=9)
-    cfg = EncoderConfig(beam_size=3, topk="plain", training=False)
-    enc, beams = encode_bt_cell(leaves, grc, scorer, cfg)
+    enc, beams = encode_bt_cell(leaves, grc, scorer, 3)
     assert len(beams) == 1
     assert beams.scores.data[0] == 0.0
     assert beams.actions[0] == (0,)
@@ -132,22 +125,9 @@ def test_bt_cell_two_tokens_no_score_increment():
 def test_bt_cell_single_token_identity():
     grc, scorer = _params(seed=10)
     leaves = _leaves(1, seed=11)
-    cfg = EncoderConfig(beam_size=2, topk="plain", training=False)
-    enc, beams = encode_bt_cell(leaves, grc, scorer, cfg)
+    enc, beams = encode_bt_cell(leaves, grc, scorer, 2)
     assert np.array_equal(enc.data, leaves.data[0])
     assert beams.actions[0] == ()
-
-
-def test_bt_cell_onesoft_eval_equals_plain_eval():
-    grc, scorer = _params(seed=13)
-    leaves = _leaves(6, seed=14)
-    a = encode_bt_cell(leaves, grc, scorer,
-                       EncoderConfig(beam_size=2, topk="plain",
-                                     training=False))[0]
-    b = encode_bt_cell(leaves, grc, scorer,
-                       EncoderConfig(beam_size=2, topk="onesoft",
-                                     training=False))[0]
-    assert np.array_equal(a.data, b.data)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +136,11 @@ def test_bt_cell_onesoft_eval_equals_plain_eval():
 def test_recurrent_equals_left_chain_fixed_tree():
     grc, _ = _params(seed=15)
     leaves = _leaves(6, seed=16)
-    rec = encode_recurrent(leaves, grc)
-    chain = encode_fixed_tree(leaves, replay_actions(6, [0] * 5), grc)
+    h0 = Tensor(np.random.default_rng(17).standard_normal(D_H))
+    rec = encode_recurrent(leaves, grc, h0)
+    # the fold from h0 is the left chain over h0 prepended to the leaves
+    chained = Tensor(np.concatenate([h0.data[None, :], leaves.data]))
+    chain = encode_fixed_tree(chained, replay_actions(7, [0] * 6), grc)
     assert np.max(np.abs(rec.data - chain.data)) <= 1e-12
 
 
@@ -226,8 +209,7 @@ def test_easy_first_training_forward_is_hard():
     # the straight-through forward must equal evaluating the returned tree
     grc, scorer = _params(seed=25)
     leaves = _leaves(6, seed=26)
-    cfg = EncoderConfig(beam_size=1, training=True)
-    enc, tree = encode_easy_first_gumbel(leaves, grc, scorer, cfg,
+    enc, tree = encode_easy_first_gumbel(leaves, grc, scorer,
                                          rng=np.random.default_rng(3))
     fixed = encode_fixed_tree(leaves, tree, grc)
     assert np.max(np.abs(enc.data - fixed.data)) <= 1e-9
@@ -237,9 +219,8 @@ def test_easy_first_training_scorer_gets_gradient():
     grc, scorer = _params(seed=27)
     rng = np.random.default_rng(28)
     leaves = Tensor(rng.standard_normal((5, D_H)), requires_grad=True)
-    cfg = EncoderConfig(beam_size=1, training=True)
     with Tape() as tape:
-        enc, _ = encode_easy_first_gumbel(leaves, grc, scorer, cfg,
+        enc, _ = encode_easy_first_gumbel(leaves, grc, scorer,
                                           rng=np.random.default_rng(1))
         tape.backward(T.tsum(enc))
     assert np.any(scorer.W_v.grad != 0.0)
@@ -248,9 +229,8 @@ def test_easy_first_training_scorer_gets_gradient():
 def test_easy_first_eval_scorer_no_gradient():
     grc, scorer = _params(seed=29)
     leaves = _leaves(5, seed=30)
-    cfg = EncoderConfig(beam_size=1, training=False)
     with Tape() as tape:
-        enc, _ = encode_easy_first_gumbel(leaves, grc, scorer, cfg)
+        enc, _ = encode_easy_first_gumbel(leaves, grc, scorer)
         tape.backward(T.tsum(enc))
     assert np.all(scorer.W_v.grad == 0.0)
 
@@ -258,9 +238,8 @@ def test_easy_first_eval_scorer_no_gradient():
 def test_easy_first_eval_deterministic():
     grc, scorer = _params(seed=31)
     leaves = _leaves(7, seed=32)
-    cfg = EncoderConfig(beam_size=1, training=False)
-    a, ta = encode_easy_first_gumbel(leaves, grc, scorer, cfg)
-    b, tb = encode_easy_first_gumbel(leaves, grc, scorer, cfg)
+    a, ta = encode_easy_first_gumbel(leaves, grc, scorer)
+    b, tb = encode_easy_first_gumbel(leaves, grc, scorer)
     assert np.array_equal(a.data, b.data)
     assert ta.to_string() == tb.to_string()
 
@@ -280,8 +259,7 @@ def test_bsrp_matches_exhaustive_enumeration(n, repeated):
                                       params, decision)
     # Catalan(n-1) complete derivations
     assert len(oracle) == {3: 2, 4: 5, 5: 14}[n]
-    cfg = EncoderConfig(beam_size=32, training=False)
-    encoding, beams = encode_bsrp(leaves, params, decision, cfg)
+    encoding, beams = encode_bsrp(leaves, params, decision, 32)
     by_actions = {a: (s, e) for a, s, e in oracle}
     assert len(beams) == len(oracle)
     for root, score, actions in zip(beams.roots.data, beams.scores.data,
@@ -295,9 +273,7 @@ def test_bsrp_single_token():
     grc, _ = _params(seed=50)
     decision = BsrpParams.init(D_H, np.random.default_rng(51), np.float64)
     leaves = _leaves(1, seed=52)
-    enc, beams = encode_bsrp(leaves, grc, decision,
-                             EncoderConfig(beam_size=2,
-                                           training=False))
+    enc, beams = encode_bsrp(leaves, grc, decision, 2)
     assert np.array_equal(enc.data, leaves.data[0])
     assert beams.actions[0] == ("s",)
 
@@ -306,10 +282,8 @@ def test_bsrp_backprops_to_decision_layer():
     grc, _ = _params(seed=53)
     decision = BsrpParams.init(D_H, np.random.default_rng(54), np.float64)
     leaves = _leaves(4, seed=55)
-    cfg = EncoderConfig(beam_size=2, training=True,
-                        stochastic_topk=False)
     with Tape() as tape:
-        enc, _ = encode_bsrp(leaves, grc, decision, cfg)
+        enc, _ = encode_bsrp(leaves, grc, decision, 2)
         tape.backward(T.tsum(enc))
     assert np.any(decision.W.grad != 0.0)
 
@@ -327,10 +301,10 @@ def _bsrp_run(encode, n, stochastic, repeated=False):
         rows = rows[rng.integers(0, 3, size=n)]
     leaves = Tensor(rows, requires_grad=True)
     weights = Tensor(rng.standard_normal(D_H))
-    cfg = EncoderConfig(beam_size=3, training=True, stochastic_topk=stochastic)
     with Tape() as tape:
-        enc, beams = encode(leaves, params, decision, cfg,
-                            np.random.default_rng([n, 1]))
+        enc, beams = encode(leaves, params, decision, 3,
+                            np.random.default_rng([n, 1]) if stochastic
+                            else None)
         tape.backward(T.tsum(T.mul(enc, weights)))
     grads = {name: p.grad.copy() for name, p in
              {**params.named(), **decision.named(), "leaves": leaves}.items()}
@@ -357,14 +331,3 @@ def test_stacked_bsrp_matches_per_beam_reference(stochastic, n, repeated):
         scale = max(np.max(np.abs(g)), 1e-300)
         assert np.max(np.abs(grads[name] - g)) / scale <= 1e-10, name
     assert np.any(grads_o["bsrp.W"] != 0.0)
-
-
-def test_encoder_config_validation():
-    with pytest.raises(EncoderError):
-        EncoderConfig(beam_size=0).validate()
-    with pytest.raises(EncoderError):
-        EncoderConfig(beam_size=1, topk="onesoft").validate()
-    with pytest.raises(EncoderError):
-        EncoderConfig(topk="one_soft").validate()
-    EncoderConfig(topk="plain").validate()
-    EncoderConfig(beam_size=2, topk="onesoft").validate()

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,19 @@ def test_checkpoint_rejects_truncation(tmp_path, cut):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("shape", [(4_000_000_000, 4_000_000_000),
+                                   (2**32 - 1,) * 3])
+def test_checkpoint_rejects_impossible_extents(tmp_path, shape):
+    # the element count would overflow int64, or ask for exabytes; both
+    # declare more payload than the file holds
+    path = tmp_path / "huge.ckpt"
+    header = b"BTCK" + struct.pack("<III", 1, 1, 1) + b"w" + \
+        struct.pack("<I", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
+    path.write_bytes(header + b"\x00" * 16)
+    with pytest.raises(CheckpointError, match=r"tensor w declares shape"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
     path = tmp_path / "best.ckpt"
     save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
@@ -97,8 +111,7 @@ def test_restore_rejects_mismatch(tmp_path, saved, target, message):
 # config
 
 def test_config_file_round_trip(tmp_path):
-    cfg = _tiny_cfg(encoder="bt", beam_size=3, topk="onesoft",
-                    stochastic_topk=False)
+    cfg = _tiny_cfg(encoder="bt", beam_size=3, topk="onesoft")
     path = tmp_path / "config.txt"
     save_config(cfg, path)
     back = load_config(path)
@@ -129,7 +142,8 @@ def test_config_rejects_unknown_topk(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("max_epochs", 0), ("max_epochs", -3), ("dropout", 1.0),
-    ("dropout", -0.5), ("lr", -1.0), ("lr", 0.0), ("d_e", 0), ("d_h", 0)])
+    ("dropout", -0.5), ("lr", -1.0), ("lr", 0.0), ("d_e", 0), ("d_h", 0),
+    ("beam_size", 0)])
 def test_config_rejects_out_of_range_values(tmp_path, key, value):
     with pytest.raises(HarnessError, match=key):
         make_config({key: str(value)})
@@ -140,19 +154,13 @@ def test_config_rejects_out_of_range_values(tmp_path, key, value):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("text, value", [
-    ("1", True), ("true", True), ("True", True), ("YES", True),
-    ("0", False), ("false", False), ("False", False), ("No", False)])
-def test_config_parses_bools(text, value):
-    assert make_config({"stochastic_topk": text}).stochastic_topk is value
-
-
 def test_committed_run_configs_load():
     results = Path(__file__).resolve().parent.parent / "results"
-    for path in sorted(results.glob("**/config.txt")):
+    paths = sorted(results.glob("**/config.txt"))
+    assert paths
+    for path in paths:
         cfg = load_config(path)
-        assert "stochastic_topk=" + str(cfg.stochastic_topk) in \
-            path.read_text()
+        assert f"encoder={cfg.encoder}\n" in path.read_text()
 
 
 def test_config_drops_workers_1_and_refuses_other_workers(tmp_path):
@@ -196,12 +204,6 @@ def test_config_refuses_onesoft_without_beam_tree(encoder):
     with pytest.raises(HarnessError, match="topk=onesoft needs encoder=bt"):
         make_config({"encoder": encoder, "beam_size": "3", "topk": "onesoft"})
     assert make_config({"encoder": encoder, "topk": "plain"}).topk == "plain"
-
-
-@pytest.mark.parametrize("text", ["ture", "", "2", "on", "y"])
-def test_config_rejects_bad_bool(text):
-    with pytest.raises(HarnessError):
-        make_config({"stochastic_topk": text})
 
 
 @pytest.mark.parametrize("key,text", [("beam_size", "abc"),

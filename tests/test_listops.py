@@ -145,10 +145,15 @@ def test_tsv_round_trip(tmp_path):
     ("[MAX 1 [MIN 2 ]\t1", "unbalanced brackets$"),
     ("\t3", "empty source$"),
     ("[MAX 2 9 ]\t-1", "label -1 is not a digit 0-9$"),
-    ("[MAX 2 9 ]\t10", "label 10 is not a digit 0-9$")],
+    ("[MAX 2 9 ]\t10", "label 10 is not a digit 0-9$"),
+    ("[MAX 1 x ]\t1", "unknown token 'x'$"),
+    ("[MAX 12 ]\t1", "unknown token '12'$"),
+    ("[MAX ]\t0", "operator with no arguments$"),
+    ("[SM 1 [MIN ] ]\t1", "operator with no arguments$")],
     ids=["no-tab", "two-tabs", "word-label", "empty-label", "trailing-digit",
          "two-digits", "stray-close", "unclosed", "empty-source",
-         "label-minus-1", "label-10"])
+         "label-minus-1", "label-10", "unknown-token", "two-digit-token",
+         "empty-operator", "empty-inner-operator"])
 def test_read_tsv_names_file_and_line_of_a_malformed_row(tmp_path, row,
                                                          message):
     path = tmp_path / "x.tsv"

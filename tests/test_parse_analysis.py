@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from beamtree.cells import GrcParams, ScorerParams
-from beamtree.encoders import EncoderConfig, encode_bt_cell
+from beamtree.encoders import encode_bt_cell
 from beamtree.parse_analysis import (BeamParse, ParseAnalysisError,
                                      collapse_duplicates, extract_parses,
                                      tree_agreement)
@@ -16,8 +16,7 @@ def _run_bt(n, k, seed=0):
     grc = GrcParams.init(4, rng, np.float64)
     scorer = ScorerParams.init(4, rng, np.float64)
     leaves = Tensor(rng.standard_normal((n, 4)))
-    cfg = EncoderConfig(beam_size=k, topk="plain", training=False)
-    return encode_bt_cell(leaves, grc, scorer, cfg)
+    return encode_bt_cell(leaves, grc, scorer, k)
 
 
 def test_probabilities_sum_to_one():

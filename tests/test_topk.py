@@ -57,8 +57,6 @@ def test_plain_topk_rejects_bad_args():
         plain_topk([], 1)
     with pytest.raises(ValueError):
         plain_topk([1.0], 0)
-    with pytest.raises(ValueError):
-        plain_topk([1.0], 1, mode="gumbel")  # missing rng
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1,
@@ -76,7 +74,7 @@ def test_gumbel_selection_frequency():
     scores = np.log([0.7, 0.3])
     rng = np.random.default_rng(12345)
     trials = 100_000
-    hits = sum(plain_topk(scores, 1, mode="gumbel", rng=rng)[0] == 0
+    hits = sum(plain_topk(scores, 1, rng)[0] == 0
                for _ in range(trials))
     assert abs(hits / trials - 0.7) <= 0.01
 
@@ -153,25 +151,28 @@ def test_onesoft_collapsed_score_bounded_by_bottom(scores, k):
 
 def test_truncate_no_op_when_k_large():
     scores = np.array([1.0, 0.0])
-    assert truncate(scores, 2, "plain", training=True) == [[0], [1]]
-    assert truncate(scores, 5, "onesoft", training=True) == [[0], [1]]
+    assert truncate(scores, 2) == [[0], [1]]
+    assert truncate(scores, 5, onesoft=True) == [[0], [1]]
 
 
-def test_truncate_onesoft_eval_falls_back_to_hard():
+def test_truncate_plain_is_hard_top_k():
     scores = np.array([0.0, 3.0, 1.0])
-    assert truncate(scores, 2, "onesoft", training=False) == [[1], [2]]
+    assert truncate(scores, 2) == [[1], [2]]
 
 
-def test_truncate_onesoft_training_groups_the_rest():
+def test_truncate_onesoft_groups_the_rest():
     scores = np.array([0.0, 3.0, 1.0])
-    assert truncate(scores, 2, "onesoft", training=True) == [[1], [2, 0]]
+    assert truncate(scores, 2, onesoft=True) == [[1], [2, 0]]
 
 
-def test_truncate_gumbel_only_when_stochastic_training():
+def test_truncate_gumbel_only_when_given_an_rng():
+    # without an rng no noise is drawn and hard top-k never keeps the -5;
+    # with one, Gumbel top-k keeps it with probability about 1/(1 + e^5)
     scores = np.array([5.0, 0.0, -5.0])
-    # no rng: a Gumbel draw would raise
-    assert truncate(scores, 2, "plain", training=True,
-                    stochastic=False) == [[0], [1]]
+    assert all(truncate(scores, 2) == [[0], [1]] for _ in range(100))
+    rng = np.random.default_rng(3)
+    kept = [truncate(scores, 2, rng=rng) for _ in range(1000)]
+    assert any([2] in groups for groups in kept)
 
 
 def test_merge_beams_uniform_scores_average():
@@ -211,7 +212,7 @@ def test_merge_beams_grads_and_per_beam_reference():
 def test_pruned_beam_score_gradient_zero_under_hard_topk():
     nodes, scores = _pool([2.0, 1.0, 0.0, -1.0], requires_grad=True)
     with Tape() as tape:
-        groups = truncate(scores.data, 2, "plain", training=True)
+        groups = truncate(scores.data, 2)
         tape.backward(T.tsum(_encode(*_keep(groups, nodes, scores))))
     assert np.all(scores.grad[2:] == 0.0)
     assert np.any(scores.grad[0] != 0.0)
@@ -220,6 +221,6 @@ def test_pruned_beam_score_gradient_zero_under_hard_topk():
 def test_pruned_beam_score_gradient_nonzero_under_onesoft():
     nodes, scores = _pool([2.0, 1.0, 0.0, -1.0], requires_grad=True)
     with Tape() as tape:
-        groups = truncate(scores.data, 2, "onesoft", training=True)
+        groups = truncate(scores.data, 2, onesoft=True)
         tape.backward(T.tsum(_encode(*_keep(groups, nodes, scores))))
     assert np.all(scores.grad != 0.0)
