@@ -39,7 +39,10 @@ any mismatch is refused, naming the field. A run killed before writing
 result.json restarts from epoch 0 and, being deterministic, repeats the
 killed run's metrics.jsonl line for line if the code is unchanged (a
 change that moves values at float32 rounding breaks that; CHANGES.md
-names each). After every run the results JSON is rebuilt
+names each). Training one batch on one tape is such a change: the cached
+runs were trained one example at a time, so a run killed under that code
+and restarted under this one does not replay byte for byte. After every
+run the results JSON is rebuilt
 from all cached runs of every variant, so `--only` and `--seeds` never drop
 other runs from it; both files are replaced atomically, so concurrent
 invocations on disjoint runs are safe.

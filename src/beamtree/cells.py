@@ -62,17 +62,20 @@ def grc_compose(left: Tensor, right: Tensor, p: GrcParams) -> Tensor:
     _need_rows(left, right)
     d = p.d_h
     l, r = left.data, right.data
-    x = np.concatenate([l, r], axis=1)
-    pre = x @ p.W1.data + p.b1.data
+    pre = np.concatenate([l, r], axis=1) @ p.W1.data + p.b1.data
     hidden, phi = T.gelu_data(pre)
     gates = hidden @ p.W2.data + p.b2.data
     sig = T.sigmoid_data(gates[:, :3 * d])
     sz, sh, sc = sig[:, :d], sig[:, d:2 * d], sig[:, 2 * d:]
-    u = gates[:, 3 * d:]
+    u = gates[:, 3 * d:].copy()  # a view would keep all of `gates`
     out, xhat, inv = T.layer_norm_data((sz * l + sh * r) + sc * u,
                                        p.gamma.data, p.beta.data)
 
     def vjp(g):
+        # [left; right] and the GELU output are not kept from the forward:
+        # the same numpy calls recompute them, with the same bits
+        x = np.concatenate([l, r], axis=1)
+        hidden = (pre * phi).astype(pre.dtype, copy=False)
         dmix, dgamma, dbeta = T.layer_norm_grads(g, p.gamma.data, xhat, inv)
         dgates = np.concatenate([dmix * l, dmix * r, dmix * u, dmix * sc],
                                 axis=1)
@@ -130,15 +133,17 @@ class LeafParams:
                 for k in ("embedding", "projection", "gamma", "beta")}
 
 
-def leaf_transform_seq(token_ids, p: LeafParams, dropout_rate: float = 0.0,
-                       rng: np.random.Generator | None = None):
-    """Embed a token sequence and project to d_h: LN(embed(ids) @ projection).
+def leaf_transform_seq(sequences, p: LeafParams, dropout_rate: float = 0.0,
+                       rngs=None):
+    """Embed token sequences and project to d_h: LN(embed(ids) @ projection),
+    over every token of every sequence in one call.
 
-    Dropout applies to the embeddings only when given an rng, in training.
-    Returns (n, d_h).
+    Dropout applies to the embeddings only when given rngs, one per
+    sequence, in training; each sequence's mask is drawn from its own rng.
+    Returns (total tokens, d_h), the sequences' rows one after another.
     """
-    emb = T.rows_gather(p.embedding, token_ids)
-    if rng is not None and dropout_rate > 0.0:
-        emb = T.dropout(emb, dropout_rate, rng)
+    emb = T.rows_gather(p.embedding, [t for ids in sequences for t in ids])
+    if rngs is not None and dropout_rate > 0.0:
+        emb = T.dropout(emb, dropout_rate, rngs, [len(s) for s in sequences])
     return T.layer_norm(T.matmul(emb, p.projection), p.gamma, p.beta)
 

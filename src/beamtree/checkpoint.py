@@ -70,7 +70,12 @@ def load_checkpoint(path) -> dict:
             raise CheckpointError(f"unknown checkpoint version {version}")
         named = {}
         for _ in range(_read_u32(f)):
-            name = _read(f, _read_u32(f)).decode("utf-8")
+            raw = _read(f, _read_u32(f))
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(
+                    f"tensor name {raw!r} is not UTF-8") from None
             shape = tuple(_read_u32(f) for _ in range(_read_u32(f)))
             payload = 4 * math.prod(shape)  # Python ints: no overflow
             if payload > size - f.tell():

@@ -13,8 +13,8 @@ from .cells import GrcParams, LeafParams, ScorerParams, grc_compose, \
     leaf_transform_seq, score
 from .checkpoint import CheckpointError
 from .encoders import EncoderError, encode_bt_cell
-from .harness import HarnessError, Model, RunConfig, evaluate_checkpoint, \
-    load_config, load_model, make_config, train
+from .harness import HarnessError, Model, RunConfig, batch_losses, \
+    evaluate_checkpoint, load_config, load_model, make_config, train
 from .listops import GenConfig, ListOpsError, build_splits
 from .parse_analysis import collapse_duplicates, extract_parses
 from .tensor import Tensor
@@ -77,17 +77,18 @@ def cmd_parse(args):
         raise ListOpsError(f"--input: {e}") from None
     model = load_model(cfg, args.checkpoint)
     tokens = args.input.split()
-    leaves = leaf_transform_seq(listops.tokenize(args.input), model.leaf)
-    _enc, beams = encode_bt_cell(leaves, model.cell, model.scorer,
-                                 cfg.beam_size)
-    for parse in collapse_duplicates(extract_parses(beams, tokens)):
+    leaves = leaf_transform_seq([listops.tokenize(args.input)], model.leaf)
+    _enc, beams = encode_bt_cell(leaves, [len(tokens)], model.cell,
+                                 model.scorer, cfg.beam_size)
+    for parse in collapse_duplicates(extract_parses(beams[0], tokens)):
         print(f"{parse.probability:.4f}\t{parse.tree}")
 
 
 def cmd_gradcheck(args):
     """Double-precision finite-difference checks of the gated cell with the
-    scorer, the leaf transform, and the end-to-end beam-tree and beam
-    shift-reduce forwards."""
+    scorer, the leaf transform, the end-to-end beam-tree and beam
+    shift-reduce forwards, and the batched training loss of three examples
+    of different lengths."""
     rng = np.random.default_rng(args.seed)
     d_h, d_e, vocab = 6, 5, len(listops.VOCAB)
     tol = 1e-4
@@ -113,20 +114,28 @@ def cmd_gradcheck(args):
     # plain sum of a layer-normed row is constant; probe with random weights
     w = Tensor(rng.standard_normal((1, d_h)))
     report("leaf_transform", gc.check_grads(
-        lambda: T.tsum(T.mul(leaf_transform_seq([3], leaf), w)), leaf.named()))
+        lambda: T.tsum(T.mul(leaf_transform_seq([[3]], leaf), w)), leaf.named()))
 
     ex = listops.Example(source="[MAX 2 [MIN 8 3 ] 1 ]", label=3,
                         length=8, depth=2, max_args=3)
-    from .harness import example_loss
-    for name, encoder, topk in (("end_to_end_bt_onesoft", "bt", "onesoft"),
-                                ("end_to_end_bsrp", "bsrp", "plain")):
-        cfg = make_config({"encoder": encoder, "beam_size": "3", "topk": topk,
-                           "d_e": str(d_e), "d_h": str(d_h),
-                           "precision": "double",
-                           "dropout": "0.0", "seed": str(args.seed)})
-        model = Model(cfg)
+    batch = [ex, listops.Example(source="[SM 4 [MED 9 0 ] ]", label=4,
+                                 length=7, depth=2, max_args=2),
+             listops.Example(source="7", label=7, length=1, depth=0,
+                             max_args=0)]
+
+    def model(encoder, topk="plain"):
+        return Model(make_config({"encoder": encoder, "beam_size": "3",
+                                  "topk": topk, "d_e": str(d_e),
+                                  "d_h": str(d_h), "precision": "double",
+                                  "dropout": "0.0", "seed": str(args.seed)}))
+
+    for name, m, exs in (
+            ("end_to_end_bt_onesoft", model("bt", "onesoft"), [ex]),
+            ("end_to_end_bsrp", model("bsrp"), [ex]),
+            ("end_to_end_batch_bt_onesoft", model("bt", "onesoft"), batch),
+            ("end_to_end_batch_gumbel", model("gumbel"), batch)):
         report(name, gc.check_grads(
-            lambda: example_loss(model, ex, True, None), model.named()))
+            lambda: T.tsum(batch_losses(m, exs, True, None)), m.named()))
 
     if failures:
         print(f"gradcheck failed: {', '.join(failures)}")

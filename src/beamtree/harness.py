@@ -154,15 +154,16 @@ class HeadParams:
                 for k in ("gamma", "beta", "W1", "b1", "W2", "b2")}
 
 
-def classify(encoding: Tensor, head: HeadParams, dropout_rate: float = 0.0,
-             rng=None) -> Tensor:
-    """Two-layer head: LN -> linear -> GELU -> dropout -> linear -> logits.
-    Dropout applies only when given an rng, in training."""
-    x = T.layer_norm(encoding, head.gamma, head.beta)
-    x = T.gelu(T.add(T.matmul(x, head.W1), head.b1))
-    if rng is not None and dropout_rate > 0.0:
-        x = T.dropout(x, dropout_rate, rng)
-    return T.add(T.matmul(x, head.W2), head.b2)
+def classify(encodings: Tensor, head: HeadParams, dropout_rate: float = 0.0,
+             rngs=None) -> Tensor:
+    """Two-layer head over (examples, d_h) encodings: LN -> linear -> GELU
+    -> dropout -> linear -> (examples, classes) logits. Dropout applies only
+    when given rngs, one per example, in training."""
+    x = T.layer_norm(encodings, head.gamma, head.beta)
+    x = T.gelu(T.add_rowvec(T.matmul(x, head.W1), head.b1))
+    if rngs is not None and dropout_rate > 0.0:
+        x = T.dropout(x, dropout_rate, rngs, [1] * len(rngs))
+    return T.add_rowvec(T.matmul(x, head.W2), head.b2)
 
 
 class Model:
@@ -207,59 +208,75 @@ def example_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, epoch, index])
 
 
-def _encode(model: Model, ex: Example, training: bool, rng) -> Tensor:
-    """The example's encoding. Noise is drawn, for dropout and top-k, only
-    from `rng`: training passes one, evaluation None. OneSoft relaxes top-k
-    only in training, and evaluation truncates with hard top-k."""
+def _encode(model: Model, examples, training: bool, rngs) -> Tensor:
+    """The (examples, d_h) encodings of a batch. Noise is drawn, for
+    dropout and top-k, only from `rngs`, one per example: training passes
+    them, evaluation None. Each example draws from its own rng in the order
+    it alone would: leaf dropout, the encoder's Gumbel noise, head dropout.
+    OneSoft relaxes top-k only in training, and evaluation truncates with
+    hard top-k."""
     cfg = model.cfg
-    ids = tokenize(ex.source)
-    leaves = leaf_transform_seq(ids, model.leaf, cfg.dropout, rng)
+    sequences = [tokenize(ex.source) for ex in examples]
+    lengths = [len(ids) for ids in sequences]
+    leaves = leaf_transform_seq(sequences, model.leaf, cfg.dropout, rngs)
     kind = cfg.encoder
     if kind == "recurrent":
-        return encode_recurrent(leaves, model.cell, model.h0)
+        return encode_recurrent(leaves, lengths, model.cell, model.h0)
     if kind == "gumbel":
-        enc, _tree = encode_easy_first_gumbel(leaves, model.cell, model.scorer,
-                                              rng)
+        enc, _trees = encode_easy_first_gumbel(leaves, lengths, model.cell,
+                                               model.scorer, rngs)
         return enc
     if kind == "bt":
         enc, _beams = encode_bt_cell(
-            leaves, model.cell, model.scorer, cfg.beam_size,
-            onesoft=training and cfg.topk == "onesoft", rng=rng)
+            leaves, lengths, model.cell, model.scorer, cfg.beam_size,
+            onesoft=training and cfg.topk == "onesoft", rngs=rngs)
         return enc
     if kind == "bsrp":
-        enc, _beams = encode_bsrp(leaves, model.cell, model.bsrp,
-                                  cfg.beam_size, rng)
+        enc, _beams = encode_bsrp(leaves, lengths, model.cell, model.bsrp,
+                                  cfg.beam_size, rngs)
         return enc
-    tree = gold_tree_listops(ex.source.split())  # "gold"
-    return encode_fixed_tree(leaves, tree, model.cell)
+    trees = [gold_tree_listops(ex.source.split()) for ex in examples]
+    return encode_fixed_tree(leaves, trees, model.cell)  # "gold"
+
+
+def batch_logits(model: Model, examples, training: bool, rngs) -> Tensor:
+    """(examples, classes) logits of a batch, one rng per example or
+    None."""
+    enc = _encode(model, examples, training, rngs)
+    return classify(enc, model.head, model.cfg.dropout, rngs)
+
+
+def batch_losses(model: Model, examples, training: bool, rngs) -> Tensor:
+    """(examples,) cross-entropy of each example of a batch."""
+    logp = T.log_softmax(batch_logits(model, examples, training, rngs))
+    return T.neg(T.rows_gather(T.reshape(logp, (-1,)),
+                               [e * CLASSES + ex.label
+                                for e, ex in enumerate(examples)]))
 
 
 def forward_logits(model: Model, ex: Example, training: bool, rng) -> Tensor:
-    enc = _encode(model, ex, training, rng)
-    return classify(enc, model.head, model.cfg.dropout, rng)
+    """The (classes,) logits of one example: a batch of one."""
+    rngs = None if rng is None else [rng]
+    return T.reshape(batch_logits(model, [ex], training, rngs), (-1,))
 
 
 def example_loss(model: Model, ex: Example, training: bool, rng) -> Tensor:
-    logits = forward_logits(model, ex, training, rng)
-    return T.neg(T.pick(T.log_softmax(logits), ex.label))
+    """The cross-entropy of one example: a batch of one."""
+    rngs = None if rng is None else [rng]
+    return T.reshape(batch_losses(model, [ex], training, rngs), ())
 
 
 def batch_grad_sums(model: Model, batch, epoch: int):
     """Summed loss gradients and summed loss over `batch`, a list of
-    (index, example) pairs; returns (grads, loss_sum)."""
-    params = model.params()
-    total = [np.zeros_like(p.data) for p in params]
-    loss_sum = 0.0
-    for index, ex in batch:
-        model.zero_grad()
-        with Tape() as tape:
-            loss = example_loss(model, ex, True,
-                                example_rng(model.cfg.seed, epoch, index))
-            tape.backward(loss)
-        loss_sum += loss.item()
-        for acc, p in zip(total, params):
-            acc += p.grad
-    return total, loss_sum
+    (index, example) pairs, from one forward and one backward of the whole
+    batch on one tape; returns (grads, loss_sum). The grads are the
+    parameters' own gradient arrays, valid until the next backward."""
+    model.zero_grad()
+    rngs = [example_rng(model.cfg.seed, epoch, index) for index, _ in batch]
+    with Tape() as tape:
+        losses = batch_losses(model, [ex for _, ex in batch], True, rngs)
+        tape.backward(T.tsum(losses))
+    return [p.grad for p in model.params()], sum(losses.data.tolist())
 
 
 def _length_bucketed_batches(examples, batch_size: int, rng) -> list:
@@ -287,7 +304,9 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
           log=print) -> tuple:
     """Adam on cross-entropy with dev-accuracy early stopping.
 
-    Writes metrics.jsonl (deterministic fields only), timing.log (wall clock),
+    Writes metrics.jsonl (deterministic fields only), timing.log (wall clock:
+    per epoch the run's elapsed seconds, the seconds spent in training steps
+    and in dev evaluation, and training examples per second of the steps),
     config.txt, and best.ckpt under `out_dir`. Returns
     (checkpoint_path, metrics list)."""
     cfg.validate()
@@ -320,6 +339,7 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
             batches = _length_bucketed_batches(train_examples, cfg.batch_size,
                                                batch_rng)
             loss_total = 0.0
+            t_train = time.monotonic()
             for batch in batches:
                 grads, loss_sum = batch_grad_sums(model, batch, epoch)
                 scale = 1.0 / len(batch)
@@ -334,8 +354,10 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
                 loss_total += mean_loss * len(batch)
                 step += 1
             train_loss = loss_total / len(train_examples)
+            t_dev = time.monotonic()
             dev_acc, dev_loss = evaluate_examples(model, dev_examples)
-            elapsed = time.monotonic() - t0
+            t_end = time.monotonic()
+            elapsed, train_s = t_end - t0, t_dev - t_train
             record = {"epoch": epoch, "step": step,
                       "train_loss": round(train_loss, 6),
                       "dev_accuracy": round(dev_acc, 6),
@@ -343,7 +365,10 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
             metrics.append(record)
             mf.write(json.dumps(record) + "\n")
             mf.flush()
-            tf.write(f"epoch={epoch} wall_seconds={elapsed:.1f}\n")
+            tf.write(f"epoch={epoch} wall_seconds={elapsed:.1f} "
+                     f"train_seconds={train_s:.2f} "
+                     f"dev_seconds={t_end - t_dev:.2f} train_ex_per_s="
+                     f"{len(train_examples) / max(train_s, 1e-9):.1f}\n")
             tf.flush()
             log(f"epoch {epoch}: train_loss={train_loss:.4f} "
                 f"dev_acc={dev_acc:.4f} ({elapsed:.0f}s)")

@@ -40,6 +40,9 @@ __all__ = [
     "pick",
     "reshape",
     "rows_gather",
+    "RowTable",
+    "segment_softmax",
+    "segment_sum",
     "dropout",
     "detach",
     "clip_grad_norm",
@@ -123,8 +126,15 @@ class Tape:
         if loss.grad is None:
             loss.grad = np.zeros_like(loss.data)
         loss.grad += 1.0
-        for rec in reversed(self.records):
+        # each record is popped once its vjp has run, and the gradient of
+        # the tensor it produced dropped: once every consumer of a tensor
+        # has run, nothing reads its gradient again. Tensors no record
+        # produced (parameters, inputs) keep theirs.
+        records = self.records
+        while records:
+            rec = records.pop()
             g = rec.out.grad
+            rec.out.grad = None
             if g is None:
                 continue
             grads = rec.vjp(g)
@@ -446,10 +456,120 @@ def rows_gather(table: Tensor, ids) -> Tensor:
     return _make(out, (table,), vjp)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+class RowTable:
+    """An append-only table of rows, kept as the list of tensors appended
+    (chunks), with one row-id space over all of them. Their values are also
+    copied into one growing buffer when they are appended, so a gather
+    reads any rows with one index; its backward scatters into the chunks
+    the rows came from. No chunk is ever concatenated on the tape."""
+
+    def __init__(self, first: Tensor):
+        data = first.data
+        self.chunks = []
+        self.starts = []
+        self.size = 0
+        self._buf = np.empty((max(64, 2 * data.shape[0]),) + data.shape[1:],
+                             dtype=data.dtype)
+        self.append(first)
+
+    def append(self, rows: Tensor) -> int:
+        """Add `rows` at the end; returns the id of its first row."""
+        start, n = self.size, rows.data.shape[0]
+        if start + n > self._buf.shape[0]:
+            buf = np.empty((max(2 * self._buf.shape[0], start + n),)
+                           + self._buf.shape[1:], dtype=self._buf.dtype)
+            buf[:start] = self._buf[:start]
+            self._buf = buf
+        self._buf[start:start + n] = rows.data
+        self.chunks.append(rows)
+        self.starts.append(start)
+        self.size = start + n
+        return start
+
+    def values(self, ids) -> np.ndarray:
+        """The rows `ids` as a plain array, off the tape."""
+        return self._buf[ids]
+
+    def gather(self, ids) -> Tensor:
+        """out[i] = row ids[i] of the table."""
+        ids = np.asarray(ids, dtype=np.intp)
+        out = self._buf[ids]
+        if Tape._active is None:
+            return _make(out, (), None)
+        which = np.searchsorted(self.starts, ids, side="right") - 1
+        used = np.unique(which).tolist()
+        inputs = tuple(self.chunks[c] for c in used)
+        locs = [(which == c, self.starts[c]) for c in used]
+
+        def vjp(g):
+            grads = []
+            for chunk, (mask, start) in zip(inputs, locs):
+                gc = np.zeros_like(chunk.data)
+                np.add.at(gc, ids[mask] - start, g[mask])
+                grads.append(gc)
+            return tuple(grads)
+
+        return _make(out, inputs, vjp)
+
+
+def _segment_starts(counts) -> np.ndarray:
+    starts = np.zeros(len(counts), dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return starts
+
+
+def segment_softmax(a: Tensor, counts, log: bool = False) -> Tensor:
+    """Softmax, or with `log` log-softmax, of each run of consecutive
+    entries of the 1-D `a`, run s being counts[s] (>= 1) entries long."""
+    counts = np.asarray(counts, dtype=np.intp)
+    x = a.data
+    if x.ndim != 1 or int(counts.sum()) != x.shape[0] or np.any(counts < 1):
+        raise TensorError(f"segment_softmax of {x.shape} in runs {counts}")
+    starts = _segment_starts(counts)
+    z = x - np.repeat(np.maximum.reduceat(x, starts), counts)
+    e = np.exp(z)
+    total = np.repeat(np.add.reduceat(e, starts), counts)
+    if log:
+        out = z - np.log(total)
+        s = np.exp(out)
+        return _make(out, (a,), lambda g: (
+            g - s * np.repeat(np.add.reduceat(g, starts), counts),))
+    out = e / total
+    return _make(out, (a,), lambda g: (
+        out * (g - np.repeat(np.add.reduceat(g * out, starts), counts)),))
+
+
+def segment_sum(weights: Tensor, rows: Tensor, counts) -> Tensor:
+    """out[s] = sum of weights[j] * rows[j] over the j of run s, the runs
+    being counts[s] (>= 1) consecutive entries long: the weighted sum of
+    each run of rows (R, d), or of entries (R,)."""
+    counts = np.asarray(counts, dtype=np.intp)
+    w, r = weights.data, rows.data
+    if w.ndim != 1 or r.shape[0] != w.shape[0] or \
+            int(counts.sum()) != w.shape[0] or np.any(counts < 1):
+        raise TensorError(f"segment_sum of {w.shape} and {r.shape} in runs "
+                          f"{counts}")
+    col = w[:, None] if r.ndim == 2 else w
+    out = np.add.reduceat(col * r, _segment_starts(counts), axis=0)
+
+    def vjp(g):
+        gr = np.repeat(g, counts, axis=0)
+        dw = (gr * r).sum(axis=1) if r.ndim == 2 else gr * r
+        return dw, col * gr
+
+    return _make(out, (weights, rows), vjp)
+
+
+def dropout(a: Tensor, rate: float, rngs, counts) -> Tensor:
+    """Inverted dropout of the rows of `a`: the mask of the first counts[0]
+    rows is drawn from rngs[0], of the next counts[1] from rngs[1], and so
+    on, each as one `random` call over its rows."""
     if rate <= 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= rate).astype(a.data.dtype)
+    tail = a.data.shape[1:]
+    keep = (np.concatenate([rng.random((c,) + tail)
+                            for rng, c in zip(rngs, counts)])
+            >= rate).astype(a.data.dtype)
     scale = 1.0 / (1.0 - rate)
     mask = keep * scale
     return _make(a.data * mask, (a,), lambda g: (g * mask,))

@@ -1,6 +1,7 @@
 """Beam containers and truncation operators: plain top-k, OneSoft top-k and
-its interpolated beam, and the final score-weighted expectation. Top-k is
-Gumbel-perturbed if and only if it is given an rng."""
+its interpolated beams, and the final score-weighted expectation, the last
+two over the beams of a whole batch at once. Top-k is Gumbel-perturbed if
+and only if it is given an rng."""
 
 from __future__ import annotations
 
@@ -77,26 +78,26 @@ def truncate(scores, k: int, onesoft: bool = False,
     return [[i] for i in plain_topk(scores, k, rng)]
 
 
-def collapse_tail(nodes: Tensor, scores: Tensor, count: int):
-    """Stacked beams (`nodes` with an equal share of rows per entry of the
-    (B,) `scores`) with the last `count` replaced by one beam, their
-    softmax(score)-weighted sum, scored by the same weighted sum."""
-    beams = scores.data.shape[0]
-    keep = beams - count
-    length = nodes.data.shape[0] // beams
-    tail_scores = T.slice_rows(scores, keep, beams)
-    w = T.softmax(tail_scores)
-    tail = T.reshape(T.slice_rows(nodes, keep * length, beams * length),
-                     (count, -1))
-    mixed = T.reshape(T.matmul(w, tail), (length, -1))
-    mixed_score = T.reshape(T.matmul(w, tail_scores), (1,))
-    return (T.concat([T.slice_rows(nodes, 0, keep * length), mixed], axis=0),
-            T.concat([T.slice_rows(scores, 0, keep), mixed_score], axis=0))
+def collapse_tail(rows: Tensor, scores: Tensor, counts, lengths):
+    """OneSoft's interpolated beams. Tail t has counts[t] beams of
+    lengths[t] nodes each: their (counts[t],) scores, one run of `scores`
+    per tail, and their node rows position by position (for each node, its
+    row in each beam, in beam order), one run of `rows` per tail. Returns
+    the (sum(lengths), width) rows and (tails,) scores of one beam per tail,
+    its beams' softmax(score)-weighted sum."""
+    w = T.segment_softmax(scores, counts)
+    starts = np.cumsum(counts) - counts
+    tiled = [s + j for s, c, n in zip(starts, counts, lengths)
+             for _ in range(n) for j in range(c)]
+    per_node = np.repeat(counts, lengths)
+    return (T.segment_sum(T.rows_gather(w, tiled), rows, per_node),
+            T.segment_sum(w, scores, counts))
 
 
-def merge_beams(roots: Tensor, scores: Tensor) -> Tensor:
-    """Expectation over stacked beam encodings: softmax(scores) @ roots, for
-    (B, d_h) `roots` and (B,) `scores`."""
+def merge_beams(roots: Tensor, scores: Tensor, counts) -> Tensor:
+    """Expectation over stacked beam encodings, per example: softmax(scores)
+    @ roots over each run of counts[e] beams, for (B, d_h) `roots` and (B,)
+    `scores`; returns (len(counts), d_h)."""
     if roots.data.shape[0] != scores.data.shape[0] or not scores.data.size:
         raise ValueError("merge_beams needs one score per root, and a root")
-    return T.matmul(T.softmax(scores), roots)
+    return T.segment_sum(T.segment_softmax(scores, counts), roots, counts)

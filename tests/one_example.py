@@ -1,0 +1,36 @@
+"""One example as a batch of one: the package's batched encoders on one
+example's leaves, returning its (d_h,) encoding and its BeamSet or tree,
+with the single-example signatures the tests and the references share."""
+
+from beamtree import encoders
+from beamtree import tensor as T
+
+
+def encode_bt_cell(leaves, cell, scorer, k, onesoft=False, rng=None):
+    enc, beams = encoders.encode_bt_cell(
+        leaves, [leaves.data.shape[0]], cell, scorer, k, onesoft,
+        None if rng is None else [rng])
+    return T.reshape(enc, (-1,)), beams[0]
+
+
+def encode_easy_first_gumbel(leaves, cell, scorer, rng=None):
+    enc, trees = encoders.encode_easy_first_gumbel(
+        leaves, [leaves.data.shape[0]], cell, scorer,
+        None if rng is None else [rng])
+    return T.reshape(enc, (-1,)), trees[0]
+
+
+def encode_bsrp(leaves, cell, decision, k, rng=None):
+    enc, beams = encoders.encode_bsrp(
+        leaves, [leaves.data.shape[0]], cell, decision, k,
+        None if rng is None else [rng])
+    return T.reshape(enc, (-1,)), beams[0]
+
+
+def encode_recurrent(leaves, cell, h0):
+    return T.reshape(encoders.encode_recurrent(
+        leaves, [leaves.data.shape[0]], cell, h0), (-1,))
+
+
+def encode_fixed_tree(leaves, tree, cell):
+    return T.reshape(encoders.encode_fixed_tree(leaves, [tree], cell), (-1,))

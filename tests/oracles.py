@@ -16,7 +16,12 @@ beams one at a time. The per-beam shift-reduce encoder is the beam
 shift-reduce parser as it was before its beams were stacked: one state
 object, decision matmul and compose per beam per step. All of them run on
 the package's tape, so the fused cell's and the stacked encoders' outputs
-and gradients can be checked against them."""
+and gradients can be checked against them. So do the per-example encoders
+and loss at the end: the encoders as they were before they ran a whole
+batch at once, one example at a time, the reference for the batched
+forward, its actions, losses and gradients."""
+
+from __future__ import annotations
 
 from dataclasses import dataclass
 
@@ -28,9 +33,10 @@ from scipy.stats import norm
 from beamtree import encoders
 from beamtree import tensor as T
 from beamtree.cells import grc_compose, score
+from beamtree.listops import tokenize
 from beamtree.tensor import Tensor
-from beamtree.topk import BeamSet, gumbel_noise, merge_beams, plain_topk
-from beamtree.trees import replay_actions
+from beamtree.topk import BeamSet, gumbel_noise, plain_topk, truncate
+from beamtree.trees import ParseTree, gold_tree_listops, replay_actions
 
 
 def np_grc(l, r, p):
@@ -355,5 +361,266 @@ def per_beam_bsrp(leaves, cell, decision, k, rng=None):
         beams = [pool[i] for i in idx]
     roots = T.concat([st.stack[0] for st in beams])
     scores = T.concat([st.score for st in beams], axis=0)
-    return merge_beams(roots, scores), \
+    return stacked_merge_beams(roots, scores), \
         BeamSet(roots, scores, [st.actions for st in beams])
+
+
+# ---------------------------------------------------------------------------
+# per-example encoders and loss
+
+# The package's encoders run a whole batch at once. These are the encoders
+# as they were before: one example at a time, with the beam-tree beams
+# stacked as one node and one candidate matrix per example, rebuilt with row
+# gathers on every merge, and the per-example leaf transform, head and loss.
+
+def _merge(nodes: Tensor, length: int, merged: Tensor, picks: list) -> Tensor:
+    """Stacked nodes after one merge per beam, in one gather. picks[r] is
+    (b, i, m): beam r is beam b of `nodes` (`length` rows each) with its
+    nodes i and i+1 replaced by row m of `merged`."""
+    base = nodes.data.shape[0]
+    ids = []
+    for b, i, m in picks:
+        start = b * length
+        ids += [*range(start, start + i), base + m,
+                *range(start + i + 2, start + length)]
+    return T.rows_gather(T.concat([nodes, merged], axis=0), ids)
+
+
+def _pairs(nodes: Tensor, length: int, cands: Tensor | None, merges: list,
+           cell: GrcParams):
+    """Stacked candidate parents, (B*(length-1), width), of the stacked
+    beams `nodes`, `length` rows each. merges[r] = (b, i, ...) says beam r
+    is beam b of `cands` after merging its nodes i and i+1, so only the
+    pairs beside the merged node are new; None says all pairs of beam r are
+    new. The new pairs are composed in one `grc_compose` call. With two nodes
+    per beam this is the (B, width) matrix of roots; with one, `nodes`."""
+    if length == 1:
+        return nodes
+    windows = [(0, length - 1) if merge is None else
+               (max(merge[1] - 1, 0), min(merge[1] + 1, length - 1))
+               for merge in merges]
+    if len(merges) == 1 and windows[0][1] - windows[0][0] == 1:
+        # BLAS multiplies a lone row with another kernel, and other rounding,
+        # than a matrix. A lone new candidate is composed with a neighbour,
+        # whose cached row this recomputes bit for bit, so every candidate
+        # keeps the bits it has in a beam's full candidate matrix.
+        lo, hi = windows[0]
+        windows[0] = (lo - 1, hi) if lo > 0 else (lo, hi + 1)
+    base = 0 if cands is None else cands.data.shape[0]
+    lefts, ids = [], []  # left node of each new pair; row of each candidate
+    for r, ((lo, hi), merge) in enumerate(zip(windows, merges)):
+        for j in range(length - 1):
+            if lo <= j < hi:
+                ids.append(base + len(lefts))
+                lefts.append(r * length + j)
+            else:
+                b, i = merge[:2]
+                ids.append(b * length + j + (j > i))
+    lefts = np.array(lefts)
+    new = grc_compose(T.rows_gather(nodes, lefts),
+                      T.rows_gather(nodes, lefts + 1), cell)
+    if len(lefts) == len(ids):
+        return new
+    return T.rows_gather(T.concat([cands, new], axis=0), ids)
+
+
+def fold_recurrent(leaves: Tensor, cell: GrcParams, h0: Tensor) -> Tensor:
+    """Left-to-right fold of the cell from the learned initial state h0,
+    folded as R(h0, first_leaf)."""
+    n = leaves.data.shape[0]
+    if n < 1:
+        raise encoders.EncoderError("empty input")
+    state = T.reshape(h0, (1, -1))
+    for i in range(n):
+        state = grc_compose(state, T.slice_rows(leaves, i, i + 1), cell)
+    return T.reshape(state, (-1,))
+
+
+def walk_fixed_tree(leaves: Tensor, tree: ParseTree,
+                      cell: GrcParams) -> Tensor:
+    """Bottom-up evaluation of the cell along the given tree."""
+    n = leaves.data.shape[0]
+    if tree.n_leaves() != n:
+        raise encoders.EncoderError(f"tree has {tree.n_leaves()} leaves for {n} tokens")
+    if not tree.is_projective():
+        raise encoders.EncoderError("non-projective tree")
+    return T.reshape(_walk(tree, leaves, cell), (-1,))
+
+
+def _walk(t: ParseTree, leaves: Tensor, cell: GrcParams) -> Tensor:
+    # a module-level function, not a closure that refers to itself: such a
+    # closure is a reference cycle that keeps `cell`, its weights and their
+    # gradients alive until the cyclic garbage collector runs
+    if t.is_leaf:
+        return T.slice_rows(leaves, t.leaf, t.leaf + 1)
+    return grc_compose(_walk(t.left, leaves, cell),
+                       _walk(t.right, leaves, cell), cell)
+
+
+def stacked_easy_first_gumbel(leaves, cell, scorer, rng=None):
+    """`stacked_bt_cell` with one beam. Returns (vector, tree)."""
+    enc, beams = stacked_bt_cell(leaves, cell, scorer, 1, rng=rng)
+    return enc, replay_actions(leaves.data.shape[0], beams.actions[0])
+
+
+def stacked_bt_cell(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
+                   k: int, onesoft: bool = False,
+                   rng: np.random.Generator | None = None):
+    """Beam-search extension of easy-first composition.
+
+    Per iteration each beam scores all adjacent parent candidates, scores
+    are log-softmaxed into per-branch log-probability increments, and each
+    beam branches over its top-k candidates into a pool of (beam, i) merges
+    with a (m,) vector of accumulated log-probabilities. `truncate` selects
+    from those scores alone (OneSoft top-k when `onesoft`, else plain top-k)
+    groups of pool indices, one per beam kept. Branching and plain
+    truncation are Gumbel-perturbed when given an rng. The beams are stacked
+    (see `_merge`), their scores one (B,) vector: one `score` call and one
+    row-wise log-softmax cover all beams, the beams of the groups are one
+    gather, and only the pairs beside each merged node are composed, in one
+    call. Hard top-k builds only the k beams it keeps. OneSoft builds all,
+    its last group's best first, and `collapse_tail` replaces that group
+    with one softmax-weighted beam in one matmul; the interpolated beam
+    carries its best member's actions, and every pair of it is composed.
+    The beams stay stacked to the end: the last pairs of all beams are one
+    `grc_compose` call, and the encoding is `merge_beams` of the (B, d_h)
+    roots and (B,) scores.
+
+    With one beam this is easy-first composition. `merge_beams` gives a
+    lone beam's score no gradient, so one beam given an rng selects by
+    straight-through Gumbel instead of branching and truncating: the
+    forward commits to the argmax of the Gumbel-perturbed scores, the
+    backward follows softmax(perturbed), and the merged row is that
+    straight-through one-hot times the candidate matrix. Returns
+    (encoding, final BeamSet)."""
+    n = leaves.data.shape[0]
+    if n < 1:
+        raise encoders.EncoderError("empty input")
+    nodes, length = leaves, n
+    cands = _pairs(nodes, length, None, [None], cell)
+    scores = Tensor(np.zeros(1, dtype=leaves.data.dtype))
+    actions = [()]
+
+    while length > 2:
+        raw = score(cands, scorer)
+        if k == 1 and rng is not None:
+            # one beam, in training: straight-through Gumbel
+            noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
+            perturbed = T.add(raw, Tensor(noise))
+            hard = int(np.argmax(perturbed.data))
+            soft = T.softmax(perturbed)
+            onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
+            onehot[hard] = 1.0
+            ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
+            nodes = _merge(nodes, length,
+                           T.matmul(T.reshape(ste, (1, -1)), cands),
+                           [(0, hard, 0)])
+            chosen = merges = [(0, hard)]
+        else:
+            logp = T.log_softmax(T.reshape(raw, (len(actions), length - 1)))
+            pool = [(b, i) for b in range(len(actions)) for i in
+                    plain_topk(logp.data[b], k, rng)]
+            beam_ids = [b for b, _ in pool]
+            cand_ids = [b * (length - 1) + i for b, i in pool]
+            groups = truncate(
+                scores.data[beam_ids] + logp.data.reshape(-1)[cand_ids], k,
+                onesoft, rng)
+            picks = [j for g in groups for j in g]
+            nodes = _merge(nodes, length, cands,
+                           [(*pool[j], cand_ids[j]) for j in picks])
+            scores = T.add(T.rows_gather(scores, [beam_ids[j] for j in picks]),
+                           T.rows_gather(T.reshape(logp, (-1,)),
+                                         [cand_ids[j] for j in picks]))
+            if len(groups[-1]) > 1:
+                nodes, scores = stacked_collapse_tail(nodes, scores, len(groups[-1]))
+            chosen = [pool[g[0]] for g in groups]
+            # the interpolated beam comes from no merge: all its pairs are new
+            merges = [c if len(g) == 1 else None
+                      for c, g in zip(chosen, groups)]
+        actions = [actions[b] + (i,) for b, i in chosen]
+        length -= 1
+        cands = _pairs(nodes, length, cands, merges, cell)
+
+    if length == 2:
+        actions = [a + (0,) for a in actions]
+    return stacked_merge_beams(cands, scores), BeamSet(cands, scores, actions)
+
+
+def stacked_collapse_tail(nodes: Tensor, scores: Tensor, count: int):
+    """Stacked beams (`nodes` with an equal share of rows per entry of the
+    (B,) `scores`) with the last `count` replaced by one beam, their
+    softmax(score)-weighted sum, scored by the same weighted sum."""
+    beams = scores.data.shape[0]
+    keep = beams - count
+    length = nodes.data.shape[0] // beams
+    tail_scores = T.slice_rows(scores, keep, beams)
+    w = T.softmax(tail_scores)
+    tail = T.reshape(T.slice_rows(nodes, keep * length, beams * length),
+                     (count, -1))
+    mixed = T.reshape(T.matmul(w, tail), (length, -1))
+    mixed_score = T.reshape(T.matmul(w, tail_scores), (1,))
+    return (T.concat([T.slice_rows(nodes, 0, keep * length), mixed], axis=0),
+            T.concat([T.slice_rows(scores, 0, keep), mixed_score], axis=0))
+
+
+def stacked_merge_beams(roots: Tensor, scores: Tensor) -> Tensor:
+    """Expectation over stacked beam encodings: softmax(scores) @ roots, for
+    (B, d_h) `roots` and (B,) `scores`."""
+    if roots.data.shape[0] != scores.data.shape[0] or not scores.data.size:
+        raise ValueError("merge_beams needs one score per root, and a root")
+    return T.matmul(T.softmax(scores), roots)
+
+
+def per_example_leaves(token_ids, p: LeafParams, dropout_rate: float = 0.0,
+                       rng: np.random.Generator | None = None):
+    """Embed a token sequence and project to d_h: LN(embed(ids) @ projection).
+
+    Dropout applies to the embeddings only when given an rng, in training.
+    Returns (n, d_h).
+    """
+    emb = T.rows_gather(p.embedding, token_ids)
+    if rng is not None and dropout_rate > 0.0:
+        emb = T.dropout(emb, dropout_rate, [rng], [len(token_ids)])
+    return T.layer_norm(T.matmul(emb, p.projection), p.gamma, p.beta)
+
+
+
+def per_example_head(encoding: Tensor, head, dropout_rate: float = 0.0,
+                     rng=None) -> Tensor:
+    """Two-layer head: LN -> linear -> GELU -> dropout -> linear -> logits.
+    Dropout applies only when given an rng, in training."""
+    x = T.layer_norm(encoding, head.gamma, head.beta)
+    x = T.gelu(T.add(T.matmul(x, head.W1), head.b1))
+    if rng is not None and dropout_rate > 0.0:
+        x = T.reshape(T.dropout(T.reshape(x, (1, -1)), dropout_rate, [rng],
+                                [1]), (-1,))
+    return T.add(T.matmul(x, head.W2), head.b2)
+
+
+
+
+def per_example_loss(model, ex, training, rng):
+    """The cross-entropy of one example through the per-example leaf
+    transform, encoders and head, drawing from `rng` in the same order as
+    the package: leaf dropout, the encoder's noise, head dropout."""
+    cfg = model.cfg
+    leaves = per_example_leaves(tokenize(ex.source), model.leaf, cfg.dropout,
+                                rng)
+    kind = cfg.encoder
+    if kind == "recurrent":
+        enc = fold_recurrent(leaves, model.cell, model.h0)
+    elif kind == "gumbel":
+        enc = stacked_easy_first_gumbel(leaves, model.cell, model.scorer,
+                                        rng)[0]
+    elif kind == "bt":
+        enc = stacked_bt_cell(leaves, model.cell, model.scorer,
+                              cfg.beam_size,
+                              training and cfg.topk == "onesoft", rng)[0]
+    elif kind == "bsrp":
+        enc = per_beam_bsrp(leaves, model.cell, model.bsrp, cfg.beam_size,
+                            rng)[0]
+    else:
+        enc = walk_fixed_tree(leaves, gold_tree_listops(ex.source.split()),
+                              model.cell)
+    logits = per_example_head(enc, model.head, cfg.dropout, rng)
+    return T.neg(T.pick(T.log_softmax(logits), ex.label))

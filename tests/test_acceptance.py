@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from one_example import encode_bsrp, encode_bt_cell, encode_fixed_tree
 from oracles import (enumerate_merge_derivations, enumerate_sr_derivations,
                      stack_machine_eval)
 
@@ -20,8 +21,7 @@ from beamtree import tensor as T
 from beamtree.cells import GrcParams, LeafParams, ScorerParams, \
     grc_compose, leaf_transform_seq, score
 from beamtree.checkpoint import load_checkpoint, save_checkpoint
-from beamtree.encoders import (BsrpParams, encode_bsrp, encode_bt_cell,
-                               encode_fixed_tree)
+from beamtree.encoders import BsrpParams
 from beamtree.gradcheck import check_grads
 from beamtree.harness import HeadParams, Model, classify, example_loss, \
     forward_logits, make_config, train
@@ -66,13 +66,14 @@ def test_criterion_gradients_all_components():
     leaf = LeafParams.init(15, 6, d_h, rng, np.float64)
     wmat = Tensor(rng.standard_normal((3, d_h)))
     worst["leaf"] = max(check_grads(
-        lambda: T.tsum(T.mul(leaf_transform_seq([1, 7, 14], leaf), wmat)),
+        lambda: T.tsum(T.mul(leaf_transform_seq([[1, 7], [14]], leaf), wmat)),
         leaf.named()).values())
 
     head = HeadParams.init(d_h, 10, rng, np.float64)
-    x = Tensor(rng.standard_normal(d_h), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, d_h)), requires_grad=True)
     worst["head"] = max(check_grads(
-        lambda: T.pick(T.log_softmax(classify(x, head)), 3),
+        lambda: T.pick(T.reshape(T.log_softmax(classify(x, head)), (-1,)),
+                       13),
         {**head.named(), "x": x}).values())
 
     # end-to-end: OneSoft beam recursion over 6 leaves in double precision
@@ -131,13 +132,17 @@ def test_criterion_soft_truncation_identities():
 
     def keep(groups, nodes, scores):
         """The beams the groups keep, a longer last group collapsed."""
-        picks = [j for g in groups for j in g]
-        kept = (T.rows_gather(nodes, [2 * j + r for j in picks
+        singles = [g[0] for g in groups if len(g) == 1]
+        kept = (T.rows_gather(nodes, [2 * j + r for j in singles
                                       for r in range(2)]),
-                T.rows_gather(scores, picks))
-        if len(groups[-1]) > 1:
-            return collapse_tail(*kept, len(groups[-1]))
-        return kept
+                T.rows_gather(scores, singles))
+        tail = groups[-1]
+        if len(tail) == 1:
+            return kept
+        rows, score = collapse_tail(
+            T.rows_gather(nodes, [2 * j + r for r in range(2) for j in tail]),
+            T.rows_gather(scores, tail), [len(tail)], [2])
+        return T.concat([kept[0], rows]), T.concat([kept[1], score])
 
     # k=m returns the input set exactly
     identity_ok = True
@@ -181,7 +186,8 @@ def test_criterion_soft_truncation_identities():
                 groups = truncate(scores.data, 2, onesoft)
                 out_nodes, out_scores = keep(groups, nodes, scores)
                 enc = merge_beams(
-                    T.reshape(out_nodes, (len(groups), 6)), out_scores)
+                    T.reshape(out_nodes, (len(groups), 6)), out_scores,
+                    [len(groups)])
                 tape.backward(T.tsum(enc))
             pruned_has_grad = bool(np.any(scores.grad[2:] != 0.0))
             grad_ok &= (pruned_has_grad == onesoft)

@@ -1,0 +1,157 @@
+"""One batch on one tape against the per-example references in oracles.py:
+a batch of mixed lengths, 1 and 2 among them, in training mode with one
+rng per example, in double precision. The batched encoders must take the
+same actions, and the per-example losses and summed gradients must match
+the references."""
+
+import gc
+import os
+import weakref
+
+import numpy as np
+import pytest
+
+from oracles import (per_beam_bsrp, per_example_leaves, per_example_loss,
+                     stacked_bt_cell, stacked_easy_first_gumbel)
+
+from beamtree import tensor as T
+from beamtree.cells import leaf_transform_seq
+from beamtree.encoders import encode_bsrp, encode_bt_cell, \
+    encode_easy_first_gumbel
+from beamtree.harness import Model, batch_grad_sums, batch_losses, \
+    example_rng, make_config
+from beamtree.listops import Example, read_tsv, tokenize
+from beamtree.tensor import Tape
+
+SOURCES = ["[MAX 2 [MIN 8 3 ] 1 ]", "7", "[SM 4 5 ]",
+           "[MIN 3 [MAX 1 9 2 ] [MED 5 6 7 ] 0 ]", "[MED 1 2 ]",
+           "[MAX 2 ]", "1 2"]  # the last is no ListOps row: no gold tree
+
+VARIANTS = {"gold": {"encoder": "gold"},
+            "recurrent": {"encoder": "recurrent"},
+            "gumbel": {"encoder": "gumbel"},
+            "bsrp": {"encoder": "bsrp", "beam_size": "3"}}
+for _k in (2, 3, 5):
+    for _topk in ("plain", "onesoft"):
+        VARIANTS[f"bt_k{_k}_{_topk}"] = {"encoder": "bt",
+                                         "beam_size": str(_k),
+                                         "topk": _topk}
+
+SEED = 3
+
+
+def _setup(variant):
+    cfg = make_config({**VARIANTS[variant], "d_e": "6", "d_h": "5",
+                       "precision": "double", "dropout": "0.1",
+                       "seed": str(SEED)})
+    sources = SOURCES[:-1] if variant == "gold" else SOURCES
+    return Model(cfg), [Example(s, i % 10, len(s.split()), 0, 0)
+                        for i, s in enumerate(sources)]
+
+
+def _rngs(count):
+    return [example_rng(SEED, 0, i) for i in range(count)]
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_batch_losses_and_grads_match_per_example(variant):
+    model, examples = _setup(variant)
+    params = model.named()
+    model.zero_grad()
+    with Tape() as tape:
+        losses = batch_losses(model, examples, True, _rngs(len(examples)))
+        tape.backward(T.tsum(losses))
+    got = {name: p.grad.copy() for name, p in params.items()}
+
+    expect = {name: np.zeros_like(p.data) for name, p in params.items()}
+    ref = []
+    for ex, rng in zip(examples, _rngs(len(examples))):
+        model.zero_grad()
+        with Tape() as tape:
+            loss = per_example_loss(model, ex, True, rng)
+            tape.backward(loss)
+        ref.append(loss.item())
+        for name, p in params.items():
+            expect[name] += p.grad
+    assert np.allclose(losses.data, ref, rtol=1e-10, atol=0.0)
+    for name, g in expect.items():
+        scale = max(np.max(np.abs(g)), 1e-300)
+        assert np.max(np.abs(got[name] - g)) / scale <= 1e-10, name
+    assert np.any(expect["leaf.embedding"] != 0.0)
+
+
+@pytest.mark.parametrize("variant", ["gumbel", "bsrp", "bt_k2_plain",
+                                     "bt_k2_onesoft", "bt_k3_plain",
+                                     "bt_k3_onesoft", "bt_k5_plain",
+                                     "bt_k5_onesoft"])
+def test_batch_actions_match_per_example(variant):
+    model, examples = _setup(variant)
+    cfg = model.cfg
+    sequences = [tokenize(ex.source) for ex in examples]
+    lengths = [len(s) for s in sequences]
+    onesoft = cfg.topk == "onesoft"
+    rngs = _rngs(len(examples))
+    leaves = leaf_transform_seq(sequences, model.leaf, cfg.dropout, rngs)
+    if variant == "gumbel":
+        _, trees = encode_easy_first_gumbel(leaves, lengths, model.cell,
+                                            model.scorer, rngs)
+        got = [t.to_string() for t in trees]
+    elif variant == "bsrp":
+        _, beams = encode_bsrp(leaves, lengths, model.cell, model.bsrp,
+                               cfg.beam_size, rngs)
+        got = [b.actions for b in beams]
+    else:
+        _, beams = encode_bt_cell(leaves, lengths, model.cell, model.scorer,
+                                  cfg.beam_size, onesoft, rngs)
+        got = [b.actions for b in beams]
+
+    expect = []
+    for ids, rng in zip(sequences, _rngs(len(examples))):
+        rows = per_example_leaves(ids, model.leaf, cfg.dropout, rng)
+        if variant == "gumbel":
+            expect.append(stacked_easy_first_gumbel(
+                rows, model.cell, model.scorer, rng)[1].to_string())
+        elif variant == "bsrp":
+            expect.append(per_beam_bsrp(rows, model.cell, model.bsrp,
+                                        cfg.beam_size, rng)[1].actions)
+        else:
+            expect.append(stacked_bt_cell(rows, model.cell, model.scorer,
+                                          cfg.beam_size, onesoft,
+                                          rng)[1].actions)
+    assert got == expect
+
+
+def test_batch_records_a_fifth_of_the_per_example_tapes():
+    # 16 training rows of lengths up to 30: one tape for the batch against
+    # one tape per example
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "results",
+                        "data-mid", "train.tsv")
+    examples = read_tsv(path)[:16]
+    model = Model(make_config({"encoder": "bt", "beam_size": "3",
+                               "d_e": "8", "d_h": "8", "dropout": "0.05"}))
+    with Tape() as tape:
+        batch_losses(model, examples, True, _rngs(16))
+        batched = len(tape.records)
+    per_example = 0
+    for ex, rng in zip(examples, _rngs(16)):
+        with Tape() as tape:
+            per_example_loss(model, ex, True, rng)
+            per_example += len(tape.records)
+    assert batched * 5 <= per_example, (batched, per_example)
+
+
+@pytest.mark.parametrize("variant", ["gold", "recurrent", "gumbel", "bsrp",
+                                     "bt_k3_onesoft"])
+def test_batch_step_frees_the_model_without_the_cycle_collector(variant):
+    # a reference cycle left by a training step would keep the weights, the
+    # tape's arrays and their gradients alive until the cyclic collector
+    # runs, which grows peak memory in training
+    model, examples = _setup(variant)
+    freed = weakref.ref(model.cell)
+    gc.disable()
+    try:
+        batch_grad_sums(model, list(enumerate(examples)), 0)
+        del model
+        assert freed() is None
+    finally:
+        gc.enable()

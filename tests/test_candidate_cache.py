@@ -5,12 +5,12 @@ gradients, mostly in training mode, and the number of rows they compose."""
 import numpy as np
 import pytest
 
+from one_example import encode_bt_cell, encode_easy_first_gumbel
 from oracles import full_recompose_bt_cell, full_recompose_easy_first_gumbel
 
 from beamtree import encoders
 from beamtree import tensor as T
 from beamtree.cells import GrcParams, ScorerParams
-from beamtree.encoders import encode_bt_cell, encode_easy_first_gumbel
 from beamtree.tensor import Tape, Tensor
 
 D_H = 4
@@ -82,8 +82,12 @@ def test_cached_candidates_match_full_recompose_in_training(variant, n,
     assert np.max(np.abs(enc - enc_o)) <= 1e-12
     assert scores.shape == scores_o.shape
     assert np.max(np.abs(scores - scores_o), initial=0.0) <= 1e-12
+    # a gradient that is zero but for rounding (when every final beam is
+    # the same tree, the beam scores get none) is measured against 1e-4 of
+    # the largest gradient of any parameter, not against its own rounding
+    largest = max(np.max(np.abs(g)) for g in grads_o.values())
     for name, g in grads_o.items():
-        scale = max(np.max(np.abs(g)), 1e-300)
+        scale = max(np.max(np.abs(g)), 1e-4 * largest)
         assert np.max(np.abs(grads[name] - g)) / scale <= 1e-10, name
     assert np.any(grads_o["leaves"] != 0.0)
 

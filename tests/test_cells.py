@@ -158,16 +158,16 @@ def test_score_linear_in_input():
 
 def test_leaf_transform_deterministic_in_eval():
     p = LeafParams.init(15, 4, 6, np.random.default_rng(20), np.float64)
-    a = leaf_transform_seq([7], p).data
-    b = leaf_transform_seq([7], p).data
+    a = leaf_transform_seq([[7]], p).data
+    b = leaf_transform_seq([[7]], p).data
     assert np.array_equal(a, b)
 
 
 def test_leaf_transform_seq_matches_single():
     p = LeafParams.init(15, 4, 6, np.random.default_rng(21), np.float64)
-    rows = leaf_transform_seq([2, 9, 2], p)
+    rows = leaf_transform_seq([[2, 9], [2]], p)
     assert rows.data.shape == (3, 6)
-    assert np.allclose(rows.data[1], leaf_transform_seq([9], p).data[0],
+    assert np.allclose(rows.data[1], leaf_transform_seq([[9]], p).data[0],
                        atol=1e-12)
     assert np.allclose(rows.data[0], rows.data[2], atol=1e-12)
 
@@ -177,7 +177,7 @@ def test_leaf_embedding_gradient_sparsity():
     p = LeafParams.init(10, 4, 6, np.random.default_rng(22), np.float64)
     w = Tensor(np.random.default_rng(23).standard_normal((2, 6)))
     with Tape() as tape:
-        out = leaf_transform_seq([3, 7], p)
+        out = leaf_transform_seq([[3, 7]], p)
         tape.backward(T.tsum(T.mul(out, w)))
     g = p.embedding.grad
     touched = {3, 7}
@@ -190,17 +190,29 @@ def test_leaf_embedding_gradient_sparsity():
 
 def test_leaf_dropout_only_with_an_rng():
     p = LeafParams.init(10, 4, 6, np.random.default_rng(24), np.float64)
-    eval_out = leaf_transform_seq([1, 2], p, dropout_rate=0.5)
-    plain = leaf_transform_seq([1, 2], p)
+    eval_out = leaf_transform_seq([[1, 2]], p, dropout_rate=0.5)
+    plain = leaf_transform_seq([[1, 2]], p)
     assert np.array_equal(eval_out.data, plain.data)
-    train_out = leaf_transform_seq([1, 2], p, dropout_rate=0.5,
-                                   rng=np.random.default_rng(0))
+    train_out = leaf_transform_seq([[1, 2]], p, dropout_rate=0.5,
+                                   rngs=[np.random.default_rng(0)])
     assert not np.array_equal(train_out.data, plain.data)
+
+
+def test_leaf_dropout_draws_each_sequence_from_its_own_rng():
+    # a sequence's rows in a batch are its rows alone, whatever comes
+    # before it: its mask comes from its own rng
+    p = LeafParams.init(10, 4, 6, np.random.default_rng(27), np.float64)
+    alone = leaf_transform_seq([[4, 1, 6]], p, dropout_rate=0.5,
+                               rngs=[np.random.default_rng(9)])
+    batch = leaf_transform_seq([[2, 3], [4, 1, 6]], p, dropout_rate=0.5,
+                               rngs=[np.random.default_rng(8),
+                                     np.random.default_rng(9)])
+    assert np.allclose(batch.data[2:], alone.data, rtol=0, atol=1e-12)
 
 
 def test_leaf_transform_gradients():
     p = LeafParams.init(8, 3, 4, np.random.default_rng(25), np.float64)
     w = Tensor(np.random.default_rng(26).standard_normal((2, 4)))
     errors = check_grads(
-        lambda: T.tsum(T.mul(leaf_transform_seq([0, 5], p), w)), p.named())
+        lambda: T.tsum(T.mul(leaf_transform_seq([[0], [5]], p), w)), p.named())
     assert max(errors.values()) <= 1e-4

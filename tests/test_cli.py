@@ -87,8 +87,9 @@ def test_gradcheck_command_passes(capsys):
     out = capsys.readouterr().out
     assert "gradcheck passed" in out
     for name in ("grc+scorer", "leaf_transform",
-                 "end_to_end_bt_onesoft", "end_to_end_bsrp"):
-        assert name in out
+                 "end_to_end_bt_onesoft", "end_to_end_bsrp",
+                 "end_to_end_batch_bt_onesoft", "end_to_end_batch_gumbel"):
+        assert f"{name}: max rel err" in out
 
 
 def test_train_rejects_malformed_override(tmp_path):
@@ -130,7 +131,8 @@ def test_config_errors_exit_with_one_message(tmp_path, command, setting,
 
 @pytest.mark.parametrize("fault", ["no config", "no checkpoint",
                                    "junk checkpoint", "huge checkpoint",
-                                   "malformed split", "empty split"])
+                                   "non-UTF-8 name", "malformed split",
+                                   "empty split"])
 def test_file_errors_exit_with_one_message(tmp_path, fault):
     data = tmp_path / "data"
     data.mkdir()
@@ -152,6 +154,11 @@ def test_file_errors_exit_with_one_message(tmp_path, fault):
         ckpt.write_bytes(b"BTCK" + struct.pack("<III", 1, 1, 1) + b"w"
                          + struct.pack("<4I", 3, *(2**32 - 1,) * 3))
         message = "tensor w declares shape"
+    elif fault == "non-UTF-8 name":
+        # one (1,) tensor whose one-byte name is 0xff
+        ckpt.write_bytes(b"BTCK" + struct.pack("<III", 1, 1, 1) + b"\xff"
+                         + struct.pack("<II", 1, 1) + b"\x00" * 4)
+        message = r"tensor name b'\\xff' is not UTF-8"
     elif fault == "malformed split":
         split.write_text("[MAX 2 1 ] 2\n")
         message = "dev.tsv:1: "

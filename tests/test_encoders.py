@@ -5,15 +5,16 @@ import weakref
 import numpy as np
 import pytest
 
+from one_example import (encode_bsrp, encode_bt_cell,
+                         encode_easy_first_gumbel, encode_fixed_tree,
+                         encode_recurrent)
 from oracles import (enumerate_merge_derivations, enumerate_sr_derivations,
                      np_grc, per_beam_bsrp)
 
+from beamtree import encoders
 from beamtree import tensor as T
 from beamtree.cells import GrcParams, ScorerParams
-from beamtree.encoders import (BsrpParams, EncoderError,
-                               encode_bsrp, encode_bt_cell,
-                               encode_easy_first_gumbel, encode_fixed_tree,
-                               encode_recurrent)
+from beamtree.encoders import BsrpParams, EncoderError
 from beamtree.tensor import Tape, Tensor
 from beamtree.trees import branch, leaf, parse_tree_string, replay_actions
 
@@ -166,14 +167,20 @@ def test_fixed_tree_matches_reference_on_balanced():
 
 
 @pytest.mark.parametrize("n", [1, 4, 7])
-def test_fixed_tree_records_at_most_two_per_leaf(n):
-    # node states are rows: one slice per leaf read, one record per cell,
-    # and one reshape of the root row into the (d_h,) encoding
+def test_fixed_tree_records_three_per_height_for_any_batch(n):
+    # one compose of two row gathers per tree height, over every tree of
+    # the batch, and one gather of the roots: a batch of trees records as
+    # many entries as its tallest tree alone
     grc, _ = _params(seed=21)
-    leaves = Tensor(_leaves(n, seed=22).data, requires_grad=True)
-    with Tape() as tape:
-        encode_fixed_tree(leaves, replay_actions(n, [0] * (n - 1)), grc)
-    assert len(tape.records) <= 2 * n
+    chain = replay_actions(n, [0] * (n - 1))  # height n - 1
+    balanced = parse_tree_string("((0 1) (2 3))")
+    for trees in ([chain], [chain, balanced, chain, leaf(0)]):
+        rows = sum(t.n_leaves() for t in trees)
+        leaves = Tensor(_leaves(rows, seed=22).data, requires_grad=True)
+        with Tape() as tape:
+            encoders.encode_fixed_tree(leaves, trees, grc)
+        assert len(tape.records) == 3 * max(n - 1, 2 if len(trees) > 1
+                                            else 0) + 1
 
 
 def test_fixed_tree_frees_the_cell_without_the_cycle_collector():

@@ -77,6 +77,14 @@ def test_checkpoint_rejects_impossible_extents(tmp_path, shape):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_a_non_utf8_name(tmp_path):
+    path = tmp_path / "name.ckpt"
+    path.write_bytes(b"BTCK" + struct.pack("<III", 1, 1, 1) + b"\xff"
+                     + struct.pack("<II", 1, 1) + b"\x00" * 4)
+    with pytest.raises(CheckpointError, match="not UTF-8"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
     path = tmp_path / "best.ckpt"
     save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
@@ -227,10 +235,11 @@ def test_config_comments_and_blank_lines(tmp_path):
 def test_classify_zero_output_layer_uniform_logits():
     head = HeadParams.init(6, 10, np.random.default_rng(0), np.float64)
     head.W2.data[...] = 0.0
-    logits = classify(Tensor(np.random.default_rng(1).standard_normal(6)),
-                      head)
+    logits = classify(
+        Tensor(np.random.default_rng(1).standard_normal((1, 6))), head)
+    assert logits.data.shape == (1, 10)
     assert np.allclose(logits.data, 0.0)
-    probs = T.softmax(logits)
+    probs = T.softmax(T.reshape(logits, (-1,)))
     assert np.allclose(probs.data, 0.1, atol=1e-12)
 
 
@@ -311,7 +320,13 @@ def test_train_writes_artifacts_and_timing_separate(tmp_path):
     for rec in records:
         assert set(rec) == {"epoch", "step", "train_loss", "dev_accuracy",
                             "dev_loss"}
-    assert "wall_seconds" in (out / "timing.log").read_text()
+    line = (out / "timing.log").read_text().splitlines()[0]
+    fields = dict(item.split("=") for item in line.split())
+    assert list(fields) == ["epoch", "wall_seconds", "train_seconds",
+                            "dev_seconds", "train_ex_per_s"]
+    train_s, dev_s = float(fields["train_seconds"]), float(fields["dev_seconds"])
+    assert train_s + dev_s <= float(fields["wall_seconds"]) + 0.1
+    assert float(fields["train_ex_per_s"]) > 0.0
 
 
 @pytest.mark.parametrize("split", ["train", "dev"])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from one_example import encode_bt_cell
 
 from beamtree.cells import GrcParams, ScorerParams
-from beamtree.encoders import encode_bt_cell
 from beamtree.parse_analysis import (BeamParse, ParseAnalysisError,
                                      collapse_duplicates, extract_parses,
                                      tree_agreement)

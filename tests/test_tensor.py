@@ -137,6 +137,114 @@ def test_double_backward_same_tape_errors():
             tape.backward(loss)
 
 
+def _keeping_backward(records, loss):
+    """The tape's backward as it was before it freed anything: every record
+    replayed in reverse, none dropped, every gradient kept."""
+    loss.grad = np.ones_like(loss.data)
+    for rec in reversed(records):
+        if rec.out.grad is None:
+            continue
+        for inp, gi in zip(rec.inputs, rec.vjp(rec.out.grad)):
+            if gi is None or not inp.requires_grad:
+                continue
+            if inp.grad is None:
+                inp.grad = gi.astype(inp.data.dtype, copy=True)
+            else:
+                inp.grad += gi.astype(inp.data.dtype, copy=False)
+
+
+def test_backward_frees_records_and_intermediate_grads():
+    from beamtree.cells import GrcParams, grc_compose
+    rng = np.random.default_rng(4)
+    cell = GrcParams.init(3, rng, np.float32)
+    leaves = Tensor(rng.standard_normal((4, 3)).astype(np.float32),
+                    requires_grad=True)
+    w = Tensor(rng.standard_normal(2).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        table = T.RowTable(leaves)
+        table.append(grc_compose(table.gather([0, 2]), table.gather([1, 3]),
+                                 cell))
+        mid = table.gather([4, 5, 0])
+        weights = T.segment_softmax(T.reshape(T.slice_cols(mid, 0, 1), (3,)),
+                                    [2, 1])
+        merged = T.segment_sum(weights, mid, [2, 1])
+        loss = T.tsum(T.mul(T.reshape(T.slice_cols(merged, 0, 1), (2,)), w))
+        records = list(tape.records)
+        tape.backward(loss)
+    leaf_grads = [p.grad.copy() for p in (leaves, w, *cell.named().values())]
+    assert tape.records == []
+    assert mid.grad is None and loss.grad is None
+    assert all(rec.out.grad is None for rec in records)
+    with pytest.raises(TensorError):
+        tape.backward(loss)
+    # the leaves' gradients are the ones the keeping backward gives, bit
+    # for bit
+    for p in (leaves, w, *cell.named().values()):
+        p.zero_grad()
+    _keeping_backward(records, loss)
+    for got, p in zip(leaf_grads, (leaves, w, *cell.named().values())):
+        assert np.array_equal(got, p.grad)
+        assert np.any(got != 0.0)
+
+
+def test_row_table_gathers_across_chunks_without_concatenating():
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+    table = T.RowTable(a)
+    assert table.append(b) == 3
+    ids = [4, 0, 4, 2]
+    assert np.array_equal(table.gather(ids).data,
+                          np.concatenate([a.data, b.data])[ids])
+    w = Tensor(rng.standard_normal((4, 2)))
+
+    def loss():
+        # a table reads its chunks' values when they are appended
+        fresh = T.RowTable(a)
+        fresh.append(b)
+        return T.tsum(T.mul(fresh.gather(ids), w))
+
+    errors = check_grads(loss, {"a": a, "b": b})
+    assert max(errors.values()) <= 1e-8
+    for _ in range(40):  # past the buffer's first size
+        table.append(b)
+    assert np.array_equal(table.gather([3 + 2 * 40 + 1]).data, b.data[1:])
+
+
+def test_segment_softmax_and_sum_per_run():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal(6), requires_grad=True)
+    rows = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    counts = [1, 3, 2]
+    soft = T.segment_softmax(x, counts).data
+    logs = T.segment_softmax(x, counts, log=True).data
+    for lo, hi in ((0, 1), (1, 4), (4, 6)):
+        e = np.exp(x.data[lo:hi] - x.data[lo:hi].max())
+        assert np.allclose(soft[lo:hi], e / e.sum(), rtol=1e-14)
+        assert np.allclose(logs[lo:hi], np.log(e / e.sum()), rtol=1e-14)
+    out = T.segment_sum(x, rows, counts).data
+    assert np.allclose(out[1], x.data[1:4] @ rows.data[1:4], rtol=1e-14)
+    w = Tensor(rng.standard_normal((3, 3)))
+    for log in (False, True):
+        errors = check_grads(lambda: T.tsum(T.mul(T.segment_sum(
+            T.segment_softmax(x, counts, log), rows, counts), w)),
+            {"x": x, "rows": rows})
+        assert max(errors.values()) <= 1e-7, errors
+    with pytest.raises(TensorError):
+        T.segment_softmax(x, [3, 2])
+    with pytest.raises(TensorError):
+        T.segment_sum(x, rows, [6, 0])
+
+
+def test_dropout_draws_each_run_of_rows_from_its_rng():
+    x = Tensor(np.ones((3, 4)))
+    out = T.dropout(x, 0.5, [np.random.default_rng(1),
+                             np.random.default_rng(2)], [1, 2])
+    keep = np.concatenate([np.random.default_rng(1).random((1, 4)),
+                           np.random.default_rng(2).random((2, 4))]) >= 0.5
+    assert np.array_equal(out.data, keep * 2.0)
+
+
 def test_nan_policy_aborts_forward():
     big = Tensor([1e300])
     with pytest.raises(NonFiniteError), np.errstate(over="ignore"):

@@ -24,19 +24,27 @@ def _pool(scores, d_h=3, requires_grad=False, rng_seed=0):
 
 def _keep(groups, nodes, scores):
     """The stacked beams that `groups` keep, gathered as `encode_bt_cell`
-    does, with a longer last group collapsed into one beam."""
-    picks = [j for g in groups for j in g]
-    kept = (T.rows_gather(nodes, [j * ROWS + r for j in picks
+    does, with a longer last group collapsed into one beam by
+    `collapse_tail`, which reads the group's rows node by node."""
+    singles = [g[0] for g in groups if len(g) == 1]
+    kept = (T.rows_gather(nodes, [j * ROWS + r for j in singles
                                   for r in range(ROWS)]),
-            T.rows_gather(scores, picks))
-    if len(groups[-1]) > 1:
-        return collapse_tail(*kept, len(groups[-1]))
-    return kept
+            T.rows_gather(scores, singles))
+    tail = groups[-1]
+    if len(tail) == 1:
+        return kept
+    rows, score = collapse_tail(
+        T.rows_gather(nodes, [j * ROWS + r for r in range(ROWS)
+                              for j in tail]),
+        T.rows_gather(scores, tail), [len(tail)], [ROWS])
+    return T.concat([kept[0], rows]), T.concat([kept[1], score])
 
 
 def _encode(nodes, scores):
     """Score-weighted expectation of the flattened stacked beams."""
-    return merge_beams(T.reshape(nodes, (scores.data.shape[0], -1)), scores)
+    beams = scores.data.shape[0]
+    return T.reshape(merge_beams(T.reshape(nodes, (beams, -1)), scores,
+                                 [beams]), (-1,))
 
 
 def test_plain_topk_basic():
@@ -177,36 +185,39 @@ def test_truncate_gumbel_only_when_given_an_rng():
 
 def test_merge_beams_uniform_scores_average():
     roots = Tensor(np.array([[2.0, 0.0], [0.0, 4.0]]))
-    out = merge_beams(roots, Tensor(np.array([1.0, 1.0])))
-    assert np.allclose(out.data, [1.0, 2.0], atol=1e-12)
+    out = merge_beams(roots, Tensor(np.array([1.0, 1.0])), [2])
+    assert np.allclose(out.data, [[1.0, 2.0]], atol=1e-12)
 
 
 def test_merge_beams_single():
     a = np.array([1.0, 2.0])
-    out = merge_beams(Tensor(a[None, :]), Tensor(np.array([0.0])))
-    assert np.array_equal(out.data, a)
+    out = merge_beams(Tensor(a[None, :]), Tensor(np.array([0.0])), [1])
+    assert np.array_equal(out.data, a[None, :])
 
 
 def test_merge_beams_length_mismatch():
     with pytest.raises(ValueError):
-        merge_beams(Tensor(np.zeros((0, 2))), Tensor(np.zeros(0)))
+        merge_beams(Tensor(np.zeros((0, 2))), Tensor(np.zeros(0)), [])
     with pytest.raises(ValueError):
-        merge_beams(Tensor(np.zeros((2, 2))), Tensor(np.zeros(3)))
+        merge_beams(Tensor(np.zeros((2, 2))), Tensor(np.zeros(3)), [3])
 
 
 def test_merge_beams_grads_and_per_beam_reference():
     rng = np.random.default_rng(5)
     roots = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     scores = Tensor(rng.standard_normal(4), requires_grad=True)
-    w = Tensor(rng.standard_normal(3))
-    errors = check_grads(lambda: T.tsum(T.mul(merge_beams(roots, scores), w)),
-                         {"roots": roots, "scores": scores})
+    w = Tensor(rng.standard_normal((2, 3)))
+    # two examples at once: one beam, then three
+    errors = check_grads(
+        lambda: T.tsum(T.mul(merge_beams(roots, scores, [1, 3]), w)),
+        {"roots": roots, "scores": scores})
     assert max(errors.values()) <= 1e-7, errors
+    merged = merge_beams(roots, scores, [1, 3]).data
+    assert np.array_equal(merged[0], roots.data[0])
     expect = merge_beams_one_by_one(
-        [Tensor(r) for r in roots.data],
-        [Tensor(scores.data[b:b + 1]) for b in range(4)])
-    assert np.max(np.abs(merge_beams(roots, scores).data - expect.data)) \
-        <= 1e-12
+        [Tensor(r) for r in roots.data[1:]],
+        [Tensor(scores.data[b:b + 1]) for b in range(1, 4)])
+    assert np.max(np.abs(merged[1] - expect.data)) <= 1e-12
 
 
 def test_pruned_beam_score_gradient_zero_under_hard_topk():
