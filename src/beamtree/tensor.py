@@ -7,6 +7,7 @@ per tape. Training runs in float32, gradient-check suites in float64.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,13 +32,11 @@ __all__ = [
     "logsigmoid",
     "gelu",
     "tsum",
-    "softmax",
     "log_softmax",
     "layer_norm",
     "concat",
     "slice_rows",
     "slice_cols",
-    "pick",
     "reshape",
     "rows_gather",
     "RowTable",
@@ -319,19 +318,6 @@ def tsum(a: Tensor) -> Tensor:
     )
 
 
-def _softmax_data(x: np.ndarray) -> np.ndarray:
-    z = x - x.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def softmax(a: Tensor) -> Tensor:
-    if a.data.ndim != 1 or a.data.size < 1:
-        raise TensorError("softmax expects a non-empty 1-D input")
-    s = _softmax_data(a.data)
-    return _make(s, (a,), lambda g: (s * (g - np.dot(g, s)),))
-
-
 def log_softmax(a: Tensor) -> Tensor:
     """Log-softmax of a 1-D input, or of each row of a 2-D input."""
     if a.data.ndim not in (1, 2) or a.data.size < 1:
@@ -422,20 +408,6 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def pick(a: Tensor, i: int) -> Tensor:
-    """Select one entry of a 1-D tensor as a 0-D tensor."""
-    if a.data.ndim != 1:
-        raise TensorError("pick expects a 1-D input")
-    out = np.asarray(a.data[i]).reshape(())
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        ga[i] = g
-        return (ga,)
-
-    return _make(out, (a,), vjp)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape).copy()
     return _make(out, (a,), lambda g: (g.reshape(a.data.shape),))
@@ -491,8 +463,15 @@ class RowTable:
         return self._buf[ids]
 
     def gather(self, ids) -> Tensor:
-        """out[i] = row ids[i] of the table."""
+        """out[i] = row ids[i] of the table; the rows of one whole chunk,
+        in order, are that chunk itself, with no copy and no record."""
         ids = np.asarray(ids, dtype=np.intp)
+        if len(ids):
+            c = bisect.bisect_right(self.starts, int(ids[0])) - 1
+            chunk, start = self.chunks[c], self.starts[c]
+            if len(ids) == chunk.data.shape[0] and np.array_equal(
+                    ids, np.arange(start, start + len(ids))):
+                return chunk
         out = self._buf[ids]
         if Tape._active is None:
             return _make(out, (), None)

@@ -163,6 +163,11 @@ def stack_machine_eval(source: str, med_even: str = "lower") -> int:
 # ---------------------------------------------------------------------------
 # full-recompose encoders
 
+def _softmax(a: Tensor) -> Tensor:
+    """Softmax of the 1-D `a`, as one run of `T.segment_softmax`."""
+    return T.segment_softmax(a, [a.data.shape[0]])
+
+
 def _candidates(states, cell):
     """Parent states of every adjacent pair of `states`. `grc_compose` is
     looked up on the encoders module at call time, so a test can count its
@@ -198,7 +203,7 @@ def full_recompose_easy_first_gumbel(leaves, cell, scorer, rng=None):
             noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
             perturbed = T.add(raw, Tensor(noise))
             hard = int(np.argmax(perturbed.data))
-            soft = T.softmax(perturbed)
+            soft = _softmax(perturbed)
             onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
             onehot[hard] = 1.0
             ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
@@ -227,15 +232,15 @@ class Beam:
 
 def merge_beams_one_by_one(encodings, scores):
     """sum_i softmax(scores)_i * encodings[i] over lists of beam encodings
-    and (1,) scores, with a pick/mul/add chain per beam."""
+    and (1,) scores, with a gather/mul/add chain per beam."""
     if len(encodings) != len(scores) or not encodings:
         raise ValueError("merge_beams_one_by_one needs matching non-empty lists")
     if len(encodings) == 1:
         return encodings[0]
-    w = T.softmax(T.concat(scores, axis=0))
+    w = _softmax(T.concat(scores, axis=0))
     out = None
     for i, o in enumerate(encodings):
-        part = T.mul(o, T.pick(w, i))
+        part = T.mul(o, T.rows_gather(w, [i]))
         out = part if out is None else T.add(out, part)
     return out
 
@@ -245,7 +250,7 @@ def truncate_beams(pool, k, onesoft=False, rng=None):
     Gumbel-perturbed when given an rng, or with `onesoft` the top k-1 beams
     and one interpolated beam. That beam is the
     softmax(score)-weighted sum of the other beams' nodes and scores, built
-    with a pick/mul/add chain per beam in pool order, and carries the
+    with a gather/mul/add chain per beam in pool order, and carries the
     actions of its best member."""
     m = len(pool)
     if k >= m:
@@ -255,10 +260,10 @@ def truncate_beams(pool, k, onesoft=False, rng=None):
         return [pool[i] for i in plain_topk(scores, k, rng)]
     top = plain_topk(scores, k - 1)
     bottom = [b for i, b in enumerate(pool) if i not in top]
-    weights = T.softmax(T.concat([b.score for b in bottom], axis=0))
+    weights = _softmax(T.concat([b.score for b in bottom], axis=0))
     nodes = total = None
     for i, b in enumerate(bottom):
-        w = T.pick(weights, i)
+        w = T.rows_gather(weights, [i])
         part, part_score = T.mul(b.nodes, w), T.mul(b.score, w)
         nodes = part if nodes is None else T.add(nodes, part)
         total = part_score if total is None else T.add(total, part_score)
@@ -285,7 +290,7 @@ def full_recompose_bt_cell(leaves, cell, scorer, k, onesoft=False, rng=None):
                 pool.append(Beam(
                     nodes=_splice_rows(beam.nodes, i, i + 2,
                                        T.slice_rows(parents, i, i + 1)),
-                    score=T.add(beam.score, T.reshape(T.pick(logp, i), (1,))),
+                    score=T.add(beam.score, T.rows_gather(logp, [i])),
                     actions=beam.actions + (i,)))
         beams = truncate_beams(pool, k, onesoft, rng)
     roots, actions = [], []
@@ -508,7 +513,7 @@ def stacked_bt_cell(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
             noise = gumbel_noise(raw.data.size, rng).astype(raw.data.dtype)
             perturbed = T.add(raw, Tensor(noise))
             hard = int(np.argmax(perturbed.data))
-            soft = T.softmax(perturbed)
+            soft = _softmax(perturbed)
             onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
             onehot[hard] = 1.0
             ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
@@ -554,7 +559,7 @@ def stacked_collapse_tail(nodes: Tensor, scores: Tensor, count: int):
     keep = beams - count
     length = nodes.data.shape[0] // beams
     tail_scores = T.slice_rows(scores, keep, beams)
-    w = T.softmax(tail_scores)
+    w = _softmax(tail_scores)
     tail = T.reshape(T.slice_rows(nodes, keep * length, beams * length),
                      (count, -1))
     mixed = T.reshape(T.matmul(w, tail), (length, -1))
@@ -568,7 +573,7 @@ def stacked_merge_beams(roots: Tensor, scores: Tensor) -> Tensor:
     (B, d_h) `roots` and (B,) `scores`."""
     if roots.data.shape[0] != scores.data.shape[0] or not scores.data.size:
         raise ValueError("merge_beams needs one score per root, and a root")
-    return T.matmul(T.softmax(scores), roots)
+    return T.matmul(_softmax(scores), roots)
 
 
 def per_example_leaves(token_ids, p: LeafParams, dropout_rate: float = 0.0,
@@ -623,4 +628,4 @@ def per_example_loss(model, ex, training, rng):
         enc = walk_fixed_tree(leaves, gold_tree_listops(ex.source.split()),
                               model.cell)
     logits = per_example_head(enc, model.head, cfg.dropout, rng)
-    return T.neg(T.pick(T.log_softmax(logits), ex.label))
+    return T.neg(T.rows_gather(T.log_softmax(logits), [ex.label]))

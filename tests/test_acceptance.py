@@ -72,8 +72,8 @@ def test_criterion_gradients_all_components():
     head = HeadParams.init(d_h, 10, rng, np.float64)
     x = Tensor(rng.standard_normal((2, d_h)), requires_grad=True)
     worst["head"] = max(check_grads(
-        lambda: T.pick(T.reshape(T.log_softmax(classify(x, head)), (-1,)),
-                       13),
+        lambda: T.rows_gather(
+            T.reshape(T.log_softmax(classify(x, head)), (-1,)), [13]),
         {**head.named(), "x": x}).values())
 
     # end-to-end: OneSoft beam recursion over 6 leaves in double precision

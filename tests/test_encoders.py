@@ -167,20 +167,27 @@ def test_fixed_tree_matches_reference_on_balanced():
 
 
 @pytest.mark.parametrize("n", [1, 4, 7])
-def test_fixed_tree_records_three_per_height_for_any_batch(n):
-    # one compose of two row gathers per tree height, over every tree of
-    # the batch, and one gather of the roots: a batch of trees records as
-    # many entries as its tallest tree alone
+def test_fixed_tree_records_at_most_two_per_leaf(n):
+    # node states are rows: one gather per leaf read, one record per cell,
+    # and one reshape of the root row into the (d_h,) encoding; a left
+    # child that is the whole previous height is read with no gather
     grc, _ = _params(seed=21)
-    chain = replay_actions(n, [0] * (n - 1))  # height n - 1
-    balanced = parse_tree_string("((0 1) (2 3))")
-    for trees in ([chain], [chain, balanced, chain, leaf(0)]):
-        rows = sum(t.n_leaves() for t in trees)
-        leaves = Tensor(_leaves(rows, seed=22).data, requires_grad=True)
-        with Tape() as tape:
-            encoders.encode_fixed_tree(leaves, trees, grc)
-        assert len(tape.records) == 3 * max(n - 1, 2 if len(trees) > 1
-                                            else 0) + 1
+    leaves = Tensor(_leaves(n, seed=22).data, requires_grad=True)
+    with Tape() as tape:
+        encode_fixed_tree(leaves, replay_actions(n, [0] * (n - 1)), grc)
+    assert len(tape.records) <= 2 * n
+
+
+def test_fixed_tree_batch_records_as_many_as_its_tallest_tree():
+    # one compose of at most two row gathers per tree height, over every
+    # tree of the batch, and one gather of the roots
+    grc, _ = _params(seed=21)
+    chain = replay_actions(7, [0] * 6)  # height 6
+    trees = [chain, parse_tree_string("((0 1) (2 3))"), chain, leaf(0)]
+    leaves = Tensor(_leaves(19, seed=22).data, requires_grad=True)
+    with Tape() as tape:
+        encoders.encode_fixed_tree(leaves, trees, grc)
+    assert len(tape.records) <= 3 * 6 + 1
 
 
 def test_fixed_tree_frees_the_cell_without_the_cycle_collector():

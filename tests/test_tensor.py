@@ -53,15 +53,9 @@ def test_gelu_one_matches_normal_cdf():
     assert T.gelu(Tensor([1.0])).data[0] == pytest.approx(0.841345, abs=1e-5)
 
 
-def test_softmax_symmetry():
-    out = T.softmax(Tensor([0.0, 0.0]))
-    assert np.allclose(out.data, [0.5, 0.5])
-
-
-def test_softmax_no_overflow():
-    out = T.softmax(Tensor([1000.0, 0.0]))
-    assert abs(out.data[0] - 1.0) <= 1e-9
-    assert abs(out.data[1]) <= 1e-9
+def test_segment_softmax_no_overflow():
+    out = T.segment_softmax(Tensor([1000.0, 0.0, -1000.0, 0.0]), [2, 2])
+    assert np.allclose(out.data, [1.0, 0.0, 0.0, 1.0], rtol=0.0, atol=1e-9)
 
 
 def test_log_softmax_against_naive_formula():
@@ -72,11 +66,15 @@ def test_log_softmax_against_naive_formula():
     assert np.allclose(out.data, [-0.40761, -1.40761, -2.40761], atol=1e-5)
 
 
-@given(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=8))
-def test_softmax_simplex_property(xs):
-    out = T.softmax(Tensor(np.array(xs, dtype=np.float64)))
+@given(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=8),
+       st.integers(min_value=0, max_value=7))
+def test_segment_softmax_simplex_property(xs, cut):
+    cut = cut % len(xs)
+    counts = [cut, len(xs) - cut] if cut else [len(xs)]
+    out = T.segment_softmax(Tensor(np.array(xs, dtype=np.float64)), counts)
     assert np.all(out.data >= 0)
-    assert abs(out.data.sum() - 1.0) <= 1e-9
+    assert np.allclose(np.add.reduceat(out.data, [0, cut][:len(counts)]),
+                       1.0, rtol=0.0, atol=1e-9)
 
 
 def test_layer_norm_constant_input():
@@ -196,6 +194,8 @@ def test_row_table_gathers_across_chunks_without_concatenating():
     ids = [4, 0, 4, 2]
     assert np.array_equal(table.gather(ids).data,
                           np.concatenate([a.data, b.data])[ids])
+    # a whole chunk, in order, is the chunk itself
+    assert table.gather([3, 4]) is b and table.gather([4, 3]) is not b
     w = Tensor(rng.standard_normal((4, 2)))
 
     def loss():
@@ -352,12 +352,11 @@ def test_adam_shape_mismatch():
         adam_step([p], [np.zeros(2)], AdamState())
 
 
-def test_pick_and_slice_grads():
+def test_rows_gather_scatter_adds_repeated_rows():
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     with Tape() as tape:
-        loss = T.pick(x, 1)
-        tape.backward(loss)
-    assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
+        tape.backward(T.tsum(T.rows_gather(x, [1, 1])))
+    assert np.array_equal(x.grad, [0.0, 2.0, 0.0])
 
 
 def test_rows_gather_out_of_range():
