@@ -3,14 +3,13 @@ trained end-to-end on ListOps generalization splits."""
 
 from .cells import GrcParams, LeafParams, ScorerParams, grc_compose, \
     leaf_transform_seq, score
-from .encoders import BsrpParams, encode_bsrp, encode_bt_cell, \
-    encode_easy_first_gumbel, encode_fixed_tree, encode_recurrent
+from .encoders import encode_bt_cell, encode_easy_first_gumbel, \
+    encode_fixed_tree, encode_recurrent
 from .harness import Model, RunConfig, classify, evaluate_checkpoint, train
 from .listops import GenConfig, build_splits, eval_listops, generate, tokenize
 from .parse_analysis import collapse_duplicates, extract_parses, tree_agreement
 from .tensor import AdamState, Tape, Tensor, adam_step
 from .topk import BeamSet, merge_beams, onesoft_topk, plain_topk
-from .trees import ParseTree, gold_tree_listops, parse_tree_string, \
-    replay_actions
+from .trees import ParseTree, gold_tree_listops, replay_actions
 
 __version__ = "0.1.0"

@@ -27,6 +27,8 @@ def _parse_overrides(pairs) -> dict:
         if not item.startswith("--") or "=" not in item:
             raise SystemExit(f"override must look like --key=value, got {item!r}")
         k, v = item[2:].split("=", 1)
+        if k in out:
+            raise HarnessError(f"config key {k!r} given twice")
         out[k] = v
     return out
 
@@ -86,9 +88,8 @@ def cmd_parse(args):
 
 def cmd_gradcheck(args):
     """Double-precision finite-difference checks of the gated cell with the
-    scorer, the leaf transform, the end-to-end beam-tree and beam
-    shift-reduce forwards, and the batched training loss of three examples
-    of different lengths."""
+    scorer, the leaf transform, the end-to-end beam-tree forward, and the
+    batched training loss of three examples of different lengths."""
     rng = np.random.default_rng(args.seed)
     d_h, d_e, vocab = 6, 5, len(listops.VOCAB)
     tol = 1e-4
@@ -131,7 +132,6 @@ def cmd_gradcheck(args):
 
     for name, m, exs in (
             ("end_to_end_bt_onesoft", model("bt", "onesoft"), [ex]),
-            ("end_to_end_bsrp", model("bsrp"), [ex]),
             ("end_to_end_batch_bt_onesoft", model("bt", "onesoft"), batch),
             ("end_to_end_batch_gumbel", model("gumbel"), batch)):
         report(name, gc.check_grads(

@@ -1,7 +1,7 @@
 """Sequence-to-vector encoders over the gated recursive cell, each run on a
 whole batch of examples at once: recurrent fold, fixed-tree evaluation,
-beam-tree recursion with easy-first Gumbel composition as its one-beam case,
-and beam shift-reduce. A single example is a batch of one.
+and beam-tree recursion with easy-first Gumbel composition as its one-beam
+case. A single example is a batch of one.
 
 The examples' leaves are one (total tokens, d_h) matrix, each example's
 rows one after another, and `lengths` says how many rows each one has. A
@@ -16,8 +16,6 @@ example, each drawing that example's noise in the order the example alone
 would; a caller trains with them and evaluates without."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -355,103 +353,3 @@ def encode_bt_cell(leaves: Tensor, lengths, cell: GrcParams,
     while search.step(k, onesoft, rngs):
         pass
     return search.finish()
-
-
-# ---------------------------------------------------------------------------
-# beam shift-reduce parser
-
-@dataclass
-class BsrpParams:
-    W: Tensor  # (3*d_h, 1)
-    b: Tensor  # (1,)
-
-    @classmethod
-    def init(cls, d_h: int, rng: np.random.Generator, dtype=np.float32):
-        return cls(
-            W=Tensor(T.glorot_uniform((3 * d_h, 1), rng, dtype), requires_grad=True),
-            b=Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
-        )
-
-    def named(self, prefix: str = "bsrp") -> dict:
-        return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
-
-
-def encode_bsrp(leaves: Tensor, lengths, cell: GrcParams,
-                decision: BsrpParams, k: int, rngs=None):
-    """`_bsrp_one` on each example of the batch in turn, its leaves sliced
-    from `leaves`, with its own rng when given rngs. Returns (encodings,
-    one final BeamSet per example)."""
-    encs, sets = [], []
-    for e, (start, n) in enumerate(zip(_starts(lengths), lengths)):
-        rows = leaves if n == leaves.data.shape[0] else \
-            T.slice_rows(leaves, start, start + n)
-        enc, beams = _bsrp_one(rows, cell, decision, k,
-                               None if rngs is None else rngs[e])
-        encs.append(enc)
-        sets.append(beams)
-    return (encs[0] if len(encs) == 1 else T.concat(encs, axis=0)), sets
-
-
-def _bsrp_one(leaves: Tensor, cell: GrcParams, decision: BsrpParams, k: int,
-              rng: np.random.Generator | None = None):
-    """Beam search over shift-reduce derivations of one example. The
-    decision logit comes
-    from a linear layer over [stack[-2]; stack[-1]; queue-front],
-    zero for a missing slot; reduce scores log(sigmoid(logit)), shift
-    log(1 - sigmoid(logit)). Invalid actions are masked out.
-
-    The beams are stacked like `encode_bt_cell`'s: every node state is a row
-    of one table whose row 0 is the zero state of an empty slot and rows
-    1..n the leaves, and a beam's stack is a tuple of row ids. A step is one
-    decision matmul over the gathered rows of all beams, and the pool, per
-    beam its shift then its reduce, goes through one `plain_topk`,
-    Gumbel-perturbed when given an rng; only the kept reduces are composed,
-    in one `grc_compose` call whose parents are appended to the table.
-    Returns ((1, d_h) encoding, final BeamSet)."""
-    n = leaves.data.shape[0]
-    dtype = leaves.data.dtype
-    table = T.concat([Tensor(np.zeros((1, leaves.data.shape[1]), dtype=dtype)),
-                      leaves], axis=0)
-    beams = [((), 0, ())]  # (stack row ids, queue position, actions)
-    scores = Tensor(np.zeros(1, dtype=dtype))
-
-    for _step in range(2 * n - 1):
-        width = len(beams)
-        ids = [r for stack, q, _ in beams
-               for r in ((0, 0) + stack)[-2:] + (q + 1 if q < n else 0,)]
-        x = T.reshape(T.rows_gather(table, ids), (width, -1))
-        logit = T.reshape(T.add_rowvec(T.matmul(x, decision.W), decision.b),
-                          (width,))
-        # pool entry (b, a): beam b shifts (a = 0) or reduces (a = 1), and
-        # its log-probability is row a * width + b of `logp`
-        logp = T.concat([T.logsigmoid(T.neg(logit)), T.logsigmoid(logit)])
-        pool = [(b, a) for b, (stack, q, _) in enumerate(beams)
-                for a, ok in enumerate((q < n, len(stack) >= 2)) if ok]
-        if not pool:
-            raise EncoderError("no valid shift-reduce action")
-        lp_ids = [a * width + b for b, a in pool]
-        idx = plain_topk(scores.data[[b for b, _ in pool]] + logp.data[lp_ids],
-                         k, rng)
-        scores = T.add(T.rows_gather(scores, [pool[j][0] for j in idx]),
-                       T.rows_gather(logp, [lp_ids[j] for j in idx]))
-        kept = [pool[j] for j in idx]
-        reduces = [beams[b][0][-2:] for b, a in kept if a]
-        base = table.data.shape[0]
-        if reduces:
-            left, right = zip(*reduces)
-            table = T.concat([table, grc_compose(T.rows_gather(table, left),
-                                                 T.rows_gather(table, right),
-                                                 cell)])
-        new_beams = []
-        for b, a in kept:
-            stack, q, acts = beams[b]
-            if a:
-                new_beams.append((stack[:-2] + (base,), q, acts + ("r",)))
-                base += 1
-            else:
-                new_beams.append((stack + (q + 1,), q + 1, acts + ("s",)))
-        beams = new_beams
-
-    roots = T.rows_gather(table, [stack[0] for stack, _, _ in beams])
-    return merge_beams(roots, scores, [len(beams)]), \
-        BeamSet(roots, scores, [acts for _, _, acts in beams])

@@ -13,13 +13,13 @@ import numpy as np
 from . import tensor as T
 from .cells import GrcParams, LeafParams, ScorerParams, leaf_transform_seq
 from .checkpoint import load_checkpoint, restore, save_checkpoint
-from .encoders import BsrpParams, encode_bsrp, encode_bt_cell, \
-    encode_easy_first_gumbel, encode_fixed_tree, encode_recurrent
+from .encoders import encode_bt_cell, encode_easy_first_gumbel, \
+    encode_fixed_tree, encode_recurrent
 from .listops import CLASSES, VOCAB, Example, read_tsv, tokenize
 from .tensor import AdamState, Tape, Tensor, adam_step, clip_grad_norm
 from .trees import gold_tree_listops
 
-ENCODER_KINDS = ("recurrent", "gumbel", "bt", "bsrp", "gold")
+ENCODER_KINDS = ("recurrent", "gumbel", "bt", "gold")
 GRAD_CLIP = 5.0  # global norm every training step's gradient is clipped to
 
 
@@ -81,7 +81,8 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Flat key=value text file; '#' starts a comment."""
+    """Flat key=value text file, each key at most once; '#' starts a
+    comment."""
     values = {}
     with open(path, encoding="utf-8") as f:
         for line in f:
@@ -91,6 +92,8 @@ def load_config(path) -> RunConfig:
             if "=" not in line:
                 raise HarnessError(f"bad config line {line!r}")
             k, v = (part.strip() for part in line.split("=", 1))
+            if k in values:
+                raise HarnessError(f"config key {k!r} given twice")
             values[k] = v
     for k, v in RETIRED_KEYS.items():
         if values.get(k) == v:
@@ -178,8 +181,6 @@ class Model:
         self.leaf = LeafParams.init(len(VOCAB), cfg.d_e, cfg.d_h, rng, dtype)
         self.cell = GrcParams.init(cfg.d_h, rng, dtype)
         self.scorer = ScorerParams.init(cfg.d_h, rng, dtype)
-        self.bsrp = BsrpParams.init(cfg.d_h, rng, dtype) \
-            if cfg.encoder == "bsrp" else None
         self.h0 = Tensor(np.zeros(cfg.d_h, dtype=dtype), requires_grad=True) \
             if cfg.encoder == "recurrent" else None
         self.head = HeadParams.init(cfg.d_h, CLASSES, rng, dtype)
@@ -189,8 +190,6 @@ class Model:
         named.update(self.leaf.named())
         named.update(self.cell.named())
         named.update(self.scorer.named())
-        if self.bsrp is not None:
-            named.update(self.bsrp.named())
         if self.h0 is not None:
             named["h0"] = self.h0
         named.update(self.head.named())
@@ -231,10 +230,6 @@ def _encode(model: Model, examples, training: bool, rngs) -> Tensor:
             leaves, lengths, model.cell, model.scorer, cfg.beam_size,
             onesoft=training and cfg.topk == "onesoft", rngs=rngs)
         return enc
-    if kind == "bsrp":
-        enc, _beams = encode_bsrp(leaves, lengths, model.cell, model.bsrp,
-                                  cfg.beam_size, rngs)
-        return enc
     trees = [gold_tree_listops(ex.source.split()) for ex in examples]
     return encode_fixed_tree(leaves, trees, model.cell)  # "gold"
 
@@ -258,12 +253,6 @@ def forward_logits(model: Model, ex: Example, training: bool, rng) -> Tensor:
     """The (classes,) logits of one example: a batch of one."""
     rngs = None if rng is None else [rng]
     return T.reshape(batch_logits(model, [ex], training, rngs), (-1,))
-
-
-def example_loss(model: Model, ex: Example, training: bool, rng) -> Tensor:
-    """The cross-entropy of one example: a batch of one."""
-    rngs = None if rng is None else [rng]
-    return T.reshape(batch_losses(model, [ex], training, rngs), ())
 
 
 def batch_grad_sums(model: Model, batch, epoch: int):

@@ -1,5 +1,5 @@
 """ListOps: expression generator, oracle interpreter, tokenizer, and
-generalization-split builders (length / depth / argument-count)."""
+generalization-split builders (length / argument-count)."""
 
 from __future__ import annotations
 
@@ -26,13 +26,10 @@ class GenConfig:
     max_depth: int = 6
     min_args: int = 2
     max_args: int = 5
-    operators: tuple = OPERATORS
     nest_prob: float = 0.4
     count: int = 1000
     seed: int = 0
     min_length: int = 1
-    # MED on even arity: "lower" middle element or "upper"
-    med_even: str = "lower"
     # when set, every emitted sample must contain an operator with exactly
     # this many arguments (used by the argument-generalization split)
     require_exact_args: int | None = None
@@ -68,21 +65,17 @@ def tokenize(source: str) -> list:
     return ids
 
 
-def detokenize(ids) -> str:
-    return " ".join(VOCAB[i] for i in ids)
-
-
-def eval_listops(source: str, med_even: str = "lower") -> int:
+def eval_listops(source: str) -> int:
     """Recursive oracle: MAX/MIN extrema, MED median (even arity takes the
-    configured middle element), SM sum modulo 10."""
+    lower middle element), SM sum modulo 10."""
     tokens = source.split()
-    value, end = _eval_expr(tokens, 0, med_even)
+    value, end = _eval_expr(tokens, 0)
     if end != len(tokens):
         raise ListOpsError("trailing tokens")
     return value
 
 
-def _eval_expr(tokens, i: int, med_even: str) -> tuple:
+def _eval_expr(tokens, i: int) -> tuple:
     # a module-level function, not a closure that refers to itself: such a
     # closure is a reference cycle left behind by every call
     tok = tokens[i]
@@ -93,37 +86,26 @@ def _eval_expr(tokens, i: int, med_even: str) -> tuple:
         i += 1
         args = []
         while i < len(tokens) and tokens[i] != CLOSE:
-            val, i = _eval_expr(tokens, i, med_even)
+            val, i = _eval_expr(tokens, i)
             args.append(val)
         if i >= len(tokens):
             raise ListOpsError("missing closing bracket")
         if not args:
             raise ListOpsError("empty argument list")
-        return _apply(op, args, med_even), i + 1
+        return _apply(op, args), i + 1
     if tok.isdigit() and len(tok) == 1:
         return int(tok), i + 1
     raise ListOpsError(f"unexpected token {tok!r}")
 
 
-def _apply(op: str, args, med_even: str) -> int:
+def _apply(op: str, args) -> int:
     if op == "MAX":
         return max(args)
     if op == "MIN":
         return min(args)
     if op == "SM":
         return sum(args) % 10
-    s = sorted(args)
-    mid = (len(s) - 1) // 2 if med_even == "lower" else len(s) // 2
-    return s[mid]
-
-
-def measure_depth(source: str) -> int:
-    """Maximum number of nested operators."""
-    return scan(source)[0]
-
-
-def measure_max_args(source: str) -> int:
-    return max(scan(source)[1], default=0)
+    return sorted(args)[(len(args) - 1) // 2]  # MED: lower middle if even
 
 
 def scan(source: str) -> tuple:
@@ -160,7 +142,7 @@ def scan(source: str) -> tuple:
 
 
 def _gen_operator(rng: np.random.Generator, cfg: GenConfig, depth: int) -> list:
-    op = cfg.operators[int(rng.integers(0, len(cfg.operators)))]
+    op = OPERATORS[int(rng.integers(0, len(OPERATORS)))]
     arity = int(rng.integers(cfg.min_args, cfg.max_args + 1))
     tokens = [f"[{op}"]
     p_nest = cfg.nest_prob * max(0.0, 1.0 - depth / cfg.max_depth)
@@ -184,7 +166,7 @@ def _make_example(rng: np.random.Generator, cfg: GenConfig,
         if cfg.require_exact_args is not None and \
                 cfg.require_exact_args not in counts:
             continue
-        return Example(source=source, label=eval_listops(source, cfg.med_even),
+        return Example(source=source, label=eval_listops(source),
                        length=len(tokens), depth=depth, max_args=max(counts))
     raise ListOpsError("could not satisfy generation bounds; config may be "
                        "unsatisfiable or too tight")
@@ -257,7 +239,7 @@ def _write_meta(path, cfg: GenConfig, examples):
             ("min_args", cfg.min_args),
             ("max_args", cfg.max_args),
             ("nest_prob", cfg.nest_prob),
-            ("med_even", cfg.med_even),
+            ("med_even", "lower"),  # MED of an even arity: see _apply
             ("require_exact_args", cfg.require_exact_args),
             ("realized_length_min", min(lengths)),
             ("realized_length_max", max(lengths)),
@@ -267,7 +249,7 @@ def _write_meta(path, cfg: GenConfig, examples):
             f.write(f"{k}={v}\n")
 
 
-SPLIT_KINDS = ("length_gen", "depth_gen", "arg_gen", "lra_style")
+SPLIT_KINDS = ("length_gen", "arg_gen")
 
 
 def build_splits(kind: str, out_dir, *, seed: int = 0,
@@ -291,28 +273,15 @@ def build_splits(kind: str, out_dir, *, seed: int = 0,
                                max_length=int(2.4 * train_cfg.max_length),
                                max_depth=train_cfg.max_depth + 2,
                                nest_prob=0.6)
-        elif kind == "depth_gen":
-            test_cfg = replace(train_cfg,
-                               max_depth=train_cfg.max_depth + 2,
-                               max_length=train_cfg.max_length * 2,
-                               nest_prob=0.6)
-        elif kind == "arg_gen":
+        else:  # arg_gen
             target = train_cfg.max_args * 2
             test_cfg = replace(train_cfg, max_args=target,
                                max_length=train_cfg.max_length * 3,
                                require_exact_args=target)
-        else:  # lra_style: longer and more arguments at once
-            test_cfg = replace(train_cfg, max_args=train_cfg.max_args * 2,
-                               min_length=2 * train_cfg.max_length,
-                               max_length=4 * train_cfg.max_length,
-                               max_depth=train_cfg.max_depth + 2,
-                               nest_prob=0.6)
     if kind == "length_gen" and test_cfg.min_length <= train_cfg.max_length:
         raise ListOpsError("length_gen test bound must exceed the train bound")
     if kind == "arg_gen" and (test_cfg.require_exact_args or 0) <= train_cfg.max_args:
         raise ListOpsError("arg_gen target arity must exceed the train bound")
-    if kind == "depth_gen" and test_cfg.max_depth <= train_cfg.max_depth:
-        raise ListOpsError("depth_gen test depth must exceed the train bound")
 
     os.makedirs(out_dir, exist_ok=True)
     seen: set = set()

@@ -25,11 +25,9 @@ __all__ = [
     "sub",
     "mul",
     "neg",
-    "mulc",
     "add_rowvec",
     "matmul",
     "sigmoid",
-    "logsigmoid",
     "gelu",
     "tsum",
     "log_softmax",
@@ -209,11 +207,6 @@ def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), lambda g: (-g,))
 
 
-def mulc(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _make(a.data * c, (a,), lambda g: (g * c,))
-
-
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     """Add a length-C vector to every row of an (R, C) matrix."""
     if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
@@ -274,18 +267,6 @@ def sigmoid_data(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     s = sigmoid_data(a.data)
     return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def logsigmoid(a: Tensor) -> Tensor:
-    # log(sigmoid(x)) = min(x, 0) - log1p(exp(-|x|)), stable for large |x|
-    x = a.data
-    out = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-
-    def vjp(g):
-        return (g * np.where(x >= 0, np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
-                             1.0 / (1.0 + np.exp(x))),)
-
-    return _make(out.astype(x.dtype, copy=False), (a,), vjp)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

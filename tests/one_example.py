@@ -1,9 +1,11 @@
 """One example as a batch of one: the package's batched encoders on one
 example's leaves, returning its (d_h,) encoding and its BeamSet or tree,
-with the single-example signatures the tests and the references share."""
+with the single-example signatures the tests and the references share, and
+the batched loss of one example."""
 
 from beamtree import encoders
 from beamtree import tensor as T
+from beamtree.harness import batch_losses
 
 
 def encode_bt_cell(leaves, cell, scorer, k, onesoft=False, rng=None):
@@ -20,13 +22,6 @@ def encode_easy_first_gumbel(leaves, cell, scorer, rng=None):
     return T.reshape(enc, (-1,)), trees[0]
 
 
-def encode_bsrp(leaves, cell, decision, k, rng=None):
-    enc, beams = encoders.encode_bsrp(
-        leaves, [leaves.data.shape[0]], cell, decision, k,
-        None if rng is None else [rng])
-    return T.reshape(enc, (-1,)), beams[0]
-
-
 def encode_recurrent(leaves, cell, h0):
     return T.reshape(encoders.encode_recurrent(
         leaves, [leaves.data.shape[0]], cell, h0), (-1,))
@@ -34,3 +29,9 @@ def encode_recurrent(leaves, cell, h0):
 
 def encode_fixed_tree(leaves, tree, cell):
     return T.reshape(encoders.encode_fixed_tree(leaves, [tree], cell), (-1,))
+
+
+def example_loss(model, ex, training, rng):
+    """The () cross-entropy of one example."""
+    rngs = None if rng is None else [rng]
+    return T.reshape(batch_losses(model, [ex], training, rngs), ())

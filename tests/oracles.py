@@ -1,9 +1,8 @@
 """Independent reference implementations used to cross-check the package:
-a plain-numpy gated cell, exhaustive enumeration of every
-merge-order derivation, and exhaustive enumeration of shift-reduce
-derivations. These deliberately avoid the package's tensor machinery and
-use different library routines (norm.cdf, expit, scipy log_softmax) for the
-nonlinearities.
+a plain-numpy gated cell, exhaustive enumeration of every merge-order
+derivation, and a stack-machine ListOps interpreter. These deliberately
+avoid the package's tensor machinery and use different library routines
+(norm.cdf, expit, scipy log_softmax) for the nonlinearities.
 
 The gated cell composed from tensor primitives and the encoders at the end
 are the exceptions. The composed cell is `cells.grc_compose` as it was
@@ -12,14 +11,12 @@ beam-tree and easy-first encoders as they were before candidate caching,
 beam stacking and index-group truncation, composing every adjacent pair of
 every beam on every step, splicing each beam's rows on its own and
 interpolating OneSoft's dropped beams one at a time, merging the final
-beams one at a time. The per-beam shift-reduce encoder is the beam
-shift-reduce parser as it was before its beams were stacked: one state
-object, decision matmul and compose per beam per step. All of them run on
-the package's tape, so the fused cell's and the stacked encoders' outputs
-and gradients can be checked against them. So do the per-example encoders
-and loss at the end: the encoders as they were before they ran a whole
-batch at once, one example at a time, the reference for the batched
-forward, its actions, losses and gradients."""
+beams one at a time. All of them run on the package's tape, so the fused
+cell's and the stacked encoders' outputs and gradients can be checked
+against them. So do the per-example encoders and loss at the end: the
+encoders as they were before they ran a whole batch at once, one example
+at a time, the reference for the batched forward, its actions, losses and
+gradients."""
 
 from __future__ import annotations
 
@@ -97,41 +94,7 @@ def enumerate_merge_derivations(leaves, cell, scorer):
     return results
 
 
-def enumerate_sr_derivations(leaves, cell, decision):
-    """All complete shift-reduce derivations as (actions, log_prob, vector).
-    One logit per state from [stack[-2]; stack[-1]; queue-front] with zero
-    vectors for missing slots; reduce scores log(sigmoid), shift the
-    complement. The vector is the root's state."""
-    n = len(leaves)
-    results = []
-
-    def logit(stack, qpos):
-        d = leaves[0].shape[0]
-        s2 = stack[-2] if len(stack) >= 2 else np.zeros(d)
-        s1 = stack[-1] if len(stack) >= 1 else np.zeros(d)
-        qf = leaves[qpos] if qpos < n else np.zeros(d)
-        return float(np.concatenate([s2, s1, qf]) @ decision.W.data[:, 0]
-                     + decision.b.data[0])
-
-    def go(stack, qpos, logp, actions):
-        if len(actions) == 2 * n - 1:
-            assert len(stack) == 1 and qpos == n
-            results.append((tuple(actions), logp, stack[0]))
-            return
-        z = logit(stack, qpos)
-        if qpos < n:
-            go(stack + [leaves[qpos]], qpos + 1,
-               logp + np.log(expit(-z)), actions + ["s"])
-        if len(stack) >= 2:
-            parent = np_grc(stack[-2], stack[-1], cell)
-            go(stack[:-2] + [parent], qpos,
-               logp + np.log(expit(z)), actions + ["r"])
-
-    go([], 0, 0.0, [])
-    return results
-
-
-def stack_machine_eval(source: str, med_even: str = "lower") -> int:
+def stack_machine_eval(source: str) -> int:
     """Independent single-pass ListOps interpreter: push tokens, reduce
     on ']'."""
     stack = []
@@ -152,7 +115,7 @@ def stack_machine_eval(source: str, med_even: str = "lower") -> int:
             val = sum(args) % 10
         elif op == "MED":
             s = sorted(args)
-            val = s[(len(s) - 1) // 2] if med_even == "lower" else s[len(s) // 2]
+            val = s[(len(s) - 1) // 2]
         else:
             raise ValueError(op)
         stack.append(str(val))
@@ -306,68 +269,6 @@ def full_recompose_bt_cell(leaves, cell, scorer, k, onesoft=False, rng=None):
     encoding = merge_beams_one_by_one(roots, scores)
     return encoding, BeamSet(T.concat([T.reshape(r, (1, -1)) for r in roots]),
                              T.concat(scores), actions)
-
-
-# ---------------------------------------------------------------------------
-# per-beam shift-reduce
-
-@dataclass
-class SRState:
-    """One beam of the per-beam shift-reduce encoder: its stack of (1,
-    width) node states, queue position, (1,) score and actions."""
-
-    stack: list
-    qpos: int
-    score: Tensor
-    actions: tuple
-
-
-def _sr_decision_logit(state, leaves, decision, empty):
-    """The (1,) logit of [stack[-2]; stack[-1]; queue-front] as one row;
-    `empty` is the (1, d_h) zero row of a missing slot."""
-    stack = state.stack[-2:]
-    qpos = state.qpos
-    qf = T.slice_rows(leaves, qpos, qpos + 1) \
-        if qpos < leaves.data.shape[0] else empty
-    x = T.concat([empty] * (2 - len(stack)) + stack + [qf], axis=1)
-    return T.add(T.reshape(T.matmul(x, decision.W), (1,)), decision.b)
-
-
-def per_beam_bsrp(leaves, cell, decision, k, rng=None):
-    """`encoders.encode_bsrp` with one `SRState` per beam: each beam runs
-    its own decision matmul and composes its own reduce, kept or not, and
-    the pool (per beam its shift, then its reduce) is truncated by
-    `plain_topk` over the pooled scores, Gumbel-perturbed when given an rng.
-    Returns (encoding, final
-    BeamSet)."""
-    n = leaves.data.shape[0]
-    dtype = leaves.data.dtype
-    empty = Tensor(np.zeros((1, leaves.data.shape[1]), dtype=dtype))
-    beams = [SRState(stack=[], qpos=0,
-                     score=Tensor(np.zeros(1, dtype=dtype)), actions=())]
-    for _step in range(2 * n - 1):
-        pool = []
-        for st in beams:
-            logit = _sr_decision_logit(st, leaves, decision, empty)
-            if st.qpos < n:
-                pool.append(SRState(
-                    stack=st.stack + [T.slice_rows(leaves, st.qpos,
-                                                   st.qpos + 1)],
-                    qpos=st.qpos + 1,
-                    score=T.add(st.score, T.logsigmoid(T.neg(logit))),
-                    actions=st.actions + ("s",)))
-            if len(st.stack) >= 2:
-                parent = grc_compose(st.stack[-2], st.stack[-1], cell)
-                pool.append(SRState(
-                    stack=st.stack[:-2] + [parent], qpos=st.qpos,
-                    score=T.add(st.score, T.logsigmoid(logit)),
-                    actions=st.actions + ("r",)))
-        idx = plain_topk([s.score.item() for s in pool], k, rng)
-        beams = [pool[i] for i in idx]
-    roots = T.concat([st.stack[0] for st in beams])
-    scores = T.concat([st.score for st in beams], axis=0)
-    return stacked_merge_beams(roots, scores), \
-        BeamSet(roots, scores, [st.actions for st in beams])
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +522,6 @@ def per_example_loss(model, ex, training, rng):
         enc = stacked_bt_cell(leaves, model.cell, model.scorer,
                               cfg.beam_size,
                               training and cfg.topk == "onesoft", rng)[0]
-    elif kind == "bsrp":
-        enc = per_beam_bsrp(leaves, model.cell, model.bsrp, cfg.beam_size,
-                            rng)[0]
     else:
         enc = walk_fixed_tree(leaves, gold_tree_listops(ex.source.split()),
                               model.cell)

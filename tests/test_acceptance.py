@@ -13,18 +13,16 @@ import time
 
 import numpy as np
 
-from one_example import encode_bsrp, encode_bt_cell, encode_fixed_tree
-from oracles import (enumerate_merge_derivations, enumerate_sr_derivations,
-                     stack_machine_eval)
+from one_example import encode_bt_cell, encode_fixed_tree, example_loss
+from oracles import enumerate_merge_derivations, stack_machine_eval
 
 from beamtree import tensor as T
 from beamtree.cells import GrcParams, LeafParams, ScorerParams, \
     grc_compose, leaf_transform_seq, score
 from beamtree.checkpoint import load_checkpoint, save_checkpoint
-from beamtree.encoders import BsrpParams
 from beamtree.gradcheck import check_grads
-from beamtree.harness import HeadParams, Model, classify, example_loss, \
-    forward_logits, make_config, train
+from beamtree.harness import HeadParams, Model, classify, forward_logits, \
+    make_config, train
 from beamtree.listops import GenConfig, eval_listops, generate
 from beamtree.parse_analysis import collapse_duplicates, extract_parses
 from beamtree.tensor import Tape, Tensor
@@ -104,18 +102,6 @@ def test_criterion_beam_search_matches_exhaustive_enumeration():
         assert len(beams) == len(oracle) == k
         for score, actions in zip(beams.scores.data, beams.actions):
             worst = max(worst, abs(score - oracle[actions]))
-
-    for n in (3, 4):
-        rng = np.random.default_rng(10 + n)
-        grc = GrcParams.init(4, rng, np.float64)
-        decision = BsrpParams.init(4, rng, np.float64)
-        leaves = Tensor(rng.standard_normal((n, 4)))
-        _, beams = encode_bsrp(leaves, grc, decision, 64)
-        oracle = {a: s for a, s, _ in enumerate_sr_derivations(
-            [leaves.data[i].copy() for i in range(n)], grc, decision)}
-        assert len(beams) == len(oracle)
-        for score, actions in zip(beams.scores.data, beams.actions):
-            worst = max(worst, abs(score - oracle[tuple(actions)]))
 
     _report("beam-search-oracle-equivalence", worst <= 1e-9,
             f"worst score gap {worst:.2e}")

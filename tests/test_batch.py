@@ -11,13 +11,12 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import (per_beam_bsrp, per_example_leaves, per_example_loss,
-                     stacked_bt_cell, stacked_easy_first_gumbel)
+from oracles import (per_example_leaves, per_example_loss, stacked_bt_cell,
+                     stacked_easy_first_gumbel)
 
 from beamtree import tensor as T
 from beamtree.cells import leaf_transform_seq
-from beamtree.encoders import encode_bsrp, encode_bt_cell, \
-    encode_easy_first_gumbel
+from beamtree.encoders import encode_bt_cell, encode_easy_first_gumbel
 from beamtree.harness import Model, batch_grad_sums, batch_losses, \
     example_rng, make_config
 from beamtree.listops import Example, read_tsv, tokenize
@@ -29,8 +28,7 @@ SOURCES = ["[MAX 2 [MIN 8 3 ] 1 ]", "7", "[SM 4 5 ]",
 
 VARIANTS = {"gold": {"encoder": "gold"},
             "recurrent": {"encoder": "recurrent"},
-            "gumbel": {"encoder": "gumbel"},
-            "bsrp": {"encoder": "bsrp", "beam_size": "3"}}
+            "gumbel": {"encoder": "gumbel"}}
 for _k in (2, 3, 5):
     for _topk in ("plain", "onesoft"):
         VARIANTS[f"bt_k{_k}_{_topk}"] = {"encoder": "bt",
@@ -80,7 +78,7 @@ def test_batch_losses_and_grads_match_per_example(variant):
     assert np.any(expect["leaf.embedding"] != 0.0)
 
 
-@pytest.mark.parametrize("variant", ["gumbel", "bsrp", "bt_k2_plain",
+@pytest.mark.parametrize("variant", ["gumbel", "bt_k2_plain",
                                      "bt_k2_onesoft", "bt_k3_plain",
                                      "bt_k3_onesoft", "bt_k5_plain",
                                      "bt_k5_onesoft"])
@@ -96,10 +94,6 @@ def test_batch_actions_match_per_example(variant):
         _, trees = encode_easy_first_gumbel(leaves, lengths, model.cell,
                                             model.scorer, rngs)
         got = [t.to_string() for t in trees]
-    elif variant == "bsrp":
-        _, beams = encode_bsrp(leaves, lengths, model.cell, model.bsrp,
-                               cfg.beam_size, rngs)
-        got = [b.actions for b in beams]
     else:
         _, beams = encode_bt_cell(leaves, lengths, model.cell, model.scorer,
                                   cfg.beam_size, onesoft, rngs)
@@ -111,9 +105,6 @@ def test_batch_actions_match_per_example(variant):
         if variant == "gumbel":
             expect.append(stacked_easy_first_gumbel(
                 rows, model.cell, model.scorer, rng)[1].to_string())
-        elif variant == "bsrp":
-            expect.append(per_beam_bsrp(rows, model.cell, model.bsrp,
-                                        cfg.beam_size, rng)[1].actions)
         else:
             expect.append(stacked_bt_cell(rows, model.cell, model.scorer,
                                           cfg.beam_size, onesoft,
@@ -140,7 +131,7 @@ def test_batch_records_a_fifth_of_the_per_example_tapes():
     assert batched * 5 <= per_example, (batched, per_example)
 
 
-@pytest.mark.parametrize("variant", ["gold", "recurrent", "gumbel", "bsrp",
+@pytest.mark.parametrize("variant", ["gold", "recurrent", "gumbel",
                                      "bt_k3_onesoft"])
 def test_batch_step_frees_the_model_without_the_cycle_collector(variant):
     # a reference cycle left by a training step would keep the weights, the

@@ -44,7 +44,7 @@ def test_gen_data_train_eval_parse_pipeline(tmp_path, capsys):
     assert total == pytest.approx(1.0, abs=0.01)
 
 
-@pytest.mark.parametrize("encoder", ["gumbel", "bsrp"])
+@pytest.mark.parametrize("encoder", ["gumbel", "gold"])
 def test_parse_refuses_configs_that_are_not_bt(tmp_path, encoder):
     config = tmp_path / "config.txt"
     config.write_text(f"encoder={encoder}\n")
@@ -87,7 +87,7 @@ def test_gradcheck_command_passes(capsys):
     out = capsys.readouterr().out
     assert "gradcheck passed" in out
     for name in ("grc+scorer", "leaf_transform",
-                 "end_to_end_bt_onesoft", "end_to_end_bsrp",
+                 "end_to_end_bt_onesoft",
                  "end_to_end_batch_bt_onesoft", "end_to_end_batch_gumbel"):
         assert f"{name}: max rel err" in out
 
@@ -95,6 +95,22 @@ def test_gradcheck_command_passes(capsys):
 def test_train_rejects_malformed_override(tmp_path):
     with pytest.raises(SystemExit):
         main(["train", "--out", str(tmp_path), "encoder=bt"])
+
+
+def test_train_refuses_an_override_given_twice(tmp_path):
+    with pytest.raises(SystemExit,
+                       match="beamtree train: config key 'lr' given twice"):
+        main(["train", "--out", str(tmp_path / "run"), "--lr=1", "--lr=2"])
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kind", ["depth_gen", "lra_style"])
+def test_gen_data_refuses_a_retired_split_kind(tmp_path, kind, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gen-data", "--kind", kind, "--out", str(tmp_path / "data")])
+    assert info.value.code == 2  # argparse's usage error
+    assert f"invalid choice: '{kind}'" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 def test_train_refuses_workers_override(tmp_path):

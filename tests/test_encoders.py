@@ -5,20 +5,19 @@ import weakref
 import numpy as np
 import pytest
 
-from one_example import (encode_bsrp, encode_bt_cell,
-                         encode_easy_first_gumbel, encode_fixed_tree,
-                         encode_recurrent)
-from oracles import (enumerate_merge_derivations, enumerate_sr_derivations,
-                     np_grc, per_beam_bsrp)
+from one_example import (encode_bt_cell, encode_easy_first_gumbel,
+                         encode_fixed_tree, encode_recurrent)
+from oracles import enumerate_merge_derivations, np_grc
 
 from beamtree import encoders
 from beamtree import tensor as T
 from beamtree.cells import GrcParams, ScorerParams
-from beamtree.encoders import BsrpParams, EncoderError
+from beamtree.encoders import EncoderError
 from beamtree.tensor import Tape, Tensor
-from beamtree.trees import branch, leaf, parse_tree_string, replay_actions
+from beamtree.trees import branch, leaf, replay_actions
 
 D_H = 4
+BALANCED_4 = branch(branch(leaf(0), leaf(1)), branch(leaf(2), leaf(3)))
 
 
 def _params(seed=0, d_h=D_H):
@@ -160,7 +159,7 @@ def test_recurrent_initial_state_folded_first():
 def test_fixed_tree_matches_reference_on_balanced():
     grc, _ = _params(seed=21)
     leaves = _leaves(4, seed=22)
-    out = encode_fixed_tree(leaves, parse_tree_string("((0 1) (2 3))"), grc)
+    out = encode_fixed_tree(leaves, BALANCED_4, grc)
     l = np_grc(leaves.data[0], leaves.data[1], grc)
     r = np_grc(leaves.data[2], leaves.data[3], grc)
     assert np.max(np.abs(out.data - np_grc(l, r, grc))) <= 1e-9
@@ -183,7 +182,7 @@ def test_fixed_tree_batch_records_as_many_as_its_tallest_tree():
     # tree of the batch, and one gather of the roots
     grc, _ = _params(seed=21)
     chain = replay_actions(7, [0] * 6)  # height 6
-    trees = [chain, parse_tree_string("((0 1) (2 3))"), chain, leaf(0)]
+    trees = [chain, BALANCED_4, chain, leaf(0)]
     leaves = Tensor(_leaves(19, seed=22).data, requires_grad=True)
     with Tape() as tape:
         encoders.encode_fixed_tree(leaves, trees, grc)
@@ -198,8 +197,7 @@ def test_fixed_tree_frees_the_cell_without_the_cycle_collector():
     gc.disable()
     try:
         with Tape():
-            encode_fixed_tree(_leaves(4, seed=22),
-                              parse_tree_string("((0 1) (2 3))"), grc)
+            encode_fixed_tree(_leaves(4, seed=22), BALANCED_4, grc)
         del grc
         assert freed() is None
     finally:
@@ -210,7 +208,7 @@ def test_fixed_tree_rejects_leaf_mismatch_and_nonprojective():
     grc, _ = _params(seed=23)
     leaves = _leaves(3, seed=24)
     with pytest.raises(EncoderError):
-        encode_fixed_tree(leaves, parse_tree_string("((0 1) (2 3))"), grc)
+        encode_fixed_tree(leaves, BALANCED_4, grc)
     crossed = branch(branch(leaf(1), leaf(0)), leaf(2))
     with pytest.raises(EncoderError):
         encode_fixed_tree(leaves, crossed, grc)
@@ -256,92 +254,3 @@ def test_easy_first_eval_deterministic():
     b, tb = encode_easy_first_gumbel(leaves, grc, scorer)
     assert np.array_equal(a.data, b.data)
     assert ta.to_string() == tb.to_string()
-
-
-# ---------------------------------------------------------------------------
-# beam shift-reduce
-
-@pytest.mark.parametrize("n,repeated", [
-    *(pytest.param(n, False, id=f"{n}") for n in [3, 4, 5]),
-    *(pytest.param(n, True, id=f"{n}-repeated") for n in [3, 4, 5])])
-def test_bsrp_matches_exhaustive_enumeration(n, repeated):
-    params, _ = _params(seed=40 + n)
-    rng = np.random.default_rng(41)
-    decision = BsrpParams.init(D_H, rng, np.float64)
-    leaves = _leaves(n, seed=42 + n, repeated=repeated)
-    oracle = enumerate_sr_derivations([leaves.data[i].copy() for i in range(n)],
-                                      params, decision)
-    # Catalan(n-1) complete derivations
-    assert len(oracle) == {3: 2, 4: 5, 5: 14}[n]
-    encoding, beams = encode_bsrp(leaves, params, decision, 32)
-    by_actions = {a: (s, e) for a, s, e in oracle}
-    assert len(beams) == len(oracle)
-    for root, score, actions in zip(beams.roots.data, beams.scores.data,
-                                    beams.actions):
-        s, enc = by_actions[tuple(actions)]
-        assert abs(score - s) <= 1e-9
-        assert np.max(np.abs(root - enc)) <= 1e-9
-
-
-def test_bsrp_single_token():
-    grc, _ = _params(seed=50)
-    decision = BsrpParams.init(D_H, np.random.default_rng(51), np.float64)
-    leaves = _leaves(1, seed=52)
-    enc, beams = encode_bsrp(leaves, grc, decision, 2)
-    assert np.array_equal(enc.data, leaves.data[0])
-    assert beams.actions[0] == ("s",)
-
-
-def test_bsrp_backprops_to_decision_layer():
-    grc, _ = _params(seed=53)
-    decision = BsrpParams.init(D_H, np.random.default_rng(54), np.float64)
-    leaves = _leaves(4, seed=55)
-    with Tape() as tape:
-        enc, _ = encode_bsrp(leaves, grc, decision, 2)
-        tape.backward(T.tsum(enc))
-    assert np.any(decision.W.grad != 0.0)
-
-
-def _bsrp_run(encode, n, stochastic, repeated=False):
-    """Encoding, beam scores and actions, and every gradient of one
-    training-mode forward and backward pass of a beam-3 shift-reduce
-    encoder. With `repeated` the leaves are rows of a three-token
-    vocabulary, so equal stack contents make equal decisions."""
-    params, _ = _params(seed=60 + n)
-    rng = np.random.default_rng(61 + n)
-    decision = BsrpParams.init(D_H, rng, np.float64)
-    rows = rng.standard_normal((3 if repeated else n, D_H))
-    if repeated:
-        rows = rows[rng.integers(0, 3, size=n)]
-    leaves = Tensor(rows, requires_grad=True)
-    weights = Tensor(rng.standard_normal(D_H))
-    with Tape() as tape:
-        enc, beams = encode(leaves, params, decision, 3,
-                            np.random.default_rng([n, 1]) if stochastic
-                            else None)
-        tape.backward(T.tsum(T.mul(enc, weights)))
-    grads = {name: p.grad.copy() for name, p in
-             {**params.named(), **decision.named(), "leaves": leaves}.items()}
-    return enc.data, beams.scores.data, beams.actions, grads
-
-
-BSRP_LENGTHS = [3, 4, 5, 6, 7, 8]
-
-
-@pytest.mark.parametrize("stochastic", [False, True])
-@pytest.mark.parametrize("n,repeated", [
-    *(pytest.param(n, False, id=f"{n}-grc") for n in BSRP_LENGTHS),
-    *(pytest.param(n, True, id=f"{n}-grc-repeated") for n in BSRP_LENGTHS)])
-def test_stacked_bsrp_matches_per_beam_reference(stochastic, n, repeated):
-    enc, scores, actions, grads = _bsrp_run(encode_bsrp, n, stochastic,
-                                            repeated)
-    enc_o, scores_o, actions_o, grads_o = _bsrp_run(per_beam_bsrp, n,
-                                                    stochastic, repeated)
-    assert actions == actions_o
-    assert np.max(np.abs(enc - enc_o)) <= 1e-12
-    assert scores.shape == scores_o.shape
-    assert np.max(np.abs(scores - scores_o)) <= 1e-12
-    for name, g in grads_o.items():
-        scale = max(np.max(np.abs(g)), 1e-300)
-        assert np.max(np.abs(grads[name] - g)) / scale <= 1e-10, name
-    assert np.any(grads_o["bsrp.W"] != 0.0)

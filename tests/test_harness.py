@@ -4,14 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from one_example import example_loss
 
 from beamtree import tensor as T
 from beamtree.checkpoint import (CheckpointError, load_checkpoint, restore,
                                  save_checkpoint)
 from beamtree.harness import (ENCODER_KINDS, RETIRED_KEYS, HarnessError,
                               HeadParams, Model, RunConfig, classify,
-                              evaluate_examples, example_loss, load_config,
-                              load_model, make_config, save_config, train)
+                              evaluate_examples, load_config, load_model,
+                              make_config, save_config, train)
 from beamtree.listops import Example, GenConfig, generate
 from beamtree.tensor import Tensor
 
@@ -131,9 +132,26 @@ def test_config_rejects_unknown_key():
         make_config({"no_such_key": "1"})
 
 
-def test_config_rejects_bad_encoder():
-    with pytest.raises(HarnessError):
-        make_config({"encoder": "transformer"})
+@pytest.mark.parametrize("encoder", ["transformer", "bsrp"])
+def test_config_rejects_bad_encoder(tmp_path, encoder):
+    # bsrp, beam shift-reduce, is deleted: its saved run configs load no more
+    message = f"unknown encoder '{encoder}'"
+    with pytest.raises(HarnessError, match=message):
+        make_config({"encoder": encoder})
+    path = tmp_path / "config.txt"
+    save_config(RunConfig(encoder="gold"), path)
+    path.write_text(path.read_text().replace("encoder=gold",
+                                             f"encoder={encoder}"))
+    with pytest.raises(HarnessError, match=message):
+        load_config(path)
+
+
+def test_config_refuses_a_key_given_twice(tmp_path):
+    # the last value used to win silently: this file trained gold
+    path = tmp_path / "c.txt"
+    path.write_text("encoder=bt\nd_h=16\nencoder=gold\n")
+    with pytest.raises(HarnessError, match="config key 'encoder' given twice"):
+        load_config(path)
 
 
 def test_config_rejects_unknown_topk(tmp_path):

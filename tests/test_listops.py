@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from oracles import stack_machine_eval
 
 from beamtree.listops import (VOCAB, GenConfig, ListOpsError,
-                              build_splits, detokenize, eval_listops,
-                              generate, measure_depth, measure_max_args,
-                              read_tsv, tokenize, write_tsv)
+                              build_splits, eval_listops, generate, read_tsv,
+                              scan, tokenize, write_tsv)
 
 
 def test_eval_basic_ops():
@@ -36,8 +35,9 @@ def test_eval_leaves_no_reference_cycle():
 
 
 def test_med_even_arity_sides():
-    assert eval_listops("[MED 1 2 3 4 ]", med_even="lower") == 2
-    assert eval_listops("[MED 1 2 3 4 ]", med_even="upper") == 3
+    # an even arity takes the lower middle element
+    assert eval_listops("[MED 1 2 3 4 ]") == 2
+    assert eval_listops("[MED 4 3 ]") == 3
 
 
 def test_eval_rejects_malformed():
@@ -90,7 +90,7 @@ def test_metamorphic_singleton_identity(d):
 def test_vocab_size_and_round_trip():
     assert len(VOCAB) == 15
     src = "[SM 1 [MIN 4 5 ] 2 ]"
-    assert detokenize(tokenize(src)) == src
+    assert " ".join(VOCAB[i] for i in tokenize(src)) == src
 
 
 def test_tokenize_rejects_unknown():
@@ -99,9 +99,9 @@ def test_tokenize_rejects_unknown():
 
 
 def test_measurements():
-    src = "[SM 1 [MIN 4 5 ] 2 ]"
-    assert measure_depth(src) == 2
-    assert measure_max_args(src) == 3  # SM has args 1, [MIN..], 2
+    depth, counts = scan("[SM 1 [MIN 4 5 ] 2 ]")
+    assert depth == 2
+    assert max(counts) == 3  # SM has args 1, [MIN..], 2
 
 
 def test_generate_deterministic_and_bounded():
@@ -196,6 +196,14 @@ def test_build_splits_arg_gen(tmp_path):
     assert all(e.max_args >= 6 for e in test)
     train = read_tsv(splits["train"])
     assert all(e.max_args <= 3 for e in train)
+
+
+@pytest.mark.parametrize("kind", ["depth_gen", "lra_style"])
+def test_build_splits_refuses_a_retired_kind(tmp_path, kind):
+    with pytest.raises(ListOpsError, match=f"unknown split kind '{kind}'"):
+        build_splits(kind, tmp_path / "data", train_count=1, dev_count=1,
+                     test_count=1)
+    assert not (tmp_path / "data").exists()
 
 
 def test_build_splits_rejects_overlapping_bounds(tmp_path):

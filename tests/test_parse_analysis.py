@@ -8,7 +8,7 @@ from beamtree.parse_analysis import (BeamParse, ParseAnalysisError,
                                      tree_agreement)
 from beamtree.tensor import Tensor
 from beamtree.topk import BeamSet
-from beamtree.trees import parse_tree_string, replay_actions
+from beamtree.trees import replay_actions
 
 
 def _run_bt(n, k, seed=0):
@@ -54,7 +54,7 @@ def test_collapse_merges_and_sorts():
 
 
 def test_agreement_identical_trees():
-    t = parse_tree_string("((0 1) (2 3))")
+    t = replay_actions(4, [0, 1, 0])  # ((0 1) (2 3))
     assert tree_agreement(t, t) == 1.0
 
 
@@ -75,7 +75,7 @@ def test_agreement_symmetric():
 
 
 def test_agreement_single_leaf():
-    t = parse_tree_string("0")
+    t = replay_actions(1, [])
     assert tree_agreement(t, t) == 1.0
 
 

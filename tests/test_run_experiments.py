@@ -120,6 +120,18 @@ def test_reduced_profile_defaults_to_the_data_its_runs_used():
         "results/data-mid"
 
 
+def test_reduced_profile_regenerates_the_committed_data(tmp_path):
+    # today's generator, with the reduced profile and the default data seed,
+    # writes the committed split byte for byte
+    R.ensure_data(str(tmp_path), R.PROFILES["reduced"], 100)
+    names = sorted(os.listdir(DATA_MID))
+    assert len(names) == 6  # {train,dev,test}.{tsv,meta}
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        with open(os.path.join(DATA_MID, name), "rb") as f:
+            assert (tmp_path / name).read_bytes() == f.read(), name
+
+
 COMMITTED_RUNS = sorted(
     os.path.basename(d) for d in
     glob.glob(os.path.join(ROOT, "results", "runs-reduced", "*-s*")))

@@ -1,12 +1,73 @@
 import gc
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from beamtree.trees import (TreeError, gold_tree_listops, parse_tree_string,
-                            replay_actions, tree_to_actions)
+from beamtree.trees import (ParseTree, TreeError, branch, gold_tree_listops,
+                            leaf, replay_actions)
+
+# Trees from merge indices and from bracketed strings, and back: helpers of
+# these tests, which check replay and serialization against them.
+
+
+def tree_to_actions(tree: ParseTree) -> list:
+    """Bottom-up merge indices whose replay reproduces `tree`."""
+    actions = []
+    _post_order_merges(tree, list(range(tree.n_leaves())), actions)
+    return actions
+
+
+def _post_order_merges(t: ParseTree, items: list, actions: list):
+    """Append the merges of `t`, children first; `items` holds the leftmost
+    leaf of every current item."""
+    if t.is_leaf:
+        return
+    _post_order_merges(t.left, items, actions)
+    _post_order_merges(t.right, items, actions)
+    i = items.index(t.left.span()[0])
+    assert items[i + 1] == t.right.span()[0]
+    actions.append(i)
+    del items[i + 1]
+
+
+def parse_tree_string(s: str) -> ParseTree:
+    """Parse a bracketed string like "((a b) c)" back into a ParseTree;
+    leaf positions are assigned left to right."""
+    tree, pos = _parse_subtree(s, 0, itertools.count())
+    if _skip_ws(s, pos) != len(s):
+        raise TreeError("trailing characters after tree")
+    return tree
+
+
+def _skip_ws(s: str, i: int) -> int:
+    while i < len(s) and s[i] == " ":
+        i += 1
+    return i
+
+
+def _parse_subtree(s: str, i: int, leaf_ids) -> tuple:
+    """The subtree of `s` from position i, and the position after it;
+    leaves take their positions from the iterator `leaf_ids`."""
+    i = _skip_ws(s, i)
+    if i >= len(s):
+        raise TreeError("unexpected end of tree string")
+    if s[i] == "(":
+        left_t, i = _parse_subtree(s, i + 1, leaf_ids)
+        right_t, i = _parse_subtree(s, i, leaf_ids)
+        i = _skip_ws(s, i)
+        if i >= len(s) or s[i] != ")":
+            raise TreeError("expected ')'")
+        return branch(left_t, right_t), i + 1
+    j = i
+    while j < len(s) and s[j] not in " ()":
+        j += 1
+    if j == i:
+        raise TreeError(f"empty token at position {i}")
+    return leaf(next(leaf_ids)), j
+
 
 BALANCED_8 = parse_tree_string("(((0 1) (2 3)) ((4 5) (6 7)))")
 
