@@ -23,7 +23,7 @@ from . import tensor as T
 from .cells import GrcParams, ScorerParams, grc_compose, score
 from .tensor import Tensor
 from .topk import BeamSet, collapse_tail, gumbel_noise, merge_beams, \
-    plain_topk, truncate
+    plain_topk, tail_entries, truncate
 from .trees import ParseTree, replay_actions
 
 
@@ -125,8 +125,13 @@ class _BeamBatch:
     """The beam-tree search state of a batch: the node table, the table of
     candidate scores aligned with it (0 for a row that is no candidate: the
     leaves, interpolated and straight-through nodes), the table of beam
-    scores, each example's beams, and the pairs waiting to be composed. A
-    beam is [node rows, candidate rows, actions, beam-score row]."""
+    scores, and the beams of the examples still searching, one row each of
+    the int arrays `node_rows`, `cand_rows` (the parents of adjacent pairs;
+    both padded on the right), `actions` (0 past the steps taken),
+    `score_rows`, `m` (the number of candidates) and `last` (where the last
+    merge was), an example's beams consecutive. Every beam of an example
+    has its length less the steps taken as nodes; an example with at most
+    two is done, and its roots, score rows and actions are set aside."""
 
     def __init__(self, leaves: Tensor, lengths, cell: GrcParams,
                  scorer: ScorerParams):
@@ -137,35 +142,34 @@ class _BeamBatch:
             Tensor(np.zeros(leaves.data.shape[0], dtype)))
         # row e is the first beam of example e
         self.beam_scores = T.RowTable(Tensor(np.zeros(len(lengths), dtype)))
-        self.left, self.right, self.slots = [], [], []
-        self.beams = []
-        for e, (start, n) in enumerate(zip(_starts(lengths), lengths)):
-            beam = [list(range(start, start + n)), [None] * (n - 1), (), e]
-            self.pend(beam, 0, n - 1)
-            self.beams.append([beam])
-        self.compose()
+        self.lengths, self.steps = list(lengths), 0
+        self.active = list(range(len(lengths)))  # the examples searching
+        self.counts = [1] * len(lengths)  # their beams
+        self.node_rows = np.add.outer(_starts(lengths), np.arange(max(lengths)))
+        self.cols = np.arange(self.node_rows.shape[1])
+        # the root of a one-leaf example is its leaf
+        self.cand_rows = self.node_rows.copy()
+        self.actions = np.zeros_like(self.node_rows)
+        self.score_rows = np.arange(len(lengths))
+        self.m = np.subtract(lengths, 1)
+        self.last = np.full_like(self.m, -1)  # no merge yet: all pairs new
+        self.done = [None] * len(lengths)
+        self.compose(*_pairs(self.last, self.m))
+        self.retire(self.lengths)
 
-    def pend(self, beam: list, lo: int, hi: int):
-        """Pairs lo..hi-1 of the beam's nodes are to fill its candidates
-        lo..hi-1."""
-        nodes, cands = beam[0], beam[1]
-        for j in range(lo, hi):
-            self.left.append(nodes[j])
-            self.right.append(nodes[j + 1])
-            self.slots.append((cands, j))
-
-    def compose(self):
-        """All pending pairs in one `grc_compose` and one `score` call; the
-        parents and their scores go to the end of the tables."""
-        if not self.slots:
+    def compose(self, beams, slots):
+        """The pairs (slots, slots + 1) of the nodes of `beams` in one
+        `grc_compose` and one `score` call, into the beams' candidates
+        `slots`; the parents and their scores go to the end of the
+        tables."""
+        if not len(beams):
             return
-        parents = grc_compose(self.nodes.gather(self.left),
-                              self.nodes.gather(self.right), self.cell)
+        parents = grc_compose(
+            self.nodes.gather(self.node_rows[beams, slots]),
+            self.nodes.gather(self.node_rows[beams, slots + 1]), self.cell)
         first = self.nodes.append(parents)
         self.cand_scores.append(score(parents, self.scorer))
-        for j, (cands, slot) in enumerate(self.slots):
-            cands[slot] = first + j
-        self.left, self.right, self.slots = [], [], []
+        self.cand_rows[beams, slots] = first + np.arange(len(beams))
 
     def add_nodes(self, rows: Tensor) -> int:
         """Append node rows that are no candidates; returns the first."""
@@ -173,143 +177,160 @@ class _BeamBatch:
                                                 rows.data.dtype)))
         return self.nodes.append(rows)
 
-    def merged(self, beam: list, i: int, row: int, pend: bool) -> list:
-        """`beam` with its nodes i and i+1 replaced by node `row`. Its
-        candidates beside the new node are new; with `pend` they are
-        composed at the next `compose` (not for a beam OneSoft
-        interpolates away)."""
-        nodes, cands, actions, sid = beam
-        nodes = nodes[:i] + [row] + nodes[i + 2:]
-        lo, hi = max(i - 1, 0), min(i + 1, len(nodes) - 1)
-        new = [nodes, cands[:lo] + [None] * (hi - lo) + cands[i + 2:],
-               actions + (i,), sid]
-        if pend:
-            self.pend(new, lo, hi)
-        return new
+    def merge(self, parent, pos, rows, score_rows):
+        """Make the beams those of `parent` with nodes pos and pos + 1
+        merged into node `rows`, one shift of the columns right of pos, and
+        with beam scores `score_rows`. The candidates beside the new node
+        are stale until composed."""
+        src = self.cols[:self.node_rows.shape[1] - 1]
+        src = src + (src > pos[:, None])
+        self.node_rows = self.node_rows[parent[:, None], src]
+        self.node_rows[np.arange(len(pos)), pos] = rows
+        self.cand_rows = self.cand_rows[parent[:, None], src]
+        self.actions = self.actions[parent]
+        self.actions[:, self.steps] = pos
+        self.score_rows, self.m, self.last = score_rows, self.m[parent] - 1, pos
+
+    def select(self, beams):
+        """Keep the beams `beams` (indices or a mask), in their order."""
+        self.node_rows, self.cand_rows, self.actions, self.score_rows, \
+            self.m, self.last = (x[beams] for x in (
+                self.node_rows, self.cand_rows, self.actions,
+                self.score_rows, self.m, self.last))
 
     def step(self, k: int, onesoft: bool, rngs):
         """One merge in every beam of every example with more than two
-        nodes; returns False when there is none."""
-        active = [e for e, b in enumerate(self.beams) if len(b[0][0]) > 2]
-        if not active:
+        nodes; returns False when there is none. The pairs composed are
+        those beside each merge, and all pairs of OneSoft's new beams."""
+        if not self.active:
             return False
-        counts = [len(b[1]) for e in active for b in self.beams[e]]
-        raw = self.cand_scores.gather([c for e in active
-                                       for b in self.beams[e] for c in b[1]])
+        # each example's candidates per beam: its nodes after this step
+        n = [self.lengths[e] - self.steps - 1 for e in self.active]
+        beam, pos = (self.cols < self.m[:, None]).nonzero()
+        raw = self.cand_scores.gather(self.cand_rows[beam, pos])
         if k == 1 and rngs is not None:
-            self.straight_through(raw, counts, active, rngs)
+            self.straight_through(raw, beam, pos, rngs)
         else:
-            self.branch_and_truncate(raw, counts, active, k, onesoft, rngs)
-        self.compose()
+            self.branch_and_truncate(raw, beam, pos, n, k, onesoft, rngs)
+        self.compose(*_pairs(self.last, self.m))
+        self.steps += 1
+        self.retire(n)
         return True
 
-    def straight_through(self, raw, counts, active, rngs):
+    def straight_through(self, raw, beam, pos, rngs):
         """One straight-through Gumbel merge in each active example's one
-        beam."""
-        dtype = raw.data.dtype
-        noise = np.concatenate([gumbel_noise(n, rngs[e]) for e, n in
-                                zip(active, counts)]).astype(dtype)
+        beam, whose candidate `pos` is `raw[i]` of beam `beam[i]`."""
+        noise = np.concatenate([
+            gumbel_noise(n, rngs[e])
+            for e, n in zip(self.active, self.m.tolist())]).astype(
+                raw.data.dtype)
         perturbed = T.add(raw, Tensor(noise))
-        soft = T.segment_softmax(perturbed, counts)
+        soft = T.segment_softmax(perturbed, self.m)
+        padded = np.full(self.node_rows.shape, -np.inf)
+        padded[beam, pos] = perturbed.data
+        hard = padded.argmax(axis=1)
         onehot = np.zeros_like(noise)
-        hard, pos = [], 0
-        for n in counts:
-            hard.append(int(np.argmax(perturbed.data[pos:pos + n])))
-            onehot[pos + hard[-1]] = 1.0
-            pos += n
+        onehot[self.m.cumsum() - self.m + hard] = 1.0
         ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
-        cands = self.nodes.gather([c for e in active
-                                   for c in self.beams[e][0][1]])
-        first = self.add_nodes(T.segment_sum(ste, cands, counts))
-        for j, (e, i) in enumerate(zip(active, hard)):
-            self.beams[e] = [self.merged(self.beams[e][0], i, first + j,
-                                         True)]
+        first = self.add_nodes(T.segment_sum(
+            ste, self.nodes.gather(self.cand_rows[beam, pos]), self.m))
+        beams = np.arange(len(hard))
+        self.merge(beams, hard, first + beams, self.score_rows)
 
-    def branch_and_truncate(self, raw, counts, active, k, onesoft, rngs):
-        """Branch every beam of the active examples over its top-k merges
-        and truncate each example's pool, collapsing OneSoft's last
-        groups."""
-        logp = T.segment_softmax(raw, counts, log=True)
-        lp = logp.data
-        base = self.beam_scores.values([b[3] for e in active
-                                        for b in self.beams[e]])
-        parents, places, plans = [], [], []
-        pos = bpos = 0
-        for e in active:
+    def branch_and_truncate(self, raw, beam, pos, n, k, onesoft, rngs):
+        """Branch every beam of the active examples, whose candidate `pos`
+        is `raw[i]` of beam `beam[i]`, over its top-k merges, and truncate
+        each example's pool, collapsing OneSoft's last groups."""
+        logp = T.segment_softmax(raw, self.m, log=True)
+        # the pool score of each merge: its beam's score plus its logp
+        pooled = self.beam_scores.values(self.score_rows[beam]) + logp.data
+        lp = logp.data.astype(np.float64)  # plain_topk's precision
+        starts = self.m.cumsum() - self.m  # each beam's first place in lp
+        picked, sizes, counts = [], [], []
+        b = 0  # the example's first beam
+        for e, c, n_e in zip(self.active, self.counts, n):
             rng = None if rngs is None else rngs[e]
-            beams = self.beams[e]
-            n = len(beams[0][1])
-            pool = []  # (beam, merge position, place in logp)
-            for b in range(len(beams)):
-                pool += [(b, i, pos + i)
-                         for i in plain_topk(lp[pos:pos + n], k, rng)]
-                pos += n
-            groups = truncate(base[[bpos + b for b, _, _ in pool]]
-                              + lp[[c for _, _, c in pool]], k, onesoft, rng)
-            bpos += len(beams)
-            picked = [pool[j] for g in groups for j in g]
-            parents += [beams[b][3] for b, _, _ in picked]
-            places += [c for _, _, c in picked]
-            plans.append((e, groups, pool))
-        picked_scores = T.add(self.beam_scores.gather(parents),
+            top = plain_topk(lp[starts[b]:starts[b] + c * n_e]
+                             .reshape(c, n_e), k, rng)
+            pool = (top + starts[b:b + c, None]).reshape(-1)
+            groups = truncate(pooled[pool], k, onesoft, rng)
+            picked.append(pool[[j for g in groups for j in g]])
+            sizes += [len(g) for g in groups]
+            counts.append(len(groups))
+            b += c
+        places = np.concatenate(picked)
+        parent, pos = beam[places], pos[places]
+        picked_scores = T.add(self.beam_scores.gather(self.score_rows[parent]),
                               T.rows_gather(logp, places))
         row = self.beam_scores.append(picked_scores)
-        tails = []  # (example, slot, member beams) of OneSoft's last groups
-        for e, groups, pool in plans:
-            kept = []
-            for g in groups:
-                members = []
-                for j in g:
-                    b, i, _ = pool[j]
-                    beam = self.beams[e][b]
-                    members.append(self.merged(beam, i, beam[1][i],
-                                               len(g) == 1))
-                    members[-1][3] = row
-                    row += 1
-                if len(g) > 1:
-                    tails.append((e, len(kept), members))
-                kept.append(members[0])
-            self.beams[e] = kept
-        if tails:
-            self.collapse(tails, picked_scores)
+        self.merge(parent, pos, self.cand_rows[parent, pos],
+                   row + np.arange(len(places)))
+        self.counts, sizes = counts, np.asarray(sizes)
+        if len(sizes) == len(places):  # hard top-k: each picked beam is kept
+            return
+        kept = np.cumsum(sizes) - sizes  # the first picked beam of each group
+        tails, nodes = np.flatnonzero(sizes > 1), self.node_rows
+        self.select(kept)
+        self.collapse(tails, kept[tails], sizes[tails], self.m[tails] + 1,
+                      nodes, picked_scores)
 
-    def collapse(self, tails, picked_scores):
-        """Replace each OneSoft last group by one beam of new node rows, in
-        one `collapse_tail` call; `picked_scores` holds the groups'
-        scores, the last rows of the beam-score table."""
-        first = self.beam_scores.size - picked_scores.data.shape[0]
-        sizes = [len(members[0][0]) for _, _, members in tails]
-        rows = [m[0][p] for (_, _, members), n in zip(tails, sizes)
-                for p in range(n) for m in members]
-        places = [m[3] - first for _, _, members in tails for m in members]
+    def collapse(self, tails, firsts, sizes, lens, nodes, picked_scores):
+        """Replace the kept beams `tails`, OneSoft's last groups, each by
+        one beam of `lens` new node rows, in one `collapse_tail` call: group
+        t is the picked beams firsts[t] onwards, sizes[t] of them, whose
+        node rows are `nodes` and scores `picked_scores`."""
+        tail, node, beam = tail_entries(sizes, lens)
+        member = firsts[tail] + beam  # the picked beam each row is read from
         mixed, mixed_scores = collapse_tail(
-            self.nodes.gather(rows), T.rows_gather(picked_scores, places),
-            [len(members) for _, _, members in tails], sizes)
+            self.nodes.gather(nodes[member, node]),
+            T.rows_gather(picked_scores, member[node == 0]), sizes, lens)
         row = self.add_nodes(mixed)
-        score_row = self.beam_scores.append(mixed_scores)
-        for t, ((e, slot, members), n) in enumerate(zip(tails, sizes)):
-            beam = [list(range(row, row + n)), [None] * (n - 1),
-                    members[0][2], score_row + t]
-            self.pend(beam, 0, n - 1)
-            self.beams[e][slot] = beam
-            row += n
+        self.score_rows[tails] = (self.beam_scores.append(mixed_scores)
+                                  + np.arange(len(tails)))
+        self.node_rows[tails] = (row + np.cumsum(lens) - lens)[:, None] \
+            + self.cols[:self.node_rows.shape[1]]
+        self.last[tails] = -1  # no merge: all its pairs are new
+
+    def retire(self, n):
+        """Set aside the examples left with n <= 2 nodes per beam, whose
+        root is the one candidate (with 0 as the last action) or node."""
+        if min(n) > 2:
+            return
+        a = 0
+        for e, c, n_e in zip(self.active, self.counts, n):
+            if n_e <= 2:
+                self.done[e] = (self.cand_rows[a:a + c, 0],
+                                self.score_rows[a:a + c],
+                                [tuple(acts) for acts in self.actions[
+                                    a:a + c, :self.steps + n_e - 1].tolist()])
+            a += c
+        self.select(np.repeat(np.greater(n, 2), self.counts))
+        self.active = [e for e, n_e in zip(self.active, n) if n_e > 2]
+        self.counts = [c for c, n_e in zip(self.counts, n) if n_e > 2]
 
     def finish(self):
-        """(encodings, one BeamSet per example) once every beam has at most
-        two nodes: a two-node beam's one candidate is its root."""
-        roots, rows, sets = [], [], []
-        for beams in self.beams:
-            done = len(beams[0][0]) == 2
-            roots += [b[1][0] if done else b[0][0] for b in beams]
-            rows += [b[3] for b in beams]
-            sets.append([b[2] + (0,) if done else b[2] for b in beams])
-        roots = self.nodes.gather(roots)
-        scores = self.beam_scores.gather(rows)
-        counts = [len(b) for b in self.beams]
+        """(encodings, one BeamSet per example) once every example is
+        done."""
+        roots, score_rows, actions = zip(*self.done)
+        roots = self.nodes.gather(np.concatenate(roots))
+        scores = self.beam_scores.gather(np.concatenate(score_rows))
+        counts = [len(acts) for acts in actions]
         firsts = np.cumsum([0, *counts]).tolist()
         return merge_beams(roots, scores, counts), [
             BeamSet(Tensor(roots.data[a:b]), Tensor(scores.data[a:b]), acts)
-            for a, b, acts in zip(firsts, firsts[1:], sets)]
+            for a, b, acts in zip(firsts, firsts[1:], actions)]
+
+
+def _pairs(pos, m):
+    """(beams, slots) of the pairs to compose in beams of m candidates: the
+    two beside each beam's new node at pos, beam by beam, then all pairs of
+    each beam with pos -1, whose nodes are all new."""
+    beams = list(enumerate(zip(pos.tolist(), m.tolist())))
+    flat = [x for new in (False, True) for b, (p, m_b) in beams
+            if (p < 0) == new
+            for s in (range(m_b) if new else (p - 1, p)) if 0 <= s < m_b
+            for x in (b, s)]
+    return np.array(flat, dtype=np.intp).reshape(-1, 2).T
 
 
 def encode_bt_cell(leaves: Tensor, lengths, cell: GrcParams,
@@ -326,21 +347,23 @@ def encode_bt_cell(leaves: Tensor, lengths, cell: GrcParams,
     Branching and plain truncation are Gumbel-perturbed when given rngs.
 
     Every node state of the batch is a row of one append-only table: the
-    leaves, then each step's composed parents. A beam is a list of row ids
-    for its nodes and a second one for the parents of its adjacent pairs,
-    its candidates; each candidate is scored once, when it is composed, and
-    the scores sit in a second table aligned with the first. A merge only
-    edits the lists, so a step, over all beams of all examples that have
-    more than two nodes left, is one gather of candidate scores, one
-    segment log-softmax, per-beam top-k and per-example `truncate` on the
-    values, one gather and add for the beam scores, and one `grc_compose`
-    of the pairs beside each merged node. Hard top-k builds only the k
-    beams it keeps. OneSoft's last group, its best beam first, becomes one
-    beam whose nodes are new rows, the softmax-weighted sum of the group's
-    node rows (`collapse_tail`); it carries its best member's actions, and
-    every pair of it is composed. An example leaves the loop at two nodes
-    per beam, whose one candidate is the root, and the encodings are
-    `merge_beams` of all roots and scores.
+    leaves, then each step's composed parents. The beams of all examples
+    are the rows of int matrices: one of row ids for their nodes and one
+    for the parents of their adjacent pairs, their candidates; each
+    candidate is scored once, when it is composed, and the scores sit in a
+    second table aligned with the first. A merge is one fancy-index shift
+    of both matrices over all beams, so a step, over all beams of all
+    examples that have more than two nodes left, is one gather of
+    candidate scores, one segment log-softmax, one `plain_topk` over each
+    example's (beams, candidates) matrix and one `truncate` of its pool, on
+    the values, one gather and add for the beam scores, and one
+    `grc_compose` of the pairs beside each merged node. Hard top-k builds
+    only the k beams it keeps. OneSoft's last group, its best beam first,
+    becomes one beam whose nodes are new rows, the softmax-weighted sum of
+    the group's node rows (`collapse_tail`); it carries its best member's
+    actions, and every pair of it is composed. An example leaves the loop
+    at two nodes per beam, whose one candidate is the root, and the
+    encodings are `merge_beams` of all roots and scores.
 
     With one beam this is easy-first composition. `merge_beams` gives a
     lone beam's score no gradient, so one beam given rngs selects by

@@ -32,8 +32,6 @@ __all__ = [
     "tsum",
     "log_softmax",
     "layer_norm",
-    "concat",
-    "slice_rows",
     "slice_cols",
     "reshape",
     "rows_gather",
@@ -126,7 +124,8 @@ class Tape:
         # each record is popped once its vjp has run, and the gradient of
         # the tensor it produced dropped: once every consumer of a tensor
         # has run, nothing reads its gradient again. Tensors no record
-        # produced (parameters, inputs) keep theirs.
+        # produced (parameters, inputs) keep theirs. A vjp may also add
+        # into gradients itself and return None for them (row gathers do).
         records = self.records
         while records:
             rec = records.pop()
@@ -146,10 +145,11 @@ class Tape:
                     inp.grad += gi.astype(inp.data.dtype, copy=False)
 
 
-def _make(data: np.ndarray, inputs: tuple, vjp) -> Tensor:
+def _make(data: np.ndarray, inputs: tuple, vjp, check: bool = True) -> Tensor:
     # one reduction: any NaN or inf makes the sum non-finite (a finite sum
-    # that overflows is a false alarm, and aborts the step as well)
-    if not np.isfinite(np.add.reduce(data, axis=None)):
+    # that overflows is a false alarm, and aborts the step as well). A
+    # gather copies values that the op which made them checked, and skips it.
+    if check and not np.isfinite(np.add.reduce(data, axis=None)):
         raise NonFiniteError("non-finite value in forward op")
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -259,9 +259,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sigmoid_data(x: np.ndarray) -> np.ndarray:
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return s.astype(x.dtype, copy=False)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d).astype(x.dtype, copy=False)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -324,14 +324,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
                  lambda g: layer_norm_grads(g, gamma.data, xhat, inv))
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=-1, keepdims=True), the same sum and division without
+    numpy's Python wrapper around them."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def layer_norm_data(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                     eps: float = 1e-5):
     """Layer norm over the last axis; returns (out, xhat, inv), the last two
     for `layer_norm_grads`."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    centred = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(centred * centred) + eps)
+    xhat = centred * inv
     return (xhat * gamma + beta).astype(x.dtype, copy=False), xhat, inv
 
 
@@ -339,41 +344,10 @@ def layer_norm_grads(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,
                      inv: np.ndarray):
     """(dx, dgamma, dbeta) of `layer_norm_data` for the output gradient g."""
     gg = g * gamma
-    dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+    dx = inv * (gg - _row_mean(gg) - xhat * _row_mean(gg * xhat))
     if g.ndim == 2:
-        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        return dx, np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0)
     return dx, g * xhat, g
-
-
-def concat(tensors: list, axis: int = 0) -> Tensor:
-    if not tensors:
-        raise TensorError("concat of empty list")
-    datas = [t.data for t in tensors]
-    out = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        sl = [slice(None)] * g.ndim
-        grads = []
-        for i in range(len(datas)):
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
-        return tuple(grads)
-
-    return _make(out, tuple(tensors), vjp)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    out = a.data[start:stop].copy()
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        ga[start:stop] = g
-        return (ga,)
-
-    return _make(out, (a,), vjp)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -395,26 +369,35 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def rows_gather(table: Tensor, ids) -> Tensor:
-    """Embedding-style row lookup: out[i] = table[ids[i]]; backward scatter-adds."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if np.any(ids < 0) or np.any(ids >= table.data.shape[0]):
+    """Embedding-style row lookup: out[i] = table[ids[i]]; backward
+    scatter-adds straight into the table's gradient."""
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise TensorError("rows_gather index out of range")
-    out = table.data[ids].copy()
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, ids, g)
+        return (None,)
 
-    return _make(out, (table,), vjp)
+    return _make(table.data[ids], (table,), vjp, check=False)
 
 
 class RowTable:
     """An append-only table of rows, kept as the list of tensors appended
     (chunks), with one row-id space over all of them. Their values are also
     copied into one growing buffer when they are appended, so a gather
-    reads any rows with one index; its backward scatters into the chunks
-    the rows came from. No chunk is ever concatenated on the tape."""
+    reads any rows with one index. No chunk is ever concatenated on the
+    tape: there the table is one tensor, `token`, which every gather reads.
+    Its gradient is one buffer of all the table's rows, and each gather's
+    backward is one scatter into it. The first gather backward to run
+    allocates the buffer and makes it the gradient of the chunks a record
+    produced, each its slice, with any gradient the chunk already had added
+    in; every gather that reads them runs before their producers do. A
+    chunk no record produced (a parameter) keeps its own gradient array: it
+    is an input of each gather, which hands it its part. A chunk is
+    appended once."""
 
     def __init__(self, first: Tensor):
         data = first.data
@@ -423,6 +406,10 @@ class RowTable:
         self.size = 0
         self._buf = np.empty((max(64, 2 * data.shape[0]),) + data.shape[1:],
                              dtype=data.dtype)
+        self.token = Tensor(np.zeros(0, data.dtype))
+        self._links = []  # (chunk, start) of chunks a record produced
+        self._leaves = []  # (chunk, start) of chunks with their own grad
+        self._on_tape = False
         self.append(first)
 
     def append(self, rows: Tensor) -> int:
@@ -437,6 +424,10 @@ class RowTable:
         self.chunks.append(rows)
         self.starts.append(start)
         self.size = start + n
+        if rows.requires_grad:
+            self.token.requires_grad = True
+            (self._links if rows.grad is None else self._leaves).append(
+                (rows, start))
         return start
 
     def values(self, ids) -> np.ndarray:
@@ -453,28 +444,40 @@ class RowTable:
             if len(ids) == chunk.data.shape[0] and np.array_equal(
                     ids, np.arange(start, start + len(ids))):
                 return chunk
-        out = self._buf[ids]
-        if Tape._active is None:
-            return _make(out, (), None)
-        which = np.searchsorted(self.starts, ids, side="right") - 1
-        used = np.unique(which).tolist()
-        inputs = tuple(self.chunks[c] for c in used)
-        locs = [(which == c, self.starts[c]) for c in used]
+        token, links, leaves = self.token, len(self._links), self._leaves[:]
+        # the earliest gather on the tape runs last, and drops the buffer
+        last, self._on_tape = not self._on_tape, True
 
         def vjp(g):
-            grads = []
-            for chunk, (mask, start) in zip(inputs, locs):
-                gc = np.zeros_like(chunk.data)
-                np.add.at(gc, ids[mask] - start, g[mask])
-                grads.append(gc)
-            return tuple(grads)
+            buf = token.grad
+            if buf is None:
+                buf = token.grad = np.zeros((self.size,) + g.shape[1:],
+                                            g.dtype)
+                for chunk, start in self._links[:links]:
+                    view = buf[start:start + chunk.data.shape[0]]
+                    if chunk.grad is not None:
+                        view += chunk.grad
+                    chunk.grad = view
+            # over the flat entries: numpy's add.at is several times faster
+            d = buf[0].size
+            np.add.at(buf.reshape(-1), (ids[:, None] * d + np.arange(d)).ravel(),
+                      g.reshape(-1))
+            if last:
+                token.grad = None
+            grads = [None]
+            for chunk, start in leaves:
+                part = (ids >= start) & (ids < start + chunk.data.shape[0])
+                grads.append(np.zeros_like(chunk.data))
+                np.add.at(grads[-1], ids[part] - start, g[part])
+            return grads
 
-        return _make(out, inputs, vjp)
+        return _make(self._buf[ids], (token, *(c for c, _ in leaves)), vjp,
+                     check=False)
 
 
 def _segment_starts(counts) -> np.ndarray:
     starts = np.zeros(len(counts), dtype=np.intp)
-    np.cumsum(counts[:-1], out=starts[1:])
+    counts[:-1].cumsum(out=starts[1:])
     return starts
 
 
@@ -483,20 +486,19 @@ def segment_softmax(a: Tensor, counts, log: bool = False) -> Tensor:
     entries of the 1-D `a`, run s being counts[s] (>= 1) entries long."""
     counts = np.asarray(counts, dtype=np.intp)
     x = a.data
-    if x.ndim != 1 or int(counts.sum()) != x.shape[0] or np.any(counts < 1):
+    if x.ndim != 1 or int(counts.sum()) != x.shape[0] or (counts < 1).any():
         raise TensorError(f"segment_softmax of {x.shape} in runs {counts}")
     starts = _segment_starts(counts)
-    z = x - np.repeat(np.maximum.reduceat(x, starts), counts)
+    z = x - np.maximum.reduceat(x, starts).repeat(counts)
     e = np.exp(z)
-    total = np.repeat(np.add.reduceat(e, starts), counts)
+    total = np.add.reduceat(e, starts).repeat(counts)
     if log:
         out = z - np.log(total)
-        s = np.exp(out)
         return _make(out, (a,), lambda g: (
-            g - s * np.repeat(np.add.reduceat(g, starts), counts),))
+            g - np.exp(out) * np.add.reduceat(g, starts).repeat(counts),))
     out = e / total
     return _make(out, (a,), lambda g: (
-        out * (g - np.repeat(np.add.reduceat(g * out, starts), counts)),))
+        out * (g - np.add.reduceat(g * out, starts).repeat(counts)),))
 
 
 def segment_sum(weights: Tensor, rows: Tensor, counts) -> Tensor:
@@ -506,14 +508,14 @@ def segment_sum(weights: Tensor, rows: Tensor, counts) -> Tensor:
     counts = np.asarray(counts, dtype=np.intp)
     w, r = weights.data, rows.data
     if w.ndim != 1 or r.shape[0] != w.shape[0] or \
-            int(counts.sum()) != w.shape[0] or np.any(counts < 1):
+            int(counts.sum()) != w.shape[0] or (counts < 1).any():
         raise TensorError(f"segment_sum of {w.shape} and {r.shape} in runs "
                           f"{counts}")
     col = w[:, None] if r.ndim == 2 else w
     out = np.add.reduceat(col * r, _segment_starts(counts), axis=0)
 
     def vjp(g):
-        gr = np.repeat(g, counts, axis=0)
+        gr = g.repeat(counts, axis=0)
         dw = (gr * r).sum(axis=1) if r.ndim == 2 else gr * r
         return dw, col * gr
 

@@ -27,17 +27,22 @@ class BeamSet:
         return len(self.actions)
 
 
-def gumbel_noise(size: int, rng: np.random.Generator) -> np.ndarray:
+def gumbel_noise(size, rng: np.random.Generator) -> np.ndarray:
+    """Gumbel(0, 1) noise of shape `size`, from one `rng.random` call
+    mapped entry by entry: row after row, the same draws as one call per
+    row."""
     u = rng.random(size)
     return -np.log(-np.log(u))
 
 
-def plain_topk(scores, k: int, rng: np.random.Generator | None = None) -> list:
-    """Indices of the k largest scores; ties broken by lowest index.
+def plain_topk(scores, k: int, rng: np.random.Generator | None = None):
+    """Indices of the k largest scores, ties broken by lowest index: of a
+    1-D vector as a list, of each row of a (rows, n) matrix as a
+    (rows, min(k, n)) int array.
 
     With an rng each score is first perturbed with independent Gumbel(0,1)
-    noise (stochastic top-k). If k exceeds the candidate count, all indices
-    are returned.
+    noise (stochastic top-k), for a matrix drawn in one call, row after
+    row. If k exceeds the candidate count, all indices are returned.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
@@ -45,8 +50,9 @@ def plain_topk(scores, k: int, rng: np.random.Generator | None = None) -> list:
     if k < 1:
         raise ValueError("k must be >= 1")
     if rng is not None:
-        scores = scores + gumbel_noise(scores.size, rng)
-    return np.argsort(-scores, kind="stable")[:k].tolist()
+        scores = scores + gumbel_noise(scores.shape, rng)
+    top = (-scores).argsort(axis=-1, kind="stable")[..., :k]
+    return top if top.ndim == 2 else top.tolist()
 
 
 def onesoft_topk(scores, k: int) -> list:
@@ -78,6 +84,15 @@ def truncate(scores, k: int, onesoft: bool = False,
     return [[i] for i in plain_topk(scores, k, rng)]
 
 
+def tail_entries(counts, lengths):
+    """(tail, node, beam) of each row `collapse_tail` reads: tail t has
+    counts[t] beams of lengths[t] nodes, read node by node, beam by beam."""
+    counts, lengths = np.asarray(counts), np.asarray(lengths)
+    return np.nonzero(
+        (np.arange(lengths.max())[:, None] < lengths[:, None, None])
+        & (np.arange(counts.max()) < counts[:, None, None]))
+
+
 def collapse_tail(rows: Tensor, scores: Tensor, counts, lengths):
     """OneSoft's interpolated beams. Tail t has counts[t] beams of
     lengths[t] nodes each: their (counts[t],) scores, one run of `scores`
@@ -86,9 +101,8 @@ def collapse_tail(rows: Tensor, scores: Tensor, counts, lengths):
     the (sum(lengths), width) rows and (tails,) scores of one beam per tail,
     its beams' softmax(score)-weighted sum."""
     w = T.segment_softmax(scores, counts)
-    starts = np.cumsum(counts) - counts
-    tiled = [s + j for s, c, n in zip(starts, counts, lengths)
-             for _ in range(n) for j in range(c)]
+    tail, _, beam = tail_entries(counts, lengths)
+    tiled = (np.cumsum(counts) - counts)[tail] + beam
     per_node = np.repeat(counts, lengths)
     return (T.segment_sum(T.rows_gather(w, tiled), rows, per_node),
             T.segment_sum(w, scores, counts))

@@ -36,6 +36,35 @@ from beamtree.topk import BeamSet, gumbel_noise, plain_topk, truncate
 from beamtree.trees import ParseTree, gold_tree_listops, replay_actions
 
 
+def concat(tensors: list, axis: int = 0) -> Tensor:
+    """The tape primitive joining tensors along `axis`."""
+    if not tensors:
+        raise T.TensorError("concat of empty list")
+    datas = [t.data for t in tensors]
+    offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
+
+    def vjp(g):
+        sl = [slice(None)] * g.ndim
+        grads = []
+        for i in range(len(datas)):
+            sl[axis] = slice(offsets[i], offsets[i + 1])
+            grads.append(g[tuple(sl)])
+        return tuple(grads)
+
+    return T._make(np.concatenate(datas, axis=axis), tuple(tensors), vjp)
+
+
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """The tape primitive taking rows start..stop-1 of `a`."""
+
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        ga[start:stop] = g
+        return (ga,)
+
+    return T._make(a.data[start:stop].copy(), (a,), vjp)
+
+
 def np_grc(l, r, p):
     x = np.concatenate([l, r])
     hidden = x @ p.W1.data + p.b1.data
@@ -54,7 +83,7 @@ def composed_grc(left, right, p):
     the reference for the fused cell's values and gradients."""
     d = p.d_h
     hidden = T.gelu(T.add_rowvec(
-        T.matmul(T.concat([left, right], axis=1), p.W1), p.b1))
+        T.matmul(concat([left, right], axis=1), p.W1), p.b1))
     gates = T.add_rowvec(T.matmul(hidden, p.W2), p.b2)
     z, h, c, u = (T.slice_cols(gates, i * d, (i + 1) * d) for i in range(4))
     mix = T.add(
@@ -136,8 +165,8 @@ def _candidates(states, cell):
     looked up on the encoders module at call time, so a test can count its
     rows."""
     n = states.data.shape[0]
-    return encoders.grc_compose(T.slice_rows(states, 0, n - 1),
-                                T.slice_rows(states, 1, n), cell)
+    return encoders.grc_compose(slice_rows(states, 0, n - 1),
+                                slice_rows(states, 1, n), cell)
 
 
 def _splice_rows(mat, start, stop, rows):
@@ -145,11 +174,11 @@ def _splice_rows(mat, start, stop, rows):
     n = mat.data.shape[0]
     parts = []
     if start > 0:
-        parts.append(T.slice_rows(mat, 0, start))
+        parts.append(slice_rows(mat, 0, start))
     parts.append(rows)
     if stop < n:
-        parts.append(T.slice_rows(mat, stop, n))
-    return parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
+        parts.append(slice_rows(mat, stop, n))
+    return parts[0] if len(parts) == 1 else concat(parts, axis=0)
 
 
 def full_recompose_easy_first_gumbel(leaves, cell, scorer, rng=None):
@@ -173,12 +202,12 @@ def full_recompose_easy_first_gumbel(leaves, cell, scorer, rng=None):
             parent = T.matmul(T.reshape(ste, (1, -1)), parents)
         else:
             hard = int(np.argmax(raw.data))
-            parent = T.slice_rows(parents, hard, hard + 1)
+            parent = slice_rows(parents, hard, hard + 1)
         nodes = _splice_rows(nodes, hard, hard + 2, parent)
         actions.append(hard)
     if nodes.data.shape[0] == 2:
-        nodes = grc_compose(T.slice_rows(nodes, 0, 1),
-                            T.slice_rows(nodes, 1, 2), cell)
+        nodes = grc_compose(slice_rows(nodes, 0, 1),
+                            slice_rows(nodes, 1, 2), cell)
         actions.append(0)
     return T.reshape(nodes, (-1,)), replay_actions(n, actions)
 
@@ -200,7 +229,7 @@ def merge_beams_one_by_one(encodings, scores):
         raise ValueError("merge_beams_one_by_one needs matching non-empty lists")
     if len(encodings) == 1:
         return encodings[0]
-    w = _softmax(T.concat(scores, axis=0))
+    w = _softmax(concat(scores, axis=0))
     out = None
     for i, o in enumerate(encodings):
         part = T.mul(o, T.rows_gather(w, [i]))
@@ -223,7 +252,7 @@ def truncate_beams(pool, k, onesoft=False, rng=None):
         return [pool[i] for i in plain_topk(scores, k, rng)]
     top = plain_topk(scores, k - 1)
     bottom = [b for i, b in enumerate(pool) if i not in top]
-    weights = _softmax(T.concat([b.score for b in bottom], axis=0))
+    weights = _softmax(concat([b.score for b in bottom], axis=0))
     nodes = total = None
     for i, b in enumerate(bottom):
         w = T.rows_gather(weights, [i])
@@ -252,7 +281,7 @@ def full_recompose_bt_cell(leaves, cell, scorer, k, onesoft=False, rng=None):
             for i in plain_topk(logp.data, k, rng):
                 pool.append(Beam(
                     nodes=_splice_rows(beam.nodes, i, i + 2,
-                                       T.slice_rows(parents, i, i + 1)),
+                                       slice_rows(parents, i, i + 1)),
                     score=T.add(beam.score, T.rows_gather(logp, [i])),
                     actions=beam.actions + (i,)))
         beams = truncate_beams(pool, k, onesoft, rng)
@@ -260,15 +289,15 @@ def full_recompose_bt_cell(leaves, cell, scorer, k, onesoft=False, rng=None):
     for beam in beams:
         root, acts = beam.nodes, beam.actions
         if root.data.shape[0] == 2:
-            root = grc_compose(T.slice_rows(root, 0, 1),
-                               T.slice_rows(root, 1, 2), cell)
+            root = grc_compose(slice_rows(root, 0, 1),
+                               slice_rows(root, 1, 2), cell)
             acts += (0,)
         roots.append(T.reshape(root, (-1,)))
         actions.append(acts)
     scores = [beam.score for beam in beams]
     encoding = merge_beams_one_by_one(roots, scores)
-    return encoding, BeamSet(T.concat([T.reshape(r, (1, -1)) for r in roots]),
-                             T.concat(scores), actions)
+    return encoding, BeamSet(concat([T.reshape(r, (1, -1)) for r in roots]),
+                             concat(scores), actions)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +318,7 @@ def _merge(nodes: Tensor, length: int, merged: Tensor, picks: list) -> Tensor:
         start = b * length
         ids += [*range(start, start + i), base + m,
                 *range(start + i + 2, start + length)]
-    return T.rows_gather(T.concat([nodes, merged], axis=0), ids)
+    return T.rows_gather(concat([nodes, merged], axis=0), ids)
 
 
 def _pairs(nodes: Tensor, length: int, cands: Tensor | None, merges: list,
@@ -327,7 +356,7 @@ def _pairs(nodes: Tensor, length: int, cands: Tensor | None, merges: list,
                       T.rows_gather(nodes, lefts + 1), cell)
     if len(lefts) == len(ids):
         return new
-    return T.rows_gather(T.concat([cands, new], axis=0), ids)
+    return T.rows_gather(concat([cands, new], axis=0), ids)
 
 
 def fold_recurrent(leaves: Tensor, cell: GrcParams, h0: Tensor) -> Tensor:
@@ -338,7 +367,7 @@ def fold_recurrent(leaves: Tensor, cell: GrcParams, h0: Tensor) -> Tensor:
         raise encoders.EncoderError("empty input")
     state = T.reshape(h0, (1, -1))
     for i in range(n):
-        state = grc_compose(state, T.slice_rows(leaves, i, i + 1), cell)
+        state = grc_compose(state, slice_rows(leaves, i, i + 1), cell)
     return T.reshape(state, (-1,))
 
 
@@ -358,7 +387,7 @@ def _walk(t: ParseTree, leaves: Tensor, cell: GrcParams) -> Tensor:
     # closure is a reference cycle that keeps `cell`, its weights and their
     # gradients alive until the cyclic garbage collector runs
     if t.is_leaf:
-        return T.slice_rows(leaves, t.leaf, t.leaf + 1)
+        return slice_rows(leaves, t.leaf, t.leaf + 1)
     return grc_compose(_walk(t.left, leaves, cell),
                        _walk(t.right, leaves, cell), cell)
 
@@ -459,14 +488,14 @@ def stacked_collapse_tail(nodes: Tensor, scores: Tensor, count: int):
     beams = scores.data.shape[0]
     keep = beams - count
     length = nodes.data.shape[0] // beams
-    tail_scores = T.slice_rows(scores, keep, beams)
+    tail_scores = slice_rows(scores, keep, beams)
     w = _softmax(tail_scores)
-    tail = T.reshape(T.slice_rows(nodes, keep * length, beams * length),
+    tail = T.reshape(slice_rows(nodes, keep * length, beams * length),
                      (count, -1))
     mixed = T.reshape(T.matmul(w, tail), (length, -1))
     mixed_score = T.reshape(T.matmul(w, tail_scores), (1,))
-    return (T.concat([T.slice_rows(nodes, 0, keep * length), mixed], axis=0),
-            T.concat([T.slice_rows(scores, 0, keep), mixed_score], axis=0))
+    return (concat([slice_rows(nodes, 0, keep * length), mixed], axis=0),
+            concat([slice_rows(scores, 0, keep), mixed_score], axis=0))
 
 
 def stacked_merge_beams(roots: Tensor, scores: Tensor) -> Tensor:

@@ -14,7 +14,8 @@ import time
 import numpy as np
 
 from one_example import encode_bt_cell, encode_fixed_tree, example_loss
-from oracles import enumerate_merge_derivations, stack_machine_eval
+from oracles import concat, enumerate_merge_derivations, \
+    stack_machine_eval
 
 from beamtree import tensor as T
 from beamtree.cells import GrcParams, LeafParams, ScorerParams, \
@@ -128,7 +129,7 @@ def test_criterion_soft_truncation_identities():
         rows, score = collapse_tail(
             T.rows_gather(nodes, [2 * j + r for r in range(2) for j in tail]),
             T.rows_gather(scores, tail), [len(tail)], [2])
-        return T.concat([kept[0], rows]), T.concat([kept[1], score])
+        return concat([kept[0], rows]), concat([kept[1], score])
 
     # k=m returns the input set exactly
     identity_ok = True

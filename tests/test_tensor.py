@@ -215,6 +215,76 @@ def test_row_table_gathers_across_chunks_without_concatenating():
     assert np.array_equal(table.gather([3 + 2 * 40 + 1]).data, b.data[1:])
 
 
+def test_row_table_leaf_chunk_keeps_its_own_gradient_array():
+    # a chunk no record produced (a parameter) keeps its own gradient array
+    # and gets its rows' gradient added into it; a chunk a record produced
+    # gets its slice of the table's gradient buffer
+    rng = np.random.default_rng(9)
+    a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal((1, 2)), requires_grad=True)
+    w = rng.standard_normal((6, 2))
+    own = (a.grad, x.grad, b.grad)
+    with Tape() as tape:
+        table = T.RowTable(a)
+        table.append(T.mul(x, x))
+        table.append(b)
+        tape.backward(T.tsum(T.mul(table.gather([0, 4, 0, 3, 2, 5]),
+                                   Tensor(w))))
+    assert all(g is o for g, o in zip((a.grad, x.grad, b.grad), own))
+    assert np.array_equal(a.grad, [w[0] + w[2], [0.0, 0.0], w[4]])
+    assert np.array_equal(x.grad, 2.0 * x.data * w[[3, 1]])
+    assert np.array_equal(b.grad, w[5:])
+
+
+def test_row_table_chunk_read_outside_a_gather_gets_both_gradients():
+    # as the picked beam scores are read in OneSoft's collapse: a chunk
+    # also read by no gather, before it is appended and after the table's
+    # gathers, gets those reads' gradients as well as its rows'
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.standard_normal(4), requires_grad=True)
+    w1, w2, w3 = (rng.standard_normal(n) for n in (3, 2, 1))
+
+    def loss():
+        s = T.mul(x, x)
+        early = T.rows_gather(s, [1, 3])
+        table = T.RowTable(Tensor(np.zeros(2)))
+        table.append(s)
+        mid = table.gather([2, 5, 2])
+        late = T.rows_gather(s, [0])
+        return T.add(T.add(T.tsum(T.mul(mid, Tensor(w1))),
+                           T.tsum(T.mul(early, Tensor(w2)))),
+                     T.tsum(T.mul(late, Tensor(w3))))
+
+    errors = check_grads(loss, {"x": x})
+    assert max(errors.values()) <= 1e-8
+    ds = np.array([w1[0] + w1[2] + w3[0], w2[0], 0.0, w1[1] + w2[1]])
+    assert np.allclose(x.grad, 2.0 * x.data * ds, rtol=1e-14, atol=0.0)
+
+
+def test_row_table_gradient_over_many_chunks_matches_finite_differences():
+    # leaves first and in the middle, chunks made from gathers of the table,
+    # a whole chunk read as itself, repeated rows
+    rng = np.random.default_rng(11)
+    a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+    w = Tensor(rng.standard_normal((6, 2)))
+
+    def loss():
+        table = T.RowTable(a)
+        table.append(T.mul(x, x))
+        table.append(b)
+        first = table.gather([3, 0, 7, 6, 3])
+        table.append(T.mul(first, first))
+        whole = table.gather(np.arange(9, 14))
+        out = table.gather([13, 1, 8, 4, 9, 3])
+        return T.add(T.tsum(T.mul(out, w)), T.tsum(T.mul(whole, whole)))
+
+    errors = check_grads(loss, {"a": a, "x": x, "b": b})
+    assert max(errors.values()) <= 1e-8
+
+
 def test_segment_softmax_and_sum_per_run():
     rng = np.random.default_rng(7)
     x = Tensor(rng.standard_normal(6), requires_grad=True)

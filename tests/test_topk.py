@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import merge_beams_one_by_one
+from one_example import encode_bt_cell
+from oracles import concat, merge_beams_one_by_one, stacked_bt_cell
 
 from beamtree import tensor as T
+from beamtree.cells import GrcParams, ScorerParams
 from beamtree.gradcheck import check_grads
 from beamtree.tensor import Tape, Tensor
 from beamtree.topk import (collapse_tail, gumbel_noise, merge_beams,
@@ -37,7 +39,7 @@ def _keep(groups, nodes, scores):
         T.rows_gather(nodes, [j * ROWS + r for r in range(ROWS)
                               for j in tail]),
         T.rows_gather(scores, tail), [len(tail)], [ROWS])
-    return T.concat([kept[0], rows]), T.concat([kept[1], score])
+    return concat([kept[0], rows]), concat([kept[1], score])
 
 
 def _encode(nodes, scores):
@@ -75,6 +77,61 @@ def test_plain_topk_matches_sort_oracle(scores, k):
     oracle = sorted(range(len(scores)),
                     key=lambda i: (-scores[i], i))[:min(k, len(scores))]
     assert got == oracle
+
+
+def test_one_gumbel_draw_is_the_per_beam_draws_in_order():
+    # one (beams, n) or beams * n draw is one rng.random call, filled row
+    # after row: the same numbers as one call per beam, in beam order, and
+    # it leaves the rng where those calls do
+    one, per_beam = np.random.default_rng(11), np.random.default_rng(11)
+    batched = gumbel_noise((3, 5), one)
+    assert np.array_equal(batched, np.stack([gumbel_noise(5, per_beam)
+                                             for _ in range(3)]))
+    assert np.array_equal(gumbel_noise(15, np.random.default_rng(11)),
+                          batched.reshape(-1))
+    assert np.array_equal(gumbel_noise(4, one), gumbel_noise(4, per_beam))
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_plain_topk_of_a_matrix_is_plain_topk_of_each_row(seed):
+    scores = np.array([[1.0, 3.0, 3.0, 0.0],
+                       [2.0, 2.0, 2.0, 2.0],
+                       [-1.0, 5.0, 0.5, 5.0]])
+    for k in (1, 2, 4, 6):
+        rows = None if seed is None else np.random.default_rng(seed)
+        got = plain_topk(scores, k,
+                         None if seed is None else np.random.default_rng(seed))
+        assert got.tolist() == [plain_topk(row, k, rows) for row in scores]
+    # ties go to the lowest index
+    assert plain_topk(scores, 2).tolist() == [[1, 2], [0, 1], [1, 3]]
+
+
+@given(st.lists(st.lists(st.floats(min_value=-5, max_value=5), min_size=4,
+                         max_size=4), min_size=1, max_size=5),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2**31))
+def test_plain_topk_of_a_matrix_draws_as_its_rows_would(rows, k, seed):
+    scores = np.array(rows)
+    per_row = np.random.default_rng(seed)
+    got = plain_topk(scores, k, np.random.default_rng(seed))
+    assert got.tolist() == [plain_topk(row, k, per_row) for row in scores]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_search_draws_each_step_branch_noise_then_pool_noise(k):
+    # the batched search draws an example's branching noise for all its
+    # beams in one call, then its pool's truncation noise: the draws of the
+    # reference, one call per beam and then one for the pool, in that order
+    rng = np.random.default_rng(21)
+    cell = GrcParams.init(4, rng, np.float64)
+    scorer = ScorerParams.init(4, rng, np.float64)
+    leaves = Tensor(rng.standard_normal((9, 4)))
+    for seed in range(6):
+        _, got = encode_bt_cell(leaves, cell, scorer, k,
+                                rng=np.random.default_rng(seed))
+        _, expect = stacked_bt_cell(leaves, cell, scorer, k,
+                                    rng=np.random.default_rng(seed))
+        assert got.actions == expect.actions
 
 
 def test_gumbel_selection_frequency():
