@@ -75,14 +75,13 @@ def grc_compose(left: Tensor, right: Tensor, p: GrcParams) -> Tensor:
         # [left; right] and the GELU output are not kept from the forward:
         # the same numpy calls recompute them, with the same bits
         x = np.concatenate([l, r], axis=1)
-        hidden = (pre * phi).astype(pre.dtype, copy=False)
+        hidden = pre * phi
         dmix, dgamma, dbeta = T.layer_norm_grads(g, p.gamma.data, xhat, inv)
         dgates = np.concatenate([dmix * l, dmix * r, dmix * u, dmix * sc],
                                 axis=1)
         dgates[:, :3 * d] *= sig  # times sigmoid' = sig * (1 - sig)
         dgates[:, :3 * d] *= 1.0 - sig
-        dpre = (T.input_grad(dgates, p.W2.data)
-                * T.gelu_slope(pre, phi)).astype(pre.dtype, copy=False)
+        dpre = T.input_grad(dgates, p.W2.data) * T.gelu_slope(pre, phi)
         dx = T.input_grad(dpre, p.W1.data)
         return (dx[:, :d] + dmix * sz, dx[:, d:] + dmix * sh,
                 T.weight_grad(x, dpre), dpre.sum(axis=0),

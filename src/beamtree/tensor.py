@@ -8,6 +8,7 @@ per tape. Training runs in float32, gradient-check suites in float64.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "tsum",
     "log_softmax",
     "layer_norm",
-    "slice_cols",
     "reshape",
     "rows_gather",
     "RowTable",
@@ -259,9 +259,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sigmoid_data(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d).astype(x.dtype, copy=False)
+    """1 / (1 + exp(-x)), as 0.5 * tanh(0.5 * x) + 0.5 in the dtype of x:
+    tanh cannot overflow, so no branch on the sign. Within 2 ulp of 1.0
+    absolute, so a value near 0 may round to 0."""
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -269,19 +270,64 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats: numpy computes with them in the array's dtype
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# the size from which `_erf_rational` beats scipy's erf on float32: on a
+# 2.1 GHz Xeon it costs a fixed ~20 us, and on (rows, 256) blocks it is
+# slower up to 8 rows and faster from 10 (4x faster at 100)
+_ERF_RATIONAL_MIN_SIZE = 2560
+# erf(x) ~ x * P(x^2) / Q(x^2) on [-4, 4], highest power first: the
+# clamped odd rational of Eigen's and XLA's float32 erf, its coefficients
+# to the digits float32 keeps
+_ERF_P = np.float32([-2.7261424e-10, 2.7706815e-08, -2.101024e-06,
+                     -5.6925062e-05, -7.3499064e-04, -2.9546e-03,
+                     -1.6096033e-02])
+_ERF_Q = np.float32([-1.45660715e-05, -2.1337405e-04, -1.682827e-03,
+                     -7.3733293e-03, -1.4264739e-02])
+
+
+def _even_poly(x2: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    acc = x2 * coeffs[0]
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= x2
+        acc += c
+    return acc
+
+
+def _erf_rational(x: np.ndarray) -> np.ndarray:
+    """erf of a float32 array: odd bit for bit, exactly +-1 from |x| = 4
+    on, and NaN for NaN."""
+    x = np.clip(x, -4.0, 4.0)
+    x2 = x * x
+    p = _even_poly(x2, _ERF_P)
+    p *= x
+    p /= _even_poly(x2, _ERF_Q)
+    return p
 
 
 def gelu_data(x: np.ndarray):
-    """The exact Gaussian-CDF form x * Phi(x), not the tanh approximation.
-    Returns (out, Phi(x)); Phi(x) feeds `gelu_slope`."""
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    return (x * phi).astype(x.dtype, copy=False), phi
+    """The exact Gaussian-CDF form x * Phi(x), not the tanh approximation,
+    with Phi(x) = (1 + erf(x / sqrt 2)) / 2 in the dtype of x. Returns
+    (out, Phi(x)); Phi(x) feeds `gelu_slope`.
+
+    float64 arrays, and float32 arrays of fewer than
+    `_ERF_RATIONAL_MIN_SIZE` entries, take scipy's erf: Phi is then within
+    an ulp or two of exact. Larger float32 arrays take `_erf_rational`,
+    several times faster, with Phi within 2.4e-7 absolute of float64 scipy
+    (4e6 points over [-10, 10]); there Phi may read up to 1.2e-7 below 0
+    or above 1 for |x| between 5.1 and 5.7, and is exactly 0 or 1 beyond."""
+    rational = x.dtype == np.float32 and x.size >= _ERF_RATIONAL_MIN_SIZE
+    phi = (_erf_rational if rational else erf)(x * _INV_SQRT2)
+    phi += 1.0
+    phi *= 0.5
+    return x * phi, phi
 
 
 def gelu_slope(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """d gelu / dx at x, given Phi(x) from `gelu_data`."""
+    """d gelu / dx at x, given Phi(x) from `gelu_data`: Phi(x) + x * the
+    normal density at x, in the dtype of x."""
     return phi + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
 
 
@@ -348,19 +394,6 @@ def layer_norm_grads(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,
     if g.ndim == 2:
         return dx, np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0)
     return dx, g * xhat, g
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise TensorError("slice_cols expects a 2-D input")
-    out = a.data[:, start:stop].copy()
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        ga[:, start:stop] = g
-        return (ga,)
-
-    return _make(out, (a,), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -582,11 +615,22 @@ def adam_step(params: list, grads: list, state: AdamState):
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
+    # the formula m += (1 - b1) g; v += (1 - b2) g g;
+    # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), computed in place in
+    # that order, so it rounds the same as the formula does
     for p, g, m, v in zip(params, grads, state.m, state.v):
         g64 = g.astype(np.float64)
+        tmp = np.multiply(g64, 1.0 - state.beta1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g64
+        m += tmp
+        np.multiply(g64, 1.0 - state.beta2, out=tmp)
+        tmp *= g64
         v *= state.beta2
-        v += (1.0 - state.beta2) * g64 * g64
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p.data -= update.astype(p.data.dtype)
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        np.divide(m, bc1, out=g64)
+        g64 *= state.lr
+        g64 /= tmp
+        p.data -= g64.astype(p.data.dtype, copy=False)

@@ -65,6 +65,19 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return T._make(a.data[start:stop].copy(), (a,), vjp)
 
 
+def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    """The tape primitive taking columns start..stop-1 of a matrix."""
+    if a.data.ndim != 2:
+        raise T.TensorError("slice_cols expects a 2-D input")
+
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        ga[:, start:stop] = g
+        return (ga,)
+
+    return T._make(a.data[:, start:stop].copy(), (a,), vjp)
+
+
 def np_grc(l, r, p):
     x = np.concatenate([l, r])
     hidden = x @ p.W1.data + p.b1.data
@@ -85,7 +98,7 @@ def composed_grc(left, right, p):
     hidden = T.gelu(T.add_rowvec(
         T.matmul(concat([left, right], axis=1), p.W1), p.b1))
     gates = T.add_rowvec(T.matmul(hidden, p.W2), p.b2)
-    z, h, c, u = (T.slice_cols(gates, i * d, (i + 1) * d) for i in range(4))
+    z, h, c, u = (slice_cols(gates, i * d, (i + 1) * d) for i in range(4))
     mix = T.add(
         T.add(T.mul(T.sigmoid(z), left), T.mul(T.sigmoid(h), right)),
         T.mul(T.sigmoid(c), u),

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf, expit
 from scipy.stats import norm
+
+from oracles import slice_cols
 
 from beamtree import tensor as T
 from beamtree.gradcheck import check_grads
@@ -55,6 +58,56 @@ def test_gelu_one_matches_normal_cdf():
     expected = 1.0 * norm.cdf(1.0)
     assert T.gelu(Tensor([1.0])).data[0] == pytest.approx(expected, abs=1e-5)
     assert T.gelu(Tensor([1.0])).data[0] == pytest.approx(0.841345, abs=1e-5)
+
+
+def _phi_in_blocks(x, size):
+    # gelu_data's Phi over x, called on blocks of `size` entries
+    return np.concatenate([T.gelu_data(x[i:i + size])[1]
+                           for i in range(0, x.size, size)])
+
+
+# block sizes either side of the float32 erf threshold
+PHI_BLOCKS = [T._ERF_RATIONAL_MIN_SIZE - 1, 10 * T._ERF_RATIONAL_MIN_SIZE]
+
+
+@pytest.mark.parametrize("size", PHI_BLOCKS)
+def test_gelu_kernels_keep_float32(size):
+    x = np.linspace(-3.0, 3.0, size, dtype=np.float32)
+    out, phi = T.gelu_data(x)
+    assert out.dtype == phi.dtype == T.gelu_slope(x, phi).dtype == np.float32
+
+
+@pytest.mark.parametrize("size", PHI_BLOCKS)
+def test_gelu_phi_float32_accuracy_and_symmetry(size):
+    x = np.linspace(-10.0, 10.0, 400_001, dtype=np.float32)
+    phi = _phi_in_blocks(x, size)
+    exact = 0.5 * (1.0 + erf(x.astype(np.float64) / np.sqrt(2.0)))
+    assert np.max(np.abs(phi - exact)) <= 5e-7
+    # the grid is symmetric: phi[::-1] is Phi(-x)
+    assert np.max(np.abs(phi + phi[::-1] - 1.0)) <= np.finfo(np.float32).eps
+
+
+@pytest.mark.parametrize("size", PHI_BLOCKS)
+def test_gelu_float32_saturates_and_propagates_nan(size):
+    x = np.zeros(size, np.float32)
+    x[:4] = [-1e4, 1e4, np.nan, -np.inf]
+    with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0
+        out, phi = T.gelu_data(x)
+    assert list(phi[:2]) == [0.0, 1.0] and list(out[:2]) == [0.0, 1e4]
+    assert np.isnan(phi[2]) and np.isnan(out[2]) and not np.isfinite(out[3])
+    with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
+        T.gelu(Tensor(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_within_two_ulp_of_one_without_warnings(dtype):
+    x = np.concatenate([np.linspace(-40.0, 40.0, 200_001),
+                        np.linspace(-1e4, 1e4, 20_001)]).astype(dtype)
+    with np.errstate(all="raise"):
+        s = T.sigmoid_data(x)
+    assert s.dtype == dtype
+    err = np.abs(s - expit(x.astype(np.float64)))
+    assert np.max(err) <= 2 * np.finfo(dtype).eps
 
 
 def test_segment_softmax_no_overflow():
@@ -167,10 +220,10 @@ def test_backward_frees_records_and_intermediate_grads():
         table.append(grc_compose(table.gather([0, 2]), table.gather([1, 3]),
                                  cell))
         mid = table.gather([4, 5, 0])
-        weights = T.segment_softmax(T.reshape(T.slice_cols(mid, 0, 1), (3,)),
+        weights = T.segment_softmax(T.reshape(slice_cols(mid, 0, 1), (3,)),
                                     [2, 1])
         merged = T.segment_sum(weights, mid, [2, 1])
-        loss = T.tsum(T.mul(T.reshape(T.slice_cols(merged, 0, 1), (2,)), w))
+        loss = T.tsum(T.mul(T.reshape(slice_cols(merged, 0, 1), (2,)), w))
         records = list(tape.records)
         tape.backward(loss)
     leaf_grads = [p.grad.copy() for p in (leaves, w, *cell.named().values())]
@@ -418,6 +471,45 @@ def test_adam_matches_reference_trace():
         adam_step([p], [g], state)
     expected = _reference_adam(0.5, 0.3, 1e-3, 0.9, 0.999, 1e-8, 2)
     assert abs(p.data[0] - expected) <= 1e-10
+
+
+def _adam_formula(params, grads, state):
+    # adam_step's update as one expression per quantity
+    if not state.m:
+        state.m = [np.zeros_like(p.data, dtype=np.float64) for p in params]
+        state.v = [np.zeros_like(p.data, dtype=np.float64) for p in params]
+    state.step += 1
+    bc1 = 1.0 - state.beta1 ** state.step
+    bc2 = 1.0 - state.beta2 ** state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        g64 = g.astype(np.float64)
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g64
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g64 * g64
+        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.data -= update.astype(p.data.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_is_bit_identical_to_the_formula(dtype):
+    rng = np.random.default_rng(3)
+    shapes = [(8, 16), (16,), (16, 16), (4, 1)]
+    params = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+              for s in shapes]
+    copies = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+    state, ref = AdamState(lr=2e-3), AdamState(lr=2e-3)
+    for _ in range(20):
+        grads = [(rng.standard_normal(s) * 10.0 ** rng.integers(-8, 3))
+                 .astype(dtype) for s in shapes]
+        kept = [g.copy() for g in grads]
+        adam_step(params, grads, state)
+        _adam_formula(copies, kept, ref)
+        assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
+        assert all(p.data.dtype == dtype and np.array_equal(p.data, c.data)
+                   for p, c in zip(params, copies))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(state.m + state.v, ref.m + ref.v))
 
 
 def test_adam_shape_mismatch():
