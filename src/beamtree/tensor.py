@@ -274,9 +274,9 @@ def sigmoid(a: Tensor) -> Tensor:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # the size from which `_erf_rational` beats scipy's erf on float32: on a
-# 2.1 GHz Xeon it costs a fixed ~20 us, and on (rows, 256) blocks it is
-# slower up to 8 rows and faster from 10 (4x faster at 100)
-_ERF_RATIONAL_MIN_SIZE = 2560
+# 2.1 GHz Xeon, over (rows, 256) blocks, it is slower up to 10 rows,
+# 1.1x faster at 11, 1.2x at 12, 1.5x at 16 and 4x at 100
+_ERF_RATIONAL_MIN_SIZE = 3072
 # erf(x) ~ x * P(x^2) / Q(x^2) on [-4, 4], highest power first: the
 # clamped odd rational of Eigen's and XLA's float32 erf, its coefficients
 # to the digits float32 keeps
