@@ -7,7 +7,8 @@ the parent commit and the change, and writes one JSON file with
 
 - `environment`: the machine and library fields every record shares, and
   the sha256 of every data file a record names (the script refuses
-  records from different environments or data),
+  records from different environments or data, and any record of a run
+  that failed its checks),
 - `runs`: every run's side, workload, seed, trace flag, correctness,
   load, and scaled and raw end-to-end values,
 - `medians`: per workload and side, the median of each scaled end-to-end
@@ -62,6 +63,11 @@ def fold(sides: dict) -> dict:
         values = {}  # workload -> metric -> untraced values
         for rec in records:
             wl = rec["workload"]
+            if not rec["correct"] or rec["failed"]:
+                raise RecordError(
+                    f"{side} {wl} seed {rec['seed']}: the run failed its "
+                    f"checks (correct {rec['correct']}, failed "
+                    f"{rec['failed']})")
             env = {k: v for k, v in rec["environment"].items()
                    if k not in PER_RUN_ENV}
             # each workload reads its own data files

@@ -24,7 +24,7 @@ from .cells import GrcParams, ScorerParams, grc_compose, score
 from .tensor import Tensor
 from .topk import BeamSet, collapse_tail, gumbel_noise, merge_beams, \
     plain_topk, tail_entries, truncate
-from .trees import ParseTree, replay_actions
+from .trees import ParseTree
 
 
 class EncoderError(Exception):
@@ -112,10 +112,9 @@ def encode_easy_first_gumbel(leaves: Tensor, lengths, cell: GrcParams,
                              scorer: ScorerParams, rngs=None):
     """Greedy easy-first composition (the Gumbel-Tree encoder):
     `encode_bt_cell` with one beam, straight-through Gumbel when given
-    rngs. Returns (encodings, trees)."""
-    enc, beams = encode_bt_cell(leaves, lengths, cell, scorer, 1, rngs=rngs)
-    return enc, [replay_actions(n, b.actions[0])
-                 for n, b in zip(lengths, beams)]
+    rngs. Returns what that returns, (encodings, one BeamSet per example);
+    `trees.replay_actions` turns a BeamSet's one `actions` into its tree."""
+    return encode_bt_cell(leaves, lengths, cell, scorer, 1, rngs=rngs)
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def _encode(model: Model, examples, training: bool, rngs) -> Tensor:
     if kind == "recurrent":
         return encode_recurrent(leaves, lengths, model.cell, model.h0)
     if kind == "gumbel":
-        enc, _trees = encode_easy_first_gumbel(leaves, lengths, model.cell,
+        enc, _beams = encode_easy_first_gumbel(leaves, lengths, model.cell,
                                                model.scorer, rngs)
         return enc
     if kind == "bt":

@@ -125,7 +125,11 @@ class Tape:
         # the tensor it produced dropped: once every consumer of a tensor
         # has run, nothing reads its gradient again. Tensors no record
         # produced (parameters, inputs) keep theirs. A vjp may also add
-        # into gradients itself and return None for them (row gathers do).
+        # into gradients itself and return None for them: both row gathers
+        # scatter into their source's gradient, and a row table's first
+        # gather to run makes each chunk's gradient its slice of the
+        # table's buffer, its old gradient added in, so the chunk's other
+        # consumers add into that slice.
         records = self.records
         while records:
             rec = records.pop()
@@ -401,9 +405,21 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
+def _scatter_rows(grad: np.ndarray, ids: np.ndarray, g: np.ndarray):
+    """grad[ids[i]] += g[i] for every i, repeated ids adding up in order:
+    the same bits as numpy's row-wise `np.add.at(grad, ids, g)`, which is
+    several times slower than one `np.add.at` over the flat entries. A 1-D
+    grad's flat index is `ids` itself. A grad that is not C-contiguous
+    raises ValueError rather than be scattered into a copy."""
+    d = grad[0].size
+    flat = ids if grad.ndim == 1 else (ids[:, None] * d + np.arange(d)).ravel()
+    np.add.at(grad.reshape(-1, copy=False), flat, g.reshape(-1))
+
+
 def rows_gather(table: Tensor, ids) -> Tensor:
     """Embedding-style row lookup: out[i] = table[ids[i]]; backward
-    scatter-adds straight into the table's gradient."""
+    scatter-adds straight into the table's gradient (`_scatter_rows`).
+    Refuses an id outside the table."""
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise TensorError("rows_gather index out of range")
@@ -411,7 +427,7 @@ def rows_gather(table: Tensor, ids) -> Tensor:
     def vjp(g):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids, g)
+        _scatter_rows(table.grad, ids, g)
         return (None,)
 
     return _make(table.data[ids], (table,), vjp, check=False)
@@ -421,16 +437,16 @@ class RowTable:
     """An append-only table of rows, kept as the list of tensors appended
     (chunks), with one row-id space over all of them. Their values are also
     copied into one growing buffer when they are appended, so a gather
-    reads any rows with one index. No chunk is ever concatenated on the
-    tape: there the table is one tensor, `token`, which every gather reads.
-    Its gradient is one buffer of all the table's rows, and each gather's
-    backward is one scatter into it. The first gather backward to run
-    allocates the buffer and makes it the gradient of the chunks a record
-    produced, each its slice, with any gradient the chunk already had added
-    in; every gather that reads them runs before their producers do. A
-    chunk no record produced (a parameter) keeps its own gradient array: it
-    is an input of each gather, which hands it its part. A chunk is
-    appended once."""
+    reads any rows with one index; an id at or past the table's size
+    raises `IndexError`. No chunk is ever concatenated on the tape: there
+    the table is one tensor, `token`, which every gather reads. Its
+    gradient is one buffer of all the table's rows, and each gather's
+    backward is one scatter into it (`_scatter_rows`). The first gather
+    backward to run allocates the buffer and makes it the gradient of every
+    chunk that needs one, each its slice, with any gradient the chunk
+    already had added in; every gather that reads a chunk runs before the
+    record that produced it. A parameter chunk's gradient is then a view
+    of the buffer too. A chunk is appended once."""
 
     def __init__(self, first: Tensor):
         data = first.data
@@ -440,8 +456,7 @@ class RowTable:
         self._buf = np.empty((max(64, 2 * data.shape[0]),) + data.shape[1:],
                              dtype=data.dtype)
         self.token = Tensor(np.zeros(0, data.dtype))
-        self._links = []  # (chunk, start) of chunks a record produced
-        self._leaves = []  # (chunk, start) of chunks with their own grad
+        self._grads = []  # (chunk, start) of the chunks that need a gradient
         self._on_tape = False
         self.append(first)
 
@@ -459,13 +474,12 @@ class RowTable:
         self.size = start + n
         if rows.requires_grad:
             self.token.requires_grad = True
-            (self._links if rows.grad is None else self._leaves).append(
-                (rows, start))
+            self._grads.append((rows, start))
         return start
 
     def values(self, ids) -> np.ndarray:
         """The rows `ids` as a plain array, off the tape."""
-        return self._buf[ids]
+        return self._buf[:self.size][ids]
 
     def gather(self, ids) -> Tensor:
         """out[i] = row ids[i] of the table; the rows of one whole chunk,
@@ -477,7 +491,7 @@ class RowTable:
             if len(ids) == chunk.data.shape[0] and np.array_equal(
                     ids, np.arange(start, start + len(ids))):
                 return chunk
-        token, links, leaves = self.token, len(self._links), self._leaves[:]
+        token, n = self.token, len(self._grads)
         # the earliest gather on the tape runs last, and drops the buffer
         last, self._on_tape = not self._on_tape, True
 
@@ -486,26 +500,17 @@ class RowTable:
             if buf is None:
                 buf = token.grad = np.zeros((self.size,) + g.shape[1:],
                                             g.dtype)
-                for chunk, start in self._links[:links]:
+                for chunk, start in self._grads[:n]:
                     view = buf[start:start + chunk.data.shape[0]]
                     if chunk.grad is not None:
                         view += chunk.grad
                     chunk.grad = view
-            # over the flat entries: numpy's add.at is several times faster
-            d = buf[0].size
-            np.add.at(buf.reshape(-1), (ids[:, None] * d + np.arange(d)).ravel(),
-                      g.reshape(-1))
+            _scatter_rows(buf, ids, g)
             if last:
                 token.grad = None
-            grads = [None]
-            for chunk, start in leaves:
-                part = (ids >= start) & (ids < start + chunk.data.shape[0])
-                grads.append(np.zeros_like(chunk.data))
-                np.add.at(grads[-1], ids[part] - start, g[part])
-            return grads
+            return (None,)
 
-        return _make(self._buf[ids], (token, *(c for c, _ in leaves)), vjp,
-                     check=False)
+        return _make(self._buf[:self.size][ids], (token,), vjp, check=False)
 
 
 def _segment_starts(counts) -> np.ndarray:

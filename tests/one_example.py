@@ -1,11 +1,13 @@
 """One example as a batch of one: the package's batched encoders on one
-example's leaves, returning its (d_h,) encoding and its BeamSet or tree,
-with the single-example signatures the tests and the references share, and
-the batched loss of one example."""
+example's leaves, returning its (d_h,) encoding and its BeamSet, or for
+easy-first the tree its one beam's actions replay to, with the
+single-example signatures the tests and the references share, and the
+batched loss of one example."""
 
 from beamtree import encoders
 from beamtree import tensor as T
 from beamtree.harness import batch_losses
+from beamtree.trees import replay_actions
 
 
 def encode_bt_cell(leaves, cell, scorer, k, onesoft=False, rng=None):
@@ -16,10 +18,10 @@ def encode_bt_cell(leaves, cell, scorer, k, onesoft=False, rng=None):
 
 
 def encode_easy_first_gumbel(leaves, cell, scorer, rng=None):
-    enc, trees = encoders.encode_easy_first_gumbel(
-        leaves, [leaves.data.shape[0]], cell, scorer,
-        None if rng is None else [rng])
-    return T.reshape(enc, (-1,)), trees[0]
+    n = leaves.data.shape[0]
+    enc, beams = encoders.encode_easy_first_gumbel(
+        leaves, [n], cell, scorer, None if rng is None else [rng])
+    return T.reshape(enc, (-1,)), replay_actions(n, beams[0].actions[0])
 
 
 def encode_recurrent(leaves, cell, h0):

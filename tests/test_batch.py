@@ -21,6 +21,7 @@ from beamtree.harness import Model, batch_grad_sums, batch_losses, \
     example_rng, make_config
 from beamtree.listops import Example, read_tsv, tokenize
 from beamtree.tensor import Tape
+from beamtree.trees import replay_actions
 
 SOURCES = ["[MAX 2 [MIN 8 3 ] 1 ]", "7", "[SM 4 5 ]",
            "[MIN 3 [MAX 1 9 2 ] [MED 5 6 7 ] 0 ]", "[MED 1 2 ]",
@@ -91,9 +92,10 @@ def test_batch_actions_match_per_example(variant):
     rngs = _rngs(len(examples))
     leaves = leaf_transform_seq(sequences, model.leaf, cfg.dropout, rngs)
     if variant == "gumbel":
-        _, trees = encode_easy_first_gumbel(leaves, lengths, model.cell,
+        _, beams = encode_easy_first_gumbel(leaves, lengths, model.cell,
                                             model.scorer, rngs)
-        got = [t.to_string() for t in trees]
+        got = [replay_actions(n, b.actions[0]).to_string()
+               for n, b in zip(lengths, beams)]
     else:
         _, beams = encode_bt_cell(leaves, lengths, model.cell, model.scorer,
                                   cfg.beam_size, onesoft, rngs)

@@ -15,11 +15,12 @@ _spec.loader.exec_module(B)
 ENV = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "blas_threads": 1}
 
 
-def _record(directory, workload, seed, trace, ex_per_s, **env):
+def _record(directory, workload, seed, trace, ex_per_s, correct=True,
+            failed=0, **env):
     data = {"test.tsv": "ab"} if workload == "eval-long" \
         else {"train.tsv": "cd", "dev.tsv": "ef"}
     rec = {"workload": workload, "seed": seed, "trace": trace,
-           "correct": True, "attempted": 10, "failed": 0,
+           "correct": correct, "attempted": 10, "failed": failed,
            "environment": {**ENV, "loadavg_start": [0.5, 0.5, 0.5],
                            "cpu_wall_ratio": 0.98, "data_sha256": data,
                            **env},
@@ -80,3 +81,13 @@ def test_fold_refuses_mixed_environments(tmp_path, env, match):
 def test_read_records_refuses_an_empty_directory(tmp_path):
     with pytest.raises(B.RecordError):
         B.read_records(tmp_path)
+
+
+@pytest.mark.parametrize("outcome", [{"correct": False},
+                                     {"failed": 2},
+                                     {"correct": False, "failed": 1}])
+def test_fold_refuses_a_run_that_failed_its_checks(tmp_path, outcome):
+    _record(tmp_path, "train-fixed", 1, 0, 20.0)
+    _record(tmp_path, "train-fixed", 7, 0, 20.0, **outcome)
+    with pytest.raises(B.RecordError, match="change train-fixed seed 7"):
+        B.fold({"change": B.read_records(tmp_path)})

@@ -268,26 +268,54 @@ def test_row_table_gathers_across_chunks_without_concatenating():
     assert np.array_equal(table.gather([3 + 2 * 40 + 1]).data, b.data[1:])
 
 
-def test_row_table_leaf_chunk_keeps_its_own_gradient_array():
-    # a chunk no record produced (a parameter) keeps its own gradient array
-    # and gets its rows' gradient added into it; a chunk a record produced
-    # gets its slice of the table's gradient buffer
+def test_row_table_parameter_chunk_gradient_adds_to_what_it_held():
+    # every chunk that needs a gradient, a parameter (no record produced
+    # it) as well as a chunk a record produced, takes its slice of the
+    # table's gradient buffer: a parameter's gradient is then what it held
+    # before plus its rows' gradient, added in gather order
     rng = np.random.default_rng(9)
     a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     x = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
     b = Tensor(rng.standard_normal((1, 2)), requires_grad=True)
     w = rng.standard_normal((6, 2))
-    own = (a.grad, x.grad, b.grad)
+    held = rng.standard_normal((3, 2))
+    a.grad += held
     with Tape() as tape:
         table = T.RowTable(a)
         table.append(T.mul(x, x))
         table.append(b)
         tape.backward(T.tsum(T.mul(table.gather([0, 4, 0, 3, 2, 5]),
                                    Tensor(w))))
-    assert all(g is o for g, o in zip((a.grad, x.grad, b.grad), own))
-    assert np.array_equal(a.grad, [w[0] + w[2], [0.0, 0.0], w[4]])
+    assert np.array_equal(a.grad, [held[0] + w[0] + w[2], held[1],
+                                   held[2] + w[4]])
     assert np.array_equal(x.grad, 2.0 * x.data * w[[3, 1]])
     assert np.array_equal(b.grad, w[5:])
+
+
+def test_row_table_gather_refuses_rows_past_its_size():
+    # the buffer has room for 64 rows; only the 3 written are the table's
+    table = T.RowTable(Tensor(np.full((3, 2), 7.0)))
+    for ids in ([5], [3], [0, 3], [63]):
+        with pytest.raises(IndexError):
+            table.gather(ids)
+        with pytest.raises(IndexError):
+            table.values(ids)
+    assert np.array_equal(table.gather([2, 0]).data, np.full((2, 2), 7.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7,), (7, 5)])
+def test_scatter_rows_matches_row_wise_add_at(shape, dtype):
+    rng = np.random.default_rng(13)
+    ids = np.array([3, 0, 3, 6, 3, 1, 0, 3], dtype=np.intp)
+    g = rng.standard_normal((len(ids),) + shape[1:]).astype(dtype)
+    start = rng.standard_normal(shape).astype(dtype)
+    expect = start.copy()
+    np.add.at(expect, ids, g)
+    got = start.copy()
+    T._scatter_rows(got, ids, g)
+    assert got.dtype == dtype
+    assert np.array_equal(got, expect)
 
 
 def test_row_table_chunk_read_outside_a_gather_gets_both_gradients():
