@@ -1,10 +1,11 @@
 """The composition cell and scoring: the gated recursive cell (GRC), the
 linear merge scorer, and the leaf transform.
 
-Node states are rows: `grc_compose` and `score` take (rows, d_h) matrices
-only, one row per node, so a whole batch of candidate parents goes
-through one matmul and a single node is a (1, d_h) matrix. Any other rank
-raises `TensorError`.
+Node states are rows: `score` takes (rows, d_h) matrices only, one row per
+node, and `grc_compose` (rows, 2 d_h) matrices, each row a node's two
+children side by side, so a whole batch of candidate parents goes through
+one matmul and a single node is a (1, d_h) matrix. Any other rank raises
+`TensorError`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def _need_rows(*states: Tensor):
-    for s in states:
-        if s.data.ndim != 2:
-            raise T.TensorError("node states must be (rows, width) matrices, "
-                                f"got shape {s.data.shape}")
+def _need_rows(states: Tensor):
+    if states.data.ndim != 2:
+        raise T.TensorError("node states must be (rows, width) matrices, "
+                            f"got shape {states.data.shape}")
 
 
 @dataclass
@@ -51,18 +51,25 @@ class GrcParams:
                 for k in ("W1", "b1", "W2", "b2", "gamma", "beta")}
 
 
-def grc_compose(left: Tensor, right: Tensor, p: GrcParams) -> Tensor:
-    """Gated composition: gates from a two-layer GELU MLP over [left; right],
-    output = LN(sigmoid(z)*left + sigmoid(h)*right + sigmoid(c)*u).
+def grc_compose(children: Tensor, p: GrcParams) -> Tensor:
+    """Gated composition of each row's two children, given as one
+    (rows, 2 d_h) matrix [left | right]: gates from a two-layer GELU MLP
+    over the row, output = LN(sigmoid(z)*left + sigmoid(h)*right +
+    sigmoid(c)*u).
 
-    One tape primitive with a hand-written vjp. The forward makes the same
-    numpy calls in the same order as composing the tensor primitives would,
-    so its values are the same bits; `tests/oracles.py` keeps that composed
+    One tape primitive with a hand-written vjp, whose gradient for the
+    children is one (rows, 2 d_h) matrix. The forward makes the same numpy
+    calls in the same order as composing the tensor primitives would, so
+    its values are the same bits; `tests/oracles.py` keeps that composed
     form as the reference."""
-    _need_rows(left, right)
+    _need_rows(children)
     d = p.d_h
-    l, r = left.data, right.data
-    pre = np.concatenate([l, r], axis=1) @ p.W1.data + p.b1.data
+    x = children.data
+    if x.shape[1] != 2 * d:
+        raise T.TensorError(f"children must be (rows, {2 * d}), got "
+                            f"{x.shape}")
+    l, r = x[:, :d], x[:, d:]
+    pre = x @ p.W1.data + p.b1.data
     hidden, phi = T.gelu_data(pre)
     gates = hidden @ p.W2.data + p.b2.data
     sig = T.sigmoid_data(gates[:, :3 * d])
@@ -72,9 +79,8 @@ def grc_compose(left: Tensor, right: Tensor, p: GrcParams) -> Tensor:
                                        p.gamma.data, p.beta.data)
 
     def vjp(g):
-        # [left; right] and the GELU output are not kept from the forward:
-        # the same numpy calls recompute them, with the same bits
-        x = np.concatenate([l, r], axis=1)
+        # the GELU output is not kept from the forward: the same numpy
+        # call recomputes it, with the same bits
         hidden = pre * phi
         dmix, dgamma, dbeta = T.layer_norm_grads(g, p.gamma.data, xhat, inv)
         dgates = np.concatenate([dmix * l, dmix * r, dmix * u, dmix * sc],
@@ -83,12 +89,13 @@ def grc_compose(left: Tensor, right: Tensor, p: GrcParams) -> Tensor:
         dgates[:, :3 * d] *= 1.0 - sig
         dpre = T.input_grad(dgates, p.W2.data) * T.gelu_slope(pre, phi)
         dx = T.input_grad(dpre, p.W1.data)
-        return (dx[:, :d] + dmix * sz, dx[:, d:] + dmix * sh,
-                T.weight_grad(x, dpre), dpre.sum(axis=0),
+        dx[:, :d] += dmix * sz
+        dx[:, d:] += dmix * sh
+        return (dx, T.weight_grad(x, dpre), dpre.sum(axis=0),
                 T.weight_grad(hidden, dgates), dgates.sum(axis=0),
                 dgamma, dbeta)
 
-    return T._make(out, (left, right, p.W1, p.b1, p.W2, p.b2, p.gamma,
+    return T._make(out, (children, p.W1, p.b1, p.W2, p.b2, p.gamma,
                          p.beta), vjp)
 
 
@@ -105,9 +112,17 @@ class ScorerParams:
 
 
 def score(v: Tensor, p: ScorerParams) -> Tensor:
-    """Linear merge plausibility scores of (rows, d_h) states: shape (rows,)."""
+    """Linear merge plausibility scores of (rows, d_h) states: shape
+    (rows,). One tape primitive, with the values and gradients of a matmul
+    by the (d_h, 1) W_v and a reshape."""
     _need_rows(v)
-    return T.reshape(T.matmul(v, p.W_v), (v.data.shape[0],))
+    x, w = v.data, p.W_v.data
+
+    def vjp(g):
+        g = g[:, None]
+        return T.input_grad(g, w), T.weight_grad(x, g)
+
+    return T._make((x @ w).reshape(-1), (v, p.W_v), vjp)
 
 
 @dataclass

@@ -104,12 +104,12 @@ def cmd_gradcheck(args):
             failures.append(name)
 
     grc = GrcParams.init(d_h, rng, np.float64)
-    left = Tensor(rng.standard_normal((1, d_h)), requires_grad=True)
-    right = Tensor(rng.standard_normal((1, d_h)), requires_grad=True)
+    # both children of one pair, side by side
+    children = Tensor(rng.standard_normal((1, 2 * d_h)), requires_grad=True)
     scorer = ScorerParams.init(d_h, rng, np.float64)
     report("grc+scorer", gc.check_grads(
-        lambda: score(grc_compose(left, right, grc), scorer),
-        {**grc.named(), **scorer.named(), "left": left, "right": right}))
+        lambda: score(grc_compose(children, grc), scorer),
+        {**grc.named(), **scorer.named(), "children": children}))
 
     leaf = LeafParams.init(vocab, d_e, d_h, rng, np.float64)
     # plain sum of a layer-normed row is constant; probe with random weights

@@ -51,9 +51,8 @@ def encode_recurrent(leaves: Tensor, lengths, cell: GrcParams,
     state = [table.append(T.reshape(h0, (1, -1)))] * len(lengths)
     for t in range(max(lengths)):
         active = [e for e, n in enumerate(lengths) if n > t]
-        first = table.append(grc_compose(
-            table.gather([state[e] for e in active]),
-            table.gather([starts[e] + t for e in active]), cell))
+        first = table.append(grc_compose(table.gather(
+            [(state[e], starts[e] + t) for e in active]), cell))
         for j, e in enumerate(active):
             state[e] = first + j
     return table.gather(state)
@@ -81,9 +80,8 @@ def encode_fixed_tree(leaves: Tensor, trees, cell: GrcParams) -> Tensor:
         return index if height == 0 else firsts[height - 1] + index
 
     for level in levels:
-        firsts.append(table.append(grc_compose(
-            table.gather([row(left) for left, _ in level]),
-            table.gather([row(right) for _, right in level]), cell)))
+        firsts.append(table.append(grc_compose(table.gather(
+            [(row(left), row(right)) for left, right in level]), cell)))
     return table.gather([row(r) for r in roots])
 
 
@@ -157,15 +155,15 @@ class _BeamBatch:
         self.retire(self.lengths)
 
     def compose(self, beams, slots):
-        """The pairs (slots, slots + 1) of the nodes of `beams` in one
-        `grc_compose` and one `score` call, into the beams' candidates
-        `slots`; the parents and their scores go to the end of the
-        tables."""
+        """The pairs (slots, slots + 1) of the nodes of `beams`, both
+        children of every pair one gather, in one `grc_compose` and one
+        `score` call, into the beams' candidates `slots`; the parents and
+        their scores go to the end of the tables."""
         if not len(beams):
             return
-        parents = grc_compose(
-            self.nodes.gather(self.node_rows[beams, slots]),
-            self.nodes.gather(self.node_rows[beams, slots + 1]), self.cell)
+        parents = grc_compose(self.nodes.gather(
+            self.node_rows[beams[:, None], slots[:, None] + (0, 1)]),
+            self.cell)
         first = self.nodes.append(parents)
         self.cand_scores.append(score(parents, self.scorer))
         self.cand_rows[beams, slots] = first + np.arange(len(beams))
@@ -206,19 +204,19 @@ class _BeamBatch:
         # each example's candidates per beam: its nodes after this step
         n = [self.lengths[e] - self.steps - 1 for e in self.active]
         beam, pos = (self.cols < self.m[:, None]).nonzero()
-        raw = self.cand_scores.gather(self.cand_rows[beam, pos])
         if k == 1 and rngs is not None:
-            self.straight_through(raw, beam, pos, rngs)
+            self.straight_through(beam, pos, rngs)
         else:
-            self.branch_and_truncate(raw, beam, pos, n, k, onesoft, rngs)
+            self.branch_and_truncate(beam, pos, n, k, onesoft, rngs)
         self.compose(*_pairs(self.last, self.m))
         self.steps += 1
         self.retire(n)
         return True
 
-    def straight_through(self, raw, beam, pos, rngs):
+    def straight_through(self, beam, pos, rngs):
         """One straight-through Gumbel merge in each active example's one
-        beam, whose candidate `pos` is `raw[i]` of beam `beam[i]`."""
+        beam, over its candidates `pos[i]` of beam `beam[i]`."""
+        raw = self.cand_scores.gather(self.cand_rows[beam, pos])
         noise = np.concatenate([
             gumbel_noise(n, rngs[e])
             for e, n in zip(self.active, self.m.tolist())]).astype(
@@ -236,14 +234,20 @@ class _BeamBatch:
         beams = np.arange(len(hard))
         self.merge(beams, hard, first + beams, self.score_rows)
 
-    def branch_and_truncate(self, raw, beam, pos, n, k, onesoft, rngs):
-        """Branch every beam of the active examples, whose candidate `pos`
-        is `raw[i]` of beam `beam[i]`, over its top-k merges, and truncate
-        each example's pool, collapsing OneSoft's last groups."""
-        logp = T.segment_softmax(raw, self.m, log=True)
+    def branch_and_truncate(self, beam, pos, n, k, onesoft, rngs):
+        """Branch every beam of the active examples, over its candidates
+        `pos[i]` of beam `beam[i]`, over its top-k merges, and truncate each
+        example's pool, collapsing OneSoft's last groups. The picked beams'
+        scores are one primitive over both score tables: the candidates'
+        segment log-softmax plus their beams' scores, at the picked merges;
+        its vjp scatters into both tables."""
+        cand_ids, prior_ids = self.cand_rows[beam, pos], self.score_rows[beam]
+        raw, cand_scatter = self.cand_scores.read(cand_ids)
+        logp, logp_grad = T.segment_log_softmax_data(raw, self.m)
         # the pool score of each merge: its beam's score plus its logp
-        pooled = self.beam_scores.values(self.score_rows[beam]) + logp.data
-        lp = logp.data.astype(np.float64)  # plain_topk's precision
+        prior, prior_scatter = self.beam_scores.read(prior_ids)
+        pooled = prior + logp
+        lp = logp.astype(np.float64)  # plain_topk's precision
         starts = self.m.cumsum() - self.m  # each beam's first place in lp
         picked, sizes, counts = [], [], []
         b = 0  # the example's first beam
@@ -257,10 +261,18 @@ class _BeamBatch:
             sizes += [len(g) for g in groups]
             counts.append(len(groups))
             b += c
-        places = np.concatenate(picked)
+        places = np.concatenate(picked)  # distinct places in the pool
+
+        def vjp(g):
+            glogp = np.zeros_like(logp)
+            glogp[places] = g
+            prior_scatter(prior_ids[places], g)
+            cand_scatter(cand_ids, logp_grad(glogp))
+            return None, None
+
+        picked_scores = T._make(pooled[places], (self.cand_scores.token,
+                                                 self.beam_scores.token), vjp)
         parent, pos = beam[places], pos[places]
-        picked_scores = T.add(self.beam_scores.gather(self.score_rows[parent]),
-                              T.rows_gather(logp, places))
         row = self.beam_scores.append(picked_scores)
         self.merge(parent, pos, self.cand_rows[parent, pos],
                    row + np.arange(len(places)))
@@ -351,12 +363,14 @@ def encode_bt_cell(leaves: Tensor, lengths, cell: GrcParams,
     for the parents of their adjacent pairs, their candidates; each
     candidate is scored once, when it is composed, and the scores sit in a
     second table aligned with the first. A merge is one fancy-index shift
-    of both matrices over all beams, so a step, over all beams of all
-    examples that have more than two nodes left, is one gather of
-    candidate scores, one segment log-softmax, one `plain_topk` over each
-    example's (beams, candidates) matrix and one `truncate` of its pool, on
-    the values, one gather and add for the beam scores, and one
-    `grc_compose` of the pairs beside each merged node. Hard top-k builds
+    of both matrices over all beams. A step, over all beams of all
+    examples that have more than two nodes left, reads the candidate and
+    beam scores, and takes their segment log-softmax and pool scores, on
+    the values; runs one `plain_topk` over each example's (beams,
+    candidates) matrix and one `truncate` of its pool; and records four
+    tape primitives: the picked beams' scores (one read of both score
+    tables), one gather of both children of each pair beside a merged
+    node, one `grc_compose` of those pairs and one `score`. Hard top-k builds
     only the k beams it keeps. OneSoft's last group, its best beam first,
     becomes one beam whose nodes are new rows, the softmax-weighted sum of
     the group's node rows (`collapse_tail`); it carries its best member's

@@ -37,6 +37,7 @@ __all__ = [
     "rows_gather",
     "RowTable",
     "segment_softmax",
+    "segment_log_softmax_data",
     "segment_sum",
     "dropout",
     "detach",
@@ -125,11 +126,11 @@ class Tape:
         # the tensor it produced dropped: once every consumer of a tensor
         # has run, nothing reads its gradient again. Tensors no record
         # produced (parameters, inputs) keep theirs. A vjp may also add
-        # into gradients itself and return None for them: both row gathers
-        # scatter into their source's gradient, and a row table's first
-        # gather to run makes each chunk's gradient its slice of the
-        # table's buffer, its old gradient added in, so the chunk's other
-        # consumers add into that slice.
+        # into gradients itself and return None for them: the row gathers
+        # and the other reads of a row table scatter into their source's
+        # gradient, and a row table's first read to run makes each chunk's
+        # gradient its slice of the table's buffer, its old gradient added
+        # in, so the chunk's other consumers add into that slice.
         records = self.records
         while records:
             rec = records.pop()
@@ -142,11 +143,20 @@ class Tape:
                 if gi is None or not inp.requires_grad:
                     continue
                 if inp.grad is None:
-                    # a copy, so a vjp handing one array to two inputs
-                    # never aliases their gradients
-                    inp.grad = gi.astype(inp.data.dtype, copy=True)
+                    inp.grad = gi if _owned(gi, inp, g, grads) else \
+                        gi.astype(inp.data.dtype, copy=True)
                 else:
                     inp.grad += gi.astype(inp.data.dtype, copy=False)
+
+
+def _owned(gi: np.ndarray, inp: Tensor, g: np.ndarray, grads) -> bool:
+    """Whether a vjp's gradient `gi` for `inp` may become inp's gradient
+    as it is, with no copy: it has inp's dtype, owns writeable data, and is
+    neither the record's output gradient `g` nor handed to another input
+    of the record, so adding into it later changes no other gradient."""
+    return (gi.dtype == inp.data.dtype and gi.base is None
+            and gi.flags.writeable and gi is not g
+            and sum(gj is gi for gj in grads) == 1)
 
 
 def _make(data: np.ndarray, inputs: tuple, vjp, check: bool = True) -> Tensor:
@@ -436,17 +446,14 @@ def rows_gather(table: Tensor, ids) -> Tensor:
 class RowTable:
     """An append-only table of rows, kept as the list of tensors appended
     (chunks), with one row-id space over all of them. Their values are also
-    copied into one growing buffer when they are appended, so a gather
-    reads any rows with one index; an id at or past the table's size
-    raises `IndexError`. No chunk is ever concatenated on the tape: there
-    the table is one tensor, `token`, which every gather reads. Its
-    gradient is one buffer of all the table's rows, and each gather's
-    backward is one scatter into it (`_scatter_rows`). The first gather
-    backward to run allocates the buffer and makes it the gradient of every
-    chunk that needs one, each its slice, with any gradient the chunk
-    already had added in; every gather that reads a chunk runs before the
-    record that produced it. A parameter chunk's gradient is then a view
-    of the buffer too. A chunk is appended once."""
+    copied into one growing buffer when they are appended, so a read takes
+    any rows with one index; an id at or past the table's size raises
+    `IndexError`. No chunk is ever concatenated on the tape: there the
+    table is one tensor, `token`, the input of every record that reads it
+    (a gather, or a primitive that reads through `read`). Its gradient is
+    one buffer of all the table's rows, and each such record's backward is
+    one scatter into it; a chunk's gradient, a parameter chunk's too, is
+    its slice of that buffer. A chunk is appended once."""
 
     def __init__(self, first: Tensor):
         data = first.data
@@ -477,40 +484,57 @@ class RowTable:
             self._grads.append((rows, start))
         return start
 
-    def values(self, ids) -> np.ndarray:
-        """The rows `ids` as a plain array, off the tape."""
-        return self._buf[:self.size][ids]
-
-    def gather(self, ids) -> Tensor:
-        """out[i] = row ids[i] of the table; the rows of one whole chunk,
-        in order, are that chunk itself, with no copy and no record."""
-        ids = np.asarray(ids, dtype=np.intp)
-        if len(ids):
-            c = bisect.bisect_right(self.starts, int(ids[0])) - 1
-            chunk, start = self.chunks[c], self.starts[c]
-            if len(ids) == chunk.data.shape[0] and np.array_equal(
-                    ids, np.arange(start, start + len(ids))):
-                return chunk
+    def read(self, ids):
+        """The rows `ids` (an int array of any shape) as a plain array, and
+        the backward part of a record that reads them, `scatter(rows, g)`:
+        it adds g[i] into the gradient of row rows[i], one
+        `_scatter_rows` into the table's gradient buffer. The first
+        scatter to run allocates the buffer and makes it the gradient of
+        every chunk appended so far that needs one, each its slice, with
+        any gradient the chunk already had added in; every record that
+        reads a chunk runs before the record that produced it. The scatter
+        of the table's earliest read runs last, and drops the buffer."""
         token, n = self.token, len(self._grads)
-        # the earliest gather on the tape runs last, and drops the buffer
         last, self._on_tape = not self._on_tape, True
 
-        def vjp(g):
+        def scatter(rows, g):
             buf = token.grad
             if buf is None:
-                buf = token.grad = np.zeros((self.size,) + g.shape[1:],
-                                            g.dtype)
+                buf = token.grad = np.zeros(
+                    (self.size,) + self._buf.shape[1:], self._buf.dtype)
                 for chunk, start in self._grads[:n]:
                     view = buf[start:start + chunk.data.shape[0]]
                     if chunk.grad is not None:
                         view += chunk.grad
                     chunk.grad = view
-            _scatter_rows(buf, ids, g)
+            _scatter_rows(buf, rows, g)
             if last:
                 token.grad = None
+
+        return self._buf[:self.size][ids], scatter
+
+    def gather(self, ids) -> Tensor:
+        """out[i] = row ids[i] of the table; for a (rows, j) id matrix,
+        out[i] is the j rows ids[i] side by side, one (rows, j * width)
+        matrix. The rows of one whole chunk, in order, are that chunk
+        itself, with no copy and no record."""
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.ndim == 1 and len(ids):
+            c = bisect.bisect_right(self.starts, int(ids[0])) - 1
+            chunk, start = self.chunks[c], self.starts[c]
+            if len(ids) == chunk.data.shape[0] and np.array_equal(
+                    ids, np.arange(start, start + len(ids))):
+                return chunk
+        values, scatter = self.read(ids)
+        rows = ids.reshape(-1)
+
+        def vjp(g):
+            scatter(rows, g)
             return (None,)
 
-        return _make(self._buf[:self.size][ids], (token,), vjp, check=False)
+        if ids.ndim == 2:
+            values = values.reshape(len(ids), -1)
+        return _make(values, (self.token,), vjp, check=False)
 
 
 def _segment_starts(counts) -> np.ndarray:
@@ -519,24 +543,30 @@ def _segment_starts(counts) -> np.ndarray:
     return starts
 
 
-def segment_softmax(a: Tensor, counts, log: bool = False) -> Tensor:
-    """Softmax, or with `log` log-softmax, of each run of consecutive
-    entries of the 1-D `a`, run s being counts[s] (>= 1) entries long."""
+def segment_softmax(a: Tensor, counts) -> Tensor:
+    """Softmax of each run of consecutive entries of the 1-D `a`, run s
+    being counts[s] (>= 1) entries long."""
     counts = np.asarray(counts, dtype=np.intp)
     x = a.data
     if x.ndim != 1 or int(counts.sum()) != x.shape[0] or (counts < 1).any():
         raise TensorError(f"segment_softmax of {x.shape} in runs {counts}")
     starts = _segment_starts(counts)
-    z = x - np.maximum.reduceat(x, starts).repeat(counts)
-    e = np.exp(z)
-    total = np.add.reduceat(e, starts).repeat(counts)
-    if log:
-        out = z - np.log(total)
-        return _make(out, (a,), lambda g: (
-            g - np.exp(out) * np.add.reduceat(g, starts).repeat(counts),))
-    out = e / total
+    e = np.exp(x - np.maximum.reduceat(x, starts).repeat(counts))
+    out = e / np.add.reduceat(e, starts).repeat(counts)
     return _make(out, (a,), lambda g: (
         out * (g - np.add.reduceat(g * out, starts).repeat(counts)),))
+
+
+def segment_log_softmax_data(x: np.ndarray, counts):
+    """Log-softmax of each run of consecutive entries of the 1-D array x,
+    run s being counts[s] (>= 1) entries long, off the tape. Returns the
+    values and their vjp, g -> the gradient of x."""
+    counts = np.asarray(counts, dtype=np.intp)
+    starts = _segment_starts(counts)
+    z = x - np.maximum.reduceat(x, starts).repeat(counts)
+    out = z - np.log(np.add.reduceat(np.exp(z), starts).repeat(counts))
+    return out, lambda g: g - np.exp(out) * np.add.reduceat(
+        g, starts).repeat(counts)
 
 
 def segment_sum(weights: Tensor, rows: Tensor, counts) -> Tensor:

@@ -90,13 +90,13 @@ def np_grc(l, r, p):
     return (mix - mu) / np.sqrt(var + 1e-5) * p.gamma.data + p.beta.data
 
 
-def composed_grc(left, right, p):
-    """`cells.grc_compose` as a chain of tensor primitives (concat, matmul,
-    GELU, slices, sigmoids, products, layer norm), each with its own vjp:
-    the reference for the fused cell's values and gradients."""
+def composed_grc(children, p):
+    """`cells.grc_compose` as a chain of tensor primitives (matmul, GELU,
+    slices, sigmoids, products, layer norm), each with its own vjp: the
+    reference for the fused cell's values and gradients."""
     d = p.d_h
-    hidden = T.gelu(T.add_rowvec(
-        T.matmul(concat([left, right], axis=1), p.W1), p.b1))
+    left, right = slice_cols(children, 0, d), slice_cols(children, d, 2 * d)
+    hidden = T.gelu(T.add_rowvec(T.matmul(children, p.W1), p.b1))
     gates = T.add_rowvec(T.matmul(hidden, p.W2), p.b2)
     z, h, c, u = (slice_cols(gates, i * d, (i + 1) * d) for i in range(4))
     mix = T.add(
@@ -104,6 +104,12 @@ def composed_grc(left, right, p):
         T.mul(T.sigmoid(c), u),
     )
     return T.layer_norm(mix, p.gamma, p.beta)
+
+
+def compose(left, right, cell):
+    """`grc_compose` of the row pairs (left[i], right[i]), the children
+    joined side by side on the tape."""
+    return grc_compose(concat([left, right], axis=1), cell)
 
 
 def np_score(v, scorer):
@@ -178,8 +184,9 @@ def _candidates(states, cell):
     looked up on the encoders module at call time, so a test can count its
     rows."""
     n = states.data.shape[0]
-    return encoders.grc_compose(slice_rows(states, 0, n - 1),
-                                slice_rows(states, 1, n), cell)
+    return encoders.grc_compose(concat([slice_rows(states, 0, n - 1),
+                                        slice_rows(states, 1, n)], axis=1),
+                                cell)
 
 
 def _splice_rows(mat, start, stop, rows):
@@ -219,8 +226,8 @@ def full_recompose_easy_first_gumbel(leaves, cell, scorer, rng=None):
         nodes = _splice_rows(nodes, hard, hard + 2, parent)
         actions.append(hard)
     if nodes.data.shape[0] == 2:
-        nodes = grc_compose(slice_rows(nodes, 0, 1),
-                            slice_rows(nodes, 1, 2), cell)
+        nodes = compose(slice_rows(nodes, 0, 1), slice_rows(nodes, 1, 2),
+                        cell)
         actions.append(0)
     return T.reshape(nodes, (-1,)), replay_actions(n, actions)
 
@@ -302,8 +309,8 @@ def full_recompose_bt_cell(leaves, cell, scorer, k, onesoft=False, rng=None):
     for beam in beams:
         root, acts = beam.nodes, beam.actions
         if root.data.shape[0] == 2:
-            root = grc_compose(slice_rows(root, 0, 1),
-                               slice_rows(root, 1, 2), cell)
+            root = compose(slice_rows(root, 0, 1), slice_rows(root, 1, 2),
+                           cell)
             acts += (0,)
         roots.append(T.reshape(root, (-1,)))
         actions.append(acts)
@@ -365,8 +372,8 @@ def _pairs(nodes: Tensor, length: int, cands: Tensor | None, merges: list,
                 b, i = merge[:2]
                 ids.append(b * length + j + (j > i))
     lefts = np.array(lefts)
-    new = grc_compose(T.rows_gather(nodes, lefts),
-                      T.rows_gather(nodes, lefts + 1), cell)
+    new = compose(T.rows_gather(nodes, lefts),
+                  T.rows_gather(nodes, lefts + 1), cell)
     if len(lefts) == len(ids):
         return new
     return T.rows_gather(concat([cands, new], axis=0), ids)
@@ -380,7 +387,7 @@ def fold_recurrent(leaves: Tensor, cell: GrcParams, h0: Tensor) -> Tensor:
         raise encoders.EncoderError("empty input")
     state = T.reshape(h0, (1, -1))
     for i in range(n):
-        state = grc_compose(state, slice_rows(leaves, i, i + 1), cell)
+        state = compose(state, slice_rows(leaves, i, i + 1), cell)
     return T.reshape(state, (-1,))
 
 
@@ -401,8 +408,8 @@ def _walk(t: ParseTree, leaves: Tensor, cell: GrcParams) -> Tensor:
     # gradients alive until the cyclic garbage collector runs
     if t.is_leaf:
         return slice_rows(leaves, t.leaf, t.leaf + 1)
-    return grc_compose(_walk(t.left, leaves, cell),
-                       _walk(t.right, leaves, cell), cell)
+    return compose(_walk(t.left, leaves, cell),
+                   _walk(t.right, leaves, cell), cell)
 
 
 def stacked_easy_first_gumbel(leaves, cell, scorer, rng=None):

@@ -50,16 +50,15 @@ def test_criterion_gradients_all_components():
 
     d_h = 8
     grc = GrcParams.init(d_h, rng, np.float64)
-    l = Tensor(rng.standard_normal((1, d_h)), requires_grad=True)
-    r = Tensor(rng.standard_normal((1, d_h)), requires_grad=True)
+    lr = Tensor(rng.standard_normal((1, 2 * d_h)), requires_grad=True)
     w = Tensor(rng.standard_normal((1, d_h)))
     worst["grc"] = max(check_grads(
-        lambda: T.tsum(T.mul(grc_compose(l, r, grc), w)),
-        {**grc.named(), "l": l, "r": r}).values())
+        lambda: T.tsum(T.mul(grc_compose(lr, grc), w)),
+        {**grc.named(), "lr": lr}).values())
 
     scorer = ScorerParams.init(d_h, rng, np.float64)
     worst["scorer"] = max(check_grads(
-        lambda: score(grc_compose(l, r, grc), scorer),
+        lambda: score(grc_compose(lr, grc), scorer),
         scorer.named()).values())
 
     leaf = LeafParams.init(15, 6, d_h, rng, np.float64)

@@ -5,7 +5,9 @@ same actions, and the per-example losses and summed gradients must match
 the references."""
 
 import gc
+import importlib.util
 import os
+import sys
 import weakref
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from oracles import (per_example_leaves, per_example_loss, stacked_bt_cell,
                      stacked_easy_first_gumbel)
 
+from beamtree import encoders
 from beamtree import tensor as T
 from beamtree.cells import leaf_transform_seq
 from beamtree.encoders import encode_bt_cell, encode_easy_first_gumbel
@@ -131,6 +134,56 @@ def test_batch_records_a_fifth_of_the_per_example_tapes():
             per_example_loss(model, ex, True, rng)
             per_example += len(tape.records)
     assert batched * 5 <= per_example, (batched, per_example)
+
+
+@pytest.fixture(scope="module")
+def bench_batch():
+    """The benchmark's workload definitions (bench/workloads.py) and the 16
+    train rows it picks on seed 0."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = wl  # its dataclasses look their module up
+    spec.loader.exec_module(wl)
+    return wl, wl.pick_rows(read_tsv(wl.DATA / "train.tsv"), 16, 0,
+                            "train.tsv")
+
+
+@pytest.mark.parametrize("variant,records", [
+    ("bt_k2_plain", 91), ("bt_k3_plain", 91), ("bt_k5_plain", 91),
+    ("bt_k3_onesoft", 187), ("gumbel_tree", 189)])
+def test_tape_records_of_a_bench_batch(bench_batch, variant, records,
+                                       monkeypatch):
+    # one training batch of the benchmark's train-latent workload, its
+    # loss summed as `batch_grad_sums` sums it: a beam-search step makes
+    # four records (the picked beams' scores, both children of the new
+    # pairs, the cell and the scorer); OneSoft's collapse adds six, and a
+    # straight-through step makes ten, eight in the first step, which reads
+    # the first chunk of candidates whole, as itself
+    wl, rows = bench_batch
+    model = Model(make_config({**wl.BASE_CONFIG, **wl.VARIANTS[variant],
+                               "seed": "0"}))
+    per_step = []
+    step = encoders._BeamBatch.step
+
+    def counted(search, *args):
+        before = len(T.Tape._active.records)
+        stepped = step(search, *args)
+        if stepped:
+            per_step.append(len(T.Tape._active.records) - before)
+        return stepped
+
+    monkeypatch.setattr(encoders._BeamBatch, "step", counted)
+    with Tape() as tape:
+        T.tsum(batch_losses(model, rows, True,
+                           [example_rng(0, 0, i) for i in range(16)]))
+        assert len(tape.records) == records
+    if model.cfg.encoder == "gumbel":
+        assert per_step[0] == 8 and set(per_step[1:]) == {10}, per_step
+    else:
+        onesoft = model.cfg.topk == "onesoft"
+        assert set(per_step) == ({4, 10} if onesoft else {4}), per_step
 
 
 @pytest.mark.parametrize("variant", ["gold", "recurrent", "gumbel",

@@ -53,6 +53,33 @@ def test_tracer_attributes_bt_eval_to_each_layer(spans):
     assert tracer.counts["beams_pooled", "bt_k2"] > 0
 
 
+def test_tracer_counts_the_rows_the_search_composes(spans, monkeypatch):
+    # the tracer reads a compose's rows from the first argument of
+    # `grc_compose`, one row per pair; in evaluation the search's node
+    # table holds the leaves and the composed parents alone
+    cfg = make_config({"encoder": "bt", "beam_size": "3", "d_e": "8",
+                       "d_h": "8", "dropout": "0.0", "seed": "0"})
+    examples = generate(GenConfig(max_length=14, max_depth=2, min_args=2,
+                                  max_args=4, count=4, seed=3))
+    appended = []
+    finish = encoders._BeamBatch.finish
+
+    def counted(search):
+        appended.append(search.nodes.size - sum(search.lengths))
+        return finish(search)
+
+    monkeypatch.setattr(encoders._BeamBatch, "finish", counted)
+    tracer = spans.Tracer(MODULES)
+    tracer.install()
+    try:
+        tracer.begin_op("bt_k3")
+        harness.evaluate_examples(Model(cfg), examples)
+    finally:
+        tracer.uninstall()
+    assert len(appended) == len(examples)
+    assert tracer.counts["composed_rows", "bt_k3"] == sum(appended) > 0
+
+
 def test_tracer_counts_truncation_alike_for_plain_and_onesoft(spans):
     # the tracer counts the length of `truncate`'s first argument and of its
     # result; both operators keep k beams of the same pools

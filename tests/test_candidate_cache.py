@@ -105,9 +105,9 @@ def test_bt_cell_composes_rows_linear_in_length(monkeypatch):
     rows = []
     compose = encoders.grc_compose
 
-    def counted(left, right, cell):
-        rows.append(left.data.shape[0])
-        return compose(left, right, cell)
+    def counted(children, cell):
+        rows.append(children.data.shape[0])
+        return compose(children, cell)
 
     monkeypatch.setattr(encoders, "grc_compose", counted)
     enc, _ = encode_bt_cell(leaves, params, scorer, k)

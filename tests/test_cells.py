@@ -30,24 +30,23 @@ def test_grc_zero_params_halves_and_normalizes():
     rng = np.random.default_rng(3)
     l = rng.standard_normal((1, d_h))
     r = rng.standard_normal((1, d_h))
-    out = grc_compose(Tensor(l), Tensor(r), p)
+    out = grc_compose(Tensor(np.hstack([l, r])), p)
     assert np.allclose(out.data, _layer_norm_np(0.5 * (l + r)), atol=1e-9)
 
 
 def test_grc_zero_params_symmetric():
     p = _zero_grc(4)
     rng = np.random.default_rng(4)
-    l = Tensor(rng.standard_normal((1, 4)))
-    r = Tensor(rng.standard_normal((1, 4)))
-    assert np.allclose(grc_compose(l, r, p).data, grc_compose(r, l, p).data)
+    l, r = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
+    assert np.allclose(grc_compose(Tensor(np.hstack([l, r])), p).data,
+                       grc_compose(Tensor(np.hstack([r, l])), p).data)
 
 
 @pytest.mark.parametrize("d_h", [2, 8, 64])
 def test_grc_shape_contract(d_h):
     p = GrcParams.init(d_h, np.random.default_rng(d_h), np.float64)
     rng = np.random.default_rng(1)
-    out = grc_compose(Tensor(rng.standard_normal((1, d_h))),
-                      Tensor(rng.standard_normal((1, d_h))), p)
+    out = grc_compose(Tensor(rng.standard_normal((1, 2 * d_h))), p)
     assert out.data.shape == (1, d_h)
     assert np.isfinite(out.data).all()
 
@@ -56,44 +55,50 @@ def test_grc_rows_match_single_rows():
     d_h = 5
     p = GrcParams.init(d_h, np.random.default_rng(9), np.float64)
     rng = np.random.default_rng(10)
-    L = rng.standard_normal((3, d_h))
-    R = rng.standard_normal((3, d_h))
-    rows = grc_compose(Tensor(L), Tensor(R), p)
+    children = rng.standard_normal((3, 2 * d_h))
+    rows = grc_compose(Tensor(children), p)
     for i in range(3):
-        one = grc_compose(Tensor(L[i:i + 1]), Tensor(R[i:i + 1]), p)
+        one = grc_compose(Tensor(children[i:i + 1]), p)
         assert np.allclose(rows.data[i], one.data[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("call", [
-    lambda v, row, rng: grc_compose(row, v, GrcParams.init(4, rng)),
-    lambda v, row, rng: score(v, ScorerParams.init(4, rng)),
+    lambda v, rng: grc_compose(v, GrcParams.init(2, rng)),
+    lambda v, rng: score(v, ScorerParams.init(4, rng)),
 ], ids=["grc", "score"])
 def test_a_1d_state_is_rejected(call):
     # node states are (rows, width) matrices; a (d_h,) vector is an error
     rng = np.random.default_rng(31)
     with pytest.raises(TensorError):
-        call(Tensor(rng.standard_normal(4)), Tensor(np.ones((1, 4))), rng)
+        call(Tensor(rng.standard_normal(4)), rng)
+
+
+def test_grc_refuses_children_of_another_width():
+    # each row is [left | right], 2 d_h wide
+    p = GrcParams.init(4, np.random.default_rng(32), np.float64)
+    for width in (4, 9):
+        with pytest.raises(TensorError):
+            grc_compose(Tensor(np.ones((2, width))), p)
 
 
 def test_grc_gradients():
     d_h = 3
     p = GrcParams.init(d_h, np.random.default_rng(11), np.float64)
     rng = np.random.default_rng(12)
-    l = Tensor(rng.standard_normal((2, d_h)), requires_grad=True)
-    r = Tensor(rng.standard_normal((2, d_h)), requires_grad=True)
+    lr = Tensor(rng.standard_normal((2, 2 * d_h)), requires_grad=True)
     w = Tensor(rng.standard_normal((2, d_h)))
     errors = check_grads(
-        lambda: T.tsum(T.mul(grc_compose(l, r, p), w)),
-        {**p.named(), "l": l, "r": r})
+        lambda: T.tsum(T.mul(grc_compose(lr, p), w)),
+        {**p.named(), "lr": lr})
     assert max(errors.values()) <= 1e-4
 
 
-def _grads(compose, l, r, w, p):
-    params = {**p.named(), "l": l, "r": r}
+def _grads(compose, children, w, p):
+    params = {**p.named(), "children": children}
     for t in params.values():
         t.zero_grad()
     with Tape() as tape:
-        out = compose(l, r, p)
+        out = compose(children, p)
         tape.backward(T.tsum(T.mul(out, w)))
     return out.data, {k: t.grad.copy() for k, t in params.items()}
 
@@ -103,18 +108,18 @@ def _grads(compose, l, r, w, p):
                          ids=["1x8", "2x8", "6x8", "100x8"])
 def test_grc_fused_matches_composed_primitives(shape, dtype):
     # the one-primitive cell against the same cell built from tensor ops:
-    # the same forward bits, and the same gradients for all 8 inputs; at
+    # the same forward bits, and the same gradients for all 7 inputs; at
     # 100 rows float32 GELU takes the rational erf
-    d_h = shape[-1]
+    rows, d_h = shape
     p = GrcParams.init(d_h, np.random.default_rng(27), dtype)
     rng = np.random.default_rng(28)
     for b in (p.b1, p.b2, p.gamma, p.beta):
         b.data[...] = rng.standard_normal(b.data.shape)
-    l, r = (Tensor(2.0 * rng.standard_normal(shape), requires_grad=True,
-                   dtype=dtype) for _ in range(2))
+    children = Tensor(2.0 * rng.standard_normal((rows, 2 * d_h)),
+                      requires_grad=True, dtype=dtype)
     w = Tensor(rng.standard_normal(shape), dtype=dtype)
-    fused, fused_grads = _grads(grc_compose, l, r, w, p)
-    ref, ref_grads = _grads(composed_grc, l, r, w, p)
+    fused, fused_grads = _grads(grc_compose, children, w, p)
+    ref, ref_grads = _grads(composed_grc, children, w, p)
     assert fused.dtype == ref.dtype == dtype and fused.shape == shape
     assert np.array_equal(fused, ref)
     if dtype == np.float64:
@@ -124,20 +129,20 @@ def test_grc_fused_matches_composed_primitives(shape, dtype):
 
 def test_grc_records_one_primitive():
     p = GrcParams.init(4, np.random.default_rng(29), np.float64)
-    l = Tensor(np.ones((3, 4)), requires_grad=True)
+    children = Tensor(np.ones((3, 8)), requires_grad=True)
     with Tape() as tape:
-        grc_compose(l, l, p)
+        grc_compose(children, p)
     assert len(tape.records) == 1
-    assert tape.records[0].inputs == (l, l, p.W1, p.b1, p.W2, p.b2,
+    assert tape.records[0].inputs == (children, p.W1, p.b1, p.W2, p.b2,
                                       p.gamma, p.beta)
 
 
 def test_grc_nan_input_raises():
     p = GrcParams.init(4, np.random.default_rng(30), np.float64)
-    left = np.ones((2, 4))
-    left[1, 2] = np.nan
+    children = np.ones((2, 8))
+    children[1, 2] = np.nan
     with pytest.raises(NonFiniteError):
-        grc_compose(Tensor(left), Tensor(np.ones((2, 4))), p)
+        grc_compose(Tensor(children), p)
 
 
 def test_score_shapes():
@@ -155,6 +160,31 @@ def test_score_linear_in_input():
     sb = score(Tensor(b), p).data[0]
     sab = score(Tensor(a + b), p).data[0]
     assert sab == pytest.approx(sa + sb, abs=1e-10)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_score_is_one_primitive_with_the_bits_of_matmul_and_reshape(rows):
+    p = ScorerParams.init(6, np.random.default_rng(33), np.float32)
+    rng = np.random.default_rng(34)
+    v = Tensor(rng.standard_normal((rows, 6)), requires_grad=True,
+               dtype=np.float32)
+    w = Tensor(rng.standard_normal(rows), dtype=np.float32)
+
+    def run(build):
+        v.zero_grad()
+        p.W_v.zero_grad()
+        with Tape() as tape:
+            out = build()
+            records = len(tape.records)
+            tape.backward(T.tsum(T.mul(out, w)))
+        return records, out.data, v.grad.copy(), p.W_v.grad.copy()
+
+    one = run(lambda: score(v, p))
+    ref = run(lambda: T.reshape(T.matmul(v, p.W_v), (rows,)))
+    assert (one[0], ref[0]) == (1, 2)
+    for got, expect in zip(one[1:], ref[1:]):
+        assert got.dtype == expect.dtype == np.float32
+        assert np.array_equal(got, expect)
 
 
 def test_leaf_transform_deterministic_in_eval():

@@ -178,15 +178,16 @@ def test_fixed_tree_records_at_most_two_per_leaf(n):
 
 
 def test_fixed_tree_batch_records_as_many_as_its_tallest_tree():
-    # one compose of at most two row gathers per tree height, over every
-    # tree of the batch, and one gather of the roots
+    # one compose of one row gather (both children of every node) per
+    # tree height, over every tree of the batch, and one gather of the
+    # roots
     grc, _ = _params(seed=21)
     chain = replay_actions(7, [0] * 6)  # height 6
     trees = [chain, BALANCED_4, chain, leaf(0)]
     leaves = Tensor(_leaves(19, seed=22).data, requires_grad=True)
     with Tape() as tape:
         encoders.encode_fixed_tree(leaves, trees, grc)
-    assert len(tape.records) <= 3 * 6 + 1
+    assert len(tape.records) <= 2 * 6 + 1
 
 
 def test_fixed_tree_frees_the_cell_without_the_cycle_collector():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import erf, expit
 from scipy.stats import norm
 
-from oracles import slice_cols
+from oracles import concat, slice_cols
 
 from beamtree import tensor as T
 from beamtree.gradcheck import check_grads
@@ -217,8 +217,7 @@ def test_backward_frees_records_and_intermediate_grads():
     w = Tensor(rng.standard_normal(2).astype(np.float32), requires_grad=True)
     with Tape() as tape:
         table = T.RowTable(leaves)
-        table.append(grc_compose(table.gather([0, 2]), table.gather([1, 3]),
-                                 cell))
+        table.append(grc_compose(table.gather([[0, 1], [2, 3]]), cell))
         mid = table.gather([4, 5, 0])
         weights = T.segment_softmax(T.reshape(slice_cols(mid, 0, 1), (3,)),
                                     [2, 1])
@@ -299,7 +298,7 @@ def test_row_table_gather_refuses_rows_past_its_size():
         with pytest.raises(IndexError):
             table.gather(ids)
         with pytest.raises(IndexError):
-            table.values(ids)
+            table.read(ids)
     assert np.array_equal(table.gather([2, 0]).data, np.full((2, 2), 7.0))
 
 
@@ -371,8 +370,13 @@ def test_segment_softmax_and_sum_per_run():
     x = Tensor(rng.standard_normal(6), requires_grad=True)
     rows = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
     counts = [1, 3, 2]
+
+    def log_softmax(a):  # the data form as a tape primitive
+        out, grad = T.segment_log_softmax_data(a.data, counts)
+        return T._make(out, (a,), lambda g: (grad(g),))
+
     soft = T.segment_softmax(x, counts).data
-    logs = T.segment_softmax(x, counts, log=True).data
+    logs = log_softmax(x).data
     for lo, hi in ((0, 1), (1, 4), (4, 6)):
         e = np.exp(x.data[lo:hi] - x.data[lo:hi].max())
         assert np.allclose(soft[lo:hi], e / e.sum(), rtol=1e-14)
@@ -380,10 +384,9 @@ def test_segment_softmax_and_sum_per_run():
     out = T.segment_sum(x, rows, counts).data
     assert np.allclose(out[1], x.data[1:4] @ rows.data[1:4], rtol=1e-14)
     w = Tensor(rng.standard_normal((3, 3)))
-    for log in (False, True):
+    for softmax in (lambda a: T.segment_softmax(a, counts), log_softmax):
         errors = check_grads(lambda: T.tsum(T.mul(T.segment_sum(
-            T.segment_softmax(x, counts, log), rows, counts), w)),
-            {"x": x, "rows": rows})
+            softmax(x), rows, counts), w)), {"x": x, "rows": rows})
         assert max(errors.values()) <= 1e-7, errors
     with pytest.raises(TensorError):
         T.segment_softmax(x, [3, 2])
@@ -427,6 +430,86 @@ def test_backward_first_write_does_not_alias():
         tape.backward(T.tsum(T.add(T.add(x, y), y)))
     assert np.array_equal(wa.grad, a.data)
     assert np.array_equal(wb.grad, 2.0 * b.data)
+
+
+def test_backward_keeps_apart_two_gradients_handed_one_array():
+    # a vjp hands one array it made to two inputs, both first written
+    # there; p is read by an earlier record too, whose gradient is added
+    # into p's later. q's gradient must not see it.
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = Tensor([3.0, 4.0], requires_grad=True)
+    with Tape() as tape:
+        p, q = T.mul(x, x), T.mul(y, y)
+        later = T.tsum(T.mul(p, Tensor([5.0, 7.0])))
+
+        def vjp(g):
+            twice = 2.0 * g
+            return twice, twice
+
+        z = T._make(p.data + q.data, (p, q), vjp)
+        tape.backward(T.add(T.tsum(z), later))
+    assert np.array_equal(x.grad, 2.0 * x.data * [7.0, 9.0])
+    assert np.array_equal(y.grad, 2.0 * y.data * [2.0, 2.0])
+
+
+def test_backward_takes_a_vjp_array_as_the_gradient_only_when_it_owns_it():
+    # no copy of an array the vjp made for that input alone; a copy of a
+    # view, of the record's own output gradient and of another dtype
+    made = {}
+
+    def record(inp, make):
+        def vjp(g):
+            made[inp] = make(g)
+            return (made[inp],)
+        return T._make(inp.data.copy(), (inp,), vjp)
+
+    inputs = [Tensor(np.ones(3), requires_grad=True) for _ in range(4)]
+    for t in inputs:
+        t.grad = None  # first written by the backward
+    own, view, same, cast = inputs
+    with Tape() as tape:
+        outs = [record(own, lambda g: 3.0 * g),
+                record(view, lambda g: (3.0 * g)[::1]),
+                record(same, lambda g: g),
+                record(cast, lambda g: (3.0 * g).astype(np.float32))]
+        tape.backward(T.tsum(T.add(T.add(outs[0], outs[1]),
+                                   T.add(outs[2], outs[3]))))
+    assert own.grad is made[own]
+    for t in (view, same, cast):
+        assert t.grad is not made[t] and t.grad.base is None
+        assert t.grad.dtype == np.float64
+    assert np.array_equal(same.grad, np.ones(3))
+    assert np.array_equal(cast.grad, np.full(3, 3.0))
+
+
+def test_row_table_pair_gather_is_the_two_column_gathers_side_by_side():
+    # a (pairs, 2) id gather against the concat of its two column gathers:
+    # the same bits forward, and the same gradients backward, where a row
+    # read in both columns sums its gradients in another order (integer
+    # weights keep every sum exact)
+    rng = np.random.default_rng(14)
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    ids = np.array([[0, 1], [3, 4], [1, 3], [4, 4], [2, 0]])
+    w = Tensor(rng.integers(-4, 5, (len(ids), 8)).astype(np.float64))
+
+    def run(gather):
+        for t in (a, x):
+            t.zero_grad()
+        with Tape() as tape:
+            table = T.RowTable(a)
+            table.append(T.mul(x, x))
+            out = gather(table)
+            tape.backward(T.tsum(T.mul(out, w)))
+        return out.data, a.grad.copy(), x.grad.copy()
+
+    pair = run(lambda table: table.gather(ids))
+    columns = run(lambda table: concat([table.gather(ids[:, 0]),
+                                        table.gather(ids[:, 1])], axis=1))
+    assert pair[0].shape == (len(ids), 8)
+    for got, expect in zip(pair, columns):
+        assert np.array_equal(got, expect)
+    assert np.all(pair[2] != 0.0)
 
 
 @settings(deadline=None, max_examples=25)
