@@ -6,10 +6,11 @@ from .cells import GrcParams, LeafParams, ScorerParams, grc_compose, \
 from .encoders import encode_bt_cell, encode_easy_first_gumbel, \
     encode_fixed_tree, encode_recurrent
 from .harness import Model, RunConfig, classify, evaluate_checkpoint, train
-from .listops import GenConfig, build_splits, eval_listops, generate, tokenize
+from .listops import GenConfig, build_splits, eval_listops, generate, \
+    gold_tree_listops, tokenize
 from .parse_analysis import collapse_duplicates, extract_parses, tree_agreement
 from .tensor import AdamState, Tape, Tensor, adam_step
 from .topk import BeamSet, merge_beams, onesoft_topk, plain_topk
-from .trees import ParseTree, gold_tree_listops, replay_actions
+from .trees import ParseTree, replay_actions
 
 __version__ = "0.1.0"

@@ -119,8 +119,11 @@ def score(v: Tensor, p: ScorerParams) -> Tensor:
     x, w = v.data, p.W_v.data
 
     def vjp(g):
+        # g @ w.T with one inner term: each entry is one product, so this
+        # is (w @ g.T).T's bits in an owned C-ordered array, which
+        # Tape.backward keeps without a copy
         g = g[:, None]
-        return T.input_grad(g, w), T.weight_grad(x, g)
+        return g @ w.T, T.weight_grad(x, g)
 
     return T._make((x @ w).reshape(-1), (v, p.W_v), vjp)
 

@@ -24,7 +24,6 @@ from .cells import GrcParams, ScorerParams, grc_compose, score
 from .tensor import Tensor
 from .topk import BeamSet, collapse_tail, gumbel_noise, merge_beams, \
     plain_topk, tail_entries, truncate
-from .trees import ParseTree
 
 
 class EncoderError(Exception):
@@ -44,63 +43,59 @@ def _starts(lengths) -> list:
 def encode_recurrent(leaves: Tensor, lengths, cell: GrcParams,
                      h0: Tensor) -> Tensor:
     """Left-to-right fold of the cell from the learned initial state h0,
-    folded as R(h0, first leaf): one compose per position over the examples
-    at least that long."""
+    folded as R(h0, first leaf): each example is the left chain, merge
+    actions [0] * n, over h0 and its n leaves, one compose per position
+    over the examples at least that long."""
     starts = _starts(lengths)
     table = T.RowTable(leaves)
-    state = [table.append(T.reshape(h0, (1, -1)))] * len(lengths)
-    for t in range(max(lengths)):
-        active = [e for e, n in enumerate(lengths) if n > t]
-        first = table.append(grc_compose(table.gather(
-            [(state[e], starts[e] + t) for e in active]), cell))
-        for j, e in enumerate(active):
-            state[e] = first + j
-    return table.gather(state)
+    h = table.append(T.reshape(h0, (1, -1)))
+    return _compose_trees(
+        table, [[h, *range(s, s + n)] for s, n in zip(starts, lengths)],
+        [[0] * n for n in lengths], cell)
 
 
 def encode_fixed_tree(leaves: Tensor, trees, cell: GrcParams) -> Tensor:
-    """Bottom-up evaluation of the cell along each example's tree, whose
-    leaves are that example's rows: one compose per tree height over the
+    """Bottom-up evaluation of the cell along each example's tree, given as
+    its merge actions (as `BeamSet.actions` stores them and
+    `listops.gold_tree_listops` returns them): n - 1 actions for an example
+    of n leaves, which are its rows. One compose per tree height over the
     nodes of that height in all trees."""
-    levels = []  # levels[h - 1]: (left, right) of each node of height h
-    roots, start = [], 0
-    for tree in trees:
-        if not tree.is_projective():
-            raise EncoderError("non-projective tree")
-        roots.append(_collect(tree, start, levels)[1])
-        start += tree.n_leaves()
-    if start != leaves.data.shape[0]:
-        raise EncoderError(f"trees have {start} leaves for "
+    lengths = [len(actions) + 1 for actions in trees]
+    if sum(lengths) != leaves.data.shape[0]:
+        raise EncoderError(f"trees have {sum(lengths)} leaves for "
                            f"{leaves.data.shape[0]} tokens")
-    table = T.RowTable(leaves)
-    firsts = []  # row of the first composed node of each height
+    return _compose_trees(
+        T.RowTable(leaves), [range(s, s + n) for s, n in
+                             zip(_starts(lengths), lengths)], trees, cell)
 
-    def row(ref):
-        height, index = ref
-        return index if height == 0 else firsts[height - 1] + index
 
+def _compose_trees(table: T.RowTable, items, trees, cell: GrcParams):
+    """The root rows of trees over the rows of `table`, each example's
+    first items the rows `items[e]`, merged by the actions `trees[e]`. The
+    merges go to the level of their height, in the order they are made,
+    and each level is one `grc_compose` of one gather of its children."""
+    levels, roots = [], []  # levels[h - 1]: the nodes of height h
+    for rows, actions in zip(items, trees):
+        # a node is (height, index): its row at height 0, else its place in
+        # its level, which holds its (left, right)
+        nodes = [(0, r) for r in rows]
+        for a in actions:
+            if not 0 <= a < len(nodes) - 1:
+                raise EncoderError(f"merge index {a} out of range for "
+                                   f"{len(nodes)} items")
+            left, right = nodes[a], nodes.pop(a + 1)
+            height = max(left[0], right[0]) + 1
+            if len(levels) < height:
+                levels.append([])
+            nodes[a] = (height, len(levels[height - 1]))
+            levels[height - 1].append((left, right))
+        roots.append(nodes[0])
+    firsts = [0]  # a node's row is firsts[height] + index
     for level in levels:
         firsts.append(table.append(grc_compose(table.gather(
-            [(row(left), row(right)) for left, right in level]), cell)))
-    return table.gather([row(r) for r in roots])
-
-
-def _collect(t: ParseTree, start: int, levels: list) -> tuple:
-    """(height, reference) of `t`, whose leaf i is row start + i. A leaf's
-    reference is (0, row); an internal node joins levels[height - 1], and
-    its reference is (height, place in that level). A module-level
-    function, not a closure that refers to itself: such a closure is a
-    reference cycle that keeps arrays alive until the cyclic collector
-    runs."""
-    if t.is_leaf:
-        return 0, (0, start + t.leaf)
-    hl, left = _collect(t.left, start, levels)
-    hr, right = _collect(t.right, start, levels)
-    height = max(hl, hr) + 1
-    if len(levels) < height:
-        levels.append([])
-    levels[height - 1].append((left, right))
-    return height, (height, len(levels[height - 1]) - 1)
+            [(firsts[hl] + il, firsts[hr] + ir)
+             for (hl, il), (hr, ir) in level]), cell)))
+    return table.gather([firsts[h] + i for h, i in roots])
 
 
 # ---------------------------------------------------------------------------

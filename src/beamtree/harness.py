@@ -15,9 +15,9 @@ from .cells import GrcParams, LeafParams, ScorerParams, leaf_transform_seq
 from .checkpoint import load_checkpoint, restore, save_checkpoint
 from .encoders import encode_bt_cell, encode_easy_first_gumbel, \
     encode_fixed_tree, encode_recurrent
-from .listops import CLASSES, VOCAB, Example, read_tsv, tokenize
+from .listops import CLASSES, VOCAB, Example, gold_tree_listops, read_tsv, \
+    tokenize
 from .tensor import AdamState, Tape, Tensor, adam_step, clip_grad_norm
-from .trees import gold_tree_listops
 
 ENCODER_KINDS = ("recurrent", "gumbel", "bt", "gold")
 GRAD_CLIP = 5.0  # global norm every training step's gradient is clipped to

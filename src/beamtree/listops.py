@@ -1,5 +1,6 @@
-"""ListOps: expression generator, oracle interpreter, tokenizer, and
-generalization-split builders (length / argument-count)."""
+"""ListOps: expression generator, oracle interpreter and gold merge
+actions in one pass, tokenizer, and generalization-split builders
+(length / argument-count)."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ CLASSES = 10  # every value, and so every label, is a digit 0-9
 VOCAB = ["[MAX", "[MIN", "[MED", "[SM", "]"] + [str(d) for d in range(CLASSES)]
 TOKEN_TO_ID = {t: i for i, t in enumerate(VOCAB)}
 TOKENS = frozenset(VOCAB)
+_DIGITS = {str(d): d for d in range(CLASSES)}
 CLOSE = "]"
 
 
@@ -66,36 +68,51 @@ def tokenize(source: str) -> list:
 
 
 def eval_listops(source: str) -> int:
-    """Recursive oracle: MAX/MIN extrema, MED median (even arity takes the
+    """Oracle value: MAX/MIN extrema, MED median (even arity takes the
     lower middle element), SM sum modulo 10."""
-    tokens = source.split()
-    value, end = _eval_expr(tokens, 0)
-    if end != len(tokens):
-        raise ListOpsError("trailing tokens")
-    return value
+    return _parse(source.split())[0]
 
 
-def _eval_expr(tokens, i: int) -> tuple:
-    # a module-level function, not a closure that refers to itself: such a
-    # closure is a reference cycle left behind by every call
-    tok = tokens[i]
-    if tok.startswith("["):
-        op = tok[1:]
-        if op not in OPERATORS:
-            raise ListOpsError(f"unknown operator {tok!r}")
-        i += 1
-        args = []
-        while i < len(tokens) and tokens[i] != CLOSE:
-            val, i = _eval_expr(tokens, i)
-            args.append(val)
-        if i >= len(tokens):
-            raise ListOpsError("missing closing bracket")
-        if not args:
-            raise ListOpsError("empty argument list")
-        return _apply(op, args), i + 1
-    if tok.isdigit() and len(tok) == 1:
-        return int(tok), i + 1
-    raise ListOpsError(f"unexpected token {tok!r}")
+def gold_tree_listops(tokens) -> list:
+    """Gold merge actions of a ListOps token sequence, in the form
+    `trees.replay_actions` decodes: per operator scope, a left-branching
+    chain over (operator, args..., close-bracket), with nested scopes
+    composed first."""
+    return _parse(tokens)[1]
+
+
+def _parse(tokens) -> tuple:
+    """(value, gold merge actions) of an expression, in one pass over its
+    tokens. The items of the replay are one per open scope, so a token
+    inside d scopes merges into the scope at item d - 1. Raises
+    ListOpsError for any token sequence that is no expression."""
+    if not tokens:
+        raise ListOpsError("empty source")
+    stack, actions, value = [], [], None  # stack: (operator, args) per scope
+    for tok in tokens:
+        if value is not None:
+            raise ListOpsError("tokens after the top-level expression")
+        if tok.startswith("[") and tok[1:] in OPERATORS:
+            stack.append((tok[1:], []))
+            continue
+        if tok == CLOSE and stack:
+            op, args = stack.pop()
+            if not args:
+                raise ListOpsError("empty argument list")
+            actions.append(len(stack))
+            val = _apply(op, args)
+        elif tok in _DIGITS:
+            val = _DIGITS[tok]
+        else:
+            raise ListOpsError(f"unexpected token {tok!r}")
+        if stack:  # a digit, or the scope just closed, is one argument
+            stack[-1][1].append(val)
+            actions.append(len(stack) - 1)
+        else:
+            value = val
+    if stack:
+        raise ListOpsError("missing closing bracket")
+    return value, actions
 
 
 def _apply(op: str, args) -> int:

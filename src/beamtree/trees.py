@@ -1,5 +1,8 @@
 """Binary parse trees over token positions, bracketed-string serialization,
-action-sequence replay, and ListOps gold trees."""
+and action-sequence replay. A tree is given as its merge actions, the
+adjacent-merge indices that `replay_actions` decodes: the beam search
+records them, `listops.gold_tree_listops` derives them, and the fixed-tree
+encoder composes along them."""
 
 from __future__ import annotations
 
@@ -86,33 +89,3 @@ def replay_actions(n: int, actions) -> ParseTree:
     if len(items) != 1:
         raise TreeError(f"incomplete action history: {len(items)} items remain")
     return items[0]
-
-
-def gold_tree_listops(tokens) -> ParseTree:
-    """Gold composition order for a ListOps token sequence: per operator
-    scope, a left-branching chain over (operator, args..., close-bracket),
-    with nested scopes composed first."""
-    n = len(tokens)
-    if n == 1:
-        return leaf(0)
-    tree, end = _gold_scope(tokens, 0)
-    if end != n:
-        raise TreeError("trailing tokens after top-level expression")
-    return tree
-
-
-def _gold_scope(tokens, i: int) -> tuple:
-    n = len(tokens)
-    if i >= n or not tokens[i].startswith("["):
-        raise TreeError(f"expected operator token at position {i}")
-    node = leaf(i)
-    i += 1
-    while i < n and tokens[i] != "]":
-        if tokens[i].startswith("["):
-            sub, i = _gold_scope(tokens, i)
-        else:
-            sub, i = leaf(i), i + 1
-        node = branch(node, sub)
-    if i >= n:
-        raise TreeError("missing closing bracket")
-    return branch(node, leaf(i)), i + 1

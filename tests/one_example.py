@@ -2,12 +2,13 @@
 example's leaves, returning its (d_h,) encoding and its BeamSet, or for
 easy-first the tree its one beam's actions replay to, with the
 single-example signatures the tests and the references share, and the
-batched loss of one example."""
+batched loss of one example. A `ParseTree` reaches the fixed-tree encoder
+as its merge actions, through `tree_to_actions`."""
 
 from beamtree import encoders
 from beamtree import tensor as T
 from beamtree.harness import batch_losses
-from beamtree.trees import replay_actions
+from beamtree.trees import ParseTree, replay_actions
 
 
 def encode_bt_cell(leaves, cell, scorer, k, onesoft=False, rng=None):
@@ -30,7 +31,28 @@ def encode_recurrent(leaves, cell, h0):
 
 
 def encode_fixed_tree(leaves, tree, cell):
-    return T.reshape(encoders.encode_fixed_tree(leaves, [tree], cell), (-1,))
+    return T.reshape(encoders.encode_fixed_tree(
+        leaves, [tree_to_actions(tree)], cell), (-1,))
+
+
+def tree_to_actions(tree: ParseTree) -> list:
+    """Bottom-up merge indices whose replay reproduces `tree`."""
+    actions = []
+    _post_order_merges(tree, list(range(tree.n_leaves())), actions)
+    return actions
+
+
+def _post_order_merges(t: ParseTree, items: list, actions: list):
+    """Append the merges of `t`, children first; `items` holds the leftmost
+    leaf of every current item."""
+    if t.is_leaf:
+        return
+    _post_order_merges(t.left, items, actions)
+    _post_order_merges(t.right, items, actions)
+    i = items.index(t.left.span()[0])
+    assert items[i + 1] == t.right.span()[0]
+    actions.append(i)
+    del items[i + 1]
 
 
 def example_loss(model, ex, training, rng):

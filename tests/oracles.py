@@ -30,10 +30,10 @@ from scipy.stats import norm
 from beamtree import encoders
 from beamtree import tensor as T
 from beamtree.cells import grc_compose, score
-from beamtree.listops import tokenize
+from beamtree.listops import gold_tree_listops, tokenize
 from beamtree.tensor import Tensor
 from beamtree.topk import BeamSet, gumbel_noise, plain_topk, truncate
-from beamtree.trees import ParseTree, gold_tree_listops, replay_actions
+from beamtree.trees import ParseTree, replay_actions
 
 
 def concat(tensors: list, axis: int = 0) -> Tensor:
@@ -572,7 +572,9 @@ def per_example_loss(model, ex, training, rng):
                               cfg.beam_size,
                               training and cfg.topk == "onesoft", rng)[0]
     else:
-        enc = walk_fixed_tree(leaves, gold_tree_listops(ex.source.split()),
-                              model.cell)
+        tokens = ex.source.split()
+        enc = walk_fixed_tree(
+            leaves, replay_actions(len(tokens), gold_tree_listops(tokens)),
+            model.cell)
     logits = per_example_head(enc, model.head, cfg.dropout, rng)
     return T.neg(T.rows_gather(T.log_softmax(logits), [ex.label]))

@@ -142,3 +142,37 @@ def test_tracer_sees_gumbel_composition_in_train(spans, tmp_path):
     metrics = tracer.per_layer(1.0, 0.0, 0.0, 1.0)
     assert metrics["cells.composed_rows_per_ex.gumbel_tree"] > 0
     assert metrics["encoders.total_ms_per_ex.gumbel_tree"] > 0
+
+
+@pytest.mark.parametrize("encoder,variant,expected", [
+    ("gold", "gold_tree", ("trees.gold_tree_listops",
+                           "encoders.encode_fixed_tree")),
+    ("recurrent", "recurrent", ("encoders.encode_recurrent",)),
+])
+def test_tracer_sees_the_fixed_tree_encoders_in_train(spans, tmp_path,
+                                                      encoder, variant,
+                                                      expected):
+    # the tracer patches these names on `harness`; a training path that
+    # stopped calling them there would read 0 in the benchmark's gold and
+    # recurrent metrics without an error
+    cfg = make_config({"encoder": encoder, "d_e": "8", "d_h": "8",
+                       "dropout": "0.0", "max_epochs": "1",
+                       "batch_size": "2", "seed": "0"})
+    examples = generate(GenConfig(max_length=12, max_depth=2, min_args=2,
+                                  max_args=3, count=3, seed=2))
+    tracer = spans.Tracer(MODULES)
+    tracer.install()
+    try:
+        tracer.begin_op(variant)
+        harness.train(cfg, tmp_path / "run", examples[:2], examples[2:],
+                      log=lambda *_: None)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    for name in expected:
+        assert name in names, name
+    metrics = tracer.per_layer(1.0, 0.0, 0.0, 1.0)
+    assert metrics[f"cells.composed_rows_per_ex.{variant}"] > 0
+    assert metrics[f"encoders.total_ms_per_ex.{variant}"] > 0
+    if encoder == "gold":
+        assert metrics["trees.gold_ms_per_ex"] > 0

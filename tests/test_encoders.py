@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from one_example import (encode_bt_cell, encode_easy_first_gumbel,
-                         encode_fixed_tree, encode_recurrent)
+                         encode_fixed_tree, encode_recurrent, tree_to_actions)
 from oracles import enumerate_merge_derivations, np_grc
 
 from beamtree import encoders
@@ -182,8 +182,8 @@ def test_fixed_tree_batch_records_as_many_as_its_tallest_tree():
     # tree height, over every tree of the batch, and one gather of the
     # roots
     grc, _ = _params(seed=21)
-    chain = replay_actions(7, [0] * 6)  # height 6
-    trees = [chain, BALANCED_4, chain, leaf(0)]
+    chain = [0] * 6  # height 6
+    trees = [chain, tree_to_actions(BALANCED_4), chain, []]
     leaves = Tensor(_leaves(19, seed=22).data, requires_grad=True)
     with Tape() as tape:
         encoders.encode_fixed_tree(leaves, trees, grc)
@@ -205,14 +205,18 @@ def test_fixed_tree_frees_the_cell_without_the_cycle_collector():
         gc.enable()
 
 
-def test_fixed_tree_rejects_leaf_mismatch_and_nonprojective():
+def test_fixed_tree_rejects_leaf_mismatch():
     grc, _ = _params(seed=23)
-    leaves = _leaves(3, seed=24)
     with pytest.raises(EncoderError):
-        encode_fixed_tree(leaves, BALANCED_4, grc)
-    crossed = branch(branch(leaf(1), leaf(0)), leaf(2))
-    with pytest.raises(EncoderError):
-        encode_fixed_tree(leaves, crossed, grc)
+        encode_fixed_tree(_leaves(3, seed=24), BALANCED_4, grc)
+
+
+@pytest.mark.parametrize("actions", [[2, 0], [-1, 0], [0, 1]])
+def test_fixed_tree_rejects_an_out_of_range_merge(actions):
+    # three leaves take two merges, the first at 0 or 1, the second at 0
+    grc, _ = _params(seed=23)
+    with pytest.raises(EncoderError, match="out of range"):
+        encoders.encode_fixed_tree(_leaves(3, seed=24), [actions], grc)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from oracles import stack_machine_eval
 
 from beamtree.listops import (VOCAB, GenConfig, ListOpsError,
-                              build_splits, eval_listops, generate, read_tsv,
-                              scan, tokenize, write_tsv)
+                              build_splits, eval_listops, generate,
+                              gold_tree_listops, read_tsv, scan, tokenize,
+                              write_tsv)
 
 
 def test_eval_basic_ops():
@@ -49,6 +50,18 @@ def test_eval_rejects_malformed():
         eval_listops("[FOO 1 ]")
     with pytest.raises(ListOpsError):
         eval_listops("[MAX 12 ]")
+
+
+@pytest.mark.parametrize("source", [
+    "", "[FOO 2 ]", "[MAX ]", "[MAX x ]", "]", "[MAX 2 ] 3", "[MAX 2 ] ]",
+    "4 ]",
+])
+def test_value_and_gold_actions_refuse_alike(source):
+    # one pass gives both, so the gold actions refuse what the value does
+    with pytest.raises(ListOpsError):
+        eval_listops(source)
+    with pytest.raises(ListOpsError):
+        gold_tree_listops(source.split())
 
 
 def test_interpreters_agree_on_generated_corpus():

@@ -6,31 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from beamtree.trees import (ParseTree, TreeError, branch, gold_tree_listops,
-                            leaf, replay_actions)
+from one_example import tree_to_actions
 
-# Trees from merge indices and from bracketed strings, and back: helpers of
-# these tests, which check replay and serialization against them.
+from beamtree.listops import GenConfig, ListOpsError, generate, \
+    gold_tree_listops
+from beamtree.trees import ParseTree, TreeError, branch, leaf, replay_actions
 
-
-def tree_to_actions(tree: ParseTree) -> list:
-    """Bottom-up merge indices whose replay reproduces `tree`."""
-    actions = []
-    _post_order_merges(tree, list(range(tree.n_leaves())), actions)
-    return actions
-
-
-def _post_order_merges(t: ParseTree, items: list, actions: list):
-    """Append the merges of `t`, children first; `items` holds the leftmost
-    leaf of every current item."""
-    if t.is_leaf:
-        return
-    _post_order_merges(t.left, items, actions)
-    _post_order_merges(t.right, items, actions)
-    i = items.index(t.left.span()[0])
-    assert items[i + 1] == t.right.span()[0]
-    actions.append(i)
-    del items[i + 1]
+# Trees from bracketed strings, and back: helpers of these tests, which
+# check serialization against them.
 
 
 def parse_tree_string(s: str) -> ParseTree:
@@ -139,22 +122,56 @@ def test_internal_spans():
     assert t.internal_spans() == {(0, 1), (0, 2)}
 
 
+def _gold_tree(tokens) -> ParseTree:
+    return replay_actions(len(tokens), gold_tree_listops(tokens))
+
+
 def test_gold_tree_flat_expression():
     tokens = "[MAX 2 3 ]".split()
-    t = gold_tree_listops(tokens)
-    assert t.to_string(tokens) == "((([MAX 2) 3) ])"
+    assert gold_tree_listops(tokens) == [0, 0, 0]
+    assert _gold_tree(tokens).to_string(tokens) == "((([MAX 2) 3) ])"
 
 
 def test_gold_tree_nested_scopes_first():
     tokens = "[SM 1 [MIN 4 5 ] 2 ]".split()
-    t = gold_tree_listops(tokens)
+    t = _gold_tree(tokens)
     assert t.to_string(tokens) == "(((([SM 1) ((([MIN 4) 5) ])) 2) ])"
     assert t.is_projective()
 
 
+def test_gold_tree_of_a_lone_digit_has_no_merges():
+    assert gold_tree_listops(["7"]) == []
+
+
 def test_gold_tree_rejects_unclosed():
-    with pytest.raises(TreeError):
+    with pytest.raises(ListOpsError):
         gold_tree_listops("[MAX 2 3".split())
+
+
+def _scope_spans(tokens) -> set:
+    """Per operator scope, (scope start, end of each argument) and (scope
+    start, close), from bracket positions alone."""
+    spans, opened = set(), []
+    for i, tok in enumerate(tokens):
+        if tok.startswith("["):
+            opened.append(i)
+            continue
+        if tok == "]":
+            spans.add((opened.pop(), i))
+        if opened:  # a digit, or the scope just closed, ends an argument
+            spans.add((opened[-1], i))
+    return spans
+
+
+def test_gold_tree_spans_are_the_scopes_arguments():
+    examples = generate(GenConfig(max_length=40, max_depth=4, min_args=1,
+                                  max_args=5, nest_prob=0.5, count=2000,
+                                  seed=5))
+    assert max(ex.depth for ex in examples) >= 3
+    for ex in examples:
+        tokens = ex.source.split()
+        assert _gold_tree(tokens).internal_spans() == _scope_spans(tokens), \
+            ex.source
 
 
 @pytest.mark.parametrize("call", [
