@@ -8,9 +8,9 @@ from .encoders import encode_bt_cell, encode_easy_first_gumbel, \
 from .harness import Model, RunConfig, classify, evaluate_checkpoint, train
 from .listops import GenConfig, build_splits, eval_listops, generate, \
     gold_tree_listops, tokenize
-from .parse_analysis import collapse_duplicates, extract_parses, tree_agreement
 from .tensor import AdamState, Tape, Tensor, adam_step
 from .topk import BeamSet, merge_beams, onesoft_topk, plain_topk
-from .trees import ParseTree, replay_actions
+from .trees import bracketed, collapse_duplicates, extract_parses, \
+    replay_actions, span_f1
 
 __version__ = "0.1.0"

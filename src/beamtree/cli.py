@@ -16,9 +16,9 @@ from .encoders import EncoderError, encode_bt_cell
 from .harness import HarnessError, Model, RunConfig, batch_losses, \
     evaluate_checkpoint, load_config, load_model, make_config, train
 from .listops import GenConfig, ListOpsError, build_splits
-from .parse_analysis import collapse_duplicates, extract_parses
 from .tensor import Tensor
 from . import tensor as T
+from .trees import collapse_duplicates, extract_parses
 
 
 def _parse_overrides(pairs) -> dict:
@@ -73,12 +73,12 @@ def cmd_parse(args):
     if cfg.encoder != "bt":
         raise SystemExit(f"parse reads beam-tree parses; the config's "
                          f"encoder is {cfg.encoder!r}, not 'bt'")
+    tokens = args.input.split()
     try:
-        listops.scan(args.input)  # checked like a row of a split
+        listops.scan(tokens)  # checked like a row of a split
     except ListOpsError as e:
         raise ListOpsError(f"--input: {e}") from None
     model = load_model(cfg, args.checkpoint)
-    tokens = args.input.split()
     leaves = leaf_transform_seq([listops.tokenize(args.input)], model.leaf)
     _enc, beams = encode_bt_cell(leaves, [len(tokens)], model.cell,
                                  model.scorer, cfg.beam_size)

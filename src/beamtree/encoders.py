@@ -105,8 +105,9 @@ def encode_easy_first_gumbel(leaves: Tensor, lengths, cell: GrcParams,
                              scorer: ScorerParams, rngs=None):
     """Greedy easy-first composition (the Gumbel-Tree encoder):
     `encode_bt_cell` with one beam, straight-through Gumbel when given
-    rngs. Returns what that returns, (encodings, one BeamSet per example);
-    `trees.replay_actions` turns a BeamSet's one `actions` into its tree."""
+    rngs. Returns what that returns, (encodings, one BeamSet per example).
+    A BeamSet's one `actions` is its tree, which `trees.replay_actions`
+    folds and `trees.bracketed` prints."""
     return encode_bt_cell(leaves, lengths, cell, scorer, 1, rngs=rngs)
 
 

@@ -75,7 +75,7 @@ def eval_listops(source: str) -> int:
 
 def gold_tree_listops(tokens) -> list:
     """Gold merge actions of a ListOps token sequence, in the form
-    `trees.replay_actions` decodes: per operator scope, a left-branching
+    `trees.replay_actions` folds: per operator scope, a left-branching
     chain over (operator, args..., close-bracket), with nested scopes
     composed first."""
     return _parse(tokens)[1]
@@ -125,13 +125,12 @@ def _apply(op: str, args) -> int:
     return sorted(args)[(len(args) - 1) // 2]  # MED: lower middle if even
 
 
-def scan(source: str) -> tuple:
+def scan(tokens: list) -> tuple:
     """(maximum operator nesting, argument count of every operator) of one
-    expression, in one pass; a lone digit has depth 0 and no operators.
-    Raises ListOpsError for a token outside the vocabulary, unbalanced
-    brackets, an operator with no arguments or tokens after the
+    expression's tokens, in one pass; a lone digit has depth 0 and no
+    operators. Raises ListOpsError for a token outside the vocabulary,
+    unbalanced brackets, an operator with no arguments or tokens after the
     expression."""
-    tokens = source.split()
     if not tokens:
         raise ListOpsError("empty source")
     if not TOKENS.issuperset(tokens):
@@ -178,11 +177,11 @@ def _make_example(rng: np.random.Generator, cfg: GenConfig,
         tokens = _gen_operator(rng, cfg, depth=1)
         if not (cfg.min_length <= len(tokens) <= cfg.max_length):
             continue
-        source = " ".join(tokens)
-        depth, counts = scan(source)
+        depth, counts = scan(tokens)
         if cfg.require_exact_args is not None and \
                 cfg.require_exact_args not in counts:
             continue
+        source = " ".join(tokens)
         return Example(source=source, label=eval_listops(source),
                        length=len(tokens), depth=depth, max_args=max(counts))
     raise ListOpsError("could not satisfy generation bounds; config may be "
@@ -232,12 +231,13 @@ def read_tsv(path) -> list:
             if not 0 <= label < CLASSES:
                 raise ListOpsError(f"{path}:{lineno}: label {label} is not "
                                    f"a digit 0-{CLASSES - 1}")
+            tokens = source.split()
             try:
-                depth, counts = scan(source)
+                depth, counts = scan(tokens)
             except ListOpsError as e:
                 raise ListOpsError(f"{path}:{lineno}: {e}") from None
             out.append(Example(source=source, label=label,
-                               length=len(source.split()), depth=depth,
+                               length=len(tokens), depth=depth,
                                max_args=max(counts, default=0)))
     return out
 

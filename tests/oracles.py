@@ -33,7 +33,7 @@ from beamtree.cells import grc_compose, score
 from beamtree.listops import gold_tree_listops, tokenize
 from beamtree.tensor import Tensor
 from beamtree.topk import BeamSet, gumbel_noise, plain_topk, truncate
-from beamtree.trees import ParseTree, replay_actions
+from beamtree.trees import replay_actions
 
 
 def concat(tensors: list, axis: int = 0) -> Tensor:
@@ -204,8 +204,7 @@ def _splice_rows(mat, start, stop, rows):
 def full_recompose_easy_first_gumbel(leaves, cell, scorer, rng=None):
     """`encoders.encode_easy_first_gumbel` recomposing every adjacent pair
     on every step, straight-through Gumbel when given an rng. Returns
-    (vector, tree)."""
-    n = leaves.data.shape[0]
+    (vector, merge actions)."""
     nodes = leaves
     actions = []
     while nodes.data.shape[0] > 2:
@@ -229,7 +228,7 @@ def full_recompose_easy_first_gumbel(leaves, cell, scorer, rng=None):
         nodes = compose(slice_rows(nodes, 0, 1), slice_rows(nodes, 1, 2),
                         cell)
         actions.append(0)
-    return T.reshape(nodes, (-1,)), replay_actions(n, actions)
+    return T.reshape(nodes, (-1,)), actions
 
 
 @dataclass
@@ -391,31 +390,19 @@ def fold_recurrent(leaves: Tensor, cell: GrcParams, h0: Tensor) -> Tensor:
     return T.reshape(state, (-1,))
 
 
-def walk_fixed_tree(leaves: Tensor, tree: ParseTree,
-                      cell: GrcParams) -> Tensor:
-    """Bottom-up evaluation of the cell along the given tree."""
-    n = leaves.data.shape[0]
-    if tree.n_leaves() != n:
-        raise encoders.EncoderError(f"tree has {tree.n_leaves()} leaves for {n} tokens")
-    if not tree.is_projective():
-        raise encoders.EncoderError("non-projective tree")
-    return T.reshape(_walk(tree, leaves, cell), (-1,))
-
-
-def _walk(t: ParseTree, leaves: Tensor, cell: GrcParams) -> Tensor:
-    # a module-level function, not a closure that refers to itself: such a
-    # closure is a reference cycle that keeps `cell`, its weights and their
-    # gradients alive until the cyclic garbage collector runs
-    if t.is_leaf:
-        return slice_rows(leaves, t.leaf, t.leaf + 1)
-    return compose(_walk(t.left, leaves, cell),
-                   _walk(t.right, leaves, cell), cell)
+def walk_fixed_tree(leaves: Tensor, actions, cell: GrcParams) -> Tensor:
+    """Bottom-up evaluation of the cell along the tree the merge actions
+    make, one node per `compose` call, in the order of the merges."""
+    return T.reshape(replay_actions(
+        leaves.data.shape[0], actions,
+        lambda i: slice_rows(leaves, i, i + 1),
+        lambda left, right: compose(left, right, cell)), (-1,))
 
 
 def stacked_easy_first_gumbel(leaves, cell, scorer, rng=None):
-    """`stacked_bt_cell` with one beam. Returns (vector, tree)."""
+    """`stacked_bt_cell` with one beam. Returns (vector, merge actions)."""
     enc, beams = stacked_bt_cell(leaves, cell, scorer, 1, rng=rng)
-    return enc, replay_actions(leaves.data.shape[0], beams.actions[0])
+    return enc, beams.actions[0]
 
 
 def stacked_bt_cell(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
@@ -573,8 +560,6 @@ def per_example_loss(model, ex, training, rng):
                               training and cfg.topk == "onesoft", rng)[0]
     else:
         tokens = ex.source.split()
-        enc = walk_fixed_tree(
-            leaves, replay_actions(len(tokens), gold_tree_listops(tokens)),
-            model.cell)
+        enc = walk_fixed_tree(leaves, gold_tree_listops(tokens), model.cell)
     logits = per_example_head(enc, model.head, cfg.dropout, rng)
     return T.neg(T.rows_gather(T.log_softmax(logits), [ex.label]))

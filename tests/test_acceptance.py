@@ -25,10 +25,9 @@ from beamtree.gradcheck import check_grads
 from beamtree.harness import HeadParams, Model, classify, forward_logits, \
     make_config, train
 from beamtree.listops import GenConfig, eval_listops, generate
-from beamtree.parse_analysis import collapse_duplicates, extract_parses
 from beamtree.tensor import Tape, Tensor
 from beamtree.topk import collapse_tail, merge_beams, onesoft_topk, truncate
-from beamtree.trees import replay_actions
+from beamtree.trees import collapse_duplicates, extract_parses
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "results",
                             "experiments.json")
@@ -285,8 +284,7 @@ def test_criterion_parse_bookkeeping():
         worst_prob = max(worst_prob,
                          abs(sum(p.probability for p in collapsed) - 1.0))
         for root, actions in zip(beams.roots.data, beams.actions):
-            tree = replay_actions(n, actions)
-            redone = encode_fixed_tree(leaves, tree, grc)
+            redone = encode_fixed_tree(leaves, actions, grc)
             worst_replay = max(worst_replay, float(np.max(
                 np.abs(redone.data - root))))
     _report("parse-bookkeeping",

@@ -24,7 +24,7 @@ from beamtree.harness import Model, batch_grad_sums, batch_losses, \
     example_rng, make_config
 from beamtree.listops import Example, read_tsv, tokenize
 from beamtree.tensor import Tape
-from beamtree.trees import replay_actions
+from beamtree.trees import bracketed
 
 SOURCES = ["[MAX 2 [MIN 8 3 ] 1 ]", "7", "[SM 4 5 ]",
            "[MIN 3 [MAX 1 9 2 ] [MED 5 6 7 ] 0 ]", "[MED 1 2 ]",
@@ -97,7 +97,7 @@ def test_batch_actions_match_per_example(variant):
     if variant == "gumbel":
         _, beams = encode_easy_first_gumbel(leaves, lengths, model.cell,
                                             model.scorer, rngs)
-        got = [replay_actions(n, b.actions[0]).to_string()
+        got = [bracketed(b.actions[0], range(n))
                for n, b in zip(lengths, beams)]
     else:
         _, beams = encode_bt_cell(leaves, lengths, model.cell, model.scorer,
@@ -108,8 +108,8 @@ def test_batch_actions_match_per_example(variant):
     for ids, rng in zip(sequences, _rngs(len(examples))):
         rows = per_example_leaves(ids, model.leaf, cfg.dropout, rng)
         if variant == "gumbel":
-            expect.append(stacked_easy_first_gumbel(
-                rows, model.cell, model.scorer, rng)[1].to_string())
+            expect.append(bracketed(stacked_easy_first_gumbel(
+                rows, model.cell, model.scorer, rng)[1], range(len(ids))))
         else:
             expect.append(stacked_bt_cell(rows, model.cell, model.scorer,
                                           cfg.beam_size, onesoft,

@@ -12,6 +12,7 @@ from beamtree import encoders
 from beamtree import tensor as T
 from beamtree.cells import GrcParams, ScorerParams
 from beamtree.tensor import Tape, Tensor
+from beamtree.trees import bracketed
 
 D_H = 4
 
@@ -55,7 +56,7 @@ def _run(encode, variant, n, seed, repeated=False):
             enc, out = encode(leaves, params, scorer, k, onesoft, noise)
         tape.backward(T.tsum(T.mul(enc, weights)))
     if variant == "easy-first":
-        scores, actions = [], [out.to_string()]
+        scores, actions = [], [bracketed(out, range(n))]
     else:
         scores, actions = out.scores.data, out.actions
     grads = {name: p.grad.copy() for name, p in

@@ -2,8 +2,12 @@ import struct
 
 import pytest
 
+from beamtree.cells import leaf_transform_seq
 from beamtree.cli import main
-from beamtree.listops import read_tsv
+from beamtree.encoders import encode_bt_cell
+from beamtree.harness import load_config, load_model
+from beamtree.listops import read_tsv, tokenize
+from beamtree.trees import collapse_duplicates, extract_parses
 
 
 def test_gen_data_train_eval_parse_pipeline(tmp_path, capsys):
@@ -42,6 +46,21 @@ def test_gen_data_train_eval_parse_pipeline(tmp_path, capsys):
         total += float(prob)
         assert tree.count("(") == 7  # n-1 internal nodes for 8 tokens
     assert total == pytest.approx(1.0, abs=0.01)
+
+    # the command prints the collapsed parses of the model's own BeamSet
+    cfg = load_config(config)
+    model = load_model(cfg, ckpt)
+    for text in ("[MAX 2 [MIN 8 3 ] 1 ]",
+                 "[SM 1 [MED 4 5 6 ] [MAX 2 [MIN 1 9 ] ] 3 ]", "7"):
+        main(["parse", "--config", str(config), "--checkpoint", str(ckpt),
+              "--input", text])
+        tokens = text.split()
+        _, beams = encode_bt_cell(
+            leaf_transform_seq([tokenize(text)], model.leaf), [len(tokens)],
+            model.cell, model.scorer, cfg.beam_size)
+        expect = [f"{p.probability:.4f}\t{p.tree}\n" for p in
+                  collapse_duplicates(extract_parses(beams[0], tokens))]
+        assert capsys.readouterr().out == "".join(expect), text
 
 
 @pytest.mark.parametrize("encoder", ["gumbel", "gold"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from one_example import (encode_bt_cell, encode_easy_first_gumbel,
-                         encode_fixed_tree, encode_recurrent, tree_to_actions)
+                         encode_fixed_tree, encode_recurrent)
 from oracles import enumerate_merge_derivations, np_grc
 
 from beamtree import encoders
@@ -14,10 +14,10 @@ from beamtree import tensor as T
 from beamtree.cells import GrcParams, ScorerParams
 from beamtree.encoders import EncoderError
 from beamtree.tensor import Tape, Tensor
-from beamtree.trees import branch, leaf, replay_actions
+from beamtree.trees import bracketed
 
 D_H = 4
-BALANCED_4 = branch(branch(leaf(0), leaf(1)), branch(leaf(2), leaf(3)))
+BALANCED_4 = [0, 1, 0]  # ((0 1) (2 3))
 
 
 def _params(seed=0, d_h=D_H):
@@ -91,9 +91,10 @@ def test_bt_cell_k1_equals_greedy_easy_first():
     leaves = _leaves(6, seed=7)
     params, scorer = _params(seed=6)
     bt_enc, beams = encode_bt_cell(leaves, params, scorer, 1)
-    ef_enc, tree = encode_easy_first_gumbel(leaves, params, scorer)
+    ef_enc, actions = encode_easy_first_gumbel(leaves, params, scorer)
     assert np.max(np.abs(bt_enc.data - ef_enc.data)) <= 1e-9
-    assert replay_actions(6, beams.actions[0]).to_string() == tree.to_string()
+    assert bracketed(beams.actions[0], range(6)) == \
+        bracketed(actions, range(6))
 
 
 def test_bt_cell_one_beam_training_trains_the_scorer():
@@ -140,7 +141,7 @@ def test_recurrent_equals_left_chain_fixed_tree():
     rec = encode_recurrent(leaves, grc, h0)
     # the fold from h0 is the left chain over h0 prepended to the leaves
     chained = Tensor(np.concatenate([h0.data[None, :], leaves.data]))
-    chain = encode_fixed_tree(chained, replay_actions(7, [0] * 6), grc)
+    chain = encode_fixed_tree(chained, [0] * 6, grc)
     assert np.max(np.abs(rec.data - chain.data)) <= 1e-12
 
 
@@ -173,7 +174,7 @@ def test_fixed_tree_records_at_most_two_per_leaf(n):
     grc, _ = _params(seed=21)
     leaves = Tensor(_leaves(n, seed=22).data, requires_grad=True)
     with Tape() as tape:
-        encode_fixed_tree(leaves, replay_actions(n, [0] * (n - 1)), grc)
+        encode_fixed_tree(leaves, [0] * (n - 1), grc)
     assert len(tape.records) <= 2 * n
 
 
@@ -183,7 +184,7 @@ def test_fixed_tree_batch_records_as_many_as_its_tallest_tree():
     # roots
     grc, _ = _params(seed=21)
     chain = [0] * 6  # height 6
-    trees = [chain, tree_to_actions(BALANCED_4), chain, []]
+    trees = [chain, BALANCED_4, chain, []]
     leaves = Tensor(_leaves(19, seed=22).data, requires_grad=True)
     with Tape() as tape:
         encoders.encode_fixed_tree(leaves, trees, grc)
@@ -226,9 +227,9 @@ def test_easy_first_training_forward_is_hard():
     # the straight-through forward must equal evaluating the returned tree
     grc, scorer = _params(seed=25)
     leaves = _leaves(6, seed=26)
-    enc, tree = encode_easy_first_gumbel(leaves, grc, scorer,
-                                         rng=np.random.default_rng(3))
-    fixed = encode_fixed_tree(leaves, tree, grc)
+    enc, actions = encode_easy_first_gumbel(leaves, grc, scorer,
+                                            rng=np.random.default_rng(3))
+    fixed = encode_fixed_tree(leaves, actions, grc)
     assert np.max(np.abs(enc.data - fixed.data)) <= 1e-9
 
 
@@ -261,4 +262,4 @@ def test_easy_first_eval_deterministic():
     a, ta = encode_easy_first_gumbel(leaves, grc, scorer)
     b, tb = encode_easy_first_gumbel(leaves, grc, scorer)
     assert np.array_equal(a.data, b.data)
-    assert ta.to_string() == tb.to_string()
+    assert bracketed(ta, range(7)) == bracketed(tb, range(7))

@@ -112,7 +112,7 @@ def test_tokenize_rejects_unknown():
 
 
 def test_measurements():
-    depth, counts = scan("[SM 1 [MIN 4 5 ] 2 ]")
+    depth, counts = scan("[SM 1 [MIN 4 5 ] 2 ]".split())
     assert depth == 2
     assert max(counts) == 3  # SM has args 1, [MIN..], 2
 

@@ -1,142 +1,127 @@
 import gc
-import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from one_example import encode_bt_cell
 
-from one_example import tree_to_actions
-
+from beamtree.cells import GrcParams, ScorerParams
 from beamtree.listops import GenConfig, ListOpsError, generate, \
     gold_tree_listops
-from beamtree.trees import ParseTree, TreeError, branch, leaf, replay_actions
-
-# Trees from bracketed strings, and back: helpers of these tests, which
-# check serialization against them.
-
-
-def parse_tree_string(s: str) -> ParseTree:
-    """Parse a bracketed string like "((a b) c)" back into a ParseTree;
-    leaf positions are assigned left to right."""
-    tree, pos = _parse_subtree(s, 0, itertools.count())
-    if _skip_ws(s, pos) != len(s):
-        raise TreeError("trailing characters after tree")
-    return tree
+from beamtree.tensor import Tensor
+from beamtree.topk import BeamSet
+from beamtree.trees import BeamParse, TreeError, bracketed, \
+    collapse_duplicates, extract_parses, replay_actions, span_f1, spans
 
 
-def _skip_ws(s: str, i: int) -> int:
-    while i < len(s) and s[i] == " ":
-        i += 1
-    return i
+def read_brackets(s: str) -> tuple:
+    """(leaves, internal spans) of a bracketed string like "((a b) c)",
+    read off its parenthesis positions alone: a ")" closes the span from
+    the leaf after its "(" to the leaf before it. Raises TreeError unless
+    every "(" holds exactly two items."""
+    leaves, found, opened = [], set(), []  # opened: (first leaf, items)
+    for tok in s.replace("(", " ( ").replace(")", " ) ").split():
+        if tok == "(":
+            opened.append([len(leaves), 0])
+            continue
+        if tok == ")":
+            if not opened or opened[-1][1] != 2:
+                raise TreeError(f"bad bracket in {s!r}")
+            found.add((opened.pop()[0], len(leaves) - 1))
+        else:
+            leaves.append(tok)
+        if opened:  # a leaf, or the node just closed, is one item
+            opened[-1][1] += 1
+    if opened:
+        raise TreeError(f"unclosed bracket in {s!r}")
+    return leaves, found
 
 
-def _parse_subtree(s: str, i: int, leaf_ids) -> tuple:
-    """The subtree of `s` from position i, and the position after it;
-    leaves take their positions from the iterator `leaf_ids`."""
-    i = _skip_ws(s, i)
-    if i >= len(s):
-        raise TreeError("unexpected end of tree string")
-    if s[i] == "(":
-        left_t, i = _parse_subtree(s, i + 1, leaf_ids)
-        right_t, i = _parse_subtree(s, i, leaf_ids)
-        i = _skip_ws(s, i)
-        if i >= len(s) or s[i] != ")":
-            raise TreeError("expected ')'")
-        return branch(left_t, right_t), i + 1
-    j = i
-    while j < len(s) and s[j] not in " ()":
-        j += 1
-    if j == i:
-        raise TreeError(f"empty token at position {i}")
-    return leaf(next(leaf_ids)), j
+@st.composite
+def trees(draw, max_leaves=12):
+    """(n, merge actions) of a random tree of 1..max_leaves leaves."""
+    n = draw(st.integers(min_value=1, max_value=max_leaves))
+    return n, [draw(st.integers(min_value=0, max_value=n - 2 - j))
+               for j in range(n - 1)]
 
 
-BALANCED_8 = parse_tree_string("(((0 1) (2 3)) ((4 5) (6 7)))")
-
-
-def _random_tree(n, rng):
+def _random_actions(n, rng):
     """n leaves merged one uniformly random adjacent pair at a time."""
-    return replay_actions(n, [int(rng.integers(0, n - 1 - j))
-                              for j in range(n - 1)])
+    return [int(rng.integers(0, n - 1 - j)) for j in range(n - 1)]
+
+
+BALANCED_8 = [0, 1, 0, 1, 2, 1, 0]  # (((0 1) (2 3)) ((4 5) (6 7)))
 
 
 def test_replay_left_chain():
-    t = replay_actions(3, [0, 0])
-    assert t.to_string() == "((0 1) 2)"
+    assert bracketed([0, 0], range(3)) == "((0 1) 2)"
 
 
 def test_replay_right_chain():
-    t = replay_actions(3, [1, 0])
-    assert t.to_string() == "(0 (1 2))"
+    assert bracketed([1, 0], range(3)) == "(0 (1 2))"
 
 
 def test_replay_single_leaf():
-    assert replay_actions(1, []).to_string() == "0"
+    assert bracketed([], range(1)) == "0"
+
+
+def test_replay_folds_in_merge_order():
+    merged = []
+
+    def join(left, right):
+        merged.append((left, right))
+        return left + right
+
+    assert replay_actions(4, [2, 0, 0], lambda i: str(i), join) == "0123"
+    assert merged == [("2", "3"), ("0", "1"), ("01", "23")]
 
 
 def test_replay_rejects_bad_index():
-    with pytest.raises(TreeError):
-        replay_actions(3, [2, 0])
-    with pytest.raises(TreeError):
-        replay_actions(3, [0])  # incomplete
+    with pytest.raises(TreeError, match="out of range"):
+        bracketed([2, 0], range(3))
+    with pytest.raises(TreeError, match="out of range"):
+        bracketed([-1, 0], range(3))
+    with pytest.raises(TreeError, match="incomplete"):
+        bracketed([0], range(3))
+    with pytest.raises(TreeError, match="incomplete"):
+        bracketed([], [])
 
 
-def test_tree_action_round_trip():
-    rng = np.random.default_rng(0)
-    for n in range(1, 9):
-        for _ in range(5):
-            t = _random_tree(n, rng)
-            assert replay_actions(n, tree_to_actions(t)).to_string() == t.to_string()
+def test_bracketed_with_tokens():
+    assert bracketed([0, 0], ["x", "y", "z"]) == "((x y) z)"
+    assert bracketed(BALANCED_8, range(8)) == "(((0 1) (2 3)) ((4 5) (6 7)))"
 
 
-@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**31 - 1))
-def test_random_tree_projective(n, seed):
-    t = _random_tree(n, np.random.default_rng(seed))
-    assert t.is_projective()
-    assert t.n_leaves() == n
+@given(trees())
+def test_spans_match_the_brackets_of_the_string(tree):
+    n, actions = tree
+    leaves, found = read_brackets(bracketed(actions, range(n)))
+    assert leaves == [str(i) for i in range(n)]
+    assert spans(n, actions) == found
+    assert len(found) == n - 1
 
 
-def test_parse_string_round_trip():
-    rng = np.random.default_rng(1)
-    for n in range(1, 8):
-        t = _random_tree(n, rng)
-        s = t.to_string()
-        assert parse_tree_string(s).to_string() == s
-
-
-def test_parse_string_with_tokens():
-    t = parse_tree_string("((a b) c)")
-    assert t.to_string(["x", "y", "z"]) == "((x y) z)"
-
-
-def test_parse_string_rejects_garbage():
-    with pytest.raises(TreeError):
-        parse_tree_string("((0 1)")
-    with pytest.raises(TreeError):
-        parse_tree_string("(0 1) 2")
+def test_read_brackets_rejects_garbage():
+    for s in ("((0 1)", "(0 1 2)", "(0)", "0 1)"):
+        with pytest.raises(TreeError):
+            read_brackets(s)
 
 
 def test_internal_spans():
-    t = parse_tree_string("((0 1) 2)")
-    assert t.internal_spans() == {(0, 1), (0, 2)}
-
-
-def _gold_tree(tokens) -> ParseTree:
-    return replay_actions(len(tokens), gold_tree_listops(tokens))
+    assert spans(3, [0, 0]) == {(0, 1), (0, 2)}
 
 
 def test_gold_tree_flat_expression():
     tokens = "[MAX 2 3 ]".split()
     assert gold_tree_listops(tokens) == [0, 0, 0]
-    assert _gold_tree(tokens).to_string(tokens) == "((([MAX 2) 3) ])"
+    assert bracketed(gold_tree_listops(tokens), tokens) == "((([MAX 2) 3) ])"
 
 
 def test_gold_tree_nested_scopes_first():
     tokens = "[SM 1 [MIN 4 5 ] 2 ]".split()
-    t = _gold_tree(tokens)
-    assert t.to_string(tokens) == "(((([SM 1) ((([MIN 4) 5) ])) 2) ])"
-    assert t.is_projective()
+    assert bracketed(gold_tree_listops(tokens), tokens) == \
+        "(((([SM 1) ((([MIN 4) 5) ])) 2) ])"
 
 
 def test_gold_tree_of_a_lone_digit_has_no_merges():
@@ -151,16 +136,16 @@ def test_gold_tree_rejects_unclosed():
 def _scope_spans(tokens) -> set:
     """Per operator scope, (scope start, end of each argument) and (scope
     start, close), from bracket positions alone."""
-    spans, opened = set(), []
+    found, opened = set(), []
     for i, tok in enumerate(tokens):
         if tok.startswith("["):
             opened.append(i)
             continue
         if tok == "]":
-            spans.add((opened.pop(), i))
+            found.add((opened.pop(), i))
         if opened:  # a digit, or the scope just closed, ends an argument
-            spans.add((opened[-1], i))
-    return spans
+            found.add((opened[-1], i))
+    return found
 
 
 def test_gold_tree_spans_are_the_scopes_arguments():
@@ -170,21 +155,19 @@ def test_gold_tree_spans_are_the_scopes_arguments():
     assert max(ex.depth for ex in examples) >= 3
     for ex in examples:
         tokens = ex.source.split()
-        assert _gold_tree(tokens).internal_spans() == _scope_spans(tokens), \
-            ex.source
+        assert spans(len(tokens), gold_tree_listops(tokens)) == \
+            _scope_spans(tokens), ex.source
 
 
 @pytest.mark.parametrize("call", [
     lambda: gold_tree_listops("[SM 1 [MIN 4 5 ] 2 ]".split()),
-    lambda: BALANCED_8.internal_spans(),
-    lambda: BALANCED_8.to_string(),
-    lambda: tree_to_actions(BALANCED_8),
-    lambda: parse_tree_string("((a b) c)"),
-], ids=["gold_tree_listops", "internal_spans", "to_string", "tree_to_actions",
-        "parse_tree_string"])
+    lambda: spans(8, BALANCED_8),
+    lambda: bracketed(BALANCED_8, range(8)),
+    lambda: read_brackets("((a b) c)"),
+], ids=["gold_tree_listops", "spans", "bracketed", "read_brackets"])
 def test_gold_tree_leaves_no_reference_cycle(call):
-    # a self-referencing closure leaves a reference cycle per call (6, 12,
-    # 4, 7 and 9 unreachable objects here when each call had one)
+    # a self-referencing closure leaves a reference cycle per call, kept
+    # until the cyclic garbage collector runs
     gc.collect()
     gc.disable()
     try:
@@ -192,3 +175,103 @@ def test_gold_tree_leaves_no_reference_cycle(call):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# span F1 between two trees given as actions
+
+def test_span_f1_identical_trees():
+    assert span_f1([0, 1, 0], [0, 1, 0], 4) == 1.0  # ((0 1) (2 3))
+
+
+def test_span_f1_left_vs_right_chain_n4():
+    # spans {(0,1),(0,2),(0,3)} vs {(2,3),(1,3),(0,3)}: one of three shared
+    assert span_f1([0, 0, 0], [2, 1, 0], 4) == pytest.approx(1.0 / 3.0)
+
+
+def test_span_f1_symmetric():
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        a, b = _random_actions(6, rng), _random_actions(6, rng)
+        assert span_f1(a, b, 6) == pytest.approx(span_f1(b, a, 6))
+
+
+@given(trees(max_leaves=7), st.randoms(use_true_random=False))
+def test_span_f1_is_one_exactly_for_the_same_tree(tree, random):
+    # a binary tree is its set of spans: F1 is 1 only when the two action
+    # lists (in any merge order) build the same tree
+    n, a = tree
+    b = [random.randint(0, n - 2 - j) for j in range(n - 1)]
+    same = bracketed(a, range(n)) == bracketed(b, range(n))
+    assert (span_f1(a, b, n) == 1.0) == same
+    assert span_f1(a, a, n) == 1.0
+
+
+def test_span_f1_single_leaf():
+    assert span_f1([], [], 1) == 1.0
+
+
+def test_span_f1_leaf_count_mismatch():
+    # actions of 3 and 4 leaves: one replay runs out of items or leaves
+    # more than one
+    with pytest.raises(TreeError):
+        span_f1([0, 0], [0, 0, 0], 3)
+    with pytest.raises(TreeError):
+        span_f1([0, 0], [0, 0, 0], 4)
+
+
+# ---------------------------------------------------------------------------
+# beam parses
+
+def _run_bt(n, k, seed=0):
+    rng = np.random.default_rng(seed)
+    grc = GrcParams.init(4, rng, np.float64)
+    scorer = ScorerParams.init(4, rng, np.float64)
+    leaves = Tensor(rng.standard_normal((n, 4)))
+    return encode_bt_cell(leaves, grc, scorer, k)
+
+
+def test_probabilities_sum_to_one():
+    _, beams = _run_bt(6, 4)
+    tokens = list("abcdef")
+    parses = extract_parses(beams, tokens)
+    assert abs(sum(p.probability for p in parses) - 1.0) <= 1e-9
+    collapsed = collapse_duplicates(parses)
+    assert abs(sum(p.probability for p in collapsed) - 1.0) <= 1e-9
+
+
+def test_replay_consistency_with_beam_actions():
+    _, beams = _run_bt(5, 3)
+    tokens = list("abcde")
+    parses = extract_parses(beams, tokens)
+    for parse, actions in zip(parses, beams.actions):
+        assert parse.tree == bracketed(actions, tokens)
+        assert parse.actions == tuple(actions)
+
+
+def test_probabilities_are_the_softmax_of_the_beam_scores():
+    _, beams = _run_bt(6, 4, seed=2)
+    parses = extract_parses(beams, list("abcdef"))
+    scores = beams.scores.data
+    expect = np.exp(scores - scores.max())
+    expect /= expect.sum()
+    assert len(parses) == len(scores)
+    assert np.allclose([p.probability for p in parses], expect, rtol=0,
+                       atol=1e-12)
+
+
+def test_extract_rejects_incomplete_history():
+    bad = BeamSet(roots=Tensor(np.zeros((1, 2))), scores=Tensor(np.zeros(1)),
+                  actions=[(0,)])
+    with pytest.raises(TreeError, match="incomplete"):
+        extract_parses(bad, ["a", "b", "c"])
+
+
+def test_collapse_merges_and_sorts():
+    parses = [BeamParse("(a b)", 0.2, (0,)),
+              BeamParse("(b a)", 0.5, (0,)),
+              BeamParse("(a b)", 0.3, (0,))]
+    out = collapse_duplicates(parses)
+    assert [p.tree for p in out] == ["(a b)", "(b a)"]
+    assert out[0].probability == pytest.approx(0.5)
+    assert out[1].probability == pytest.approx(0.5)
