@@ -41,8 +41,11 @@ killed run's metrics.jsonl line for line if the code is unchanged (a
 change that moves values at float32 rounding breaks that; CHANGES.md
 names each). Training one batch on one tape is such a change: the cached
 runs were trained one example at a time, so a run killed under that code
-and restarted under this one does not replay byte for byte. After every
-run the results JSON is rebuilt
+and restarted under this one does not replay byte for byte. Each
+result.json records `code_sha256`, the sha256 of the package's modules
+that trained it, and rebuilding the results JSON prints one line naming
+every cached run whose hash is missing or differs from the current code;
+such runs are still used. After every run the results JSON is rebuilt
 from all cached runs of every variant, so `--only` and `--seeds` never drop
 other runs from it; both files are replaced atomically, so concurrent
 invocations on disjoint runs are safe.
@@ -54,6 +57,7 @@ OMP_NUM_THREADS or MKL_NUM_THREADS is already set.
 import argparse
 import fcntl
 import functools
+import glob
 import hashlib
 import json
 import multiprocessing as mp
@@ -209,6 +213,17 @@ def _write_json(path, obj, **kwargs):
         raise
 
 
+def code_sha256():
+    """sha256 over the bytes of the package's modules, src/beamtree/*.py in
+    sorted order: the code a run was trained and tested by."""
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(REPO_ROOT, "src", "beamtree",
+                                              "*.py"))):
+        with open(path, "rb") as f:
+            digest.update(f.read())
+    return digest.hexdigest()
+
+
 def run_one(name, seed, cfg, out_root, data_dir, test_limit, workers):
     """Train and test one run. `workers` is the sweep's --workers, recorded
     so a reader knows `wall_seconds` was measured beside at most workers-1
@@ -227,7 +242,8 @@ def run_one(name, seed, cfg, out_root, data_dir, test_limit, workers):
               "dev_accuracy": round(dev_acc, 6),
               "test_accuracy": round(test_acc, 6),
               "epochs_run": len(metrics), "workers": workers,
-              "wall_seconds": round(time.monotonic() - t0, 1)}
+              "wall_seconds": round(time.monotonic() - t0, 1),
+              "code_sha256": code_sha256()}
     _write_json(os.path.join(out_dir, "result.json"), result)
     print(f"  [{name}-s{seed}] dev={dev_acc:.3f} test={test_acc:.3f} "
           f"({result['wall_seconds']:.0f}s)", flush=True)
@@ -338,6 +354,13 @@ def _write(out_path, profile, p, run_dir, config, sha):
                         r["test_accuracy"] for r in mine), 6),
                     "n_seeds": len(mine)}
             runs += mine
+        code = code_sha256()
+        stale = [f"{r['name']}-s{r['seed']}" for r in runs
+                 if r.get("code_sha256") != code]
+        if stale:
+            print(f"{len(stale)} cached runs were not trained by the current "
+                  f"code (code_sha256 missing or different): "
+                  + ", ".join(stale), flush=True)
         _write_json(out_path, {"profile": profile, "settings": p,
                                "data_sha256": sha, "runs": runs,
                                "medians": medians}, indent=2)

@@ -58,10 +58,10 @@ def grc_compose(children: Tensor, p: GrcParams) -> Tensor:
     sigmoid(c)*u).
 
     One tape primitive with a hand-written vjp, whose gradient for the
-    children is one (rows, 2 d_h) matrix. The forward makes the same numpy
-    calls in the same order as composing the tensor primitives would, so
-    its values are the same bits; `tests/oracles.py` keeps that composed
-    form as the reference."""
+    children is one (rows, 2 d_h) matrix. The forward does the same
+    arithmetic in the same order as composing the tensor primitives would,
+    partly in place, so its values are the same bits; `tests/oracles.py`
+    keeps that composed form as the reference."""
     _need_rows(children)
     d = p.d_h
     x = children.data
@@ -69,22 +69,31 @@ def grc_compose(children: Tensor, p: GrcParams) -> Tensor:
         raise T.TensorError(f"children must be (rows, {2 * d}), got "
                             f"{x.shape}")
     l, r = x[:, :d], x[:, d:]
-    pre = x @ p.W1.data + p.b1.data
+    pre = x @ p.W1.data
+    pre += p.b1.data
     hidden, phi = T.gelu_data(pre)
-    gates = hidden @ p.W2.data + p.b2.data
-    sig = T.sigmoid_data(gates[:, :3 * d])
+    gates = hidden @ p.W2.data
+    gates += p.b2.data
+    # the three gates become their sigmoids in place; `sig` and `u` are
+    # views that together keep exactly `gates`
+    sig = gates[:, :3 * d]
+    T.sigmoid_data(sig, out=sig)
     sz, sh, sc = sig[:, :d], sig[:, d:2 * d], sig[:, 2 * d:]
-    u = gates[:, 3 * d:].copy()  # a view would keep all of `gates`
-    out, xhat, inv = T.layer_norm_data((sz * l + sh * r) + sc * u,
-                                       p.gamma.data, p.beta.data)
+    u = gates[:, 3 * d:]
+    mix = sz * l  # (sz*l + sh*r) + sc*u with one temporary
+    term = sh * r
+    mix += term
+    mix += np.multiply(sc, u, out=term)
+    out, xhat, inv = T.layer_norm_data(mix, p.gamma.data, p.beta.data)
 
     def vjp(g):
         # the GELU output is not kept from the forward: the same numpy
         # call recomputes it, with the same bits
         hidden = pre * phi
         dmix, dgamma, dbeta = T.layer_norm_grads(g, p.gamma.data, xhat, inv)
-        dgates = np.concatenate([dmix * l, dmix * r, dmix * u, dmix * sc],
-                                axis=1)
+        dgates = np.empty_like(gates)
+        for i, factor in enumerate((l, r, u, sc)):
+            np.multiply(dmix, factor, out=dgates[:, i * d:(i + 1) * d])
         dgates[:, :3 * d] *= sig  # times sigmoid' = sig * (1 - sig)
         dgates[:, :3 * d] *= 1.0 - sig
         dpre = T.input_grad(dgates, p.W2.data) * T.gelu_slope(pre, phi)

@@ -293,7 +293,9 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
           log=print) -> tuple:
     """Adam on cross-entropy with dev-accuracy early stopping.
 
-    Writes metrics.jsonl (deterministic fields only), timing.log (wall clock:
+    Writes metrics.jsonl (deterministic fields only: per epoch the losses,
+    dev accuracy, and the mean and largest gradient norm before clipping
+    with the fraction of steps clipped), timing.log (wall clock:
     per epoch the run's elapsed seconds, the seconds spent in training steps
     and in dev evaluation, and training examples per second of the steps),
     config.txt, and best.ckpt under `out_dir`. Returns
@@ -328,6 +330,7 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
             batches = _length_bucketed_batches(train_examples, cfg.batch_size,
                                                batch_rng)
             loss_total = 0.0
+            norms = []  # each step's gradient norm before clipping
             t_train = time.monotonic()
             for batch in batches:
                 grads, loss_sum = batch_grad_sums(model, batch, epoch)
@@ -338,7 +341,7 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
                 if not np.isfinite(mean_loss):
                     raise HarnessError(
                         f"non-finite loss at epoch {epoch} step {step}")
-                clip_grad_norm(grads, GRAD_CLIP)
+                norms.append(clip_grad_norm(grads, GRAD_CLIP))
                 adam_step(params, grads, state)
                 loss_total += mean_loss * len(batch)
                 step += 1
@@ -350,7 +353,11 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
             record = {"epoch": epoch, "step": step,
                       "train_loss": round(train_loss, 6),
                       "dev_accuracy": round(dev_acc, 6),
-                      "dev_loss": round(dev_loss, 6)}
+                      "dev_loss": round(dev_loss, 6),
+                      "grad_norm_mean": round(sum(norms) / len(norms), 6),
+                      "grad_norm_max": round(max(norms), 6),
+                      "clipped_frac": round(
+                          sum(n > GRAD_CLIP for n in norms) / len(norms), 6)}
             metrics.append(record)
             mf.write(json.dumps(record) + "\n")
             mf.flush()

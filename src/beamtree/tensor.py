@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -272,11 +271,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def sigmoid_data(x: np.ndarray) -> np.ndarray:
+def sigmoid_data(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)), as 0.5 * tanh(0.5 * x) + 0.5 in the dtype of x:
     tanh cannot overflow, so no branch on the sign. Within 2 ulp of 1.0
-    absolute, so a value near 0 may round to 0."""
-    return 0.5 * np.tanh(0.5 * x) + 0.5
+    absolute, so a value near 0 may round to 0. Written into `out` when
+    given, which may be x itself; the same bits either way."""
+    s = np.multiply(x, 0.5, out=np.empty_like(x) if out is None else out)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -287,21 +291,18 @@ def sigmoid(a: Tensor) -> Tensor:
 # Python floats: numpy computes with them in the array's dtype
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# the size from which `_erf_rational` beats scipy's erf on float32: on a
-# 2.1 GHz Xeon, over (rows, 256) blocks, it is slower up to 10 rows,
-# 1.1x faster at 11, 1.2x at 12, 1.5x at 16 and 4x at 100
-_ERF_RATIONAL_MIN_SIZE = 3072
 # erf(x) ~ x * P(x^2) / Q(x^2) on [-4, 4], highest power first: the
 # clamped odd rational of Eigen's and XLA's float32 erf, its coefficients
-# to the digits float32 keeps
-_ERF_P = np.float32([-2.7261424e-10, 2.7706815e-08, -2.101024e-06,
-                     -5.6925062e-05, -7.3499064e-04, -2.9546e-03,
-                     -1.6096033e-02])
-_ERF_Q = np.float32([-1.45660715e-05, -2.1337405e-04, -1.682827e-03,
-                     -7.3733293e-03, -1.4264739e-02])
+# to the digits float32 keeps; tuples of numpy scalars, which Horner's
+# loop reads faster than the entries of an array
+_ERF_P = tuple(np.float32([-2.7261424e-10, 2.7706815e-08, -2.101024e-06,
+                           -5.6925062e-05, -7.3499064e-04, -2.9546e-03,
+                           -1.6096033e-02]))
+_ERF_Q = tuple(np.float32([-1.45660715e-05, -2.1337405e-04, -1.682827e-03,
+                           -7.3733293e-03, -1.4264739e-02]))
 
 
-def _even_poly(x2: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _even_poly(x2: np.ndarray, coeffs: tuple) -> np.ndarray:
     acc = x2 * coeffs[0]
     acc += coeffs[1]
     for c in coeffs[2:]:
@@ -310,10 +311,18 @@ def _even_poly(x2: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return acc
 
 
+# float64's erf: Python's, entry by entry
+_erf_exact = np.vectorize(math.erf, otypes=[np.float64])
+
+
 def _erf_rational(x: np.ndarray) -> np.ndarray:
     """erf of a float32 array: odd bit for bit, exactly +-1 from |x| = 4
     on, and NaN for NaN."""
-    x = np.clip(x, -4.0, 4.0)
+    # np.minimum and an in-place np.maximum: np.clip's bits, without its
+    # Python wrapper, which costs more than the rest on a few rows; a 0-d
+    # input gives a numpy scalar, which cannot be written in place
+    x = np.minimum(x, 4.0)
+    x = np.maximum(x, -4.0, out=x if x.ndim else None)
     x2 = x * x
     p = _even_poly(x2, _ERF_P)
     p *= x
@@ -326,14 +335,14 @@ def gelu_data(x: np.ndarray):
     with Phi(x) = (1 + erf(x / sqrt 2)) / 2 in the dtype of x. Returns
     (out, Phi(x)); Phi(x) feeds `gelu_slope`.
 
-    float64 arrays, and float32 arrays of fewer than
-    `_ERF_RATIONAL_MIN_SIZE` entries, take scipy's erf: Phi is then within
-    an ulp or two of exact. Larger float32 arrays take `_erf_rational`,
-    several times faster, with Phi within 2.4e-7 absolute of float64 scipy
-    (4e6 points over [-10, 10]); there Phi may read up to 1.2e-7 below 0
-    or above 1 for |x| between 5.1 and 5.7, and is exactly 0 or 1 beyond."""
-    rational = x.dtype == np.float32 and x.size >= _ERF_RATIONAL_MIN_SIZE
-    phi = (_erf_rational if rational else erf)(x * _INV_SQRT2)
+    float32 arrays of every size take `_erf_rational`, so a row's bits do
+    not depend on the rows beside it: Phi is within 2.4e-7 absolute of
+    float64 erf (4e6 points over [-10, 10]), may read up to 1.2e-7 below
+    0 or above 1 for |x| between 5.1 and 5.7, and is exactly 0 or 1
+    beyond. Other arrays (float64, in gradchecks and tests) take
+    `math.erf` entry by entry, within an ulp or two of exact."""
+    erf = _erf_rational if x.dtype == np.float32 else _erf_exact
+    phi = erf(x * _INV_SQRT2)
     phi += 1.0
     phi *= 0.5
     return x * phi, phi
@@ -394,10 +403,15 @@ def layer_norm_data(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                     eps: float = 1e-5):
     """Layer norm over the last axis; returns (out, xhat, inv), the last two
     for `layer_norm_grads`."""
-    centred = x - _row_mean(x)
-    inv = 1.0 / np.sqrt(_row_mean(centred * centred) + eps)
-    xhat = centred * inv
-    return (xhat * gamma + beta).astype(x.dtype, copy=False), xhat, inv
+    xhat = x - _row_mean(x)
+    inv = _row_mean(xhat * xhat)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out = xhat * gamma
+    out += beta
+    return out.astype(x.dtype, copy=False), xhat, inv
 
 
 def layer_norm_grads(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,

@@ -108,8 +108,7 @@ def _grads(compose, children, w, p):
                          ids=["1x8", "2x8", "6x8", "100x8"])
 def test_grc_fused_matches_composed_primitives(shape, dtype):
     # the one-primitive cell against the same cell built from tensor ops:
-    # the same forward bits, and the same gradients for all 7 inputs; at
-    # 100 rows float32 GELU takes the rational erf
+    # the same forward bits, and the same gradients for all 7 inputs
     rows, d_h = shape
     p = GrcParams.init(d_h, np.random.default_rng(27), dtype)
     rng = np.random.default_rng(28)

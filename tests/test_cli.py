@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +208,15 @@ def test_file_errors_exit_with_one_message(tmp_path, fault):
         main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
               "--split", str(split)])
     assert str(info.value).startswith("beamtree eval: ")
+
+
+def test_cli_import_loads_no_scipy():
+    # the package is numpy-only: a fresh interpreter that imports the CLI
+    # (and so every module it reaches) has no scipy module loaded
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, beamtree.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

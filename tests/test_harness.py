@@ -325,6 +325,24 @@ def test_train_metrics_byte_identical_across_reruns(tmp_path):
     assert run("a") == run("b")
 
 
+def test_train_records_gradient_norms_per_epoch(tmp_path):
+    examples = _tiny_examples(12, seed=3)
+    cfg = _tiny_cfg(encoder="bt", beam_size=2, max_epochs=3, lr=0.05,
+                    batch_size=4)
+    keys = ("grad_norm_mean", "grad_norm_max", "clipped_frac")
+
+    def run(name):
+        _ckpt, metrics = train(cfg, tmp_path / name, train_examples=examples,
+                               dev_examples=examples[:4], log=lambda *_: None)
+        return [[m[k] for k in keys] for m in metrics]
+
+    first = run("a")
+    assert first == run("b")
+    for mean, largest, clipped in first:
+        assert 0.0 < mean <= largest
+        assert 0.0 <= clipped <= 1.0
+
+
 def test_train_writes_artifacts_and_timing_separate(tmp_path):
     examples = _tiny_examples(8, seed=4)
     cfg = _tiny_cfg(max_epochs=1)
@@ -337,7 +355,8 @@ def test_train_writes_artifacts_and_timing_separate(tmp_path):
                for line in (out / "metrics.jsonl").read_text().splitlines()]
     for rec in records:
         assert set(rec) == {"epoch", "step", "train_loss", "dev_accuracy",
-                            "dev_loss"}
+                            "dev_loss", "grad_norm_mean", "grad_norm_max",
+                            "clipped_frac"}
     line = (out / "timing.log").read_text().splitlines()[0]
     fields = dict(item.split("=") for item in line.split())
     assert list(fields) == ["epoch", "wall_seconds", "train_seconds",

@@ -7,6 +7,7 @@ train gold_tree and recurrent on a tiny profile.
 """
 
 import glob
+import hashlib
 import importlib.util
 import json
 import multiprocessing
@@ -81,6 +82,32 @@ def test_seeds_subset_keeps_other_seeds(tmp_path, monkeypatch):
     res = _main(monkeypatch, tmp_path, "--only", "recurrent", "--seeds", "1")
     assert res["medians"]["recurrent"]["n_seeds"] == 3
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
+def test_runs_record_the_code_hash_and_stale_runs_are_named(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    runs = tmp_path / "runs"
+    code = R.code_sha256()
+    for seed, sha in enumerate((code, None, "0" * 64)):
+        _cache_run(runs, "gold_tree", seed, 0.6, 0.5)
+        if sha is not None:
+            path = runs / f"gold_tree-s{seed}" / "result.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()),
+                                        "code_sha256": sha}))
+    res = _main(monkeypatch, tmp_path, "--only", "gold_tree")
+    assert [r.get("code_sha256") for r in res["runs"]] == \
+        [code, None, "0" * 64]
+    stale = [line for line in capsys.readouterr().out.splitlines()
+             if "code_sha256" in line]
+    assert len(stale) == 1 and stale[0].endswith("gold_tree-s1, gold_tree-s2")
+    # the hash covers exactly the package's modules, in sorted order
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "beamtree",
+                                              "*.py"))):
+        with open(path, "rb") as f:
+            digest.update(f.read())
+    assert code == digest.hexdigest()
 
 
 def test_cached_run_with_other_config_is_refused(tmp_path, monkeypatch):
@@ -178,6 +205,7 @@ def test_workers_train_runs_at_once_into_the_same_files(tmp_path,
         assert (res_one.pop("workers"), res_two.pop("workers")) == (1, 2)
         del res_one["wall_seconds"], res_two["wall_seconds"]
         assert res_one == res_two
+        assert res_one["code_sha256"] == R.code_sha256()
 
 
 def test_a_failing_run_stops_the_sweep_naming_it(tmp_path, monkeypatch):

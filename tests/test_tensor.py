@@ -66,8 +66,8 @@ def _phi_in_blocks(x, size):
                            for i in range(0, x.size, size)])
 
 
-# block sizes either side of the float32 erf threshold
-PHI_BLOCKS = [T._ERF_RATIONAL_MIN_SIZE - 1, 10 * T._ERF_RATIONAL_MIN_SIZE]
+# one, six and 120 rows of a d_h = 64 cell's (rows, 256) GELU block
+PHI_BLOCKS = [256, 1536, 30720]
 
 
 @pytest.mark.parametrize("size", PHI_BLOCKS)
@@ -97,6 +97,17 @@ def test_gelu_float32_saturates_and_propagates_nan(size):
     assert np.isnan(phi[2]) and np.isnan(out[2]) and not np.isfinite(out[3])
     with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
         T.gelu(Tensor(x))
+
+
+def test_gelu_float32_bits_do_not_depend_on_block_size():
+    # each row of a (16, 256) block gives the bits it gives alone
+    x = 3.0 * np.random.default_rng(5).standard_normal((16, 256)).astype(
+        np.float32)
+    out, phi = T.gelu_data(x)
+    for i, row in enumerate(x):
+        row_out, row_phi = T.gelu_data(row)
+        assert row_out.tobytes() == out[i].tobytes()
+        assert row_phi.tobytes() == phi[i].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
