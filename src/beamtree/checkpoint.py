@@ -76,6 +76,8 @@ def load_checkpoint(path) -> dict:
             except UnicodeDecodeError:
                 raise CheckpointError(
                     f"tensor name {raw!r} is not UTF-8") from None
+            if name in named:
+                raise CheckpointError(f"tensor {name} appears twice")
             shape = tuple(_read_u32(f) for _ in range(_read_u32(f)))
             payload = 4 * math.prod(shape)  # Python ints: no overflow
             if payload > size - f.tell():

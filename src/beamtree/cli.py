@@ -75,7 +75,7 @@ def cmd_parse(args):
                          f"encoder is {cfg.encoder!r}, not 'bt'")
     tokens = args.input.split()
     try:
-        listops.scan(tokens)  # checked like a row of a split
+        listops.parse(tokens)  # checked like a row of a split
     except ListOpsError as e:
         raise ListOpsError(f"--input: {e}") from None
     model = load_model(cfg, args.checkpoint)
@@ -117,12 +117,9 @@ def cmd_gradcheck(args):
     report("leaf_transform", gc.check_grads(
         lambda: T.tsum(T.mul(leaf_transform_seq([[3]], leaf), w)), leaf.named()))
 
-    ex = listops.Example(source="[MAX 2 [MIN 8 3 ] 1 ]", label=3,
-                        length=8, depth=2, max_args=3)
-    batch = [ex, listops.Example(source="[SM 4 [MED 9 0 ] ]", label=4,
-                                 length=7, depth=2, max_args=2),
-             listops.Example(source="7", label=7, length=1, depth=0,
-                             max_args=0)]
+    batch = [listops.read_example(source, label) for source, label in
+             (("[MAX 2 [MIN 8 3 ] 1 ]", 3), ("[SM 4 [MED 9 0 ] ]", 4),
+              ("7", 7))]
 
     def model(encoder, topk="plain"):
         return Model(make_config({"encoder": encoder, "beam_size": "3",
@@ -131,7 +128,7 @@ def cmd_gradcheck(args):
                                   "dropout": "0.0", "seed": str(args.seed)}))
 
     for name, m, exs in (
-            ("end_to_end_bt_onesoft", model("bt", "onesoft"), [ex]),
+            ("end_to_end_bt_onesoft", model("bt", "onesoft"), batch[:1]),
             ("end_to_end_batch_bt_onesoft", model("bt", "onesoft"), batch),
             ("end_to_end_batch_gumbel", model("gumbel"), batch)):
         report(name, gc.check_grads(

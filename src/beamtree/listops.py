@@ -1,6 +1,6 @@
-"""ListOps: expression generator, oracle interpreter and gold merge
-actions in one pass, tokenizer, and generalization-split builders
-(length / argument-count)."""
+"""ListOps: expression generator, one parse for an expression's value,
+gold merge actions, depth and argument counts, tokenizer, and
+generalization-split builders (length / argument-count)."""
 
 from __future__ import annotations
 
@@ -9,13 +9,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-OPERATORS = ("MAX", "MIN", "MED", "SM")
 CLASSES = 10  # every value, and so every label, is a digit 0-9
-VOCAB = ["[MAX", "[MIN", "[MED", "[SM", "]"] + [str(d) for d in range(CLASSES)]
-TOKEN_TO_ID = {t: i for i, t in enumerate(VOCAB)}
-TOKENS = frozenset(VOCAB)
-_DIGITS = {str(d): d for d in range(CLASSES)}
 CLOSE = "]"
+# the operator each opening token applies; MED of an even arity takes the
+# lower middle element
+_OPEN = {"[MAX": max, "[MIN": min,
+         "[MED": lambda args: sorted(args)[(len(args) - 1) // 2],
+         "[SM": lambda args: sum(args) % 10}
+VOCAB = [*_OPEN, CLOSE] + [str(d) for d in range(CLASSES)]
+TOKEN_TO_ID = {t: i for i, t in enumerate(VOCAB)}
+_DIGITS = {str(d): d for d in range(CLASSES)}
+_MAX_ATTEMPTS = 100_000  # candidates _make_example draws before giving up
 
 
 class ListOpsError(Exception):
@@ -47,6 +51,10 @@ class GenConfig:
             raise ListOpsError("max_length too small for a minimal expression")
         if self.min_length > self.max_length:
             raise ListOpsError("min_length exceeds max_length")
+        if self.require_exact_args is not None and \
+                not self.min_args <= self.require_exact_args <= self.max_args:
+            raise ListOpsError("require_exact_args must be in "
+                               "[min_args, max_args]")
 
 
 @dataclass
@@ -70,7 +78,7 @@ def tokenize(source: str) -> list:
 def eval_listops(source: str) -> int:
     """Oracle value: MAX/MIN extrema, MED median (even arity takes the
     lower middle element), SM sum modulo 10."""
-    return _parse(source.split())[0]
+    return parse(source.split())[0]
 
 
 def gold_tree_listops(tokens) -> list:
@@ -78,89 +86,67 @@ def gold_tree_listops(tokens) -> list:
     `trees.replay_actions` folds: per operator scope, a left-branching
     chain over (operator, args..., close-bracket), with nested scopes
     composed first."""
-    return _parse(tokens)[1]
+    return parse(tokens)[1]
 
 
-def _parse(tokens) -> tuple:
-    """(value, gold merge actions) of an expression, in one pass over its
-    tokens. The items of the replay are one per open scope, so a token
-    inside d scopes merges into the scope at item d - 1. Raises
-    ListOpsError for any token sequence that is no expression."""
+def parse(tokens) -> tuple:
+    """(value, gold merge actions, maximum operator nesting, argument count
+    of every operator) of an expression, in one pass over its tokens; a
+    lone digit has depth 0 and no operators. The items of the replay are
+    one per open scope, so a token inside d scopes merges into the scope at
+    item d - 1. Raises ListOpsError for an empty sequence, a token outside
+    the vocabulary, unbalanced brackets, an operator with no arguments or
+    tokens after the expression, naming the first fault met."""
     if not tokens:
         raise ListOpsError("empty source")
-    stack, actions, value = [], [], None  # stack: (operator, args) per scope
+    stack, actions, counts = [], [], []  # stack: (operator, args) per scope
+    depth, value = 0, None
     for tok in tokens:
         if value is not None:
             raise ListOpsError("tokens after the top-level expression")
-        if tok.startswith("[") and tok[1:] in OPERATORS:
-            stack.append((tok[1:], []))
+        op = _OPEN.get(tok)
+        if op is not None:
+            stack.append((op, []))
+            depth = max(depth, len(stack))
             continue
-        if tok == CLOSE and stack:
+        val = _DIGITS.get(tok)
+        if val is None:
+            if tok != CLOSE:
+                raise ListOpsError(f"unknown token {tok!r}")
+            if not stack:
+                raise ListOpsError("unbalanced brackets")
             op, args = stack.pop()
             if not args:
-                raise ListOpsError("empty argument list")
+                raise ListOpsError("operator with no arguments")
+            counts.append(len(args))
             actions.append(len(stack))
-            val = _apply(op, args)
-        elif tok in _DIGITS:
-            val = _DIGITS[tok]
-        else:
-            raise ListOpsError(f"unexpected token {tok!r}")
+            val = op(args)
         if stack:  # a digit, or the scope just closed, is one argument
             stack[-1][1].append(val)
             actions.append(len(stack) - 1)
         else:
             value = val
     if stack:
-        raise ListOpsError("missing closing bracket")
-    return value, actions
-
-
-def _apply(op: str, args) -> int:
-    if op == "MAX":
-        return max(args)
-    if op == "MIN":
-        return min(args)
-    if op == "SM":
-        return sum(args) % 10
-    return sorted(args)[(len(args) - 1) // 2]  # MED: lower middle if even
-
-
-def scan(tokens: list) -> tuple:
-    """(maximum operator nesting, argument count of every operator) of one
-    expression's tokens, in one pass; a lone digit has depth 0 and no
-    operators. Raises ListOpsError for a token outside the vocabulary,
-    unbalanced brackets, an operator with no arguments or tokens after the
-    expression."""
-    if not tokens:
-        raise ListOpsError("empty source")
-    if not TOKENS.issuperset(tokens):
-        bad = next(tok for tok in tokens if tok not in TOKENS)
-        raise ListOpsError(f"unknown token {bad!r}")
-    depth, counts, stack = 0, [], []
-    for i, tok in enumerate(tokens):
-        if i and not stack:
-            raise ListOpsError("tokens after the top-level expression")
-        if tok.startswith("["):
-            stack.append(0)
-            depth = max(depth, len(stack))
-            continue
-        if tok == CLOSE:
-            if not stack:
-                raise ListOpsError("unbalanced brackets")
-            if not stack[-1]:
-                raise ListOpsError("operator with no arguments")
-            counts.append(stack.pop())
-        if stack:  # a digit, or the scope just closed, is one argument
-            stack[-1] += 1
-    if stack:
         raise ListOpsError("unbalanced brackets")
-    return depth, counts
+    return value, actions, depth, counts
+
+
+def read_example(source: str, label: int, parsed=None) -> Example:
+    """The Example of one expression and its label, read through `parse`
+    (or from `parsed`, its result). Refuses a label that is not the
+    expression's value."""
+    tokens = source.split()
+    value, _actions, depth, counts = parse(tokens) if parsed is None else parsed
+    if label != value:
+        raise ListOpsError(f"label {label} is not the expression's value "
+                           f"{value}")
+    return Example(source=source, label=label, length=len(tokens),
+                   depth=depth, max_args=max(counts, default=0))
 
 
 def _gen_operator(rng: np.random.Generator, cfg: GenConfig, depth: int) -> list:
-    op = OPERATORS[int(rng.integers(0, len(OPERATORS)))]
+    tokens = [VOCAB[int(rng.integers(0, len(_OPEN)))]]  # an opening token
     arity = int(rng.integers(cfg.min_args, cfg.max_args + 1))
-    tokens = [f"[{op}"]
     p_nest = cfg.nest_prob * max(0.0, 1.0 - depth / cfg.max_depth)
     for _ in range(arity):
         if rng.random() < p_nest:
@@ -171,19 +157,17 @@ def _gen_operator(rng: np.random.Generator, cfg: GenConfig, depth: int) -> list:
     return tokens
 
 
-def _make_example(rng: np.random.Generator, cfg: GenConfig,
-                  max_attempts: int = 100_000) -> Example:
-    for _ in range(max_attempts):
+def _make_example(rng: np.random.Generator, cfg: GenConfig) -> Example:
+    for _ in range(_MAX_ATTEMPTS):
         tokens = _gen_operator(rng, cfg, depth=1)
         if not (cfg.min_length <= len(tokens) <= cfg.max_length):
             continue
-        depth, counts = scan(tokens)
+        parsed = parse(tokens)
+        value, _actions, _depth, counts = parsed
         if cfg.require_exact_args is not None and \
                 cfg.require_exact_args not in counts:
             continue
-        source = " ".join(tokens)
-        return Example(source=source, label=eval_listops(source),
-                       length=len(tokens), depth=depth, max_args=max(counts))
+        return read_example(" ".join(tokens), value, parsed)
     raise ListOpsError("could not satisfy generation bounds; config may be "
                        "unsatisfiable or too tight")
 
@@ -213,9 +197,9 @@ def write_tsv(path, examples):
 
 
 def read_tsv(path) -> list:
-    """Examples of a `source<TAB>label` file; blank lines are skipped. The
-    tokens, brackets, argument lists and label of every row are checked
-    (see `scan`), not its value."""
+    """Examples of a `source<TAB>label` file; blank lines are skipped. Every
+    row is read through `parse`, so its tokens, brackets and argument lists
+    are checked, and its label must be the expression's value."""
     out = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -231,14 +215,10 @@ def read_tsv(path) -> list:
             if not 0 <= label < CLASSES:
                 raise ListOpsError(f"{path}:{lineno}: label {label} is not "
                                    f"a digit 0-{CLASSES - 1}")
-            tokens = source.split()
             try:
-                depth, counts = scan(tokens)
+                out.append(read_example(source, label))
             except ListOpsError as e:
                 raise ListOpsError(f"{path}:{lineno}: {e}") from None
-            out.append(Example(source=source, label=label,
-                               length=len(tokens), depth=depth,
-                               max_args=max(counts, default=0)))
     return out
 
 
@@ -256,7 +236,7 @@ def _write_meta(path, cfg: GenConfig, examples):
             ("min_args", cfg.min_args),
             ("max_args", cfg.max_args),
             ("nest_prob", cfg.nest_prob),
-            ("med_even", "lower"),  # MED of an even arity: see _apply
+            ("med_even", "lower"),  # MED of an even arity: see _OPEN
             ("require_exact_args", cfg.require_exact_args),
             ("realized_length_min", min(lengths)),
             ("realized_length_max", max(lengths)),

@@ -86,6 +86,17 @@ def test_checkpoint_rejects_a_non_utf8_name(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_a_tensor_named_twice(tmp_path):
+    # two records of a one-entry tensor w; the later one must not win
+    record = b"w" + struct.pack("<II", 1, 1)
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(b"BTCK" + struct.pack("<III", 1, 2, 1) + record
+                     + struct.pack("<f", 1.0) + struct.pack("<I", 1) + record
+                     + struct.pack("<f", 2.0))
+    with pytest.raises(CheckpointError, match="tensor w appears twice"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
     path = tmp_path / "best.ckpt"
     save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})

@@ -1,4 +1,5 @@
 import gc
+import re
 
 import pytest
 from hypothesis import given
@@ -6,9 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import stack_machine_eval
 
+from beamtree.cli import main
 from beamtree.listops import (VOCAB, GenConfig, ListOpsError,
                               build_splits, eval_listops, generate,
-                              gold_tree_listops, read_tsv, scan, tokenize,
+                              gold_tree_listops, parse, read_tsv, tokenize,
                               write_tsv)
 
 
@@ -41,27 +43,45 @@ def test_med_even_arity_sides():
     assert eval_listops("[MED 4 3 ]") == 3
 
 
-def test_eval_rejects_malformed():
-    with pytest.raises(ListOpsError):
-        eval_listops("[MAX 1 2")
-    with pytest.raises(ListOpsError):
-        eval_listops("[MAX ]")
-    with pytest.raises(ListOpsError):
-        eval_listops("[FOO 1 ]")
-    with pytest.raises(ListOpsError):
-        eval_listops("[MAX 12 ]")
+# every malformed source is refused with one message by every entry point:
+# the one parse names the first fault it meets
+MALFORMED = [
+    ("", "empty source"),
+    ("[FOO 2 ]", "unknown token '[FOO'"),
+    ("[MAX x ]", "unknown token 'x'"),
+    ("[MAX 12 ]", "unknown token '12'"),
+    ("[MAX ]", "operator with no arguments"),
+    ("[SM 1 [MIN ] ]", "operator with no arguments"),
+    ("]", "unbalanced brackets"),
+    ("[MAX 1 2", "unbalanced brackets"),
+    ("[MAX 1 [MIN 2 ]", "unbalanced brackets"),
+    ("[MAX 2 ] 3", "tokens after the top-level expression"),
+    ("[MAX 2 ] ]", "tokens after the top-level expression"),
+    ("4 ]", "tokens after the top-level expression"),
+    ("3 4", "tokens after the top-level expression"),
+]
 
 
-@pytest.mark.parametrize("source", [
-    "", "[FOO 2 ]", "[MAX ]", "[MAX x ]", "]", "[MAX 2 ] 3", "[MAX 2 ] ]",
-    "4 ]",
-])
-def test_value_and_gold_actions_refuse_alike(source):
-    # one pass gives both, so the gold actions refuse what the value does
-    with pytest.raises(ListOpsError):
+@pytest.mark.parametrize("source, message", MALFORMED,
+                         ids=[repr(s) for s, _ in MALFORMED])
+def test_every_entry_point_refuses_a_malformed_source_alike(tmp_path, source,
+                                                             message):
+    message = re.escape(message)
+    with pytest.raises(ListOpsError, match=f"^{message}$"):
         eval_listops(source)
-    with pytest.raises(ListOpsError):
+    with pytest.raises(ListOpsError, match=f"^{message}$"):
         gold_tree_listops(source.split())
+    path = tmp_path / "x.tsv"
+    path.write_text(f"[MIN 3 1 ]\t1\n{source}\t1\n")
+    with pytest.raises(ListOpsError, match=f"^{re.escape(str(path))}:2: "
+                       f"{message}$"):
+        read_tsv(path)
+    config = tmp_path / "config.txt"
+    config.write_text("encoder=bt\n")
+    with pytest.raises(SystemExit,
+                       match=f"^beamtree parse: --input: {message}$"):
+        main(["parse", "--config", str(config), "--checkpoint",
+              str(tmp_path / "missing.ckpt"), "--input", source])
 
 
 def test_interpreters_agree_on_generated_corpus():
@@ -112,9 +132,10 @@ def test_tokenize_rejects_unknown():
 
 
 def test_measurements():
-    depth, counts = scan("[SM 1 [MIN 4 5 ] 2 ]".split())
+    value, actions, depth, counts = parse("[SM 1 [MIN 4 5 ] 2 ]".split())
+    assert (value, actions) == (7, [0, 1, 1, 1, 0, 0, 0])
     assert depth == 2
-    assert max(counts) == 3  # SM has args 1, [MIN..], 2
+    assert counts == [2, 3]  # MIN closes first; SM has args 1, [MIN..], 2
 
 
 def test_generate_deterministic_and_bounded():
@@ -162,11 +183,12 @@ def test_tsv_round_trip(tmp_path):
     ("[MAX 1 x ]\t1", "unknown token 'x'$"),
     ("[MAX 12 ]\t1", "unknown token '12'$"),
     ("[MAX ]\t0", "operator with no arguments$"),
-    ("[SM 1 [MIN ] ]\t1", "operator with no arguments$")],
+    ("[SM 1 [MIN ] ]\t1", "operator with no arguments$"),
+    ("[MAX 2 9 ]\t2", "label 2 is not the expression's value 9$")],
     ids=["no-tab", "two-tabs", "word-label", "empty-label", "trailing-digit",
          "two-digits", "stray-close", "unclosed", "empty-source",
          "label-minus-1", "label-10", "unknown-token", "two-digit-token",
-         "empty-operator", "empty-inner-operator"])
+         "empty-operator", "empty-inner-operator", "label-not-value"])
 def test_read_tsv_names_file_and_line_of_a_malformed_row(tmp_path, row,
                                                          message):
     path = tmp_path / "x.tsv"
@@ -236,3 +258,9 @@ def test_gen_config_validation():
         GenConfig(nest_prob=1.5).validate()
     with pytest.raises(ListOpsError):
         GenConfig(max_length=2).validate()
+    # an arity the generator never draws would spin through every attempt
+    for exact in (1, 6):
+        with pytest.raises(ListOpsError, match=r"require_exact_args must be "
+                           r"in \[min_args, max_args\]"):
+            GenConfig(max_length=30, max_depth=3, max_args=3,
+                      require_exact_args=exact).validate()
