@@ -119,10 +119,10 @@ class _BeamBatch:
     candidate scores aligned with it (0 for a row that is no candidate: the
     leaves, interpolated and straight-through nodes), the table of beam
     scores, and the beams of the examples still searching, one row each of
-    the int arrays `node_rows`, `cand_rows` (the parents of adjacent pairs;
-    both padded on the right), `actions` (0 past the steps taken),
-    `score_rows`, `m` (the number of candidates) and `last` (where the last
-    merge was), an example's beams consecutive. Every beam of an example
+    the int arrays `node_rows`, `cand_rows` (the parents of adjacent pairs,
+    -1 for a stale pair, one not composed yet; both padded on the right),
+    `actions` (0 past the steps taken), `score_rows` and `m` (the number of
+    candidates), an example's beams consecutive. Every beam of an example
     has its length less the steps taken as nodes; an example with at most
     two is done, and its roots, score rows and actions are set aside."""
 
@@ -140,21 +140,23 @@ class _BeamBatch:
         self.counts = [1] * len(lengths)  # their beams
         self.node_rows = np.add.outer(_starts(lengths), np.arange(max(lengths)))
         self.cols = np.arange(self.node_rows.shape[1])
-        # the root of a one-leaf example is its leaf
-        self.cand_rows = self.node_rows.copy()
+        self.m = np.subtract(lengths, 1)
+        # every pair is stale; the root of a one-leaf example is its leaf
+        self.cand_rows = np.where(self.cols < self.m[:, None], -1,
+                                  self.node_rows)
         self.actions = np.zeros_like(self.node_rows)
         self.score_rows = np.arange(len(lengths))
-        self.m = np.subtract(lengths, 1)
-        self.last = np.full_like(self.m, -1)  # no merge yet: all pairs new
         self.done = [None] * len(lengths)
-        self.compose(*_pairs(self.last, self.m))
+        self.compose()
         self.retire(self.lengths)
 
-    def compose(self, beams, slots):
-        """The pairs (slots, slots + 1) of the nodes of `beams`, both
-        children of every pair one gather, in one `grc_compose` and one
-        `score` call, into the beams' candidates `slots`; the parents and
-        their scores go to the end of the tables."""
+    def compose(self):
+        """The stale pairs below each beam's m, beam by beam and slots
+        ascending: both children of every pair one gather, in one
+        `grc_compose` and one `score` call, into their candidate slots; the
+        parents and their scores go to the end of the tables."""
+        beams, slots = ((self.cand_rows < 0) & (
+            self.cols[:self.cand_rows.shape[1]] < self.m[:, None])).nonzero()
         if not len(beams):
             return
         parents = grc_compose(self.nodes.gather(
@@ -173,28 +175,33 @@ class _BeamBatch:
     def merge(self, parent, pos, rows, score_rows):
         """Make the beams those of `parent` with nodes pos and pos + 1
         merged into node `rows`, one shift of the columns right of pos, and
-        with beam scores `score_rows`. The candidates beside the new node
-        are stale until composed."""
+        with beam scores `score_rows`. The two pairs beside the new node
+        are marked stale."""
         src = self.cols[:self.node_rows.shape[1] - 1]
         src = src + (src > pos[:, None])
+        beams = np.arange(len(pos))
         self.node_rows = self.node_rows[parent[:, None], src]
-        self.node_rows[np.arange(len(pos)), pos] = rows
+        self.node_rows[beams, pos] = rows
         self.cand_rows = self.cand_rows[parent[:, None], src]
+        # at pos 0 the left mark wraps to the last column, which is never
+        # below m, so `compose` never reads it
+        self.cand_rows[beams[:, None], pos[:, None] + (-1, 0)] = -1
         self.actions = self.actions[parent]
         self.actions[:, self.steps] = pos
-        self.score_rows, self.m, self.last = score_rows, self.m[parent] - 1, pos
+        self.score_rows, self.m = score_rows, self.m[parent] - 1
 
     def select(self, beams):
         """Keep the beams `beams` (indices or a mask), in their order."""
         self.node_rows, self.cand_rows, self.actions, self.score_rows, \
-            self.m, self.last = (x[beams] for x in (
-                self.node_rows, self.cand_rows, self.actions,
-                self.score_rows, self.m, self.last))
+            self.m = (x[beams] for x in (self.node_rows, self.cand_rows,
+                                         self.actions, self.score_rows,
+                                         self.m))
 
     def step(self, k: int, onesoft: bool, rngs):
         """One merge in every beam of every example with more than two
         nodes; returns False when there is none. The pairs composed are
-        those beside each merge, and all pairs of OneSoft's new beams."""
+        the stale ones: the two beside each merge, and all pairs of
+        OneSoft's new beams."""
         if not self.active:
             return False
         # each example's candidates per beam: its nodes after this step
@@ -204,7 +211,7 @@ class _BeamBatch:
             self.straight_through(beam, pos, rngs)
         else:
             self.branch_and_truncate(beam, pos, n, k, onesoft, rngs)
-        self.compose(*_pairs(self.last, self.m))
+        self.compose()
         self.steps += 1
         self.retire(n)
         return True
@@ -296,7 +303,7 @@ class _BeamBatch:
                                   + np.arange(len(tails)))
         self.node_rows[tails] = (row + np.cumsum(lens) - lens)[:, None] \
             + self.cols[:self.node_rows.shape[1]]
-        self.last[tails] = -1  # no merge: all its pairs are new
+        self.cand_rows[tails] = -1  # no merge: all its pairs are stale
 
     def retire(self, n):
         """Set aside the examples left with n <= 2 nodes per beam, whose
@@ -328,18 +335,6 @@ class _BeamBatch:
             for a, b, acts in zip(firsts, firsts[1:], actions)]
 
 
-def _pairs(pos, m):
-    """(beams, slots) of the pairs to compose in beams of m candidates: the
-    two beside each beam's new node at pos, beam by beam, then all pairs of
-    each beam with pos -1, whose nodes are all new."""
-    beams = list(enumerate(zip(pos.tolist(), m.tolist())))
-    flat = [x for new in (False, True) for b, (p, m_b) in beams
-            if (p < 0) == new
-            for s in (range(m_b) if new else (p - 1, p)) if 0 <= s < m_b
-            for x in (b, s)]
-    return np.array(flat, dtype=np.intp).reshape(-1, 2).T
-
-
 def encode_bt_cell(leaves: Tensor, lengths, cell: GrcParams,
                    scorer: ScorerParams, k: int, onesoft: bool = False,
                    rngs=None):
@@ -356,23 +351,24 @@ def encode_bt_cell(leaves: Tensor, lengths, cell: GrcParams,
     Every node state of the batch is a row of one append-only table: the
     leaves, then each step's composed parents. The beams of all examples
     are the rows of int matrices: one of row ids for their nodes and one
-    for the parents of their adjacent pairs, their candidates; each
-    candidate is scored once, when it is composed, and the scores sit in a
-    second table aligned with the first. A merge is one fancy-index shift
-    of both matrices over all beams. A step, over all beams of all
-    examples that have more than two nodes left, reads the candidate and
-    beam scores, and takes their segment log-softmax and pool scores, on
-    the values; runs one `plain_topk` over each example's (beams,
-    candidates) matrix and one `truncate` of its pool; and records four
-    tape primitives: the picked beams' scores (one read of both score
-    tables), one gather of both children of each pair beside a merged
-    node, one `grc_compose` of those pairs and one `score`. Hard top-k builds
-    only the k beams it keeps. OneSoft's last group, its best beam first,
-    becomes one beam whose nodes are new rows, the softmax-weighted sum of
-    the group's node rows (`collapse_tail`); it carries its best member's
-    actions, and every pair of it is composed. An example leaves the loop
-    at two nodes per beam, whose one candidate is the root, and the
-    encodings are `merge_beams` of all roots and scores.
+    for the parents of their adjacent pairs, their candidates, where -1
+    marks a stale pair, one not composed yet; each candidate is scored
+    once, when it is composed, and the scores sit in a second table
+    aligned with the first. A merge is one fancy-index shift of both
+    matrices over all beams, which marks the two pairs beside the new node
+    stale. A step, over all beams of all examples that have more than two
+    nodes left, reads the candidate and beam scores, and takes their
+    segment log-softmax and pool scores, on the values; runs one
+    `plain_topk` over each example's (beams, candidates) matrix and one
+    `truncate` of its pool; and records four tape primitives: the picked
+    beams' scores (one read of both score tables), one gather of both
+    children of every stale pair, one `grc_compose` of those pairs and one
+    `score`. Hard top-k builds only the k beams it keeps. OneSoft's last
+    group, its best beam first, becomes one beam whose nodes are new rows,
+    the softmax-weighted sum of the group's node rows (`collapse_tail`); it
+    carries its best member's actions, and every pair of it is stale. An
+    example leaves the loop at two nodes per beam, whose one candidate is
+    the root, and the encodings are `merge_beams` of all roots and scores.
 
     With one beam this is easy-first composition. `merge_beams` gives a
     lone beam's score no gradient, so one beam given rngs selects by

@@ -51,10 +51,15 @@ class GenConfig:
             raise ListOpsError("max_length too small for a minimal expression")
         if self.min_length > self.max_length:
             raise ListOpsError("min_length exceeds max_length")
-        if self.require_exact_args is not None and \
-                not self.min_args <= self.require_exact_args <= self.max_args:
+        exact = self.require_exact_args
+        if exact is not None and not self.min_args <= exact <= self.max_args:
             raise ListOpsError("require_exact_args must be in "
                                "[min_args, max_args]")
+        # its smallest expression: the operator, that many digits and ]
+        if exact is not None and exact + 2 > self.max_length:
+            raise ListOpsError(f"require_exact_args {exact} needs {exact + 2} "
+                               f"tokens, more than max_length "
+                               f"{self.max_length}")
 
 
 @dataclass

@@ -7,7 +7,6 @@ per tape. Training runs in float32, gradient-check suites in float64.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -458,21 +457,19 @@ def rows_gather(table: Tensor, ids) -> Tensor:
 
 
 class RowTable:
-    """An append-only table of rows, kept as the list of tensors appended
-    (chunks), with one row-id space over all of them. Their values are also
-    copied into one growing buffer when they are appended, so a read takes
-    any rows with one index; an id at or past the table's size raises
-    `IndexError`. No chunk is ever concatenated on the tape: there the
-    table is one tensor, `token`, the input of every record that reads it
-    (a gather, or a primitive that reads through `read`). Its gradient is
-    one buffer of all the table's rows, and each such record's backward is
-    one scatter into it; a chunk's gradient, a parameter chunk's too, is
-    its slice of that buffer. A chunk is appended once."""
+    """An append-only table of rows, with one row-id space over the tensors
+    appended (chunks). Their values are copied into one growing buffer when
+    they are appended, so a read takes any rows with one index; an id at or
+    past the table's size raises `IndexError`. No chunk is ever
+    concatenated on the tape: there the table is one tensor, `token`, the
+    input of every record that reads it (a gather, or a primitive that
+    reads through `read`). Its gradient is one buffer of all the table's
+    rows, and each such record's backward is one scatter into it; a chunk's
+    gradient, a parameter chunk's too, is its slice of that buffer. A chunk
+    is appended once."""
 
     def __init__(self, first: Tensor):
         data = first.data
-        self.chunks = []
-        self.starts = []
         self.size = 0
         self._buf = np.empty((max(64, 2 * data.shape[0]),) + data.shape[1:],
                              dtype=data.dtype)
@@ -490,8 +487,6 @@ class RowTable:
             buf[:start] = self._buf[:start]
             self._buf = buf
         self._buf[start:start + n] = rows.data
-        self.chunks.append(rows)
-        self.starts.append(start)
         self.size = start + n
         if rows.requires_grad:
             self.token.requires_grad = True
@@ -530,15 +525,9 @@ class RowTable:
     def gather(self, ids) -> Tensor:
         """out[i] = row ids[i] of the table; for a (rows, j) id matrix,
         out[i] is the j rows ids[i] side by side, one (rows, j * width)
-        matrix. The rows of one whole chunk, in order, are that chunk
-        itself, with no copy and no record."""
+        matrix. Every gather copies its rows through `read`, and its record
+        on a tape is one scatter."""
         ids = np.asarray(ids, dtype=np.intp)
-        if ids.ndim == 1 and len(ids):
-            c = bisect.bisect_right(self.starts, int(ids[0])) - 1
-            chunk, start = self.chunks[c], self.starts[c]
-            if len(ids) == chunk.data.shape[0] and np.array_equal(
-                    ids, np.arange(start, start + len(ids))):
-                return chunk
         values, scatter = self.read(ids)
         rows = ids.reshape(-1)
 

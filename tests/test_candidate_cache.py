@@ -122,3 +122,58 @@ def test_bt_cell_composes_rows_linear_in_length(monkeypatch):
     # roots of the last step's two-node beams
     assert cached_rows <= (n - 1) + 2 * k * (n - 3) + k
     assert full_rows > 5 * cached_rows, (cached_rows, full_rows)
+
+
+@pytest.mark.parametrize("k,onesoft,rngs", [
+    pytest.param(3, False, True, id="bt-k3-plain"),
+    pytest.param(2, True, True, id="bt-k2-onesoft"),
+    pytest.param(3, True, True, id="bt-k3-onesoft"),
+    pytest.param(1, False, True, id="gumbel"),
+    pytest.param(5, False, False, id="eval-k5")])
+def test_stale_marks_are_all_composed_and_nothing_else(k, onesoft, rngs,
+                                                       monkeypatch):
+    # one batch of mixed lengths: after every compose no candidate below a
+    # beam's m is marked stale (-1), every candidate is the cell over its
+    # beam's two adjacent nodes, and the rows composed are the pairs that
+    # were marked, so no padding slot is ever composed
+    lengths = [1, 2, 3, 9]
+    params, scorer, rng = _model(seed=4)
+    leaves = Tensor(rng.standard_normal((sum(lengths), D_H)))
+    composed, marked, widest = [], [], []
+    cell, compose = encoders.grc_compose, encoders._BeamBatch.compose
+
+    def counted(children, p):
+        composed.append(children.data.shape[0])
+        return cell(children, p)
+
+    def checked(search):
+        stale = [int((row[:m_b] < 0).sum())
+                 for row, m_b in zip(search.cand_rows, search.m.tolist())]
+        marked.append(sum(stale))
+        widest.append(max(stale, default=0))
+        compose(search)
+        for nodes, cands, m_b in zip(search.node_rows, search.cand_rows,
+                                     search.m.tolist()):
+            if not m_b:  # a one-leaf example: its root is its leaf
+                continue
+            assert (cands[:m_b] >= 0).all()
+            got = search.nodes.gather(cands[:m_b]).data
+            pairs = search.nodes.gather(np.stack([nodes[:m_b],
+                                                  nodes[1:m_b + 1]], 1))
+            assert np.max(np.abs(got - cell(pairs, params).data)) <= 1e-12
+
+    monkeypatch.setattr(encoders, "grc_compose", counted)
+    monkeypatch.setattr(encoders._BeamBatch, "compose", checked)
+    noise = [np.random.default_rng([4, e]) for e in range(len(lengths))] \
+        if rngs else None
+    enc, beams = encoders.encode_bt_cell(leaves, lengths, params, scorer, k,
+                                         onesoft, noise)
+    assert enc.data.shape == (len(lengths), D_H)
+    assert [len(b.actions[0]) for b in beams] == [0, 1, 2, 8]
+    # the first compose is every pair of the batch, 0 + 1 + 2 + 8 of them
+    assert marked[0] == composed[0] == 11
+    assert sum(composed) == sum(marked)
+    assert composed == [n for n in marked if n]
+    # after the first, a merge marks at most the two pairs beside it; only
+    # OneSoft's collapsed beams are marked whole
+    assert (max(widest[1:]) > 2) == onesoft

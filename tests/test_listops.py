@@ -264,3 +264,15 @@ def test_gen_config_validation():
                            r"in \[min_args, max_args\]"):
             GenConfig(max_length=30, max_depth=3, max_args=3,
                       require_exact_args=exact).validate()
+    # an arity whose smallest expression (operator, that many digits and
+    # the close bracket) is longer than max_length is refused before any
+    # draw
+    cfg = GenConfig(max_length=6, min_args=2, max_args=5,
+                    require_exact_args=5, count=1)
+    with pytest.raises(ListOpsError, match="require_exact_args 5 needs 7 "
+                       "tokens, more than max_length 6"):
+        cfg.validate()
+    with pytest.raises(ListOpsError, match="require_exact_args 5"):
+        generate(cfg)
+    GenConfig(max_length=7, min_args=2, max_args=5,
+              require_exact_args=5).validate()

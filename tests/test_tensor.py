@@ -261,8 +261,6 @@ def test_row_table_gathers_across_chunks_without_concatenating():
     ids = [4, 0, 4, 2]
     assert np.array_equal(table.gather(ids).data,
                           np.concatenate([a.data, b.data])[ids])
-    # a whole chunk, in order, is the chunk itself
-    assert table.gather([3, 4]) is b and table.gather([4, 3]) is not b
     w = Tensor(rng.standard_normal((4, 2)))
 
     def loss():
@@ -355,7 +353,7 @@ def test_row_table_chunk_read_outside_a_gather_gets_both_gradients():
 
 def test_row_table_gradient_over_many_chunks_matches_finite_differences():
     # leaves first and in the middle, chunks made from gathers of the table,
-    # a whole chunk read as itself, repeated rows
+    # a whole chunk read in order, repeated rows
     rng = np.random.default_rng(11)
     a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     x = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
