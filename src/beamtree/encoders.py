@@ -124,7 +124,16 @@ class _BeamBatch:
     `actions` (0 past the steps taken), `score_rows` and `m` (the number of
     candidates), an example's beams consecutive. Every beam of an example
     has its length less the steps taken as nodes; an example with at most
-    two is done, and its roots, score rows and actions are set aside."""
+    two is done, and its roots, score rows and actions are set aside.
+
+    The search is hash-consed: a node's row is its signature, and one row
+    stands for every equal node of the batch. Bit-identical leaf rows are
+    one node, the first of them, unless the leaves are recorded on a tape,
+    whose backward needs each leaf row's own gradient; then every leaf is
+    its own node. `parents` maps each (left, right) pair of node rows
+    composed so far to its parent's row, so equal subtrees, in any beam,
+    example or place, are one row with one score. Interpolated and
+    straight-through rows are new nodes, equal to no other."""
 
     def __init__(self, leaves: Tensor, lengths, cell: GrcParams,
                  scorer: ScorerParams):
@@ -138,7 +147,15 @@ class _BeamBatch:
         self.lengths, self.steps = list(lengths), 0
         self.active = list(range(len(lengths)))  # the examples searching
         self.counts = [1] * len(lengths)  # their beams
-        self.node_rows = np.add.outer(_starts(lengths), np.arange(max(lengths)))
+        rows = np.arange(leaves.data.shape[0])
+        if T.Tape._active is None or not leaves.requires_grad:
+            first = {}
+            rows = np.array([first.setdefault(row.tobytes(), i)
+                             for i, row in enumerate(leaves.data)])
+        # the padding is clipped to a leaf row, and never read
+        self.node_rows = rows.take(np.add.outer(
+            _starts(lengths), np.arange(max(lengths))), mode="clip")
+        self.parents = {}  # (left, right) signature -> the parent's row
         self.cols = np.arange(self.node_rows.shape[1])
         self.m = np.subtract(lengths, 1)
         # every pair is stale; the root of a one-leaf example is its leaf
@@ -151,20 +168,31 @@ class _BeamBatch:
         self.retire(self.lengths)
 
     def compose(self):
-        """The stale pairs below each beam's m, beam by beam and slots
-        ascending: both children of every pair one gather, in one
-        `grc_compose` and one `score` call, into their candidate slots; the
-        parents and their scores go to the end of the tables."""
+        """Fill the stale slots below each beam's m, beam by beam and slots
+        ascending. A slot whose pair of node rows `parents` holds points at
+        that row; the first slot of each pair not seen yet composes it, and
+        every later slot with that pair points at the same row. The new
+        pairs' children are one gather, in one `grc_compose` and one
+        `score` call; the parents and their scores go to the end of the
+        tables."""
         beams, slots = ((self.cand_rows < 0) & (
             self.cols[:self.cand_rows.shape[1]] < self.m[:, None])).nonzero()
         if not len(beams):
             return
-        parents = grc_compose(self.nodes.gather(
-            self.node_rows[beams[:, None], slots[:, None] + (0, 1)]),
-            self.cell)
-        first = self.nodes.append(parents)
-        self.cand_scores.append(score(parents, self.scorer))
-        self.cand_rows[beams, slots] = first + np.arange(len(beams))
+        rows, new, parents = [], [], self.parents
+        first = self.nodes.size
+        for pair in zip(self.node_rows[beams, slots].tolist(),
+                        self.node_rows[beams, slots + 1].tolist()):
+            row = parents.get(pair)
+            if row is None:
+                row = parents[pair] = first + len(new)
+                new.append(pair)
+            rows.append(row)
+        self.cand_rows[beams, slots] = rows
+        if new:
+            composed = grc_compose(self.nodes.gather(new), self.cell)
+            self.nodes.append(composed)
+            self.cand_scores.append(score(composed, self.scorer))
 
     def add_nodes(self, rows: Tensor) -> int:
         """Append node rows that are no candidates; returns the first."""
@@ -354,7 +382,12 @@ def encode_bt_cell(leaves: Tensor, lengths, cell: GrcParams,
     for the parents of their adjacent pairs, their candidates, where -1
     marks a stale pair, one not composed yet; each candidate is scored
     once, when it is composed, and the scores sit in a second table
-    aligned with the first. A merge is one fancy-index shift of both
+    aligned with the first. A row is its node's signature (hash-consing):
+    equal leaves are one row when no tape records them, and each distinct
+    pair of child rows is composed once per search, so every beam, place
+    and example that makes the same subtree shares its row and its score
+    bit for bit, and ties between them are exact in every batch. A merge
+    is one fancy-index shift of both
     matrices over all beams, which marks the two pairs beside the new node
     stale. A step, over all beams of all examples that have more than two
     nodes left, reads the candidate and beam scores, and takes their
@@ -362,8 +395,9 @@ def encode_bt_cell(leaves: Tensor, lengths, cell: GrcParams,
     `plain_topk` over each example's (beams, candidates) matrix and one
     `truncate` of its pool; and records four tape primitives: the picked
     beams' scores (one read of both score tables), one gather of both
-    children of every stale pair, one `grc_compose` of those pairs and one
-    `score`. Hard top-k builds only the k beams it keeps. OneSoft's last
+    children of every new stale pair, one `grc_compose` of those pairs and
+    one `score` (none of the last three when every stale pair was composed
+    before). Hard top-k builds only the k beams it keeps. OneSoft's last
     group, its best beam first, becomes one beam whose nodes are new rows,
     the softmax-weighted sum of the group's node rows (`collapse_tail`); it
     carries its best member's actions, and every pair of it is stale. An

@@ -38,7 +38,9 @@ def gumbel_noise(size, rng: np.random.Generator) -> np.ndarray:
 def plain_topk(scores, k: int, rng: np.random.Generator | None = None):
     """Indices of the k largest scores, ties broken by lowest index: of a
     1-D vector as a list, of each row of a (rows, n) matrix as a
-    (rows, min(k, n)) int array.
+    (rows, min(k, n)) int array. The beam search's candidates over equal
+    subtrees are one row with one score, so their ties are exact and this
+    rule breaks them, in any batch.
 
     With an rng each score is first perturbed with independent Gumbel(0,1)
     noise (stochastic top-k), for a matrix drawn in one call, row after

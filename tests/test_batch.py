@@ -4,14 +4,18 @@ rng per example, in double precision. The batched encoders must take the
 same actions, and the per-example losses and summed gradients must match
 the references."""
 
+import functools
 import gc
 import importlib.util
 import os
 import sys
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (per_example_leaves, per_example_loss, stacked_bt_cell,
                      stacked_easy_first_gumbel)
@@ -20,8 +24,8 @@ from beamtree import encoders
 from beamtree import tensor as T
 from beamtree.cells import leaf_transform_seq
 from beamtree.encoders import encode_bt_cell, encode_easy_first_gumbel
-from beamtree.harness import Model, batch_grad_sums, batch_losses, \
-    example_rng, make_config
+from beamtree.harness import Model, batch_grad_sums, batch_logits, \
+    batch_losses, example_rng, make_config
 from beamtree.listops import Example, read_tsv, tokenize
 from beamtree.tensor import Tape
 from beamtree.trees import bracketed
@@ -200,3 +204,54 @@ def test_batch_step_frees_the_model_without_the_cycle_collector(variant):
         assert freed() is None
     finally:
         gc.enable()
+
+
+def _eval_batch(model, examples):
+    """Evaluation's logits of a batch, and the actions of every example's
+    final beams."""
+    finish, beams = encoders._BeamBatch.finish, []
+
+    def kept(search):
+        out = finish(search)
+        beams.extend(b.actions for b in out[1])
+        return out
+
+    with mock.patch.object(encoders._BeamBatch, "finish", kept):
+        logits = batch_logits(model, examples, False, None).data
+    return logits, beams
+
+
+@functools.lru_cache(maxsize=None)
+def _eval_setup(variant):
+    """A float64 model at init, sixteen ListOps rows of mixed lengths (eight
+    `data-mid` dev rows of 5-26 tokens and eight test rows of 48-71), and
+    each row evaluated as a batch of one."""
+    model = Model(make_config({**VARIANTS[variant], "d_e": "64",
+                               "d_h": "64", "precision": "double",
+                               "seed": "0"}))
+    data = os.path.join(os.path.dirname(__file__), os.pardir, "results",
+                        "data-mid")
+    rows = (read_tsv(os.path.join(data, "dev.tsv"))[:8]
+            + read_tsv(os.path.join(data, "test.tsv"))[:8])
+    return model, rows, [_eval_batch(model, [ex]) for ex in rows]
+
+
+@pytest.mark.parametrize("variant", ["gumbel", "bt_k2_plain", "bt_k3_plain",
+                                     "bt_k5_plain"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_evaluation_does_not_depend_on_the_batch(variant, data):
+    # equal subtrees are one row, so the ties between them are exact, and
+    # `plain_topk` breaks them by position in every batch: any batching
+    # and order of the rows takes the actions of each row alone, and its
+    # logits agree up to the rounding of distinct rows
+    model, rows, alone = _eval_setup(variant)
+    order = data.draw(st.permutations(range(len(rows))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(rows) - 1),
+                                    max_size=4)))
+    for batch in np.split(np.asarray(order), cuts):
+        logits, beams = _eval_batch(model, [rows[i] for i in batch])
+        for i, row, actions in zip(batch, logits, beams):
+            alone_logits, alone_beams = alone[i]
+            assert actions == alone_beams[0], (variant, i)
+            assert np.max(np.abs(row - alone_logits[0])) <= 1e-12, (variant, i)

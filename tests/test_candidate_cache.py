@@ -1,6 +1,9 @@
 """The stacked beams and candidate cache of the beam-tree and easy-first
 encoders against the full-recompose encoders in oracles.py, with
-gradients, mostly in training mode, and the number of rows they compose."""
+gradients, mostly in training mode, the number of rows they compose, and
+the node signatures of evaluation's searches."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -134,12 +137,13 @@ def test_stale_marks_are_all_composed_and_nothing_else(k, onesoft, rngs,
                                                        monkeypatch):
     # one batch of mixed lengths: after every compose no candidate below a
     # beam's m is marked stale (-1), every candidate is the cell over its
-    # beam's two adjacent nodes, and the rows composed are the pairs that
-    # were marked, so no padding slot is ever composed
+    # beam's two adjacent nodes, and the rows composed are the distinct
+    # pairs of node rows among the marked slots that no earlier compose
+    # made, so no padding slot and no pair is ever composed twice
     lengths = [1, 2, 3, 9]
     params, scorer, rng = _model(seed=4)
     leaves = Tensor(rng.standard_normal((sum(lengths), D_H)))
-    composed, marked, widest = [], [], []
+    composed, marked, widest, made = [], [], [], set()
     cell, compose = encoders.grc_compose, encoders._BeamBatch.compose
 
     def counted(children, p):
@@ -149,7 +153,13 @@ def test_stale_marks_are_all_composed_and_nothing_else(k, onesoft, rngs,
     def checked(search):
         stale = [int((row[:m_b] < 0).sum())
                  for row, m_b in zip(search.cand_rows, search.m.tolist())]
-        marked.append(sum(stale))
+        new = {(nodes[s], nodes[s + 1])
+               for nodes, cands, m_b in zip(search.node_rows.tolist(),
+                                            search.cand_rows.tolist(),
+                                            search.m.tolist())
+               for s in range(m_b) if cands[s] < 0} - made
+        made.update(new)
+        marked.append(len(new))
         widest.append(max(stale, default=0))
         compose(search)
         for nodes, cands, m_b in zip(search.node_rows, search.cand_rows,
@@ -177,3 +187,68 @@ def test_stale_marks_are_all_composed_and_nothing_else(k, onesoft, rngs,
     # after the first, a merge marks at most the two pairs beside it; only
     # OneSoft's collapsed beams are marked whole
     assert (max(widest[1:]) > 2) == onesoft
+
+
+def _eval_search(tokens, k, seed):
+    """A finished evaluation search (no tape, no rngs) over token
+    sequences whose leaves are rows of a three-row vocabulary."""
+    params, scorer, rng = _model(seed)
+    vocab = rng.standard_normal((3, D_H))
+    leaves = Tensor(vocab[[t for ids in tokens for t in ids]])
+    search = encoders._BeamBatch(leaves, [len(ids) for ids in tokens],
+                                 params, scorer)
+    while search.step(k, False, None):
+        pass
+    return search
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_roots_share_a_signature_exactly_when_their_trees_are_equal(k, seed):
+    # a node's signature is its row: over the final beams of a batch, two
+    # roots are one row if and only if they are the same tree over the
+    # same tokens, in one example or two
+    rng = np.random.default_rng([seed, 7])
+    tokens = [rng.integers(0, 3, size=n).tolist()
+              for n in (1, 2, 4, 6, 6, 9, 12)]
+    tokens += [[tokens[0][0]], tokens[4]]  # the same rows again
+    search = _eval_search(tokens, k, seed)
+    roots, trees = [], []
+    for ids, (rows, _, actions) in zip(tokens, search.done):
+        roots += rows.tolist()
+        trees += [bracketed(acts, ids) for acts in actions]
+    shared = 0
+    for (r1, t1), (r2, t2) in itertools.combinations(zip(roots, trees), 2):
+        assert (r1 == r2) == (t1 == t2), (t1, t2)
+        shared += r1 == r2
+    # the repeated rows' roots at least
+    assert shared >= 1 + len(search.done[4][0])
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_an_eval_search_composes_one_row_per_distinct_subtree(k,
+                                                              monkeypatch):
+    # a row of repeated spans: every subtree the search makes is one row,
+    # composed once, however many beams and places make it
+    ids = [0, 1, 2, 0, 1, 2, 2, 0, 1, 2, 0, 1, 2, 1]
+    terms = {i: str(t) for i, t in enumerate(ids)}  # row -> its subtree
+    composed, marked = [], []
+    compose = encoders._BeamBatch.compose
+
+    def checked(search):
+        stale = [(b, s) for b, (cands, m_b) in enumerate(
+            zip(search.cand_rows, search.m.tolist()))
+            for s in range(m_b) if cands[s] < 0]
+        first = search.nodes.size
+        compose(search)
+        composed.extend(range(first, search.nodes.size))
+        marked.append(len(stale))
+        for b, s in stale:
+            left, right = search.node_rows[b, s:s + 2]
+            term = f"({terms[left]} {terms[right]})"
+            assert terms.setdefault(search.cand_rows[b, s], term) == term
+
+    monkeypatch.setattr(encoders._BeamBatch, "compose", checked)
+    _eval_search([ids], k, seed=3)
+    assert len({terms[row] for row in composed}) == len(composed)
+    assert len(composed) < sum(marked)
