@@ -39,16 +39,13 @@ any mismatch is refused, naming the field. A run killed before writing
 result.json restarts from epoch 0 and, being deterministic, repeats the
 killed run's metrics.jsonl line for line if the code is unchanged (a
 change that moves values at float32 rounding breaks that; CHANGES.md
-names each). Training one batch on one tape is such a change: the cached
-runs were trained one example at a time, so a run killed under that code
-and restarted under this one does not replay byte for byte. Each
-result.json records `code_sha256`, the sha256 of the package's modules
-that trained it, and rebuilding the results JSON prints one line naming
-every cached run whose hash is missing or differs from the current code;
-such runs are still used. After every run the results JSON is rebuilt
-from all cached runs of every variant, so `--only` and `--seeds` never drop
-other runs from it; both files are replaced atomically, so concurrent
-invocations on disjoint runs are safe.
+names each). Each result.json records `code_sha256`, the sha256 of the
+package's modules that trained it, and rebuilding the results JSON prints
+one line naming every cached run whose hash is missing or differs from the
+current code; such runs are still used. After every run the results JSON
+is rebuilt from all cached runs of every variant, so `--only` and `--seeds`
+never drop other runs from it; both files are replaced atomically, so
+concurrent invocations on disjoint runs are safe.
 
 The process uses one BLAS thread unless OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS is already set.

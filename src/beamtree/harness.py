@@ -27,17 +27,6 @@ class HarnessError(Exception):
     pass
 
 
-# keys that older run configs carry, with the one value that still loads:
-# runs no longer fork gradient workers, the gated cell is the only cell,
-# ListOps fixes the vocabulary and the labels, every run trained with the
-# same straight-through temperature, Adam betas and epsilon, and clip norm,
-# and training always draws Gumbel noise for top-k
-RETIRED_KEYS = {"workers": "1", "cell": "grc", "temperature": "1.0",
-                "vocab": str(len(VOCAB)), "classes": str(CLASSES),
-                "beta1": "0.9", "beta2": "0.999", "adam_eps": "1e-08",
-                "grad_clip": str(GRAD_CLIP), "stochastic_topk": "True"}
-
-
 @dataclass
 class RunConfig:
     encoder: str = "bt"
@@ -95,9 +84,6 @@ def load_config(path) -> RunConfig:
             if k in values:
                 raise HarnessError(f"config key {k!r} given twice")
             values[k] = v
-    for k, v in RETIRED_KEYS.items():
-        if values.get(k) == v:
-            del values[k]
     return make_config(values)
 
 
@@ -105,13 +91,6 @@ def make_config(overrides: dict) -> RunConfig:
     cfg = RunConfig()
     valid = {f.name: f.type for f in fields(RunConfig)}
     for k, v in overrides.items():
-        if k in RETIRED_KEYS:
-            hint = ("; run several runs at once with "
-                    "scripts/run_experiments.py --workers"
-                    if k == "workers" else "")
-            raise HarnessError(f"retired config key {k!r}: only "
-                               f"{k}={RETIRED_KEYS[k]} loads, from a saved "
-                               f"run config{hint}")
         if k not in valid:
             raise HarnessError(f"unknown config key {k!r}")
         current = getattr(cfg, k)

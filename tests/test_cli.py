@@ -137,19 +137,18 @@ def test_gen_data_refuses_a_retired_split_kind(tmp_path, kind, capsys):
 
 
 def test_train_refuses_workers_override(tmp_path):
-    with pytest.raises(SystemExit, match="run_experiments.py --workers"):
+    # several runs at once is scripts/run_experiments.py --workers
+    with pytest.raises(SystemExit, match="unknown config key 'workers'"):
         main(["train", "--out", str(tmp_path), "--workers=2"])
 
 
 @pytest.mark.parametrize("command, setting, message", [
     ("train", "--max_epochs=0", "max_epochs must be >= 1"),
     ("train", "--bogus=1", "unknown config key 'bogus'"),
-    ("train", "--grad_clip=5.0", "retired config key 'grad_clip': only "
-     "grad_clip=5.0 loads"),
-    ("train", "--stochastic_topk=False", "retired config key "
-     "'stochastic_topk': only stochastic_topk=True loads"),
-    ("eval", "temperature=0.5", "retired config key 'temperature': only "
-     "temperature=1.0 loads"),
+    ("train", "--grad_clip=5.0", "unknown config key 'grad_clip'"),
+    ("train", "--stochastic_topk=False",
+     "unknown config key 'stochastic_topk'"),
+    ("eval", "temperature=0.5", "unknown config key 'temperature'"),
     ("eval", "bogus=1", "unknown config key 'bogus'"),
     ("parse", "encoder=transformer", "unknown encoder 'transformer'")])
 def test_config_errors_exit_with_one_message(tmp_path, command, setting,

@@ -9,10 +9,10 @@ from one_example import example_loss
 from beamtree import tensor as T
 from beamtree.checkpoint import (CheckpointError, load_checkpoint, restore,
                                  save_checkpoint)
-from beamtree.harness import (ENCODER_KINDS, RETIRED_KEYS, HarnessError,
-                              HeadParams, Model, RunConfig, classify,
-                              evaluate_examples, load_config, load_model,
-                              make_config, save_config, train)
+from beamtree.harness import (ENCODER_KINDS, HarnessError, HeadParams,
+                              Model, RunConfig, classify, evaluate_examples,
+                              load_config, load_model, make_config,
+                              save_config, train)
 from beamtree.listops import Example, GenConfig, generate
 from beamtree.tensor import Tensor
 
@@ -200,38 +200,18 @@ def test_committed_run_configs_load():
         assert f"encoder={cfg.encoder}\n" in path.read_text()
 
 
-def test_config_drops_workers_1_and_refuses_other_workers(tmp_path):
-    # run configs written while a run could fork gradient workers carry
-    # workers=1; more than one worker now means runs side by side
+def test_config_refuses_keys_of_older_run_configs(tmp_path):
+    # run configs written while a run could fork gradient workers or pick
+    # its cell carried workers=1 and cell=grc; neither is a field any more
     path = tmp_path / "c.txt"
-    path.write_text("encoder=gold\nworkers=1\n")
-    assert load_config(path).encoder == "gold"
-    path.write_text("encoder=gold\nworkers=2\n")
-    with pytest.raises(HarnessError, match="run_experiments.py --workers"):
-        load_config(path)
-    with pytest.raises(HarnessError, match="run_experiments.py --workers"):
-        make_config({"workers": "1"})
-    # older run configs also name the cell, and the gated cell is the only one
     path.write_text("encoder=gold\ncell=grc\nworkers=1\n")
-    assert load_config(path).encoder == "gold"
-    path.write_text("encoder=gold\ncell=lstm\n")
-    with pytest.raises(HarnessError, match="'cell'"):
+    with pytest.raises(HarnessError, match="unknown config key 'cell'"):
         load_config(path)
-
-
-@pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
-def test_config_loads_a_retired_key_only_at_its_one_value(tmp_path, key):
-    value = RETIRED_KEYS[key]
-    path = tmp_path / "c.txt"
-    path.write_text(f"encoder=gold\n{key}={value}\n")
-    assert load_config(path) == RunConfig(encoder="gold")
-    message = f"'{key}': only {key}={value} loads"
-    path.write_text(f"encoder=gold\n{key}=7\n")
-    with pytest.raises(HarnessError, match=message):
+    path.write_text("encoder=gold\nworkers=1\n")
+    with pytest.raises(HarnessError, match="unknown config key 'workers'"):
         load_config(path)
-    # an override is never a saved run config, whatever its value
-    with pytest.raises(HarnessError, match=message):
-        make_config({key: value})
+    with pytest.raises(HarnessError, match="unknown config key 'workers'"):
+        make_config({"workers": "1"})
 
 
 @pytest.mark.parametrize("encoder", [k for k in ENCODER_KINDS if k != "bt"])

@@ -1,5 +1,7 @@
-"""README.md's layout block against the files it describes."""
+"""README.md against the files it describes: the layout block and the
+results table."""
 
+import json
 import os
 import re
 
@@ -19,3 +21,18 @@ def test_layout_names_every_module_of_the_package():
     assert "src/beamtree/" in block
     assert sorted(listed) == sorted(modules)
     assert len(listed) == len(set(listed))
+
+
+def test_results_table_holds_the_committed_medians():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        section = f.read().split("## Results", 1)[1].split("\n## ", 1)[0]
+    with open(os.path.join(ROOT, "results", "experiments.json"),
+              encoding="utf-8") as f:
+        medians = json.load(f)["medians"]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if cells[0] in medians:
+            rows[cells[0]] = {"dev": float(cells[1]), "test": float(cells[2]),
+                              "n_seeds": int(cells[3])}
+    assert rows == medians

@@ -166,8 +166,7 @@ COMMITTED_RUNS = sorted(
 
 @pytest.mark.parametrize("run", COMMITTED_RUNS)
 def test_committed_runs_match_the_reduced_sweep(run):
-    # their config.txt files carry keys since retired; the cache must still
-    # accept every one without retraining
+    # the cache must accept every committed run without retraining
     name, seed = run.rsplit("-s", 1)
     p = R.PROFILES["reduced"]
     R.check_cached(os.path.join(ROOT, "results", "runs-reduced", run),
@@ -176,8 +175,22 @@ def test_committed_runs_match_the_reduced_sweep(run):
 
 
 def test_all_committed_runs_are_checked():
-    # the 15 runs committed when their keys were retired, and any later one
-    assert len(COMMITTED_RUNS) >= 15
+    assert COMMITTED_RUNS == sorted(f"{name}-s{seed}" for name in R.VARIANTS
+                                    for seed in range(3))
+
+
+def test_committed_results_come_from_one_code_version():
+    # the acceptance criteria compare variants, so every run of the reduced
+    # sweep must have been trained by the same code. The shared hash is not
+    # compared with today's code: an edit under src/ that changes no trained
+    # value would otherwise fail this test until the sweep is rerun.
+    with open(os.path.join(ROOT, "results", "experiments.json"),
+              encoding="utf-8") as f:
+        runs = json.load(f)["runs"]
+    assert len({r.get("code_sha256") for r in runs}) == 1
+    assert runs[0].get("code_sha256")
+    assert sorted((r["name"], r["seed"]) for r in runs) == \
+        sorted((name, seed) for name in R.VARIANTS for seed in range(3))
 
 
 # small enough that the four runs of TINY_RUNS train in about a second
