@@ -42,10 +42,12 @@ change that moves values at float32 rounding breaks that; CHANGES.md
 names each). Each result.json records `code_sha256`, the sha256 of the
 package's modules that trained it, and rebuilding the results JSON prints
 one line naming every cached run whose hash is missing or differs from the
-current code; such runs are still used. After every run the results JSON
-is rebuilt from all cached runs of every variant, so `--only` and `--seeds`
-never drop other runs from it; both files are replaced atomically, so
-concurrent invocations on disjoint runs are safe.
+code this process imported; such runs are still used. The hash is taken
+once, when the sweep starts, so a `src/` edit during a sweep changes
+neither what its runs record nor what they are compared with. After every
+run the results JSON is rebuilt from all cached runs of every variant, so
+`--only` and `--seeds` never drop other runs from it; both files are
+replaced atomically, so concurrent invocations on disjoint runs are safe.
 
 The process uses one BLAS thread unless OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS is already set.
@@ -221,10 +223,11 @@ def code_sha256():
     return digest.hexdigest()
 
 
-def run_one(name, seed, cfg, out_root, data_dir, test_limit, workers):
+def run_one(name, seed, cfg, out_root, data_dir, test_limit, workers, code):
     """Train and test one run. `workers` is the sweep's --workers, recorded
     so a reader knows `wall_seconds` was measured beside at most workers-1
-    other runs of this sweep (and any other process on the machine)."""
+    other runs of this sweep (and any other process on the machine), and
+    `code` is the `code_sha256` of the modules the sweep imported."""
     out_dir = os.path.join(out_root, f"{name}-s{seed}")
     t0 = time.monotonic()
     train_ex, dev_ex, test_ex = (read_tsv(os.path.join(data_dir, f"{s}.tsv"))
@@ -240,7 +243,7 @@ def run_one(name, seed, cfg, out_root, data_dir, test_limit, workers):
               "test_accuracy": round(test_acc, 6),
               "epochs_run": len(metrics), "workers": workers,
               "wall_seconds": round(time.monotonic() - t0, 1),
-              "code_sha256": code_sha256()}
+              "code_sha256": code}
     _write_json(os.path.join(out_dir, "result.json"), result)
     print(f"  [{name}-s{seed}] dev={dev_acc:.3f} test={test_acc:.3f} "
           f"({result['wall_seconds']:.0f}s)", flush=True)
@@ -291,6 +294,9 @@ def main():
     ap.add_argument("--only", nargs="*", default=None, choices=list(VARIANTS),
                     help="subset of variant names to run")
     args = ap.parse_args()
+    # the modules imported at start, which every run forked from this
+    # process trains with, whatever `src/` holds when the run ends
+    code = code_sha256()
     if args.workers < 1:
         ap.error("--workers must be at least 1")
 
@@ -306,7 +312,7 @@ def main():
         sha = data_sha256(data_dir)
         config = functools.partial(run_config, p=p, data_dir=data_dir)
         # checks every cached run before anything trains
-        _write(args.out, args.profile, p, run_dir, config, sha)
+        _write(args.out, args.profile, p, run_dir, config, sha, code)
         todo = [(name, seed) for name in args.only or list(VARIANTS)
                 for seed in args.seeds
                 if not os.path.exists(os.path.join(
@@ -314,19 +320,20 @@ def main():
 
         def job(name, seed):
             run_one(name, seed, config(name, seed), run_dir, data_dir,
-                    p["test_limit"], args.workers)
+                    p["test_limit"], args.workers, code)
 
         for _ in train_runs(todo, job, args.workers):
-            _write(args.out, args.profile, p, run_dir, config, sha)
+            _write(args.out, args.profile, p, run_dir, config, sha, code)
     except SweepError as e:
         sys.exit(f"run_experiments: {e}")
     print(f"wrote {args.out}")
 
 
-def _write(out_path, profile, p, run_dir, config, sha):
+def _write(out_path, profile, p, run_dir, config, sha, code):
     """Rebuild `out_path` from every finished run of every variant under
     `run_dir`, holding a lock on `run_dir` so concurrent invocations write
-    in turn and the last one sees every run."""
+    in turn and the last one sees every run, and name the runs whose
+    `code_sha256` is not `code`."""
     fd = os.open(run_dir, os.O_RDONLY)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
@@ -351,7 +358,6 @@ def _write(out_path, profile, p, run_dir, config, sha):
                         r["test_accuracy"] for r in mine), 6),
                     "n_seeds": len(mine)}
             runs += mine
-        code = code_sha256()
         stale = [f"{r['name']}-s{r['seed']}" for r in runs
                  if r.get("code_sha256") != code]
         if stale:

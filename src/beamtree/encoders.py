@@ -17,6 +17,8 @@ would; a caller trains with them and evaluates without."""
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from . import tensor as T
@@ -119,12 +121,20 @@ class _BeamBatch:
     candidate scores aligned with it (0 for a row that is no candidate: the
     leaves, interpolated and straight-through nodes), the table of beam
     scores, and the beams of the examples still searching, one row each of
-    the int arrays `node_rows`, `cand_rows` (the parents of adjacent pairs,
-    -1 for a stale pair, one not composed yet; both padded on the right),
-    `actions` (0 past the steps taken), `score_rows` and `m` (the number of
-    candidates), an example's beams consecutive. Every beam of an example
-    has its length less the steps taken as nodes; an example with at most
-    two is done, and its roots, score rows and actions are set aside.
+    the int arrays `node_rows` (-1 past the beam's nodes), `cand_rows` (the
+    parents of adjacent pairs), `actions` (0 past the steps taken),
+    `score_rows` and `m` (the number of candidates), an example's beams
+    consecutive. Every beam of an example has its length less the steps
+    taken as nodes; an example with at most two is done, and its roots,
+    score rows and actions are set aside.
+
+    `node_rows` and `cand_rows` start one column wider than the longest
+    example, and each merge drops one column, so a beam's last column is
+    always past its nodes. A slot is its flat index in both, as `take` and
+    `put` read it. `stale` lists the slots of the pairs not composed yet,
+    beam by beam and left to right, for `compose`: `merge` lists the two
+    beside each new node, and at the first step and after OneSoft's
+    collapse `scan` lists the slots marked -1.
 
     The search is hash-consed: a node's row is its signature, and one row
     stands for every equal node of the batch. Bit-identical leaf rows are
@@ -152,45 +162,47 @@ class _BeamBatch:
             first = {}
             rows = np.array([first.setdefault(row.tobytes(), i)
                              for i, row in enumerate(leaves.data)])
-        # the padding is clipped to a leaf row, and never read
-        self.node_rows = rows.take(np.add.outer(
-            _starts(lengths), np.arange(max(lengths))), mode="clip")
-        self.parents = {}  # (left, right) signature -> the parent's row
-        self.cols = np.arange(self.node_rows.shape[1])
+        starts, self.cols = _starts(lengths), np.arange(max(lengths) + 1)
+        # shift[p]: the columns a beam keeps when its nodes p and p + 1 merge
+        self.shift = self.cols + (self.cols > self.cols[:, None])
         self.m = np.subtract(lengths, 1)
+        self.node_rows = np.where(self.cols <= self.m[:, None], rows.take(
+            np.add.outer(starts, self.cols), mode="clip"), -1)
+        self.parents = {}  # (left, right) signature -> the parent's row
         # every pair is stale; the root of a one-leaf example is its leaf
         self.cand_rows = np.where(self.cols < self.m[:, None], -1,
                                   self.node_rows)
         self.actions = np.zeros_like(self.node_rows)
         self.score_rows = np.arange(len(lengths))
         self.done = [None] * len(lengths)
+        self.scan()
         self.compose()
-        self.retire(self.lengths)
+        self.retire()
+
+    def scan(self):
+        """List every stale slot: the marks below each beam's m."""
+        self.stale = np.flatnonzero((self.cand_rows < 0) & (
+            self.cols[:self.cand_rows.shape[1]] < self.m[:, None]))
 
     def compose(self):
-        """Fill the stale slots below each beam's m, beam by beam and slots
-        ascending. A slot whose pair of node rows `parents` holds points at
-        that row; the first slot of each pair not seen yet composes it, and
-        every later slot with that pair points at the same row. The new
-        pairs' children are one gather, in one `grc_compose` and one
-        `score` call; the parents and their scores go to the end of the
-        tables."""
-        beams, slots = ((self.cand_rows < 0) & (
-            self.cols[:self.cand_rows.shape[1]] < self.m[:, None])).nonzero()
-        if not len(beams):
-            return
-        rows, new, parents = [], [], self.parents
-        first = self.nodes.size
-        for pair in zip(self.node_rows[beams, slots].tolist(),
-                        self.node_rows[beams, slots + 1].tolist()):
-            row = parents.get(pair)
-            if row is None:
-                row = parents[pair] = first + len(new)
-                new.append(pair)
-            rows.append(row)
-        self.cand_rows[beams, slots] = rows
-        if new:
-            composed = grc_compose(self.nodes.gather(new), self.cell)
+        """Fill the slots `stale` lists, in its order. A slot whose pair of
+        node rows `parents` holds points at that row; the first slot of
+        each pair not seen yet composes it, and every later slot with that
+        pair points at the same row. A pair with a -1 is none, and its
+        slot gets -1. The new pairs' children are one gather, in one
+        `grc_compose` and one `score` call; the parents and their scores
+        go to the end of the tables."""
+        slots, parents, first = self.stale, self.parents, self.nodes.size
+        known = len(parents)
+        # a new pair's row: the table's size plus the new pairs before it
+        self.cand_rows.put(slots, [
+            parents.setdefault(pair, first - known + len(parents))
+            if -1 not in pair else -1
+            for pair in zip(self.node_rows.take(slots).tolist(),
+                            self.node_rows.take(slots + 1).tolist())])
+        if len(parents) > known:  # the new pairs are the dict's last keys
+            new = list(islice(reversed(parents), len(parents) - known))
+            composed = grc_compose(self.nodes.gather(new[::-1]), self.cell)
             self.nodes.append(composed)
             self.cand_scores.append(score(composed, self.scorer))
 
@@ -203,27 +215,25 @@ class _BeamBatch:
     def merge(self, parent, pos, rows, score_rows):
         """Make the beams those of `parent` with nodes pos and pos + 1
         merged into node `rows`, one shift of the columns right of pos, and
-        with beam scores `score_rows`. The two pairs beside the new node
-        are marked stale."""
-        src = self.cols[:self.node_rows.shape[1] - 1]
-        src = src + (src > pos[:, None])
-        beams = np.arange(len(pos))
-        self.node_rows = self.node_rows[parent[:, None], src]
-        self.node_rows[beams, pos] = rows
-        self.cand_rows = self.cand_rows[parent[:, None], src]
-        # at pos 0 the left mark wraps to the last column, which is never
-        # below m, so `compose` never reads it
-        self.cand_rows[beams[:, None], pos[:, None] + (-1, 0)] = -1
+        with beam scores `score_rows`. It lists the two slots beside the new
+        node as stale. Left of a first node that slot is the last of the
+        beam before (of the last beam, for the first beam), and right of a
+        last node it is past m: the node rows of both pairs hold a -1."""
+        w = self.node_rows.shape[1] - 1  # the width after the merge
+        src, parent_col = self.shift[pos, :w], parent[:, None]
+        self.node_rows = self.node_rows[parent_col, src]
+        self.cand_rows = self.cand_rows[parent_col, src]
+        slot = np.arange(0, len(pos) * w, w) + pos  # the new node's
+        self.node_rows.put(slot, rows)
+        self.stale = np.add.outer(slot, (-1, 0)).ravel()  # the pairs beside
         self.actions = self.actions[parent]
         self.actions[:, self.steps] = pos
         self.score_rows, self.m = score_rows, self.m[parent] - 1
 
     def select(self, beams):
         """Keep the beams `beams` (indices or a mask), in their order."""
-        self.node_rows, self.cand_rows, self.actions, self.score_rows, \
-            self.m = (x[beams] for x in (self.node_rows, self.cand_rows,
-                                         self.actions, self.score_rows,
-                                         self.m))
+        for name in ("node_rows", "cand_rows", "actions", "score_rows", "m"):
+            setattr(self, name, getattr(self, name)[beams])
 
     def step(self, k: int, onesoft: bool, rngs):
         """One merge in every beam of every example with more than two
@@ -232,22 +242,23 @@ class _BeamBatch:
         OneSoft's new beams."""
         if not self.active:
             return False
-        # each example's candidates per beam: its nodes after this step
-        n = [self.lengths[e] - self.steps - 1 for e in self.active]
-        beam, pos = (self.cols < self.m[:, None]).nonzero()
+        mask = self.cols[:self.cand_rows.shape[1]] < self.m[:, None]
+        (beam, pos), cands = mask.nonzero(), self.cand_rows[mask]
         if k == 1 and rngs is not None:
-            self.straight_through(beam, pos, rngs)
+            self.straight_through(beam, pos, cands, rngs)
         else:
-            self.branch_and_truncate(beam, pos, n, k, onesoft, rngs)
+            self.branch_and_truncate(beam, pos, cands, k, onesoft, rngs)
         self.compose()
         self.steps += 1
-        self.retire(n)
+        if self.steps >= self.next_done:
+            self.retire()
         return True
 
-    def straight_through(self, beam, pos, rngs):
+    def straight_through(self, beam, pos, cands, rngs):
         """One straight-through Gumbel merge in each active example's one
-        beam, over its candidates `pos[i]` of beam `beam[i]`."""
-        raw = self.cand_scores.gather(self.cand_rows[beam, pos])
+        beam, over its candidates, the rows `cands`, at `pos[i]` of beam
+        `beam[i]`."""
+        raw = self.cand_scores.gather(cands)
         noise = np.concatenate([
             gumbel_noise(n, rngs[e])
             for e, n in zip(self.active, self.m.tolist())]).astype(
@@ -261,37 +272,37 @@ class _BeamBatch:
         onehot[self.m.cumsum() - self.m + hard] = 1.0
         ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
         first = self.add_nodes(T.segment_sum(
-            ste, self.nodes.gather(self.cand_rows[beam, pos]), self.m))
+            ste, self.nodes.gather(cands), self.m))
         beams = np.arange(len(hard))
         self.merge(beams, hard, first + beams, self.score_rows)
 
-    def branch_and_truncate(self, beam, pos, n, k, onesoft, rngs):
-        """Branch every beam of the active examples, over its candidates
-        `pos[i]` of beam `beam[i]`, over its top-k merges, and truncate each
-        example's pool, collapsing OneSoft's last groups. The picked beams'
-        scores are one primitive over both score tables: the candidates'
-        segment log-softmax plus their beams' scores, at the picked merges;
-        its vjp scatters into both tables."""
-        cand_ids, prior_ids = self.cand_rows[beam, pos], self.score_rows[beam]
+    def branch_and_truncate(self, beam, pos, cand_ids, k, onesoft, rngs):
+        """Branch every beam of the active examples, over its candidates,
+        the rows `cand_ids`, at `pos[i]` of beam `beam[i]`, over its top-k
+        merges, and truncate each example's pool, collapsing OneSoft's last
+        groups. The picked beams' scores are one primitive over both score
+        tables: the candidates' segment log-softmax plus their beams'
+        scores, at the picked merges; its vjp scatters into both tables."""
         raw, cand_scatter = self.cand_scores.read(cand_ids)
-        logp, logp_grad = T.segment_log_softmax_data(raw, self.m)
-        # the pool score of each merge: its beam's score plus its logp
+        # each beam's first place, and each place's beam's score row
+        starts, prior_ids = self.m.cumsum() - self.m, self.score_rows[beam]
+        logp, logp_grad = T.segment_log_softmax_data(raw, self.m, starts)
         prior, prior_scatter = self.beam_scores.read(prior_ids)
-        pooled = prior + logp
-        lp = logp.astype(np.float64)  # plain_topk's precision
-        starts = self.m.cumsum() - self.m  # each beam's first place in lp
-        picked, sizes, counts = [], [], []
-        b = 0  # the example's first beam
-        for e, c, n_e in zip(self.active, self.counts, n):
+        # the pool score of each merge, its beam's score plus its logp, and
+        # the logps at plain_topk's precision
+        pooled, lp = prior + logp, logp.astype(np.float64)
+        picked, kept, b, a = [], [], 0, 0  # the example's first beam, place
+        for e, c in zip(self.active, self.counts):
+            n = self.lengths[e] - self.steps - 1  # candidates per beam
             rng = None if rngs is None else rngs[e]
-            top = plain_topk(lp[starts[b]:starts[b] + c * n_e]
-                             .reshape(c, n_e), k, rng)
-            pool = (top + starts[b:b + c, None]).reshape(-1)
+            top = plain_topk(lp[a:a + c * n].reshape(c, n), k, rng)
+            pool = (top + starts[b:b + c, None]).ravel()
             groups = truncate(pooled[pool], k, onesoft, rng)
-            picked.append(pool[[j for g in groups for j in g]])
-            sizes += [len(g) for g in groups]
-            counts.append(len(groups))
-            b += c
+            # hard top-k's groups are the rows of one (kept, 1) array
+            picked.append(pool[np.concatenate(groups)] if onesoft
+                          else pool[groups].ravel())
+            kept.append(groups)
+            b, a = b + c, a + c * n
         places = np.concatenate(picked)  # distinct places in the pool
 
         def vjp(g):
@@ -305,15 +316,16 @@ class _BeamBatch:
                                                  self.beam_scores.token), vjp)
         parent, pos = beam[places], pos[places]
         row = self.beam_scores.append(picked_scores)
-        self.merge(parent, pos, self.cand_rows[parent, pos],
-                   row + np.arange(len(places)))
-        self.counts, sizes = counts, np.asarray(sizes)
-        if len(sizes) == len(places):  # hard top-k: each picked beam is kept
+        self.merge(parent, pos, cand_ids[places], row + np.arange(len(pos)))
+        self.counts = [len(groups) for groups in kept]
+        if sum(self.counts) == len(places):  # each picked beam is kept
             return
-        kept = np.cumsum(sizes) - sizes  # the first picked beam of each group
+        sizes = np.array([len(g) for groups in kept for g in groups])
+        firsts = np.cumsum(sizes) - sizes  # each group's first picked beam
         tails, nodes = np.flatnonzero(sizes > 1), self.node_rows
-        self.select(kept)
-        self.collapse(tails, kept[tails], sizes[tails], self.m[tails] + 1,
+        self.cand_rows.put(self.stale, -1)  # `scan` reads these marks
+        self.select(firsts)
+        self.collapse(tails, firsts[tails], sizes[tails], self.m[tails] + 1,
                       nodes, picked_scores)
 
     def collapse(self, tails, firsts, sizes, lens, nodes, picked_scores):
@@ -329,15 +341,16 @@ class _BeamBatch:
         row = self.add_nodes(mixed)
         self.score_rows[tails] = (self.beam_scores.append(mixed_scores)
                                   + np.arange(len(tails)))
-        self.node_rows[tails] = (row + np.cumsum(lens) - lens)[:, None] \
-            + self.cols[:self.node_rows.shape[1]]
+        cols = self.cols[:self.node_rows.shape[1]]
+        self.node_rows[tails] = np.where(cols < lens[:, None], cols + (
+            row + np.cumsum(lens) - lens)[:, None], -1)
         self.cand_rows[tails] = -1  # no merge: all its pairs are stale
+        self.scan()
 
-    def retire(self, n):
+    def retire(self):
         """Set aside the examples left with n <= 2 nodes per beam, whose
         root is the one candidate (with 0 as the last action) or node."""
-        if min(n) > 2:
-            return
+        n = [self.lengths[e] - self.steps for e in self.active]
         a = 0
         for e, c, n_e in zip(self.active, self.counts, n):
             if n_e <= 2:
@@ -349,6 +362,9 @@ class _BeamBatch:
         self.select(np.repeat(np.greater(n, 2), self.counts))
         self.active = [e for e, n_e in zip(self.active, n) if n_e > 2]
         self.counts = [c for c, n_e in zip(self.counts, n) if n_e > 2]
+        # the first step at which an example can be done
+        self.next_done = min([self.lengths[e] for e in self.active],
+                             default=2) - 2
 
     def finish(self):
         """(encodings, one BeamSet per example) once every example is
@@ -379,25 +395,26 @@ def encode_bt_cell(leaves: Tensor, lengths, cell: GrcParams,
     Every node state of the batch is a row of one append-only table: the
     leaves, then each step's composed parents. The beams of all examples
     are the rows of int matrices: one of row ids for their nodes and one
-    for the parents of their adjacent pairs, their candidates, where -1
-    marks a stale pair, one not composed yet; each candidate is scored
-    once, when it is composed, and the scores sit in a second table
-    aligned with the first. A row is its node's signature (hash-consing):
-    equal leaves are one row when no tape records them, and each distinct
-    pair of child rows is composed once per search, so every beam, place
-    and example that makes the same subtree shares its row and its score
-    bit for bit, and ties between them are exact in every batch. A merge
-    is one fancy-index shift of both
-    matrices over all beams, which marks the two pairs beside the new node
-    stale. A step, over all beams of all examples that have more than two
-    nodes left, reads the candidate and beam scores, and takes their
-    segment log-softmax and pool scores, on the values; runs one
-    `plain_topk` over each example's (beams, candidates) matrix and one
-    `truncate` of its pool; and records four tape primitives: the picked
-    beams' scores (one read of both score tables), one gather of both
-    children of every new stale pair, one `grc_compose` of those pairs and
-    one `score` (none of the last three when every stale pair was composed
-    before). Hard top-k builds only the k beams it keeps. OneSoft's last
+    for the parents of their adjacent pairs, their candidates; each
+    candidate is scored once, when it is composed, and the scores sit in a
+    second table aligned with the first. A row is its node's signature
+    (hash-consing): equal leaves are one row when no tape records them,
+    and each distinct pair of child rows is composed once per search, so
+    every beam, place and example that makes the same subtree shares its
+    row and its score bit for bit, and ties between them are exact in
+    every batch. A merge is one gather of both matrices over all beams, by
+    a precomputed shift table, and lists the two pairs beside the new node
+    as stale: not composed yet. A step, over all beams of all examples
+    that have more than two nodes left, reads the candidate and beam
+    scores, and takes their segment log-softmax and pool scores, on the
+    values; runs one `plain_topk` over each example's (beams, candidates)
+    matrix and one `truncate` of its pool, whose hard top-k groups are one
+    int array; looks every stale pair up in one pass over a dict; and
+    records four tape primitives: the picked beams' scores (one read of
+    both score tables), one gather of both children of every new stale
+    pair, one `grc_compose` of those pairs and one `score` (none of the
+    last three when every stale pair was composed before). Hard top-k
+    builds only the k beams it keeps. OneSoft's last
     group, its best beam first, becomes one beam whose nodes are new rows,
     the softmax-weighted sum of the group's node rows (`collapse_tail`); it
     carries its best member's actions, and every pair of it is stale. An

@@ -277,8 +277,10 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
     with the fraction of steps clipped), timing.log (wall clock:
     per epoch the run's elapsed seconds, the seconds spent in training steps
     and in dev evaluation, and training examples per second of the steps),
-    config.txt, and best.ckpt under `out_dir`. Returns
-    (checkpoint_path, metrics list)."""
+    config.txt, and best.ckpt under `out_dir`. A step whose loss or
+    gradient is not finite stops the run with HarnessError naming its epoch
+    and step (and the first such parameter), before the weights change.
+    Returns (checkpoint_path, metrics list)."""
     cfg.validate()
     if train_examples is None:
         train_examples = read_tsv(os.path.join(cfg.data_dir, "train.tsv"))
@@ -290,7 +292,7 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
     os.makedirs(out_dir, exist_ok=True)
 
     model = Model(cfg)
-    params = model.params()
+    params, names = model.params(), list(model.named())
     state = AdamState(lr=cfg.lr)
     save_config(cfg, os.path.join(out_dir, "config.txt"))
     ckpt_path = os.path.join(out_dir, "best.ckpt")
@@ -320,6 +322,12 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
                 if not np.isfinite(mean_loss):
                     raise HarnessError(
                         f"non-finite loss at epoch {epoch} step {step}")
+                # before clipping, which would scale an inf to NaN, and Adam,
+                # which would write it into the weights
+                for name, g in zip(names, grads):
+                    if not np.isfinite(g).all():
+                        raise HarnessError(f"non-finite gradient of {name} "
+                                           f"at epoch {epoch} step {step}")
                 norms.append(clip_grad_norm(grads, GRAD_CLIP))
                 adam_step(params, grads, state)
                 loss_total += mean_loss * len(batch)

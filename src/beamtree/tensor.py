@@ -560,12 +560,15 @@ def segment_softmax(a: Tensor, counts) -> Tensor:
         out * (g - np.add.reduceat(g * out, starts).repeat(counts)),))
 
 
-def segment_log_softmax_data(x: np.ndarray, counts):
+def segment_log_softmax_data(x: np.ndarray, counts, starts=None):
     """Log-softmax of each run of consecutive entries of the 1-D array x,
-    run s being counts[s] (>= 1) entries long, off the tape. Returns the
-    values and their vjp, g -> the gradient of x."""
+    run s being counts[s] (>= 1) entries long, off the tape. A caller that
+    has the runs' first entries, counts' exclusive cumulative sum, may pass
+    them as `starts`. Returns the values and their vjp, g -> the gradient
+    of x."""
     counts = np.asarray(counts, dtype=np.intp)
-    starts = _segment_starts(counts)
+    if starts is None:
+        starts = _segment_starts(counts)
     z = x - np.maximum.reduceat(x, starts).repeat(counts)
     out = z - np.log(np.add.reduceat(np.exp(z), starts).repeat(counts))
     return out, lambda g: g - np.exp(out) * np.add.reduceat(

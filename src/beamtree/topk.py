@@ -71,19 +71,20 @@ def onesoft_topk(scores, k: int) -> list:
 
 
 def truncate(scores, k: int, onesoft: bool = False,
-             rng: np.random.Generator | None = None) -> list:
+             rng: np.random.Generator | None = None):
     """Beam truncation of a pool with (m,) scores, as groups of pool
     indices, one group per beam kept. A group of one index keeps that beam;
     a longer one (`onesoft`) is ordered best first, ties to the lowest
     index, and stands for the interpolation of its beams, which carries the
     actions of its first. Otherwise this is hard top-k, Gumbel-perturbed
-    when given an rng."""
-    m = len(scores)
-    if k >= m:
-        return [[i] for i in range(m)]
+    when given an rng. Groups of one index each are the rows of a
+    (kept, 1) int array; OneSoft's, when it drops a beam, a list of
+    lists."""
+    if k >= len(scores):
+        return np.arange(len(scores))[:, None]
     if onesoft:
         return onesoft_topk(scores, k)
-    return [[i] for i in plain_topk(scores, k, rng)]
+    return plain_topk([scores], k, rng).T  # top-k of a one-row matrix
 
 
 def tail_entries(counts, lengths):

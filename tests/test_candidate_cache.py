@@ -3,6 +3,7 @@ encoders against the full-recompose encoders in oracles.py, with
 gradients, mostly in training mode, the number of rows they compose, and
 the node signatures of evaluation's searches."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -31,6 +32,15 @@ VARIANTS = {
     "bt-k5-gumbel": (5, False, True),
     "easy-first": (1, False, True),
 }
+
+
+def _stale(search):
+    """The slots a search about to compose lists as stale, as (beam,
+    column) pairs below each beam's m; a slot beside a first or last node,
+    which has no pair, is past m or the last column of the beam before."""
+    width = search.cand_rows.shape[1]
+    return [(b, s) for b, s in (divmod(int(f), width) for f in search.stale)
+            if 0 <= b and s < search.m[b]]
 
 
 def _model(seed):
@@ -135,11 +145,13 @@ def test_bt_cell_composes_rows_linear_in_length(monkeypatch):
     pytest.param(5, False, False, id="eval-k5")])
 def test_stale_marks_are_all_composed_and_nothing_else(k, onesoft, rngs,
                                                        monkeypatch):
-    # one batch of mixed lengths: after every compose no candidate below a
-    # beam's m is marked stale (-1), every candidate is the cell over its
-    # beam's two adjacent nodes, and the rows composed are the distinct
-    # pairs of node rows among the marked slots that no earlier compose
-    # made, so no padding slot and no pair is ever composed twice
+    # one batch of mixed lengths: the search lists its stale slots beam by
+    # beam and left to right, its beams hold -1 past their nodes, after
+    # every compose no candidate below a beam's m is -1, every candidate is
+    # the cell over its beam's two adjacent nodes, and the rows composed
+    # are the distinct pairs of node rows among the listed slots that no
+    # earlier compose made, so no padding slot and no pair is ever composed
+    # twice
     lengths = [1, 2, 3, 9]
     params, scorer, rng = _model(seed=4)
     leaves = Tensor(rng.standard_normal((sum(lengths), D_H)))
@@ -151,16 +163,18 @@ def test_stale_marks_are_all_composed_and_nothing_else(k, onesoft, rngs,
         return cell(children, p)
 
     def checked(search):
-        stale = [int((row[:m_b] < 0).sum())
-                 for row, m_b in zip(search.cand_rows, search.m.tolist())]
-        new = {(nodes[s], nodes[s + 1])
-               for nodes, cands, m_b in zip(search.node_rows.tolist(),
-                                            search.cand_rows.tolist(),
-                                            search.m.tolist())
-               for s in range(m_b) if cands[s] < 0} - made
+        slots = _stale(search)
+        assert slots == sorted(set(slots))  # beam by beam, left to right
+        nodes = search.node_rows.tolist()
+        # past its nodes a beam holds -1, so a listed slot beside its first
+        # or last node reads no pair
+        assert all(set(row[m_b + 1:]) <= {-1}
+                   for row, m_b in zip(nodes, search.m.tolist()))
+        new = {(nodes[b][s], nodes[b][s + 1]) for b, s in slots} - made
         made.update(new)
         marked.append(len(new))
-        widest.append(max(stale, default=0))
+        widest.append(max(collections.Counter(b for b, _ in slots).values(),
+                          default=0))
         compose(search)
         for nodes, cands, m_b in zip(search.node_rows, search.cand_rows,
                                      search.m.tolist()):
@@ -236,9 +250,7 @@ def test_an_eval_search_composes_one_row_per_distinct_subtree(k,
     compose = encoders._BeamBatch.compose
 
     def checked(search):
-        stale = [(b, s) for b, (cands, m_b) in enumerate(
-            zip(search.cand_rows, search.m.tolist()))
-            for s in range(m_b) if cands[s] < 0]
+        stale = _stale(search)
         first = search.nodes.size
         compose(search)
         composed.extend(range(first, search.nodes.size))

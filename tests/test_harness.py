@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from one_example import example_loss
 
+from beamtree import harness
 from beamtree import tensor as T
 from beamtree.checkpoint import (CheckpointError, load_checkpoint, restore,
                                  save_checkpoint)
@@ -355,6 +357,36 @@ def test_train_writes_artifacts_and_timing_separate(tmp_path):
     train_s, dev_s = float(fields["train_seconds"]), float(fields["dev_seconds"])
     assert train_s + dev_s <= float(fields["wall_seconds"]) + 0.1
     assert float(fields["train_ex_per_s"]) > 0.0
+
+
+def test_train_refuses_a_non_finite_gradient_before_clipping(tmp_path,
+                                                             monkeypatch):
+    # an inf gradient would become NaN in clipping (5 / inf * inf) and Adam
+    # would write it into the weights; train stops first, naming the epoch,
+    # the step and the first parameter whose gradient is not finite
+    cfg = _tiny_cfg(max_epochs=1)
+    names = list(Model(cfg).named())
+    grad_sums, touched = harness.batch_grad_sums, []
+
+    def poisoned(model, batch, epoch):
+        grads, loss = grad_sums(model, batch, epoch)
+        grads[3].flat[0] = np.inf
+        grads[5].flat[0] = np.nan
+        return grads, loss
+
+    def recorded(name):
+        fn = getattr(harness, name)
+        return lambda *args: (touched.append(name), fn(*args))[1]
+
+    monkeypatch.setattr(harness, "batch_grad_sums", poisoned)
+    for name in ("clip_grad_norm", "adam_step"):
+        monkeypatch.setattr(harness, name, recorded(name))
+    with pytest.raises(HarnessError, match=re.escape(
+            f"non-finite gradient of {names[3]} at epoch 0 step 0")):
+        train(cfg, tmp_path / "run", _tiny_examples(8), _tiny_examples(4),
+              log=lambda *_: None)
+    assert touched == []
+    assert (tmp_path / "run" / "metrics.jsonl").read_text() == ""
 
 
 @pytest.mark.parametrize("split", ["train", "dev"])

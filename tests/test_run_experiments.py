@@ -221,6 +221,48 @@ def test_workers_train_runs_at_once_into_the_same_files(tmp_path,
         assert res_one["code_sha256"] == R.code_sha256()
 
 
+def test_a_source_edit_during_the_sweep_leaves_the_recorded_hash(
+        tmp_path, monkeypatch, capsys):
+    # the sweep hashes the modules it imported, once: a run that ends after
+    # src/ changed on disk records the code that trained it, and is not
+    # named stale
+    root = tmp_path / "checkout"
+    shutil.copytree(os.path.join(ROOT, "src", "beamtree"),
+                    root / "src" / "beamtree",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (root / "scripts").mkdir()
+    shutil.copy(os.path.join(ROOT, "scripts", "run_experiments.py"),
+                root / "scripts")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "run_experiments_copy", root / "scripts" / "run_experiments.py")
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    started = copy.code_sha256()
+    assert started == R.code_sha256()  # the copy holds this checkout's src/
+
+    def edit_then_train(cfg, *args, **kwargs):
+        with open(root / "src" / "beamtree" / "encoders.py", "a",
+                  encoding="utf-8") as f:
+            f.write("# edited while the sweep runs\n")
+        return train(cfg, *args, **kwargs)
+
+    monkeypatch.setitem(copy.PROFILES, "reduced", TINY)
+    monkeypatch.setattr(copy, "train", edit_then_train)
+    monkeypatch.setattr(sys, "argv", [
+        "run_experiments.py", "--profile", "reduced",
+        "--out", str(tmp_path / "experiments.json"),
+        "--run-dir", str(tmp_path / "runs"),
+        "--data-dir", str(tmp_path / "data"),
+        "--only", "gold_tree", "--seeds", "0"])
+    copy.main()
+    assert copy.code_sha256() != started
+    result = json.loads(
+        (tmp_path / "runs" / "gold_tree-s0" / "result.json").read_text())
+    assert result["code_sha256"] == started
+    assert "code_sha256" not in capsys.readouterr().out
+
+
 def test_a_failing_run_stops_the_sweep_naming_it(tmp_path, monkeypatch):
     def train_or_fail(cfg, *args, **kwargs):
         if cfg.encoder == "recurrent" and cfg.seed == 1:
