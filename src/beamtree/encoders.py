@@ -131,10 +131,12 @@ class _BeamBatch:
     `node_rows` and `cand_rows` start one column wider than the longest
     example, and each merge drops one column, so a beam's last column is
     always past its nodes. A slot is its flat index in both, as `take` and
-    `put` read it. `stale` lists the slots of the pairs not composed yet,
-    beam by beam and left to right, for `compose`: `merge` lists the two
-    beside each new node, and at the first step and after OneSoft's
-    collapse `scan` lists the slots marked -1.
+    `put` read it. `stale` is the one record of the pairs not composed yet:
+    their slots, beam by beam and left to right, each listed where its pair
+    is made, and `compose` fills exactly those. The first step lists every
+    slot below each beam's m, a merge the two beside its new node, and
+    OneSoft's truncation every slot below m of an interpolated beam, with
+    the merge slots of the beams it keeps whole.
 
     The search is hash-consed: a node's row is its signature, and one row
     stands for every equal node of the batch. Bit-identical leaf rows are
@@ -170,19 +172,13 @@ class _BeamBatch:
             np.add.outer(starts, self.cols), mode="clip"), -1)
         self.parents = {}  # (left, right) signature -> the parent's row
         # every pair is stale; the root of a one-leaf example is its leaf
-        self.cand_rows = np.where(self.cols < self.m[:, None], -1,
-                                  self.node_rows)
+        self.cand_rows = self.node_rows.copy()
+        self.stale = np.flatnonzero(self.cols < self.m[:, None])
         self.actions = np.zeros_like(self.node_rows)
         self.score_rows = np.arange(len(lengths))
         self.done = [None] * len(lengths)
-        self.scan()
         self.compose()
         self.retire()
-
-    def scan(self):
-        """List every stale slot: the marks below each beam's m."""
-        self.stale = np.flatnonzero((self.cand_rows < 0) & (
-            self.cols[:self.cand_rows.shape[1]] < self.m[:, None]))
 
     def compose(self):
         """Fill the slots `stale` lists, in its order. A slot whose pair of
@@ -238,8 +234,7 @@ class _BeamBatch:
     def step(self, k: int, onesoft: bool, rngs):
         """One merge in every beam of every example with more than two
         nodes; returns False when there is none. The pairs composed are
-        the stale ones: the two beside each merge, and all pairs of
-        OneSoft's new beams."""
+        those `stale` lists."""
         if not self.active:
             return False
         mask = self.cols[:self.cand_rows.shape[1]] < self.m[:, None]
@@ -288,14 +283,17 @@ class _BeamBatch:
         starts, prior_ids = self.m.cumsum() - self.m, self.score_rows[beam]
         logp, logp_grad = T.segment_log_softmax_data(raw, self.m, starts)
         prior, prior_scatter = self.beam_scores.read(prior_ids)
-        # the pool score of each merge, its beam's score plus its logp, and
-        # the logps at plain_topk's precision
-        pooled, lp = prior + logp, logp.astype(np.float64)
+        pooled = prior + logp  # each merge's beam score plus its logp
         picked, kept, b, a = [], [], 0, 0  # the example's first beam, place
+        # one example at a time, as each draws its Gumbel noise from its own
+        # rng in order: a block over the batch that drew each example's
+        # noise once per search and ran two padded argsorts per step took
+        # 134.9 us per step, against about 120 us for this loop (16-row
+        # batches, 2-core Xeon, one BLAS thread)
         for e, c in zip(self.active, self.counts):
             n = self.lengths[e] - self.steps - 1  # candidates per beam
             rng = None if rngs is None else rngs[e]
-            top = plain_topk(lp[a:a + c * n].reshape(c, n), k, rng)
+            top = plain_topk(logp[a:a + c * n].reshape(c, n), k, rng)
             pool = (top + starts[b:b + c, None]).ravel()
             groups = truncate(pooled[pool], k, onesoft, rng)
             # hard top-k's groups are the rows of one (kept, 1) array
@@ -322,11 +320,17 @@ class _BeamBatch:
             return
         sizes = np.array([len(g) for groups in kept for g in groups])
         firsts = np.cumsum(sizes) - sizes  # each group's first picked beam
-        tails, nodes = np.flatnonzero(sizes > 1), self.node_rows
-        self.cand_rows.put(self.stale, -1)  # `scan` reads these marks
+        whole, w = sizes == 1, self.node_rows.shape[1]
+        # kept beam h is picked beam firsts[h]: its merge's slots, renumbered
+        listed = (self.stale.reshape(-1, 2)[firsts] - w * (
+            firsts - np.arange(len(firsts)))[:, None])[whole]
+        tails, nodes = np.flatnonzero(~whole), self.node_rows
         self.select(firsts)
         self.collapse(tails, firsts[tails], sizes[tails], self.m[tails] + 1,
                       nodes, picked_scores)
+        # all pairs of an interpolated beam are stale
+        self.stale = np.sort(np.concatenate((listed.ravel(), np.flatnonzero(
+            (self.cols[:w] < self.m[:, None]) & ~whole[:, None]))))
 
     def collapse(self, tails, firsts, sizes, lens, nodes, picked_scores):
         """Replace the kept beams `tails`, OneSoft's last groups, each by
@@ -344,8 +348,6 @@ class _BeamBatch:
         cols = self.cols[:self.node_rows.shape[1]]
         self.node_rows[tails] = np.where(cols < lens[:, None], cols + (
             row + np.cumsum(lens) - lens)[:, None], -1)
-        self.cand_rows[tails] = -1  # no merge: all its pairs are stale
-        self.scan()
 
     def retire(self):
         """Set aside the examples left with n <= 2 nodes per beam, whose

@@ -62,7 +62,7 @@ class GenConfig:
                                f"{self.max_length}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Example:
     source: str
     label: int

@@ -44,9 +44,11 @@ def plain_topk(scores, k: int, rng: np.random.Generator | None = None):
 
     With an rng each score is first perturbed with independent Gumbel(0,1)
     noise (stochastic top-k), for a matrix drawn in one call, row after
-    row. If k exceeds the candidate count, all indices are returned.
+    row, and the sum is float64. Without one the scores keep their dtype:
+    a float32 row orders, ties included, as its float64 copy does. If k
+    exceeds the candidate count, all indices are returned.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
     if scores.size == 0:
         raise ValueError("plain_topk on empty scores")
     if k < 1:
@@ -84,7 +86,7 @@ def truncate(scores, k: int, onesoft: bool = False,
         return np.arange(len(scores))[:, None]
     if onesoft:
         return onesoft_topk(scores, k)
-    return plain_topk([scores], k, rng).T  # top-k of a one-row matrix
+    return plain_topk(np.asarray(scores)[None], k, rng).T  # of one row
 
 
 def tail_entries(counts, lengths):

@@ -203,6 +203,45 @@ def test_stale_marks_are_all_composed_and_nothing_else(k, onesoft, rngs,
     assert (max(widest[1:]) > 2) == onesoft
 
 
+@pytest.mark.parametrize("k,rngs", [(2, True), (3, True), (3, False)])
+def test_each_beam_lists_the_pairs_its_step_made(k, rngs, monkeypatch):
+    # the slots listed below a beam's m are every slot at the first step
+    # and of each beam OneSoft interpolates, and otherwise exactly the
+    # in-range ones of the two beside the beam's merge
+    lengths = [3, 6, 9, 12]
+    params, scorer, rng = _model(seed=5)
+    leaves = Tensor(rng.standard_normal((sum(lengths), D_H)))
+    tails, checked_tails, calls = [], [], []
+    compose, collapse = encoders._BeamBatch.compose, \
+        encoders._BeamBatch.collapse
+
+    def recorded(search, t, *args):
+        tails.append(t.tolist())
+        return collapse(search, t, *args)
+
+    def checked(search):
+        listed = collections.defaultdict(set)
+        for b, s in _stale(search):
+            listed[b].add(s)
+        first = not calls  # the compose of `__init__`
+        calls.append(search.steps)
+        interpolated = set(tails.pop()) if tails else set()
+        checked_tails.extend(interpolated)
+        for b, m_b in enumerate(search.m.tolist()):
+            pos = int(search.actions[b, search.steps])
+            expect = range(m_b) if first or b in interpolated \
+                else {pos - 1, pos} & set(range(m_b))
+            assert listed[b] == set(expect), (b, search.steps)
+        compose(search)
+
+    monkeypatch.setattr(encoders._BeamBatch, "compose", checked)
+    monkeypatch.setattr(encoders._BeamBatch, "collapse", recorded)
+    noise = [np.random.default_rng([5, e]) for e in range(len(lengths))] \
+        if rngs else None
+    encoders.encode_bt_cell(leaves, lengths, params, scorer, k, True, noise)
+    assert checked_tails and not tails  # every collapse was checked
+
+
 def _eval_search(tokens, k, seed):
     """A finished evaluation search (no tape, no rngs) over token
     sequences whose leaves are rows of a three-row vocabulary."""

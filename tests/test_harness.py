@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -411,3 +414,33 @@ def test_evaluate_examples_counts_argmax(tmp_path):
     acc, loss = evaluate_examples(model, examples)
     assert 0.0 <= acc <= 1.0
     assert loss > 0.0
+
+
+def test_training_and_evaluation_load_no_numpy_ma(tmp_path):
+    # numpy's set routines (`np.unique`, `np.union1d`, ...) import numpy.ma
+    # on their first call, which adds about 1 MB to a run's peak RSS: a
+    # fresh interpreter that trains each encoder for one epoch on a few
+    # `data-mid` rows and evaluates one model has not loaded it
+    root = Path(__file__).resolve().parent.parent
+    probe = f"""
+import sys
+import beamtree
+from beamtree import harness, listops
+rows = listops.read_tsv({str(root / "results" / "data-mid" / "train.tsv")!r})
+for name, kw in (("gold", {{"encoder": "gold"}}),
+                 ("recurrent", {{"encoder": "recurrent"}}),
+                 ("gumbel", {{"encoder": "gumbel"}}),
+                 ("plain", {{"encoder": "bt", "beam_size": "3"}}),
+                 ("onesoft", {{"encoder": "bt", "beam_size": "2",
+                              "topk": "onesoft"}})):
+    cfg = harness.make_config({{"d_e": "8", "d_h": "8", "batch_size": "4",
+                               "max_epochs": "1", **kw}})
+    harness.train(cfg, {str(tmp_path)!r} + "/" + name, rows[:8], rows[8:10],
+                  log=lambda *args: None)
+harness.evaluate_examples(harness.Model(cfg), rows[10:14])
+print("numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

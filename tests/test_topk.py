@@ -117,6 +117,29 @@ def test_plain_topk_of_a_matrix_draws_as_its_rows_would(rows, k, seed):
     assert got.tolist() == [plain_topk(row, k, per_row) for row in scores]
 
 
+@pytest.mark.parametrize("seed", [None, 5])
+def test_float32_scores_pick_as_their_float64_copy(seed):
+    # without noise a float32 score orders, ties included, as its exact
+    # float64 copy; with an rng both take the same draws in float64
+    scores = np.random.default_rng(17).standard_normal((6, 9)).astype(
+        np.float32)
+    scores[:, 3] = scores[:, 1]  # an exact tie in every row
+    scores[2] = scores[2, 0]  # a row of one value
+    scores[4, 5] = np.nextafter(scores[4, 6], np.float32(np.inf))  # 1 ulp
+    wide = scores.astype(np.float64)
+
+    def rng():
+        return None if seed is None else np.random.default_rng(seed)
+
+    for k in (1, 2, 5, 9):
+        assert plain_topk(scores, k, rng()).tolist() == \
+            plain_topk(wide, k, rng()).tolist()
+        for row, row64 in zip(scores, wide):
+            assert plain_topk(row, k, rng()) == plain_topk(row64, k, rng())
+            assert _groups(truncate(row, k, rng=rng())) == \
+                _groups(truncate(row64, k, rng=rng()))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_search_draws_each_step_branch_noise_then_pool_noise(k):
     # the batched search draws an example's branching noise for all its
