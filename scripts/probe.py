@@ -10,7 +10,8 @@ with model seed 0 it runs
   every parameter's gradient;
 - evaluation: for gumbel_tree and bt k2/k3/k5 (plain), the first 24 rows
   of `results/data-mid/test.tsv` (48 to 71 tokens), each as a batch of
-  one: its logits, and its final beams' scores and actions.
+  one through `harness.batch_logits`: its logits, and the scores and
+  actions of the final beams it returns.
 
 It writes every array to one .npz and prints the sha256 of their bytes
 (each array's name, dtype, shape and bytes, in name order). Two checkouts
@@ -41,7 +42,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import numpy as np  # noqa: E402
 import run_experiments as sweep  # noqa: E402
-from beamtree import encoders, harness  # noqa: E402
+from beamtree import harness  # noqa: E402
 from beamtree.listops import read_tsv  # noqa: E402
 
 DATA = os.path.join(sweep.REPO_ROOT, "results", "data-mid")
@@ -65,26 +66,14 @@ def probe(train_rows=16, test_rows=24, seed=0) -> dict:
         for param, g in zip(model.named(), grads):
             arrays[f"train/{name}/grad/{param}"] = g.copy()
     test = read_tsv(os.path.join(DATA, "test.tsv"))[:test_rows]
-    finish, beams = encoders._BeamBatch.finish, []
-
-    def kept(search):
-        out = finish(search)
-        beams.extend(out[1])
-        return out
-
-    encoders._BeamBatch.finish = kept
-    try:
-        for name in EVAL_VARIANTS:
-            model = _model(name, seed)
-            for i, ex in enumerate(test):
-                beams.clear()
-                key = f"eval/{name}/row{i:02d}"
-                arrays[f"{key}/logits"] = harness.forward_logits(
-                    model, ex, False, None).data
-                arrays[f"{key}/scores"] = beams[0].scores.data
-                arrays[f"{key}/actions"] = np.array(beams[0].actions)
-    finally:
-        encoders._BeamBatch.finish = finish
+    for name in EVAL_VARIANTS:
+        model = _model(name, seed)
+        for i, ex in enumerate(test):
+            logits, beams = harness.batch_logits(model, [ex], False, None)
+            key = f"eval/{name}/row{i:02d}"
+            arrays[f"{key}/logits"] = logits.data[0]
+            arrays[f"{key}/scores"] = beams[0].scores.data
+            arrays[f"{key}/actions"] = np.array(beams[0].actions)
     return arrays
 
 

@@ -65,7 +65,6 @@ import os
 import re
 import statistics
 import sys
-import tempfile
 import time
 from dataclasses import fields
 
@@ -79,6 +78,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from beamtree.checkpoint import atomic_open
 from beamtree.harness import RunConfig, evaluate_examples, load_config, \
     load_model, make_config, train
 from beamtree.listops import GenConfig, build_splits, read_tsv
@@ -198,18 +198,9 @@ def check_cached(run_dir, cfg, sha):
 
 
 def _write_json(path, obj, **kwargs):
-    """Write through a temp file in the same directory and os.replace, so a
-    reader never sees a torn file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=os.path.basename(path) + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(obj, f, **kwargs)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    """Write through `atomic_open`, so a reader never sees a torn file."""
+    with atomic_open(path, "w") as f:
+        json.dump(obj, f, **kwargs)
 
 
 def code_sha256():

@@ -7,6 +7,7 @@ little-endian float32. All integers little-endian.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -22,31 +23,41 @@ class CheckpointError(Exception):
     pass
 
 
-def save_checkpoint(path, named: dict):
-    """Write through a temp file in the same directory and os.replace it
-    into place, so a save that is killed or fails midway leaves the previous
-    checkpoint whole."""
+@contextlib.contextmanager
+def atomic_open(path, mode: str):
+    """A file opened with `mode` for writing `path`: a temp file in the same
+    directory, os.replace'd into place when the block ends and removed when
+    it raises, so a write that is killed or fails midway leaves the previous
+    file whole and a reader never sees a torn one."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                prefix=os.path.basename(path) + ".",
                                suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            f.write(struct.pack("<I", len(named)))
-            for name, arr in named.items():
-                data = np.ascontiguousarray(arr, dtype="<f4")
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<I", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("<I", data.ndim))
-                for ext in data.shape:
-                    f.write(struct.pack("<I", ext))
-                f.write(data.tobytes())
+        with os.fdopen(fd, mode,
+                       encoding=None if "b" in mode else "utf-8") as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def save_checkpoint(path, named: dict):
+    """Write through `atomic_open`, so a save that is killed or fails
+    midway leaves the previous checkpoint whole."""
+    with atomic_open(path, "wb") as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<I", VERSION))
+        f.write(struct.pack("<I", len(named)))
+        for name, arr in named.items():
+            data = np.ascontiguousarray(arr, dtype="<f4")
+            nb = name.encode("utf-8")
+            f.write(struct.pack("<I", len(nb)))
+            f.write(nb)
+            f.write(struct.pack("<I", data.ndim))
+            for ext in data.shape:
+                f.write(struct.pack("<I", ext))
+            f.write(data.tobytes())
 
 
 def _read(f, size: int) -> bytes:

@@ -12,9 +12,10 @@ from . import listops
 from .cells import GrcParams, LeafParams, ScorerParams, grc_compose, \
     leaf_transform_seq, score
 from .checkpoint import CheckpointError
-from .encoders import EncoderError, encode_bt_cell
-from .harness import HarnessError, Model, RunConfig, batch_losses, \
-    evaluate_checkpoint, load_config, load_model, make_config, train
+from .encoders import EncoderError
+from .harness import HarnessError, Model, RunConfig, batch_logits, \
+    batch_losses, evaluate_checkpoint, load_config, load_model, make_config, \
+    train
 from .listops import GenConfig, ListOpsError, build_splits
 from .tensor import Tensor
 from . import tensor as T
@@ -73,16 +74,14 @@ def cmd_parse(args):
     if cfg.encoder != "bt":
         raise SystemExit(f"parse reads beam-tree parses; the config's "
                          f"encoder is {cfg.encoder!r}, not 'bt'")
-    tokens = args.input.split()
-    try:
-        listops.parse(tokens)  # checked like a row of a split
+    try:  # checked like a row of a split
+        ex = listops.read_example(args.input, listops.eval_listops(args.input))
     except ListOpsError as e:
         raise ListOpsError(f"--input: {e}") from None
-    model = load_model(cfg, args.checkpoint)
-    leaves = leaf_transform_seq([listops.tokenize(args.input)], model.leaf)
-    _enc, beams = encode_bt_cell(leaves, [len(tokens)], model.cell,
-                                 model.scorer, cfg.beam_size)
-    for parse in collapse_duplicates(extract_parses(beams[0], tokens)):
+    _logits, beams = batch_logits(load_model(cfg, args.checkpoint), [ex],
+                                  False, None)
+    for parse in collapse_duplicates(extract_parses(beams[0],
+                                                    args.input.split())):
         print(f"{parse.probability:.4f}\t{parse.tree}")
 
 

@@ -52,8 +52,8 @@ class RunConfig:
             raise HarnessError(f"{', '.join(small)} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise HarnessError("dropout must be in [0, 1)")
-        if not self.lr > 0.0:
-            raise HarnessError("lr must be positive")
+        if not 0.0 < self.lr < float("inf"):
+            raise HarnessError("lr must be positive and finite")
         if self.precision not in ("single", "double"):
             raise HarnessError("precision must be single or double")
         if self.topk not in ("plain", "onesoft"):
@@ -186,11 +186,15 @@ def example_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, epoch, index])
 
 
-def _encode(model: Model, examples, training: bool, rngs) -> Tensor:
-    """The (examples, d_h) encodings of a batch. Noise is drawn, for
-    dropout and top-k, only from `rngs`, one per example: training passes
-    them, evaluation None. Each example draws from its own rng in the order
-    it alone would: leaf dropout, the encoder's Gumbel noise, head dropout.
+def _encode(model: Model, examples, training: bool, rngs) -> tuple:
+    """(encodings, beams) of a batch: the (examples, d_h) encodings, and
+    `beams`, the final `BeamSet` of each example in order (its actions are
+    the example's parses, its scores their accumulated log-probabilities)
+    as the gumbel and bt encoders return them, or None for gold and
+    recurrent, which search no trees. Noise is drawn, for dropout and
+    top-k, only from `rngs`, one per example: training passes them,
+    evaluation None. Each example draws from its own rng in the order it
+    alone would: leaf dropout, the encoder's Gumbel noise, head dropout.
     OneSoft relaxes top-k only in training, and evaluation truncates with
     hard top-k."""
     cfg = model.cfg
@@ -199,30 +203,30 @@ def _encode(model: Model, examples, training: bool, rngs) -> Tensor:
     leaves = leaf_transform_seq(sequences, model.leaf, cfg.dropout, rngs)
     kind = cfg.encoder
     if kind == "recurrent":
-        return encode_recurrent(leaves, lengths, model.cell, model.h0)
+        return encode_recurrent(leaves, lengths, model.cell, model.h0), None
     if kind == "gumbel":
-        enc, _beams = encode_easy_first_gumbel(leaves, lengths, model.cell,
-                                               model.scorer, rngs)
-        return enc
+        return encode_easy_first_gumbel(leaves, lengths, model.cell,
+                                        model.scorer, rngs)
     if kind == "bt":
-        enc, _beams = encode_bt_cell(
+        return encode_bt_cell(
             leaves, lengths, model.cell, model.scorer, cfg.beam_size,
             onesoft=training and cfg.topk == "onesoft", rngs=rngs)
-        return enc
     trees = [gold_tree_listops(ex.source.split()) for ex in examples]
-    return encode_fixed_tree(leaves, trees, model.cell)  # "gold"
+    return encode_fixed_tree(leaves, trees, model.cell), None  # "gold"
 
 
-def batch_logits(model: Model, examples, training: bool, rngs) -> Tensor:
-    """(examples, classes) logits of a batch, one rng per example or
-    None."""
-    enc = _encode(model, examples, training, rngs)
-    return classify(enc, model.head, model.cfg.dropout, rngs)
+def batch_logits(model: Model, examples, training: bool, rngs) -> tuple:
+    """(logits, beams) of a batch, one rng per example or None: the
+    (examples, classes) logits, and the beams of `_encode`, one BeamSet per
+    example or None."""
+    enc, beams = _encode(model, examples, training, rngs)
+    return classify(enc, model.head, model.cfg.dropout, rngs), beams
 
 
 def batch_losses(model: Model, examples, training: bool, rngs) -> Tensor:
     """(examples,) cross-entropy of each example of a batch."""
-    logp = T.log_softmax(batch_logits(model, examples, training, rngs))
+    logits, _beams = batch_logits(model, examples, training, rngs)
+    logp = T.log_softmax(logits)
     return T.neg(T.rows_gather(T.reshape(logp, (-1,)),
                                [e * CLASSES + ex.label
                                 for e, ex in enumerate(examples)]))
@@ -231,7 +235,8 @@ def batch_losses(model: Model, examples, training: bool, rngs) -> Tensor:
 def forward_logits(model: Model, ex: Example, training: bool, rng) -> Tensor:
     """The (classes,) logits of one example: a batch of one."""
     rngs = None if rng is None else [rng]
-    return T.reshape(batch_logits(model, [ex], training, rngs), (-1,))
+    logits, _beams = batch_logits(model, [ex], training, rngs)
+    return T.reshape(logits, (-1,))
 
 
 def batch_grad_sums(model: Model, batch, epoch: int):
@@ -277,9 +282,10 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
     with the fraction of steps clipped), timing.log (wall clock:
     per epoch the run's elapsed seconds, the seconds spent in training steps
     and in dev evaluation, and training examples per second of the steps),
-    config.txt, and best.ckpt under `out_dir`. A step whose loss or
+    config.txt, and best.ckpt under `out_dir`. A step whose forward or
     gradient is not finite stops the run with HarnessError naming its epoch
-    and step (and the first such parameter), before the weights change.
+    and step (and the first such parameter), before the weights change; so
+    does a dev evaluation whose forward is not finite, naming its epoch.
     Returns (checkpoint_path, metrics list)."""
     cfg.validate()
     if train_examples is None:
@@ -314,14 +320,15 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
             norms = []  # each step's gradient norm before clipping
             t_train = time.monotonic()
             for batch in batches:
-                grads, loss_sum = batch_grad_sums(model, batch, epoch)
+                try:
+                    grads, loss_sum = batch_grad_sums(model, batch, epoch)
+                except T.NonFiniteError:
+                    raise HarnessError(f"non-finite forward value at epoch "
+                                       f"{epoch} step {step}") from None
                 scale = 1.0 / len(batch)
                 for g in grads:
                     g *= scale
                 mean_loss = loss_sum * scale
-                if not np.isfinite(mean_loss):
-                    raise HarnessError(
-                        f"non-finite loss at epoch {epoch} step {step}")
                 # before clipping, which would scale an inf to NaN, and Adam,
                 # which would write it into the weights
                 for name, g in zip(names, grads):
@@ -334,7 +341,11 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
                 step += 1
             train_loss = loss_total / len(train_examples)
             t_dev = time.monotonic()
-            dev_acc, dev_loss = evaluate_examples(model, dev_examples)
+            try:
+                dev_acc, dev_loss = evaluate_examples(model, dev_examples)
+            except T.NonFiniteError:
+                raise HarnessError(f"non-finite forward value in dev "
+                                   f"evaluation at epoch {epoch}") from None
             t_end = time.monotonic()
             elapsed, train_s = t_end - t0, t_dev - t_train
             record = {"epoch": epoch, "step": step,

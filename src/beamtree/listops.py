@@ -254,36 +254,27 @@ def _write_meta(path, cfg: GenConfig, examples):
 SPLIT_KINDS = ("length_gen", "arg_gen")
 
 
-def build_splits(kind: str, out_dir, *, seed: int = 0,
-                 train_count: int = 20000, dev_count: int = 2000,
-                 test_count: int = 2000, train_cfg: GenConfig | None = None,
-                 test_cfg: GenConfig | None = None) -> dict:
+def build_splits(kind: str, out_dir, *, seed: int, train_count: int,
+                 dev_count: int, test_count: int, train_cfg: GenConfig) -> dict:
     """Emit train/dev/test TSVs plus metadata for one generalization split.
 
-    The default recipes are desk-scale; pass explicit configs to override.
+    Train and dev follow `train_cfg`; the test recipe is derived from it:
+    for length_gen, lengths 1.6x-2.4x the train bound with deeper nesting,
+    for arg_gen, an operator of twice the train arity in every row.
     Train/dev/test never share a source string.
     """
     if kind not in SPLIT_KINDS:
         raise ListOpsError(f"unknown split kind {kind!r}")
-    if train_cfg is None:
-        train_cfg = GenConfig(max_length=50, max_depth=4, min_args=2,
-                              max_args=3, nest_prob=0.4)
-    if test_cfg is None:
-        if kind == "length_gen":
-            test_cfg = replace(train_cfg,
-                               min_length=int(1.6 * train_cfg.max_length),
-                               max_length=int(2.4 * train_cfg.max_length),
-                               max_depth=train_cfg.max_depth + 2,
-                               nest_prob=0.6)
-        else:  # arg_gen
-            target = train_cfg.max_args * 2
-            test_cfg = replace(train_cfg, max_args=target,
-                               max_length=train_cfg.max_length * 3,
-                               require_exact_args=target)
-    if kind == "length_gen" and test_cfg.min_length <= train_cfg.max_length:
-        raise ListOpsError("length_gen test bound must exceed the train bound")
-    if kind == "arg_gen" and (test_cfg.require_exact_args or 0) <= train_cfg.max_args:
-        raise ListOpsError("arg_gen target arity must exceed the train bound")
+    if kind == "length_gen":
+        test_cfg = replace(train_cfg,
+                           min_length=int(1.6 * train_cfg.max_length),
+                           max_length=int(2.4 * train_cfg.max_length),
+                           max_depth=train_cfg.max_depth + 2, nest_prob=0.6)
+    else:  # arg_gen
+        target = train_cfg.max_args * 2
+        test_cfg = replace(train_cfg, max_args=target,
+                           max_length=train_cfg.max_length * 3,
+                           require_exact_args=target)
 
     os.makedirs(out_dir, exist_ok=True)
     seen: set = set()

@@ -12,36 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "TensorError",
-    "NonFiniteError",
-    "AdamState",
-    "adam_step",
-    "glorot_uniform",
-    "add",
-    "sub",
-    "mul",
-    "neg",
-    "add_rowvec",
-    "matmul",
-    "sigmoid",
-    "gelu",
-    "tsum",
-    "log_softmax",
-    "layer_norm",
-    "reshape",
-    "rows_gather",
-    "RowTable",
-    "segment_softmax",
-    "segment_log_softmax_data",
-    "segment_sum",
-    "dropout",
-    "detach",
-    "clip_grad_norm",
-]
-
 
 class TensorError(Exception):
     pass

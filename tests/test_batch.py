@@ -10,7 +10,6 @@ import importlib.util
 import os
 import sys
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +21,6 @@ from oracles import (per_example_leaves, per_example_loss, stacked_bt_cell,
 
 from beamtree import encoders
 from beamtree import tensor as T
-from beamtree.cells import leaf_transform_seq
-from beamtree.encoders import encode_bt_cell, encode_easy_first_gumbel
 from beamtree.harness import Model, batch_grad_sums, batch_logits, \
     batch_losses, example_rng, make_config
 from beamtree.listops import Example, read_tsv, tokenize
@@ -94,18 +91,12 @@ def test_batch_actions_match_per_example(variant):
     model, examples = _setup(variant)
     cfg = model.cfg
     sequences = [tokenize(ex.source) for ex in examples]
-    lengths = [len(s) for s in sequences]
     onesoft = cfg.topk == "onesoft"
-    rngs = _rngs(len(examples))
-    leaves = leaf_transform_seq(sequences, model.leaf, cfg.dropout, rngs)
+    _, beams = batch_logits(model, examples, True, _rngs(len(examples)))
     if variant == "gumbel":
-        _, beams = encode_easy_first_gumbel(leaves, lengths, model.cell,
-                                            model.scorer, rngs)
-        got = [bracketed(b.actions[0], range(n))
-               for n, b in zip(lengths, beams)]
+        got = [bracketed(b.actions[0], range(len(ids)))
+               for ids, b in zip(sequences, beams)]
     else:
-        _, beams = encode_bt_cell(leaves, lengths, model.cell, model.scorer,
-                                  cfg.beam_size, onesoft, rngs)
         got = [b.actions for b in beams]
 
     expect = []
@@ -209,16 +200,8 @@ def test_batch_step_frees_the_model_without_the_cycle_collector(variant):
 def _eval_batch(model, examples):
     """Evaluation's logits of a batch, and the actions of every example's
     final beams."""
-    finish, beams = encoders._BeamBatch.finish, []
-
-    def kept(search):
-        out = finish(search)
-        beams.extend(b.actions for b in out[1])
-        return out
-
-    with mock.patch.object(encoders._BeamBatch, "finish", kept):
-        logits = batch_logits(model, examples, False, None).data
-    return logits, beams
+    logits, beams = batch_logits(model, examples, False, None)
+    return logits.data, [b.actions for b in beams]
 
 
 @functools.lru_cache(maxsize=None)

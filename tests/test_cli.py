@@ -6,11 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from beamtree.cells import leaf_transform_seq
 from beamtree.cli import main
-from beamtree.encoders import encode_bt_cell
-from beamtree.harness import load_config, load_model
-from beamtree.listops import read_tsv, tokenize
+from beamtree.harness import batch_logits, load_config, load_model
+from beamtree.listops import eval_listops, read_example, read_tsv
 from beamtree.trees import collapse_duplicates, extract_parses
 
 
@@ -58,12 +56,10 @@ def test_gen_data_train_eval_parse_pipeline(tmp_path, capsys):
                  "[SM 1 [MED 4 5 6 ] [MAX 2 [MIN 1 9 ] ] 3 ]", "7"):
         main(["parse", "--config", str(config), "--checkpoint", str(ckpt),
               "--input", text])
-        tokens = text.split()
-        _, beams = encode_bt_cell(
-            leaf_transform_seq([tokenize(text)], model.leaf), [len(tokens)],
-            model.cell, model.scorer, cfg.beam_size)
+        ex = read_example(text, eval_listops(text))
+        _, beams = batch_logits(model, [ex], False, None)
         expect = [f"{p.probability:.4f}\t{p.tree}\n" for p in
-                  collapse_duplicates(extract_parses(beams[0], tokens))]
+                  collapse_duplicates(extract_parses(beams[0], text.split()))]
         assert capsys.readouterr().out == "".join(expect), text
 
 
@@ -103,6 +99,31 @@ def test_train_refuses_a_split_row_before_the_run_dir(tmp_path, row, message):
         main(["train", "--out", str(tmp_path / "run"), "--encoder=gold",
               "--d_e=4", "--d_h=4", "--max_epochs=1", f"--data_dir={data}"])
     assert not (tmp_path / "run").exists()
+
+
+def test_train_ends_a_diverging_run_with_one_line(tmp_path):
+    # lr=1e30 overflows the second step's forward; the command names the
+    # step in one `beamtree train:` line instead of printing a traceback
+    root = Path(__file__).resolve().parent.parent
+    mid = root / "results" / "data-mid"
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, rows in (("train.tsv", 32), ("dev.tsv", 8)):
+        lines = (mid / name).read_text().splitlines(keepends=True)[:rows]
+        (data / name).write_text("".join(lines))
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "beamtree.cli", "train", "--out",
+         str(tmp_path / "run"), "--encoder=gold", "--lr=1e30", "--d_e=16",
+         "--d_h=16", "--batch_size=8", "--max_epochs=1",
+         f"--data_dir={data}"], env=env, capture_output=True, text=True)
+    # numpy's overflow RuntimeWarning may come first; no traceback follows
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert [line for line in done.stderr.splitlines()
+            if line.startswith("beamtree")] == [
+        "beamtree train: non-finite forward value at epoch 0 step 1"]
+    assert done.stderr.endswith("step 1\n")
 
 
 def test_gradcheck_command_passes(capsys):

@@ -18,7 +18,7 @@ from beamtree.harness import (ENCODER_KINDS, HarnessError, HeadParams,
                               Model, RunConfig, classify, evaluate_examples,
                               load_config, load_model, make_config,
                               save_config, train)
-from beamtree.listops import Example, GenConfig, generate
+from beamtree.listops import Example, GenConfig, generate, read_tsv
 from beamtree.tensor import Tensor
 
 
@@ -184,8 +184,8 @@ def test_config_rejects_unknown_topk(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("max_epochs", 0), ("max_epochs", -3), ("dropout", 1.0),
-    ("dropout", -0.5), ("lr", -1.0), ("lr", 0.0), ("d_e", 0), ("d_h", 0),
-    ("beam_size", 0)])
+    ("dropout", -0.5), ("lr", -1.0), ("lr", 0.0), ("lr", float("inf")),
+    ("d_e", 0), ("d_h", 0), ("beam_size", 0)])
 def test_config_rejects_out_of_range_values(tmp_path, key, value):
     with pytest.raises(HarnessError, match=key):
         make_config({key: str(value)})
@@ -389,6 +389,23 @@ def test_train_refuses_a_non_finite_gradient_before_clipping(tmp_path,
         train(cfg, tmp_path / "run", _tiny_examples(8), _tiny_examples(4),
               log=lambda *_: None)
     assert touched == []
+    assert (tmp_path / "run" / "metrics.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize("train_rows, message", [
+    (32, "non-finite forward value at epoch 0 step 1"),
+    (8, "non-finite forward value in dev evaluation at epoch 0")])
+def test_train_names_where_a_diverging_run_overflows(tmp_path, train_rows,
+                                                    message):
+    # lr=1e30 overflows the first forward after the first step: the second
+    # training step's when an epoch has two batches or more, else the dev
+    # evaluation's
+    data = Path(__file__).resolve().parent.parent / "results" / "data-mid"
+    cfg = _tiny_cfg(lr=1e30, d_e=16, d_h=16, batch_size=8, max_epochs=2)
+    with pytest.raises(HarnessError, match=f"^{message}$"):
+        train(cfg, tmp_path / "run",
+              read_tsv(data / "train.tsv")[:train_rows],
+              read_tsv(data / "dev.tsv")[:8], log=lambda *_: None)
     assert (tmp_path / "run" / "metrics.jsonl").read_text() == ""
 
 

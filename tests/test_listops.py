@@ -236,19 +236,9 @@ def test_build_splits_arg_gen(tmp_path):
 @pytest.mark.parametrize("kind", ["depth_gen", "lra_style"])
 def test_build_splits_refuses_a_retired_kind(tmp_path, kind):
     with pytest.raises(ListOpsError, match=f"unknown split kind '{kind}'"):
-        build_splits(kind, tmp_path / "data", train_count=1, dev_count=1,
-                     test_count=1)
+        build_splits(kind, tmp_path / "data", seed=0, train_count=1,
+                     dev_count=1, test_count=1, train_cfg=GenConfig())
     assert not (tmp_path / "data").exists()
-
-
-def test_build_splits_rejects_overlapping_bounds(tmp_path):
-    train_cfg = GenConfig(max_length=30)
-    from dataclasses import replace
-    bad_test = replace(train_cfg, min_length=10)
-    with pytest.raises(ListOpsError):
-        build_splits("length_gen", tmp_path, train_cfg=train_cfg,
-                     test_cfg=bad_test, train_count=1, dev_count=1,
-                     test_count=1)
 
 
 def test_gen_config_validation():
