@@ -23,9 +23,12 @@ the parent commit and the change, and writes one JSON file with
   (at least 9 of 10 pairs won and a gain above the parent's iqr) and
   `worse_than_bound` (the change's median worse than the parent's by more
   than the metric's relative `bound`),
-- `traced`: per traced run ("<workload>-s<seed>") and side, the
-  tape-record, composed-row and kept-ratio counts, overall and for each
-  variant the workload runs.
+- `traced`: per traced run ("<workload>-s<seed>") and side, the run's
+  whole `metrics`: layer times, tape-record, composed-row and kept-ratio
+  counts, overall and for each variant the workload runs. Their
+  "per_ex" values divide by `bench/spans.py`'s denominators, which in the
+  train workloads count `harness.forward_logits` calls and backward
+  passes, not examples trained.
 
 Each directory should hold only the records of the two commits being
 compared: a run overwrites the record of the same workload, seed and trace
@@ -49,8 +52,6 @@ BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 # environment fields that differ from run to run; the rest must agree
 PER_RUN_ENV = ("loadavg_start", "loadavg_end", "cpu_wall_ratio",
                "speed_kernel_s")
-TRACED_PREFIXES = ("tensor.tape_records_per_ex", "cells.composed_rows_per_ex",
-                   "topk.kept_ratio")
 
 
 class RecordError(Exception):
@@ -130,10 +131,8 @@ def fold(sides: dict, end_to_end=()) -> dict:
                 "end_to_end": rec["end_to_end"],
                 "end_to_end_raw": rec["end_to_end_raw"]})
             if rec["trace"]:
-                traced.setdefault(f"{wl}-s{rec['seed']}", {})[side] = {
-                    k: v for k, v in rec["metrics"].items()
-                    if k.startswith(TRACED_PREFIXES)
-                    and (v or k in TRACED_PREFIXES)}
+                traced.setdefault(f"{wl}-s{rec['seed']}", {})[side] = \
+                    rec["metrics"]
             else:
                 for k, v in rec["end_to_end"].items():
                     values.setdefault(wl, {}).setdefault(k, {})[

@@ -15,6 +15,10 @@ Two profiles:
               test lengths 80-120; sized for an 8-core desktop with
               --workers 8 (not timed)
 
+Every variant of a profile trains with the same settings, one epoch cap
+included (reduced 18, full 15); a variant sets only its encoder. Full's cap
+is unmeasured: no full-profile run has been trained.
+
 --workers N (default 1) trains N (variant, seed) runs at once. Every run
 trains in its own forked process, which inherits the one-BLAS-thread pin
 below and gives its memory back when it ends. Runs start in the same order
@@ -88,33 +92,34 @@ PROFILES = {
         train_count=10000, dev_count=500, test_count=500,
         max_length=30, max_depth=3, max_args=3, nest_prob=0.45,
         d=64, batch_size=16, lr=2e-3, dropout=0.05,
-        cheap_epochs=18, beam_epochs=18, patience=6,
-        test_limit=500,
+        epochs=18, patience=6,
     ),
     "full": dict(
         train_count=20000, dev_count=2000, test_count=2000,
         max_length=50, max_depth=4, max_args=3, nest_prob=0.45,
         d=128, batch_size=32, lr=2e-3, dropout=0.05,
-        cheap_epochs=15, beam_epochs=10, patience=5,
-        test_limit=2000,
+        epochs=15, patience=5,
     ),
 }
 
-# name -> (config overrides, is_beam_encoder)
+# name -> config overrides; every other setting is the profile's
 VARIANTS = {
-    "gold_tree": ({"encoder": "gold"}, False),
-    "recurrent": ({"encoder": "recurrent"}, False),
-    "gumbel_tree": ({"encoder": "gumbel"}, False),
-    "bt_k3_onesoft": ({"encoder": "bt", "beam_size": "3", "topk": "onesoft"}, True),
-    "bt_k3_plain": ({"encoder": "bt", "beam_size": "3", "topk": "plain"}, True),
-    "bt_k2_onesoft": ({"encoder": "bt", "beam_size": "2", "topk": "onesoft"}, True),
-    "bt_k2_plain": ({"encoder": "bt", "beam_size": "2", "topk": "plain"}, True),
-    "bt_k5_plain": ({"encoder": "bt", "beam_size": "5", "topk": "plain"}, True),
+    "gold_tree": {"encoder": "gold"},
+    "recurrent": {"encoder": "recurrent"},
+    "gumbel_tree": {"encoder": "gumbel"},
+    "bt_k3_onesoft": {"encoder": "bt", "beam_size": "3", "topk": "onesoft"},
+    "bt_k3_plain": {"encoder": "bt", "beam_size": "3", "topk": "plain"},
+    "bt_k2_onesoft": {"encoder": "bt", "beam_size": "2", "topk": "onesoft"},
+    "bt_k2_plain": {"encoder": "bt", "beam_size": "2", "topk": "plain"},
+    "bt_k5_plain": {"encoder": "bt", "beam_size": "5", "topk": "plain"},
 }
 
 
 # default data directory of each profile, next to the results JSON
 DATA_DIRS = {"reduced": "data-mid", "full": "data-full"}
+
+# the generator seed of every profile's split
+DATA_SEED = 100
 
 SPLITS = ("train", "dev", "test")
 
@@ -128,20 +133,20 @@ def _read_kv(path):
         return dict(line.rstrip("\n").split("=", 1) for line in f if "=" in line)
 
 
-def ensure_data(data_dir, p, seed):
+def ensure_data(data_dir, p):
     """Generate the profile's split into `data_dir`, or check that the split
     already there was generated by the same recipe."""
     if not os.path.exists(os.path.join(data_dir, "train.tsv")):
         train_cfg = GenConfig(max_length=p["max_length"],
                               max_depth=p["max_depth"], min_args=2,
                               max_args=p["max_args"], nest_prob=p["nest_prob"])
-        build_splits("length_gen", data_dir, seed=seed,
+        build_splits("length_gen", data_dir, seed=DATA_SEED,
                      train_count=p["train_count"], dev_count=p["dev_count"],
                      test_count=p["test_count"], train_cfg=train_cfg)
         return
     meta_path = os.path.join(data_dir, "train.meta")
     meta = _read_kv(meta_path) if os.path.exists(meta_path) else {}
-    expected = {"count": p["train_count"], "seed": seed,
+    expected = {"count": p["train_count"], "seed": DATA_SEED,
                 **{k: p[k] for k in ("max_length", "max_depth", "max_args",
                                      "nest_prob")}}
     bad = [f"{k}={meta.get(k)} (want {v})" for k, v in expected.items()
@@ -166,15 +171,14 @@ def repo_path(path):
 
 
 def run_config(name, seed, p, data_dir):
-    overrides, is_beam = VARIANTS[name]
     return make_config({
         "d_e": str(p["d"]), "d_h": str(p["d"]),
         "batch_size": str(p["batch_size"]),
-        "max_epochs": str(p["beam_epochs"] if is_beam else p["cheap_epochs"]),
+        "max_epochs": str(p["epochs"]),
         "patience": str(p["patience"]),
         "lr": str(p["lr"]), "dropout": str(p["dropout"]),
         "seed": str(seed), "data_dir": repo_path(data_dir),
-        **overrides,
+        **VARIANTS[name],
     })
 
 
@@ -214,7 +218,7 @@ def code_sha256():
     return digest.hexdigest()
 
 
-def run_one(name, seed, cfg, out_root, data_dir, test_limit, workers, code):
+def run_one(name, seed, cfg, out_root, data_dir, workers, code):
     """Train and test one run. `workers` is the sweep's --workers, recorded
     so a reader knows `wall_seconds` was measured beside at most workers-1
     other runs of this sweep (and any other process on the machine), and
@@ -228,7 +232,7 @@ def run_one(name, seed, cfg, out_root, data_dir, test_limit, workers, code):
                                                 flush=True))
     dev_acc = max(m["dev_accuracy"] for m in metrics)
     model = load_model(cfg, ckpt)
-    test_acc, _ = evaluate_examples(model, test_ex[:test_limit])
+    test_acc, _ = evaluate_examples(model, test_ex)
     result = {"name": name, "seed": seed,
               "dev_accuracy": round(dev_acc, 6),
               "test_accuracy": round(test_acc, 6),
@@ -279,7 +283,6 @@ def main():
     ap.add_argument("--data-dir", default=None)
     ap.add_argument("--run-dir", default=None)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--data-seed", type=int, default=100)
     ap.add_argument("--workers", type=int, default=1,
                     help="runs to train at once, each in a forked process")
     ap.add_argument("--only", nargs="*", default=None, choices=list(VARIANTS),
@@ -299,7 +302,7 @@ def main():
         os.makedirs(d, exist_ok=True)
 
     try:
-        ensure_data(data_dir, p, args.data_seed)
+        ensure_data(data_dir, p)
         sha = data_sha256(data_dir)
         config = functools.partial(run_config, p=p, data_dir=data_dir)
         # checks every cached run before anything trains
@@ -311,7 +314,7 @@ def main():
 
         def job(name, seed):
             run_one(name, seed, config(name, seed), run_dir, data_dir,
-                    p["test_limit"], args.workers, code)
+                    args.workers, code)
 
         for _ in train_runs(todo, job, args.workers):
             _write(args.out, args.profile, p, run_dir, config, sha, code)

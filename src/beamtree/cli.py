@@ -78,8 +78,9 @@ def cmd_parse(args):
         ex = listops.read_example(args.input, listops.eval_listops(args.input))
     except ListOpsError as e:
         raise ListOpsError(f"--input: {e}") from None
-    _logits, beams = batch_logits(load_model(cfg, args.checkpoint), [ex],
-                                  False, None)
+    model = load_model(cfg, args.checkpoint)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the forward
+        _logits, beams = batch_logits(model, [ex], False, None)
     for parse in collapse_duplicates(extract_parses(beams[0],
                                                     args.input.split())):
         print(f"{parse.probability:.4f}\t{parse.tree}")
@@ -192,7 +193,9 @@ def main(argv=None):
     try:
         args.func(args)
     except (FileNotFoundError, CheckpointError, EncoderError, ListOpsError,
-            HarnessError) as e:  # a missing or bad file, config, split or input
+            HarnessError, T.TensorError) as e:
+        # a missing or bad file, config, split or input, or a forward that
+        # overflows
         raise SystemExit(f"beamtree {args.command}: {e}") from None
 
 

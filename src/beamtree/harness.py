@@ -265,11 +265,14 @@ def evaluate_examples(model: Model, examples) -> tuple:
         raise HarnessError("no examples to evaluate")
     correct = 0
     loss_sum = 0.0
-    for ex in examples:
-        logits = forward_logits(model, ex, False, None)
-        if int(np.argmax(logits.data)) == ex.label:
-            correct += 1
-        loss_sum -= float(T.log_softmax(logits).data[ex.label])
+    # the forward's finite check reports an overflow; numpy's warning of it
+    # would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ex in examples:
+            logits = forward_logits(model, ex, False, None)
+            if int(np.argmax(logits.data)) == ex.label:
+                correct += 1
+            loss_sum -= float(T.log_softmax(logits).data[ex.label])
     return correct / len(examples), loss_sum / len(examples)
 
 
@@ -310,8 +313,10 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
     metrics = []
     step = 0
     t0 = time.monotonic()
+    # the finite checks below report an overflow, so numpy does not warn
     with open(metrics_path, "w", encoding="utf-8") as mf, \
-            open(timing_path, "w", encoding="utf-8") as tf:
+            open(timing_path, "w", encoding="utf-8") as tf, \
+            np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.max_epochs):
             batch_rng = np.random.default_rng([cfg.seed, 0xB41C, epoch])
             batches = _length_bucketed_batches(train_examples, cfg.batch_size,

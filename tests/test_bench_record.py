@@ -62,10 +62,13 @@ def test_fold_medians_traced_counts_and_environment(tmp_path):
     assert bench["medians"]["train-latent"]["parent"]["ex_per_s"] == 58.0
     assert bench["medians"]["train-latent"]["change"]["ex_per_s"] == 68.0
     traced = bench["traced"]["train-latent-s12"]["change"]
+    # a traced run keeps its whole metrics, layer times included
     assert traced == {"tensor.tape_records_per_ex": 300.0,
+                      "tensor.tape_records_per_ex.bt_k3": 0.0,
                       "tensor.tape_records_per_ex.bt_k5_plain": 292.0,
                       "cells.composed_rows_per_ex": 46.0,
-                      "topk.kept_ratio": 0.36}
+                      "topk.kept_ratio": 0.36,
+                      "tensor.backward_ms_per_ex": 6.5}
 
 
 @pytest.mark.parametrize("env,match", [({"numpy": "1.26.0"}, "environment"),

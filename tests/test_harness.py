@@ -392,6 +392,7 @@ def test_train_refuses_a_non_finite_gradient_before_clipping(tmp_path,
     assert (tmp_path / "run" / "metrics.jsonl").read_text() == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("train_rows, message", [
     (32, "non-finite forward value at epoch 0 step 1"),
     (8, "non-finite forward value in dev evaluation at epoch 0")])
@@ -399,7 +400,7 @@ def test_train_names_where_a_diverging_run_overflows(tmp_path, train_rows,
                                                     message):
     # lr=1e30 overflows the first forward after the first step: the second
     # training step's when an epoch has two batches or more, else the dev
-    # evaluation's
+    # evaluation's. The finite checks report it, and numpy warns of nothing
     data = Path(__file__).resolve().parent.parent / "results" / "data-mid"
     cfg = _tiny_cfg(lr=1e30, d_e=16, d_h=16, batch_size=8, max_epochs=2)
     with pytest.raises(HarnessError, match=f"^{message}$"):

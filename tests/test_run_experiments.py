@@ -32,13 +32,11 @@ _spec.loader.exec_module(R)
 def _cache_run(run_dir, name, seed, dev, test, **changes):
     """A finished run as the reduced profile would leave it."""
     p = R.PROFILES["reduced"]
-    overrides, is_beam = R.VARIANTS[name]
     cfg = make_config({
         "d_e": p["d"], "d_h": p["d"], "batch_size": p["batch_size"],
-        "max_epochs": p["beam_epochs"] if is_beam else p["cheap_epochs"],
-        "patience": p["patience"], "lr": p["lr"], "dropout": p["dropout"],
-        "seed": seed, "data_dir": "results/data-mid",
-        **overrides, **changes})
+        "max_epochs": p["epochs"], "patience": p["patience"], "lr": p["lr"],
+        "dropout": p["dropout"], "seed": seed,
+        "data_dir": "results/data-mid", **R.VARIANTS[name], **changes})
     out = run_dir / f"{name}-s{seed}"
     out.mkdir(parents=True)
     save_config(cfg, out / "config.txt")
@@ -142,15 +140,24 @@ def test_data_dir_from_other_recipe_is_refused(tmp_path, monkeypatch):
 def test_reduced_profile_defaults_to_the_data_its_runs_used():
     assert R.DATA_DIRS["reduced"] == "data-mid"
     p = R.PROFILES["reduced"]
-    R.ensure_data(DATA_MID, p, 100)
+    R.ensure_data(DATA_MID, p)
     assert R.run_config("gold_tree", 0, p, DATA_MID).data_dir == \
         "results/data-mid"
 
 
+@pytest.mark.parametrize("profile", sorted(R.PROFILES))
+def test_every_variant_trains_to_the_profile_cap(profile):
+    # one cap per profile: no variant trains longer or shorter than another
+    p = R.PROFILES[profile]
+    caps = {name: R.run_config(name, 0, p, DATA_MID).max_epochs
+            for name in R.VARIANTS}
+    assert len(caps) == 8 and set(caps.values()) == {p["epochs"]}
+
+
 def test_reduced_profile_regenerates_the_committed_data(tmp_path):
-    # today's generator, with the reduced profile and the default data seed,
+    # today's generator, with the reduced profile and the sweep's data seed,
     # writes the committed split byte for byte
-    R.ensure_data(str(tmp_path), R.PROFILES["reduced"], 100)
+    R.ensure_data(str(tmp_path), R.PROFILES["reduced"])
     names = sorted(os.listdir(DATA_MID))
     assert len(names) == 6  # {train,dev,test}.{tsv,meta}
     assert sorted(os.listdir(tmp_path)) == names
@@ -196,8 +203,7 @@ def test_committed_results_come_from_one_code_version():
 # small enough that the four runs of TINY_RUNS train in about a second
 TINY = dict(train_count=24, dev_count=6, test_count=6, max_length=12,
             max_depth=2, max_args=3, nest_prob=0.45, d=8, batch_size=8,
-            lr=2e-3, dropout=0.05, cheap_epochs=2, beam_epochs=2, patience=2,
-            test_limit=6)
+            lr=2e-3, dropout=0.05, epochs=2, patience=2)
 TINY_RUNS = ("--only", "gold_tree", "recurrent", "--seeds", "0", "1")
 
 
