@@ -83,8 +83,8 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from beamtree.checkpoint import atomic_open
-from beamtree.harness import RunConfig, evaluate_examples, load_config, \
-    load_model, make_config, train
+from beamtree.harness import HarnessError, RunConfig, evaluate_examples, \
+    load_config, load_model, make_config, read_kv, train
 from beamtree.listops import GenConfig, build_splits, read_tsv
 
 PROFILES = {
@@ -128,11 +128,6 @@ class SweepError(Exception):
     pass
 
 
-def _read_kv(path):
-    with open(path, encoding="utf-8") as f:
-        return dict(line.rstrip("\n").split("=", 1) for line in f if "=" in line)
-
-
 def ensure_data(data_dir, p):
     """Generate the profile's split into `data_dir`, or check that the split
     already there was generated by the same recipe."""
@@ -145,7 +140,10 @@ def ensure_data(data_dir, p):
                      test_count=p["test_count"], train_cfg=train_cfg)
         return
     meta_path = os.path.join(data_dir, "train.meta")
-    meta = _read_kv(meta_path) if os.path.exists(meta_path) else {}
+    try:
+        meta = read_kv(meta_path) if os.path.exists(meta_path) else {}
+    except HarnessError as e:
+        raise SweepError(f"{meta_path}: {e}") from None
     expected = {"count": p["train_count"], "seed": DATA_SEED,
                 **{k: p[k] for k in ("max_length", "max_depth", "max_args",
                                      "nest_prob")}}
@@ -171,13 +169,11 @@ def repo_path(path):
 
 
 def run_config(name, seed, p, data_dir):
+    # make_config converts each value to its field's type
     return make_config({
-        "d_e": str(p["d"]), "d_h": str(p["d"]),
-        "batch_size": str(p["batch_size"]),
-        "max_epochs": str(p["epochs"]),
-        "patience": str(p["patience"]),
-        "lr": str(p["lr"]), "dropout": str(p["dropout"]),
-        "seed": str(seed), "data_dir": repo_path(data_dir),
+        "d_e": p["d"], "d_h": p["d"], "batch_size": p["batch_size"],
+        "max_epochs": p["epochs"], "patience": p["patience"], "lr": p["lr"],
+        "dropout": p["dropout"], "seed": seed, "data_dir": repo_path(data_dir),
         **VARIANTS[name],
     })
 

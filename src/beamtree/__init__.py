@@ -10,7 +10,6 @@ from .listops import GenConfig, build_splits, eval_listops, generate, \
     gold_tree_listops, tokenize
 from .tensor import AdamState, Tape, Tensor, adam_step
 from .topk import BeamSet, merge_beams, onesoft_topk, plain_topk
-from .trees import bracketed, collapse_duplicates, extract_parses, \
-    replay_actions, span_f1
+from .trees import bracketed, parse_distribution, replay_actions, span_f1
 
 __version__ = "0.1.0"

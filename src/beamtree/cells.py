@@ -10,7 +10,7 @@ one matmul and a single node is a (1, d_h) matrix. Any other rank raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,15 +24,25 @@ def _need_rows(states: Tensor):
                             f"got shape {states.data.shape}")
 
 
+class Params:
+    """Base of the parameter dataclasses: `named()` maps "prefix.field" to
+    each field's tensor, in field order, the checkpoint's names and order."""
+    prefix = ""
+
+    def named(self) -> dict:
+        return {f"{self.prefix}.{f.name}": getattr(self, f.name)
+                for f in fields(self)}
+
+
 @dataclass
-class GrcParams:
+class GrcParams(Params):
+    prefix = "grc"
     W1: Tensor  # (2*d_h, 4*d_h)
     b1: Tensor  # (4*d_h,)
     W2: Tensor  # (4*d_h, 4*d_h)
     b2: Tensor  # (4*d_h,)
     gamma: Tensor  # (d_h,)
     beta: Tensor  # (d_h,)
-    d_h: int
 
     @classmethod
     def init(cls, d_h: int, rng: np.random.Generator, dtype=np.float32):
@@ -43,12 +53,11 @@ class GrcParams:
             b2=Tensor(np.zeros(4 * d_h, dtype=dtype), requires_grad=True),
             gamma=Tensor(np.ones(d_h, dtype=dtype), requires_grad=True),
             beta=Tensor(np.zeros(d_h, dtype=dtype), requires_grad=True),
-            d_h=d_h,
         )
 
-    def named(self, prefix: str = "grc") -> dict:
-        return {f"{prefix}.{k}": getattr(self, k)
-                for k in ("W1", "b1", "W2", "b2", "gamma", "beta")}
+    @property
+    def d_h(self) -> int:
+        return self.gamma.data.shape[0]
 
 
 def grc_compose(children: Tensor, p: GrcParams) -> Tensor:
@@ -109,15 +118,13 @@ def grc_compose(children: Tensor, p: GrcParams) -> Tensor:
 
 
 @dataclass
-class ScorerParams:
+class ScorerParams(Params):
+    prefix = "scorer"
     W_v: Tensor  # (d_h, 1)
 
     @classmethod
     def init(cls, d_h: int, rng: np.random.Generator, dtype=np.float32):
         return cls(W_v=Tensor(T.glorot_uniform((d_h, 1), rng, dtype), requires_grad=True))
-
-    def named(self, prefix: str = "scorer") -> dict:
-        return {f"{prefix}.W_v": self.W_v}
 
 
 def score(v: Tensor, p: ScorerParams) -> Tensor:
@@ -138,7 +145,8 @@ def score(v: Tensor, p: ScorerParams) -> Tensor:
 
 
 @dataclass
-class LeafParams:
+class LeafParams(Params):
+    prefix = "leaf"
     embedding: Tensor  # (vocab, d_e)
     projection: Tensor  # (d_e, d_h)
     gamma: Tensor
@@ -153,10 +161,6 @@ class LeafParams:
             gamma=Tensor(np.ones(d_h, dtype=dtype), requires_grad=True),
             beta=Tensor(np.zeros(d_h, dtype=dtype), requires_grad=True),
         )
-
-    def named(self, prefix: str = "leaf") -> dict:
-        return {f"{prefix}.{k}": getattr(self, k)
-                for k in ("embedding", "projection", "gamma", "beta")}
 
 
 def leaf_transform_seq(sequences, p: LeafParams, dropout_rate: float = 0.0,

@@ -13,13 +13,12 @@ from .cells import GrcParams, LeafParams, ScorerParams, grc_compose, \
     leaf_transform_seq, score
 from .checkpoint import CheckpointError
 from .encoders import EncoderError
-from .harness import HarnessError, Model, RunConfig, batch_logits, \
-    batch_losses, evaluate_checkpoint, load_config, load_model, make_config, \
-    train
+from .harness import HarnessError, Model, batch_logits, batch_losses, \
+    evaluate_checkpoint, load_config, load_model, make_config, read_kv, train
 from .listops import GenConfig, ListOpsError, build_splits
 from .tensor import Tensor
 from . import tensor as T
-from .trees import collapse_duplicates, extract_parses
+from .trees import parse_distribution
 
 
 def _parse_overrides(pairs) -> dict:
@@ -48,16 +47,11 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = _parse_overrides(args.overrides)
+    values = read_kv(args.config) if args.config else {}
+    values.update(_parse_overrides(args.overrides))
     if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if overrides:
-        from dataclasses import asdict
-        merged = {k: str(v) for k, v in asdict(cfg).items()}
-        merged.update(overrides)
-        cfg = make_config(merged)
-    ckpt, metrics = train(cfg, args.out)
+        values["seed"] = str(args.seed)
+    ckpt, metrics = train(make_config(values), args.out)
     print(f"checkpoint: {ckpt}")
     if metrics:
         print(f"best dev accuracy: {max(m['dev_accuracy'] for m in metrics):.4f}")
@@ -81,9 +75,9 @@ def cmd_parse(args):
     model = load_model(cfg, args.checkpoint)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by the forward
         _logits, beams = batch_logits(model, [ex], False, None)
-    for parse in collapse_duplicates(extract_parses(beams[0],
-                                                    args.input.split())):
-        print(f"{parse.probability:.4f}\t{parse.tree}")
+    for tree, probability in parse_distribution(beams[0],
+                                                args.input.split()):
+        print(f"{probability:.4f}\t{tree}")
 
 
 def cmd_gradcheck(args):
@@ -192,10 +186,10 @@ def main(argv=None):
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         args.func(args)
-    except (FileNotFoundError, CheckpointError, EncoderError, ListOpsError,
+    except (OSError, CheckpointError, EncoderError, ListOpsError,
             HarnessError, T.TensorError) as e:
-        # a missing or bad file, config, split or input, or a forward that
-        # overflows
+        # a missing, unreadable or bad file, config, split or input, or a
+        # forward that overflows
         raise SystemExit(f"beamtree {args.command}: {e}") from None
 
 

@@ -265,7 +265,8 @@ class _BeamBatch:
         hard = padded.argmax(axis=1)
         onehot = np.zeros_like(noise)
         onehot[self.m.cumsum() - self.m + hard] = 1.0
-        ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
+        # straight-through: forward the one-hot, backward the identity
+        ste = T._make(onehot, (soft,), lambda g: (g,), check=False)
         first = self.add_nodes(T.segment_sum(
             ste, self.nodes.gather(cands), self.m))
         beams = np.arange(len(hard))

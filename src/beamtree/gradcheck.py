@@ -8,6 +8,7 @@ import numpy as np
 from .tensor import Tape, Tensor
 
 TINY = 1e-30
+STEP = 1e-5  # the central differences' step
 
 
 def analytic_grads(build_loss, params: dict) -> dict:
@@ -20,18 +21,19 @@ def analytic_grads(build_loss, params: dict) -> dict:
     return {name: p.grad.copy() for name, p in params.items()}
 
 
-def numeric_grad(build_loss, param: Tensor, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the scalar `build_loss()` wrt `param`."""
+def numeric_grad(build_loss, param: Tensor) -> np.ndarray:
+    """Central finite differences of the scalar `build_loss()` wrt `param`,
+    with step STEP."""
     flat = param.data.reshape(-1)
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + STEP
         up = build_loss().item()
-        flat[i] = orig - h
+        flat[i] = orig - STEP
         down = build_loss().item()
         flat[i] = orig
-        grad[i] = (up - down) / (2.0 * h)
+        grad[i] = (up - down) / (2.0 * STEP)
     return grad.reshape(param.data.shape)
 
 
@@ -42,12 +44,12 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return diff / max(na, nb, TINY)
 
 
-def check_grads(build_loss, params: dict, h: float = 1e-5) -> dict:
+def check_grads(build_loss, params: dict) -> dict:
     """Compare tape gradients against finite differences for every named
     parameter; returns {name: relative error}."""
     analytic = analytic_grads(build_loss, params)
     errors = {}
     for name, p in params.items():
-        numeric = numeric_grad(build_loss, p, h)
+        numeric = numeric_grad(build_loss, p)
         errors[name] = relative_error(analytic[name], numeric)
     return errors

@@ -11,7 +11,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .cells import GrcParams, LeafParams, ScorerParams, leaf_transform_seq
+from .cells import GrcParams, LeafParams, Params, ScorerParams, \
+    leaf_transform_seq
 from .checkpoint import load_checkpoint, restore, save_checkpoint
 from .encoders import encode_bt_cell, encode_easy_first_gumbel, \
     encode_fixed_tree, encode_recurrent
@@ -50,6 +51,8 @@ class RunConfig:
                              "d_h", "beam_size") if getattr(self, k) < 1]
         if small:
             raise HarnessError(f"{', '.join(small)} must be >= 1")
+        if self.seed < 0:
+            raise HarnessError("seed must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise HarnessError("dropout must be in [0, 1)")
         if not 0.0 < self.lr < float("inf"):
@@ -69,13 +72,14 @@ class RunConfig:
         return np.float64 if self.precision == "double" else np.float32
 
 
-def load_config(path) -> RunConfig:
-    """Flat key=value text file, each key at most once; '#' starts a
-    comment."""
+def read_kv(path) -> dict:
+    """A flat key=value text file as a dict. Each line is stripped, blank
+    lines are skipped, and a key may be given only once; values are taken
+    as written."""
     values = {}
     with open(path, encoding="utf-8") as f:
         for line in f:
-            line = line.split("#", 1)[0].strip()
+            line = line.strip()
             if not line:
                 continue
             if "=" not in line:
@@ -84,7 +88,11 @@ def load_config(path) -> RunConfig:
             if k in values:
                 raise HarnessError(f"config key {k!r} given twice")
             values[k] = v
-    return make_config(values)
+    return values
+
+
+def load_config(path) -> RunConfig:
+    return make_config(read_kv(path))
 
 
 def make_config(overrides: dict) -> RunConfig:
@@ -112,7 +120,8 @@ def save_config(cfg: RunConfig, path):
 
 
 @dataclass
-class HeadParams:
+class HeadParams(Params):
+    prefix = "head"
     gamma: Tensor
     beta: Tensor
     W1: Tensor
@@ -130,10 +139,6 @@ class HeadParams:
             W2=Tensor(T.glorot_uniform((d_h, classes), rng, dtype), requires_grad=True),
             b2=Tensor(np.zeros(classes, dtype=dtype), requires_grad=True),
         )
-
-    def named(self, prefix: str = "head") -> dict:
-        return {f"{prefix}.{k}": getattr(self, k)
-                for k in ("gamma", "beta", "W1", "b1", "W2", "b2")}
 
 
 def classify(encodings: Tensor, head: HeadParams, dropout_rate: float = 0.0,
@@ -165,14 +170,9 @@ class Model:
         self.head = HeadParams.init(cfg.d_h, CLASSES, rng, dtype)
 
     def named(self) -> dict:
-        named = {}
-        named.update(self.leaf.named())
-        named.update(self.cell.named())
-        named.update(self.scorer.named())
-        if self.h0 is not None:
-            named["h0"] = self.h0
-        named.update(self.head.named())
-        return named
+        h0 = {} if self.h0 is None else {"h0": self.h0}
+        return {**self.leaf.named(), **self.cell.named(),
+                **self.scorer.named(), **h0, **self.head.named()}
 
     def params(self) -> list:
         return list(self.named().values())

@@ -19,7 +19,9 @@ _OPEN = {"[MAX": max, "[MIN": min,
 VOCAB = [*_OPEN, CLOSE] + [str(d) for d in range(CLASSES)]
 TOKEN_TO_ID = {t: i for i, t in enumerate(VOCAB)}
 _DIGITS = {str(d): d for d in range(CLASSES)}
-_MAX_ATTEMPTS = 100_000  # candidates _make_example draws before giving up
+# candidates _make_example draws, and repeated sources generate draws in a
+# row, before giving up
+_MAX_ATTEMPTS = 100_000
 
 
 class ListOpsError(Exception):
@@ -41,6 +43,10 @@ class GenConfig:
     require_exact_args: int | None = None
 
     def validate(self):
+        if self.count < 1:
+            raise ListOpsError("count must be >= 1")
+        if self.seed < 0:
+            raise ListOpsError("seed must be >= 0")
         if not (1 <= self.min_args <= self.max_args):
             raise ListOpsError("need 1 <= min_args <= max_args")
         if self.max_depth < 1:
@@ -179,17 +185,27 @@ def _make_example(rng: np.random.Generator, cfg: GenConfig) -> Example:
 
 def generate(cfg: GenConfig, exclude: set | None = None) -> list:
     """Draw `cfg.count` examples within the configured bounds; deterministic
-    under `cfg.seed`. Sources in `exclude` (and duplicates) are resampled."""
+    under `cfg.seed`. Sources in `exclude` (and duplicates) are resampled;
+    `_MAX_ATTEMPTS` resamples in a row mean the bounds hold too few distinct
+    sources, and raise ListOpsError."""
     cfg.validate()
     seen = set() if exclude is None else set(exclude)
     out = []
     stream = 0
+    repeats = 0
     while len(out) < cfg.count:
         rng = np.random.default_rng([cfg.seed, stream])
         stream += 1
         ex = _make_example(rng, cfg)
         if ex.source in seen:
+            repeats += 1
+            if repeats == _MAX_ATTEMPTS:
+                raise ListOpsError(
+                    f"found only {len(out)} new distinct sources of "
+                    f"{cfg.count} within the bounds: {_MAX_ATTEMPTS} draws "
+                    f"in a row repeated one")
             continue
+        repeats = 0
         seen.add(ex.source)
         out.append(ex)
     return out
@@ -276,14 +292,16 @@ def build_splits(kind: str, out_dir, *, seed: int, train_count: int,
                            max_length=train_cfg.max_length * 3,
                            require_exact_args=target)
 
-    os.makedirs(out_dir, exist_ok=True)
-    seen: set = set()
-    splits = {}
     recipes = (
         ("train", replace(train_cfg, count=train_count, seed=seed)),
         ("dev", replace(train_cfg, count=dev_count, seed=seed + 1)),
         ("test", replace(test_cfg, count=test_count, seed=seed + 2)),
     )
+    for _name, cfg in recipes:  # before any split is written
+        cfg.validate()
+    os.makedirs(out_dir, exist_ok=True)
+    seen: set = set()
+    splits = {}
     for name, cfg in recipes:
         examples = generate(cfg, exclude=seen)
         seen.update(ex.source for ex in examples)

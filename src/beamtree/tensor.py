@@ -12,6 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+LAYER_NORM_EPS = 1e-5  # added to the variance in every layer norm
+# Adam's default betas and epsilon, used by every run
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class TensorError(Exception):
     pass
@@ -349,15 +355,16 @@ def log_softmax(a: Tensor) -> Tensor:
                  lambda g: (g - s * g.sum(axis=-1, keepdims=True),))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis with population variance: (x-mu)/sqrt(var+eps)*gamma+beta."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis with population variance:
+    (x-mu)/sqrt(var+LAYER_NORM_EPS)*gamma+beta."""
     xd = x.data
     if xd.ndim not in (1, 2):
         raise TensorError("layer_norm expects 1-D or 2-D input")
     d = xd.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise TensorError("layer_norm gamma/beta must match the last axis")
-    out, xhat, inv = layer_norm_data(xd, gamma.data, beta.data, eps)
+    out, xhat, inv = layer_norm_data(xd, gamma.data, beta.data)
     return _make(out, (x, gamma, beta),
                  lambda g: layer_norm_grads(g, gamma.data, xhat, inv))
 
@@ -368,13 +375,12 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
 
-def layer_norm_data(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                    eps: float = 1e-5):
+def layer_norm_data(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Layer norm over the last axis; returns (out, xhat, inv), the last two
     for `layer_norm_grads`."""
     xhat = x - _row_mean(x)
     inv = _row_mean(xhat * xhat)
-    inv += eps
+    inv += LAYER_NORM_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
@@ -581,10 +587,6 @@ def dropout(a: Tensor, rate: float, rngs, counts) -> Tensor:
     return _make(a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def detach(a: Tensor) -> Tensor:
-    return Tensor(a.data.copy(), requires_grad=False)
-
-
 def glorot_uniform(shape, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
     fan_in, fan_out = (shape[0], shape[1]) if len(shape) == 2 else (shape[0], shape[0])
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -604,16 +606,14 @@ def clip_grad_norm(grads: list, max_norm: float) -> float:
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
 
 def adam_step(params: list, grads: list, state: AdamState):
-    """Standard bias-corrected Adam update, applied in place."""
+    """Standard bias-corrected Adam update at ADAM_BETA1, ADAM_BETA2 and
+    ADAM_EPS, applied in place."""
     if len(params) != len(grads):
         raise TensorError("params/grads length mismatch")
     if not state.m:
@@ -624,23 +624,23 @@ def adam_step(params: list, grads: list, state: AdamState):
             raise TensorError("adam_step shape mismatch")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     # the formula m += (1 - b1) g; v += (1 - b2) g g;
     # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), computed in place in
     # that order, so it rounds the same as the formula does
     for p, g, m, v in zip(params, grads, state.m, state.v):
         g64 = g.astype(np.float64)
-        tmp = np.multiply(g64, 1.0 - state.beta1)
-        m *= state.beta1
+        tmp = np.multiply(g64, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += tmp
-        np.multiply(g64, 1.0 - state.beta2, out=tmp)
+        np.multiply(g64, 1.0 - ADAM_BETA2, out=tmp)
         tmp *= g64
-        v *= state.beta2
+        v *= ADAM_BETA2
         v += tmp
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.eps
+        tmp += ADAM_EPS
         np.divide(m, bc1, out=g64)
         g64 *= state.lr
         g64 /= tmp

@@ -2,15 +2,13 @@
 adjacent-merge indices that the beam search records, that
 `listops.gold_tree_listops` derives and that the fixed-tree encoder composes
 along. `replay_actions` folds them; a tree's bracketed string, its spans,
-span F1 and the parses of a BeamSet are all read through it.
+span F1 and the parse distribution of a BeamSet are all read through it.
 
 Span F1 counts every internal-node span, including the full-sentence span
 (both trees always contain it by construction).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,33 +61,15 @@ def span_f1(pred, gold, n: int) -> float:
     return 2.0 * len(ps & gs) / (len(ps) + len(gs))
 
 
-@dataclass
-class BeamParse:
-    tree: str
-    probability: float
-    actions: tuple
-
-
-def extract_parses(bs: BeamSet, tokens) -> list:
-    """Replay each beam's merge-action history into a tree over `tokens` and
-    attach softmaxed beam scores as probabilities."""
-    scores = bs.scores.data.astype(np.float64)
+def parse_distribution(beams: BeamSet, tokens) -> list:
+    """The distinct trees of a BeamSet's beams over `tokens`, as
+    [(bracketed tree, probability)], most probable first: each beam's merge
+    actions are replayed into a tree, and a tree's probability is the
+    summed softmax of its beams' scores, added in beam order."""
+    scores = beams.scores.data.astype(np.float64)
     weights = np.exp(scores - scores.max())
-    return [BeamParse(tree=bracketed(actions, tokens), probability=float(p),
-                      actions=tuple(actions))
-            for actions, p in zip(bs.actions, weights / weights.sum())]
-
-
-def collapse_duplicates(parses: list) -> list:
-    """Merge parses with identical tree strings, summing probabilities;
-    result sorted by probability descending."""
     merged: dict = {}
-    for p in parses:
-        if p.tree in merged:
-            prev = merged[p.tree]
-            merged[p.tree] = BeamParse(tree=p.tree,
-                                       probability=prev.probability + p.probability,
-                                       actions=prev.actions)
-        else:
-            merged[p.tree] = p
-    return sorted(merged.values(), key=lambda p: -p.probability)
+    for actions, p in zip(beams.actions, (weights / weights.sum()).tolist()):
+        tree = bracketed(actions, tokens)
+        merged[tree] = merged.get(tree, 0.0) + p
+    return sorted(merged.items(), key=lambda item: -item[1])

@@ -217,7 +217,7 @@ def full_recompose_easy_first_gumbel(leaves, cell, scorer, rng=None):
             soft = _softmax(perturbed)
             onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
             onehot[hard] = 1.0
-            ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
+            ste = T.add(Tensor(onehot), T.sub(soft, Tensor(soft.data.copy())))
             parent = T.matmul(T.reshape(ste, (1, -1)), parents)
         else:
             hard = int(np.argmax(raw.data))
@@ -453,7 +453,7 @@ def stacked_bt_cell(leaves: Tensor, cell: GrcParams, scorer: ScorerParams,
             soft = _softmax(perturbed)
             onehot = np.zeros(raw.data.size, dtype=raw.data.dtype)
             onehot[hard] = 1.0
-            ste = T.add(Tensor(onehot), T.sub(soft, T.detach(soft)))
+            ste = T.add(Tensor(onehot), T.sub(soft, Tensor(soft.data.copy())))
             nodes = _merge(nodes, length,
                            T.matmul(T.reshape(ste, (1, -1)), cands),
                            [(0, hard, 0)])

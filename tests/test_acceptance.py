@@ -27,7 +27,7 @@ from beamtree.harness import HeadParams, Model, classify, forward_logits, \
 from beamtree.listops import GenConfig, eval_listops, generate
 from beamtree.tensor import Tape, Tensor
 from beamtree.topk import collapse_tail, merge_beams, onesoft_topk, truncate
-from beamtree.trees import collapse_duplicates, extract_parses
+from beamtree.trees import parse_distribution
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "results",
                             "experiments.json")
@@ -279,10 +279,8 @@ def test_criterion_parse_bookkeeping():
         leaves = Tensor(rng.standard_normal((n, 6)))
         _, beams = encode_bt_cell(leaves, grc, scorer, 4)
         tokens = [str(i) for i in range(n)]
-        parses = extract_parses(beams, tokens)
-        collapsed = collapse_duplicates(parses)
-        worst_prob = max(worst_prob,
-                         abs(sum(p.probability for p in collapsed) - 1.0))
+        parses = parse_distribution(beams, tokens)
+        worst_prob = max(worst_prob, abs(sum(p for _t, p in parses) - 1.0))
         for root, actions in zip(beams.roots.data, beams.actions):
             redone = encode_fixed_tree(leaves, actions, grc)
             worst_replay = max(worst_replay, float(np.max(

@@ -11,7 +11,7 @@ from beamtree.checkpoint import load_checkpoint, save_checkpoint
 from beamtree.cli import main
 from beamtree.harness import batch_logits, load_config, load_model
 from beamtree.listops import eval_listops, read_example, read_tsv
-from beamtree.trees import collapse_duplicates, extract_parses
+from beamtree.trees import parse_distribution
 
 
 def test_gen_data_train_eval_parse_pipeline(tmp_path, capsys):
@@ -60,8 +60,8 @@ def test_gen_data_train_eval_parse_pipeline(tmp_path, capsys):
               "--input", text])
         ex = read_example(text, eval_listops(text))
         _, beams = batch_logits(model, [ex], False, None)
-        expect = [f"{p.probability:.4f}\t{p.tree}\n" for p in
-                  collapse_duplicates(extract_parses(beams[0], text.split()))]
+        expect = [f"{p:.4f}\t{tree}\n" for tree, p in
+                  parse_distribution(beams[0], text.split())]
         assert capsys.readouterr().out == "".join(expect), text
 
 
@@ -193,6 +193,8 @@ def test_train_refuses_workers_override(tmp_path):
 
 @pytest.mark.parametrize("command, setting, message", [
     ("train", "--max_epochs=0", "max_epochs must be >= 1"),
+    ("train", "--seed=-1", "seed must be >= 0"),  # the --seed option
+    ("eval", "seed=-1", "seed must be >= 0"),
     ("train", "--bogus=1", "unknown config key 'bogus'"),
     ("train", "--grad_clip=5.0", "unknown config key 'grad_clip'"),
     ("train", "--stochastic_topk=False",
@@ -216,7 +218,19 @@ def test_config_errors_exit_with_one_message(tmp_path, command, setting,
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("fault", ["no config", "no checkpoint",
+@pytest.mark.parametrize("args, message", [
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--train-count", "0"], "count must be >= 1"),
+    (["--test-count", "0"], "count must be >= 1")])
+def test_gen_data_refuses_bad_counts_and_seeds_up_front(tmp_path, args,
+                                                        message):
+    with pytest.raises(SystemExit, match=f"beamtree gen-data: {message}"):
+        main(["gen-data", "--out", str(tmp_path / "data"), *args])
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("fault", ["no config", "directory config",
+                                   "no checkpoint",
                                    "junk checkpoint", "huge checkpoint",
                                    "non-UTF-8 name", "malformed split",
                                    "empty split"])
@@ -231,6 +245,8 @@ def test_file_errors_exit_with_one_message(tmp_path, fault):
     config, ckpt, split = run / "config.txt", run / "best.ckpt", data / "dev.tsv"
     if fault == "no config":
         config, message = tmp_path / "nope.txt", "No such file.*nope.txt"
+    elif fault == "directory config":
+        config, message = tmp_path, "Is a directory"
     elif fault == "no checkpoint":
         ckpt, message = tmp_path / "nope.ckpt", "No such file.*nope.ckpt"
     elif fault == "junk checkpoint":

@@ -17,7 +17,7 @@ from beamtree.checkpoint import (CheckpointError, load_checkpoint, restore,
 from beamtree.harness import (ENCODER_KINDS, HarnessError, HeadParams,
                               Model, RunConfig, classify, evaluate_examples,
                               load_config, load_model, make_config,
-                              save_config, train)
+                              read_kv, save_config, train)
 from beamtree.listops import Example, GenConfig, generate, read_tsv
 from beamtree.tensor import Tensor
 
@@ -235,12 +235,31 @@ def test_config_rejects_bad_number(key, text):
         make_config({key: text})
 
 
-def test_config_comments_and_blank_lines(tmp_path):
+def test_config_blank_lines_and_values_as_written(tmp_path):
+    # a value is taken as written apart from the spaces around it: there is
+    # no comment syntax, so a '#' is part of the value
     path = tmp_path / "c.txt"
-    path.write_text("# comment\n\nencoder=recurrent  # trailing\nd_h=16\n")
+    path.write_text("\n  encoder = recurrent  \n\nd_h=16\n"
+                    "data_dir=runs/ab#1 # x\n")
+    assert read_kv(path) == {"encoder": "recurrent", "d_h": "16",
+                             "data_dir": "runs/ab#1 # x"}
     cfg = load_config(path)
-    assert cfg.encoder == "recurrent"
-    assert cfg.d_h == 16
+    assert (cfg.encoder, cfg.d_h, cfg.data_dir) == ("recurrent", 16,
+                                                     "runs/ab#1 # x")
+
+
+def test_config_round_trip_keeps_a_hash_in_data_dir(tmp_path):
+    cfg = _tiny_cfg(data_dir="runs/ab#1")
+    path = tmp_path / "config.txt"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+
+
+def test_read_kv_refuses_a_line_without_equals(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("encoder=gold\nd_h 16\n")
+    with pytest.raises(HarnessError, match="bad config line 'd_h 16'"):
+        read_kv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import gc
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -241,7 +245,30 @@ def test_build_splits_refuses_a_retired_kind(tmp_path, kind):
     assert not (tmp_path / "data").exists()
 
 
+def test_generate_refuses_bounds_with_too_few_sources():
+    # one operator over one digit: 4 x 10 = 40 distinct sources. Asking for
+    # 41 used to draw repeats forever, so it runs in a child with a timeout
+    few = GenConfig(max_length=3, max_depth=1, min_args=1, max_args=1)
+    assert len(generate(replace(few, count=40))) == 40
+    code = ("from beamtree.listops import GenConfig, ListOpsError, generate\n"
+            "try:\n"
+            "    generate(GenConfig(max_length=3, max_depth=1, min_args=1,\n"
+            "                       max_args=1, count=41))\n"
+            "except ListOpsError as e:\n"
+            "    print(e)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("found only 40 new distinct sources of 41")
+
+
 def test_gen_config_validation():
+    with pytest.raises(ListOpsError, match="count must be >= 1"):
+        GenConfig(count=0).validate()
+    with pytest.raises(ListOpsError, match="seed must be >= 0"):
+        GenConfig(seed=-1).validate()
     with pytest.raises(ListOpsError):
         GenConfig(min_args=0).validate()
     with pytest.raises(ListOpsError):

@@ -1,9 +1,12 @@
-"""README.md against the files it describes: the layout block and the
-results table."""
+"""README.md against the files it describes: the layout block, the run
+config paragraph and the results table."""
 
 import json
 import os
 import re
+from dataclasses import fields
+
+from beamtree.harness import RunConfig
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -21,6 +24,17 @@ def test_layout_names_every_module_of_the_package():
     assert "src/beamtree/" in block
     assert sorted(listed) == sorted(modules)
     assert len(listed) == len(set(listed))
+
+
+def test_run_config_paragraph_names_every_field():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    paragraph = readme.split("A run config is", 1)[1].split("\n\n", 1)[0]
+    count = int(re.search(r"with (\d+) keys", paragraph).group(1))
+    named = set(re.findall(r"`(\w+)`", paragraph))
+    keys = [f.name for f in fields(RunConfig)]
+    assert count == len(keys)
+    assert [k for k in keys if k not in named] == []
 
 
 def test_results_table_holds_the_committed_medians():

@@ -137,6 +137,18 @@ def test_data_dir_from_other_recipe_is_refused(tmp_path, monkeypatch):
     assert os.listdir(tmp_path / "runs") == []
 
 
+def test_malformed_meta_line_is_refused(tmp_path):
+    # a line without '=' used to be skipped, and the keys after it still
+    # matched
+    bad = tmp_path / "data"
+    shutil.copytree(DATA_MID, bad)
+    with open(bad / "train.meta", "a", encoding="utf-8") as f:
+        f.write("truncated\n")
+    with pytest.raises(R.SweepError, match="train.meta: bad config line "
+                       "'truncated'"):
+        R.ensure_data(str(bad), R.PROFILES["reduced"])
+
+
 def test_reduced_profile_defaults_to_the_data_its_runs_used():
     assert R.DATA_DIRS["reduced"] == "data-mid"
     p = R.PROFILES["reduced"]

@@ -11,8 +11,8 @@ from beamtree.listops import GenConfig, ListOpsError, generate, \
     gold_tree_listops
 from beamtree.tensor import Tensor
 from beamtree.topk import BeamSet
-from beamtree.trees import BeamParse, TreeError, bracketed, \
-    collapse_duplicates, extract_parses, replay_actions, span_f1, spans
+from beamtree.trees import TreeError, bracketed, parse_distribution, \
+    replay_actions, span_f1, spans
 
 
 def read_brackets(s: str) -> tuple:
@@ -233,45 +233,48 @@ def _run_bt(n, k, seed=0):
 
 def test_probabilities_sum_to_one():
     _, beams = _run_bt(6, 4)
-    tokens = list("abcdef")
-    parses = extract_parses(beams, tokens)
-    assert abs(sum(p.probability for p in parses) - 1.0) <= 1e-9
-    collapsed = collapse_duplicates(parses)
-    assert abs(sum(p.probability for p in collapsed) - 1.0) <= 1e-9
+    parses = parse_distribution(beams, list("abcdef"))
+    assert abs(sum(p for _tree, p in parses) - 1.0) <= 1e-9
 
 
-def test_replay_consistency_with_beam_actions():
+def test_each_tree_is_the_bracketed_replay_of_its_beams():
     _, beams = _run_bt(5, 3)
     tokens = list("abcde")
-    parses = extract_parses(beams, tokens)
-    for parse, actions in zip(parses, beams.actions):
-        assert parse.tree == bracketed(actions, tokens)
-        assert parse.actions == tuple(actions)
+    trees = [tree for tree, _p in parse_distribution(beams, tokens)]
+    assert sorted(trees) == sorted({bracketed(actions, tokens)
+                                    for actions in beams.actions})
 
 
-def test_probabilities_are_the_softmax_of_the_beam_scores():
+def test_probabilities_are_the_summed_softmax_of_the_beam_scores():
     _, beams = _run_bt(6, 4, seed=2)
-    parses = extract_parses(beams, list("abcdef"))
+    tokens = list("abcdef")
     scores = beams.scores.data
-    expect = np.exp(scores - scores.max())
-    expect /= expect.sum()
-    assert len(parses) == len(scores)
-    assert np.allclose([p.probability for p in parses], expect, rtol=0,
+    weights = np.exp(scores - scores.max())
+    weights /= weights.sum()
+    expect: dict = {}
+    for actions, w in zip(beams.actions, weights):
+        tree = bracketed(actions, tokens)
+        expect[tree] = expect.get(tree, 0.0) + w
+    parses = parse_distribution(beams, tokens)
+    assert dict(parses).keys() == expect.keys()
+    assert np.allclose([p for _tree, p in parses],
+                       [expect[tree] for tree, _p in parses], rtol=0,
                        atol=1e-12)
 
 
-def test_extract_rejects_incomplete_history():
+def test_parse_distribution_rejects_incomplete_history():
     bad = BeamSet(roots=Tensor(np.zeros((1, 2))), scores=Tensor(np.zeros(1)),
                   actions=[(0,)])
     with pytest.raises(TreeError, match="incomplete"):
-        extract_parses(bad, ["a", "b", "c"])
+        parse_distribution(bad, ["a", "b", "c"])
 
 
-def test_collapse_merges_and_sorts():
-    parses = [BeamParse("(a b)", 0.2, (0,)),
-              BeamParse("(b a)", 0.5, (0,)),
-              BeamParse("(a b)", 0.3, (0,))]
-    out = collapse_duplicates(parses)
-    assert [p.tree for p in out] == ["(a b)", "(b a)"]
-    assert out[0].probability == pytest.approx(0.5)
-    assert out[1].probability == pytest.approx(0.5)
+def test_parse_distribution_merges_equal_trees_and_sorts():
+    # beams 0 and 2 make one tree, ((a b) c), with 0.2 + 0.3
+    beams = BeamSet(roots=Tensor(np.zeros((3, 2))),
+                    scores=Tensor(np.log([0.2, 0.45, 0.3])),
+                    actions=[(0, 0), (1, 0), (0, 0)])
+    out = parse_distribution(beams, ["a", "b", "c"])
+    assert [tree for tree, _p in out] == ["((a b) c)", "(a (b c))"]
+    assert out[0][1] == pytest.approx(0.5 / 0.95)
+    assert out[1][1] == pytest.approx(0.45 / 0.95)
