@@ -23,7 +23,8 @@ moved (the last axis; for a loss or an int array, the entries that
 differ); it exits 1 when any array differs or is missing from one file.
 
 The process uses one BLAS thread unless OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS or MKL_NUM_THREADS is already set.
+OMP_NUM_THREADS or MKL_NUM_THREADS is already set: it imports
+`run_experiments`, which pins them, before numpy.
 
 Usage:
     python3 scripts/probe.py --out probe.npz
@@ -35,13 +36,11 @@ import hashlib
 import os
 import sys
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import numpy as np  # noqa: E402
+# first: it pins the BLAS threads before numpy loads
 import run_experiments as sweep  # noqa: E402
+import numpy as np  # noqa: E402
 from beamtree import harness  # noqa: E402
 from beamtree.listops import read_tsv  # noqa: E402
 

@@ -70,7 +70,7 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 # One BLAS thread per sweep process unless the caller set a count: two
 # processes side by side on a 2-core box with the default count had not
@@ -84,8 +84,8 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from beamtree.checkpoint import atomic_open
 from beamtree.harness import HarnessError, RunConfig, evaluate_examples, \
-    load_config, load_model, make_config, read_kv, train
-from beamtree.listops import GenConfig, build_splits, read_tsv
+    load_config, load_model, make_config, parse_kv, train
+from beamtree.listops import GenConfig, build_splits, read_tsv, recipe_meta
 
 PROFILES = {
     "reduced": dict(
@@ -131,24 +131,24 @@ class SweepError(Exception):
 def ensure_data(data_dir, p):
     """Generate the profile's split into `data_dir`, or check that the split
     already there was generated by the same recipe."""
+    train_cfg = GenConfig(max_length=p["max_length"], max_depth=p["max_depth"],
+                          min_args=2, max_args=p["max_args"],
+                          nest_prob=p["nest_prob"])
     if not os.path.exists(os.path.join(data_dir, "train.tsv")):
-        train_cfg = GenConfig(max_length=p["max_length"],
-                              max_depth=p["max_depth"], min_args=2,
-                              max_args=p["max_args"], nest_prob=p["nest_prob"])
         build_splits("length_gen", data_dir, seed=DATA_SEED,
                      train_count=p["train_count"], dev_count=p["dev_count"],
                      test_count=p["test_count"], train_cfg=train_cfg)
         return
     meta_path = os.path.join(data_dir, "train.meta")
-    try:
-        meta = read_kv(meta_path) if os.path.exists(meta_path) else {}
-    except HarnessError as e:
+    try:  # a missing train.meta is refused like a bad one
+        with open(meta_path, encoding="utf-8") as f:
+            meta = parse_kv(f)
+    except (OSError, HarnessError) as e:
         raise SweepError(f"{meta_path}: {e}") from None
-    expected = {"count": p["train_count"], "seed": DATA_SEED,
-                **{k: p[k] for k in ("max_length", "max_depth", "max_args",
-                                     "nest_prob")}}
-    bad = [f"{k}={meta.get(k)} (want {v})" for k, v in expected.items()
-           if meta.get(k) != str(v)]
+    expected = recipe_meta(replace(train_cfg, count=p["train_count"],
+                                   seed=DATA_SEED))
+    bad = [f"{k}={meta.get(k, '(missing)')} (want {v})"
+           for k, v in expected.items() if meta.get(k) != v]
     if bad:
         raise SweepError(f"{meta_path} disagrees with the profile: "
                          + ", ".join(bad))
@@ -183,7 +183,10 @@ def check_cached(run_dir, cfg, sha):
     path = os.path.join(run_dir, "config.txt")
     if not os.path.exists(path):
         raise SweepError(f"{run_dir}: result.json without config.txt")
-    cached = load_config(path)
+    try:
+        cached = load_config(path)
+    except HarnessError as e:
+        raise SweepError(f"{run_dir}: {e}") from None
     for fld in fields(RunConfig):
         if fld.name == "data_dir":
             continue

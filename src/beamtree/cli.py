@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -13,24 +14,13 @@ from .cells import GrcParams, LeafParams, ScorerParams, grc_compose, \
     leaf_transform_seq, score
 from .checkpoint import CheckpointError
 from .encoders import EncoderError
-from .harness import HarnessError, Model, batch_logits, batch_losses, \
-    evaluate_checkpoint, load_config, load_model, make_config, read_kv, train
+from .harness import HarnessError, Model, RunConfig, batch_logits, \
+    batch_losses, evaluate_checkpoint, load_config, load_model, make_config, \
+    parse_kv, train
 from .listops import GenConfig, ListOpsError, build_splits
 from .tensor import Tensor
 from . import tensor as T
-from .trees import parse_distribution
-
-
-def _parse_overrides(pairs) -> dict:
-    out = {}
-    for item in pairs:
-        if not item.startswith("--") or "=" not in item:
-            raise SystemExit(f"override must look like --key=value, got {item!r}")
-        k, v = item[2:].split("=", 1)
-        if k in out:
-            raise HarnessError(f"config key {k!r} given twice")
-        out[k] = v
-    return out
+from .trees import TreeError, parse_distribution
 
 
 def cmd_gen_data(args):
@@ -47,8 +37,15 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    values = read_kv(args.config) if args.config else {}
-    values.update(_parse_overrides(args.overrides))
+    values = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as f:
+            values = parse_kv(f)
+    for item in args.overrides:
+        if not item.startswith("--") or "=" not in item:
+            raise SystemExit(f"override must look like --key=value, got {item!r}")
+    # the overrides are read like the lines of a config file
+    values.update(parse_kv(item[2:] for item in args.overrides))
     if args.seed is not None:
         values["seed"] = str(args.seed)
     ckpt, metrics = train(make_config(values), args.out)
@@ -84,8 +81,11 @@ def cmd_gradcheck(args):
     """Double-precision finite-difference checks of the gated cell with the
     scorer, the leaf transform, the end-to-end beam-tree forward, and the
     batched training loss of three examples of different lengths."""
-    rng = np.random.default_rng(args.seed)
     d_h, d_e, vocab = 6, 5, len(listops.VOCAB)
+    # made before the first draw, so its check refuses a bad seed
+    base = RunConfig(encoder="bt", beam_size=3, d_e=d_e, d_h=d_h,
+                     dropout=0.0, seed=args.seed, precision="double")
+    rng = np.random.default_rng(args.seed)
     tol = 1e-4
     failures = []
 
@@ -115,16 +115,13 @@ def cmd_gradcheck(args):
              (("[MAX 2 [MIN 8 3 ] 1 ]", 3), ("[SM 4 [MED 9 0 ] ]", 4),
               ("7", 7))]
 
-    def model(encoder, topk="plain"):
-        return Model(make_config({"encoder": encoder, "beam_size": "3",
-                                  "topk": topk, "d_e": str(d_e),
-                                  "d_h": str(d_h), "precision": "double",
-                                  "dropout": "0.0", "seed": str(args.seed)}))
-
-    for name, m, exs in (
-            ("end_to_end_bt_onesoft", model("bt", "onesoft"), batch[:1]),
-            ("end_to_end_batch_bt_onesoft", model("bt", "onesoft"), batch),
-            ("end_to_end_batch_gumbel", model("gumbel"), batch)):
+    onesoft = replace(base, topk="onesoft")
+    for name, cfg, exs in (
+            ("end_to_end_bt_onesoft", onesoft, batch[:1]),
+            ("end_to_end_batch_bt_onesoft", onesoft, batch),
+            ("end_to_end_batch_gumbel", replace(base, encoder="gumbel"),
+             batch)):
+        m = Model(cfg)
         report(name, gc.check_grads(
             lambda: T.tsum(batch_losses(m, exs, True, None)), m.named()))
 
@@ -187,9 +184,9 @@ def main(argv=None):
     try:
         args.func(args)
     except (OSError, CheckpointError, EncoderError, ListOpsError,
-            HarnessError, T.TensorError) as e:
-        # a missing, unreadable or bad file, config, split or input, or a
-        # forward that overflows
+            HarnessError, T.TensorError, TreeError) as e:
+        # a missing, unreadable or bad file, config, split, input or tree,
+        # or a forward that overflows
         raise SystemExit(f"beamtree {args.command}: {e}") from None
 
 

@@ -26,6 +26,7 @@ from .cells import GrcParams, ScorerParams, grc_compose, score
 from .tensor import Tensor
 from .topk import BeamSet, collapse_tail, gumbel_noise, merge_beams, \
     plain_topk, tail_entries, truncate
+from .trees import replay_actions
 
 
 class EncoderError(Exception):
@@ -73,25 +74,23 @@ def encode_fixed_tree(leaves: Tensor, trees, cell: GrcParams) -> Tensor:
 
 def _compose_trees(table: T.RowTable, items, trees, cell: GrcParams):
     """The root rows of trees over the rows of `table`, each example's
-    first items the rows `items[e]`, merged by the actions `trees[e]`. The
-    merges go to the level of their height, in the order they are made,
-    and each level is one `grc_compose` of one gather of its children."""
-    levels, roots = [], []  # levels[h - 1]: the nodes of height h
-    for rows, actions in zip(items, trees):
-        # a node is (height, index): its row at height 0, else its place in
-        # its level, which holds its (left, right)
-        nodes = [(0, r) for r in rows]
-        for a in actions:
-            if not 0 <= a < len(nodes) - 1:
-                raise EncoderError(f"merge index {a} out of range for "
-                                   f"{len(nodes)} items")
-            left, right = nodes[a], nodes.pop(a + 1)
-            height = max(left[0], right[0]) + 1
-            if len(levels) < height:
-                levels.append([])
-            nodes[a] = (height, len(levels[height - 1]))
-            levels[height - 1].append((left, right))
-        roots.append(nodes[0])
+    first items the rows `items[e]`, merged by the actions `trees[e]` as
+    `replay_actions` folds them. The merges go to the level of their
+    height, in the order they are made, and each level is one
+    `grc_compose` of one gather of its children."""
+    levels = []  # levels[h - 1]: the nodes of height h
+
+    # a node is (height, index): its row at height 0, else its place in its
+    # level, which holds its (left, right)
+    def join(left, right):
+        height = max(left[0], right[0]) + 1
+        if len(levels) < height:
+            levels.append([])
+        levels[height - 1].append((left, right))
+        return height, len(levels[height - 1]) - 1
+
+    roots = [replay_actions(len(rows), actions, lambda i: (0, rows[i]), join)
+             for rows, actions in zip(items, trees)]
     firsts = [0]  # a node's row is firsts[height] + index
     for level in levels:
         firsts.append(table.append(grc_compose(table.gather(

@@ -28,8 +28,10 @@ class HarnessError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """A run's settings, checked once when they are made."""
+
     encoder: str = "bt"
     beam_size: int = 5
     topk: str = "plain"  # plain | onesoft; OneSoft relaxes top-k in training
@@ -44,7 +46,7 @@ class RunConfig:
     data_dir: str = ""
     precision: str = "single"  # single | double; double is for grad checks
 
-    def validate(self):
+    def __post_init__(self):
         if self.encoder not in ENCODER_KINDS:
             raise HarnessError(f"unknown encoder {self.encoder!r}")
         small = [k for k in ("patience", "batch_size", "max_epochs", "d_e",
@@ -72,45 +74,46 @@ class RunConfig:
         return np.float64 if self.precision == "double" else np.float32
 
 
-def read_kv(path) -> dict:
-    """A flat key=value text file as a dict. Each line is stripped, blank
-    lines are skipped, and a key may be given only once; values are taken
-    as written."""
+def parse_kv(lines) -> dict:
+    """Flat key=value lines as a dict. Each line is stripped, blank lines
+    are skipped, and a key may be given only once; values are taken as
+    written."""
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise HarnessError(f"bad config line {line!r}")
-            k, v = (part.strip() for part in line.split("=", 1))
-            if k in values:
-                raise HarnessError(f"config key {k!r} given twice")
-            values[k] = v
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise HarnessError(f"bad config line {line!r}")
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k in values:
+            raise HarnessError(f"config key {k!r} given twice")
+        values[k] = v
     return values
 
 
 def load_config(path) -> RunConfig:
-    return make_config(read_kv(path))
+    with open(path, encoding="utf-8") as f:
+        return make_config(parse_kv(f))
 
 
-def make_config(overrides: dict) -> RunConfig:
-    cfg = RunConfig()
-    valid = {f.name: f.type for f in fields(RunConfig)}
-    for k, v in overrides.items():
-        if k not in valid:
+def make_config(values: dict) -> RunConfig:
+    """The RunConfig of `values`, the defaults where a field is not given,
+    each value converted to its field's type."""
+    defaults, names = RunConfig(), {f.name for f in fields(RunConfig)}
+    converted = {}
+    for k, v in values.items():
+        if k not in names:
             raise HarnessError(f"unknown config key {k!r}")
-        current = getattr(cfg, k)
-        if isinstance(current, (int, float)):
+        kind = type(getattr(defaults, k))
+        if kind in (int, float):
             try:
-                v = type(current)(v)
+                v = kind(v)
             except (TypeError, ValueError):
-                raise HarnessError(f"{k} must be {type(current).__name__}, "
+                raise HarnessError(f"{k} must be {kind.__name__}, "
                                    f"got {v!r}") from None
-        setattr(cfg, k, v)
-    cfg.validate()
-    return cfg
+        converted[k] = v
+    return RunConfig(**converted)
 
 
 def save_config(cfg: RunConfig, path):
@@ -158,7 +161,6 @@ class Model:
     stable parameter naming for checkpoints."""
 
     def __init__(self, cfg: RunConfig):
-        cfg.validate()
         self.cfg = cfg
         rng = np.random.default_rng([cfg.seed, 0xBEEF])
         dtype = cfg.dtype
@@ -290,7 +292,6 @@ def train(cfg: RunConfig, out_dir, train_examples=None, dev_examples=None,
     and step (and the first such parameter), before the weights change; so
     does a dev evaluation whose forward is not finite, naming its epoch.
     Returns (checkpoint_path, metrics list)."""
-    cfg.validate()
     if train_examples is None:
         train_examples = read_tsv(os.path.join(cfg.data_dir, "train.tsv"))
     if dev_examples is None:

@@ -28,8 +28,10 @@ class ListOpsError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenConfig:
+    """A generator recipe, checked once when it is made."""
+
     max_length: int = 100
     max_depth: int = 6
     min_args: int = 2
@@ -42,7 +44,7 @@ class GenConfig:
     # this many arguments (used by the argument-generalization split)
     require_exact_args: int | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.count < 1:
             raise ListOpsError("count must be >= 1")
         if self.seed < 0:
@@ -188,7 +190,6 @@ def generate(cfg: GenConfig, exclude: set | None = None) -> list:
     under `cfg.seed`. Sources in `exclude` (and duplicates) are resampled;
     `_MAX_ATTEMPTS` resamples in a row mean the bounds hold too few distinct
     sources, and raise ListOpsError."""
-    cfg.validate()
     seen = set() if exclude is None else set(exclude)
     out = []
     stream = 0
@@ -243,27 +244,25 @@ def read_tsv(path) -> list:
     return out
 
 
+def recipe_meta(cfg: GenConfig) -> dict:
+    """The keys of a recipe as its split's .meta file renders them."""
+    keys = ("count", "seed", "max_length", "min_length", "max_depth",
+            "min_args", "max_args", "nest_prob")
+    return {**{k: str(getattr(cfg, k)) for k in keys},
+            "med_even": "lower",  # MED of an even arity: see _OPEN
+            "require_exact_args": str(cfg.require_exact_args)}
+
+
 def _write_meta(path, cfg: GenConfig, examples):
-    lengths = [ex.length for ex in examples]
-    depths = [ex.depth for ex in examples]
-    args = [ex.max_args for ex in examples]
+    """The recipe's keys, then the lengths, depth and arity the examples
+    reached."""
+    realized = {
+        "realized_length_min": min(ex.length for ex in examples),
+        "realized_length_max": max(ex.length for ex in examples),
+        "realized_depth_max": max(ex.depth for ex in examples),
+        "realized_args_max": max(ex.max_args for ex in examples)}
     with open(path, "w", encoding="utf-8") as f:
-        for k, v in (
-            ("count", len(examples)),
-            ("seed", cfg.seed),
-            ("max_length", cfg.max_length),
-            ("min_length", cfg.min_length),
-            ("max_depth", cfg.max_depth),
-            ("min_args", cfg.min_args),
-            ("max_args", cfg.max_args),
-            ("nest_prob", cfg.nest_prob),
-            ("med_even", "lower"),  # MED of an even arity: see _OPEN
-            ("require_exact_args", cfg.require_exact_args),
-            ("realized_length_min", min(lengths)),
-            ("realized_length_max", max(lengths)),
-            ("realized_depth_max", max(depths)),
-            ("realized_args_max", max(args)),
-        ):
+        for k, v in {**recipe_meta(cfg), **realized}.items():
             f.write(f"{k}={v}\n")
 
 
@@ -292,13 +291,12 @@ def build_splits(kind: str, out_dir, *, seed: int, train_count: int,
                            max_length=train_cfg.max_length * 3,
                            require_exact_args=target)
 
+    # each recipe is checked as it is made, before any split is written
     recipes = (
         ("train", replace(train_cfg, count=train_count, seed=seed)),
         ("dev", replace(train_cfg, count=dev_count, seed=seed + 1)),
         ("test", replace(test_cfg, count=test_count, seed=seed + 2)),
     )
-    for _name, cfg in recipes:  # before any split is written
-        cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     seen: set = set()
     splits = {}

@@ -201,7 +201,8 @@ def test_train_refuses_workers_override(tmp_path):
      "unknown config key 'stochastic_topk'"),
     ("eval", "temperature=0.5", "unknown config key 'temperature'"),
     ("eval", "bogus=1", "unknown config key 'bogus'"),
-    ("parse", "encoder=transformer", "unknown encoder 'transformer'")])
+    ("parse", "encoder=transformer", "unknown encoder 'transformer'"),
+    ("gradcheck", "--seed=-1", "seed must be >= 0")])
 def test_config_errors_exit_with_one_message(tmp_path, command, setting,
                                              message):
     config = tmp_path / "config.txt"
@@ -212,7 +213,8 @@ def test_config_errors_exit_with_one_message(tmp_path, command, setting,
                      str(tmp_path / "missing.ckpt"), "--split",
                      str(tmp_path / "missing.tsv")],
             "parse": ["--config", str(config), "--checkpoint",
-                      str(tmp_path / "missing.ckpt"), "--input", "[MAX 2 1 ]"]}
+                      str(tmp_path / "missing.ckpt"), "--input", "[MAX 2 1 ]"],
+            "gradcheck": [setting]}
     with pytest.raises(SystemExit, match=message):
         main([command, *args[command]])
     assert not (tmp_path / "run").exists()

@@ -14,7 +14,7 @@ from beamtree import tensor as T
 from beamtree.cells import GrcParams, ScorerParams
 from beamtree.encoders import EncoderError
 from beamtree.tensor import Tape, Tensor
-from beamtree.trees import bracketed
+from beamtree.trees import TreeError, bracketed
 
 D_H = 4
 BALANCED_4 = [0, 1, 0]  # ((0 1) (2 3))
@@ -216,7 +216,7 @@ def test_fixed_tree_rejects_leaf_mismatch():
 def test_fixed_tree_rejects_an_out_of_range_merge(actions):
     # three leaves take two merges, the first at 0 or 1, the second at 0
     grc, _ = _params(seed=23)
-    with pytest.raises(EncoderError, match="out of range"):
+    with pytest.raises(TreeError, match="out of range"):
         encoders.encode_fixed_tree(_leaves(3, seed=24), [actions], grc)
 
 

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from beamtree.checkpoint import (CheckpointError, load_checkpoint, restore,
 from beamtree.harness import (ENCODER_KINDS, HarnessError, HeadParams,
                               Model, RunConfig, classify, evaluate_examples,
                               load_config, load_model, make_config,
-                              read_kv, save_config, train)
+                              parse_kv, save_config, train)
 from beamtree.listops import Example, GenConfig, generate, read_tsv
 from beamtree.tensor import Tensor
 
@@ -170,30 +171,32 @@ def test_config_refuses_a_key_given_twice(tmp_path):
         load_config(path)
 
 
-def test_config_rejects_unknown_topk(tmp_path):
+def test_config_rejects_unknown_topk():
     with pytest.raises(HarnessError):
         make_config({"topk": "one_soft"})
     with pytest.raises(HarnessError):
         make_config({"encoder": "bt", "beam_size": "1", "topk": "onesoft"})
+    # a config is checked when it is made, however it is made, and is
+    # never changed after
     cfg = _tiny_cfg()
-    cfg.topk = "one_soft"
-    with pytest.raises(HarnessError):
-        train(cfg, tmp_path / "run")
-    assert not (tmp_path / "run").exists()
+    with pytest.raises(HarnessError, match="top-k operator 'one_soft'"):
+        replace(cfg, topk="one_soft")
+    with pytest.raises(FrozenInstanceError):
+        cfg.topk = "one_soft"
 
 
 @pytest.mark.parametrize("key, value", [
     ("max_epochs", 0), ("max_epochs", -3), ("dropout", 1.0),
     ("dropout", -0.5), ("lr", -1.0), ("lr", 0.0), ("lr", float("inf")),
     ("d_e", 0), ("d_h", 0), ("beam_size", 0)])
-def test_config_rejects_out_of_range_values(tmp_path, key, value):
+def test_config_rejects_out_of_range_values(key, value):
     with pytest.raises(HarnessError, match=key):
         make_config({key: str(value)})
     cfg = _tiny_cfg()
-    setattr(cfg, key, value)
     with pytest.raises(HarnessError, match=key):
-        train(cfg, tmp_path / "run", _tiny_examples(4), _tiny_examples(2))
-    assert not (tmp_path / "run").exists()
+        replace(cfg, **{key: value})
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, key, value)
 
 
 def test_committed_run_configs_load():
@@ -241,8 +244,8 @@ def test_config_blank_lines_and_values_as_written(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("\n  encoder = recurrent  \n\nd_h=16\n"
                     "data_dir=runs/ab#1 # x\n")
-    assert read_kv(path) == {"encoder": "recurrent", "d_h": "16",
-                             "data_dir": "runs/ab#1 # x"}
+    assert parse_kv(path.read_text().splitlines()) == {
+        "encoder": "recurrent", "d_h": "16", "data_dir": "runs/ab#1 # x"}
     cfg = load_config(path)
     assert (cfg.encoder, cfg.d_h, cfg.data_dir) == ("recurrent", 16,
                                                      "runs/ab#1 # x")
@@ -255,11 +258,13 @@ def test_config_round_trip_keeps_a_hash_in_data_dir(tmp_path):
     assert load_config(path) == cfg
 
 
-def test_read_kv_refuses_a_line_without_equals(tmp_path):
+def test_parse_kv_refuses_a_line_without_equals(tmp_path):
+    with pytest.raises(HarnessError, match="bad config line 'd_h 16'"):
+        parse_kv(["encoder=gold", "d_h 16"])
     path = tmp_path / "c.txt"
     path.write_text("encoder=gold\nd_h 16\n")
     with pytest.raises(HarnessError, match="bad config line 'd_h 16'"):
-        read_kv(path)
+        load_config(path)
 
 
 # ---------------------------------------------------------------------------

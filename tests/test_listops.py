@@ -265,31 +265,30 @@ def test_generate_refuses_bounds_with_too_few_sources():
 
 
 def test_gen_config_validation():
+    # a recipe is checked when it is made
     with pytest.raises(ListOpsError, match="count must be >= 1"):
-        GenConfig(count=0).validate()
+        GenConfig(count=0)
     with pytest.raises(ListOpsError, match="seed must be >= 0"):
-        GenConfig(seed=-1).validate()
+        GenConfig(seed=-1)
     with pytest.raises(ListOpsError):
-        GenConfig(min_args=0).validate()
+        GenConfig(min_args=0)
     with pytest.raises(ListOpsError):
-        GenConfig(nest_prob=1.5).validate()
+        GenConfig(nest_prob=1.5)
     with pytest.raises(ListOpsError):
-        GenConfig(max_length=2).validate()
+        GenConfig(max_length=2)
+    with pytest.raises(ListOpsError, match="count must be >= 1"):
+        replace(GenConfig(), count=0)
     # an arity the generator never draws would spin through every attempt
     for exact in (1, 6):
         with pytest.raises(ListOpsError, match=r"require_exact_args must be "
                            r"in \[min_args, max_args\]"):
             GenConfig(max_length=30, max_depth=3, max_args=3,
-                      require_exact_args=exact).validate()
+                      require_exact_args=exact)
     # an arity whose smallest expression (operator, that many digits and
     # the close bracket) is longer than max_length is refused before any
     # draw
-    cfg = GenConfig(max_length=6, min_args=2, max_args=5,
-                    require_exact_args=5, count=1)
     with pytest.raises(ListOpsError, match="require_exact_args 5 needs 7 "
                        "tokens, more than max_length 6"):
-        cfg.validate()
-    with pytest.raises(ListOpsError, match="require_exact_args 5"):
-        generate(cfg)
-    GenConfig(max_length=7, min_args=2, max_args=5,
-              require_exact_args=5).validate()
+        GenConfig(max_length=6, min_args=2, max_args=5,
+                  require_exact_args=5, count=1)
+    GenConfig(max_length=7, min_args=2, max_args=5, require_exact_args=5)

@@ -114,6 +114,19 @@ def test_cached_run_with_other_config_is_refused(tmp_path, monkeypatch):
         _main(monkeypatch, tmp_path, "--only", "gold_tree", "--seeds", "0")
 
 
+def test_cached_config_with_an_unknown_key_is_refused(tmp_path, monkeypatch,
+                                                      capsys):
+    _cache_run(tmp_path / "runs", "gold_tree", 0, 0.9, 0.8)
+    config = tmp_path / "runs" / "gold_tree-s0" / "config.txt"
+    with open(config, "a", encoding="utf-8") as f:
+        f.write("bogus=1\n")
+    with pytest.raises(SystemExit, match="gold_tree-s0: unknown config key "
+                       "'bogus'") as exc:
+        _main(monkeypatch, tmp_path, "--only", "gold_tree", "--seeds", "0")
+    assert exc.value.code not in (0, None)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cached_run_on_other_data_is_refused(tmp_path, monkeypatch):
     other = tmp_path / "other-data"
     shutil.copytree(DATA_MID, other)
@@ -125,13 +138,22 @@ def test_cached_run_on_other_data_is_refused(tmp_path, monkeypatch):
         _main(monkeypatch, tmp_path, "--only", "gold_tree", "--seeds", "0")
 
 
-def test_data_dir_from_other_recipe_is_refused(tmp_path, monkeypatch):
+@pytest.mark.parametrize("edits, message", [
+    ({"count=10000": "count=2500"}, "count=2500"),
+    # min_args and require_exact_args were once not compared
+    ({"min_args=2": "min_args=1",
+      "require_exact_args=None": "require_exact_args=4"},
+     r"min_args=1 \(want 2\), require_exact_args=4 \(want None\)")],
+    ids=["count", "min_args-require_exact_args"])
+def test_data_dir_from_other_recipe_is_refused(tmp_path, monkeypatch, edits,
+                                               message):
     stale = tmp_path / "stale-data"
     shutil.copytree(DATA_MID, stale)
-    meta = (stale / "train.meta").read_text().replace("count=10000",
-                                                      "count=2500")
+    meta = (stale / "train.meta").read_text()
+    for old, new in edits.items():
+        meta = meta.replace(old, new)
     (stale / "train.meta").write_text(meta)
-    with pytest.raises(SystemExit, match="count=2500"):
+    with pytest.raises(SystemExit, match=message):
         _main(monkeypatch, tmp_path, "--only", "gold_tree", "--seeds", "0",
               data_dir=stale)
     assert os.listdir(tmp_path / "runs") == []
@@ -321,22 +343,28 @@ print(json.dumps({"env": {v: os.environ.get(v) for v in sys.argv[2:]},
 """
 
 
-def _probe(**env):
+def _probe(script, **env):
     clean = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE,
-         os.path.join(ROOT, "scripts", "run_experiments.py"), *BLAS_VARS],
+        [sys.executable, "-c", _PROBE, os.path.join(ROOT, "scripts", script),
+         *BLAS_VARS],
         env={**clean, **env}, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_sweep_pins_one_blas_thread_before_numpy_loads():
-    res = _probe()
+# probe.py takes its pin from run_experiments, which it imports first
+SCRIPTS = ("run_experiments.py", "probe.py")
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_sweep_pins_one_blas_thread_before_numpy_loads(script):
+    res = _probe(script)
     assert res["env"] == {v: "1" for v in BLAS_VARS}
     assert res["threads"] in (None, 1)
 
 
-def test_sweep_keeps_a_blas_thread_count_the_caller_set():
-    res = _probe(OPENBLAS_NUM_THREADS="2")
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_sweep_keeps_a_blas_thread_count_the_caller_set(script):
+    res = _probe(script, OPENBLAS_NUM_THREADS="2")
     assert res["env"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
                           "MKL_NUM_THREADS": "1"}
