@@ -34,13 +34,17 @@ hand split by --only run as two invocations at once. A run that raises
 stops the sweep with a non-zero exit naming it; runs still training are
 killed.
 
-Each (variant, seed) run lives in <run-dir>/<variant>-s<seed>/. A run with a
-result.json is reused only if its config.txt matches the config this
-invocation builds in every field, with `data_dir` compared by the
-sha256 of its train/dev/test.tsv (a relative path is resolved against the
-repository root). Every cached run is checked before anything trains, and
-any mismatch is refused, naming the field. A run killed before writing
-result.json restarts from epoch 0 and, being deterministic, repeats the
+An existing data dir is used only when the .meta file of each of its
+train, dev and test splits matches that split's recipe from
+`listops.split_recipes`. Each (variant, seed) run is queued once, with its
+config made before any run starts, and lives in
+<run-dir>/<variant>-s<seed>/. A run with a result.json is reused only if
+its config.txt matches the config this invocation builds in every field,
+with `data_dir` compared by the sha256 of its train/dev/test.tsv (a
+relative path is resolved against the repository root). Every cached run
+is checked before anything trains, and any mismatch is refused, naming the
+field. A run killed before writing result.json restarts from epoch 0
+and, being deterministic, repeats the
 killed run's metrics.jsonl line for line if the code is unchanged (a
 change that moves values at float32 rounding breaks that; CHANGES.md
 names each). Each result.json records `code_sha256`, the sha256 of the
@@ -70,7 +74,7 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 
 # One BLAS thread per sweep process unless the caller set a count: two
 # processes side by side on a 2-core box with the default count had not
@@ -85,7 +89,8 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 from beamtree.checkpoint import atomic_open
 from beamtree.harness import HarnessError, RunConfig, evaluate_examples, \
     load_config, load_model, make_config, parse_kv, train
-from beamtree.listops import GenConfig, build_splits, read_tsv, recipe_meta
+from beamtree.listops import GenConfig, build_splits, read_tsv, \
+    recipe_meta, split_recipes
 
 PROFILES = {
     "reduced": dict(
@@ -129,29 +134,30 @@ class SweepError(Exception):
 
 
 def ensure_data(data_dir, p):
-    """Generate the profile's split into `data_dir`, or check that the split
-    already there was generated by the same recipe."""
+    """Generate the profile's split into `data_dir`, or check that each split
+    already there was generated by its recipe."""
     train_cfg = GenConfig(max_length=p["max_length"], max_depth=p["max_depth"],
                           min_args=2, max_args=p["max_args"],
                           nest_prob=p["nest_prob"])
+    recipes = split_recipes("length_gen", train_cfg, seed=DATA_SEED,
+                            train_count=p["train_count"],
+                            dev_count=p["dev_count"],
+                            test_count=p["test_count"])
     if not os.path.exists(os.path.join(data_dir, "train.tsv")):
-        build_splits("length_gen", data_dir, seed=DATA_SEED,
-                     train_count=p["train_count"], dev_count=p["dev_count"],
-                     test_count=p["test_count"], train_cfg=train_cfg)
+        build_splits(data_dir, recipes)
         return
-    meta_path = os.path.join(data_dir, "train.meta")
-    try:  # a missing train.meta is refused like a bad one
-        with open(meta_path, encoding="utf-8") as f:
-            meta = parse_kv(f)
-    except (OSError, HarnessError) as e:
-        raise SweepError(f"{meta_path}: {e}") from None
-    expected = recipe_meta(replace(train_cfg, count=p["train_count"],
-                                   seed=DATA_SEED))
-    bad = [f"{k}={meta.get(k, '(missing)')} (want {v})"
-           for k, v in expected.items() if meta.get(k) != v]
-    if bad:
-        raise SweepError(f"{meta_path} disagrees with the profile: "
-                         + ", ".join(bad))
+    for split, cfg in recipes.items():
+        meta_path = os.path.join(data_dir, f"{split}.meta")
+        try:  # a missing .meta is refused like a bad one
+            with open(meta_path, encoding="utf-8") as f:
+                meta = parse_kv(f)
+        except (OSError, HarnessError) as e:
+            raise SweepError(f"{meta_path}: {e}") from None
+        bad = [f"{k}={meta.get(k, '(missing)')} (want {v})"
+               for k, v in recipe_meta(cfg).items() if meta.get(k) != v]
+        if bad:
+            raise SweepError(f"{meta_path} disagrees with the profile: "
+                             + ", ".join(bad))
 
 
 def data_sha256(data_dir):
@@ -244,10 +250,10 @@ def run_one(name, seed, cfg, out_root, data_dir, workers, code):
 
 
 def train_runs(todo, job, workers):
-    """Call `job(name, seed)` for each run of `todo` in a forked process,
-    `workers` at a time, started in order, yielding after each finishes. A
-    run that fails stops the sweep, naming it; runs still training are
-    killed."""
+    """Call `job(name, seed)` for each (name, seed) key of `todo` in a
+    forked process, `workers` at a time, started in order, yielding after
+    each finishes. A run that fails stops the sweep, naming it; runs still
+    training are killed."""
     # one Process per run rather than a multiprocessing.Pool: a Pool waits
     # forever for a task whose worker was killed, and pickles its tasks.
     # A forked run needs nothing pickled, inherits the BLAS thread pin and
@@ -304,20 +310,24 @@ def main():
         ensure_data(data_dir, p)
         sha = data_sha256(data_dir)
         config = functools.partial(run_config, p=p, data_dir=data_dir)
+        # (name, seed) -> config of each run to train, in run order: made
+        # here, so a bad seed is refused before any run starts, and a run
+        # named twice is queued once
+        todo = {(name, seed): config(name, seed)
+                for name in args.only or list(VARIANTS) for seed in args.seeds
+                if not os.path.exists(os.path.join(
+                    run_dir, f"{name}-s{seed}", "result.json"))}
         # checks every cached run before anything trains
         _write(args.out, args.profile, p, run_dir, config, sha, code)
-        todo = [(name, seed) for name in args.only or list(VARIANTS)
-                for seed in args.seeds
-                if not os.path.exists(os.path.join(
-                    run_dir, f"{name}-s{seed}", "result.json"))]
 
         def job(name, seed):
-            run_one(name, seed, config(name, seed), run_dir, data_dir,
+            run_one(name, seed, todo[name, seed], run_dir, data_dir,
                     args.workers, code)
 
         for _ in train_runs(todo, job, args.workers):
             _write(args.out, args.profile, p, run_dir, config, sha, code)
-    except SweepError as e:
+    except (SweepError, HarnessError, OSError) as e:
+        # a refused setting or cached run, or a missing or unreadable file
         sys.exit(f"run_experiments: {e}")
     print(f"wrote {args.out}")
 

@@ -17,7 +17,7 @@ from .encoders import EncoderError
 from .harness import HarnessError, Model, RunConfig, batch_logits, \
     batch_losses, evaluate_checkpoint, load_config, load_model, make_config, \
     parse_kv, train
-from .listops import GenConfig, ListOpsError, build_splits
+from .listops import GenConfig, ListOpsError, build_splits, split_recipes
 from .tensor import Tensor
 from . import tensor as T
 from .trees import TreeError, parse_distribution
@@ -28,10 +28,11 @@ def cmd_gen_data(args):
                           max_depth=args.train_max_depth,
                           min_args=args.min_args, max_args=args.train_max_args,
                           nest_prob=args.nest_prob)
-    splits = build_splits(args.kind, args.out, seed=args.seed,
-                          train_count=args.train_count,
-                          dev_count=args.dev_count,
-                          test_count=args.test_count, train_cfg=train_cfg)
+    recipes = split_recipes(args.kind, train_cfg, seed=args.seed,
+                            train_count=args.train_count,
+                            dev_count=args.dev_count,
+                            test_count=args.test_count)
+    splits = build_splits(args.out, recipes)
     for name, path in splits.items():
         print(f"{name}: {path}")
 

@@ -269,38 +269,40 @@ def _write_meta(path, cfg: GenConfig, examples):
 SPLIT_KINDS = ("length_gen", "arg_gen")
 
 
-def build_splits(kind: str, out_dir, *, seed: int, train_count: int,
-                 dev_count: int, test_count: int, train_cfg: GenConfig) -> dict:
-    """Emit train/dev/test TSVs plus metadata for one generalization split.
+def split_recipes(kind: str, train_cfg: GenConfig, *, seed: int,
+                  train_count: int, dev_count: int, test_count: int) -> dict:
+    """The train, dev and test recipes of one generalization split, drawn
+    from seeds `seed`, `seed + 1` and `seed + 2`; each is checked as it is
+    made, before `build_splits` writes anything.
 
     Train and dev follow `train_cfg`; the test recipe is derived from it:
     for length_gen, lengths 1.6x-2.4x the train bound with deeper nesting,
     for arg_gen, an operator of twice the train arity in every row.
-    Train/dev/test never share a source string.
     """
     if kind not in SPLIT_KINDS:
         raise ListOpsError(f"unknown split kind {kind!r}")
     if kind == "length_gen":
-        test_cfg = replace(train_cfg,
-                           min_length=int(1.6 * train_cfg.max_length),
-                           max_length=int(2.4 * train_cfg.max_length),
-                           max_depth=train_cfg.max_depth + 2, nest_prob=0.6)
+        shift = dict(min_length=int(1.6 * train_cfg.max_length),
+                     max_length=int(2.4 * train_cfg.max_length),
+                     max_depth=train_cfg.max_depth + 2, nest_prob=0.6)
     else:  # arg_gen
         target = train_cfg.max_args * 2
-        test_cfg = replace(train_cfg, max_args=target,
-                           max_length=train_cfg.max_length * 3,
-                           require_exact_args=target)
+        shift = dict(max_args=target, max_length=train_cfg.max_length * 3,
+                     require_exact_args=target)
+    return {"train": replace(train_cfg, count=train_count, seed=seed),
+            "dev": replace(train_cfg, count=dev_count, seed=seed + 1),
+            "test": replace(train_cfg, count=test_count, seed=seed + 2,
+                            **shift)}
 
-    # each recipe is checked as it is made, before any split is written
-    recipes = (
-        ("train", replace(train_cfg, count=train_count, seed=seed)),
-        ("dev", replace(train_cfg, count=dev_count, seed=seed + 1)),
-        ("test", replace(test_cfg, count=test_count, seed=seed + 2)),
-    )
+
+def build_splits(out_dir, recipes: dict) -> dict:
+    """Write each split of `recipes` (name -> GenConfig, in order) to
+    <name>.tsv and <name>.meta under `out_dir`, and return name -> TSV path.
+    No two splits share a source string."""
     os.makedirs(out_dir, exist_ok=True)
     seen: set = set()
     splits = {}
-    for name, cfg in recipes:
+    for name, cfg in recipes.items():
         examples = generate(cfg, exclude=seen)
         seen.update(ex.source for ex in examples)
         tsv = os.path.join(out_dir, f"{name}.tsv")

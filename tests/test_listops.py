@@ -14,8 +14,8 @@ from oracles import stack_machine_eval
 from beamtree.cli import main
 from beamtree.listops import (VOCAB, GenConfig, ListOpsError,
                               build_splits, eval_listops, generate,
-                              gold_tree_listops, parse, read_tsv, tokenize,
-                              write_tsv)
+                              gold_tree_listops, parse, read_tsv,
+                              split_recipes, tokenize, write_tsv)
 
 
 def test_eval_basic_ops():
@@ -212,8 +212,9 @@ def test_read_tsv_accepts_a_one_digit_source(tmp_path):
 
 def test_build_splits_length_gen_certified(tmp_path):
     train_cfg = GenConfig(max_length=30, max_depth=3, min_args=2, max_args=3)
-    splits = build_splits("length_gen", tmp_path, seed=5, train_count=40,
-                          dev_count=10, test_count=10, train_cfg=train_cfg)
+    splits = build_splits(tmp_path, split_recipes(
+        "length_gen", train_cfg, seed=5, train_count=40, dev_count=10,
+        test_count=10))
     data = {name: read_tsv(path) for name, path in splits.items()}
     sources = {name: {e.source for e in exs} for name, exs in data.items()}
     assert not (sources["train"] & sources["test"])
@@ -229,8 +230,9 @@ def test_build_splits_length_gen_certified(tmp_path):
 
 def test_build_splits_arg_gen(tmp_path):
     train_cfg = GenConfig(max_length=30, max_depth=3, min_args=2, max_args=3)
-    splits = build_splits("arg_gen", tmp_path, seed=6, train_count=20,
-                          dev_count=5, test_count=5, train_cfg=train_cfg)
+    splits = build_splits(tmp_path, split_recipes(
+        "arg_gen", train_cfg, seed=6, train_count=20, dev_count=5,
+        test_count=5))
     test = read_tsv(splits["test"])
     assert all(e.max_args >= 6 for e in test)
     train = read_tsv(splits["train"])
@@ -240,8 +242,9 @@ def test_build_splits_arg_gen(tmp_path):
 @pytest.mark.parametrize("kind", ["depth_gen", "lra_style"])
 def test_build_splits_refuses_a_retired_kind(tmp_path, kind):
     with pytest.raises(ListOpsError, match=f"unknown split kind '{kind}'"):
-        build_splits(kind, tmp_path / "data", seed=0, train_count=1,
-                     dev_count=1, test_count=1, train_cfg=GenConfig())
+        build_splits(tmp_path / "data", split_recipes(
+            kind, GenConfig(), seed=0, train_count=1, dev_count=1,
+            test_count=1))
     assert not (tmp_path / "data").exists()
 
 

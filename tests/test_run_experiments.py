@@ -138,25 +138,80 @@ def test_cached_run_on_other_data_is_refused(tmp_path, monkeypatch):
         _main(monkeypatch, tmp_path, "--only", "gold_tree", "--seeds", "0")
 
 
-@pytest.mark.parametrize("edits, message", [
-    ({"count=10000": "count=2500"}, "count=2500"),
+@pytest.mark.parametrize("meta_name, edits, message", [
+    ("train.meta", {"count=10000": "count=2500"}, "count=2500"),
     # min_args and require_exact_args were once not compared
-    ({"min_args=2": "min_args=1",
-      "require_exact_args=None": "require_exact_args=4"},
-     r"min_args=1 \(want 2\), require_exact_args=4 \(want None\)")],
-    ids=["count", "min_args-require_exact_args"])
-def test_data_dir_from_other_recipe_is_refused(tmp_path, monkeypatch, edits,
-                                               message):
+    ("train.meta", {"min_args=2": "min_args=1",
+                    "require_exact_args=None": "require_exact_args=4"},
+     r"min_args=1 \(want 2\), require_exact_args=4 \(want None\)"),
+    # dev.meta and test.meta were once not read
+    ("dev.meta", {"nest_prob=0.45": "nest_prob=0.1"},
+     r"dev.meta disagrees with the profile: nest_prob=0.1 \(want 0.45\)"),
+    ("test.meta", {"nest_prob=0.6": "nest_prob=0.1"},
+     r"test.meta disagrees with the profile: nest_prob=0.1 \(want 0.6\)"),
+    ("test.meta", {"seed=102": "seed=101"},
+     r"test.meta disagrees with the profile: seed=101 \(want 102\)")],
+    ids=["count", "min_args-require_exact_args", "dev-nest_prob",
+         "test-nest_prob", "test-seed"])
+def test_data_dir_from_other_recipe_is_refused(tmp_path, monkeypatch,
+                                               meta_name, edits, message):
     stale = tmp_path / "stale-data"
     shutil.copytree(DATA_MID, stale)
-    meta = (stale / "train.meta").read_text()
+    meta = (stale / meta_name).read_text()
     for old, new in edits.items():
         meta = meta.replace(old, new)
-    (stale / "train.meta").write_text(meta)
+    (stale / meta_name).write_text(meta)
     with pytest.raises(SystemExit, match=message):
         _main(monkeypatch, tmp_path, "--only", "gold_tree", "--seeds", "0",
               data_dir=stale)
     assert os.listdir(tmp_path / "runs") == []
+
+
+@pytest.mark.parametrize("missing", ["dev.tsv", "test.tsv", "dev.meta",
+                                     "test.meta"])
+def test_data_dir_missing_a_file_ends_in_one_line(tmp_path, monkeypatch,
+                                                  capfd, missing):
+    # a missing TSV once ended in a FileNotFoundError traceback, and a
+    # missing dev.meta or test.meta was not noticed
+    partial = tmp_path / "partial-data"
+    shutil.copytree(DATA_MID, partial)
+    (partial / missing).unlink()
+    with pytest.raises(SystemExit, match=f"run_experiments: .*{missing}"):
+        _main(monkeypatch, tmp_path, "--only", "gold_tree", "--seeds", "0",
+              data_dir=partial)
+    assert "Traceback" not in capfd.readouterr().err
+    assert os.listdir(tmp_path / "runs") == []
+
+
+def test_a_bad_seed_is_refused_before_any_run_starts(tmp_path, monkeypatch,
+                                                     capfd):
+    # the seed was once checked in the forked run, which printed a
+    # HarnessError traceback before the sweep named the run
+    with pytest.raises(SystemExit,
+                       match="run_experiments: seed must be >= 0"):
+        _main(monkeypatch, tmp_path, "--only", "gold_tree", "--seeds", "-1")
+    assert "Traceback" not in capfd.readouterr().err
+    assert os.listdir(tmp_path / "runs") == []
+
+
+def test_each_run_is_queued_once_with_its_config(tmp_path, monkeypatch):
+    # a variant or seed named twice once queued its run twice, so two
+    # workers could train into one run dir
+    queued = []
+
+    def record(todo, job, workers):
+        queued.append(todo)
+        return iter(())
+
+    monkeypatch.setattr(R, "train_runs", record)
+    _main(monkeypatch, tmp_path, "--only", "gold_tree", "recurrent",
+          "gold_tree", "--seeds", "0", "1", "0")
+    (todo,) = queued
+    assert list(todo) == [("gold_tree", 0), ("gold_tree", 1),
+                          ("recurrent", 0), ("recurrent", 1)]
+    p = R.PROFILES["reduced"]
+    for (name, seed), cfg in todo.items():
+        assert cfg == R.run_config(name, seed, p, DATA_MID)
 
 
 def test_malformed_meta_line_is_refused(tmp_path):
