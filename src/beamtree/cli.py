@@ -15,9 +15,10 @@ from .cells import GrcParams, LeafParams, ScorerParams, grc_compose, \
 from .checkpoint import CheckpointError
 from .encoders import EncoderError
 from .harness import HarnessError, Model, RunConfig, batch_logits, \
-    batch_losses, evaluate_checkpoint, load_config, load_model, make_config, \
+    batch_losses, evaluate_examples, load_config, load_model, make_config, \
     parse_kv, train
-from .listops import GenConfig, ListOpsError, build_splits, split_recipes
+from .listops import GenConfig, ListOpsError, build_splits, read_tsv, \
+    split_recipes
 from .tensor import Tensor
 from . import tensor as T
 from .trees import TreeError, parse_distribution
@@ -57,7 +58,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = load_config(args.config)
-    acc = evaluate_checkpoint(cfg, args.checkpoint, args.split)
+    acc, _loss = evaluate_examples(load_model(cfg, args.checkpoint),
+                                   read_tsv(args.split))
     print(f"accuracy: {acc:.4f}")
 
 
@@ -85,7 +87,7 @@ def cmd_gradcheck(args):
     d_h, d_e, vocab = 6, 5, len(listops.VOCAB)
     # made before the first draw, so its check refuses a bad seed
     base = RunConfig(encoder="bt", beam_size=3, d_e=d_e, d_h=d_h,
-                     dropout=0.0, seed=args.seed, precision="double")
+                     dropout=0.0, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     tol = 1e-4
     failures = []
@@ -122,7 +124,7 @@ def cmd_gradcheck(args):
             ("end_to_end_batch_bt_onesoft", onesoft, batch),
             ("end_to_end_batch_gumbel", replace(base, encoder="gumbel"),
              batch)):
-        m = Model(cfg)
+        m = Model(cfg, np.float64)
         report(name, gc.check_grads(
             lambda: T.tsum(batch_losses(m, exs, True, None)), m.named()))
 

@@ -44,7 +44,6 @@ class RunConfig:
     patience: int = 5
     seed: int = 0
     data_dir: str = ""
-    precision: str = "single"  # single | double; double is for grad checks
 
     def __post_init__(self):
         if self.encoder not in ENCODER_KINDS:
@@ -59,8 +58,6 @@ class RunConfig:
             raise HarnessError("dropout must be in [0, 1)")
         if not 0.0 < self.lr < float("inf"):
             raise HarnessError("lr must be positive and finite")
-        if self.precision not in ("single", "double"):
-            raise HarnessError("precision must be single or double")
         if self.topk not in ("plain", "onesoft"):
             raise HarnessError(f"unknown top-k operator {self.topk!r}")
         if self.topk == "onesoft" and self.beam_size < 2:
@@ -68,10 +65,6 @@ class RunConfig:
         if self.topk != "plain" and self.encoder != "bt":
             raise HarnessError(f"topk={self.topk} needs encoder=bt: the "
                                f"{self.encoder} encoder has no OneSoft top-k")
-
-    @property
-    def dtype(self):
-        return np.float64 if self.precision == "double" else np.float32
 
 
 def parse_kv(lines) -> dict:
@@ -158,12 +151,12 @@ def classify(encodings: Tensor, head: HeadParams, dropout_rate: float = 0.0,
 
 class Model:
     """Leaf transform + gated cell + scorer + classifier head, with a
-    stable parameter naming for checkpoints."""
+    stable parameter naming for checkpoints. Runs and checkpoints are
+    float32; the gradient checks build float64 models."""
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, dtype=np.float32):
         self.cfg = cfg
         rng = np.random.default_rng([cfg.seed, 0xBEEF])
-        dtype = cfg.dtype
         self.leaf = LeafParams.init(len(VOCAB), cfg.d_e, cfg.d_h, rng, dtype)
         self.cell = GrcParams.init(cfg.d_h, rng, dtype)
         self.scorer = ScorerParams.init(cfg.d_h, rng, dtype)
@@ -387,9 +380,3 @@ def load_model(cfg: RunConfig, ckpt_path) -> Model:
     model = Model(cfg)
     restore(model.named(), load_checkpoint(ckpt_path))
     return model
-
-
-def evaluate_checkpoint(cfg: RunConfig, ckpt_path, split_tsv) -> float:
-    model = load_model(cfg, ckpt_path)
-    acc, _loss = evaluate_examples(model, read_tsv(split_tsv))
-    return acc

@@ -451,7 +451,6 @@ class RowTable:
                              dtype=data.dtype)
         self.token = Tensor(np.zeros(0, data.dtype))
         self._grads = []  # (chunk, start) of the chunks that need a gradient
-        self._on_tape = False
         self.append(first)
 
     def append(self, rows: Tensor) -> int:
@@ -477,10 +476,8 @@ class RowTable:
         scatter to run allocates the buffer and makes it the gradient of
         every chunk appended so far that needs one, each its slice, with
         any gradient the chunk already had added in; every record that
-        reads a chunk runs before the record that produced it. The scatter
-        of the table's earliest read runs last, and drops the buffer."""
+        reads a chunk runs before the record that produced it."""
         token, n = self.token, len(self._grads)
-        last, self._on_tape = not self._on_tape, True
 
         def scatter(rows, g):
             buf = token.grad
@@ -493,8 +490,6 @@ class RowTable:
                         view += chunk.grad
                     chunk.grad = view
             _scatter_rows(buf, rows, g)
-            if last:
-                token.grad = None
 
         return self._buf[:self.size][ids], scatter
 

@@ -45,11 +45,10 @@ SEED = 3
 
 def _setup(variant):
     cfg = make_config({**VARIANTS[variant], "d_e": "6", "d_h": "5",
-                       "precision": "double", "dropout": "0.1",
-                       "seed": str(SEED)})
+                       "dropout": "0.1", "seed": str(SEED)})
     sources = SOURCES[:-1] if variant == "gold" else SOURCES
-    return Model(cfg), [Example(s, i % 10, len(s.split()), 0, 0)
-                        for i, s in enumerate(sources)]
+    return Model(cfg, np.float64), [Example(s, i % 10, len(s.split()), 0, 0)
+                                    for i, s in enumerate(sources)]
 
 
 def _rngs(count):
@@ -210,8 +209,7 @@ def _eval_setup(variant):
     `data-mid` dev rows of 5-26 tokens and eight test rows of 48-71), and
     each row evaluated as a batch of one."""
     model = Model(make_config({**VARIANTS[variant], "d_e": "64",
-                               "d_h": "64", "precision": "double",
-                               "seed": "0"}))
+                               "d_h": "64", "seed": "0"}), np.float64)
     data = os.path.join(os.path.dirname(__file__), os.pardir, "results",
                         "data-mid")
     rows = (read_tsv(os.path.join(data, "dev.tsv"))[:8]

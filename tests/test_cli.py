@@ -200,6 +200,8 @@ def test_train_refuses_workers_override(tmp_path):
     ("train", "--stochastic_topk=False",
      "unknown config key 'stochastic_topk'"),
     ("eval", "temperature=0.5", "unknown config key 'temperature'"),
+    ("train", "--precision=double", "unknown config key 'precision'"),
+    ("eval", "precision=single", "unknown config key 'precision'"),
     ("eval", "bogus=1", "unknown config key 'bogus'"),
     ("parse", "encoder=transformer", "unknown encoder 'transformer'"),
     ("gradcheck", "--seed=-1", "seed must be >= 0")])

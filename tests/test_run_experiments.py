@@ -261,13 +261,17 @@ COMMITTED_RUNS = sorted(
 
 
 @pytest.mark.parametrize("run", COMMITTED_RUNS)
-def test_committed_runs_match_the_reduced_sweep(run):
-    # the cache must accept every committed run without retraining
+def test_committed_runs_match_the_reduced_sweep(run, tmp_path):
+    # the cache must accept every committed run without retraining, and
+    # each run's config.txt must be the bytes the sweep writes for it
     name, seed = run.rsplit("-s", 1)
     p = R.PROFILES["reduced"]
-    R.check_cached(os.path.join(ROOT, "results", "runs-reduced", run),
-                   R.run_config(name, int(seed), p, DATA_MID),
-                   R.data_sha256(DATA_MID))
+    run_dir = os.path.join(ROOT, "results", "runs-reduced", run)
+    cfg = R.run_config(name, int(seed), p, DATA_MID)
+    R.check_cached(run_dir, cfg, R.data_sha256(DATA_MID))
+    save_config(cfg, tmp_path / "config.txt")
+    with open(os.path.join(run_dir, "config.txt"), "rb") as f:
+        assert f.read() == (tmp_path / "config.txt").read_bytes()
 
 
 def test_all_committed_runs_are_checked():

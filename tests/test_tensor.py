@@ -223,7 +223,8 @@ def test_backward_frees_records_and_intermediate_grads():
     leaves = Tensor(rng.standard_normal((4, 3)).astype(np.float32),
                     requires_grad=True)
     w = Tensor(rng.standard_normal(2).astype(np.float32), requires_grad=True)
-    with Tape() as tape:
+
+    def forward():
         table = T.RowTable(leaves)
         table.append(grc_compose(table.gather([[0, 1], [2, 3]]), cell))
         mid = table.gather([4, 5, 0])
@@ -231,6 +232,10 @@ def test_backward_frees_records_and_intermediate_grads():
                                     [2, 1])
         merged = T.segment_sum(weights, mid, [2, 1])
         loss = T.tsum(T.mul(T.reshape(slice_cols(merged, 0, 1), (2,)), w))
+        return mid, loss
+
+    with Tape() as tape:
+        mid, loss = forward()
         records = list(tape.records)
         tape.backward(loss)
     leaf_grads = [p.grad.copy() for p in (leaves, w, *cell.named().values())]
@@ -239,11 +244,13 @@ def test_backward_frees_records_and_intermediate_grads():
     assert all(rec.out.grad is None for rec in records)
     with pytest.raises(TensorError):
         tape.backward(loss)
-    # the leaves' gradients are the ones the keeping backward gives, bit
-    # for bit
+    # the leaves' gradients are the ones the keeping backward of the same
+    # forward, recorded again, gives, bit for bit
     for p in (leaves, w, *cell.named().values()):
         p.zero_grad()
-    _keeping_backward(records, loss)
+    with Tape() as tape:
+        _mid, loss = forward()
+    _keeping_backward(tape.records, loss)
     for got, p in zip(leaf_grads, (leaves, w, *cell.named().values())):
         assert np.array_equal(got, p.grad)
         assert np.any(got != 0.0)
