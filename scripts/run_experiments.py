@@ -7,13 +7,14 @@ length-generalization split across multiple seeds, evaluates in-distribution
 (dev) and out-of-distribution (test) accuracy, and writes a results JSON that
 tests/test_acceptance.py consumes.
 
-Two profiles:
+Two profiles, each a profile of `listops.PROFILES` (its data) with the
+settings its runs train by:
   reduced  -- sized for a single CPU core; each run's timing.log has the
-              time it took. Data: results/data-mid (the reduced recipe,
-              data seed 100)
+              time it took. Data: results/data-mid
   full     -- 20k train samples, length<=50/depth<=4/args<=3, d_h=128,
               test lengths 80-120; sized for an 8-core desktop with
-              --workers 8 (not timed)
+              --workers 8 (not timed). Data: results/data-full
+`beamtree gen-data --profile <name>` writes the same data as the sweep.
 
 Every variant of a profile trains with the same settings, one epoch cap
 included (reduced 18, full 15); a variant sets only its encoder. Full's cap
@@ -36,7 +37,7 @@ killed.
 
 An existing data dir is used only when the .meta file of each of its
 train, dev and test splits matches that split's recipe from
-`listops.split_recipes`. Each (variant, seed) run is queued once, with its
+`listops.profile_recipes`. Each (variant, seed) run is queued once, with its
 config made before any run starts, and lives in
 <run-dir>/<variant>-s<seed>/. A run with a result.json is reused only if
 its config.txt matches the config this invocation builds in every field,
@@ -89,22 +90,16 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 from beamtree.checkpoint import atomic_open
 from beamtree.harness import HarnessError, RunConfig, evaluate_examples, \
     load_config, load_model, make_config, parse_kv, train
-from beamtree.listops import GenConfig, build_splits, read_tsv, \
-    recipe_meta, split_recipes
+from beamtree import listops
+from beamtree.listops import build_splits, profile_recipes, read_tsv, \
+    recipe_meta
 
+# each profile's data (`listops.PROFILES`), then how its runs train
 PROFILES = {
-    "reduced": dict(
-        train_count=10000, dev_count=500, test_count=500,
-        max_length=30, max_depth=3, max_args=3, nest_prob=0.45,
-        d=64, batch_size=16, lr=2e-3, dropout=0.05,
-        epochs=18, patience=6,
-    ),
-    "full": dict(
-        train_count=20000, dev_count=2000, test_count=2000,
-        max_length=50, max_depth=4, max_args=3, nest_prob=0.45,
-        d=128, batch_size=32, lr=2e-3, dropout=0.05,
-        epochs=15, patience=5,
-    ),
+    "reduced": dict(listops.PROFILES["reduced"], d=64, batch_size=16,
+                    lr=2e-3, dropout=0.05, epochs=18, patience=6),
+    "full": dict(listops.PROFILES["full"], d=128, batch_size=32, lr=2e-3,
+                 dropout=0.05, epochs=15, patience=5),
 }
 
 # name -> config overrides; every other setting is the profile's
@@ -123,9 +118,6 @@ VARIANTS = {
 # default data directory of each profile, next to the results JSON
 DATA_DIRS = {"reduced": "data-mid", "full": "data-full"}
 
-# the generator seed of every profile's split
-DATA_SEED = 100
-
 SPLITS = ("train", "dev", "test")
 
 
@@ -136,13 +128,7 @@ class SweepError(Exception):
 def ensure_data(data_dir, p):
     """Generate the profile's split into `data_dir`, or check that each split
     already there was generated by its recipe."""
-    train_cfg = GenConfig(max_length=p["max_length"], max_depth=p["max_depth"],
-                          min_args=2, max_args=p["max_args"],
-                          nest_prob=p["nest_prob"])
-    recipes = split_recipes("length_gen", train_cfg, seed=DATA_SEED,
-                            train_count=p["train_count"],
-                            dev_count=p["dev_count"],
-                            test_count=p["test_count"])
+    recipes = profile_recipes(p)
     if not os.path.exists(os.path.join(data_dir, "train.tsv")):
         build_splits(data_dir, recipes)
         return
@@ -290,7 +276,7 @@ def main():
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument("--workers", type=int, default=1,
                     help="runs to train at once, each in a forked process")
-    ap.add_argument("--only", nargs="*", default=None, choices=list(VARIANTS),
+    ap.add_argument("--only", nargs="+", default=None, choices=list(VARIANTS),
                     help="subset of variant names to run")
     args = ap.parse_args()
     # the modules imported at start, which every run forked from this

@@ -17,24 +17,16 @@ from .encoders import EncoderError
 from .harness import HarnessError, Model, RunConfig, batch_logits, \
     batch_losses, evaluate_examples, load_config, load_model, make_config, \
     parse_kv, train
-from .listops import GenConfig, ListOpsError, build_splits, read_tsv, \
-    split_recipes
+from .listops import ListOpsError, build_splits, read_tsv
 from .tensor import Tensor
 from . import tensor as T
 from .trees import TreeError, parse_distribution
 
 
 def cmd_gen_data(args):
-    train_cfg = GenConfig(max_length=args.train_max_len,
-                          max_depth=args.train_max_depth,
-                          min_args=args.min_args, max_args=args.train_max_args,
-                          nest_prob=args.nest_prob)
-    recipes = split_recipes(args.kind, train_cfg, seed=args.seed,
-                            train_count=args.train_count,
-                            dev_count=args.dev_count,
-                            test_count=args.test_count)
-    splits = build_splits(args.out, recipes)
-    for name, path in splits.items():
+    recipes = listops.profile_recipes(listops.PROFILES[args.profile],
+                                      args.kind)
+    for name, path in build_splits(args.out, recipes).items():
         print(f"{name}: {path}")
 
 
@@ -48,8 +40,6 @@ def cmd_train(args):
             raise SystemExit(f"override must look like --key=value, got {item!r}")
     # the overrides are read like the lines of a config file
     values.update(parse_kv(item[2:] for item in args.overrides))
-    if args.seed is not None:
-        values["seed"] = str(args.seed)
     ckpt, metrics = train(make_config(values), args.out)
     print(f"checkpoint: {ckpt}")
     if metrics:
@@ -65,9 +55,9 @@ def cmd_eval(args):
 
 def cmd_parse(args):
     cfg = load_config(args.config)
-    if cfg.encoder != "bt":
-        raise SystemExit(f"parse reads beam-tree parses; the config's "
-                         f"encoder is {cfg.encoder!r}, not 'bt'")
+    if cfg.encoder not in ("bt", "gumbel"):
+        raise SystemExit(f"parse reads the trees a search finds; the "
+                         f"config's encoder {cfg.encoder!r} searches none")
     try:  # checked like a row of a split
         ex = listops.read_example(args.input, listops.eval_listops(args.input))
     except ListOpsError as e:
@@ -138,24 +128,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="beamtree")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-data", help="generate ListOps splits")
+    g = sub.add_parser("gen-data", help="generate a profile's ListOps splits")
+    g.add_argument("--profile", choices=sorted(listops.PROFILES),
+                   default="reduced")
     g.add_argument("--kind", choices=listops.SPLIT_KINDS, default="length_gen")
     g.add_argument("--out", required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--train-count", type=int, default=20000)
-    g.add_argument("--dev-count", type=int, default=2000)
-    g.add_argument("--test-count", type=int, default=2000)
-    g.add_argument("--train-max-len", type=int, default=50)
-    g.add_argument("--train-max-depth", type=int, default=4)
-    g.add_argument("--train-max-args", type=int, default=3)
-    g.add_argument("--min-args", type=int, default=2)
-    g.add_argument("--nest-prob", type=float, default=0.4)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model")
     t.add_argument("--config", default=None)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=None)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a split")

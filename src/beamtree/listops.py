@@ -1,6 +1,7 @@
 """ListOps: expression generator, one parse for an expression's value,
 gold merge actions, depth and argument counts, tokenizer, and
-generalization-split builders (length / argument-count)."""
+generalization-split builders (length / argument-count), with the split
+recipe of each sweep profile."""
 
 from __future__ import annotations
 
@@ -293,6 +294,29 @@ def split_recipes(kind: str, train_cfg: GenConfig, *, seed: int,
             "dev": replace(train_cfg, count=dev_count, seed=seed + 1),
             "test": replace(train_cfg, count=test_count, seed=seed + 2,
                             **shift)}
+
+
+# the generator seed of every profile's split
+DATA_SEED = 100
+
+# the data of each profile: its split sizes and its train recipe, from
+# which `split_recipes` derives dev and test
+PROFILES = {
+    "reduced": dict(train_count=10000, dev_count=500, test_count=500,
+                    max_length=30, max_depth=3, max_args=3, nest_prob=0.45),
+    "full": dict(train_count=20000, dev_count=2000, test_count=2000,
+                 max_length=50, max_depth=4, max_args=3, nest_prob=0.45),
+}
+
+
+def profile_recipes(p: dict, kind: str = "length_gen") -> dict:
+    """The split recipes of a profile, drawn from DATA_SEED: `p` holds the
+    keys of a `PROFILES` entry, and any others are ignored."""
+    train_cfg = GenConfig(max_length=p["max_length"], max_depth=p["max_depth"],
+                          max_args=p["max_args"], nest_prob=p["nest_prob"])
+    return split_recipes(kind, train_cfg, seed=DATA_SEED,
+                         train_count=p["train_count"],
+                         dev_count=p["dev_count"], test_count=p["test_count"])
 
 
 def build_splits(out_dir, recipes: dict) -> dict:

@@ -7,25 +7,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beamtree import listops
 from beamtree.checkpoint import load_checkpoint, save_checkpoint
 from beamtree.cli import main
 from beamtree.harness import batch_logits, load_config, load_model
-from beamtree.listops import eval_listops, read_example, read_tsv
+from beamtree.listops import GenConfig, build_splits, eval_listops, \
+    read_example, read_tsv, split_recipes
 from beamtree.trees import parse_distribution
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_gen_data_train_eval_parse_pipeline(tmp_path, capsys):
     data = tmp_path / "data"
-    main(["gen-data", "--kind", "length_gen", "--out", str(data),
-          "--seed", "3", "--train-count", "24", "--dev-count", "8",
-          "--test-count", "8", "--train-max-len", "25",
-          "--train-max-depth", "3"])
-    out = capsys.readouterr().out
-    assert "train" in out and "test" in out
+    splits = build_splits(data, split_recipes(
+        "length_gen", GenConfig(max_length=25, max_depth=3, max_args=3),
+        seed=3, train_count=24, dev_count=8, test_count=8))
+    assert "train" in splits and "test" in splits
     assert len(read_tsv(data / "train.tsv")) == 24
 
     run = tmp_path / "run"
-    main(["train", "--out", str(run), "--seed", "1",
+    main(["train", "--out", str(run), "--seed=1",
           "--encoder=bt", "--beam_size=2", "--d_e=10", "--d_h=10",
           "--max_epochs=1", "--dropout=0.0",
           f"--data_dir={data}"])
@@ -65,13 +67,36 @@ def test_gen_data_train_eval_parse_pipeline(tmp_path, capsys):
         assert capsys.readouterr().out == "".join(expect), text
 
 
-@pytest.mark.parametrize("encoder", ["gumbel", "gold"])
+@pytest.mark.parametrize("encoder", ["gold", "recurrent"])
 def test_parse_refuses_configs_that_are_not_bt(tmp_path, encoder):
+    # refused before the checkpoint is read
     config = tmp_path / "config.txt"
     config.write_text(f"encoder={encoder}\n")
     with pytest.raises(SystemExit, match=repr(encoder)):
         main(["parse", "--config", str(config), "--checkpoint",
               str(tmp_path / "missing.ckpt"), "--input", "[MAX 2 1 ]"])
+
+
+def test_parse_reads_a_gumbel_checkpoint(tmp_path, capsys):
+    # one beam: the model's one tree, at probability 1
+    data = tmp_path / "data"
+    data.mkdir()
+    for split in ("train", "dev"):
+        (data / f"{split}.tsv").write_text("[MAX 2 [MIN 8 3 ] 1 ]\t3\n")
+    run = tmp_path / "run"
+    main(["train", "--out", str(run), "--encoder=gumbel", "--d_e=4",
+          "--d_h=4", "--max_epochs=1", f"--data_dir={data}"])
+    capsys.readouterr()
+    text = "[SM 1 [MED 4 5 6 ] [MAX 2 [MIN 1 9 ] ] 3 ]"
+    main(["parse", "--config", str(run / "config.txt"), "--checkpoint",
+          str(run / "best.ckpt"), "--input", text])
+    out = capsys.readouterr().out
+    model = load_model(load_config(run / "config.txt"), run / "best.ckpt")
+    _, beams = batch_logits(model, [read_example(text, eval_listops(text))],
+                            False, None)
+    ((tree, p),) = parse_distribution(beams[0], text.split())
+    assert out == f"{p:.4f}\t{tree}\n"
+    assert out.startswith("1.0000\t")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -106,14 +131,13 @@ def test_train_refuses_a_split_row_before_the_run_dir(tmp_path, row, message):
 def test_train_ends_a_diverging_run_with_one_line(tmp_path):
     # lr=1e30 overflows the second step's forward; the command names the
     # step in one `beamtree train:` line instead of printing a traceback
-    root = Path(__file__).resolve().parent.parent
-    mid = root / "results" / "data-mid"
+    mid = ROOT / "results" / "data-mid"
     data = tmp_path / "data"
     data.mkdir()
     for name, rows in (("train.tsv", 32), ("dev.tsv", 8)):
         lines = (mid / name).read_text().splitlines(keepends=True)[:rows]
         (data / name).write_text("".join(lines))
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
         [sys.executable, "-m", "beamtree.cli", "train", "--out",
          str(tmp_path / "run"), "--encoder=gold", "--lr=1e30", "--d_e=16",
@@ -143,11 +167,10 @@ def test_an_overflowing_checkpoint_ends_with_one_line(tmp_path, command):
     save_checkpoint(ckpt, weights)
     args = {"eval": ["--split", str(data / "dev.tsv")],
             "parse": ["--input", "[MAX 2 [MIN 8 3 ] 1 ]"]}[command]
-    root = Path(__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, "-m", "beamtree.cli", command, "--config",
          str(run / "config.txt"), "--checkpoint", str(ckpt), *args],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True)
     assert done.returncode == 1
     assert done.stderr == \
@@ -193,7 +216,7 @@ def test_train_refuses_workers_override(tmp_path):
 
 @pytest.mark.parametrize("command, setting, message", [
     ("train", "--max_epochs=0", "max_epochs must be >= 1"),
-    ("train", "--seed=-1", "seed must be >= 0"),  # the --seed option
+    ("train", "--seed=-1", "seed must be >= 0"),  # the seed override
     ("eval", "seed=-1", "seed must be >= 0"),
     ("train", "--bogus=1", "unknown config key 'bogus'"),
     ("train", "--grad_clip=5.0", "unknown config key 'grad_clip'"),
@@ -222,15 +245,51 @@ def test_config_errors_exit_with_one_message(tmp_path, command, setting,
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("args, message", [
-    (["--seed", "-1"], "seed must be >= 0"),
-    (["--train-count", "0"], "count must be >= 1"),
-    (["--test-count", "0"], "count must be >= 1")])
-def test_gen_data_refuses_bad_counts_and_seeds_up_front(tmp_path, args,
-                                                        message):
-    with pytest.raises(SystemExit, match=f"beamtree gen-data: {message}"):
+def test_gen_data_writes_the_reduced_profile_split(tmp_path, capsys):
+    # the sweep's reduced data, byte for byte
+    main(["gen-data", "--profile", "reduced", "--out", str(tmp_path)])
+    assert capsys.readouterr().out == "".join(
+        f"{split}: {tmp_path / split}.tsv\n"
+        for split in ("train", "dev", "test"))
+    mid = ROOT / "results" / "data-mid"
+    names = sorted(os.listdir(mid))
+    assert len(names) == 6  # {train,dev,test}.{tsv,meta}
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (mid / name).read_bytes()
+
+
+@pytest.mark.parametrize("profile", sorted(listops.PROFILES))
+@pytest.mark.parametrize("kind", listops.SPLIT_KINDS)
+def test_gen_data_builds_the_recipes_of_its_profile(tmp_path, monkeypatch,
+                                                    profile, kind):
+    built = []
+    monkeypatch.setattr("beamtree.cli.build_splits",
+                        lambda out, recipes: built.append(recipes) or {})
+    main(["gen-data", "--profile", profile, "--kind", kind, "--out",
+          str(tmp_path)])
+    assert built == [listops.profile_recipes(listops.PROFILES[profile], kind)]
+
+
+@pytest.mark.parametrize("args", [
+    ["--seed", "3"], ["--train-count", "24"], ["--dev-count", "8"],
+    ["--train-max-len", "25"], ["--nest-prob", "0.4"],
+    ["--profile", "tiny"]])
+def test_gen_data_refuses_a_setting_outside_its_profile(tmp_path, args,
+                                                        capsys):
+    with pytest.raises(SystemExit) as info:
         main(["gen-data", "--out", str(tmp_path / "data"), *args])
+    assert info.value.code == 2  # argparse's usage error
+    assert args[0] in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+def test_train_takes_its_seed_as_an_override(tmp_path):
+    # `--seed N` is no option of its own: the seed is the --seed=N override
+    with pytest.raises(SystemExit, match="override must look like "
+                       "--key=value, got '--seed'"):
+        main(["train", "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("fault", ["no config", "directory config",

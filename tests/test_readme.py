@@ -1,11 +1,13 @@
 """README.md against the files it describes: the layout block, the run
-config paragraph and the results table."""
+config paragraph, the results table and the CLI block."""
 
 import json
 import os
 import re
+import shlex
 from dataclasses import fields
 
+from beamtree.cli import build_parser
 from beamtree.harness import RunConfig
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -50,3 +52,27 @@ def test_results_table_holds_the_committed_medians():
             rows[cells[0]] = {"dev": float(cells[1]), "test": float(cells[2]),
                               "n_seeds": int(cells[3])}
     assert rows == medians
+
+
+def _cli_commands():
+    """The argument lists of the `beamtree` commands in README's CLI block,
+    with continuation lines joined."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        block = f.read().split("## CLI", 1)[1].split("```")[1]
+    text = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("beamtree ")]
+
+
+def test_cli_block_commands_parse():
+    # a retired option in README fails here
+    commands = _cli_commands()
+    assert [argv[0] for argv in commands] == \
+        ["gen-data", "train", "eval", "parse", "gradcheck"]
+    keys = {f.name for f in fields(RunConfig)}
+    for argv in commands:
+        _args, extra = build_parser().parse_known_args(argv)
+        if argv[0] == "train":  # its leftovers are --key=value overrides
+            extra = [a for a in extra if not (
+                m := re.fullmatch(r"--(\w+)=.+", a)) or m[1] not in keys]
+        assert extra == [], argv

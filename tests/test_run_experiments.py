@@ -18,6 +18,7 @@ import sys
 
 import pytest
 
+from beamtree import cli, listops
 from beamtree.harness import make_config, save_config, train
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -214,6 +215,16 @@ def test_each_run_is_queued_once_with_its_config(tmp_path, monkeypatch):
         assert cfg == R.run_config(name, seed, p, DATA_MID)
 
 
+def test_a_bare_only_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # `--only` with no names once queued all 8 variants, so a shell
+    # variable that expanded to nothing started the whole sweep
+    with pytest.raises(SystemExit) as exc:
+        _main(monkeypatch, tmp_path, "--only")
+    assert exc.value.code == 2  # argparse's usage error
+    assert "--only: expected at least one argument" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_malformed_meta_line_is_refused(tmp_path):
     # a line without '=' used to be skipped, and the keys after it still
     # matched
@@ -241,6 +252,33 @@ def test_every_variant_trains_to_the_profile_cap(profile):
     caps = {name: R.run_config(name, 0, p, DATA_MID).max_epochs
             for name in R.VARIANTS}
     assert len(caps) == 8 and set(caps.values()) == {p["epochs"]}
+
+
+@pytest.mark.parametrize("profile", sorted(R.PROFILES))
+def test_the_sweep_accepts_the_split_gen_data_builds(tmp_path, monkeypatch,
+                                                     profile):
+    # `beamtree gen-data` once stated its own train recipe, which had
+    # drifted from the sweep's (seed 0 against 100, nest_prob 0.4 against
+    # 0.45). Nothing is generated: the sweep checks a data dir's .meta files
+    built = []
+    monkeypatch.setattr(cli, "build_splits",
+                        lambda out, recipes: built.append(recipes) or {})
+    cli.main(["gen-data", "--profile", profile, "--out", str(tmp_path)])
+    (recipes,) = built
+    (tmp_path / "train.tsv").write_text("")
+    for split, cfg in recipes.items():
+        (tmp_path / f"{split}.meta").write_text("".join(
+            f"{k}={v}\n" for k, v in listops.recipe_meta(cfg).items()))
+    R.ensure_data(str(tmp_path), R.PROFILES[profile])
+
+
+def test_results_settings_are_the_reduced_profile():
+    # the profile's data keys, then its runs', in the order the committed
+    # results JSON has them
+    with open(os.path.join(ROOT, "results", "experiments.json"),
+              encoding="utf-8") as f:
+        settings = json.load(f)["settings"]
+    assert list(settings.items()) == list(R.PROFILES["reduced"].items())
 
 
 def test_reduced_profile_regenerates_the_committed_data(tmp_path):
