@@ -8,6 +8,10 @@ with model seed 0 it runs
   `harness.batch_grad_sums` on the first 16 rows of
   `results/data-mid/train.tsv` (epoch 0), keeping the summed loss and
   every parameter's gradient;
+- a training step: for each of the 8 variants, one `harness.train` with
+  `max_epochs=1` in a temp dir, on those 16 rows (one batch, so one
+  clipped Adam step) and the first row of `dev.tsv`, keeping every array
+  of the checkpoint it writes and each float of its metrics line;
 - evaluation: for gumbel_tree and bt k2/k3/k5 (plain), the first 24 rows
   of `results/data-mid/test.tsv` (48 to 71 tokens), each as a batch of
   one through `harness.batch_logits`: its logits, and the scores and
@@ -35,6 +39,7 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -42,31 +47,41 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import run_experiments as sweep  # noqa: E402
 import numpy as np  # noqa: E402
 from beamtree import harness  # noqa: E402
+from beamtree.checkpoint import load_checkpoint  # noqa: E402
 from beamtree.listops import read_tsv  # noqa: E402
 
 DATA = os.path.join(sweep.REPO_ROOT, "results", "data-mid")
 EVAL_VARIANTS = ("gumbel_tree", "bt_k2_plain", "bt_k3_plain", "bt_k5_plain")
 
 
-def _model(name, seed):
-    cfg = sweep.run_config(name, seed, sweep.PROFILES["reduced"], DATA)
-    return harness.Model(cfg)
+def _config(name, seed, **settings):
+    return sweep.run_config(name, seed,
+                            {**sweep.PROFILES["reduced"], **settings}, DATA)
 
 
 def probe(train_rows=16, test_rows=24, seed=0) -> dict:
     """The probe's arrays by name."""
     arrays = {}
     train = read_tsv(os.path.join(DATA, "train.tsv"))[:train_rows]
+    dev = read_tsv(os.path.join(DATA, "dev.tsv"))[:1]
     for name in sweep.VARIANTS:
-        model = _model(name, seed)
+        model = harness.Model(_config(name, seed))
         grads, loss = harness.batch_grad_sums(model, list(enumerate(train)),
                                               0)
         arrays[f"train/{name}/loss"] = np.float64(loss)
         for param, g in zip(model.named(), grads):
             arrays[f"train/{name}/grad/{param}"] = g.copy()
+        with tempfile.TemporaryDirectory() as out:
+            ckpt, (line,) = harness.train(_config(name, seed, epochs=1), out,
+                                          train, dev, log=lambda *_: None)
+            for param, a in load_checkpoint(ckpt).items():
+                arrays[f"step/{name}/ckpt/{param}"] = a
+        for key, value in line.items():
+            if isinstance(value, float):
+                arrays[f"step/{name}/metrics/{key}"] = np.float64(value)
     test = read_tsv(os.path.join(DATA, "test.tsv"))[:test_rows]
     for name in EVAL_VARIANTS:
-        model = _model(name, seed)
+        model = harness.Model(_config(name, seed))
         for i, ex in enumerate(test):
             logits, beams = harness.batch_logits(model, [ex], False, None)
             key = f"eval/{name}/row{i:02d}"

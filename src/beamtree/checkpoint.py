@@ -44,12 +44,16 @@ def atomic_open(path, mode: str):
 
 def save_checkpoint(path, named: dict):
     """Write through `atomic_open`, so a save that is killed or fails
-    midway leaves the previous checkpoint whole."""
+    midway leaves the previous checkpoint whole. The payload is float32,
+    so a tensor of any other dtype is refused, not rounded."""
     with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", len(named)))
         for name, arr in named.items():
+            dtype = np.asarray(arr).dtype
+            if dtype != np.float32:
+                raise CheckpointError(f"tensor {name} is {dtype}, not float32")
             data = np.ascontiguousarray(arr, dtype="<f4")
             nb = name.encode("utf-8")
             f.write(struct.pack("<I", len(nb)))

@@ -321,16 +321,16 @@ class _BeamBatch:
         sizes = np.array([len(g) for groups in kept for g in groups])
         firsts = np.cumsum(sizes) - sizes  # each group's first picked beam
         whole, w = sizes == 1, self.node_rows.shape[1]
-        # kept beam h is picked beam firsts[h]: its merge's slots, renumbered
-        listed = (self.stale.reshape(-1, 2)[firsts] - w * (
-            firsts - np.arange(len(firsts)))[:, None])[whole]
         tails, nodes = np.flatnonzero(~whole), self.node_rows
         self.select(firsts)
         self.collapse(tails, firsts[tails], sizes[tails], self.m[tails] + 1,
                       nodes, picked_scores)
-        # all pairs of an interpolated beam are stale
-        self.stale = np.sort(np.concatenate((listed.ravel(), np.flatnonzero(
-            (self.cols[:w] < self.m[:, None]) & ~whole[:, None]))))
+        # kept beam h is picked beam firsts[h]: a whole one lists the pairs
+        # beside its merge's node, an interpolated one all its pairs
+        merged = np.arange(len(firsts)) * w + pos[firsts]
+        self.stale = np.sort(np.concatenate((
+            np.add.outer(merged[whole], (-1, 0)).ravel(), np.flatnonzero(
+                (self.cols[:w] < self.m[:, None]) & ~whole[:, None]))))
 
     def collapse(self, tails, firsts, sizes, lens, nodes, picked_scores):
         """Replace the kept beams `tails`, OneSoft's last groups, each by

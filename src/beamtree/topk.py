@@ -59,33 +59,22 @@ def plain_topk(scores, k: int, rng: np.random.Generator | None = None):
     return top if top.ndim == 2 else top.tolist()
 
 
-def onesoft_topk(scores, k: int) -> list:
-    """OneSoft selection: the top k-1 pool indices alone, then every other
-    index as one group, best first, whose beams `collapse_tail` interpolates
-    so gradients reach every input beam."""
-    m = len(scores)
-    if k < 2:
-        raise ValueError("onesoft_topk requires k >= 2")
-    if k > m:
-        raise ValueError(f"onesoft_topk requires k <= m, got k={k}, m={m}")
-    order = plain_topk(scores, m)
-    return [[i] for i in order[:k - 1]] + [order[k - 1:]]
-
-
 def truncate(scores, k: int, onesoft: bool = False,
              rng: np.random.Generator | None = None):
     """Beam truncation of a pool with (m,) scores, as groups of pool
-    indices, one group per beam kept. A group of one index keeps that beam;
-    a longer one (`onesoft`) is ordered best first, ties to the lowest
-    index, and stands for the interpolation of its beams, which carries the
-    actions of its first. Otherwise this is hard top-k, Gumbel-perturbed
-    when given an rng. Groups of one index each are the rows of a
-    (kept, 1) int array; OneSoft's, when it drops a beam, a list of
-    lists."""
+    indices, one group per beam kept. A group of one index keeps that beam.
+    OneSoft (`onesoft`) keeps the best k - 1 alone, then every other index
+    as one group, best first, ties to the lowest index: the interpolation
+    of its beams (`collapse_tail`), through which gradients reach every
+    beam of the pool, carrying the actions of its first. Otherwise this is
+    hard top-k, Gumbel-perturbed when given an rng.
+    Groups of one index each are the rows of a (kept, 1) int array;
+    OneSoft's, when it drops a beam, a list of lists."""
     if k >= len(scores):
         return np.arange(len(scores))[:, None]
     if onesoft:
-        return onesoft_topk(scores, k)
+        order = plain_topk(scores, len(scores))
+        return [[i] for i in order[:k - 1]] + [order[k - 1:]]
     return plain_topk(np.asarray(scores)[None], k, rng).T  # of one row
 
 

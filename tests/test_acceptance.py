@@ -26,7 +26,7 @@ from beamtree.harness import HeadParams, Model, classify, forward_logits, \
     make_config, train
 from beamtree.listops import GenConfig, eval_listops, generate
 from beamtree.tensor import Tape, Tensor
-from beamtree.topk import collapse_tail, merge_beams, onesoft_topk, truncate
+from beamtree.topk import collapse_tail, merge_beams, truncate
 from beamtree.trees import parse_distribution
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "results",
@@ -129,18 +129,16 @@ def test_criterion_soft_truncation_identities():
             T.rows_gather(scores, tail), [len(tail)], [2])
         return concat([kept[0], rows]), concat([kept[1], score])
 
-    # k=m returns the input set exactly
+    # k=m returns the input set exactly, in pool order
     identity_ok = True
     for _ in range(10):
         scores = rng.standard_normal(4)
         nodes, pooled = pool(scores)
-        groups = onesoft_topk(scores, 4)
-        order = sorted(range(4), key=lambda i: -scores[i])
+        groups = truncate(scores, 4, onesoft=True)
         out_nodes, out_scores = keep(groups, nodes, pooled)
-        identity_ok &= groups == [[i] for i in order]
-        identity_ok &= np.array_equal(out_scores.data, scores[order])
-        identity_ok &= np.array_equal(
-            out_nodes.data, nodes.data.reshape(4, 2, 3)[order].reshape(8, 3))
+        identity_ok &= groups.tolist() == [[i] for i in range(4)]
+        identity_ok &= np.array_equal(out_scores.data, scores)
+        identity_ok &= np.array_equal(out_nodes.data, nodes.data)
 
     # evaluation replaces the soft operator with hard top-k: a OneSoft model
     # evaluates bit for bit like a plain one with the same weights, while

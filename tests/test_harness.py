@@ -107,10 +107,24 @@ def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
     path = tmp_path / "best.ckpt"
     save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
     before = path.read_bytes()
-    # the first tensor is written before the second fails to convert
-    with pytest.raises(ValueError):
+    # the first tensor is written before the second is refused
+    with pytest.raises(CheckpointError, match="tensor b is <U12"):
         save_checkpoint(path, {"a": np.zeros(3, dtype=np.float32),
                                "b": np.array(["not a number"])})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+
+def test_checkpoint_refuses_a_tensor_that_is_not_float32(tmp_path):
+    # the payload is float32: a float64 tensor (Adam's m and v are) would
+    # come back rounded, so it is refused by name and the file is kept
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError,
+                       match="tensor adam.m.w is float64, not float32"):
+        save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32),
+                               "adam.m.w": np.full((2, 2), 0.1)})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 

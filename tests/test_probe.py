@@ -24,6 +24,19 @@ def test_two_probes_in_one_process_give_one_digest():
     assert all(first[f"eval/bt_k5_plain/row{i:02d}/scores"].shape == (5,)
                for i in range(24))
 
+    def under(prefix):
+        return sorted(key[len(prefix):] for key in first
+                      if key.startswith(prefix))
+
+    # one training step of each variant: a checkpoint array for every
+    # parameter that has a gradient, and the six floats of its metrics line
+    for name in P.sweep.VARIANTS:
+        assert under(f"step/{name}/ckpt/") == \
+            under(f"train/{name}/grad/") != []
+        assert under(f"step/{name}/metrics/") == sorted([
+            "train_loss", "dev_accuracy", "dev_loss", "grad_norm_mean",
+            "grad_norm_max", "clipped_frac"])
+
 
 def test_compare_flags_an_array_moved_by_one_ulp(tmp_path, capsys):
     logits = np.linspace(-1.0, 1.0, 12, dtype=np.float32).reshape(3, 4)

@@ -11,7 +11,7 @@ from beamtree.cells import GrcParams, ScorerParams
 from beamtree.gradcheck import check_grads
 from beamtree.tensor import Tape, Tensor
 from beamtree.topk import (collapse_tail, gumbel_noise, merge_beams,
-                           onesoft_topk, plain_topk, truncate)
+                           plain_topk, truncate)
 
 ROWS = 2  # nodes per beam
 
@@ -177,7 +177,7 @@ def test_gumbel_noise_distribution():
 
 def test_onesoft_collapsed_score_value():
     nodes, scores = _pool([2.0, 1.0, 0.0, -1.0])
-    groups = onesoft_topk(scores.data, 3)
+    groups = truncate(scores.data, 3, onesoft=True)
     assert groups == [[0], [1], [2, 3]]
     _, out = _keep(groups, nodes, scores)
     assert out.data.shape == (3,)
@@ -189,7 +189,7 @@ def test_onesoft_collapsed_score_value():
 
 def test_onesoft_collapsed_nodes_are_weighted_average():
     nodes, scores = _pool([2.0, 1.0, 0.0, -1.0])
-    out, _ = _keep(onesoft_topk(scores.data, 3), nodes, scores)
+    out, _ = _keep(truncate(scores.data, 3, onesoft=True), nodes, scores)
     w = np.exp([0.0, -1.0])
     w /= w.sum()
     expect = w[0] * nodes.data[4:6] + w[1] * nodes.data[6:8]
@@ -199,23 +199,17 @@ def test_onesoft_collapsed_nodes_are_weighted_average():
 
 def test_onesoft_group_is_best_first():
     # ties go to the lowest index, so the group carries beam 1's actions
-    assert onesoft_topk([5.0, 0.0, 1.0, 0.0], 2) == [[0], [2, 1, 3]]
+    assert truncate([5.0, 0.0, 1.0, 0.0], 2, onesoft=True) == \
+        [[0], [2, 1, 3]]
 
 
 def test_onesoft_k_equals_m_identity():
     nodes, scores = _pool([3.0, 2.0, 1.0])
-    groups = onesoft_topk(scores.data, 3)
-    assert groups == [[0], [1], [2]]
+    groups = truncate(scores.data, 3, onesoft=True)
+    assert _groups(groups) == [[0], [1], [2]]
     out_nodes, out_scores = _keep(groups, nodes, scores)
     assert out_scores.data.tolist() == [3.0, 2.0, 1.0]
     assert np.array_equal(out_nodes.data, nodes.data)
-
-
-def test_onesoft_rejects_bad_k():
-    with pytest.raises(ValueError):
-        onesoft_topk([1.0, 0.0], 1)
-    with pytest.raises(ValueError):
-        onesoft_topk([1.0, 0.0], 3)
 
 
 @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=3,
@@ -223,10 +217,11 @@ def test_onesoft_rejects_bad_k():
        st.integers(min_value=2, max_value=8))
 @settings(deadline=None)
 def test_onesoft_collapsed_score_bounded_by_bottom(scores, k):
-    if k > len(scores):
-        k = len(scores)
+    # at k >= m `truncate` keeps every beam and collapses none
+    if k >= len(scores):
+        k = len(scores) - 1
     nodes, pooled = _pool(scores)
-    groups = onesoft_topk(pooled.data, k)
+    groups = truncate(pooled.data, k, onesoft=True)
     assert len(groups) == k
     assert sorted(j for g in groups for j in g) == list(range(len(scores)))
     _, out = _keep(groups, nodes, pooled)
@@ -235,6 +230,19 @@ def test_onesoft_collapsed_score_bounded_by_bottom(scores, k):
     bottom = [scores[i] for i in range(len(scores)) if i not in kept]
     collapsed = out.data[-1]
     assert min(bottom) - 1e-9 <= collapsed <= max(bottom) + 1e-9
+
+
+@given(st.data())
+def test_onesoft_groups_are_plain_topk_then_the_rest_best_first(data):
+    # scores from a few values, so most pools hold exact ties
+    scores = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                                min_size=3, max_size=9))
+    k = data.draw(st.integers(min_value=2, max_value=len(scores) - 1))
+    groups = truncate(np.array(scores), k, onesoft=True)
+    singles = plain_topk(scores, k - 1)
+    assert groups[:-1] == [[i] for i in singles]
+    assert groups[-1] == sorted(set(range(len(scores))) - set(singles),
+                                key=lambda i: (-scores[i], i))
 
 
 def _groups(groups) -> list:
