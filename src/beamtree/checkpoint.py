@@ -1,22 +1,24 @@
-"""Binary checkpoint files for named parameter tensors.
+"""Checkpoint files for named tensors.
 
-Layout: magic b"BTCK", format version u32, count u32, then per tensor:
-name (u32 length + UTF-8), rank u32, extents (u32 each), payload as
-little-endian float32. All integers little-endian.
+A checkpoint is a standard numpy .npy file (format 1.0) holding one 0-d
+structured record with one field per tensor, in order: the header names
+each field's dtype and shape, and the payload is each tensor's C-order
+bytes in turn. `np.load(path, allow_pickle=False)` opens it, and
+`np.load(path)["grc.W1"]` reads one tensor.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import os
-import struct
 import tempfile
 
 import numpy as np
+from numpy.lib import format as npy
 
-MAGIC = b"BTCK"
-VERSION = 1
+
+# the longest header np.load reads without allow_pickle
+MAX_HEADER = 10_000
 
 
 class CheckpointError(Exception):
@@ -43,72 +45,62 @@ def atomic_open(path, mode: str):
 
 
 def save_checkpoint(path, named: dict):
-    """Write through `atomic_open`, so a save that is killed or fails
-    midway leaves the previous checkpoint whole. The payload is float32,
-    so a tensor of any other dtype is refused, not rounded."""
-    with atomic_open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(named)))
-        for name, arr in named.items():
-            dtype = np.asarray(arr).dtype
-            if dtype != np.float32:
-                raise CheckpointError(f"tensor {name} is {dtype}, not float32")
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", data.ndim))
-            for ext in data.shape:
-                f.write(struct.pack("<I", ext))
-            f.write(data.tobytes())
-
-
-def _read(f, size: int) -> bytes:
-    data = f.read(size)
-    if len(data) != size:
-        raise CheckpointError("truncated checkpoint")
-    return data
-
-
-def _read_u32(f) -> int:
-    return struct.unpack("<I", _read(f, 4))[0]
+    """Write `named` as one record through `atomic_open`, so a save that is
+    killed or fails midway leaves the previous checkpoint whole. Each
+    tensor keeps its dtype; a tensor of Python objects is refused."""
+    try:
+        with atomic_open(path, "wb") as f:
+            arrays = {name: np.asarray(a, order="C")
+                      for name, a in named.items()}
+            dtype = np.dtype([(name, a.dtype, a.shape)
+                              for name, a in arrays.items()])
+            if dtype.hasobject:
+                raise ValueError("a tensor holds Python objects")
+            if dtype.names != tuple(arrays):
+                raise ValueError(f"numpy names the fields {dtype.names}")
+            npy.write_array_header_1_0(
+                f, {"descr": npy.dtype_to_descr(dtype),
+                    "fortran_order": False, "shape": ()})
+            header = f.tell() - npy.MAGIC_LEN - 2  # less its u16 length
+            if header > MAX_HEADER:
+                raise ValueError(f"its header is {header} bytes, over the "
+                                 f"{MAX_HEADER} np.load reads")
+            for a in arrays.values():
+                f.write(a.data)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"cannot save the tensors as one record: "
+                              f"{e}") from None
 
 
 def load_checkpoint(path) -> dict:
+    """The tensors of the record at `path`, by name, in the file's order.
+    Anything else is refused before the payload is read: another .npy
+    version, a torn or unparsable header, an array that is not one 0-d
+    record of named, object-free fields, or a payload of the wrong size."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if f.read(4) != MAGIC:
-            raise CheckpointError("bad magic bytes")
-        version = _read_u32(f)
-        if version != VERSION:
-            raise CheckpointError(f"unknown checkpoint version {version}")
-        named = {}
-        for _ in range(_read_u32(f)):
-            raw = _read(f, _read_u32(f))
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointError(
-                    f"tensor name {raw!r} is not UTF-8") from None
-            if name in named:
-                raise CheckpointError(f"tensor {name} appears twice")
-            shape = tuple(_read_u32(f) for _ in range(_read_u32(f)))
-            payload = 4 * math.prod(shape)  # Python ints: no overflow
-            if payload > size - f.tell():
-                raise CheckpointError(
-                    f"tensor {name} declares shape {shape}, {payload} bytes, "
-                    f"but {size - f.tell()} bytes are left in the file")
-            named[name] = np.frombuffer(_read(f, payload),
-                                        dtype="<f4").reshape(shape).copy()
-        if f.read(1):
-            raise CheckpointError("trailing bytes after the last tensor")
-    return named
+        try:
+            version = npy.read_magic(f)
+            if version != (1, 0):
+                raise ValueError(f".npy version {version} is not 1.0")
+            shape, _fortran, dtype = npy.read_array_header_1_0(
+                f, max_header_size=MAX_HEADER)
+        except ValueError as e:
+            raise CheckpointError(f"not a checkpoint: {e}") from None
+        if shape != () or dtype.names is None or dtype.hasobject:
+            raise CheckpointError(f"not a checkpoint: a {shape} array of "
+                                  f"{dtype}, not one record of tensors")
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if dtype.itemsize != left:
+            raise CheckpointError(f"the record is {dtype.itemsize} bytes, "
+                                  f"but {left} bytes follow its header")
+        record = np.ndarray((), dtype, buffer=f.read(left))
+    return {name: record[name].copy() for name in dtype.names}
 
 
 def restore(params: dict, named: dict):
     """Copy loaded arrays into live parameter tensors, rejecting a missing
-    parameter, a tensor the model lacks, and a shape mismatch."""
+    parameter, a tensor the model lacks, and a shape or dtype mismatch, so
+    nothing is cast or rounded."""
     extra = sorted(set(named) - set(params))
     if extra:
         raise CheckpointError(
@@ -120,4 +112,7 @@ def restore(params: dict, named: dict):
         if arr.shape != tensor.data.shape:
             raise CheckpointError(
                 f"shape mismatch for {name}: {arr.shape} vs {tensor.data.shape}")
-        tensor.data[...] = arr.astype(tensor.data.dtype)
+        if arr.dtype != tensor.data.dtype:
+            raise CheckpointError(
+                f"dtype mismatch for {name}: {arr.dtype} vs {tensor.data.dtype}")
+        tensor.data[...] = arr

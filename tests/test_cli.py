@@ -1,11 +1,12 @@
+import io
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy
 
 from beamtree import listops
 from beamtree.checkpoint import load_checkpoint, save_checkpoint
@@ -292,10 +293,17 @@ def test_train_takes_its_seed_as_an_override(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def _npy_header(descr) -> bytes:
+    out = io.BytesIO()
+    npy.write_array_header_1_0(out, {"descr": descr, "fortran_order": False,
+                                     "shape": ()})
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("fault", ["no config", "directory config",
                                    "no checkpoint",
                                    "junk checkpoint", "huge checkpoint",
-                                   "non-UTF-8 name", "malformed split",
+                                   "latin-1 name", "malformed split",
                                    "empty split"])
 def test_file_errors_exit_with_one_message(tmp_path, fault):
     data = tmp_path / "data"
@@ -314,17 +322,15 @@ def test_file_errors_exit_with_one_message(tmp_path, fault):
         ckpt, message = tmp_path / "nope.ckpt", "No such file.*nope.ckpt"
     elif fault == "junk checkpoint":
         ckpt.write_bytes(b"junk")
-        message = "bad magic bytes"
+        message = "not a checkpoint: EOF: reading magic string"
     elif fault == "huge checkpoint":
         # one tensor declaring (2^32 - 1)^3 elements
-        ckpt.write_bytes(b"BTCK" + struct.pack("<III", 1, 1, 1) + b"w"
-                         + struct.pack("<4I", 3, *(2**32 - 1,) * 3))
-        message = "tensor w declares shape"
-    elif fault == "non-UTF-8 name":
-        # one (1,) tensor whose one-byte name is 0xff
-        ckpt.write_bytes(b"BTCK" + struct.pack("<III", 1, 1, 1) + b"\xff"
-                         + struct.pack("<II", 1, 1) + b"\x00" * 4)
-        message = r"tensor name b'\\xff' is not UTF-8"
+        ckpt.write_bytes(_npy_header([("w", "<f4", (2**32 - 1,) * 3)]))
+        message = "not a checkpoint: invalid shape"
+    elif fault == "latin-1 name":
+        # one (1,) tensor whose one-character name is U+00FF
+        ckpt.write_bytes(_npy_header([("\xff", "<f4", (1,))]) + b"\x00" * 4)
+        message = "checkpoint has tensors the model lacks: \xff"
     elif fault == "malformed split":
         split.write_text("[MAX 2 1 ] 2\n")
         message = "dev.tsv:1: "

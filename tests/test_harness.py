@@ -1,7 +1,7 @@
+import io
 import json
 import os
 import re
-import struct
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
@@ -9,6 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.lib import format as npy
 from one_example import example_loss
 
 from beamtree import harness
@@ -39,15 +43,45 @@ def _tiny_examples(count=12, seed=0):
 # checkpoints
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
+    # Adam's m and v are float64 beside float32 weights; neither is rounded
     rng = np.random.default_rng(0)
     tensors = {"a.W": rng.standard_normal((3, 4)).astype(np.float32),
-               "b": rng.standard_normal(7).astype(np.float32)}
+               "b": rng.standard_normal(7).astype(np.float32),
+               "adam.m.a.W": rng.standard_normal((3, 4)) * 1e-9}
     path = tmp_path / "x.ckpt"
     save_checkpoint(path, tensors)
     back = load_checkpoint(path)
     assert set(back) == set(tensors)
     for k in tensors:
         assert np.array_equal(back[k], tensors[k])
+        assert back[k].dtype == tensors[k].dtype
+        assert back[k].tobytes() == tensors[k].tobytes()
+
+
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+_TENSORS = st.one_of(
+    *(hnp.arrays(dtype, _SHAPES, elements=st.floats(width=width))
+      for dtype, width in ((np.float32, 32), (np.float64, 64))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.text("abwxyz.0123456789_", min_size=1, max_size=6),
+                       _TENSORS, max_size=5))
+@example({})
+def test_checkpoint_round_trips_any_float_tensors(tmp_path_factory, tensors):
+    path = tmp_path_factory.mktemp("ckpt") / "x.ckpt"
+    save_checkpoint(path, tensors)
+    back = load_checkpoint(path)
+    assert list(back) == list(tensors)
+    for k, a in tensors.items():
+        assert (back[k].dtype, back[k].shape) == (a.dtype, a.shape)
+        assert back[k].tobytes() == a.tobytes()  # NaNs and -0.0 too
+    # numpy opens it as one 0-d record with the same fields, in order
+    record = np.load(path, allow_pickle=False)
+    assert record.shape == ()
+    assert record.dtype.names == tuple(tensors)
+    for k, a in tensors.items():
+        assert record[k].tobytes() == a.tobytes()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -57,49 +91,77 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
-# cut points in a file holding one tensor "w" of shape (2, 2): magic (0-3),
-# version (4-7), count (8-11), name length (12-15), name (16), rank
-# (17-20), extents (21-28), payload (29-44); -1 appends a stray byte
-@pytest.mark.parametrize("cut", [2, 6, 10, 14, 17, 19, 22, 27, 30, 42, -1])
+def _npy_header(descr, shape=()) -> bytes:
+    out = io.BytesIO()
+    npy.write_array_header_1_0(out, {"descr": descr, "fortran_order": False,
+                                     "shape": shape})
+    return out.getvalue()
+
+
+# cut points in a file holding one tensor "w" of shape (2, 2): the magic
+# string and version (0-7), the header length (8-9), the header, then the
+# 16-byte payload; a stray byte is appended, not cut
+@pytest.mark.parametrize("cut", ["empty", "magic", "version",
+                                 "header length", "header", "header end",
+                                 "payload", "payload end", "stray byte"])
 def test_checkpoint_rejects_truncation(tmp_path, cut):
     path = tmp_path / "t.ckpt"
     save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
     data = path.read_bytes()
-    assert len(data) == 45
-    path.write_bytes(data + b"\x00" if cut < 0 else data[:cut])
+    payload = 10 + int.from_bytes(data[8:10], "little")
+    assert data[:8] == b"\x93NUMPY\x01\x00"
+    assert len(data) == payload + 16
+    at = {"empty": 0, "magic": 3, "version": 7, "header length": 9,
+          "header": (10 + payload) // 2, "header end": payload - 1,
+          "payload": payload + 1, "payload end": len(data) - 1,
+          "stray byte": None}[cut]
+    path.write_bytes(data + b"\x00" if at is None else data[:at])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("shape", [(4_000_000_000, 4_000_000_000),
-                                   (2**32 - 1,) * 3])
+                                   (2**32 - 1,) * 3, (1_000_000_000,),
+                                   (500_000_000,)])
 def test_checkpoint_rejects_impossible_extents(tmp_path, shape):
-    # the element count would overflow int64, or ask for exabytes; both
-    # declare more payload than the file holds
+    # the element count would overflow int64, or ask for more bytes than
+    # numpy lets a record hold, or than the file holds
     path = tmp_path / "huge.ckpt"
-    header = b"BTCK" + struct.pack("<III", 1, 1, 1) + b"w" + \
-        struct.pack("<I", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
-    path.write_bytes(header + b"\x00" * 16)
-    with pytest.raises(CheckpointError, match=r"tensor w declares shape"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_a_non_utf8_name(tmp_path):
-    path = tmp_path / "name.ckpt"
-    path.write_bytes(b"BTCK" + struct.pack("<III", 1, 1, 1) + b"\xff"
-                     + struct.pack("<II", 1, 1) + b"\x00" * 4)
-    with pytest.raises(CheckpointError, match="not UTF-8"):
+    path.write_bytes(_npy_header([("w", "<f4", shape)]) + b"\x00" * 16)
+    with pytest.raises(CheckpointError,
+                       match=r"not a checkpoint: invalid shape|"
+                             r"the record is 2000000000 bytes, but 16"):
         load_checkpoint(path)
 
 
 def test_checkpoint_rejects_a_tensor_named_twice(tmp_path):
-    # two records of a one-entry tensor w; the later one must not win
-    record = b"w" + struct.pack("<II", 1, 1)
+    # two one-entry fields w; the later one must not win
     path = tmp_path / "twice.ckpt"
-    path.write_bytes(b"BTCK" + struct.pack("<III", 1, 2, 1) + record
-                     + struct.pack("<f", 1.0) + struct.pack("<I", 1) + record
-                     + struct.pack("<f", 2.0))
-    with pytest.raises(CheckpointError, match="tensor w appears twice"):
+    path.write_bytes(_npy_header([("w", "<f4", (1,)), ("w", "<f4", (1,))])
+                     + np.array([1.0, 2.0], dtype="<f4").tobytes())
+    with pytest.raises(CheckpointError, match="name already used"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("descr, shape, size", [
+    ([("w", "|O")], (), 8),
+    ("<f4", (2,), 8),
+    ("<f4", (), 4),
+    ([("w", "<f4")], (1,), 4)],
+    ids=["object field", "plain array", "plain scalar", "array of records"])
+def test_checkpoint_rejects_what_is_not_one_record(tmp_path, descr, shape,
+                                                    size):
+    path = tmp_path / "x.ckpt"
+    path.write_bytes(_npy_header(descr, shape) + b"\x00" * size)
+    with pytest.raises(CheckpointError, match="not one record of tensors"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_another_npy_version(tmp_path):
+    path = tmp_path / "v2.ckpt"
+    data = _npy_header([("w", "<f4")]) + b"\x00" * 4
+    path.write_bytes(data[:6] + b"\x02\x00" + data[8:])
+    with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
 
 
@@ -107,31 +169,45 @@ def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
     path = tmp_path / "best.ckpt"
     save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
     before = path.read_bytes()
-    # the first tensor is written before the second is refused
-    with pytest.raises(CheckpointError, match="tensor b is <U12"):
+    # a tensor of Python objects has no bytes to write
+    with pytest.raises(CheckpointError, match="holds Python objects"):
         save_checkpoint(path, {"a": np.zeros(3, dtype=np.float32),
-                               "b": np.array(["not a number"])})
+                               "b": np.array([object()])})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
 
-def test_checkpoint_refuses_a_tensor_that_is_not_float32(tmp_path):
-    # the payload is float32: a float64 tensor (Adam's m and v are) would
-    # come back rounded, so it is refused by name and the file is kept
+def test_checkpoint_refuses_a_header_np_load_would_refuse(tmp_path):
+    # np.load reads a header of at most 10,000 bytes, so a save of 300
+    # tensors would write a file that no one could open
     path = tmp_path / "best.ckpt"
     save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
     before = path.read_bytes()
-    with pytest.raises(CheckpointError,
-                       match="tensor adam.m.w is float64, not float32"):
-        save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32),
-                               "adam.m.w": np.full((2, 2), 0.1)})
+    with pytest.raises(CheckpointError, match="over the 10000 np.load reads"):
+        save_checkpoint(path, {f"adam.v.layer{i}.weight": np.zeros(1)
+                               for i in range(300)})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+    many = {f"t{i}": np.zeros(1) for i in range(300)}
+    save_checkpoint(path, many)  # short names fit
+    assert list(load_checkpoint(path)) == list(many)
+
+
+def test_checkpoint_refuses_a_name_numpy_would_change(tmp_path):
+    # numpy names an empty field "f0", which would load under another name
+    path = tmp_path / "x.ckpt"
+    with pytest.raises(CheckpointError, match=r"names the fields \('f0',\)"):
+        save_checkpoint(path, {"": np.zeros(2, dtype=np.float32)})
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("saved, target, message", [
     (lambda: {"w": np.ones(3, dtype=np.float32)},
      lambda: {"w": Tensor(np.zeros(4, dtype=np.float32))}, "shape mismatch"),
+    # restored as it was saved: a float64 tensor is not rounded to float32
+    (lambda: {"w": np.ones(3)},
+     lambda: {"w": Tensor(np.zeros(3, dtype=np.float32))},
+     "dtype mismatch for w: float64 vs float32"),
     (lambda: {"w": np.ones(3, dtype=np.float32)},
      lambda: {"w": Tensor(np.zeros(3, dtype=np.float32)),
               "v": Tensor(np.zeros(3, dtype=np.float32))}, "missing"),
@@ -139,7 +215,7 @@ def test_checkpoint_refuses_a_tensor_that_is_not_float32(tmp_path):
     (lambda: {k: v.data for k, v in
               Model(_tiny_cfg(encoder="recurrent")).named().items()},
      lambda: Model(_tiny_cfg()).named(), "h0"),
-], ids=["shape", "missing", "extra"])
+], ids=["shape", "dtype", "missing", "extra"])
 def test_restore_rejects_mismatch(tmp_path, saved, target, message):
     path = tmp_path / "s.ckpt"
     save_checkpoint(path, saved())
@@ -344,6 +420,20 @@ def test_train_overfits_tiny_set(tmp_path):
     model = load_model(cfg, ckpt)
     acc, _ = evaluate_examples(model, examples)
     assert acc == pytest.approx(best)
+
+
+def test_train_checkpoint_is_one_npy_record(tmp_path):
+    examples = _tiny_examples(8, seed=5)
+    cfg = _tiny_cfg(encoder="recurrent", max_epochs=1)
+    ckpt, _ = train(cfg, tmp_path / "run", train_examples=examples,
+                    dev_examples=examples, log=lambda *_: None)
+    record = np.load(ckpt, allow_pickle=False)
+    named = load_model(cfg, ckpt).named()
+    assert record.shape == ()
+    assert record.dtype.names == tuple(named)
+    for name, tensor in named.items():
+        assert record[name].dtype == np.float32
+        assert np.array_equal(record[name], tensor.data)
 
 
 def test_train_metrics_byte_identical_across_reruns(tmp_path):

@@ -1,6 +1,8 @@
 """README.md against the files it describes: the layout block, the run
-config paragraph, the results table and the CLI block."""
+config paragraph, the results table and the CLI block, whose train
+command is a run of the sweep."""
 
+import importlib.util
 import json
 import os
 import re
@@ -8,7 +10,7 @@ import shlex
 from dataclasses import fields
 
 from beamtree.cli import build_parser
-from beamtree.harness import RunConfig
+from beamtree.harness import RunConfig, make_config, parse_kv
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -76,3 +78,21 @@ def test_cli_block_commands_parse():
             extra = [a for a in extra if not (
                 m := re.fullmatch(r"--(\w+)=.+", a)) or m[1] not in keys]
         assert extra == [], argv
+
+
+def test_cli_block_trains_what_the_sweep_trains():
+    # the quick start's model is the reduced profile's bt_k3_onesoft on
+    # seed 0, on whatever data_dir it names
+    spec = importlib.util.spec_from_file_location(
+        "run_experiments", os.path.join(ROOT, "scripts",
+                                        "run_experiments.py"))
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    argv = next(a for a in _cli_commands() if a[0] == "train")
+    _args, overrides = build_parser().parse_known_args(argv)
+    readme = make_config(parse_kv(item[2:] for item in overrides))
+    run = sweep.run_config("bt_k3_onesoft", 0, sweep.PROFILES["reduced"],
+                           readme.data_dir)
+    differ = [f.name for f in fields(RunConfig) if f.name != "data_dir"
+              and getattr(readme, f.name) != getattr(run, f.name)]
+    assert differ == []
