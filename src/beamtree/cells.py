@@ -136,8 +136,8 @@ def score(v: Tensor, p: ScorerParams) -> Tensor:
 
     def vjp(g):
         # g @ w.T with one inner term: each entry is one product, so this
-        # is (w @ g.T).T's bits in an owned C-ordered array, which
-        # Tape.backward keeps without a copy
+        # is (w @ g.T).T's bits, but C-ordered; the tape's copy keeps that
+        # layout, which the row reductions of the vjps upstream then read
         g = g[:, None]
         return g @ w.T, T.weight_grad(x, g)
 

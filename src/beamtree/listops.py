@@ -23,6 +23,7 @@ _DIGITS = {str(d): d for d in range(CLASSES)}
 # candidates _make_example draws, and repeated sources generate draws in a
 # row, before giving up
 _MAX_ATTEMPTS = 100_000
+MIN_ARGS = 2  # the fewest arguments the generator gives an operator
 
 
 class ListOpsError(Exception):
@@ -35,7 +36,6 @@ class GenConfig:
 
     max_length: int = 100
     max_depth: int = 6
-    min_args: int = 2
     max_args: int = 5
     nest_prob: float = 0.4
     count: int = 1000
@@ -50,20 +50,20 @@ class GenConfig:
             raise ListOpsError("count must be >= 1")
         if self.seed < 0:
             raise ListOpsError("seed must be >= 0")
-        if not (1 <= self.min_args <= self.max_args):
-            raise ListOpsError("need 1 <= min_args <= max_args")
+        if self.max_args < MIN_ARGS:
+            raise ListOpsError(f"max_args must be >= {MIN_ARGS}")
         if self.max_depth < 1:
             raise ListOpsError("max_depth must be >= 1")
         if not 0.0 <= self.nest_prob <= 1.0:
             raise ListOpsError("nest_prob must be in [0, 1]")
-        if self.max_length < self.min_args + 2:
+        if self.max_length < MIN_ARGS + 2:
             raise ListOpsError("max_length too small for a minimal expression")
         if self.min_length > self.max_length:
             raise ListOpsError("min_length exceeds max_length")
         exact = self.require_exact_args
-        if exact is not None and not self.min_args <= exact <= self.max_args:
-            raise ListOpsError("require_exact_args must be in "
-                               "[min_args, max_args]")
+        if exact is not None and not MIN_ARGS <= exact <= self.max_args:
+            raise ListOpsError(f"require_exact_args must be in "
+                               f"[{MIN_ARGS}, max_args]")
         # its smallest expression: the operator, that many digits and ]
         if exact is not None and exact + 2 > self.max_length:
             raise ListOpsError(f"require_exact_args {exact} needs {exact + 2} "
@@ -160,7 +160,7 @@ def read_example(source: str, label: int, parsed=None) -> Example:
 
 def _gen_operator(rng: np.random.Generator, cfg: GenConfig, depth: int) -> list:
     tokens = [VOCAB[int(rng.integers(0, len(_OPEN)))]]  # an opening token
-    arity = int(rng.integers(cfg.min_args, cfg.max_args + 1))
+    arity = int(rng.integers(MIN_ARGS, cfg.max_args + 1))
     p_nest = cfg.nest_prob * max(0.0, 1.0 - depth / cfg.max_depth)
     for _ in range(arity):
         if rng.random() < p_nest:
@@ -246,12 +246,13 @@ def read_tsv(path) -> list:
 
 
 def recipe_meta(cfg: GenConfig) -> dict:
-    """The keys of a recipe as its split's .meta file renders them."""
-    keys = ("count", "seed", "max_length", "min_length", "max_depth",
-            "min_args", "max_args", "nest_prob")
-    return {**{k: str(getattr(cfg, k)) for k in keys},
-            "med_even": "lower",  # MED of an even arity: see _OPEN
-            "require_exact_args": str(cfg.require_exact_args)}
+    """The keys of a recipe as its split's .meta file renders them, in
+    order."""
+    # med_even: MED of an even arity takes the lower middle element (_OPEN)
+    values = {**vars(cfg), "min_args": MIN_ARGS, "med_even": "lower"}
+    return {k: str(values[k]) for k in (
+        "count", "seed", "max_length", "min_length", "max_depth", "min_args",
+        "max_args", "nest_prob", "med_even", "require_exact_args")}
 
 
 def _write_meta(path, cfg: GenConfig, examples):

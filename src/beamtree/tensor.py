@@ -99,12 +99,17 @@ class Tape:
         # each record is popped once its vjp has run, and the gradient of
         # the tensor it produced dropped: once every consumer of a tensor
         # has run, nothing reads its gradient again. Tensors no record
-        # produced (parameters, inputs) keep theirs. A vjp may also add
-        # into gradients itself and return None for them: the row gathers
-        # and the other reads of a row table scatter into their source's
-        # gradient, and a row table's first read to run makes each chunk's
-        # gradient its slice of the table's buffer, its old gradient added
-        # in, so the chunk's other consumers add into that slice.
+        # produced (parameters, inputs) keep theirs. One storage rule: an
+        # input's first gradient is a copy of what the vjp returned, in the
+        # input's dtype and the array's own layout (astype's order "K"),
+        # and every later one is added into it, so no array a vjp returns,
+        # or still holds, is ever written. A vjp may also add into
+        # gradients itself and return None for them: the row gathers and
+        # the other reads of a row table scatter into their source's
+        # gradient, and a row table's first scatter to run makes every
+        # chunk's gradient its slice of the table's buffer, its old
+        # gradient added in, so the chunk's other consumers add into that
+        # slice.
         records = self.records
         while records:
             rec = records.pop()
@@ -117,20 +122,9 @@ class Tape:
                 if gi is None or not inp.requires_grad:
                     continue
                 if inp.grad is None:
-                    inp.grad = gi if _owned(gi, inp, g, grads) else \
-                        gi.astype(inp.data.dtype, copy=True)
+                    inp.grad = gi.astype(inp.data.dtype, copy=True)
                 else:
                     inp.grad += gi.astype(inp.data.dtype, copy=False)
-
-
-def _owned(gi: np.ndarray, inp: Tensor, g: np.ndarray, grads) -> bool:
-    """Whether a vjp's gradient `gi` for `inp` may become inp's gradient
-    as it is, with no copy: it has inp's dtype, owns writeable data, and is
-    neither the record's output gradient `g` nor handed to another input
-    of the record, so adding into it later changes no other gradient."""
-    return (gi.dtype == inp.data.dtype and gi.base is None
-            and gi.flags.writeable and gi is not g
-            and sum(gj is gi for gj in grads) == 1)
 
 
 def _make(data: np.ndarray, inputs: tuple, vjp, check: bool = True) -> Tensor:
@@ -474,17 +468,18 @@ class RowTable:
         it adds g[i] into the gradient of row rows[i], one
         `_scatter_rows` into the table's gradient buffer. The first
         scatter to run allocates the buffer and makes it the gradient of
-        every chunk appended so far that needs one, each its slice, with
-        any gradient the chunk already had added in; every record that
-        reads a chunk runs before the record that produced it."""
-        token, n = self.token, len(self._grads)
+        every chunk that needs one, each its slice, with any gradient the
+        chunk already had added in, so each chunk's gradient has one home
+        from then on; every record that reads a chunk runs before the
+        record that produced it."""
+        token = self.token
 
         def scatter(rows, g):
             buf = token.grad
             if buf is None:
                 buf = token.grad = np.zeros(
                     (self.size,) + self._buf.shape[1:], self._buf.dtype)
-                for chunk, start in self._grads[:n]:
+                for chunk, start in self._grads:
                     view = buf[start:start + chunk.data.shape[0]]
                     if chunk.grad is not None:
                         view += chunk.grad

@@ -150,8 +150,8 @@ def test_criterion_soft_truncation_identities():
     eval_ok = all(np.array_equal(a.data, b.data) for a, b in
                   zip(plain.params(), soft.params()))
     trains_apart = False
-    examples = generate(GenConfig(max_length=16, max_depth=2, min_args=2,
-                                  max_args=4, count=10, seed=0))
+    examples = generate(GenConfig(max_length=16, max_depth=2, max_args=4,
+                                  count=10, seed=0))
     for ex in examples:
         eval_ok &= np.array_equal(forward_logits(plain, ex, False, None).data,
                                   forward_logits(soft, ex, False, None).data)
@@ -239,7 +239,7 @@ def test_criterion_beam_size_effect():
 
 
 def test_criterion_interpreter_agreement():
-    cfg = GenConfig(max_length=80, max_depth=6, min_args=2, max_args=5,
+    cfg = GenConfig(max_length=80, max_depth=6, max_args=5,
                     count=10_000, seed=777)
     examples = generate(cfg)
     mismatches = sum(ex.label != stack_machine_eval(ex.source)

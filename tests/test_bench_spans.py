@@ -34,8 +34,8 @@ def test_every_traced_attribute_resolves(spans):
 def test_tracer_attributes_bt_eval_to_each_layer(spans):
     cfg = make_config({"encoder": "bt", "beam_size": "2", "d_e": "8",
                        "d_h": "8", "dropout": "0.0", "seed": "0"})
-    examples = generate(GenConfig(max_length=12, max_depth=2, min_args=2,
-                                  max_args=3, count=2, seed=0))
+    examples = generate(GenConfig(max_length=12, max_depth=2, max_args=3,
+                                  count=2, seed=0))
     tracer = spans.Tracer(MODULES)
     tracer.install()
     try:
@@ -59,8 +59,8 @@ def test_tracer_counts_the_rows_the_search_composes(spans, monkeypatch):
     # table holds the leaves and the composed parents alone
     cfg = make_config({"encoder": "bt", "beam_size": "3", "d_e": "8",
                        "d_h": "8", "dropout": "0.0", "seed": "0"})
-    examples = generate(GenConfig(max_length=14, max_depth=2, min_args=2,
-                                  max_args=4, count=4, seed=3))
+    examples = generate(GenConfig(max_length=14, max_depth=2, max_args=4,
+                                  count=4, seed=3))
     appended = []
     finish = encoders._BeamBatch.finish
 
@@ -84,7 +84,7 @@ def test_tracer_counts_truncation_alike_for_plain_and_onesoft(spans):
     # the tracer counts the length of `truncate`'s first argument and of its
     # result; both operators keep k beams of the same pools
     examples = [ex for ex in generate(GenConfig(
-        max_length=16, max_depth=2, min_args=2, max_args=4, count=8, seed=1))
+        max_length=16, max_depth=2, max_args=4, count=8, seed=1))
         if len(ex.source.split()) >= 6][:3]
     assert examples
     counts = {}
@@ -117,7 +117,7 @@ def test_tracer_sees_gumbel_composition_in_train(spans, tmp_path):
                        "dropout": "0.0", "max_epochs": "1",
                        "batch_size": "2", "seed": "0"})
     examples = [ex for ex in generate(GenConfig(
-        max_length=12, max_depth=2, min_args=2, max_args=3, count=8, seed=2))
+        max_length=12, max_depth=2, max_args=3, count=8, seed=2))
         if len(ex.source.split()) >= 4][:3]
     tracer = spans.Tracer(MODULES)
     tracer.install()
@@ -158,8 +158,8 @@ def test_tracer_sees_the_fixed_tree_encoders_in_train(spans, tmp_path,
     cfg = make_config({"encoder": encoder, "d_e": "8", "d_h": "8",
                        "dropout": "0.0", "max_epochs": "1",
                        "batch_size": "2", "seed": "0"})
-    examples = generate(GenConfig(max_length=12, max_depth=2, min_args=2,
-                                  max_args=3, count=3, seed=2))
+    examples = generate(GenConfig(max_length=12, max_depth=2, max_args=3,
+                                  count=3, seed=2))
     tracer = spans.Tracer(MODULES)
     tracer.install()
     try:

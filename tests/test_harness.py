@@ -35,8 +35,8 @@ def _tiny_cfg(**kw):
 
 
 def _tiny_examples(count=12, seed=0):
-    return generate(GenConfig(max_length=20, max_depth=2, min_args=2,
-                              max_args=3, count=count, seed=seed))
+    return generate(GenConfig(max_length=20, max_depth=2, max_args=3,
+                              count=count, seed=seed))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_every_entry_point_refuses_a_malformed_source_alike(tmp_path, source,
 
 
 def test_interpreters_agree_on_generated_corpus():
-    cfg = GenConfig(max_length=60, max_depth=5, min_args=2, max_args=5,
+    cfg = GenConfig(max_length=60, max_depth=5, max_args=5,
                     count=300, seed=42)
     for ex in generate(cfg):
         assert ex.label == stack_machine_eval(ex.source)
@@ -143,7 +143,7 @@ def test_measurements():
 
 
 def test_generate_deterministic_and_bounded():
-    cfg = GenConfig(max_length=40, max_depth=4, min_args=2, max_args=3,
+    cfg = GenConfig(max_length=40, max_depth=4, max_args=3,
                     count=50, seed=7)
     a = generate(cfg)
     b = generate(cfg)
@@ -211,7 +211,7 @@ def test_read_tsv_accepts_a_one_digit_source(tmp_path):
 
 
 def test_build_splits_length_gen_certified(tmp_path):
-    train_cfg = GenConfig(max_length=30, max_depth=3, min_args=2, max_args=3)
+    train_cfg = GenConfig(max_length=30, max_depth=3, max_args=3)
     splits = build_splits(tmp_path, split_recipes(
         "length_gen", train_cfg, seed=5, train_count=40, dev_count=10,
         test_count=10))
@@ -229,7 +229,7 @@ def test_build_splits_length_gen_certified(tmp_path):
 
 
 def test_build_splits_arg_gen(tmp_path):
-    train_cfg = GenConfig(max_length=30, max_depth=3, min_args=2, max_args=3)
+    train_cfg = GenConfig(max_length=30, max_depth=3, max_args=3)
     splits = build_splits(tmp_path, split_recipes(
         "arg_gen", train_cfg, seed=6, train_count=20, dev_count=5,
         test_count=5))
@@ -249,14 +249,15 @@ def test_build_splits_refuses_a_retired_kind(tmp_path, kind):
 
 
 def test_generate_refuses_bounds_with_too_few_sources():
-    # one operator over one digit: 4 x 10 = 40 distinct sources. Asking for
-    # 41 used to draw repeats forever, so it runs in a child with a timeout
-    few = GenConfig(max_length=3, max_depth=1, min_args=1, max_args=1)
-    assert len(generate(replace(few, count=40))) == 40
+    # one operator over two digits: 4 x 10 x 10 = 400 distinct sources.
+    # Asking for 401 used to draw repeats forever, so it runs in a child
+    # with a timeout
+    few = GenConfig(max_length=4, max_depth=1, max_args=2)
+    assert len(generate(replace(few, count=400))) == 400
     code = ("from beamtree.listops import GenConfig, ListOpsError, generate\n"
             "try:\n"
-            "    generate(GenConfig(max_length=3, max_depth=1, min_args=1,\n"
-            "                       max_args=1, count=41))\n"
+            "    generate(GenConfig(max_length=4, max_depth=1, max_args=2,\n"
+            "                       count=401))\n"
             "except ListOpsError as e:\n"
             "    print(e)\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -264,7 +265,8 @@ def test_generate_refuses_bounds_with_too_few_sources():
                           text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("found only 40 new distinct sources of 41")
+    assert done.stdout.startswith(
+        "found only 400 new distinct sources of 401")
 
 
 def test_gen_config_validation():
@@ -273,8 +275,8 @@ def test_gen_config_validation():
         GenConfig(count=0)
     with pytest.raises(ListOpsError, match="seed must be >= 0"):
         GenConfig(seed=-1)
-    with pytest.raises(ListOpsError):
-        GenConfig(min_args=0)
+    with pytest.raises(ListOpsError, match="max_args must be >= 2"):
+        GenConfig(max_args=1)
     with pytest.raises(ListOpsError):
         GenConfig(nest_prob=1.5)
     with pytest.raises(ListOpsError):
@@ -284,7 +286,7 @@ def test_gen_config_validation():
     # an arity the generator never draws would spin through every attempt
     for exact in (1, 6):
         with pytest.raises(ListOpsError, match=r"require_exact_args must be "
-                           r"in \[min_args, max_args\]"):
+                           r"in \[2, max_args\]"):
             GenConfig(max_length=30, max_depth=3, max_args=3,
                       require_exact_args=exact)
     # an arity whose smallest expression (operator, that many digits and
@@ -292,6 +294,6 @@ def test_gen_config_validation():
     # draw
     with pytest.raises(ListOpsError, match="require_exact_args 5 needs 7 "
                        "tokens, more than max_length 6"):
-        GenConfig(max_length=6, min_args=2, max_args=5,
+        GenConfig(max_length=6, max_args=5,
                   require_exact_args=5, count=1)
-    GenConfig(max_length=7, min_args=2, max_args=5, require_exact_args=5)
+    GenConfig(max_length=7, max_args=5, require_exact_args=5)

@@ -465,9 +465,10 @@ def test_backward_keeps_apart_two_gradients_handed_one_array():
     assert np.array_equal(y.grad, 2.0 * y.data * [2.0, 2.0])
 
 
-def test_backward_takes_a_vjp_array_as_the_gradient_only_when_it_owns_it():
-    # no copy of an array the vjp made for that input alone; a copy of a
-    # view, of the record's own output gradient and of another dtype
+def test_backward_copies_every_first_gradient_write():
+    # a copy, in the input's dtype, of an array the vjp made for that input
+    # alone, of a view, of the record's own output gradient and of another
+    # dtype
     made = {}
 
     def record(inp, make):
@@ -487,12 +488,47 @@ def test_backward_takes_a_vjp_array_as_the_gradient_only_when_it_owns_it():
                 record(cast, lambda g: (3.0 * g).astype(np.float32))]
         tape.backward(T.tsum(T.add(T.add(outs[0], outs[1]),
                                    T.add(outs[2], outs[3]))))
-    assert own.grad is made[own]
-    for t in (view, same, cast):
+    for t in inputs:
         assert t.grad is not made[t] and t.grad.base is None
         assert t.grad.dtype == np.float64
+    assert np.array_equal(own.grad, np.full(3, 3.0))
+    assert np.array_equal(view.grad, np.full(3, 3.0))
     assert np.array_equal(same.grad, np.ones(3))
     assert np.array_equal(cast.grad, np.full(3, 3.0))
+
+
+def test_backward_never_writes_an_array_a_vjp_still_holds():
+    # a vjp that keeps the array it returns, recorded after another
+    # consumer of the same input, so it runs first: the other consumer's
+    # gradient is added into x's, never into the kept array
+    kept = []
+
+    def vjp(g):
+        kept.append(3.0 * g)
+        return (kept[0],)
+
+    x = Tensor(np.ones(3), requires_grad=True)
+    x.grad = None  # first written by the backward
+    with Tape() as tape:
+        other = T.mul(x, Tensor(np.full(3, 2.0)))
+        holding = T._make(x.data.copy(), (x,), vjp)
+        tape.backward(T.tsum(T.add(other, holding)))
+    assert np.array_equal(kept[0], np.full(3, 3.0))
+    assert np.array_equal(x.grad, np.full(3, 5.0))
+
+
+def test_backward_keeps_an_f_ordered_vjp_array_f_ordered():
+    # matmul's input gradient is (w @ g.T).T, an F-ordered array; its copy
+    # keeps that layout, so the next vjp reduces it in the same order
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 5)))
+    x.grad = None  # first written by the backward
+    with Tape() as tape:
+        y = T.matmul(x, w)
+        tape.backward(T.tsum(T.mul(y, Tensor(rng.standard_normal((4, 5))))))
+    assert x.grad.flags.f_contiguous and not x.grad.flags.c_contiguous
+    assert x.grad.base is None
 
 
 def test_row_table_pair_gather_is_the_two_column_gathers_side_by_side():

@@ -149,14 +149,16 @@ def _scope_spans(tokens) -> set:
 
 
 def test_gold_tree_spans_are_the_scopes_arguments():
-    examples = generate(GenConfig(max_length=40, max_depth=4, min_args=1,
-                                  max_args=5, nest_prob=0.5, count=2000,
-                                  seed=5))
+    examples = generate(GenConfig(max_length=40, max_depth=4, max_args=5,
+                                  nest_prob=0.5, count=2000, seed=5))
     assert max(ex.depth for ex in examples) >= 3
-    for ex in examples:
-        tokens = ex.source.split()
+    # the generator gives every operator two arguments or more; an
+    # operator of one argument is written out
+    one_arg = ["[MAX 3 ]", "[SM [MIN 4 ] 2 ]", "[MED [MAX [SM 1 ] ] ]"]
+    for source in [ex.source for ex in examples] + one_arg:
+        tokens = source.split()
         assert spans(len(tokens), gold_tree_listops(tokens)) == \
-            _scope_spans(tokens), ex.source
+            _scope_spans(tokens), source
 
 
 @pytest.mark.parametrize("call", [
