@@ -168,12 +168,12 @@ def leaf_transform_seq(sequences, p: LeafParams, dropout_rate: float = 0.0,
     """Embed token sequences and project to d_h: LN(embed(ids) @ projection),
     over every token of every sequence in one call.
 
-    Dropout applies to the embeddings only when given rngs, one per
-    sequence, in training; each sequence's mask is drawn from its own rng.
-    Returns (total tokens, d_h), the sequences' rows one after another.
+    Dropout (`T.dropout`) applies to the embeddings only when given rngs,
+    one per sequence, in training; each sequence's mask is drawn from its
+    own rng. Returns (total tokens, d_h), the sequences' rows one after
+    another.
     """
     emb = T.rows_gather(p.embedding, [t for ids in sequences for t in ids])
-    if rngs is not None and dropout_rate > 0.0:
-        emb = T.dropout(emb, dropout_rate, rngs, [len(s) for s in sequences])
+    emb = T.dropout(emb, dropout_rate, rngs, [len(s) for s in sequences])
     return T.layer_norm(T.matmul(emb, p.projection), p.gamma, p.beta)
 

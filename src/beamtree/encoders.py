@@ -139,11 +139,12 @@ class _BeamBatch:
 
     The search is hash-consed: a node's row is its signature, and one row
     stands for every equal node of the batch. Bit-identical leaf rows are
-    one node, the first of them, unless the leaves are recorded on a tape,
-    whose backward needs each leaf row's own gradient; then every leaf is
-    its own node. `parents` maps each (left, right) pair of node rows
-    composed so far to its parent's row, so equal subtrees, in any beam,
-    example or place, are one row with one score. Interpolated and
+    one node, the first of them, when the leaves need no gradient; leaves
+    that need one (a tape records them, and its backward needs each leaf
+    row's own gradient) are each their own node. `parents` maps each
+    (left, right) pair of node rows composed so far to its parent's row,
+    so equal subtrees, in any beam, example or place, are one row with one
+    score. Interpolated and
     straight-through rows are new nodes, equal to no other."""
 
     def __init__(self, leaves: Tensor, lengths, cell: GrcParams,
@@ -159,7 +160,7 @@ class _BeamBatch:
         self.active = list(range(len(lengths)))  # the examples searching
         self.counts = [1] * len(lengths)  # their beams
         rows = np.arange(leaves.data.shape[0])
-        if T.Tape._active is None or not leaves.requires_grad:
+        if not leaves.requires_grad:
             first = {}
             rows = np.array([first.setdefault(row.tobytes(), i)
                              for i, row in enumerate(leaves.data)])
@@ -278,11 +279,13 @@ class _BeamBatch:
         groups. The picked beams' scores are one primitive over both score
         tables: the candidates' segment log-softmax plus their beams'
         scores, at the picked merges; its vjp scatters into both tables."""
-        raw, cand_scatter = self.cand_scores.read(cand_ids)
+        # the record's vjp holds the two tables, not the whole search
+        cand_scores, beam_scores = self.cand_scores, self.beam_scores
+        raw = cand_scores.read(cand_ids)
         # each beam's first place, and each place's beam's score row
         starts, prior_ids = self.m.cumsum() - self.m, self.score_rows[beam]
         logp, logp_grad = T.segment_log_softmax_data(raw, self.m, starts)
-        prior, prior_scatter = self.beam_scores.read(prior_ids)
+        prior = beam_scores.read(prior_ids)
         pooled = prior + logp  # each merge's beam score plus its logp
         picked, kept, b, a = [], [], 0, 0  # the example's first beam, place
         # one example at a time, as each draws its Gumbel noise from its own
@@ -309,14 +312,14 @@ class _BeamBatch:
         def vjp(g):
             glogp = np.zeros_like(logp)
             glogp[places] = g
-            prior_scatter(prior_ids[places], g)
-            cand_scatter(cand_ids, logp_grad(glogp))
+            beam_scores.scatter(prior_ids[places], g)
+            cand_scores.scatter(cand_ids, logp_grad(glogp))
             return None, None
 
-        picked_scores = T._make(pooled[places], (self.cand_scores.token,
-                                                 self.beam_scores.token), vjp)
+        picked_scores = T._make(pooled[places], (cand_scores.token,
+                                                 beam_scores.token), vjp)
         parent, pos = beam[places], pos[places]
-        row = self.beam_scores.append(picked_scores)
+        row = beam_scores.append(picked_scores)
         self.merge(parent, pos, cand_ids[places], row + np.arange(len(pos)))
         self.counts = [len(groups) for groups in kept]
         if sum(self.counts) == len(places):  # each picked beam is kept
@@ -403,28 +406,28 @@ def encode_bt_cell(leaves: Tensor, lengths, cell: GrcParams,
     for the parents of their adjacent pairs, their candidates; each
     candidate is scored once, when it is composed, and the scores sit in a
     second table aligned with the first. A row is its node's signature
-    (hash-consing): equal leaves are one row when no tape records them,
-    and each distinct pair of child rows is composed once per search, so
-    every beam, place and example that makes the same subtree shares its
-    row and its score bit for bit, and ties between them are exact in
-    every batch. A merge is one gather of both matrices over all beams, by
-    a precomputed shift table, and lists the two pairs beside the new node
-    as stale: not composed yet. A step, over all beams of all examples
-    that have more than two nodes left, reads the candidate and beam
-    scores, and takes their segment log-softmax and pool scores, on the
-    values; runs one `plain_topk` over each example's (beams, candidates)
-    matrix and one `truncate` of its pool, whose hard top-k groups are one
-    int array; looks every stale pair up in one pass over a dict; and
-    records four tape primitives: the picked beams' scores (one read of
-    both score tables), one gather of both children of every new stale
-    pair, one `grc_compose` of those pairs and one `score` (none of the
-    last three when every stale pair was composed before). Hard top-k
-    builds only the k beams it keeps. OneSoft's last
-    group, its best beam first, becomes one beam whose nodes are new rows,
-    the softmax-weighted sum of the group's node rows (`collapse_tail`); it
-    carries its best member's actions, and every pair of it is stale. An
-    example leaves the loop at two nodes per beam, whose one candidate is
-    the root, and the encodings are `merge_beams` of all roots and scores.
+    (hash-consing): equal leaves are one row when they need no gradient (no
+    tape records them), and each distinct pair of child rows is composed
+    once per search, so every beam, place and example that makes the same
+    subtree shares its row and its score bit for bit, and ties between them
+    are exact in every batch. A merge is one gather of both matrices over
+    all beams, by a precomputed shift table, and lists the two pairs beside
+    the new node as stale: not composed yet. A step, over all beams of all
+    examples that have more than two nodes left, reads the candidate and
+    beam scores, and takes their segment log-softmax and pool scores, on
+    the values; runs one `plain_topk` over each example's (beams,
+    candidates) matrix and one `truncate` of its pool, whose hard top-k
+    groups are one int array; looks every stale pair up in one pass over a
+    dict; and records four tape primitives: the picked beams' scores (one
+    read of both score tables), one gather of both children of every new
+    stale pair, one `grc_compose` of those pairs and one `score` (none of
+    the last three when every stale pair was composed before). Hard top-k
+    builds only the k beams it keeps. OneSoft's last group, its best beam
+    first, becomes one beam whose nodes are new rows, the softmax-weighted
+    sum of the group's node rows (`collapse_tail`); it carries its best
+    member's actions, and every pair of it is stale. An example leaves the
+    loop at two nodes per beam, whose one candidate is the root, and the
+    encodings are `merge_beams` of all roots and scores.
 
     With one beam this is easy-first composition. `merge_beams` gives a
     lone beam's score no gradient, so one beam given rngs selects by

@@ -140,12 +140,12 @@ class HeadParams(Params):
 def classify(encodings: Tensor, head: HeadParams, dropout_rate: float = 0.0,
              rngs=None) -> Tensor:
     """Two-layer head over (examples, d_h) encodings: LN -> linear -> GELU
-    -> dropout -> linear -> (examples, classes) logits. Dropout applies only
-    when given rngs, one per example, in training."""
+    -> dropout -> linear -> (examples, classes) logits. Dropout
+    (`T.dropout`) applies only when given rngs, one per example, in
+    training."""
     x = T.layer_norm(encodings, head.gamma, head.beta)
     x = T.gelu(T.add_rowvec(T.matmul(x, head.W1), head.b1))
-    if rngs is not None and dropout_rate > 0.0:
-        x = T.dropout(x, dropout_rate, rngs, [1] * len(rngs))
+    x = T.dropout(x, dropout_rate, rngs, [1] * x.data.shape[0])
     return T.add_rowvec(T.matmul(x, head.W2), head.b2)
 
 

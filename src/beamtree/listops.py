@@ -81,12 +81,8 @@ class Example:
 
 
 def tokenize(source: str) -> list:
-    ids = []
-    for tok in source.split():
-        if tok not in TOKEN_TO_ID:
-            raise ListOpsError(f"unknown token {tok!r}")
-        ids.append(TOKEN_TO_ID[tok])
-    return ids
+    """The vocabulary ids of a source whose tokens `parse` has checked."""
+    return [TOKEN_TO_ID[tok] for tok in source.split()]
 
 
 def eval_listops(source: str) -> int:

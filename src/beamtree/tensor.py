@@ -68,7 +68,10 @@ class Tape:
     """Records primitive applications so `backward` can replay them in reverse.
 
     Use as a context manager around a forward construction. Running forward
-    ops with no active tape skips recording entirely (eval mode).
+    ops with no active tape skips recording entirely (eval mode). A tensor
+    needs a gradient only if it is a parameter (or another tensor built
+    with `requires_grad=True`) or a recording tape made it from one; a
+    primitive run with no tape makes a tensor that needs none.
     """
 
     _active = None
@@ -133,12 +136,15 @@ def _make(data: np.ndarray, inputs: tuple, vjp, check: bool = True) -> Tensor:
     # gather copies values that the op which made them checked, and skips it.
     if check and not np.isfinite(np.add.reduce(data, axis=None)):
         raise NonFiniteError("non-finite value in forward op")
+    # an output needs a gradient only while a tape records it, from an
+    # input that needs one: with no tape nothing can carry it back
+    tape = Tape._active
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(t.requires_grad for t in inputs)
+    out.requires_grad = tape is not None and any(
+        t.requires_grad for t in inputs)
     out.grad = None
-    tape = Tape._active
-    if tape is not None and out.requires_grad:
+    if out.requires_grad:
         tape.records.append(_Record(out, inputs, vjp))
     return out
 
@@ -429,14 +435,15 @@ def rows_gather(table: Tensor, ids) -> Tensor:
 class RowTable:
     """An append-only table of rows, with one row-id space over the tensors
     appended (chunks). Their values are copied into one growing buffer when
-    they are appended, so a read takes any rows with one index; an id at or
-    past the table's size raises `IndexError`. No chunk is ever
-    concatenated on the tape: there the table is one tensor, `token`, the
-    input of every record that reads it (a gather, or a primitive that
-    reads through `read`). Its gradient is one buffer of all the table's
-    rows, and each such record's backward is one scatter into it; a chunk's
-    gradient, a parameter chunk's too, is its slice of that buffer. A chunk
-    is appended once."""
+    they are appended, so `read` takes any rows with one index and returns
+    them as a plain array; an id at or past the table's size raises
+    `IndexError`. No chunk is ever concatenated on the tape: there the
+    table is one tensor, `token`, the input of every record that reads it
+    (a gather, or a primitive that reads through `read`), and `scatter` is
+    the backward of each such record, the table's one backward write. Its
+    gradient is one buffer of all the table's rows; a chunk's gradient, a
+    parameter chunk's too, is its slice of that buffer. A chunk is
+    appended once."""
 
     def __init__(self, first: Tensor):
         data = first.data
@@ -462,43 +469,40 @@ class RowTable:
             self._grads.append((rows, start))
         return start
 
-    def read(self, ids):
-        """The rows `ids` (an int array of any shape) as a plain array, and
-        the backward part of a record that reads them, `scatter(rows, g)`:
-        it adds g[i] into the gradient of row rows[i], one
-        `_scatter_rows` into the table's gradient buffer. The first
-        scatter to run allocates the buffer and makes it the gradient of
-        every chunk that needs one, each its slice, with any gradient the
-        chunk already had added in, so each chunk's gradient has one home
-        from then on; every record that reads a chunk runs before the
-        record that produced it."""
-        token = self.token
+    def read(self, ids) -> np.ndarray:
+        """The rows `ids` (an int array of any shape), as a plain array."""
+        return self._buf[:self.size][ids]
 
-        def scatter(rows, g):
-            buf = token.grad
-            if buf is None:
-                buf = token.grad = np.zeros(
-                    (self.size,) + self._buf.shape[1:], self._buf.dtype)
-                for chunk, start in self._grads:
-                    view = buf[start:start + chunk.data.shape[0]]
-                    if chunk.grad is not None:
-                        view += chunk.grad
-                    chunk.grad = view
-            _scatter_rows(buf, rows, g)
-
-        return self._buf[:self.size][ids], scatter
+    def scatter(self, rows, g):
+        """Add g[i] into the gradient of row rows[i]: one `_scatter_rows`
+        into the table's gradient buffer. The first scatter to run
+        allocates the buffer and makes it the gradient of every chunk that
+        needs one, each its slice, with any gradient the chunk already had
+        added in, so each chunk's gradient has one home from then on; every
+        record that reads a chunk runs before the record that produced
+        it."""
+        buf = self.token.grad
+        if buf is None:
+            buf = self.token.grad = np.zeros(
+                (self.size,) + self._buf.shape[1:], self._buf.dtype)
+            for chunk, start in self._grads:
+                view = buf[start:start + chunk.data.shape[0]]
+                if chunk.grad is not None:
+                    view += chunk.grad
+                chunk.grad = view
+        _scatter_rows(buf, rows, g)
 
     def gather(self, ids) -> Tensor:
         """out[i] = row ids[i] of the table; for a (rows, j) id matrix,
         out[i] is the j rows ids[i] side by side, one (rows, j * width)
         matrix. Every gather copies its rows through `read`, and its record
-        on a tape is one scatter."""
+        on a tape is one `scatter`."""
         ids = np.asarray(ids, dtype=np.intp)
-        values, scatter = self.read(ids)
+        values = self.read(ids)
         rows = ids.reshape(-1)
 
         def vjp(g):
-            scatter(rows, g)
+            self.scatter(rows, g)
             return (None,)
 
         if ids.ndim == 2:
@@ -526,15 +530,12 @@ def segment_softmax(a: Tensor, counts) -> Tensor:
         out * (g - np.add.reduceat(g * out, starts).repeat(counts)),))
 
 
-def segment_log_softmax_data(x: np.ndarray, counts, starts=None):
+def segment_log_softmax_data(x: np.ndarray, counts, starts):
     """Log-softmax of each run of consecutive entries of the 1-D array x,
-    run s being counts[s] (>= 1) entries long, off the tape. A caller that
-    has the runs' first entries, counts' exclusive cumulative sum, may pass
-    them as `starts`. Returns the values and their vjp, g -> the gradient
-    of x."""
+    run s being counts[s] (>= 1) entries long and starting at starts[s]
+    (counts' exclusive cumulative sum), off the tape. Returns the values
+    and their vjp, g -> the gradient of x."""
     counts = np.asarray(counts, dtype=np.intp)
-    if starts is None:
-        starts = _segment_starts(counts)
     z = x - np.maximum.reduceat(x, starts).repeat(counts)
     out = z - np.log(np.add.reduceat(np.exp(z), starts).repeat(counts))
     return out, lambda g: g - np.exp(out) * np.add.reduceat(
@@ -565,8 +566,9 @@ def segment_sum(weights: Tensor, rows: Tensor, counts) -> Tensor:
 def dropout(a: Tensor, rate: float, rngs, counts) -> Tensor:
     """Inverted dropout of the rows of `a`: the mask of the first counts[0]
     rows is drawn from rngs[0], of the next counts[1] from rngs[1], and so
-    on, each as one `random` call over its rows."""
-    if rate <= 0.0:
+    on, each as one `random` call over its rows. Given no rngs (evaluation)
+    or a rate <= 0, it returns `a` itself and draws nothing."""
+    if rngs is None or rate <= 0.0:
         return a
     tail = a.data.shape[1:]
     keep = (np.concatenate([rng.random((c,) + tail)

@@ -4,6 +4,7 @@ rng per example, in double precision. The batched encoders must take the
 same actions, and the per-example losses and summed gradients must match
 the references."""
 
+import contextlib
 import functools
 import gc
 import importlib.util
@@ -21,6 +22,7 @@ from oracles import (per_example_leaves, per_example_loss, stacked_bt_cell,
 
 from beamtree import encoders
 from beamtree import tensor as T
+from beamtree.cells import leaf_transform_seq
 from beamtree.harness import Model, batch_grad_sums, batch_logits, \
     batch_losses, example_rng, make_config
 from beamtree.listops import Example, read_tsv, tokenize
@@ -194,6 +196,39 @@ def test_batch_step_frees_the_model_without_the_cycle_collector(variant):
         assert freed() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("variant", ["gold", "bt_k2_plain"])
+def test_evaluation_makes_no_tensor_that_needs_a_gradient(variant):
+    # with no tape nothing can carry a gradient back, so no tensor made
+    # outside one needs a gradient, even from the model's parameters, and
+    # a search's node table registers no gradient chunk
+    model, examples = _setup(variant)
+    logits, _beams = batch_logits(model, examples, False, None)
+    assert not logits.requires_grad
+    sequences = [tokenize(ex.source) for ex in examples]
+    leaves = leaf_transform_seq(sequences, model.leaf)
+    assert not leaves.requires_grad
+    search = encoders._BeamBatch(leaves, [len(ids) for ids in sequences],
+                                 model.cell, model.scorer)
+    while search.step(2, False, None):
+        pass
+    assert search.nodes._grads == []
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_search_shares_equal_leaves_only_when_they_need_no_gradient(taped):
+    # hash-consing makes equal leaf rows one node, the first of them; under
+    # a tape each leaf needs its own row's gradient, so each is its own node
+    model, _examples = _setup("bt_k2_plain")
+    source = "[MIN 3 [MAX 1 9 2 ] [MED 5 6 7 ] 0 ]"  # three "]"
+    ids = tokenize(source)
+    with Tape() if taped else contextlib.nullcontext():
+        leaves = leaf_transform_seq([ids], model.leaf)
+        search = encoders._BeamBatch(leaves, [len(ids)], model.cell,
+                                     model.scorer)
+    assert search.node_rows[0, :len(ids)].tolist() == (
+        list(range(len(ids))) if taped else [ids.index(t) for t in ids])
 
 
 def _eval_batch(model, examples):

@@ -206,6 +206,33 @@ def test_fixed_tree_frees_the_cell_without_the_cycle_collector():
         gc.enable()
 
 
+@pytest.mark.parametrize("k,onesoft,gumbel", [
+    pytest.param(2, False, False, id="plain"),
+    pytest.param(2, True, False, id="onesoft"),
+    pytest.param(1, False, True, id="straight-through")])
+def test_bt_search_is_freed_before_backward_without_the_cycle_collector(
+        k, onesoft, gumbel):
+    # the records a search leaves on the tape hold its tables, not the
+    # search: once it has finished, its int matrices and pair dict go
+    grc, scorer = _params(seed=24)
+    leaves = Tensor(_leaves(6, seed=25).data, requires_grad=True)
+    rngs = [np.random.default_rng(26)] if gumbel else None
+    gc.disable()
+    try:
+        with Tape() as tape:
+            search = encoders._BeamBatch(leaves, [6], grc, scorer)
+            while search.step(k, onesoft, rngs):
+                pass
+            encodings, _beams = search.finish()
+            freed = weakref.ref(search)
+            del search
+            assert freed() is None
+            tape.backward(T.tsum(encodings))
+    finally:
+        gc.enable()
+    assert np.abs(scorer.W_v.grad).sum() > 0.0
+
+
 def test_fixed_tree_rejects_leaf_mismatch():
     grc, _ = _params(seed=23)
     with pytest.raises(EncoderError):

@@ -14,8 +14,8 @@ from oracles import stack_machine_eval
 from beamtree.cli import main
 from beamtree.listops import (VOCAB, GenConfig, ListOpsError,
                               build_splits, eval_listops, generate,
-                              gold_tree_listops, parse, read_tsv,
-                              split_recipes, tokenize, write_tsv)
+                              gold_tree_listops, parse, read_example,
+                              read_tsv, split_recipes, tokenize, write_tsv)
 
 
 def test_eval_basic_ops():
@@ -130,9 +130,11 @@ def test_vocab_size_and_round_trip():
     assert " ".join(VOCAB[i] for i in tokenize(src)) == src
 
 
-def test_tokenize_rejects_unknown():
-    with pytest.raises(ListOpsError):
-        tokenize("[MAX 10 ]")
+def test_read_example_rejects_an_unknown_token():
+    # every Example is read through `parse`, which checks each token, so
+    # `tokenize` does not check them again
+    with pytest.raises(ListOpsError, match="unknown token '10'"):
+        read_example("[MAX 10 ]", 0)
 
 
 def test_measurements():

@@ -385,7 +385,8 @@ def test_segment_softmax_and_sum_per_run():
     counts = [1, 3, 2]
 
     def log_softmax(a):  # the data form as a tape primitive
-        out, grad = T.segment_log_softmax_data(a.data, counts)
+        out, grad = T.segment_log_softmax_data(
+            a.data, counts, np.cumsum([0, *counts[:-1]]))
         return T._make(out, (a,), lambda g: (grad(g),))
 
     soft = T.segment_softmax(x, counts).data
@@ -414,6 +415,17 @@ def test_dropout_draws_each_run_of_rows_from_its_rng():
     keep = np.concatenate([np.random.default_rng(1).random((1, 4)),
                            np.random.default_rng(2).random((2, 4))]) >= 0.5
     assert np.array_equal(out.data, keep * 2.0)
+
+
+def test_dropout_returns_its_input_without_rngs_or_rate():
+    # evaluation passes no rngs, and a rate of 0 drops nothing: both are
+    # the input itself, and no rng is drawn from
+    x = Tensor(np.ones((3, 4)))
+    assert T.dropout(x, 0.05, None, [1, 2]) is x
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    states = [rng.bit_generator.state for rng in rngs]
+    assert T.dropout(x, 0.0, rngs, [1, 2]) is x
+    assert [rng.bit_generator.state for rng in rngs] == states
 
 
 def test_nan_policy_aborts_forward():
